@@ -25,7 +25,6 @@ from .optics import (
     OpticalConfig,
     bessel_j,
     forward_amplitude,
-    intensity,
     psf,
 )
 from .optimizer import (
@@ -36,7 +35,7 @@ from .optimizer import (
     optimize,
     step,
 )
-from .gradient import amplitude_gradient, area_gradient, kernel_gradient, objective_gradient, sensitivity
+from .gradient import amplitude_gradient, area_gradient, objective_gradient, sensitivity
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, evaluate_frozen, gradient_of
 from .spline import (
     ExtendedPartition,

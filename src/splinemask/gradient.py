@@ -63,26 +63,6 @@ def quad_point_sensitivity(sens: np.ndarray, quad: TriangleQuadrature,
     return np.einsum("jq,pjn->pqn", quad.barycentric, sens[triangles])
 
 
-def kernel_gradient(gauss_xy, sample_xy, tri_index: int, gauss_index: int,
-                    sens: np.ndarray, quad: TriangleQuadrature,
-                    triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel derivative w.r.t. all controls for one (quadrature point, image sample) pair.
-
-    Returns (dH/dPx, dH/dPy), each shape (n,). At the kernel peak (rho below
-    the series switch) both are zero: the radial kernel has a smooth extremum
-    there.
-    """
-    gx, gy = float(gauss_xy[0]), float(gauss_xy[1])
-    sx, sy = float(sample_xy[0]), float(sample_xy[1])
-    rho = float(np.hypot(gx - sx, gy - sy))
-    n = sens.shape[1]
-    if rho < SMALL_RHO:
-        return np.zeros(n), np.zeros(n)
-    chain = quad.barycentric[:, gauss_index] @ sens[triangles[tri_index]]
-    dh = float(airy_kernel_radial_derivative(rho))
-    return dh * (gx - sx) / rho * chain, dh * (gy - sy) / rho * chain
-
-
 def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
                        grid: ImageGrid, sensitivities: list[np.ndarray],
                        kernel_scale: float = 1.0) -> list[np.ndarray]:
@@ -132,8 +112,7 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
 
 
 def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,
-                       grid: ImageGrid, amplitude_grads: list[np.ndarray],
-                       area_weighted: bool = True) -> list[np.ndarray]:
+                       grid: ImageGrid, amplitude_grads: list[np.ndarray]) -> list[np.ndarray]:
     """Gradient of J w.r.t. all control coordinates, one (n, 2) array per region.
 
     Contracts the amplitude-derivative fields with the per-pixel weight
@@ -143,7 +122,5 @@ def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistM
     u = field.values
     i_vals = u * u
     residual = sigmoid(i_vals, model) - np.asarray(target, dtype=float)
-    weight = 4.0 * residual * sigmoid_derivative(i_vals, model) * u
-    if area_weighted:
-        weight = weight * grid.pixel_area
+    weight = 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
     return [np.einsum("xy,ncxy->nc", weight, fields) for fields in amplitude_grads]

@@ -1,6 +1,7 @@
 """Image-fidelity objective: sigmoid resist model, binary target, squared error."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,10 +20,10 @@ class ResistModel:
     threshold: float = 0.3
 
     def __post_init__(self):
-        if self.steepness <= 0:
-            raise ValueError("sigmoid steepness must be positive")
-        if self.threshold <= 0:
-            raise ValueError("resist threshold must be positive")
+        if not 0 < self.steepness < math.inf:
+            raise ValueError("steepness must be positive and finite")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be positive and finite")
 
 
 def sigmoid(x, model: ResistModel):
@@ -57,21 +58,15 @@ def rasterize_target(polygons, grid: ImageGrid) -> np.ndarray:
 
 
 def objective_value(intensity_array: np.ndarray, target: np.ndarray,
-                    model: ResistModel, grid: ImageGrid,
-                    area_weighted: bool = True) -> float:
-    """Discrete image-fidelity error J = sum (sig(I) - target)^2 * dx * dy.
-
-    `area_weighted=False` drops the pixel-area factor for callers that prefer
-    the unweighted sum-of-squares convention.
-    """
+                    model: ResistModel, grid: ImageGrid) -> float:
+    """Discrete image-fidelity error J = sum (sig(I) - target)^2 * dx * dy."""
     intensity_array = np.asarray(intensity_array, dtype=float)
     if intensity_array.shape != np.shape(target):
         raise ValueError("intensity and target shapes differ")
     if intensity_array.shape != (grid.nx, grid.ny):
         raise ValueError("intensity shape does not match the grid")
     residual = sigmoid(intensity_array, model) - np.asarray(target, dtype=float)
-    weight = grid.pixel_area if area_weighted else 1.0
-    return float(np.sum(residual * residual) * weight)
+    return float(np.sum(residual * residual) * grid.pixel_area)
 
 
 class PrintReport(NamedTuple):

@@ -8,6 +8,7 @@ real scalar field and the intensity is its pointwise square.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,12 +32,12 @@ class OpticalConfig:
     magnification: float = -1.0
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength_nm must be positive and finite")
         if not 0 < self.numerical_aperture < 1.5:
-            raise ValueError("numerical aperture must be in (0, 1.5)")
-        if self.magnification == 0:
-            raise ValueError("magnification must be nonzero")
+            raise ValueError("numerical_aperture must be in (0, 1.5)")
+        if not (math.isfinite(self.magnification) and self.magnification != 0):
+            raise ValueError("magnification must be finite and nonzero")
 
     @property
     def scale_per_nm(self) -> float:
@@ -72,11 +73,16 @@ class ImageGrid:
     origin: tuple[float, float]
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 samples per axis")
-        if self.pitch <= 0:
-            raise ValueError("pixel pitch must be positive")
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not self.nx >= 2:
+            raise ValueError("nx must be at least 2")
+        if not self.ny >= 2:
+            raise ValueError("ny must be at least 2")
+        if not 0 < self.pitch < math.inf:
+            raise ValueError("pitch must be positive and finite")
+        origin = tuple(float(v) for v in self.origin)
+        if len(origin) != 2 or not all(map(math.isfinite, origin)):
+            raise ValueError("origin must be a finite (x, y) pair")
+        object.__setattr__(self, "origin", origin)
 
     @property
     def xs(self) -> np.ndarray:
@@ -104,7 +110,21 @@ class ImageGrid:
     def for_polygons(cls, polygons, pitch: float, margin: float = 0.2,
                      nx: int | None = None, ny: int | None = None,
                      origin: tuple[float, float] | None = None) -> "ImageGrid":
-        """Grid covering the polygons' bounding box grown by `margin` per side."""
+        """Grid covering the polygons' bounding box grown by `margin` per side.
+
+        Given values of nx, ny and origin are kept and the missing ones are
+        fitted to the box, so without polygons all three must be given.
+        """
+        if not 0 <= margin < math.inf:
+            raise ValueError("margin must be non-negative and finite")
+        # check the given values before any of them sizes the lattice
+        grid = cls(2 if nx is None else nx, 2 if ny is None else ny, pitch,
+                   (0.0, 0.0) if origin is None else origin)
+        missing = [name for name, value in (("origin", origin), ("nx", nx), ("ny", ny)) if value is None]
+        if not missing:
+            return grid
+        if not len(polygons):
+            raise ValueError(f"{missing[0]} is required when there are no polygons")
         pts = np.concatenate([np.asarray(p, dtype=float) for p in polygons])
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
@@ -164,15 +184,6 @@ class AmplitudeField:
     @property
     def intensity_values(self) -> np.ndarray:
         return self.values * self.values
-
-
-def intensity(field: AmplitudeField) -> np.ndarray:
-    """Pointwise image intensity I = U * conj(U); real and non-negative.
-
-    The amplitude is real under the on-axis coherent assumption, so this is
-    an elementwise square.
-    """
-    return field.values * field.values
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import SelfIntersectionError, polygon_perimeter_points, polygon_signed_area
 from .mesh import MeshError
+from .optics import OpticalConfig
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, gradient_of
 from .spline import PeriodicSplineRegion
 
@@ -23,25 +24,33 @@ logger = logging.getLogger(__name__)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Largest control move per step, in normalized units, when alpha_max is None.
+MAX_DISPLACEMENT = 2.0
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Loop controls: iteration cap, stopping thresholds, line-search knobs."""
+    """Loop controls: iteration cap, stopping thresholds, line-search knobs.
+
+    `refine_area_tol` is the largest triangle area, in normalized units, of
+    the meshes every step regenerates; it becomes `ImagingProblem.refine_max_area`.
+    """
 
     max_iters: int = 100
     eps: float = 1e-4          # stop when the objective drops below this
     eps_alpha: float = 1e-4    # stop when the accepted step size drops below this
     alpha_max: float | None = None  # line-search bracket; None caps displacement instead
     gs_tol: float = 1e-5
-    max_displacement: float = 2.0   # largest control move per step when alpha_max is None
+    refine_area_tol: float = 0.02
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if self.eps <= 0 or self.eps_alpha <= 0 or self.gs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.alpha_max is not None and self.alpha_max <= 0:
-            raise ValueError("alpha_max must be positive")
+        for name in ("eps", "eps_alpha", "gs_tol", "refine_area_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.alpha_max is not None and not 0 < self.alpha_max < math.inf:
+            raise ValueError("alpha_max must be positive and finite, or None")
 
 
 @dataclass
@@ -112,7 +121,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
     if gmax < 1e-12:
         return state, 0.0, False
-    alpha_max = opt.alpha_max if opt.alpha_max is not None else opt.max_displacement / gmax
+    alpha_max = opt.alpha_max if opt.alpha_max is not None else MAX_DISPLACEMENT / gmax
     regions = [s.region for s in state.evaluation.systems]
 
     def controls_at(alpha: float):
@@ -190,8 +199,10 @@ def _ccw_region(region: PeriodicSplineRegion) -> PeriodicSplineRegion:
     return region
 
 
-def init_controls_from_target(polygons, counts, num_samples, degree: int = 3,
-                              magnification: float = -1.0) -> list[PeriodicSplineRegion]:
+def init_controls_from_target(polygons, counts, num_samples,
+                              degree: int = PeriodicSplineRegion.degree,
+                              magnification: float = OpticalConfig.magnification,
+                              ) -> list[PeriodicSplineRegion]:
     """Initial regions with controls equally spaced along each target polygon.
 
     `counts` and `num_samples` may be single ints or per-polygon sequences.
@@ -206,8 +217,6 @@ def init_controls_from_target(polygons, counts, num_samples, degree: int = 3,
         num_samples = [num_samples] * len(polys)
     regions = []
     for poly, n, m in zip(polys, counts, num_samples):
-        if n < degree + 2:
-            raise ValueError(f"need at least degree + 2 = {degree + 2} control points")
         controls = polygon_perimeter_points(poly, n) * (-1.0 / magnification)
         regions.append(_ccw_region(PeriodicSplineRegion(controls, m, degree)))
     return regions

@@ -47,7 +47,6 @@ class ImagingProblem:
     model: ResistModel
     quad: TriangleQuadrature
     refine_max_area: float
-    area_weighted: bool = True
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
 
 def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvaluation:
     field = forward_amplitude([s.mesh for s in systems], problem.quad, problem.grid)
-    j = objective_value(field.intensity_values, problem.target, problem.model,
-                        problem.grid, problem.area_weighted)
+    j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
 
 
@@ -98,7 +96,7 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation,
                                problem.grid, [s.sens for s in evaluation.systems],
                                kernel_scale=kernel_scale)
     return objective_gradient(evaluation.field, problem.target, problem.model,
-                              problem.grid, grads, problem.area_weighted)
+                              problem.grid, grads)
 
 
 def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluation,

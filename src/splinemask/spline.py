@@ -164,23 +164,23 @@ class PeriodicSplineRegion:
     def __post_init__(self):
         controls = np.asarray(self.controls, dtype=float)
         object.__setattr__(self, "controls", controls)
-        if controls.ndim != 2 or controls.shape[1] != 2:
-            raise ValueError("controls must be an (n, 2) array")
-        if self.degree < 1:
+        if controls.ndim != 2 or controls.shape[1] != 2 or not np.isfinite(controls).all():
+            raise ValueError("controls must be an (n, 2) array of finite numbers")
+        if not self.degree >= 1:
             raise ValueError("degree must be at least 1 for a curve")
         if len(controls) < self.degree + 2:
-            raise ValueError(f"need at least degree + 2 = {self.degree + 2} control points")
+            raise ValueError(f"controls must number at least degree + 2 = {self.degree + 2}")
         if self.sample_params is not None:
             t = np.asarray(self.sample_params, dtype=float)
             object.__setattr__(self, "sample_params", t)
             if t.ndim != 1 or len(t) != self.num_samples:
                 raise ValueError("sample_params length must equal num_samples")
             if np.any(np.diff(t) <= 0):
-                raise ValueError("sample parameters must be strictly increasing")
+                raise ValueError("sample_params must be strictly increasing")
             if t[0] < 0.0 or t[-1] >= 1.0:
-                raise ValueError("sample parameters must lie in [0, 1)")
-        elif self.num_samples < 3:
-            raise ValueError("need at least 3 boundary samples")
+                raise ValueError("sample_params must lie in [0, 1)")
+        elif not self.num_samples >= 3:
+            raise ValueError("num_samples must be at least 3")
 
     @property
     def n(self) -> int:

@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel
 from splinemask.cli import (
     ConfigError,
     RunConfig,
@@ -65,6 +67,16 @@ def test_config_defaults_applied():
     assert cfg.resist["a"] == 90.0
     assert cfg.optimizer["max_iters"] == 100
     assert cfg.optimizer["eps"] == 1e-4
+    # the parsed defaults are the domain classes' own
+    optical, resist = OpticalConfig(), ResistModel()
+    assert cfg.optical == {"lambda0_nm": optical.wavelength_nm, "na": optical.numerical_aperture,
+                           "magnification": optical.magnification}
+    assert cfg.resist == {"a": resist.steepness, "tr": resist.threshold}
+    assert cfg.optimizer == asdict(OptimizerConfig())
+    assert cfg.optimizer["gs_tol"] == OptimizerConfig().gs_tol
+    with_region = parse_config({**desk_config(), "regions": [
+        {"num_samples": 24, "init_from_target": 0, "num_controls": 12}]})
+    assert with_region.regions[0].degree == PeriodicSplineRegion.degree
 
 
 def test_config_errors_name_fields():

@@ -1,0 +1,138 @@
+"""Config fuzz: every bad value, point or key is a config error naming its JSON path.
+
+Each case must make `parse_config` raise a ConfigError whose field_name is the
+path, and make `main(["simulate", ...])` exit 2 before any output is written.
+"""
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splinemask.cli import ConfigError, main, parse_config
+from splinemask.geometry import polygon_perimeter_points
+
+from test_cli import SQUARE, desk_config
+
+NAN, INF = math.nan, math.inf
+
+SCALAR_KEYS = {
+    "optical": ("lambda0_nm", "na", "magnification"),
+    "resist": ("a", "tr"),
+    "grid": ("pixel_nm", "nx", "ny", "margin"),
+    "optimizer": ("max_iters", "eps", "eps_alpha", "alpha_max", "gs_tol", "refine_area_tol"),
+}
+ZERO_OK = {"grid.margin"}
+NEGATIVE_OK = {"optical.magnification"}
+
+
+def explicit_config():
+    """The desk config with its region given as explicit control points."""
+    controls = polygon_perimeter_points(np.array(SQUARE), 12).tolist()
+    return desk_config(regions=[{"num_samples": 24, "controls_nm": controls}])
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the member at a path like 'regions[0].degree' set to value."""
+    doc = copy.deepcopy(doc)
+    *parents, last = [int(t) if t.isdigit() else t for t in re.findall(r"[^.\[\]]+", path)]
+    node = doc
+    for token in parents:
+        node = node[token]
+    node[last] = value
+    return doc
+
+
+def assert_config_error(doc, field):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.field_name == field
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["--quiet", "simulate", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert f"config error: {field}:" in stderr.getvalue()
+
+
+def test_scalar_keys_cover_every_section_key():
+    cfg = parse_config(desk_config())
+    for section, keys in SCALAR_KEYS.items():
+        if section != "grid":  # the grid keeps only the keys it was given
+            assert set(getattr(cfg, section)) == set(keys)
+
+
+@st.composite
+def bad_scalars(draw):
+    section = draw(st.sampled_from(sorted(SCALAR_KEYS)))
+    key = draw(st.sampled_from(SCALAR_KEYS[section]))
+    path = f"{section}.{key}"
+    options = [st.sampled_from([NAN, INF, -INF, "wide", True, False])]
+    if path not in ZERO_OK:
+        options.append(st.sampled_from([0, 0.0]))
+    if path not in NEGATIVE_OK:
+        options.append(st.integers(max_value=-1) | st.floats(max_value=-1e-9, allow_infinity=False))
+    return path, draw(st.one_of(options))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_scalars())
+def test_bad_scalar_is_config_error(case):
+    path, value = case
+    assert_config_error(replaced(explicit_config(), path, value), path)
+
+
+POINT_MEMBERS = {
+    "grid.origin_nm[{}]": "grid.origin_nm",
+    "regions[0].controls_nm[3][{}]": "regions[0].controls_nm",
+    "target_polygons_nm[0][1][{}]": "target_polygons_nm[0]",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(POINT_MEMBERS)), st.integers(0, 1),
+       st.sampled_from([NAN, INF, -INF, "x", True, None, [1.0]]))
+def test_bad_point_entry_is_config_error(member, coord, value):
+    assert_config_error(replaced(explicit_config(), member.format(coord), value),
+                        POINT_MEMBERS[member])
+
+
+@pytest.mark.parametrize("section", [*SCALAR_KEYS, "regions[0]"])
+def test_unknown_nested_key_is_config_error(section):
+    assert_config_error(replaced(explicit_config(), f"{section}.bogus", 1.0), f"{section}.bogus")
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("resist.a", NAN, "resist.a"),
+    ("grid.pixel_nm", NAN, "grid.pixel_nm"),
+    ("grid.origin_nm", [NAN, -190.0], "grid.origin_nm"),
+    ("resist.tr", INF, "resist.tr"),
+    ("regions[0].num_samples", 2, "regions[0].num_samples"),
+    ("regions[0].degree", 0, "regions[0].degree"),
+    ("optimizer.max_iters", 0, "optimizer.max_iters"),
+    ("optical.lambda0_nm", INF, "optical.lambda0_nm"),
+    ("regions[0].controls_nm[0][0]", NAN, "regions[0].controls_nm"),
+    ("regions[0].controls_nm[0][1]", "wide", "regions[0].controls_nm"),
+    ("target_polygons_nm[0][2][0]", "wide", "target_polygons_nm[0]"),
+])
+def test_reported_inputs_are_config_errors(path, value, field):
+    assert_config_error(replaced(explicit_config(), path, value), field)
+
+
+def test_region_from_target_reports_its_keys():
+    doc = desk_config()
+    assert_config_error(replaced(doc, "regions[0].num_samples", 2), "regions[0].num_samples")
+    assert_config_error(replaced(doc, "regions[0].degree", 0), "regions[0].degree")
+    assert_config_error(replaced(doc, "regions[0].num_controls", 4), "regions[0].num_controls")

@@ -5,7 +5,6 @@ from splinemask.geometry import polygon_perimeter_points
 from splinemask.gradient import (
     amplitude_gradient,
     area_gradient,
-    kernel_gradient,
     objective_gradient,
     sensitivity,
 )
@@ -18,7 +17,14 @@ from splinemask.mesh import (
     triangulate_region,
 )
 from splinemask.objective import ResistModel, rasterize_target
-from splinemask.optics import ImageGrid, OpticalConfig, airy_kernel, forward_amplitude
+from splinemask.optics import (
+    SMALL_RHO,
+    ImageGrid,
+    OpticalConfig,
+    airy_kernel,
+    airy_kernel_radial_derivative,
+    forward_amplitude,
+)
 from splinemask.pipeline import (
     ImagingProblem,
     build_region_system,
@@ -30,6 +36,26 @@ from splinemask.pipeline import (
 from splinemask.spline import PeriodicSplineRegion, build_collocation, sample_boundary
 
 QUAD = TriangleQuadrature.degree3()
+
+
+def kernel_gradient(gauss_xy, sample_xy, tri_index: int, gauss_index: int,
+                    sens: np.ndarray, quad: TriangleQuadrature,
+                    triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar reference for one (quadrature point, image sample) pair: dH/dP for all controls.
+
+    Returns (dH/dPx, dH/dPy), each shape (n,). At the kernel peak (rho below
+    the series switch) both are zero: the radial kernel has a smooth extremum
+    there.
+    """
+    gx, gy = float(gauss_xy[0]), float(gauss_xy[1])
+    sx, sy = float(sample_xy[0]), float(sample_xy[1])
+    rho = float(np.hypot(gx - sx, gy - sy))
+    n = sens.shape[1]
+    if rho < SMALL_RHO:
+        return np.zeros(n), np.zeros(n)
+    chain = quad.barycentric[:, gauss_index] @ sens[triangles[tri_index]]
+    dh = float(airy_kernel_radial_derivative(rho))
+    return dh * (gx - sx) / rho * chain, dh * (gy - sy) / rho * chain
 
 
 def blob_region(seed: int, n: int = 8, m: int = 16, radius: float = 0.5,

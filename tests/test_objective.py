@@ -115,8 +115,6 @@ def test_objective_scales_with_pixel_area():
     j1 = objective_value(intensity, target, model, g1)
     j2 = objective_value(intensity, target, model, g2)
     assert j2 == pytest.approx(2.0 * j1, rel=1e-12)
-    j_unweighted = objective_value(intensity, target, model, g1, area_weighted=False)
-    assert j_unweighted == pytest.approx(j1 / g1.pixel_area, rel=1e-12)
 
 
 def test_objective_monotone_in_intensity():

@@ -10,7 +10,6 @@ from splinemask.optics import (
     airy_kernel_radial_derivative,
     bessel_j,
     forward_amplitude,
-    intensity,
     psf,
 )
 
@@ -144,7 +143,7 @@ def test_forward_empty_is_zero():
     grid = ImageGrid(5, 5, 0.2, (0.0, 0.0))
     field = forward_amplitude([], TriangleQuadrature.degree3(), grid)
     assert np.all(field.values == 0.0)
-    assert np.all(intensity(field) == 0.0)
+    assert np.all(field.intensity_values == 0.0)
 
 
 def test_forward_translation_invariance():
@@ -172,11 +171,11 @@ def test_forward_superposition():
 
 def test_forward_real_valued_and_intensity():
     field = AmplitudeField(np.array([[1.5, -2.0], [0.0, 3.0]]))
-    np.testing.assert_allclose(intensity(field), [[2.25, 4.0], [0.0, 9.0]])
+    np.testing.assert_allclose(field.intensity_values, [[2.25, 4.0], [0.0, 9.0]])
     mesh = square_mesh(max_area=0.05)
     out = forward_amplitude([mesh], TriangleQuadrature.degree3(), ImageGrid(6, 6, 0.3, (-0.3, -0.3)))
     assert np.isrealobj(out.values)
-    assert (intensity(out) >= 0.0).all()
+    assert (out.intensity_values >= 0.0).all()
 
 
 def test_forward_refinement_consistency():
