@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import TriangleQuadrature
-from .objective import ResistModel, rasterize_target
+from .objective import ResistModel, check_target_polygon, rasterize_target
 from .optics import ImageGrid, OpticalConfig
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
 from .pipeline import (
@@ -185,10 +185,9 @@ def parse_config(document: dict) -> RunConfig:
         raise ConfigError("target_polygons_nm", "must be a list of polygons")
     for i, poly in enumerate(targets):
         where = f"target_polygons_nm[{i}]"
-        if len(_points(poly, where)) < 3:
-            raise ConfigError(where, "polygon needs at least 3 points")
-        if not np.isfinite(poly).all():
-            raise ConfigError(where, "points must be finite")
+        _points(poly, where)
+        # the polygon rasterize_target will check, normalized as build_setup does
+        _build(where, {}, lambda: check_target_polygon(optical_cfg.normalize_image(poly)))
 
     grid = _object(document.get("grid", {}), "grid", GRID_KEYS)
     if "pixel_nm" not in grid:

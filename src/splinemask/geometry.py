@@ -50,7 +50,9 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     """True if the closed polyline through `points` has any crossing edge pair.
 
     Adjacent segments (sharing an endpoint, including the wrap-around pair)
-    are not counted. Repeated vertices count as an intersection.
+    are not counted. Repeated vertices count as an intersection. All
+    non-adjacent segment pairs are tested at once: a proper crossing by the
+    orientation signs, or a zero orientation with overlapping bounding boxes.
     """
     pts = np.asarray(points, dtype=float)
     m = len(pts)
@@ -58,41 +60,35 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
         return False
     if len(np.unique(pts, axis=0)) < m:
         return True
-    a = pts
+    # segment s runs from vertex s to vertex s+1 (mod m); pair i < j is
+    # non-adjacent when j >= i + 2, except the wrap-around pair (0, m-1)
+    i, j = np.triu_indices(m, k=2)
+    keep = ~((i == 0) & (j == m - 1))
+    i, j = i[keep], j[keep]
     b = np.roll(pts, -1, axis=0)
-    for i in range(m - 2):
-        # candidate partners: non-adjacent segments after i
-        j0 = i + 2
-        j1 = m if i > 0 else m - 1  # segment (m-1, 0) is adjacent to segment 0
-        if j0 >= j1:
-            continue
-        ax, ay = a[i]
-        bx, by = b[i]
-        cx, cy = a[j0:j1, 0], a[j0:j1, 1]
-        dx, dy = b[j0:j1, 0], b[j0:j1, 1]
-        d1 = _orient(ax, ay, bx, by, cx, cy)
-        d2 = _orient(ax, ay, bx, by, dx, dy)
-        d3 = _orient(cx, cy, dx, dy, ax, ay)
-        d4 = _orient(cx, cy, dx, dy, bx, by)
-        proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if proper.any():
-            return True
-        # collinear overlap: any zero orientation with bounding-box overlap
-        touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        if touch.any():
-            lo_x = np.maximum(min(ax, bx), np.minimum(cx, dx))
-            hi_x = np.minimum(max(ax, bx), np.maximum(cx, dx))
-            lo_y = np.maximum(min(ay, by), np.minimum(cy, dy))
-            hi_y = np.minimum(max(ay, by), np.maximum(cy, dy))
-            if (touch & (lo_x <= hi_x) & (lo_y <= hi_y)).any():
-                return True
-    return False
+    ax, ay = pts[i, 0], pts[i, 1]
+    bx, by = b[i, 0], b[i, 1]
+    cx, cy = pts[j, 0], pts[j, 1]
+    dx, dy = b[j, 0], b[j, 1]
+    d1 = _orient(ax, ay, bx, by, cx, cy)
+    d2 = _orient(ax, ay, bx, by, dx, dy)
+    d3 = _orient(cx, cy, dx, dy, ax, ay)
+    d4 = _orient(cx, cy, dx, dy, bx, by)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    # collinear overlap: any zero orientation with bounding-box overlap
+    touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+    lo_x = np.maximum(np.minimum(ax, bx), np.minimum(cx, dx))
+    hi_x = np.minimum(np.maximum(ax, bx), np.maximum(cx, dx))
+    lo_y = np.maximum(np.minimum(ay, by), np.minimum(cy, dy))
+    hi_y = np.minimum(np.maximum(ay, by), np.maximum(cy, dy))
+    return bool((proper | (touch & (lo_x <= hi_x) & (lo_y <= hi_y))).any())
 
 
 def polygon_perimeter_points(polygon: np.ndarray, count: int) -> np.ndarray:
     """Place `count` points at equal arc-length spacing along a closed polygon.
 
     The first point coincides with vertex 0; spacing is perimeter / count.
+    A count below 1 places no points.
     """
     poly = np.asarray(polygon, dtype=float)
     if len(poly) < 3:
@@ -104,10 +100,7 @@ def polygon_perimeter_points(polygon: np.ndarray, count: int) -> np.ndarray:
         raise ValueError("degenerate polygon with zero perimeter")
     cumulative = np.concatenate([[0.0], np.cumsum(lengths)])
     targets = np.arange(count) * perimeter / count
-    out = np.empty((count, 2))
-    for k, s in enumerate(targets):
-        i = int(np.searchsorted(cumulative, s, side="right") - 1)
-        i = min(i, len(poly) - 1)
-        frac = (s - cumulative[i]) / lengths[i] if lengths[i] > 0 else 0.0
-        out[k] = poly[i] + frac * edges[i]
-    return out
+    i = np.minimum(np.searchsorted(cumulative, targets, side="right") - 1, len(poly) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(lengths[i] > 0, (targets - cumulative[i]) / lengths[i], 0.0)
+    return poly[i] + frac[:, None] * edges[i]

@@ -101,9 +101,9 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
             ddy = pts[None, :, 1] - gy[start:stop, None]
             rho = np.hypot(ddx, ddy)
             h = airy_kernel(rho)
-            dh = airy_kernel_radial_derivative(rho)
-            safe = np.where(rho < SMALL_RHO, 1.0, rho)
-            radial = np.where(rho < SMALL_RHO, 0.0, dh / safe)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                radial = airy_kernel_radial_derivative(rho) / rho
+            radial[rho < SMALL_RHO] = 0.0
             dux[start:stop] = (radial * ddx) @ kern_fac + h @ area_fac_x
             duy[start:stop] = (radial * ddy) @ kern_fac + h @ area_fac_y
         fields = np.stack([dux.T, duy.T], axis=1)  # (n, 2, npix)

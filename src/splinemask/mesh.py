@@ -129,32 +129,36 @@ def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
     """
     if max_area <= 0.0:
         raise ValueError("max_area must be positive")
-    vertices = [row for row in mesh.vertices]
-    prov = [row for row in mesh.provenance]
-    triangles = [tuple(t) for t in mesh.triangles]
+    vertices = np.array(mesh.vertices, dtype=float)
+    prov = np.array(mesh.provenance, dtype=float)
+    triangles = np.array(mesh.triangles, dtype=np.int64)
 
     while True:
-        split_any = False
-        new_triangles: list[tuple[int, int, int]] = []
-        for (i, j, k) in triangles:
-            area = signed_area(vertices[i], vertices[j], vertices[k])
-            if area <= max_area:
-                new_triangles.append((i, j, k))
-                continue
-            split_any = True
-            centroid = (vertices[i] + vertices[j] + vertices[k]) / 3.0
-            prov.append((prov[i] + prov[j] + prov[k]) / 3.0)
-            vertices.append(centroid)
-            g = len(vertices) - 1
-            new_triangles.extend([(i, j, g), (j, k, g), (k, i, g)])
-        triangles = new_triangles
-        if not split_any:
+        # one sweep: every triangle larger than max_area splits, in order
+        split = ~(_triangle_areas(vertices, triangles) <= max_area)
+        if not split.any():
             break
+        parents = triangles[split]
+        i, j, k = parents.T
+        g = len(vertices) + np.arange(len(parents))
+        vertices = np.concatenate([vertices, (vertices[i] + vertices[j] + vertices[k]) / 3.0])
+        prov = np.concatenate([prov, (prov[i] + prov[j] + prov[k]) / 3.0])
+        # a kept triangle stays in place; a split parent gives way to its
+        # three children (i, j, g), (j, k, g), (k, i, g)
+        width = np.where(split, 3, 1)
+        start = np.cumsum(width) - width
+        out = np.empty((int(width.sum()), 3), dtype=np.int64)
+        out[start[~split]] = triangles[~split]
+        first = start[split]
+        out[first] = np.stack([i, j, g], axis=1)
+        out[first + 1] = np.stack([j, k, g], axis=1)
+        out[first + 2] = np.stack([k, i, g], axis=1)
+        triangles = out
 
     return ProvenancedMesh(
-        vertices=np.asarray(vertices),
-        triangles=np.asarray(triangles, dtype=np.int64),
-        provenance=np.asarray(prov),
+        vertices=vertices,
+        triangles=triangles,
+        provenance=prov,
         boundary=mesh.boundary,
         region=mesh.region,
     )

@@ -41,6 +41,21 @@ def sigmoid_derivative(x, model: ResistModel):
     return model.steepness * expit(z) * expit(-z)
 
 
+def check_target_polygon(polygon) -> np.ndarray:
+    """A target polygon as an (m, 2) float array, or ValueError if it cannot be one.
+
+    It needs at least 3 points, all finite, enclosing a nonzero area.
+    """
+    poly = np.asarray(polygon, dtype=float)
+    if len(poly) < 3:
+        raise ValueError("polygon needs at least 3 points")
+    if not np.isfinite(poly).all():
+        raise ValueError("points must be finite")
+    if polygon_signed_area(poly) == 0.0:
+        raise ValueError("polygon has zero area")
+    return poly
+
+
 def rasterize_target(polygons, grid: ImageGrid) -> np.ndarray:
     """Binary target raster: pixel = 1 iff its sample point is inside any polygon.
 
@@ -50,9 +65,7 @@ def rasterize_target(polygons, grid: ImageGrid) -> np.ndarray:
     raster = np.zeros((grid.nx, grid.ny), dtype=np.uint8)
     px, py = grid.flat_coords()
     for poly in polygons:
-        poly = np.asarray(poly, dtype=float)
-        if len(poly) < 3 or abs(polygon_signed_area(poly)) == 0.0:
-            raise ValueError("degenerate target polygon")
+        poly = check_target_polygon(poly)
         raster |= points_in_polygon(px, py, poly).reshape(grid.nx, grid.ny)
     return raster
 

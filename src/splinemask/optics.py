@@ -16,9 +16,14 @@ from scipy.special import j0, j1, jv
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
 
-# Below this radius the kernel and its radial derivative switch to series
-# forms; keeps the 0/0 at the kernel peak from polluting gradients.
+# Below this radius the kernel switches to its series form and the gradient
+# drops the radial direction; keeps the 0/0 at the kernel peak from polluting
+# gradients.
 SMALL_RHO = 1e-6
+
+# Below this radius the kernel's radial derivative uses its Maclaurin series:
+# the Bessel form cancels toward the peak and would lose digits there.
+SERIES_RHO = 1e-2
 
 PIXEL_CHUNK = 4096
 
@@ -156,18 +161,32 @@ def bessel_j(order: int, x):
 def airy_kernel(rho):
     """H(rho) = J1(2 pi rho) / rho with the removable singularity H(0) = pi."""
     rho = np.asarray(rho, dtype=float)
-    safe = np.where(rho < SMALL_RHO, 1.0, rho)
-    series = np.pi - 0.5 * np.pi**3 * rho**2
-    return np.where(rho < SMALL_RHO, series, j1(2.0 * np.pi * safe) / safe)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(j1(2.0 * np.pi * rho) / rho)
+    small = rho < SMALL_RHO
+    if small.any():
+        out[small] = np.pi - 0.5 * np.pi**3 * rho[small] ** 2
+    return out
 
 
 def airy_kernel_radial_derivative(rho):
-    """dH/drho = (pi (J0 - J2)(2 pi rho) rho - J1(2 pi rho)) / rho^2, zero at the peak."""
+    """dH/drho = (z J0(z) - 2 J1(z)) / rho^2 with z = 2 pi rho, zero at the peak.
+
+    The numerator is pi (J0 - J2)(z) rho - J1(z) rewritten with J0 - J2 = 2 J1',
+    so no J2 is evaluated. It cancels toward rho = 0, so below SERIES_RHO the
+    Maclaurin series -pi^3 rho (1 - x/3 + x^2/24 - x^3/360), x = (pi rho)^2,
+    takes over; its first omitted term is below 1e-16 relative there.
+    """
     rho = np.asarray(rho, dtype=float)
-    safe = np.where(rho < SMALL_RHO, 1.0, rho)
-    z = 2.0 * np.pi * safe
-    num = np.pi * (j0(z) - jv(2, z)) * safe - j1(z)
-    return np.where(rho < SMALL_RHO, 0.0, num / safe**2)
+    z = 2.0 * np.pi * rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray((z * j0(z) - 2.0 * j1(z)) / (rho * rho))
+    small = rho < SERIES_RHO
+    if small.any():
+        r = rho[small]
+        x = (np.pi * r) ** 2
+        out[small] = -np.pi**3 * r * (1.0 - x / 3.0 * (1.0 - x / 8.0 * (1.0 - x / 15.0)))
+    return out
 
 
 def psf(dx, dy):

@@ -127,15 +127,18 @@ def step(state: OptimizationState, problem: ImagingProblem,
     def controls_at(alpha: float):
         return [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
 
+    scored: dict[float, MaskEvaluation | None] = {}
+
     def phi(alpha: float) -> float:
-        trial = _try_evaluate(problem, controls_at(alpha))
+        trial = scored[alpha] = _try_evaluate(problem, controls_at(alpha))
         return trial.objective if trial is not None else math.inf
 
     alpha, j_alpha = golden_section(phi, alpha_max, opt.gs_tol)
     if not (j_alpha < state.objective):
         return state, 0.0, False
 
-    trial = _try_evaluate(problem, controls_at(alpha))
+    # golden_section returns one of the alphas phi scored; reuse that evaluation
+    trial = scored[alpha]
     for _ in range(20):
         if trial is not None:
             break

@@ -10,6 +10,7 @@ points well defined. Sampling is a plain matrix product Q = N P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -201,20 +202,33 @@ class PeriodicSplineRegion:
 
 
 def build_collocation(region: PeriodicSplineRegion) -> np.ndarray:
-    """Collocation matrix N of periodic basis values, shape (m, n).
+    """Collocation matrix N of periodic basis values, shape (m, n), read-only.
 
     Row i holds the n periodic basis values at t_i; the p wrapped functions
     (whose plain-basis tails cross the seam) land on the last p columns, so
     Q = N @ controls uses exactly the n independent points. Every row sums
     to 1 and has at most degree + 1 nonzero entries.
+
+    N depends only on the region's shape, not on its control positions, so
+    it is built once per (n, degree, num_samples, sample_params) and the same
+    read-only array is returned for every region of that shape.
     """
-    ext = extend_partition(region.knot_vector())
-    t = region.params()
-    n = region.n
+    params = None if region.sample_params is None else tuple(region.sample_params.tolist())
+    return _collocation(region.n, region.degree, region.num_samples, params)
+
+
+@lru_cache(maxsize=64)
+def _collocation(n: int, degree: int, num_samples: int,
+                 sample_params: tuple[float, ...] | None) -> np.ndarray:
+    shape = PeriodicSplineRegion(np.zeros((n, 2)), num_samples, degree,
+                                 None if sample_params is None else np.array(sample_params))
+    ext = extend_partition(shape.knot_vector())
+    t = shape.params()
     matrix = np.zeros((len(t), n))
     for i, ti in enumerate(t):
         for k in range(n):
             matrix[i, k] = periodic_basis_eval(ext, k, float(ti))
+    matrix.setflags(write=False)
     return matrix
 
 

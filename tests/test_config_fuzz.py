@@ -126,6 +126,7 @@ def test_unknown_nested_key_is_config_error(section):
     ("regions[0].controls_nm[0][0]", NAN, "regions[0].controls_nm"),
     ("regions[0].controls_nm[0][1]", "wide", "regions[0].controls_nm"),
     ("target_polygons_nm[0][2][0]", "wide", "target_polygons_nm[0]"),
+    ("target_polygons_nm[0]", [[0, 0], [1, 1], [2, 2]], "target_polygons_nm[0]"),
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -136,3 +137,4 @@ def test_region_from_target_reports_its_keys():
     assert_config_error(replaced(doc, "regions[0].num_samples", 2), "regions[0].num_samples")
     assert_config_error(replaced(doc, "regions[0].degree", 0), "regions[0].degree")
     assert_config_error(replaced(doc, "regions[0].num_controls", 4), "regions[0].num_controls")
+    assert_config_error(replaced(doc, "regions[0].num_controls", -1), "regions[0].num_controls")

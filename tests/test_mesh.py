@@ -2,10 +2,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from splinemask.geometry import SelfIntersectionError, polygon_signed_area
+from splinemask.geometry import SelfIntersectionError, polygon_signed_area, polyline_self_intersects
 from splinemask.mesh import (
     MeshError,
+    ProvenancedMesh,
     TriangleQuadrature,
     TriangleTensor,
     assemble_tensor,
@@ -229,3 +232,157 @@ def test_polygon_area_unchanged_by_refinement():
     mesh = triangulate_region(square_samples(12))
     refined = refine_mesh(mesh, 0.005)
     assert polygon_area(refined) == pytest.approx(polygon_area(mesh), abs=1e-12)
+
+
+# -- loop references for the vectorized polyline test and refinement ------------
+
+def _orient(ax, ay, bx, by, cx, cy):
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def loop_polyline_self_intersects(points):
+    """Segment-by-segment crossing test; the reference for polyline_self_intersects."""
+    pts = np.asarray(points, dtype=float)
+    m = len(pts)
+    if m < 3:
+        return False
+    if len(np.unique(pts, axis=0)) < m:
+        return True
+    a = pts
+    b = np.roll(pts, -1, axis=0)
+    for i in range(m - 2):
+        # candidate partners: non-adjacent segments after i
+        j0 = i + 2
+        j1 = m if i > 0 else m - 1  # segment (m-1, 0) is adjacent to segment 0
+        if j0 >= j1:
+            continue
+        ax, ay = a[i]
+        bx, by = b[i]
+        cx, cy = a[j0:j1, 0], a[j0:j1, 1]
+        dx, dy = b[j0:j1, 0], b[j0:j1, 1]
+        d1 = _orient(ax, ay, bx, by, cx, cy)
+        d2 = _orient(ax, ay, bx, by, dx, dy)
+        d3 = _orient(cx, cy, dx, dy, ax, ay)
+        d4 = _orient(cx, cy, dx, dy, bx, by)
+        proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if proper.any():
+            return True
+        touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+        if touch.any():
+            lo_x = np.maximum(min(ax, bx), np.minimum(cx, dx))
+            hi_x = np.minimum(max(ax, bx), np.maximum(cx, dx))
+            lo_y = np.maximum(min(ay, by), np.minimum(cy, dy))
+            hi_y = np.minimum(max(ay, by), np.maximum(cy, dy))
+            if (touch & (lo_x <= hi_x) & (lo_y <= hi_y)).any():
+                return True
+    return False
+
+
+def loop_refine_mesh(mesh, max_area):
+    """Triangle-by-triangle centroid refinement; the reference for refine_mesh."""
+    vertices = [row for row in mesh.vertices]
+    prov = [row for row in mesh.provenance]
+    triangles = [tuple(t) for t in mesh.triangles]
+    while True:
+        split_any = False
+        new_triangles = []
+        for (i, j, k) in triangles:
+            area = signed_area(vertices[i], vertices[j], vertices[k])
+            if area <= max_area:
+                new_triangles.append((i, j, k))
+                continue
+            split_any = True
+            centroid = (vertices[i] + vertices[j] + vertices[k]) / 3.0
+            prov.append((prov[i] + prov[j] + prov[k]) / 3.0)
+            vertices.append(centroid)
+            g = len(vertices) - 1
+            new_triangles.extend([(i, j, g), (j, k, g), (k, i, g)])
+        triangles = new_triangles
+        if not split_any:
+            break
+    return np.asarray(vertices), np.asarray(triangles, dtype=np.int64), np.asarray(prov)
+
+
+# Small integer lattices make repeated vertices, collinear touching segments,
+# shared endpoints and closing-edge contacts common; the scale keeps the
+# orientation products inexact for non-integer coordinates.
+lattice_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+lattice_loops = st.tuples(
+    st.one_of(st.lists(lattice_points, min_size=3, max_size=14, unique=True),
+              st.lists(lattice_points, max_size=14)),
+    st.sampled_from([1.0, 0.1, 1.0 / 3.0, 1e-7]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_loops)
+@example(([(0, 0), (2, 0), (2, 2), (0, 2)], 1.0))                 # square
+@example(([(0, 0), (2, 0), (1, 0), (1, 2)], 1.0))                 # segments fold back
+@example(([(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)], 1.0))         # closing vertex repeated
+@example(([(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)], 1.0))         # vertex on an edge
+@example(([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (0, 1)], 1.0))  # collinear neighbours
+@example(([(0, 0), (2, 2), (2, 0), (0, 2)], 1.0))                 # bowtie
+@example(([(0, 0), (3, 0), (3, 1), (1, 1), (1, -1)], 1.0))        # last edge crosses the first
+def test_polyline_self_intersects_matches_loop_reference(case):
+    points, scale = case
+    pts = np.array(points, dtype=float).reshape(-1, 2) * scale
+    assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 40), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_polyline_self_intersects_matches_loop_reference_on_float_loops(m, wobble, seed):
+    # star-shaped loops are simple; a large radial wobble makes some cross
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0, 2 * np.pi, m))
+    radius = 1.0 + wobble * rng.uniform(-1, 1, m)
+    pts = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    if rng.random() < 0.5:
+        pts = pts[rng.permutation(m)]
+    assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
+
+
+@st.composite
+def random_meshes(draw):
+    """Arbitrary vertex clouds and index triples: orientation and degeneracy vary freely."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 8))
+    extra = draw(st.integers(0, 6))
+    vertices = rng.normal(size=(m + extra, 2)) * draw(st.sampled_from([1.0, 1e-3, 50.0]))
+    triangles = rng.integers(0, m + extra, size=(draw(st.integers(1, 10)), 3))
+    provenance = rng.dirichlet(np.ones(m), size=m + extra)
+    mesh = ProvenancedMesh(vertices, triangles, provenance, vertices[:m].copy(), region=2)
+    largest = max(float(np.abs(mesh.areas()).max()), 1e-300)
+    return mesh, largest * draw(st.floats(0.01, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_meshes())
+def test_refine_mesh_matches_loop_reference(case):
+    mesh, max_area = case
+    refined = refine_mesh(mesh, max_area)
+    vertices, triangles, provenance = loop_refine_mesh(mesh, max_area)
+    assert np.array_equal(refined.vertices, vertices)
+    assert np.array_equal(refined.triangles, triangles)
+    assert np.array_equal(refined.provenance, provenance)
+    assert refined.triangles.dtype == np.int64
+    assert refined.region == mesh.region and refined.boundary is mesh.boundary
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 30), st.floats(0.0, 0.5), st.floats(0.002, 0.5), st.integers(0, 2**32 - 1))
+def test_refine_mesh_matches_loop_reference_on_region_meshes(m, wobble, fraction, seed):
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0, 2 * np.pi, m))
+    radius = 1.0 + wobble * rng.uniform(-1, 1, m)
+    pts = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    try:
+        mesh = triangulate_region(pts)
+    except (MeshError, SelfIntersectionError):
+        return
+    max_area = fraction * polygon_area(mesh)
+    refined = refine_mesh(mesh, max_area)
+    vertices, triangles, provenance = loop_refine_mesh(mesh, max_area)
+    assert np.array_equal(refined.vertices, vertices)
+    assert np.array_equal(refined.triangles, triangles)
+    assert np.array_equal(refined.provenance, provenance)

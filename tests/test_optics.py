@@ -1,10 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import j1
 
 from splinemask.mesh import TriangleQuadrature, refine_mesh, triangulate_region
 from splinemask.optics import (
     AmplitudeField,
     ImageGrid,
+    SMALL_RHO,
     OpticalConfig,
     airy_kernel,
     airy_kernel_radial_derivative,
@@ -94,6 +97,40 @@ def test_kernel_radial_derivative_matches_fd():
         fd = (airy_kernel(rho + h) - airy_kernel(rho - h)) / (2 * h)
         assert airy_kernel_radial_derivative(rho) == pytest.approx(float(fd), rel=1e-6, abs=1e-8)
     assert airy_kernel_radial_derivative(0.0) == 0.0
+
+
+def mp_radial_derivative(rho: float) -> float:
+    """dH/drho from 40-digit Bessel values; the Bessel form is exact in this precision."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(rho)
+        if r == 0:
+            return 0.0
+        z = 2 * mpmath.pi * r
+        return float((z * mpmath.besselj(0, z) - 2 * mpmath.besselj(1, z)) / (r * r))
+
+
+def test_kernel_radial_derivative_matches_mpmath_down_to_the_peak():
+    rhos = np.concatenate([[0.0], np.logspace(-9, -1, 161), np.linspace(0.1, 5.0, 491)])
+    values = airy_kernel_radial_derivative(rhos)
+    exact = np.array([mp_radial_derivative(r) for r in rhos])
+    mixed = np.abs(values - exact) / np.maximum(1.0, np.abs(exact))
+    assert mixed.max() <= 1e-12
+    for rho, value in zip(rhos[::37], values[::37]):
+        assert float(airy_kernel_radial_derivative(float(rho))) == value
+
+
+def test_airy_kernel_bit_identical_to_masked_form():
+    # the kernel patches its series into the Bessel quotient only where rho is
+    # small; that must equal the whole-array np.where form bit for bit
+    rng = np.random.default_rng(17)
+    for scale in (1e-7, 1e-6, 1e-3, 1.0, 4.0):
+        rho = np.abs(rng.normal(size=(64, 37))) * scale
+        rho[rng.random(rho.shape) < 0.05] = 0.0
+        safe = np.where(rho < SMALL_RHO, 1.0, rho)
+        masked = np.where(rho < SMALL_RHO, np.pi - 0.5 * np.pi**3 * rho**2,
+                          j1(2.0 * np.pi * safe) / safe)
+        assert airy_kernel(rho).tobytes() == masked.tobytes()
+    assert float(airy_kernel(0.0)) == np.pi
 
 
 def test_normalize_examples():

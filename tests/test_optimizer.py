@@ -111,6 +111,31 @@ def test_step_decreases_objective():
     assert (mesh.areas() > 0).all()
 
 
+def test_step_evaluates_each_trial_once(monkeypatch):
+    from splinemask import optimizer
+
+    cfg, problem = desk_square_problem()
+    state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
+    evaluations, trials = [], []
+
+    def counted_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return evaluate(*args, **kwargs)
+
+    def counted_golden_section(phi, alpha_max, tol):
+        def counted_phi(alpha):
+            trials.append(alpha)
+            return phi(alpha)
+        return golden_section(counted_phi, alpha_max, tol)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
+    monkeypatch.setattr(optimizer, "golden_section", counted_golden_section)
+    new_state, alpha, accepted = step(state, problem, OptimizerConfig())
+    assert accepted
+    assert alpha in trials
+    assert len(evaluations) == len(trials) > 0
+
+
 def test_step_zero_gradient_no_op():
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))

@@ -170,6 +170,34 @@ def test_collocation_rows_sum_to_one():
     assert (colloc > 0).sum(axis=1).max() <= region.degree + 1
 
 
+def uncached_collocation(region):
+    """Collocation built entry by entry from the periodic basis, bypassing the cache."""
+    ext = extend_partition(region.knot_vector())
+    return np.array([[periodic_basis_eval(ext, k, float(t)) for k in range(region.n)]
+                     for t in region.params()])
+
+
+def test_collocation_cached_per_region_shape():
+    rng = np.random.default_rng(5)
+    region = PeriodicSplineRegion(rng.normal(size=(9, 2)), 18)
+    colloc = build_collocation(region)
+    moved = build_collocation(region.with_controls(rng.normal(size=(9, 2))))
+    assert moved is colloc
+    assert not colloc.flags.writeable
+    with pytest.raises(ValueError):
+        colloc[0, 0] = 2.0
+    assert np.array_equal(colloc, uncached_collocation(region))
+
+    params = np.sort(rng.uniform(0.0, 1.0, 18))
+    shifted = PeriodicSplineRegion(region.controls, 18, sample_params=params)
+    other = build_collocation(shifted)
+    assert not np.array_equal(other, colloc)
+    assert np.array_equal(other, uncached_collocation(shifted))
+    assert build_collocation(PeriodicSplineRegion(region.controls, 18, sample_params=params.copy())) is other
+    quadratic = PeriodicSplineRegion(region.controls, 18, degree=2)
+    assert np.array_equal(build_collocation(quadratic), uncached_collocation(quadratic))
+
+
 def test_collocation_constant_controls_collapse():
     c = np.array([2.5, -1.25])
     region = PeriodicSplineRegion(np.tile(c, (8, 1)), 16)
