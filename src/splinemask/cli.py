@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,49 +45,22 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RegionSpec:
-    """Either explicit control points (nm) or init-from-target with a point count."""
-
-    num_samples: int
-    degree: int
-    controls_nm: list | None = None
-    init_from_target: int | None = None
-    num_controls: int | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-@dataclass
 class RunConfig:
-    """Complete run description; mirrors the JSON document one-to-one.
+    """A validated run: the nm-side domain objects the JSON document describes."""
 
-    Absent keys take the defaults of the domain classes they configure.
-    """
-
-    optical: dict = field(default_factory=dict)
-    resist: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    target_polygons_nm: list = field(default_factory=list)
-    regions: list[RegionSpec] = field(default_factory=list)
-    optimizer: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "optical": dict(self.optical),
-            "resist": dict(self.resist),
-            "grid": dict(self.grid),
-            "target_polygons_nm": self.target_polygons_nm,
-            "regions": [r.to_dict() for r in self.regions],
-            "optimizer": dict(self.optimizer),
-        }
+    optical: OpticalConfig
+    resist: ResistModel
+    grid: ImageGrid  # image plane, nm
+    target_polygons_nm: list
+    regions: list[PeriodicSplineRegion]  # mask plane, nm
+    optimizer: OptimizerConfig
 
 
 # JSON key -> constructor argument of the domain class that owns the value.
 OPTICAL_KEYS = {"lambda0_nm": "wavelength_nm", "na": "numerical_aperture", "magnification": "magnification"}
 RESIST_KEYS = {"a": "steepness", "tr": "threshold"}
 OPTIMIZER_KEYS = {f.name: f.name for f in fields(OptimizerConfig)}
-REGION_KEYS = {f.name for f in fields(RegionSpec)}
+REGION_KEYS = {"num_samples", "degree", "controls_nm", "init_from_target", "num_controls"}
 GRID_KEYS = {"pixel_nm": "pitch", "nx": "nx", "ny": "ny", "origin_nm": "origin", "margin": "margin"}
 INTEGER_KEYS = {"max_iters", "nx", "ny", "num_samples", "degree", "init_from_target", "num_controls"}
 
@@ -149,25 +122,40 @@ def _object(value, where: str, keys) -> dict:
 
 
 def _scalars(document: dict, name: str, cls, keys: dict):
-    """One scalar section filled with `cls`'s defaults, and the `cls` it builds."""
+    """The `cls` one scalar section builds; absent keys take `cls`'s own defaults."""
     given = _object(document.get(name, {}), name, keys)
-    default = cls()
-    section = {key: given.get(key, getattr(default, arg)) for key, arg in keys.items()}
-    return section, _build(name, keys, lambda: cls(**_args(section, keys)))
+    return _build(name, keys, lambda: cls(**_args(given, keys)))
 
 
-def _region_nm(spec: RegionSpec, targets: list, magnification: float) -> PeriodicSplineRegion:
-    if spec.init_from_target is None:
-        return PeriodicSplineRegion(spec.controls_nm, spec.num_samples, spec.degree)
-    return init_controls_from_target([targets[spec.init_from_target]], spec.num_controls,
-                                     spec.num_samples, spec.degree, magnification=magnification)[0]
+def _region(raw: dict, where: str, targets: list, magnification: float) -> PeriodicSplineRegion:
+    """One region in mask-plane nm, from explicit controls or placed on its target."""
+    raw = _object(raw, where, REGION_KEYS)
+    if "num_samples" not in raw:
+        raise ConfigError(f"{where}.num_samples", "missing required field")
+    source = raw.get("init_from_target")
+    if ("controls_nm" in raw) == (source is not None):
+        raise ConfigError(where, "needs exactly one of controls_nm and init_from_target")
+    shape = {key: raw[key] for key in ("num_samples", "degree") if key in raw}
+    keys = {"num_samples": "num_samples", "degree": "degree"}
+    if source is None:
+        if "num_controls" in raw:
+            raise ConfigError(f"{where}.num_controls", "only allowed with init_from_target")
+        keys["controls_nm"] = "controls"
+        return _build(where, keys, lambda: PeriodicSplineRegion(raw["controls_nm"], **shape))
+    if not 0 <= source < len(targets):
+        raise ConfigError(f"{where}.init_from_target", "no such target polygon")
+    if "num_controls" not in raw:
+        raise ConfigError(f"{where}.num_controls", "required with init_from_target")
+    keys["num_controls"] = "controls"
+    return _build(where, keys, lambda: init_controls_from_target(
+        [targets[source]], raw["num_controls"], magnification=magnification, **shape)[0])
 
 
 def parse_config(document: dict) -> RunConfig:
-    """Validate a JSON object into a RunConfig, naming any offending field.
+    """Validate a JSON object into the domain objects it describes, naming any offending field.
 
-    Each section is checked by building the domain objects it configures, so
-    every default and every range check has one home: that object's class.
+    Each object is built once, from only the keys given, so every default and
+    every range check has one home: that object's class.
     """
     if not isinstance(document, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -176,9 +164,9 @@ def parse_config(document: dict) -> RunConfig:
         if key not in known:
             raise ConfigError(key, "unknown field")
 
-    optical, optical_cfg = _scalars(document, "optical", OpticalConfig, OPTICAL_KEYS)
-    resist, _ = _scalars(document, "resist", ResistModel, RESIST_KEYS)
-    optimizer_cfg, _ = _scalars(document, "optimizer", OptimizerConfig, OPTIMIZER_KEYS)
+    optical = _scalars(document, "optical", OpticalConfig, OPTICAL_KEYS)
+    resist = _scalars(document, "resist", ResistModel, RESIST_KEYS)
+    optimizer = _scalars(document, "optimizer", OptimizerConfig, OPTIMIZER_KEYS)
 
     targets = document.get("target_polygons_nm", [])
     if not isinstance(targets, list):
@@ -187,37 +175,21 @@ def parse_config(document: dict) -> RunConfig:
         where = f"target_polygons_nm[{i}]"
         _points(poly, where)
         # the polygon rasterize_target will check, normalized as build_setup does
-        _build(where, {}, lambda: check_target_polygon(optical_cfg.normalize_image(poly)))
+        _build(where, {}, lambda: check_target_polygon(optical.normalize_image(poly)))
 
-    grid = _object(document.get("grid", {}), "grid", GRID_KEYS)
-    if "pixel_nm" not in grid:
+    given = _object(document.get("grid", {}), "grid", GRID_KEYS)
+    if "pixel_nm" not in given:
         raise ConfigError("grid.pixel_nm", "missing required field")
-    _build("grid", GRID_KEYS, lambda: ImageGrid.for_polygons(targets, **_args(grid, GRID_KEYS)))
+    grid = _build("grid", GRID_KEYS, lambda: ImageGrid.for_polygons(targets, **_args(given, GRID_KEYS)))
 
-    regions = []
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
-    for i, raw in enumerate(raw_regions):
-        where = f"regions[{i}]"
-        raw = _object(raw, where, REGION_KEYS)
-        if "num_samples" not in raw:
-            raise ConfigError(f"{where}.num_samples", "missing required field")
-        spec = RegionSpec(**{"degree": PeriodicSplineRegion.degree, **raw})
-        if (spec.controls_nm is None) == (spec.init_from_target is None):
-            raise ConfigError(where, "needs exactly one of controls_nm and init_from_target")
-        if spec.init_from_target is not None:
-            if not 0 <= spec.init_from_target < len(targets):
-                raise ConfigError(f"{where}.init_from_target", "no such target polygon")
-            if spec.num_controls is None:
-                raise ConfigError(f"{where}.num_controls", "required with init_from_target")
-        controls_key = "controls_nm" if spec.init_from_target is None else "num_controls"
-        keys = {"num_samples": "num_samples", "degree": "degree", controls_key: "controls"}
-        _build(where, keys, lambda: _region_nm(spec, targets, optical_cfg.magnification))
-        regions.append(spec)
+    regions = [_region(raw, f"regions[{i}]", targets, optical.magnification)
+               for i, raw in enumerate(raw_regions)]
 
     return RunConfig(optical=optical, resist=resist, grid=grid,
-                     target_polygons_nm=targets, regions=regions, optimizer=optimizer_cfg)
+                     target_polygons_nm=targets, regions=regions, optimizer=optimizer)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -233,26 +205,22 @@ def load_config(path: str | Path) -> RunConfig:
 # -- assembly of domain objects ------------------------------------------------
 
 def build_setup(cfg: RunConfig):
-    """Instantiate the normalized imaging problem and the initial regions (nm)."""
-    optical = OpticalConfig(**_args(cfg.optical, OPTICAL_KEYS))
-    model = ResistModel(**_args(cfg.resist, RESIST_KEYS))
-    opt = OptimizerConfig(**cfg.optimizer)
-    grid_nm = ImageGrid.for_polygons(cfg.target_polygons_nm, **_args(cfg.grid, GRID_KEYS))
-    regions_nm = [_region_nm(spec, cfg.target_polygons_nm, optical.magnification) for spec in cfg.regions]
+    """The normalized imaging problem and initial regions of a parsed run.
 
-    grid = grid_nm.scaled(optical.scale_per_nm)
+    Returns (optical, problem, regions, optimizer config, nm grid).
+    """
+    optical = cfg.optical
+    grid = cfg.grid.scaled(optical.scale_per_nm)
     target_polys = [optical.normalize_image(p) for p in cfg.target_polygons_nm]
-    target = rasterize_target(target_polys, grid) if target_polys \
-        else np.zeros((grid.nx, grid.ny), dtype=np.uint8)
     problem = ImagingProblem(
         grid=grid,
-        target=target,
-        model=model,
+        target=rasterize_target(target_polys, grid),
+        model=cfg.resist,
         quad=TriangleQuadrature.degree3(),
-        refine_max_area=opt.refine_area_tol,
+        refine_max_area=cfg.optimizer.refine_area_tol,
     )
-    regions = [r.with_controls(optical.normalize_mask(r.controls)) for r in regions_nm]
-    return optical, problem, regions, opt, grid_nm
+    regions = [r.with_controls(optical.normalize_mask(r.controls)) for r in cfg.regions]
+    return optical, problem, regions, cfg.optimizer, cfg.grid
 
 
 # -- output writers ------------------------------------------------------------

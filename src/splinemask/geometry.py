@@ -42,7 +42,12 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: np.ndarray) -> np
     return inside
 
 
-def _orient(ax, ay, bx, by, cx, cy):
+def orient(ax, ay, bx, by, cx, cy):
+    """Cross product (b - a) x (c - a): twice the signed area of triangle abc.
+
+    Positive iff a, b, c run counterclockwise, zero iff they are collinear.
+    Works elementwise on arrays.
+    """
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
@@ -70,10 +75,10 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     bx, by = b[i, 0], b[i, 1]
     cx, cy = pts[j, 0], pts[j, 1]
     dx, dy = b[j, 0], b[j, 1]
-    d1 = _orient(ax, ay, bx, by, cx, cy)
-    d2 = _orient(ax, ay, bx, by, dx, dy)
-    d3 = _orient(cx, cy, dx, dy, ax, ay)
-    d4 = _orient(cx, cy, dx, dy, bx, by)
+    d1 = orient(ax, ay, bx, by, cx, cy)
+    d2 = orient(ax, ay, bx, by, dx, dy)
+    d3 = orient(cx, cy, dx, dy, ax, ay)
+    d4 = orient(cx, cy, dx, dy, bx, by)
     proper = (d1 * d2 < 0) & (d3 * d4 < 0)
     # collinear overlap: any zero orientation with bounding-box overlap
     touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import points_in_polygon, polygon_signed_area, polyline_self_intersects
+from .geometry import orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
 from .geometry import SelfIntersectionError
 
 SLIVER_AREA = 1e-14
@@ -26,15 +26,12 @@ class MeshError(ValueError):
 def signed_area(v1, v2, v3) -> float:
     """Signed triangle area; positive iff the vertices run counterclockwise."""
     (ax, ay), (bx, by), (cx, cy) = v1, v2, v3
-    return 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    return 0.5 * orient(ax, ay, bx, by, cx, cy)
 
 
 def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                  - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    a, b, c = (vertices[corner] for corner in triangles.T)
+    return 0.5 * orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
 
 
 @dataclass(frozen=True)
@@ -172,8 +169,7 @@ class TriangleTensor:
 
     def areas(self) -> np.ndarray:
         a, b, c = self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+        return 0.5 * orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
 
 
 def assemble_tensor(mesh: ProvenancedMesh) -> TriangleTensor:

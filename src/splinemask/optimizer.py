@@ -112,8 +112,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
     """One steepest-descent step with golden-section sizing and full regeneration.
 
     Returns (state, alpha, accepted). The step is accepted only if the line
-    search found a strict objective decrease; mesh failures at the chosen
-    alpha are retried at halved steps before giving up.
+    search found a strict objective decrease.
     """
     if state.gradient is None:
         state.gradient = gradient_of(problem, state.evaluation)
@@ -137,18 +136,10 @@ def step(state: OptimizationState, problem: ImagingProblem,
     if not (j_alpha < state.objective):
         return state, 0.0, False
 
-    # golden_section returns one of the alphas phi scored; reuse that evaluation
-    trial = scored[alpha]
-    for _ in range(20):
-        if trial is not None:
-            break
-        alpha *= 0.5
-        trial = _try_evaluate(problem, controls_at(alpha))
-    if trial is None or not (trial.objective < state.objective):
-        return state, 0.0, False
-
+    # golden_section returns one of the alphas phi scored, with its value; a
+    # value below the current objective is finite, so that trial was feasible
     new_state = OptimizationState(
-        evaluation=trial,
+        evaluation=scored[alpha],
         gradient=None,
         iteration=state.iteration + 1,
         trace=state.trace,

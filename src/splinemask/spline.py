@@ -222,14 +222,19 @@ def _collocation(n: int, degree: int, num_samples: int,
                  sample_params: tuple[float, ...] | None) -> np.ndarray:
     shape = PeriodicSplineRegion(np.zeros((n, 2)), num_samples, degree,
                                  None if sample_params is None else np.array(sample_params))
-    ext = extend_partition(shape.knot_vector())
-    t = shape.params()
-    matrix = np.zeros((len(t), n))
-    for i, ti in enumerate(t):
-        for k in range(n):
-            matrix[i, k] = periodic_basis_eval(ext, k, float(ti))
+    matrix = _basis_rows(shape, shape.params())
     matrix.setflags(write=False)
     return matrix
+
+
+def _basis_rows(region: PeriodicSplineRegion, t: np.ndarray) -> np.ndarray:
+    """Periodic basis values of the region's n controls at parameters t, shape (len(t), n)."""
+    ext = extend_partition(region.knot_vector())
+    rows = np.zeros((len(t), region.n))
+    for i, ti in enumerate(t):
+        for k in range(region.n):
+            rows[i, k] = periodic_basis_eval(ext, k, float(ti))
+    return rows
 
 
 def sample_boundary(region: PeriodicSplineRegion) -> np.ndarray:
@@ -239,12 +244,5 @@ def sample_boundary(region: PeriodicSplineRegion) -> np.ndarray:
 
 def evaluate_curve(region: PeriodicSplineRegion, t: float | np.ndarray) -> np.ndarray:
     """Pointwise curve evaluation at parameter(s) t in [0, 1] via the periodic basis sum."""
-    ext = extend_partition(region.knot_vector())
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros((len(ts), 2))
-    for i, ti in enumerate(ts):
-        for k in range(region.n):
-            v = periodic_basis_eval(ext, k, float(ti))
-            if v != 0.0:
-                out[i] += v * region.controls[k]
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+    out = _basis_rows(region, np.atleast_1d(np.asarray(t, dtype=float))) @ region.controls
+    return out[0] if np.ndim(t) == 0 else out

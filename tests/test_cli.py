@@ -1,13 +1,11 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel
+from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel, cli
 from splinemask.cli import (
     ConfigError,
-    RunConfig,
     cmd_gradcheck,
     load_config,
     main,
@@ -54,26 +52,16 @@ def read_pgm(path):
     return pixels, scale
 
 
-def test_config_round_trip(tmp_path):
-    cfg = parse_config(desk_config())
-    again = parse_config(cfg.to_dict())
-    assert again == cfg
-    assert parse_config(again.to_dict()) == again
-
-
 def test_config_defaults_applied():
     cfg = parse_config({"grid": {"pixel_nm": 4.0}, "target_polygons_nm": [SQUARE]})
-    assert cfg.optical["lambda0_nm"] == 193.0
-    assert cfg.resist["a"] == 90.0
-    assert cfg.optimizer["max_iters"] == 100
-    assert cfg.optimizer["eps"] == 1e-4
+    assert cfg.optical.wavelength_nm == 193.0
+    assert cfg.resist.steepness == 90.0
+    assert cfg.optimizer.max_iters == 100
+    assert cfg.optimizer.eps == 1e-4
     # the parsed defaults are the domain classes' own
-    optical, resist = OpticalConfig(), ResistModel()
-    assert cfg.optical == {"lambda0_nm": optical.wavelength_nm, "na": optical.numerical_aperture,
-                           "magnification": optical.magnification}
-    assert cfg.resist == {"a": resist.steepness, "tr": resist.threshold}
-    assert cfg.optimizer == asdict(OptimizerConfig())
-    assert cfg.optimizer["gs_tol"] == OptimizerConfig().gs_tol
+    assert cfg.optical == OpticalConfig()
+    assert cfg.resist == ResistModel()
+    assert cfg.optimizer == OptimizerConfig()
     with_region = parse_config({**desk_config(), "regions": [
         {"num_samples": 24, "init_from_target": 0, "num_controls": 12}]})
     assert with_region.regions[0].degree == PeriodicSplineRegion.degree
@@ -90,6 +78,20 @@ def test_config_errors_name_fields():
         parse_config({**desk_config(), "resist": {"a": -5.0}})
     with pytest.raises(ConfigError, match="unknown"):
         parse_config({**desk_config(), "bogus": 1})
+
+
+def test_simulate_places_controls_once(tmp_path, monkeypatch):
+    calls = []
+    place = cli.init_controls_from_target
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return place(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "init_controls_from_target", counted)
+    config = write_config(tmp_path, desk_config())
+    assert main(["--quiet", "simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
