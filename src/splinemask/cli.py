@@ -33,6 +33,7 @@ from .spline import PeriodicSplineRegion, evaluate_curve
 logger = logging.getLogger(__name__)
 
 PGM_MAXVAL = 65535
+SVG_SAMPLES_PER_REGION = 512  # curve points per region in the boundary preview
 GRADCHECK_TOLERANCE = 1e-4  # gradcheck passes when its max mixed error is below this
 
 
@@ -225,14 +226,12 @@ def build_setup(cfg: RunConfig):
 
 # -- output writers ------------------------------------------------------------
 
-def write_pgm(path: Path, values: np.ndarray, scale_max: float | None = None) -> None:
+def write_pgm(path: Path, values: np.ndarray, scale_max: float) -> None:
     """ASCII P2 image, top row = max y; header comment records the value of 65535.
 
     `values` is indexed [ix, iy]; physical value = pixel / 65535 * scale_max.
     """
     values = np.asarray(values, dtype=float)
-    if scale_max is None:
-        scale_max = float(values.max()) if values.max() > 0 else 1.0
     pixels = np.clip(np.rint(values / scale_max * PGM_MAXVAL), 0, PGM_MAXVAL).astype(int)
     rows = pixels.T[::-1]  # rows top-to-bottom = y descending, columns = x ascending
     lines = ["P2", f"# maxvalue {scale_max:.17g}", f"{values.shape[0]} {values.shape[1]}", str(PGM_MAXVAL)]
@@ -262,14 +261,13 @@ def write_mask_json(path: Path, regions: list[PeriodicSplineRegion],
     path.write_text(json.dumps({"regions": out}, indent=2) + "\n")
 
 
-def write_boundary_svg(path: Path, regions: list[PeriodicSplineRegion], optical: OpticalConfig,
-                       samples_per_region: int = 512) -> None:
+def write_boundary_svg(path: Path, regions: list[PeriodicSplineRegion], optical: OpticalConfig) -> None:
     """Closed path per region sampled densely along the spline, in mask-plane nm."""
     paths = []
     all_pts = []
     for region in regions:
         nm_region = region.with_controls(optical.denormalize_mask(region.controls))
-        t = np.arange(samples_per_region) / samples_per_region
+        t = np.arange(SVG_SAMPLES_PER_REGION) / SVG_SAMPLES_PER_REGION
         pts = evaluate_curve(nm_region, t)
         all_pts.append(pts)
         coords = " ".join(f"{x:.3f},{-y:.3f}" for x, y in pts)  # SVG y runs downward
@@ -311,17 +309,17 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_gradcheck(config_path: str, corrupt_kernel: bool = False) -> int:
+def cmd_gradcheck(config_path: str) -> int:
     """Analytic vs frozen-topology finite-difference gradient report.
 
-    Returns 0 iff the max mixed error is below GRADCHECK_TOLERANCE. `corrupt_kernel`
-    deliberately mis-scales the kernel term as a negative control.
+    Returns 0 iff the max mixed error is below GRADCHECK_TOLERANCE.
     """
     cfg = load_config(config_path)
     _, problem, regions, _, _ = build_setup(cfg)
+    if not regions:
+        raise ConfigError("regions", "gradcheck needs at least one region")
     evaluation = evaluate(problem, regions)
-    kernel_scale = 1.01 if corrupt_kernel else 1.0
-    analytic = gradient_of(problem, evaluation, kernel_scale=kernel_scale)
+    analytic = gradient_of(problem, evaluation)
     numeric = finite_difference_gradient(problem, evaluation)
 
     max_err = 0.0
@@ -383,7 +381,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck", help="verify the analytic gradient against finite differences")
     grad.add_argument("--config", required=True)
-    grad.add_argument("--corrupt-kernel", action="store_true", help=argparse.SUPPRESS)
 
     opt = sub.add_parser("optimize", help="run the descent loop and write all artifacts")
     opt.add_argument("--config", required=True)
@@ -399,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out)
         if args.command == "gradcheck":
-            return cmd_gradcheck(args.config, corrupt_kernel=args.corrupt_kernel)
+            return cmd_gradcheck(args.config)
         if args.command == "optimize":
             return cmd_optimize(args.config, args.out)
         return 2

@@ -64,14 +64,12 @@ def quad_point_sensitivity(sens: np.ndarray, quad: TriangleQuadrature,
 
 
 def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
-                       grid: ImageGrid, sensitivities: list[np.ndarray],
-                       kernel_scale: float = 1.0) -> list[np.ndarray]:
+                       grid: ImageGrid, sensitivities: list[np.ndarray]) -> list[np.ndarray]:
     """Fields dU/dP for every control coordinate of every region.
 
     Returns one (n, 2, nx, ny) array per region ([:, 0] for x, [:, 1] for y).
     A control only moves its own region's mesh, so each region's entry is
-    independent of the other meshes. `kernel_scale` rescales the kernel term
-    only; it exists as a fault-injection hook for gradient verification.
+    independent of the other meshes.
     """
     gx, gy = grid.flat_coords()
     npix = len(gx)
@@ -87,7 +85,7 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
         dpt = quad_point_sensitivity(sens, quad, mesh.triangles).reshape(nt * ng, n)
 
         # right factors: kernel term carries w_q |S_p|, area term carries w_q
-        kern_fac = (kernel_scale * areas[:, None] * quad.weights[None, :]).reshape(-1, 1) * dpt
+        kern_fac = (areas[:, None] * quad.weights[None, :]).reshape(-1, 1) * dpt
         area_fac_x = np.repeat(quad.weights[None, :], nt, axis=0).reshape(-1, 1) \
             * np.repeat(dsx, ng, axis=0)
         area_fac_y = np.repeat(quad.weights[None, :], nt, axis=0).reshape(-1, 1) \

@@ -42,14 +42,12 @@ class ProvenancedMesh:
     triangles:  (N_T, 3) vertex indices, counterclockwise
     provenance: (K, m) weights with vertices = provenance @ boundary
     boundary:   (m, 2) the samples Q the mesh was built from
-    region:     id of the owning region
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     provenance: np.ndarray
     boundary: np.ndarray
-    region: int = 0
 
     @property
     def num_vertices(self) -> int:
@@ -70,7 +68,7 @@ class ProvenancedMesh:
         return replace(self, vertices=self.provenance @ boundary, boundary=boundary)
 
 
-def triangulate_region(samples: np.ndarray, region: int = 0) -> ProvenancedMesh:
+def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     """Delaunay-triangulate a closed sample loop and drop exterior triangles.
 
     The samples must form a simple polygon in order. Exterior triangles are
@@ -112,7 +110,6 @@ def triangulate_region(samples: np.ndarray, region: int = 0) -> ProvenancedMesh:
         triangles=simplices,
         provenance=np.eye(m),
         boundary=pts.copy(),
-        region=region,
     )
 
 
@@ -157,7 +154,6 @@ def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
         triangles=triangles,
         provenance=prov,
         boundary=mesh.boundary,
-        region=mesh.region,
     )
 
 

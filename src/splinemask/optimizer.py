@@ -62,10 +62,9 @@ class TraceEntry:
 
 @dataclass
 class OptimizationState:
-    """Mutable loop state: current evaluation, gradient, and the accepted-step trace."""
+    """Mutable loop state: current evaluation and the accepted-step trace."""
 
     evaluation: MaskEvaluation
-    gradient: list[np.ndarray] | None = None
     iteration: int = 0
     trace: list[TraceEntry] = field(default_factory=list)
 
@@ -114,9 +113,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
     Returns (state, alpha, accepted). The step is accepted only if the line
     search found a strict objective decrease.
     """
-    if state.gradient is None:
-        state.gradient = gradient_of(problem, state.evaluation)
-    grads = state.gradient
+    grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
     if gmax < 1e-12:
         return state, 0.0, False
@@ -140,7 +137,6 @@ def step(state: OptimizationState, problem: ImagingProblem,
     # value below the current objective is finite, so that trial was feasible
     new_state = OptimizationState(
         evaluation=scored[alpha],
-        gradient=None,
         iteration=state.iteration + 1,
         trace=state.trace,
     )
@@ -193,24 +189,18 @@ def _ccw_region(region: PeriodicSplineRegion) -> PeriodicSplineRegion:
     return region
 
 
-def init_controls_from_target(polygons, counts, num_samples,
+def init_controls_from_target(polygons, num_controls, num_samples,
                               degree: int = PeriodicSplineRegion.degree,
                               magnification: float = OpticalConfig.magnification,
                               ) -> list[PeriodicSplineRegion]:
-    """Initial regions with controls equally spaced along each target polygon.
+    """Initial regions with `num_controls` controls equally spaced along each target polygon.
 
-    `counts` and `num_samples` may be single ints or per-polygon sequences.
-    Target polygons live on the image plane; the returned controls are
-    mask-plane coordinates (scaled by -1/M so the ideal image lands on the
-    target).
+    Every region gets `num_samples` boundary samples. Target polygons live on
+    the image plane; the returned controls are mask-plane coordinates (scaled
+    by -1/M so the ideal image lands on the target).
     """
-    polys = [np.asarray(p, dtype=float) for p in polygons]
-    if isinstance(counts, int):
-        counts = [counts] * len(polys)
-    if isinstance(num_samples, int):
-        num_samples = [num_samples] * len(polys)
     regions = []
-    for poly, n, m in zip(polys, counts, num_samples):
-        controls = polygon_perimeter_points(poly, n) * (-1.0 / magnification)
-        regions.append(_ccw_region(PeriodicSplineRegion(controls, m, degree)))
+    for poly in polygons:
+        controls = polygon_perimeter_points(poly, num_controls) * (-1.0 / magnification)
+        regions.append(_ccw_region(PeriodicSplineRegion(controls, num_samples, degree)))
     return regions

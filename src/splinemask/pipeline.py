@@ -1,15 +1,16 @@
 """Assembly of the full forward chain and its frozen-topology re-evaluation.
 
-One RegionSystem bundles everything derived from a region's control points at
-fixed topology: collocation, boundary samples, refined mesh and sensitivity.
-The frozen variants recompute the chain for new controls while keeping the
-provenance and connectivity of an existing system, which is exactly the
-setting in which the analytic gradient is defined (and which finite
-differences must share to be comparable).
+One RegionSystem bundles a region's control points with the refined mesh
+built from its boundary samples; the vertex-to-control sensitivity is derived
+from the two only when the gradient needs it. The frozen variants recompute
+the chain for new controls while keeping the provenance and connectivity of
+an existing system, which is exactly the setting in which the analytic
+gradient is defined (and which finite differences must share to be
+comparable).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +26,18 @@ class RegionSystem:
     """Geometry chain of one region at its current control points."""
 
     region: PeriodicSplineRegion
-    colloc: np.ndarray
-    samples: np.ndarray
     mesh: ProvenancedMesh
-    sens: np.ndarray
+
+    @property
+    def sens(self) -> np.ndarray:
+        """Vertex-to-control sensitivity T = W @ N of the mesh, shape (K, n)."""
+        return sensitivity(self.mesh, build_collocation(self.region))
 
     def moved(self, controls: np.ndarray) -> "RegionSystem":
         """Re-evaluate the chain at new controls with frozen topology."""
         region = self.region.with_controls(controls)
-        samples = self.colloc @ region.controls
-        return replace(self, region=region, samples=samples,
-                       mesh=self.mesh.with_boundary(samples))
+        samples = build_collocation(region) @ region.controls
+        return RegionSystem(region, self.mesh.with_boundary(samples))
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,10 @@ class MaskEvaluation:
         return self.field.intensity_values
 
 
-def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
-                        region_id: int = 0) -> RegionSystem:
-    colloc = build_collocation(region)
-    samples = colloc @ region.controls
-    mesh = refine_mesh(triangulate_region(samples, region_id), problem.refine_max_area)
-    return RegionSystem(region, colloc, samples, mesh, sensitivity(mesh, colloc))
+def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
+    samples = build_collocation(region) @ region.controls
+    mesh = refine_mesh(triangulate_region(samples), problem.refine_max_area)
+    return RegionSystem(region, mesh)
 
 
 def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvaluation:
@@ -78,7 +78,7 @@ def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvalua
 
 def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> MaskEvaluation:
     """Full evaluation with fresh meshes (topology regenerated from scratch)."""
-    systems = [build_region_system(r, problem, i) for i, r in enumerate(regions)]
+    systems = [build_region_system(r, problem) for r in regions]
     return _forward(problem, systems)
 
 
@@ -89,12 +89,10 @@ def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
     return _forward(problem, moved)
 
 
-def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation,
-                kernel_scale: float = 1.0) -> list[np.ndarray]:
+def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
     """Analytic objective gradient at an evaluated state, one (n, 2) array per region."""
     grads = amplitude_gradient([s.mesh for s in evaluation.systems], problem.quad,
-                               problem.grid, [s.sens for s in evaluation.systems],
-                               kernel_scale=kernel_scale)
+                               problem.grid, [s.sens for s in evaluation.systems])
     return objective_gradient(evaluation.field, problem.target, problem.model,
                               problem.grid, grads)
 

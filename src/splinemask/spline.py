@@ -152,15 +152,14 @@ class PeriodicSplineRegion:
     in order with C^{p-1} continuity.
 
     Control points live in whatever length unit the caller is working in
-    (mask-plane nm before normalization, dimensionless after). Sample
-    parameters default to the uniform set k/m for k = 0..m-1; t = 1 is
-    excluded since the closed curve repeats there.
+    (mask-plane nm before normalization, dimensionless after). The sample
+    parameters are the uniform set k/m for k = 0..m-1; t = 1 is excluded
+    since the closed curve repeats there.
     """
 
     controls: np.ndarray
     num_samples: int
     degree: int = 3
-    sample_params: np.ndarray | None = None
 
     def __post_init__(self):
         controls = np.asarray(self.controls, dtype=float)
@@ -171,16 +170,7 @@ class PeriodicSplineRegion:
             raise ValueError("degree must be at least 1 for a curve")
         if len(controls) < self.degree + 2:
             raise ValueError(f"controls must number at least degree + 2 = {self.degree + 2}")
-        if self.sample_params is not None:
-            t = np.asarray(self.sample_params, dtype=float)
-            object.__setattr__(self, "sample_params", t)
-            if t.ndim != 1 or len(t) != self.num_samples:
-                raise ValueError("sample_params length must equal num_samples")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("sample_params must be strictly increasing")
-            if t[0] < 0.0 or t[-1] >= 1.0:
-                raise ValueError("sample_params must lie in [0, 1)")
-        elif not self.num_samples >= 3:
+        if not self.num_samples >= 3:
             raise ValueError("num_samples must be at least 3")
 
     @property
@@ -188,8 +178,6 @@ class PeriodicSplineRegion:
         return len(self.controls)
 
     def params(self) -> np.ndarray:
-        if self.sample_params is not None:
-            return self.sample_params
         return np.arange(self.num_samples) / self.num_samples
 
     def knot_vector(self) -> KnotVector:
@@ -198,7 +186,7 @@ class PeriodicSplineRegion:
         return uniform_knots(self.n - self.degree, self.degree)
 
     def with_controls(self, controls: np.ndarray) -> "PeriodicSplineRegion":
-        return PeriodicSplineRegion(controls, self.num_samples, self.degree, self.sample_params)
+        return PeriodicSplineRegion(controls, self.num_samples, self.degree)
 
 
 def build_collocation(region: PeriodicSplineRegion) -> np.ndarray:
@@ -210,18 +198,15 @@ def build_collocation(region: PeriodicSplineRegion) -> np.ndarray:
     to 1 and has at most degree + 1 nonzero entries.
 
     N depends only on the region's shape, not on its control positions, so
-    it is built once per (n, degree, num_samples, sample_params) and the same
-    read-only array is returned for every region of that shape.
+    it is built once per (n, degree, num_samples) and the same read-only
+    array is returned for every region of that shape.
     """
-    params = None if region.sample_params is None else tuple(region.sample_params.tolist())
-    return _collocation(region.n, region.degree, region.num_samples, params)
+    return _collocation(region.n, region.degree, region.num_samples)
 
 
 @lru_cache(maxsize=64)
-def _collocation(n: int, degree: int, num_samples: int,
-                 sample_params: tuple[float, ...] | None) -> np.ndarray:
-    shape = PeriodicSplineRegion(np.zeros((n, 2)), num_samples, degree,
-                                 None if sample_params is None else np.array(sample_params))
+def _collocation(n: int, degree: int, num_samples: int) -> np.ndarray:
+    shape = PeriodicSplineRegion(np.zeros((n, 2)), num_samples, degree)
     matrix = _basis_rows(shape, shape.params())
     matrix.setflags(write=False)
     return matrix

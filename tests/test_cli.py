@@ -151,10 +151,23 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys):
+def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
+    # a 1 % error in the analytic kernel derivative; finite differences never call it
+    from splinemask import gradient
+
+    derivative = gradient.airy_kernel_radial_derivative
+    monkeypatch.setattr(gradient, "airy_kernel_radial_derivative", lambda rho: 1.01 * derivative(rho))
     config = write_config(tmp_path, desk_config())
-    assert main(["--quiet", "gradcheck", "--config", str(config), "--corrupt-kernel"]) == 1
+    assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_requires_regions(tmp_path, capsys):
+    config = write_config(tmp_path, desk_config(regions=[]))
+    assert main(["--quiet", "gradcheck", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "regions" in captured.err
+    assert captured.out == ""
 
 
 def test_gradcheck_two_regions_reports_locality(tmp_path, capsys):

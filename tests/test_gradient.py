@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
 from splinemask.gradient import (
@@ -280,13 +282,26 @@ def test_objective_gradient_vanishes_when_saturated_match():
     assert np.abs(g).max() < 1e-8
 
 
-def test_end_to_end_gradient_square(desk_square):
-    cfg, problem, region = desk_square
+def assert_gradient_matches_fd(problem, region):
     evaluation = evaluate(problem, [region])
     analytic = gradient_of(problem, evaluation)[0]
     numeric = finite_difference_gradient(problem, evaluation)[0]
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     assert err.max() < 1e-4
+
+
+def test_end_to_end_gradient_square(desk_square):
+    cfg, problem, region = desk_square
+    assert_gradient_matches_fd(problem, region)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_end_to_end_gradient_matches_fd_under_random_control_perturbations(desk_square, seed):
+    # up to 0.05 normalized units (about 10 nm on the mask) per control coordinate
+    cfg, problem, region = desk_square
+    jitter = np.random.default_rng(seed).uniform(-0.05, 0.05, region.controls.shape)
+    assert_gradient_matches_fd(problem, region.with_controls(region.controls + jitter))
 
 
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):

@@ -351,7 +351,7 @@ def random_meshes(draw):
     vertices = rng.normal(size=(m + extra, 2)) * draw(st.sampled_from([1.0, 1e-3, 50.0]))
     triangles = rng.integers(0, m + extra, size=(draw(st.integers(1, 10)), 3))
     provenance = rng.dirichlet(np.ones(m), size=m + extra)
-    mesh = ProvenancedMesh(vertices, triangles, provenance, vertices[:m].copy(), region=2)
+    mesh = ProvenancedMesh(vertices, triangles, provenance, vertices[:m].copy())
     largest = max(float(np.abs(mesh.areas()).max()), 1e-300)
     return mesh, largest * draw(st.floats(0.01, 2.0))
 
@@ -366,7 +366,7 @@ def test_refine_mesh_matches_loop_reference(case):
     assert np.array_equal(refined.triangles, triangles)
     assert np.array_equal(refined.provenance, provenance)
     assert refined.triangles.dtype == np.int64
-    assert refined.region == mesh.region and refined.boundary is mesh.boundary
+    assert refined.boundary is mesh.boundary
 
 
 @settings(max_examples=40, deadline=None)

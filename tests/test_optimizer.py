@@ -136,11 +136,31 @@ def test_step_evaluates_each_trial_once(monkeypatch):
     assert len(evaluations) == len(trials) > 0
 
 
-def test_step_zero_gradient_no_op():
+def test_step_builds_the_sensitivity_only_for_the_gradient(monkeypatch):
+    from splinemask import pipeline
+
+    cfg, problem = desk_square_problem()
+    state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
+    calls = []
+    build = pipeline.sensitivity
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "sensitivity", counted)
+    _, _, accepted = step(state, problem, OptimizerConfig())
+    assert accepted
+    assert len(calls) == 1
+
+
+def test_step_zero_gradient_no_op(monkeypatch):
+    from splinemask import optimizer
+
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
     n = len(state.evaluation.systems[0].region.controls)
-    state.gradient = [np.zeros((n, 2))]
+    monkeypatch.setattr(optimizer, "gradient_of", lambda problem, evaluation: [np.zeros((n, 2))])
     same_state, alpha, accepted = step(state, problem, OptimizerConfig())
     assert not accepted
     assert alpha == 0.0

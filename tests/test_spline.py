@@ -188,12 +188,11 @@ def test_collocation_cached_per_region_shape():
         colloc[0, 0] = 2.0
     assert np.array_equal(colloc, uncached_collocation(region))
 
-    params = np.sort(rng.uniform(0.0, 1.0, 18))
-    shifted = PeriodicSplineRegion(region.controls, 18, sample_params=params)
-    other = build_collocation(shifted)
-    assert not np.array_equal(other, colloc)
-    assert np.array_equal(other, uncached_collocation(shifted))
-    assert build_collocation(PeriodicSplineRegion(region.controls, 18, sample_params=params.copy())) is other
+    denser = PeriodicSplineRegion(region.controls, 27)
+    other = build_collocation(denser)
+    assert other is not colloc and other.shape == (27, 9)
+    assert np.array_equal(other, uncached_collocation(denser))
+    assert build_collocation(PeriodicSplineRegion(rng.normal(size=(9, 2)), 27)) is other
     quadratic = PeriodicSplineRegion(region.controls, 18, degree=2)
     assert np.array_equal(build_collocation(quadratic), uncached_collocation(quadratic))
 
@@ -264,6 +263,3 @@ def test_samples_inside_control_circle():
 def test_region_validation():
     with pytest.raises(ValueError):
         PeriodicSplineRegion(np.zeros((4, 2)), 8)  # fewer than degree + 2 controls
-    with pytest.raises(ValueError):
-        PeriodicSplineRegion(np.random.default_rng(0).normal(size=(8, 2)), 4,
-                             sample_params=np.array([0.0, 0.5, 0.25, 0.75]))
