@@ -37,17 +37,6 @@ from .optimizer import (
 )
 from .gradient import amplitude_gradient, area_gradient, objective_gradient, sensitivity
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, evaluate_frozen, gradient_of
-from .spline import (
-    ExtendedPartition,
-    KnotVector,
-    PeriodicSplineRegion,
-    basis_eval,
-    build_collocation,
-    evaluate_curve,
-    extend_partition,
-    periodic_basis_eval,
-    sample_boundary,
-    uniform_knots,
-)
+from .spline import PeriodicSplineRegion, build_collocation, evaluate_curve, periodic_basis, sample_boundary
 
 __version__ = "0.1.0"

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
-from .geometry import SelfIntersectionError
+from .geometry import SelfIntersectionError, orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
 
 SLIVER_AREA = 1e-14
 
@@ -27,11 +26,6 @@ def signed_area(v1, v2, v3) -> float:
     """Signed triangle area; positive iff the vertices run counterclockwise."""
     (ax, ay), (bx, by), (cx, cy) = v1, v2, v3
     return 0.5 * orient(ax, ay, bx, by, cx, cy)
-
-
-def _triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a, b, c = (vertices[corner] for corner in triangles.T)
-    return 0.5 * orient(a[:, 0], a[:, 1], b[:, 0], b[:, 1], c[:, 0], c[:, 1])
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class ProvenancedMesh:
         return len(self.triangles)
 
     def areas(self) -> np.ndarray:
-        return _triangle_areas(self.vertices, self.triangles)
+        return TriangleTensor(self.vertices[self.triangles]).areas()
 
     def with_boundary(self, boundary: np.ndarray) -> "ProvenancedMesh":
         """Move the mesh to new boundary samples, keeping topology and provenance."""
@@ -91,7 +85,7 @@ def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     keep = points_in_polygon(centroids[:, 0], centroids[:, 1], pts)
     simplices = simplices[keep]
 
-    areas = _triangle_areas(pts, simplices)
+    areas = TriangleTensor(pts[simplices]).areas()
     flip = areas < 0
     simplices[flip] = simplices[flip][:, [0, 2, 1]]
     areas = np.abs(areas)
@@ -129,7 +123,7 @@ def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
 
     while True:
         # one sweep: every triangle larger than max_area splits, in order
-        split = ~(_triangle_areas(vertices, triangles) <= max_area)
+        split = ~(TriangleTensor(vertices[triangles]).areas() <= max_area)
         if not split.any():
             break
         parents = triangles[split]

@@ -4,10 +4,8 @@ Each test prints one `[PASS] criterion N` line on success (visible with
 pytest -s or in the captured output); a failure reads as the criterion number.
 """
 import json
-from math import factorial
 
 import numpy as np
-import pytest
 from scipy.special import j1
 
 from splinemask.cli import main
@@ -31,7 +29,7 @@ from splinemask.pipeline import (
     gradient_of,
     print_report,
 )
-from splinemask.spline import PeriodicSplineRegion, build_collocation
+from splinemask.spline import PeriodicSplineRegion
 
 from conftest import desk_square_problem, square_region
 from test_mesh import triangle_monomial_integral

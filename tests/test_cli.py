@@ -7,7 +7,6 @@ from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, Res
 from splinemask.cli import (
     ConfigError,
     cmd_gradcheck,
-    load_config,
     main,
     parse_config,
     write_pgm,

@@ -22,20 +22,17 @@ from splinemask.objective import ResistModel, rasterize_target
 from splinemask.optics import (
     SMALL_RHO,
     ImageGrid,
-    OpticalConfig,
     airy_kernel,
     airy_kernel_radial_derivative,
     forward_amplitude,
 )
 from splinemask.pipeline import (
-    ImagingProblem,
-    build_region_system,
     evaluate,
     evaluate_frozen,
     finite_difference_gradient,
     gradient_of,
 )
-from splinemask.spline import PeriodicSplineRegion, build_collocation, sample_boundary
+from splinemask.spline import PeriodicSplineRegion, build_collocation
 
 QUAD = TriangleQuadrature.degree3()
 

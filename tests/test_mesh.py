@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from splinemask.geometry import SelfIntersectionError, polygon_signed_area, polyline_self_intersects
 from splinemask.mesh import (
@@ -18,6 +19,10 @@ from splinemask.mesh import (
     signed_area,
     triangulate_region,
 )
+from splinemask.pipeline import build_region_system
+from splinemask.spline import sample_boundary
+
+from conftest import desk_square_problem, square_region
 
 
 # -- independent oracle: analytic monomial integral over a triangle ---------------
@@ -386,3 +391,24 @@ def test_refine_mesh_matches_loop_reference_on_region_meshes(m, wobble, fraction
     assert np.array_equal(refined.vertices, vertices)
     assert np.array_equal(refined.triangles, triangles)
     assert np.array_equal(refined.provenance, provenance)
+
+
+# -- the whole geometry chain: spline -> samples -> Delaunay -> refinement ------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(12, 48), arrays(np.float64, (12, 2), elements=st.floats(-0.3, 0.3)))
+@example(24, np.zeros((12, 2)))
+def test_region_system_keeps_provenance_exact_and_area(num_samples, noise):
+    # the desk square's 12 controls (spacing ~0.32 in normalized units), each
+    # moved by at most 0.3 per coordinate; draws that fold the loop are skipped
+    cfg, problem = desk_square_problem()
+    region = square_region(num_samples=num_samples, cfg=cfg)
+    region = region.with_controls(region.controls + noise)
+    try:
+        mesh = build_region_system(region, problem).mesh
+    except (MeshError, SelfIntersectionError):
+        return
+    samples = sample_boundary(region)
+    assert np.array_equal(mesh.boundary, samples)
+    assert np.abs(mesh.vertices - mesh.provenance @ mesh.boundary).max() < 1e-12
+    assert abs(polygon_area(mesh) - abs(polygon_signed_area(samples))) < 1e-12

@@ -9,7 +9,7 @@ from splinemask.optimizer import (
     optimize,
     step,
 )
-from splinemask.pipeline import evaluate, gradient_of
+from splinemask.pipeline import evaluate
 from splinemask.optimizer import OptimizationState
 
 from conftest import desk_square_problem, square_region

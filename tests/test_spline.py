@@ -1,26 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemask.spline import (
-    ExtendedPartition,
-    KnotVector,
     PeriodicSplineRegion,
-    basis_eval,
-    basis_value,
     build_collocation,
     evaluate_curve,
-    extend_partition,
-    periodic_basis_eval,
+    periodic_basis,
     sample_boundary,
-    uniform_knots,
 )
 
 
-# -- independent oracle: bottom-up Cox-de Boor table -----------------------------
+# -- independent oracle: bottom-up Cox-de Boor table, one parameter at a time ----
 
-def oracle_basis(knots, degree, index, x):
-    """Basis value by filling the degree table iteratively (independent of the
-    library's recursive evaluation)."""
+def oracle_basis(knots, degree, x):
+    """All degree-`degree` basis values at x, filled iteratively with scalar loops."""
     knots = np.asarray(knots, dtype=float)
     nfun = len(knots) - 1
     table = np.zeros(nfun)
@@ -39,126 +34,83 @@ def oracle_basis(knots, degree, index, x):
                 acc += (knots[i + p + 1] - x) / (knots[i + p + 1] - knots[i + 1]) * table[i + 1]
             new[i] = acc
         table = new
-    return table[index]
+    return table
+
+
+def oracle_periodic_basis(n, degree, x):
+    """Periodic basis of n controls at x by summing shifted cardinal bumps over the
+    unwrapped extension: the plain function starting at knot j/n, j = -degree .. n - 1,
+    belongs to control j mod n."""
+    ext_knots = np.arange(-degree, n + degree + 1) / n  # plain uniform grid around [0, 1]
+    plain = oracle_basis(ext_knots, degree, x)  # the n + degree functions touching [0, 1]
+    values = np.zeros(n)
+    np.add.at(values, (np.arange(n + degree) - degree) % n, plain)
+    return values
 
 
 def oracle_periodic_curve(controls, degree, t):
-    """Closed-curve point by summing shifted cardinal bumps over the unwrapped
-    extension: control k is active on spans k-degree .. k (mod n)."""
+    """Closed-curve point as the oracle periodic basis applied to the controls."""
     controls = np.asarray(controls, dtype=float)
-    n = len(controls)
-    h = 1.0 / n
-    ext_knots = np.arange(-degree, n + degree + 1) * h  # plain uniform grid around [0, 1]
-    point = np.zeros(2)
-    for j in range(n + degree):  # plain basis functions touching [0, 1]
-        v = oracle_basis(ext_knots, degree, j, t)
-        if v:
-            point += v * controls[(j - degree) % n]
-    return point
-
-
-def test_degree0_is_indicator():
-    knots = np.array([0.0, 1.0, 2.0])
-    kv = KnotVector(knots, 0)
-    assert basis_eval(kv, 0, 0.5) == 1.0
-    assert basis_eval(kv, 1, 0.5) == 0.0
-    assert basis_eval(kv, 0, 1.5) == 0.0
-    assert basis_eval(kv, 1, 1.5) == 1.0
+    return oracle_periodic_basis(len(controls), degree, t) @ controls
 
 
 def test_cubic_on_five_uniform_knots():
-    # values of the single cubic bump on {0,1,2,3,4}, from the independent oracle
-    knots = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert basis_value(knots, 3, 0, 2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert basis_value(knots, 3, 0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-    for x in np.linspace(0, 4, 17):
-        assert basis_value(knots, 3, 0, x) == pytest.approx(
-            oracle_basis(knots, 3, 0, x), abs=1e-14)
+    # the cardinal cubic bump spans five uniform knots and takes 1/6, 2/3, 1/6 at
+    # the inner three; sampling at the knots (num_samples == n) reads them off,
+    # the bump of control c starting at knot c
+    n = 8
+    colloc = build_collocation(PeriodicSplineRegion(np.zeros((n, 2)), n))
+    for i, row in enumerate(colloc):
+        expected = np.zeros(n)
+        expected[[(i - 3) % n, (i - 2) % n, (i - 1) % n]] = [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0]
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15)
 
 
-def test_partition_of_unity_on_natural_domain():
-    kv = uniform_knots(8, 3)
-    rng = np.random.default_rng(7)
-    lo, hi = kv.knots[kv.degree], kv.knots[kv.n]
-    for x in rng.uniform(lo, hi, 200):
-        total = sum(basis_eval(kv, k, x) for k in range(kv.n))
-        assert abs(total - 1.0) < 1e-12
-
-
-def test_basis_eval_validates_inputs():
-    kv = uniform_knots(5, 2)
-    with pytest.raises(IndexError):
-        basis_eval(kv, 5, 0.5)
-    with pytest.raises(ValueError):
-        basis_eval(kv, 0, 1.5)
-
-
-def test_extend_partition_linear():
-    kv = KnotVector(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 1)
-    ext = extend_partition(kv)
-    np.testing.assert_allclose(ext.knots, [-0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25])
-
-
-def test_extend_partition_degree0_unchanged():
-    kv = KnotVector(np.array([0.0, 1.0]), 0)
-    ext = extend_partition(kv)
-    np.testing.assert_array_equal(ext.knots, kv.knots)
-
-
-def test_extend_partition_uniform_cubic():
-    # 11 uniform knots, p = 3: 17 extended knots with spacing preserved
-    kv = KnotVector(np.linspace(0, 1, 11), 3)
-    ext = extend_partition(kv)
-    assert len(ext.knots) == 17
-    np.testing.assert_allclose(np.diff(ext.knots), 0.1, atol=1e-15)
-    assert ext.knots[0] == pytest.approx(-0.3)
-    assert ext.knots[-1] == pytest.approx(1.3)
-
-
-def test_extend_partition_shift_identities():
-    kv = uniform_knots(6, 3)
-    ext = extend_partition(kv)
-    n, p = kv.n, kv.degree
-    L = ext.period
-    full = ext.knots
-    for j in range(p):  # prepended knots equal their period image
-        assert full[j] == pytest.approx(full[j + n + p] - L, abs=1e-15)
-        assert full[-1 - j] == pytest.approx(full[-1 - j - n - p] + L, abs=1e-15)
+def test_evaluate_curve_validates_parameters():
+    region = PeriodicSplineRegion(np.random.default_rng(2).normal(size=(7, 2)), 14, degree=2)
+    for bad in (1.5, -0.25, np.nan, [0.5, 1.0 + 1e-12]):
+        with pytest.raises(ValueError):
+            evaluate_curve(region, bad)
 
 
 def test_periodic_partition_of_unity():
-    kv = uniform_knots(8, 3)
-    ext = extend_partition(kv)
-    count = kv.n + kv.degree
+    n, p = 11, 3
     rng = np.random.default_rng(3)
-    for x in np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 1000)]):
-        total = sum(periodic_basis_eval(ext, k, x) for k in range(count))
-        assert abs(total - 1.0) < 1e-12
-        vals = [periodic_basis_eval(ext, k, x) for k in range(count)]
-        assert min(vals) >= 0.0
-        assert sum(v > 0 for v in vals) <= kv.degree + 1
+    values = periodic_basis(n, p, np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 1000)]))
+    assert values.shape == (1002, n)
+    np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert values.min() >= 0.0
+    assert (values > 0).sum(axis=1).max() <= p + 1
 
 
 def test_periodic_basis_wraps_at_seam():
-    kv = uniform_knots(8, 3)
-    ext = extend_partition(kv)
-    for k in range(kv.n + kv.degree):
-        assert periodic_basis_eval(ext, k, 0.0) == pytest.approx(
-            periodic_basis_eval(ext, k, 1.0), abs=1e-13)
+    start, end = periodic_basis(11, 3, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(start, end, rtol=0, atol=1e-13)
 
 
 def test_periodic_basis_matches_cardinal_oracle():
     # uniform knots, p = 3, 8 periodic functions: compare against the cardinal
     # cubic evaluated on the unwrapped extension
-    kv = uniform_knots(5, 3)  # 5 + 3 = 8 periodic basis functions
-    ext = extend_partition(kv)
-    n, p = kv.n, kv.degree
-    for x in np.linspace(0, 1, 23):
-        for k in range(n + p):
-            expected = oracle_basis(ext.knots, p, k + p, x)
-            if k >= n:
-                expected += oracle_basis(ext.knots, p, k - n, x)
-            assert periodic_basis_eval(ext, k, x) == pytest.approx(expected, abs=1e-14)
+    n, p = 8, 3
+    x = np.linspace(0, 1, 23)
+    expected = np.array([oracle_periodic_basis(n, p, xi) for xi in x])
+    np.testing.assert_allclose(periodic_basis(n, p, x), expected, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_periodic_basis_matches_oracle_for_any_shape(data):
+    degree = data.draw(st.integers(1, 5), label="degree")
+    n = data.draw(st.integers(degree + 2, 40), label="n")
+    m = data.draw(st.integers(3, 120), label="m")
+    t = np.append(np.arange(m) / m, 1.0)
+    values = periodic_basis(n, degree, t)
+    assert values.shape == (m + 1, n)
+    expected = np.array([oracle_periodic_basis(n, degree, ti) for ti in t])
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert values.min() >= 0.0
+    assert (values > 0).sum(axis=1).max() <= degree + 1
 
 
 def test_collocation_rows_sum_to_one():
@@ -171,10 +123,8 @@ def test_collocation_rows_sum_to_one():
 
 
 def uncached_collocation(region):
-    """Collocation built entry by entry from the periodic basis, bypassing the cache."""
-    ext = extend_partition(region.knot_vector())
-    return np.array([[periodic_basis_eval(ext, k, float(t)) for k in range(region.n)]
-                     for t in region.params()])
+    """Collocation built straight from the periodic basis, bypassing the cache."""
+    return periodic_basis(region.n, region.degree, region.params())
 
 
 def test_collocation_cached_per_region_shape():
