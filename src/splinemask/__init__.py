@@ -1,9 +1,11 @@
 """Curvilinear photomask optimization with periodic B-spline boundaries.
 
 Mask regions are closed periodic B-spline loops; imaging is a coherent
-triangle-quadrature convolution with the Airy kernel; the objective gradient
-with respect to the spline control points is assembled analytically through
-the mesh provenance chain and descended with a golden-section line search.
+triangle-quadrature convolution with the Airy kernel, evaluated as an
+integral of each region's spectrum over the pupil disk; the objective
+gradient with respect to the spline control points is assembled analytically
+through the mesh provenance chain and the same pupil nodes, and descended
+with a golden-section line search.
 """
 from .geometry import SelfIntersectionError
 from .mesh import (

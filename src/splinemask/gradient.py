@@ -1,11 +1,13 @@
 """Analytic shape gradient of the image-fidelity objective.
 
 For fixed mesh topology every vertex is linear in the control points through
-T = W @ N, so the gradient of the objective decomposes into a kernel term
+T = W @ N, so the gradient of the objective decomposes into a point term
 (quadrature points move) and an area term (triangle measures change). Both
-gathers end in a single T^T contraction over mesh vertices, which keeps the
-cost at one kernel sweep per image-pixel chunk. Topology (W, C, L) is treated
-as constant: it is rebuilt between optimizer steps, never differentiated.
+act on the region's pupil spectrum, so every control derivative of the image
+comes from the same node table as the forward image: a few products against
+its point exponentials, then one synthesis of all derivative spectra.
+Topology (W, C, L) is treated as constant: it is rebuilt between optimizer
+steps, never differentiated.
 """
 from __future__ import annotations
 
@@ -13,14 +15,7 @@ import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
 from .objective import ResistModel, sigmoid, sigmoid_derivative
-from .optics import (
-    PIXEL_CHUNK,
-    SMALL_RHO,
-    AmplitudeField,
-    ImageGrid,
-    airy_kernel,
-    airy_kernel_radial_derivative,
-)
+from .optics import AmplitudeField, ImageGrid, pupil_basis
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -68,44 +63,35 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """Fields dU/dP for every control coordinate of every region.
 
     Returns one (n, 2, nx, ny) array per region ([:, 0] for x, [:, 1] for y).
-    A control only moves its own region's mesh, so each region's entry is
+    With E = exp(-2 pi i f.g) on the region's pupil nodes, the spectrum
+    S = E^T c moves as dS/dP = E^T dc/dP - 2 pi i f * E^T (c * dg/dP): the
+    area term through `area_gradient`, the point term through
+    `quad_point_sensitivity`. The 2n derivative spectra are synthesized
+    together. A control only moves its own region's mesh, and the node table
+    depends on the grid and that mesh alone, so each region's entry is
     independent of the other meshes.
     """
-    gx, gy = grid.flat_coords()
-    npix = len(gx)
     out = []
     for mesh, sens in zip(meshes, sensitivities):
         n = sens.shape[1]
         tensor = assemble_tensor(mesh)
-        areas = tensor.areas()
         pts = gauss_points(tensor, quad).reshape(-1, 2)
         nt, ng = mesh.num_triangles, quad.num_points
+        coef = (tensor.areas()[:, None] * quad.weights[None, :]).ravel()
 
         dsx, dsy = area_gradient(tensor, sens, mesh.triangles)
         dpt = quad_point_sensitivity(sens, quad, mesh.triangles).reshape(nt * ng, n)
+        weights = np.tile(quad.weights, nt)[:, None]  # dc/dP = w_q dS_p/dP
+        rows = np.concatenate([(weights * np.repeat(dsx, ng, axis=0)).T,
+                               (weights * np.repeat(dsy, ng, axis=0)).T,
+                               (coef[:, None] * dpt).T])
 
-        # right factors: kernel term carries w_q |S_p|, area term carries w_q
-        kern_fac = (areas[:, None] * quad.weights[None, :]).reshape(-1, 1) * dpt
-        area_fac_x = np.repeat(quad.weights[None, :], nt, axis=0).reshape(-1, 1) \
-            * np.repeat(dsx, ng, axis=0)
-        area_fac_y = np.repeat(quad.weights[None, :], nt, axis=0).reshape(-1, 1) \
-            * np.repeat(dsy, ng, axis=0)
-
-        dux = np.zeros((npix, n))
-        duy = np.zeros((npix, n))
-        for start in range(0, npix, PIXEL_CHUNK):
-            stop = min(start + PIXEL_CHUNK, npix)
-            ddx = pts[None, :, 0] - gx[start:stop, None]
-            ddy = pts[None, :, 1] - gy[start:stop, None]
-            rho = np.hypot(ddx, ddy)
-            h = airy_kernel(rho)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                radial = airy_kernel_radial_derivative(rho) / rho
-            radial[rho < SMALL_RHO] = 0.0
-            dux[start:stop] = (radial * ddx) @ kern_fac + h @ area_fac_x
-            duy[start:stop] = (radial * ddy) @ kern_fac + h @ area_fac_y
-        fields = np.stack([dux.T, duy.T], axis=1)  # (n, 2, npix)
-        out.append(fields.reshape(n, 2, grid.nx, grid.ny))
+        basis = pupil_basis(pts, grid)
+        area_x, area_y, moved = np.split(basis.spectrum(rows), 3)  # each (n, K)
+        moved *= -2j * np.pi
+        fx, fy = basis.freqs
+        spectra = np.stack([area_x + moved * fx, area_y + moved * fy], axis=1)
+        out.append(basis.synthesize(spectra))  # (n, 2, nx, ny)
     return out
 
 

@@ -151,11 +151,13 @@ def test_gradcheck_passes(tmp_path, capsys):
 
 
 def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
-    # a 1 % error in the analytic kernel derivative; finite differences never call it
+    # a 1 % error in the quadrature-point derivatives of the analytic
+    # gradient; finite differences never call it
     from splinemask import gradient
 
-    derivative = gradient.airy_kernel_radial_derivative
-    monkeypatch.setattr(gradient, "airy_kernel_radial_derivative", lambda rho: 1.01 * derivative(rho))
+    point_sensitivity = gradient.quad_point_sensitivity
+    monkeypatch.setattr(gradient, "quad_point_sensitivity",
+                        lambda *args: 1.01 * point_sensitivity(*args))
     config = write_config(tmp_path, desk_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out

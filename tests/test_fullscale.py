@@ -1,22 +1,11 @@
-"""Optional full-resolution square run; enable with SPLINEMASK_RUN_FULLSCALE=1.
-
-Takes minutes rather than seconds, so it stays out of the default suite.
-"""
-import os
-
+"""Full-resolution square run: 100 x 100 pixels, 40 controls, 100 descent steps."""
 import numpy as np
-import pytest
 
 from splinemask import ImageGrid, OpticalConfig, ResistModel, TriangleQuadrature, rasterize_target
 from splinemask.geometry import polygon_perimeter_points
 from splinemask.optimizer import OptimizerConfig, optimize
 from splinemask.pipeline import ImagingProblem, print_report
 from splinemask.spline import PeriodicSplineRegion
-
-pytestmark = pytest.mark.skipif(
-    os.environ.get("SPLINEMASK_RUN_FULLSCALE") != "1",
-    reason="full-scale run disabled (set SPLINEMASK_RUN_FULLSCALE=1)",
-)
 
 
 def test_fullscale_square():

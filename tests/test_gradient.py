@@ -19,13 +19,7 @@ from splinemask.mesh import (
     triangulate_region,
 )
 from splinemask.objective import ResistModel, rasterize_target
-from splinemask.optics import (
-    SMALL_RHO,
-    ImageGrid,
-    airy_kernel,
-    airy_kernel_radial_derivative,
-    forward_amplitude,
-)
+from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude
 from splinemask.pipeline import (
     evaluate,
     evaluate_frozen,
@@ -33,6 +27,8 @@ from splinemask.pipeline import (
     gradient_of,
 )
 from splinemask.spline import PeriodicSplineRegion, build_collocation
+
+from direct_sum import airy_kernel_radial_derivative
 
 QUAD = TriangleQuadrature.degree3()
 
