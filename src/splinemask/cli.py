@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import TriangleQuadrature
-from .objective import ResistModel, check_target_polygon, rasterize_target
+from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import ImageGrid, OpticalConfig
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
 from .pipeline import (
@@ -175,7 +175,7 @@ def parse_config(document: dict) -> RunConfig:
     for i, poly in enumerate(targets):
         where = f"target_polygons_nm[{i}]"
         _points(poly, where)
-        # the polygon rasterize_target will check, normalized as build_setup does
+        # the only check of the polygon build_setup rasterizes, normalized the same way
         _build(where, {}, lambda: check_target_polygon(optical.normalize_image(poly)))
 
     given = _object(document.get("grid", {}), "grid", GRID_KEYS)
@@ -212,10 +212,11 @@ def build_setup(cfg: RunConfig):
     """
     optical = cfg.optical
     grid = cfg.grid.scaled(optical.scale_per_nm)
+    # parse_config has checked each of these normalized polygons
     target_polys = [optical.normalize_image(p) for p in cfg.target_polygons_nm]
     problem = ImagingProblem(
         grid=grid,
-        target=rasterize_target(target_polys, grid),
+        target=rasterize_checked(target_polys, grid),
         model=cfg.resist,
         quad=TriangleQuadrature.degree3(),
         refine_max_area=cfg.optimizer.refine_area_tol,

@@ -4,6 +4,10 @@ from __future__ import annotations
 import numpy as np
 
 
+# Edge-point pairs per block of points_in_polygon.
+POINT_BLOCK = 2**16
+
+
 class SelfIntersectionError(ValueError):
     """Raised when a closed boundary polyline crosses itself."""
 
@@ -20,26 +24,29 @@ def polygon_signed_area(points: np.ndarray) -> float:
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Even-odd (crossing number) point-in-polygon test, vectorized over query points.
+    """Even-odd (crossing number) point-in-polygon test, vectorized over points and edges.
 
-    Points exactly on a horizontal edge follow the half-open crossing rule;
-    results on the boundary are convention-dependent, as usual for rasterizers.
+    A point is inside when a ray from it toward +x crosses an odd number of
+    edges. Points exactly on a horizontal edge follow the half-open crossing
+    rule; results on the boundary are convention-dependent, as usual for
+    rasterizers. The edges are tested against POINT_BLOCK / m points at a
+    time, so the work arrays stay small for any polygon and grid.
     """
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
     poly = np.asarray(polygon, dtype=float)
-    inside = np.zeros(px.shape, dtype=bool)
-    m = len(poly)
-    for i in range(m):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % m]
-        crosses = ((y1 <= py) & (py < y2)) | ((y2 <= py) & (py < y1))
-        if not crosses.any():
-            continue
-        t = (py - y1) / (y2 - y1)
-        x_int = x1 + t * (x2 - x1)
-        inside ^= crosses & (px < x_int)
-    return inside
+    nxt = np.roll(poly, -1, axis=0)
+    x1, y1, x2, y2 = poly[:, 0, None], poly[:, 1, None], nxt[:, 0, None], nxt[:, 1, None]
+    qx, qy = px.ravel(), py.ravel()
+    inside = np.empty(qx.shape, dtype=bool)
+    step = max(1, POINT_BLOCK // max(1, len(poly)))
+    for start in range(0, len(qx), step):
+        bx, by = qx[start:start + step], qy[start:start + step]
+        crosses = ((y1 <= by) & (by < y2)) | ((y2 <= by) & (by < y1))  # (m, points)
+        with np.errstate(divide="ignore", invalid="ignore"):  # horizontal edges never cross
+            x_int = x1 + (by - y1) / (y2 - y1) * (x2 - x1)
+        inside[start:start + step] = (crosses & (bx < x_int)).sum(axis=0) % 2 == 1
+    return inside.reshape(px.shape)
 
 
 def orient(ax, ay, bx, by, cx, cy):

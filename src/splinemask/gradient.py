@@ -5,7 +5,9 @@ T = W @ N, so the gradient of the objective decomposes into a point term
 (quadrature points move) and an area term (triangle measures change). Both
 act on the region's pupil spectrum, so every control derivative of the image
 comes from the same node table as the forward image: a few products against
-its point exponentials, then one synthesis of all derivative spectra.
+its point phasors, which `PupilBasis.spectrum` builds from integer powers of
+the vertex phasors block by block, then one synthesis of all derivative
+spectra.
 Topology (W, C, L) is treated as constant: it is rebuilt between optimizer
 steps, never differentiated.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
+from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
 from .objective import ResistModel, sigmoid, sigmoid_derivative
 from .optics import AmplitudeField, ImageGrid, pupil_basis
 
@@ -75,7 +77,6 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     for mesh, sens in zip(meshes, sensitivities):
         n = sens.shape[1]
         tensor = assemble_tensor(mesh)
-        pts = gauss_points(tensor, quad).reshape(-1, 2)
         nt, ng = mesh.num_triangles, quad.num_points
         coef = (tensor.areas()[:, None] * quad.weights[None, :]).ravel()
 
@@ -86,7 +87,7 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
                                (weights * np.repeat(dsy, ng, axis=0)).T,
                                (coef[:, None] * dpt).T])
 
-        basis = pupil_basis(pts, grid)
+        basis = pupil_basis(mesh, quad, grid)
         area_x, area_y, moved = np.split(basis.spectrum(rows), 3)  # each (n, K)
         moved *= -2j * np.pi
         fx, fy = basis.freqs

@@ -171,27 +171,36 @@ def assemble_tensor(mesh: ProvenancedMesh) -> TriangleTensor:
 class TriangleQuadrature:
     """Quadrature rule in barycentric form: integral ~ sum_q w_q f(V @ L[:, q]) * |S|.
 
-    `barycentric` is 3 x N_G with unit column sums; `weights` sum to 1.
+    The barycentric coordinates are integers over one denominator,
+    L = numerators / denominator, 3 x N_G with unit column sums; `weights`
+    sum to 1. The integer form lets a point's phasor be built from integer
+    powers of its triangle's vertex phasors.
     """
 
-    barycentric: np.ndarray
+    numerators: np.ndarray
+    denominator: int
     weights: np.ndarray
 
     @classmethod
     def degree3(cls) -> "TriangleQuadrature":
         """The symmetric 4-point rule exact for all bivariate cubics.
 
-        Centroid plus the three points weighted 3/5 toward each vertex; the
-        centroid carries the classic negative weight -27/48.
+        Centroid (5, 5, 5) / 15 plus the three points weighted 3/5 toward
+        each vertex, (9, 3, 3) / 15 and its permutations; the centroid carries
+        the classic negative weight -27/48.
         """
-        third = 1.0 / 3.0
-        bary = np.array([
-            [third, 0.6, 0.2, 0.2],
-            [third, 0.2, 0.6, 0.2],
-            [third, 0.2, 0.2, 0.6],
+        numerators = np.array([
+            [5, 9, 3, 3],
+            [5, 3, 9, 3],
+            [5, 3, 3, 9],
         ])
         weights = np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0
-        return cls(bary, weights)
+        return cls(numerators, 15, weights)
+
+    @property
+    def barycentric(self) -> np.ndarray:
+        """L, 3 x N_G; for degree3 5/15, 9/15 and 3/15 round to 1/3, 0.6 and 0.2 exactly."""
+        return self.numerators / self.denominator
 
     @property
     def num_points(self) -> int:

@@ -57,15 +57,19 @@ def check_target_polygon(polygon) -> np.ndarray:
 
 
 def rasterize_target(polygons, grid: ImageGrid) -> np.ndarray:
+    """Binary target raster of polygons that each pass `check_target_polygon`."""
+    return rasterize_checked([check_target_polygon(poly) for poly in polygons], grid)
+
+
+def rasterize_checked(polygons, grid: ImageGrid) -> np.ndarray:
     """Binary target raster: pixel = 1 iff its sample point is inside any polygon.
 
-    Uses the even-odd rule. Polygons must be simple and in the same units as
-    the grid.
+    Uses the even-odd rule. The polygons must already have passed
+    `check_target_polygon`, be simple and be in the same units as the grid.
     """
     raster = np.zeros((grid.nx, grid.ny), dtype=np.uint8)
     px, py = grid.flat_coords()
     for poly in polygons:
-        poly = check_target_polygon(poly)
         raster |= points_in_polygon(px, py, poly).reshape(grid.nx, grid.ny)
     return raster
 

@@ -14,6 +14,13 @@ table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
 2 Re), whose size follows from the largest point-to-pixel distance; on the
 tensor pixel grid the synthesis is one real matrix product and no Bessel
 function is evaluated.
+
+The quadrature points are fixed barycentric combinations of the mesh
+vertices with integer numerators n_jq over one denominator d, so each point
+phasor exp(-2 pi i f.g_q) is the product of integer powers of the vertex
+phasors exp(-2 pi i f.v / d): one cos/sin pair per vertex and node, a few
+complex multiplies per point. The phasors are formed a block of node columns
+at a time, and the grid side of the table is cached per grid and node count.
 """
 from __future__ import annotations
 
@@ -30,9 +37,14 @@ from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_po
 # 0/0 at the kernel peak out of the values.
 SMALL_RHO = 1e-6
 
-# Source points per block of pupil exponentials in PupilBasis.spectrum.
-POINT_CHUNK = 512
+# Point phasors (quadrature points x pupil nodes) per block of node columns
+# in PupilBasis.spectrum: a block holds a few arrays of this many complex
+# values, whatever the size of a line-search trial mesh.
+PHASOR_BLOCK = 2**15
 
+# Grid-side exponential tables kept, one per (grid, n_r, n_theta); a desk
+# optimize run meets 7 node counts.
+GRID_TABLES = 8
 
 
 @dataclass(frozen=True)
@@ -241,16 +253,20 @@ def cis(phase: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PupilBasis:
-    """Pupil-node exponentials of one set of source points on one image grid.
+    """Pupil-node exponentials of one region's mesh on one image grid.
 
-    Coordinates are taken relative to the grid center. `points` holds the
-    source points (Q, 2) and `freqs` the node frequencies f_k as rows fx, fy,
+    Coordinates are taken relative to the grid center. `vertices` (V, 2) and
+    `triangles` (T, 3) are the mesh, `quad` places its points in each
+    triangle, and `freqs` holds the node frequencies f_k as rows fx, fy,
     (2, K). `wex` is w_k exp(2 pi i f_k,x x_i), (nx, K); `ey` is
     conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and imaginary
-    parts interleaved like a complex array's memory.
+    parts interleaved like a complex array's memory. Both are the cached,
+    read-only tables of `grid_phasors`.
     """
 
-    points: np.ndarray
+    vertices: np.ndarray
+    triangles: np.ndarray
+    quad: TriangleQuadrature
     freqs: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
@@ -258,13 +274,35 @@ class PupilBasis:
     def spectrum(self, coef: np.ndarray) -> np.ndarray:
         """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q), (..., Q) real -> (..., K) complex.
 
-        The exponentials are formed POINT_CHUNK points at a time, so a large
-        trial mesh does not hold all Q x K of them at once.
+        q runs over the quadrature points triangle by triangle, Q = T * N_G.
+        Point q of triangle t is g = sum_j (n_jq / d) v_t_j with the rule's
+        integer numerators n and denominator d, so with the vertex phasors
+        z_v = exp(-2 pi i f_k . v / d) its phasor is prod_j z_t_j ** n_jq:
+        one cos/sin pair per vertex, integer powers per point. The phasors
+        are formed a block of node columns at a time, about PHASOR_BLOCK of
+        them per block, so a large trial mesh never holds all Q x K at once.
         """
-        out = np.zeros((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
-        for start in range(0, len(self.points), POINT_CHUNK):
-            stop = start + POINT_CHUNK
-            out += coef[..., start:stop] @ cis((-2.0 * np.pi) * (self.points[start:stop] @ self.freqs))
+        num = self.quad.numerators
+        nv, k = len(self.vertices), self.freqs.shape[1]
+        # row of z_v ** n in the stacked power table, per triangle and point
+        rows = [num[j] * nv + self.triangles[:, j, None] for j in range(3)]  # (T, N_G)
+        width = max(1, PHASOR_BLOCK // rows[0].size)
+        scale = -2.0 * np.pi / self.quad.denominator
+        out = np.empty((*coef.shape[:-1], k), dtype=complex)
+        for start in range(0, k, width):
+            cols = slice(start, start + width)
+            z = cis(scale * (self.vertices @ self.freqs[:, cols]))  # (V, b)
+            powers = np.empty((num.max() + 1, *z.shape), dtype=complex)
+            powers[0] = 1.0
+            for e in range(1, len(powers)):
+                np.multiply(powers[e - 1], z, out=powers[e])
+            table = powers.reshape(-1, z.shape[1])
+            phasors = table.take(rows[0], axis=0)  # (T, N_G, b)
+            phasors *= table.take(rows[1], axis=0)
+            phasors *= table.take(rows[2], axis=0)
+            # a real coefficient times a complex phasor is two real products
+            flat = phasors.view(np.float64).reshape(-1, 2 * z.shape[1])
+            out[..., cols] = (coef @ flat).view(complex)
         return out
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
@@ -281,25 +319,36 @@ class PupilBasis:
         return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
 
 
-def pupil_basis(points: np.ndarray, grid: ImageGrid) -> PupilBasis:
-    """Node table and grid exponentials for source points (Q, 2) imaged on `grid`.
+def _grid_center(grid: ImageGrid) -> np.ndarray:
+    return np.array([grid.xs[0] + grid.xs[-1], grid.ys[0] + grid.ys[-1]]) / 2.0
 
-    The node count follows from D, the largest distance between a point and
-    a grid sample (reached at a grid corner), so it depends on the grid and
-    these points alone.
+
+@lru_cache(maxsize=GRID_TABLES)
+def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid side of the node table, `wex` (nx, K) and `ey` (ny, 2K) of PupilBasis, read-only."""
+    freqs, weights = pupil_nodes(n_r, n_theta)
+    center = _grid_center(grid)
+    wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
+    ey = cis((-2.0 * np.pi) * np.outer(grid.ys - center[1], freqs[1])).view(np.float64)
+    for table in (wex, ey):
+        table.setflags(write=False)
+    return wex, ey
+
+
+def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
+    """Node table and grid exponentials for one region's mesh imaged on `grid`.
+
+    The node count follows from D, the largest distance between a quadrature
+    point and a grid sample (reached at a grid corner), so it depends on the
+    grid and this mesh alone.
     """
-    xs, ys = grid.xs, grid.ys
-    center = np.array([xs[0] + xs[-1], ys[0] + ys[-1]]) / 2.0
-    rel = points - center
-    half = center - (xs[0], ys[0])
+    center = _grid_center(grid)
+    half = center - grid.origin
+    rel = gauss_points(assemble_tensor(mesh), quad).reshape(-1, 2) - center
     reach = math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
-    freqs, weights = pupil_nodes(*pupil_node_counts(reach))
-    return PupilBasis(
-        points=rel,
-        freqs=freqs,
-        wex=weights * cis((2.0 * np.pi) * np.outer(xs - center[0], freqs[0])),
-        ey=cis((-2.0 * np.pi) * np.outer(ys - center[1], freqs[1])).view(np.float64),
-    )
+    counts = pupil_node_counts(reach)
+    return PupilBasis(mesh.vertices - center, mesh.triangles, quad,
+                      pupil_nodes(*counts)[0], *grid_phasors(grid, *counts))
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
@@ -313,9 +362,7 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """
     u = np.zeros((grid.nx, grid.ny))
     for mesh in meshes:
-        tensor = assemble_tensor(mesh)
-        pts = gauss_points(tensor, quad).reshape(-1, 2)
-        coef = (tensor.areas()[:, None] * quad.weights[None, :]).ravel()
-        basis = pupil_basis(pts, grid)
+        coef = (mesh.areas()[:, None] * quad.weights[None, :]).ravel()
+        basis = pupil_basis(mesh, quad, grid)
         u += basis.synthesize(basis.spectrum(coef))
     return AmplitudeField(u)

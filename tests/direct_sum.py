@@ -1,16 +1,18 @@
-"""Direct Airy-kernel sums: the test oracle for the pupil-integral evaluation.
+"""Direct sums: the test oracles for the pupil-integral evaluation.
 
 U(x) = sum over triangles p and quadrature points q of w_q |S_p| H(x - g_pq),
 one Bessel evaluation per image sample and quadrature point, and its control
 derivatives through the kernel's radial derivative. The package evaluates the
-same sums as integrals over the pupil disk; these are the plain forms.
+same sums as integrals over the pupil disk; these are the plain forms. So is
+`point_spectrum`, the mask spectrum with one cos/sin pair per quadrature point
+and pupil node, which the package builds from vertex phasors instead.
 """
 import numpy as np
 from scipy.special import j0, j1
 
 from splinemask.gradient import area_gradient, quad_point_sensitivity
 from splinemask.mesh import assemble_tensor, gauss_points
-from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel
+from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel, cis
 
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
@@ -94,3 +96,8 @@ def direct_amplitude_gradient(meshes, quad, grid, sensitivities) -> list[np.ndar
         fields = np.stack([dux.T, duy.T], axis=1)  # (n, 2, npix)
         out.append(fields.reshape(n, 2, grid.nx, grid.ny))
     return out
+
+
+def point_spectrum(points, freqs, coef):
+    """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q) for points (Q, 2) and freqs (2, K)."""
+    return coef @ cis((-2.0 * np.pi) * (points @ freqs))

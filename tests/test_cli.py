@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel, cli
+from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel, cli, objective
 from splinemask.cli import (
     ConfigError,
+    build_setup,
     cmd_gradcheck,
+    load_config,
     main,
     parse_config,
     write_pgm,
@@ -91,6 +93,21 @@ def test_simulate_places_controls_once(tmp_path, monkeypatch):
     config = write_config(tmp_path, desk_config())
     assert main(["--quiet", "simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_setup_checks_each_target_polygon_once(tmp_path, monkeypatch):
+    calls = []
+    check = objective.check_target_polygon
+
+    def counted(polygon):
+        calls.append(polygon)
+        return check(polygon)
+
+    monkeypatch.setattr(cli, "check_target_polygon", counted)
+    monkeypatch.setattr(objective, "check_target_polygon", counted)
+    _, problem, _, _, _ = build_setup(load_config(write_config(tmp_path, desk_config())))
+    assert len(calls) == 1
+    assert problem.target.sum() == 100  # the 200 nm square covers 10 x 10 pixels
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splinemask.geometry import SelfIntersectionError, polygon_signed_area, polyline_self_intersects
+from splinemask import geometry
+from splinemask.geometry import (
+    SelfIntersectionError,
+    points_in_polygon,
+    polygon_signed_area,
+    polyline_self_intersects,
+)
 from splinemask.mesh import (
     MeshError,
     ProvenancedMesh,
@@ -239,7 +245,26 @@ def test_polygon_area_unchanged_by_refinement():
     assert polygon_area(refined) == pytest.approx(polygon_area(mesh), abs=1e-12)
 
 
-# -- loop references for the vectorized polyline test and refinement ------------
+# -- loop references for the vectorized polygon tests and refinement -----------
+
+def loop_points_in_polygon(px, py, polygon):
+    """Edge-by-edge even-odd test; the reference for points_in_polygon."""
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    poly = np.asarray(polygon, dtype=float)
+    inside = np.zeros(px.shape, dtype=bool)
+    m = len(poly)
+    for i in range(m):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % m]
+        crosses = ((y1 <= py) & (py < y2)) | ((y2 <= py) & (py < y1))
+        if not crosses.any():
+            continue
+        t = (py - y1) / (y2 - y1)
+        x_int = x1 + t * (x2 - x1)
+        inside ^= crosses & (px < x_int)
+    return inside
+
 
 def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -345,6 +370,25 @@ def test_polyline_self_intersects_matches_loop_reference_on_float_loops(m, wobbl
     if rng.random() < 0.5:
         pts = pts[rng.permutation(m)]
     assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(lattice_points, max_size=14), st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 7, geometry.POINT_BLOCK]))
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], 1.0, 0, geometry.POINT_BLOCK)  # queries on edges and corners
+def test_points_in_polygon_matches_loop_reference(points, scale, seed, block):
+    # lattice loops and half-lattice queries put points on vertices, on
+    # horizontal edges and on the crossing rays; a small block budget splits
+    # the queries into many blocks
+    rng = np.random.default_rng(seed)
+    poly = np.array(points, dtype=float).reshape(-1, 2) * scale
+    px = np.concatenate([rng.integers(-8, 9, 40) / 2.0, rng.uniform(-4, 4, 40)]) * scale
+    py = np.concatenate([rng.integers(-8, 9, 40) / 2.0, rng.uniform(-4, 4, 40)]) * scale
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "POINT_BLOCK", block)
+        got = points_in_polygon(px.reshape(8, 10), py.reshape(8, 10), poly)
+    assert got.shape == (8, 10)
+    assert np.array_equal(got, loop_points_in_polygon(px, py, poly).reshape(8, 10))
 
 
 @st.composite

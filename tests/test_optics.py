@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +10,14 @@ from scipy.special import j1
 
 from splinemask import gradient, optics
 from splinemask.gradient import amplitude_gradient
-from splinemask.mesh import TriangleQuadrature, refine_mesh, triangulate_region
+from splinemask.mesh import (
+    TriangleQuadrature,
+    TriangleTensor,
+    assemble_tensor,
+    gauss_points,
+    refine_mesh,
+    triangulate_region,
+)
 from splinemask.optics import (
     AmplitudeField,
     ImageGrid,
@@ -16,11 +26,19 @@ from splinemask.optics import (
     airy_kernel,
     bessel_j,
     forward_amplitude,
+    grid_phasors,
     psf,
+    pupil_basis,
+    pupil_nodes,
 )
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
 
-from direct_sum import airy_kernel_radial_derivative, direct_amplitude_gradient, direct_forward_amplitude
+from direct_sum import (
+    airy_kernel_radial_derivative,
+    direct_amplitude_gradient,
+    direct_forward_amplitude,
+    point_spectrum,
+)
 
 J1_FIRST_ROOT = 3.8317059702075123  # frozen from the series-oracle bisection below
 
@@ -273,3 +291,97 @@ def test_forward_and_gradient_make_no_bessel_call(desk_square, monkeypatch):
     grads = gradient_of(problem, evaluation)
     assert np.isfinite(evaluation.objective)
     assert np.abs(grads[0]).max() > 0.0
+
+
+def test_degree3_rule_is_bytewise_the_float_literals(desk_square):
+    # 5/15, 9/15 and 3/15 round to the same doubles as 1/3, 0.6 and 0.2
+    third = 1.0 / 3.0
+    literal = np.array([[third, 0.6, 0.2, 0.2], [third, 0.2, 0.6, 0.2], [third, 0.2, 0.2, 0.6]])
+    quad = TriangleQuadrature.degree3()
+    assert quad.barycentric.tobytes() == literal.tobytes()
+    assert quad.numerators.sum(axis=0).tolist() == [quad.denominator] * quad.num_points
+    cfg, problem, region = desk_square
+    tensor = assemble_tensor(build_region_system(region, problem).mesh)
+    want = np.einsum("tjc,jq->tqc", tensor.coords, literal)
+    assert gauss_points(tensor, quad).tobytes() == want.tobytes()
+
+
+def dense_desk_system(problem, region):
+    """The desk square grown 1.3x and refined to 882 triangles, the size of a large line-search trial."""
+    grown = region.with_controls(1.3 * region.controls)
+    system = build_region_system(grown, replace(problem, refine_max_area=0.003))
+    assert 850 <= system.mesh.num_triangles <= 900
+    return system
+
+
+def assert_spectrum_matches_point_oracle(mesh, quad, grid, coef):
+    basis = pupil_basis(mesh, quad, grid)
+    points = gauss_points(TriangleTensor(basis.vertices[basis.triangles]), quad).reshape(-1, 2)
+    got = basis.spectrum(coef)
+    want = point_spectrum(points, basis.freqs, coef)
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 1.3), block=st.sampled_from([1, 300, 5000, None]))
+def test_vertex_phasor_spectrum_matches_point_oracle(desk_square, seed, scale, block):
+    # random perturbations of the desk square; a small block budget forces
+    # several column blocks down to one node per block
+    cfg, problem, region = desk_square
+    rng = np.random.default_rng(seed)
+    moved = region.with_controls(scale * region.controls
+                                 + rng.uniform(-0.05, 0.05, region.controls.shape))
+    mesh = build_region_system(moved, problem).mesh
+    q = mesh.num_triangles * problem.quad.num_points
+    coef = np.concatenate([(mesh.areas()[:, None] * problem.quad.weights).reshape(1, q),
+                           rng.normal(size=(3, q))])
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(optics, "PHASOR_BLOCK", block)
+        assert_spectrum_matches_point_oracle(mesh, problem.quad, problem.grid, coef)
+
+
+@pytest.mark.parametrize("block", [optics.PHASOR_BLOCK, 4096])
+def test_vertex_phasor_spectrum_matches_point_oracle_on_a_dense_mesh(desk_square, monkeypatch, block):
+    cfg, problem, region = desk_square
+    mesh = dense_desk_system(problem, region).mesh
+    monkeypatch.setattr(optics, "PHASOR_BLOCK", block)
+    coef = (mesh.areas()[:, None] * problem.quad.weights).ravel()
+    assert_spectrum_matches_point_oracle(mesh, problem.quad, problem.grid, coef)
+
+
+def traced_peak(fn) -> int:
+    fn()  # fill the node and grid-table caches first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_and_gradient_memory_stays_bounded_on_a_dense_mesh(desk_square):
+    # The bounds are the peaks of the per-point spectrum this replaced (one
+    # cos/sin per point, 512 points per block) on this mesh. Forming all
+    # Q x K point phasors in one block instead peaked at 51 MB here.
+    cfg, problem, region = desk_square
+    system = dense_desk_system(problem, region)
+    mesh, sens = system.mesh, system.sens
+    forward = traced_peak(lambda: forward_amplitude([mesh], problem.quad, problem.grid))
+    grad = traced_peak(lambda: amplitude_gradient([mesh], problem.quad, problem.grid, [sens]))
+    assert forward <= 3.63e6
+    assert grad <= 5.33e6
+
+
+def test_node_and_grid_tables_are_cached_read_only(desk_square):
+    cfg, problem, region = desk_square
+    basis = pupil_basis(build_region_system(region, problem).mesh, problem.quad, problem.grid)
+    n_r, n_theta = optics.pupil_node_counts(1.0)
+    wex, ey = grid_phasors(problem.grid, n_r, n_theta)
+    assert grid_phasors(problem.grid, n_r, n_theta)[0] is wex
+    tables = [wex, ey, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
