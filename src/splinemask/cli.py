@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import TriangleQuadrature
+from .geometry import SelfIntersectionError
+from .mesh import MeshError, TriangleQuadrature, triangulate_region
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import ImageGrid, OpticalConfig
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
@@ -28,7 +29,7 @@ from .pipeline import (
     gradient_of,
     print_report,
 )
-from .spline import PeriodicSplineRegion, evaluate_curve
+from .spline import PeriodicSplineRegion, build_collocation, evaluate_curve
 
 logger = logging.getLogger(__name__)
 
@@ -128,8 +129,13 @@ def _scalars(document: dict, name: str, cls, keys: dict):
     return _build(name, keys, lambda: cls(**_args(given, keys)))
 
 
-def _region(raw: dict, where: str, targets: list, magnification: float) -> PeriodicSplineRegion:
-    """One region in mask-plane nm, from explicit controls or placed on its target."""
+def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> PeriodicSplineRegion:
+    """One region in mask-plane nm, from explicit controls or placed on its target.
+
+    It must mesh as `build_setup` and `evaluate` will mesh it: a boundary that
+    crosses itself or encloses no triangle is blamed on `controls_nm`, or on
+    the region when it was placed on a target.
+    """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
         raise ConfigError(f"{where}.num_samples", "missing required field")
@@ -142,14 +148,22 @@ def _region(raw: dict, where: str, targets: list, magnification: float) -> Perio
         if "num_controls" in raw:
             raise ConfigError(f"{where}.num_controls", "only allowed with init_from_target")
         keys["controls_nm"] = "controls"
-        return _build(where, keys, lambda: PeriodicSplineRegion(raw["controls_nm"], **shape))
-    if not 0 <= source < len(targets):
-        raise ConfigError(f"{where}.init_from_target", "no such target polygon")
-    if "num_controls" not in raw:
-        raise ConfigError(f"{where}.num_controls", "required with init_from_target")
-    keys["num_controls"] = "controls"
-    return _build(where, keys, lambda: init_controls_from_target(
-        [targets[source]], raw["num_controls"], magnification=magnification, **shape)[0])
+        region = _build(where, keys, lambda: PeriodicSplineRegion(raw["controls_nm"], **shape))
+        blame = f"{where}.controls_nm"
+    else:
+        if not 0 <= source < len(targets):
+            raise ConfigError(f"{where}.init_from_target", "no such target polygon")
+        if "num_controls" not in raw:
+            raise ConfigError(f"{where}.num_controls", "required with init_from_target")
+        keys["num_controls"] = "controls"
+        region = _build(where, keys, lambda: init_controls_from_target(
+            [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
+        blame = where
+    try:
+        triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
+    except (SelfIntersectionError, MeshError) as exc:
+        raise ConfigError(blame, str(exc)) from None
+    return region
 
 
 def parse_config(document: dict) -> RunConfig:
@@ -186,8 +200,7 @@ def parse_config(document: dict) -> RunConfig:
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
-    regions = [_region(raw, f"regions[{i}]", targets, optical.magnification)
-               for i, raw in enumerate(raw_regions)]
+    regions = [_region(raw, f"regions[{i}]", targets, optical) for i, raw in enumerate(raw_regions)]
 
     return RunConfig(optical=optical, resist=resist, grid=grid,
                      target_polygons_nm=targets, regions=regions, optimizer=optimizer)

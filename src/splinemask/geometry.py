@@ -1,4 +1,9 @@
-"""Planar polygon predicates shared by the meshing, rasterization and line-search code."""
+"""Planar polygon predicates shared by the meshing, rasterization and line-search code.
+
+The crossing test of a closed polyline orients every segment against both
+endpoints of every other segment once, as two (m, m) matrices; the reverse
+orientations of each segment pair are their transposes.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -72,28 +77,24 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
         return False
     if len(np.unique(pts, axis=0)) < m:
         return True
-    # segment s runs from vertex s to vertex s+1 (mod m); pair i < j is
-    # non-adjacent when j >= i + 2, except the wrap-around pair (0, m-1)
-    i, j = np.triu_indices(m, k=2)
-    keep = ~((i == 0) & (j == m - 1))
-    i, j = i[keep], j[keep]
-    b = np.roll(pts, -1, axis=0)
-    ax, ay = pts[i, 0], pts[i, 1]
-    bx, by = b[i, 0], b[i, 1]
-    cx, cy = pts[j, 0], pts[j, 1]
-    dx, dy = b[j, 0], b[j, 1]
-    d1 = orient(ax, ay, bx, by, cx, cy)
-    d2 = orient(ax, ay, bx, by, dx, dy)
-    d3 = orient(cx, cy, dx, dy, ax, ay)
-    d4 = orient(cx, cy, dx, dy, bx, by)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    # segment s runs from a[s] to b[s] = a[s + 1 mod m]; o1[i, j] and o2[i, j]
+    # orient the start and end of segment j against segment i, so segment j's
+    # orientations against segment i are the transposes
+    a, b = pts, np.roll(pts, -1, axis=0)
+    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
+    o1 = orient(ax, ay, bx, by, a[:, 0], a[:, 1])
+    o2 = orient(ax, ay, bx, by, b[:, 0], b[:, 1])
+    proper = (o1 * o2 < 0) & (o1.T * o2.T < 0)
     # collinear overlap: any zero orientation with bounding-box overlap
-    touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    lo_x = np.maximum(np.minimum(ax, bx), np.minimum(cx, dx))
-    hi_x = np.minimum(np.maximum(ax, bx), np.maximum(cx, dx))
-    lo_y = np.maximum(np.minimum(ay, by), np.minimum(cy, dy))
-    hi_y = np.minimum(np.maximum(ay, by), np.maximum(cy, dy))
-    return bool((proper | (touch & (lo_x <= hi_x) & (lo_y <= hi_y))).any())
+    touch = (o1 == 0) | (o2 == 0) | (o1.T == 0) | (o2.T == 0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    overlap_x, overlap_y = (np.maximum(lo[:, c, None], lo[:, c]) <= np.minimum(hi[:, c, None], hi[:, c])
+                            for c in (0, 1))
+    # segments i and j are non-adjacent when their index gap is 2..m-2 either
+    # way round the loop, which also leaves out the wrap-around pair (0, m-1)
+    gap = np.abs(np.arange(m)[:, None] - np.arange(m))
+    apart = (gap >= 2) & (gap <= m - 2)
+    return bool((apart & (proper | (touch & overlap_x & overlap_y))).any())
 
 
 def polygon_perimeter_points(polygon: np.ndarray, count: int) -> np.ndarray:

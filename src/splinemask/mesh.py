@@ -3,8 +3,8 @@
 Every mesh vertex is a convex combination of the region's boundary samples Q.
 The combination weights live in the provenance matrix W (K x m, first m rows
 the identity), so vertices = W @ Q holds exactly through any number of
-centroid-insertion refinements. That linearity is what makes the shape
-gradient a plain matrix chain later on.
+centroid-insertion refinements, and Q itself is the first m vertices. That
+linearity is what makes the shape gradient a plain matrix chain later on.
 """
 from __future__ import annotations
 
@@ -35,13 +35,16 @@ class ProvenancedMesh:
     vertices:   (K, 2) coordinates, first m rows are the boundary samples
     triangles:  (N_T, 3) vertex indices, counterclockwise
     provenance: (K, m) weights with vertices = provenance @ boundary
-    boundary:   (m, 2) the samples Q the mesh was built from
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     provenance: np.ndarray
-    boundary: np.ndarray
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """The (m, 2) samples Q the mesh was built from: its first m vertices."""
+        return self.vertices[: self.provenance.shape[1]]
 
     @property
     def num_vertices(self) -> int:
@@ -59,7 +62,7 @@ class ProvenancedMesh:
         boundary = np.asarray(boundary, dtype=float)
         if boundary.shape != self.boundary.shape:
             raise ValueError("boundary shape changed; rebuild the mesh instead")
-        return replace(self, vertices=self.provenance @ boundary, boundary=boundary)
+        return replace(self, vertices=self.provenance @ boundary)
 
 
 def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
@@ -98,13 +101,7 @@ def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     if len(simplices) == 0:
         raise MeshError("no interior triangles left after filtering")
 
-    m = len(pts)
-    return ProvenancedMesh(
-        vertices=pts.copy(),
-        triangles=simplices,
-        provenance=np.eye(m),
-        boundary=pts.copy(),
-    )
+    return ProvenancedMesh(vertices=pts.copy(), triangles=simplices, provenance=np.eye(len(pts)))
 
 
 def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
@@ -143,12 +140,7 @@ def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
         out[first + 2] = np.stack([k, i, g], axis=1)
         triangles = out
 
-    return ProvenancedMesh(
-        vertices=vertices,
-        triangles=triangles,
-        provenance=prov,
-        boundary=mesh.boundary,
-    )
+    return ProvenancedMesh(vertices=vertices, triangles=triangles, provenance=prov)
 
 
 @dataclass(frozen=True)

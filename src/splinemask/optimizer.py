@@ -1,10 +1,14 @@
 """Steepest descent on control points with golden-section step sizing.
 
-Each trial step rebuilds the full geometry chain (samples, mesh, provenance)
-at the displaced controls; trial boundaries that self-intersect or fail to
-mesh score +inf so the line search backs away from them. After an accepted
-step everything is regenerated from scratch, so the analytic gradient at the
-next iterate again sees a consistent frozen topology.
+The line search brackets each step on [0, MAX_DISPLACEMENT / max|g|], so no
+control moves further than MAX_DISPLACEMENT in one step. Each trial step
+rebuilds the full geometry chain (samples, mesh, provenance) at the displaced
+controls; trial boundaries that self-intersect or fail to mesh score +inf so
+the line search backs away from them. After an accepted step everything is
+regenerated from scratch, so the analytic gradient at the next iterate again
+sees a consistent frozen topology. The control loop may run either way round:
+the mesh orients every triangle counterclockwise, and nothing downstream sees
+anything but triangles.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SelfIntersectionError, polygon_perimeter_points, polygon_signed_area
+from .geometry import SelfIntersectionError, polygon_perimeter_points
 from .mesh import MeshError
 from .optics import OpticalConfig
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, gradient_of
@@ -24,7 +28,7 @@ logger = logging.getLogger(__name__)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest control move per step, in normalized units, when alpha_max is None.
+# Largest control move per step, in normalized units: the line-search bracket.
 MAX_DISPLACEMENT = 2.0
 
 
@@ -39,7 +43,6 @@ class OptimizerConfig:
     max_iters: int = 100
     eps: float = 1e-4          # stop when the objective drops below this
     eps_alpha: float = 1e-4    # stop when the accepted step size drops below this
-    alpha_max: float | None = None  # line-search bracket; None caps displacement instead
     gs_tol: float = 1e-5
     refine_area_tol: float = 0.02
 
@@ -49,8 +52,6 @@ class OptimizerConfig:
         for name in ("eps", "eps_alpha", "gs_tol", "refine_area_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.alpha_max is not None and not 0 < self.alpha_max < math.inf:
-            raise ValueError("alpha_max must be positive and finite, or None")
 
 
 @dataclass
@@ -71,10 +72,6 @@ class OptimizationState:
     @property
     def objective(self) -> float:
         return self.evaluation.objective
-
-    @property
-    def controls(self) -> list[np.ndarray]:
-        return [s.region.controls for s in self.evaluation.systems]
 
 
 def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
@@ -117,7 +114,6 @@ def step(state: OptimizationState, problem: ImagingProblem,
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
     if gmax < 1e-12:
         return state, 0.0, False
-    alpha_max = opt.alpha_max if opt.alpha_max is not None else MAX_DISPLACEMENT / gmax
     regions = [s.region for s in state.evaluation.systems]
 
     def controls_at(alpha: float):
@@ -129,7 +125,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
         trial = scored[alpha] = _try_evaluate(problem, controls_at(alpha))
         return trial.objective if trial is not None else math.inf
 
-    alpha, j_alpha = golden_section(phi, alpha_max, opt.gs_tol)
+    alpha, j_alpha = golden_section(phi, MAX_DISPLACEMENT / gmax, opt.gs_tol)
     if not (j_alpha < state.objective):
         return state, 0.0, False
 
@@ -165,7 +161,6 @@ def optimize(regions: list[PeriodicSplineRegion], problem: ImagingProblem,
     initial state and every accepted step; objective values along it are
     non-increasing.
     """
-    regions = [_ccw_region(r) for r in regions]
     evaluation = evaluate(problem, regions)
     state = OptimizationState(evaluation=evaluation)
     state.trace.append(TraceEntry(0, evaluation.objective, 0.0))
@@ -182,13 +177,6 @@ def optimize(regions: list[PeriodicSplineRegion], problem: ImagingProblem,
     return OptimizationResult(state=state, initial=initial)
 
 
-def _ccw_region(region: PeriodicSplineRegion) -> PeriodicSplineRegion:
-    """Reverse the control loop if it runs clockwise; the curve itself is unchanged."""
-    if polygon_signed_area(region.controls) < 0:
-        return region.with_controls(region.controls[::-1].copy())
-    return region
-
-
 def init_controls_from_target(polygons, num_controls, num_samples,
                               degree: int = PeriodicSplineRegion.degree,
                               magnification: float = OpticalConfig.magnification,
@@ -202,5 +190,5 @@ def init_controls_from_target(polygons, num_controls, num_samples,
     regions = []
     for poly in polygons:
         controls = polygon_perimeter_points(poly, num_controls) * (-1.0 / magnification)
-        regions.append(_ccw_region(PeriodicSplineRegion(controls, num_samples, degree)))
+        regions.append(PeriodicSplineRegion(controls, num_samples, degree))
     return regions

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from splinemask.cli import (
 )
 
 SQUARE = [[-100.0, -100.0], [100.0, -100.0], [100.0, 100.0], [-100.0, 100.0]]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def desk_config(max_iters=3, regions=None):
@@ -244,3 +247,10 @@ def test_mask_json_reusable_as_region_config(tmp_path):
     resim = json.loads((sim_out / "summary.json").read_text())
     opt_summary = json.loads((out / "summary.json").read_text())
     assert resim["J"] == pytest.approx(opt_summary["initial"]["J"], rel=1e-9)
+
+
+def test_readme_example_config_parses():
+    """The README's complete config is a valid run: the documented schema is the parsed one."""
+    [block] = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    cfg = parse_config(json.loads(block))
+    assert len(cfg.target_polygons_nm) == len(cfg.regions) == 1

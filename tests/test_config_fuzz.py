@@ -29,10 +29,14 @@ SCALAR_KEYS = {
     "optical": ("lambda0_nm", "na", "magnification"),
     "resist": ("a", "tr"),
     "grid": ("pixel_nm", "nx", "ny", "margin"),
-    "optimizer": ("max_iters", "eps", "eps_alpha", "alpha_max", "gs_tol", "refine_area_tol"),
+    "optimizer": ("max_iters", "eps", "eps_alpha", "gs_tol", "refine_area_tol"),
 }
 ZERO_OK = {"grid.margin"}
 NEGATIVE_OK = {"optical.magnification"}
+
+# initial regions that cannot mesh: a boundary that crosses itself, one too small for any triangle
+BOWTIE = [[-100.0, -100.0], [100.0, 100.0], [100.0, -100.0], [-100.0, 100.0], [0.0, -150.0], [-150.0, 0.0]]
+TINY_SQUARE = (polygon_perimeter_points(np.array(SQUARE), 12) * 5e-12).tolist()  # 1e-9 nm side
 
 
 def explicit_config():
@@ -129,6 +133,9 @@ def test_unknown_nested_key_is_config_error(section):
     ("target_polygons_nm[0][2][0]", "wide", "target_polygons_nm[0]"),
     ("target_polygons_nm[0]", [[0, 0], [1, 1], [2, 2]], "target_polygons_nm[0]"),
     ("regions[0].num_controls", -5, "regions[0].num_controls"),  # no effect next to controls_nm
+    ("regions[0].controls_nm", BOWTIE, "regions[0].controls_nm"),
+    ("regions[0].controls_nm", TINY_SQUARE, "regions[0].controls_nm"),
+    ("optimizer.alpha_max", 1.0, "optimizer.alpha_max"),  # the bracket is derived, not set
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -140,3 +147,4 @@ def test_region_from_target_reports_its_keys():
     assert_config_error(replaced(doc, "regions[0].degree", 0), "regions[0].degree")
     assert_config_error(replaced(doc, "regions[0].num_controls", 4), "regions[0].num_controls")
     assert_config_error(replaced(doc, "regions[0].num_controls", -1), "regions[0].num_controls")
+    assert_config_error(replaced(doc, "target_polygons_nm[0]", BOWTIE), "regions[0]")

@@ -238,7 +238,7 @@ def symmetric_fan_problem():
     vertices = np.vstack([samples, center])
     provenance = np.vstack([np.eye(m), np.full((1, m), 1.0 / m)])
     triangles = np.array([[i, (i + 1) % m, m] for i in range(m)], dtype=np.int64)
-    mesh = ProvenancedMesh(vertices, triangles, provenance, samples)
+    mesh = ProvenancedMesh(vertices, triangles, provenance)
     sens = sensitivity(mesh, colloc)
     grid = ImageGrid(10, 10, 0.35, (-0.35 * 4.5, -0.35 * 4.5))
     target = rasterize_target([square * 0.9], grid)

@@ -9,10 +9,11 @@ from splinemask.optimizer import (
     optimize,
     step,
 )
-from splinemask.pipeline import evaluate
+from splinemask.cli import build_setup, parse_config
+from splinemask.pipeline import evaluate, print_report
 from splinemask.optimizer import OptimizationState
 
-from conftest import desk_square_problem, square_region
+from conftest import SQUARE_NM, desk_square_problem, square_region
 
 
 def test_golden_section_quadratic():
@@ -212,3 +213,23 @@ def test_optimize_deterministic():
     t1 = [(e.iteration, e.objective, e.alpha) for e in r1.trace]
     t2 = [(e.iteration, e.objective, e.alpha) for e in r2.trace]
     assert t1 == t2
+
+
+def test_optimize_ignores_the_listing_direction():
+    """The target square listed clockwise reaches the counterclockwise result.
+
+    The criterion-9 config: regions placed on the target, 12 steps.
+    """
+    finals = []
+    for square in (SQUARE_NM, SQUARE_NM[::-1]):
+        _, problem, regions, opt, _ = build_setup(parse_config({
+            "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0, "origin_nm": [-190.0, -190.0]},
+            "target_polygons_nm": [square.tolist()],
+            "regions": [{"num_samples": 24, "init_from_target": 0, "num_controls": 12}],
+            "optimizer": {"max_iters": 12},
+        }))
+        final = optimize(regions, problem, opt).final
+        finals.append((final.objective, print_report(problem, final).epe_count))
+    (j_ccw, epe_ccw), (j_cw, epe_cw) = finals
+    assert epe_cw == epe_ccw
+    assert j_cw == pytest.approx(j_ccw, rel=1e-4)
