@@ -70,13 +70,17 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     are not counted. Repeated vertices count as an intersection. All
     non-adjacent segment pairs are tested at once: a proper crossing by the
     orientation signs, or a zero orientation with overlapping bounding boxes.
+    From m = 4 on, a repeated vertex needs no check of its own: the segments
+    that start at two copies, or the two neighbours of a zero-length
+    segment, are non-adjacent and touch. A triangle has no non-adjacent
+    pair, so only there are repeats looked for.
     """
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     if m < 3:
         return False
-    if len(np.unique(pts, axis=0)) < m:
-        return True
+    if m == 3:
+        return len(np.unique(pts, axis=0)) < m
     # segment s runs from a[s] to b[s] = a[s + 1 mod m]; o1[i, j] and o2[i, j]
     # orient the start and end of segment j against segment i, so segment j's
     # orientations against segment i are the transposes

@@ -1,13 +1,14 @@
 """Analytic shape gradient of the image-fidelity objective.
 
 For fixed mesh topology every vertex is linear in the control points through
-T = W @ N, so the gradient of the objective decomposes into a point term
-(quadrature points move) and an area term (triangle measures change). Both
-act on the region's pupil spectrum, so every control derivative of the image
-comes from the same node table as the forward image: a few products against
-its point phasors, which `PupilBasis.spectrum` builds from integer powers of
-the vertex phasors block by block, then one synthesis of all derivative
-spectra.
+T = W @ N, so the gradient of the objective decomposes into an area term
+(triangle measures change) and a point term (quadrature points move with
+their triangle's vertices). Both act on the region's pupil spectrum
+S = sum_t A_t H_t: the area term against the triangle phasor sums H_t, the
+point term against the slot sums G_tj, which weight triangle t's phasors by
+the barycentric coordinate of its vertex slot j. Both come from the blocks
+`PupilBasis.phasor_blocks` makes for the forward image, and all derivative
+spectra are synthesized at once.
 Topology (W, C, L) is treated as constant: it is rebuilt between optimizer
 steps, never differentiated.
 """
@@ -50,45 +51,31 @@ def area_gradient(tensor: TriangleTensor, sens: np.ndarray,
     return dsx, dsy
 
 
-def quad_point_sensitivity(sens: np.ndarray, quad: TriangleQuadrature,
-                           triangles: np.ndarray) -> np.ndarray:
-    """Derivative of each quadrature point coordinate w.r.t. each control, (N_T, N_G, n).
-
-    The same array serves x and y: moving control k in x moves the point in x
-    by this amount and leaves y alone, and vice versa.
-    """
-    return np.einsum("jq,pjn->pqn", quad.barycentric, sens[triangles])
-
-
 def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
                        grid: ImageGrid, sensitivities: list[np.ndarray]) -> list[np.ndarray]:
     """Fields dU/dP for every control coordinate of every region.
 
     Returns one (n, 2, nx, ny) array per region ([:, 0] for x, [:, 1] for y).
-    With E = exp(-2 pi i f.g) on the region's pupil nodes, the spectrum
-    S = E^T c moves as dS/dP = E^T dc/dP - 2 pi i f * E^T (c * dg/dP): the
-    area term through `area_gradient`, the point term through
-    `quad_point_sensitivity`. The 2n derivative spectra are synthesized
-    together. A control only moves its own region's mesh, and the node table
-    depends on the grid and that mesh alone, so each region's entry is
-    independent of the other meshes.
+    With E_tq = exp(-2 pi i f.g_tq) on the region's pupil nodes, the
+    spectrum S = sum_tq A_t w_q E_tq moves as
+    dS/dP = sum_t dA_t/dP H_t - 2 pi i f sum_tj A_t T[t_j, :] G_tj:
+    point q of triangle t moves by sum_j (n_jq / d) T[t_j, :], and
+    G_tj = sum_q w_q (n_jq / d) E_tq collects those weights per vertex slot.
+    The area derivatives come from `area_gradient`. The 2n derivative spectra
+    are synthesized together. A control only moves its own region's mesh, and
+    the node table depends on the grid and that mesh alone, so each region's
+    entry is independent of the other meshes.
     """
     out = []
     for mesh, sens in zip(meshes, sensitivities):
-        n = sens.shape[1]
         tensor = assemble_tensor(mesh)
-        nt, ng = mesh.num_triangles, quad.num_points
-        coef = (tensor.areas()[:, None] * quad.weights[None, :]).ravel()
-
         dsx, dsy = area_gradient(tensor, sens, mesh.triangles)
-        dpt = quad_point_sensitivity(sens, quad, mesh.triangles).reshape(nt * ng, n)
-        weights = np.tile(quad.weights, nt)[:, None]  # dc/dP = w_q dS_p/dP
-        rows = np.concatenate([(weights * np.repeat(dsx, ng, axis=0)).T,
-                               (weights * np.repeat(dsy, ng, axis=0)).T,
-                               (coef[:, None] * dpt).T])
+        # slot j of triangle t moves with its vertex: A_t T[t_j, :], laid out (n, 3, T)
+        slots = (tensor.areas()[:, None, None] * sens[mesh.triangles]).T
 
         basis = pupil_basis(mesh, quad, grid)
-        area_x, area_y, moved = np.split(basis.spectrum(rows), 3)  # each (n, K)
+        area, moved = basis.slot_spectra(np.concatenate([dsx.T, dsy.T]), slots)
+        area_x, area_y = np.split(area, 2)  # each (n, K)
         moved *= -2j * np.pi
         fx, fy = basis.freqs
         spectra = np.stack([area_x + moved * fx, area_y + moved * fy], axis=1)

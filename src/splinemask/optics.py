@@ -15,12 +15,13 @@ table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
 tensor pixel grid the synthesis is one real matrix product and no Bessel
 function is evaluated.
 
-The quadrature points are fixed barycentric combinations of the mesh
-vertices with integer numerators n_jq over one denominator d, so each point
-phasor exp(-2 pi i f.g_q) is the product of integer powers of the vertex
-phasors exp(-2 pi i f.v / d): one cos/sin pair per vertex and node, a few
-complex multiplies per point. The phasors are formed a block of node columns
-at a time, and the grid side of the table is cached per grid and node count.
+With c_q the triangle area times the rule weight, S = sum_t A_t H_t where
+H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The rule's
+points have integer barycentric numerators, so from the vertex phasors (one
+cos/sin pair per vertex and node) each H_t takes a few complex multiplies and
+no phasor of a single point is formed. `PupilBasis.phasor_blocks` makes these
+sums, for the forward image and the gradient alike, a block of node columns
+at a time; the grid side of the table is cached per grid and node count.
 """
 from __future__ import annotations
 
@@ -37,10 +38,12 @@ from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_po
 # 0/0 at the kernel peak out of the values.
 SMALL_RHO = 1e-6
 
-# Point phasors (quadrature points x pupil nodes) per block of node columns
-# in PupilBasis.spectrum: a block holds a few arrays of this many complex
-# values, whatever the size of a line-search trial mesh.
-PHASOR_BLOCK = 2**15
+# Triangle phasor sums (rows x triangles x pupil nodes) per block of node
+# columns in PupilBasis.phasor_blocks: a block holds a few arrays of this
+# many complex values, whatever the size of a line-search trial mesh. At
+# 2**15 the desk forward passes took 2.6 times as long, with about 1200 page
+# faults per call where 2**14 had two.
+PHASOR_BLOCK = 2**14
 
 # Grid-side exponential tables kept, one per (grid, n_r, n_theta); a desk
 # optimize run meets 7 node counts.
@@ -251,6 +254,30 @@ def cis(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _powers(x: np.ndarray, top: int) -> list:
+    """[1, x, x ** 2, ..., x ** top], each power the one below times x."""
+    table = [1.0, x]
+    for _ in range(top - 1):
+        table.append(table[-1] * x)
+    return table
+
+
+def _point_factor(weight: float, factors: list, zpow: list, triangles: np.ndarray):
+    """weight * prod_j z[t_j] ** e over a point's leftover (slot j, power e) factors, (T, b).
+
+    `zpow[e]` is the vertex table z ** e. The bare weight when the point has
+    no factor. The weight scales the vertex table, which is smaller than the
+    gathered one.
+    """
+    if not factors:
+        return weight
+    (j, e), *others = factors
+    out = (weight * zpow[e]).take(triangles[:, j], axis=0)
+    for j, e in others:
+        out *= zpow[e].take(triangles[:, j], axis=0)
+    return out
+
+
 @dataclass(frozen=True)
 class PupilBasis:
     """Pupil-node exponentials of one region's mesh on one image grid.
@@ -271,39 +298,79 @@ class PupilBasis:
     wex: np.ndarray
     ey: np.ndarray
 
-    def spectrum(self, coef: np.ndarray) -> np.ndarray:
-        """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q), (..., Q) real -> (..., K) complex.
+    def phasor_blocks(self, point_weights: np.ndarray):
+        """Yield (cols, sums) over blocks of node columns: sums[r, t] = sum_q point_weights[r, q] E_tq.
 
-        q runs over the quadrature points triangle by triangle, Q = T * N_G.
-        Point q of triangle t is g = sum_j (n_jq / d) v_t_j with the rule's
-        integer numerators n and denominator d, so with the vertex phasors
-        z_v = exp(-2 pi i f_k . v / d) its phasor is prod_j z_t_j ** n_jq:
-        one cos/sin pair per vertex, integer powers per point. The phasors
-        are formed a block of node columns at a time, about PHASOR_BLOCK of
-        them per block, so a large trial mesh never holds all Q x K at once.
+        E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t,
+        and sums is (R, T, b) for the b node columns `cols`. Point q is
+        g = sum_j (n_jq / d) v_t_j with the rule's integer numerators n and
+        denominator d, so with the vertex phasors z_v = exp(-2 pi i f . v / d)
+        (one cos/sin pair per vertex and node) and the triangle product
+        u_t = z_a z_b z_c, E_tq = u_t ** m_q prod_j z_t_j ** (n_jq - m_q) with
+        m_q = min_j n_jq. For degree 3 the centroid is u ** 5 and point j is
+        u ** 3 z_j ** 6. The sums take Horner's rule in u over the distinct
+        m_q, so no (T, N_G, b) point-phasor array is formed. A block holds
+        about PHASOR_BLOCK triangle sums.
         """
-        num = self.quad.numerators
-        nv, k = len(self.vertices), self.freqs.shape[1]
-        # row of z_v ** n in the stacked power table, per triangle and point
-        rows = [num[j] * nv + self.triangles[:, j, None] for j in range(3)]  # (T, N_G)
-        width = max(1, PHASOR_BLOCK // rows[0].size)
+        # the powers m of u from the top down, the steps between them, and
+        # per power its points with their leftover (slot, power) factors
+        points = list(zip(*self.quad.numerators.tolist()))
+        levels = sorted({min(n) for n in points}, reverse=True)
+        steps = [0] + [above - m for above, m in zip(levels, levels[1:])]
+        groups = [[(q, [(j, nj - m) for j, nj in enumerate(n) if nj > m])
+                   for q, n in enumerate(points) if min(n) == m] for m in levels]
+        tri = self.triangles
+        nt, k = len(tri), self.freqs.shape[1]
+        width = max(1, PHASOR_BLOCK // (len(point_weights) * nt))
         scale = -2.0 * np.pi / self.quad.denominator
-        out = np.empty((*coef.shape[:-1], k), dtype=complex)
         for start in range(0, k, width):
             cols = slice(start, start + width)
             z = cis(scale * (self.vertices @ self.freqs[:, cols]))  # (V, b)
-            powers = np.empty((num.max() + 1, *z.shape), dtype=complex)
-            powers[0] = 1.0
-            for e in range(1, len(powers)):
-                np.multiply(powers[e - 1], z, out=powers[e])
-            table = powers.reshape(-1, z.shape[1])
-            phasors = table.take(rows[0], axis=0)  # (T, N_G, b)
-            phasors *= table.take(rows[1], axis=0)
-            phasors *= table.take(rows[2], axis=0)
+            zpow = _powers(z, max(max(n) - min(n) for n in points))
+            u = z.take(tri[:, 0], axis=0)
+            u *= z.take(tri[:, 1], axis=0)
+            u *= z.take(tri[:, 2], axis=0)
+            upow = _powers(u, max(levels[-1], *steps))
+            sums = np.empty((len(point_weights), nt, z.shape[1]), dtype=complex)
+            for weights, out in zip(point_weights, sums):
+                # Horner's rule in u: scale by u ** (the step down), add the level's points
+                acc = 0.0
+                for group, step in zip(groups, steps):
+                    acc *= upow[step]
+                    for q, factors in group:
+                        acc += _point_factor(weights[q], factors, zpow, tri)
+                np.multiply(upow[levels[-1]], acc, out=out)
+            yield cols, sums
+
+    def spectrum(self, coef: np.ndarray) -> np.ndarray:
+        """S_k = sum_t coef[..., t] H_tk, (..., T) real -> (..., K) complex.
+
+        H_t = sum_q w_q E_tq is triangle t's quadrature-weighted phasor sum,
+        so this is the point spectrum sum_q c_q exp(-2 pi i f_k . g_q) with
+        c_tq = coef_t w_q; area coefficients give the forward spectrum.
+        """
+        out = np.empty((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
+        for cols, (h,) in self.phasor_blocks(self.quad.weights[None]):
             # a real coefficient times a complex phasor is two real products
-            flat = phasors.view(np.float64).reshape(-1, 2 * z.shape[1])
-            out[..., cols] = (coef @ flat).view(complex)
+            out[..., cols] = (coef @ h.view(np.float64)).view(complex)
         return out
+
+    def slot_spectra(self, coef: np.ndarray, slot_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_t coef[..., t] H_t and sum_j,t slot_coef[..., j, t] G_tj from one pass over the blocks.
+
+        G_tj = sum_q w_q (n_jq / d) E_tq weights triangle t's phasors by the
+        barycentric coordinate of its vertex slot j, so H_t = sum_j G_tj.
+        `coef` is (..., T) and `slot_coef` (..., 3, T); the point spectra they
+        stand for have c_tq = coef_t w_q and c_tq = sum_j slot_coef_jt w_q n_jq / d.
+        """
+        k = self.freqs.shape[1]
+        area = np.empty((*coef.shape[:-1], k), dtype=complex)
+        slot = np.empty((*slot_coef.shape[:-2], k), dtype=complex)
+        flat = slot_coef.reshape(*slot_coef.shape[:-2], -1)
+        for cols, g in self.phasor_blocks(self.quad.weights * self.quad.barycentric):
+            area[..., cols] = (coef @ g.sum(axis=0).view(np.float64)).view(complex)
+            slot[..., cols] = (flat @ g.reshape(-1, g.shape[2]).view(np.float64)).view(complex)
+        return area, slot
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
         """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
@@ -362,7 +429,6 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """
     u = np.zeros((grid.nx, grid.ny))
     for mesh in meshes:
-        coef = (mesh.areas()[:, None] * quad.weights[None, :]).ravel()
         basis = pupil_basis(mesh, quad, grid)
-        u += basis.synthesize(basis.spectrum(coef))
+        u += basis.synthesize(basis.spectrum(mesh.areas()))
     return AmplitudeField(u)

@@ -99,18 +99,42 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
 
 def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluation,
                                step: float = 1e-6) -> list[np.ndarray]:
-    """Central finite differences of J at frozen topology; the oracle twin of gradient_of."""
-    controls = [s.region.controls.copy() for s in evaluation.systems]
+    """Central finite differences of J at frozen topology; the oracle twin of gradient_of.
+
+    A bump of region r moves only region r's mesh, so each region is imaged
+    once at the base controls and each bump re-images region r alone. The
+    region fields are added from zeros in region order, as
+    `forward_amplitude` adds them, so every J is bitwise the one
+    `evaluate_frozen` gives for the same controls.
+    """
+    systems = evaluation.systems
+    controls = [s.region.controls.copy() for s in systems]
+
+    def image(r: int, region_controls: np.ndarray) -> np.ndarray:
+        return forward_amplitude([systems[r].moved(region_controls).mesh],
+                                 problem.quad, problem.grid).values
+
+    alone = [image(r, c) for r, c in enumerate(controls)]
+
+    def objective(r: int, bumped: np.ndarray) -> float:
+        fields = alone.copy()
+        fields[r] = image(r, bumped)
+        u = np.zeros((problem.grid.nx, problem.grid.ny))
+        for field in fields:
+            u += field
+        return objective_value(AmplitudeField(u).intensity_values, problem.target,
+                               problem.model, problem.grid)
+
     out = []
     for r, base in enumerate(controls):
         grad = np.zeros_like(base)
         for k in range(base.shape[0]):
             for c in range(2):
-                bumped = [ctrl.copy() for ctrl in controls]
-                bumped[r][k, c] += step
-                j_plus = evaluate_frozen(problem, evaluation.systems, bumped).objective
-                bumped[r][k, c] -= 2 * step
-                j_minus = evaluate_frozen(problem, evaluation.systems, bumped).objective
+                bumped = base.copy()
+                bumped[k, c] += step
+                j_plus = objective(r, bumped)
+                bumped[k, c] -= 2 * step
+                j_minus = objective(r, bumped)
                 grad[k, c] = (j_plus - j_minus) / (2 * step)
         out.append(grad)
     return out

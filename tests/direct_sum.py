@@ -5,12 +5,12 @@ one Bessel evaluation per image sample and quadrature point, and its control
 derivatives through the kernel's radial derivative. The package evaluates the
 same sums as integrals over the pupil disk; these are the plain forms. So is
 `point_spectrum`, the mask spectrum with one cos/sin pair per quadrature point
-and pupil node, which the package builds from vertex phasors instead.
+and pupil node, which the package builds per triangle from vertex phasors.
 """
 import numpy as np
 from scipy.special import j0, j1
 
-from splinemask.gradient import area_gradient, quad_point_sensitivity
+from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
 from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel, cis
 
@@ -39,6 +39,15 @@ def airy_kernel_radial_derivative(rho):
         x = (np.pi * r) ** 2
         out[small] = -np.pi**3 * r * (1.0 - x / 3.0 * (1.0 - x / 8.0 * (1.0 - x / 15.0)))
     return out
+
+
+def quad_point_sensitivity(sens, quad, triangles) -> np.ndarray:
+    """Derivative of each quadrature point coordinate w.r.t. each control, (N_T, N_G, n).
+
+    The same array serves x and y: moving control k in x moves the point in x
+    by this amount and leaves y alone, and vice versa.
+    """
+    return np.einsum("jq,pjn->pqn", quad.barycentric, sens[triangles])
 
 
 def direct_forward_amplitude(meshes, quad, grid) -> AmplitudeField:

@@ -1,9 +1,12 @@
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel, cli, objective
 from splinemask.cli import (
@@ -171,13 +174,13 @@ def test_gradcheck_passes(tmp_path, capsys):
 
 
 def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
-    # a 1 % error in the quadrature-point derivatives of the analytic
-    # gradient; finite differences never call it
+    # a 1 % error in the triangle-area derivatives of the analytic gradient;
+    # finite differences never call them
     from splinemask import gradient
 
-    point_sensitivity = gradient.quad_point_sensitivity
-    monkeypatch.setattr(gradient, "quad_point_sensitivity",
-                        lambda *args: 1.01 * point_sensitivity(*args))
+    area_derivatives = gradient.area_gradient
+    monkeypatch.setattr(gradient, "area_gradient",
+                        lambda *args: tuple(1.01 * d for d in area_derivatives(*args)))
     config = write_config(tmp_path, desk_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -191,7 +194,7 @@ def test_gradcheck_requires_regions(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_gradcheck_two_regions_reports_locality(tmp_path, capsys):
+def two_region_config():
     two = desk_config()
     two["target_polygons_nm"] = [
         [[-160.0, -60.0], [-40.0, -60.0], [-40.0, 60.0], [-160.0, 60.0]],
@@ -201,10 +204,62 @@ def test_gradcheck_two_regions_reports_locality(tmp_path, capsys):
         {"num_samples": 16, "init_from_target": 0, "num_controls": 8},
         {"num_samples": 16, "init_from_target": 1, "num_controls": 8},
     ]
-    config = write_config(tmp_path, two)
+    return two
+
+
+def test_gradcheck_two_regions_reports_locality(tmp_path, capsys):
+    config = write_config(tmp_path, two_region_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "cross-region" in out
+
+
+def test_gradcheck_reimages_only_the_bumped_region(tmp_path, capsys, monkeypatch):
+    from splinemask import pipeline
+
+    images = []
+    forward = pipeline.forward_amplitude
+
+    def counted(meshes, *args):
+        images.append(len(meshes))
+        return forward(meshes, *args)
+
+    monkeypatch.setattr(pipeline, "forward_amplitude", counted)
+    config = write_config(tmp_path, two_region_config())
+    assert main(["--quiet", "gradcheck", "--config", str(config)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    bumps = 4 * (8 + 8)
+    # the evaluation images both regions, the differences image each region
+    # once at its base controls and then only the bumped region per bump
+    assert sum(images) == 2 + 2 + bumps
+    # re-imaging both regions for every bump took 2 + 2 * bumps region images
+    assert sum(images) <= 0.55 * (2 + 2 * bumps)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(12, 20), pixel_nm=st.floats(16.0, 24.0),
+       half=st.tuples(st.floats(0.2, 0.35), st.floats(0.2, 0.35)),
+       center=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+       num_controls=st.integers(6, 12), max_iters=st.integers(1, 3))
+def test_optimize_is_deterministic_over_random_configs(n, pixel_nm, half, center, num_controls,
+                                                      max_iters):
+    # a rectangle target of a random size and place on a random grid; sizes
+    # and offsets are fractions of the field (n - 1) * pixel_nm
+    field = (n - 1) * pixel_nm
+    (hx, hy), (cx, cy) = np.multiply(half, field), np.multiply(center, field)
+    doc = desk_config(max_iters, regions=[
+        {"num_samples": 2 * num_controls, "init_from_target": 0, "num_controls": num_controls}])
+    doc["grid"] = {"nx": n, "ny": n, "pixel_nm": pixel_nm, "origin_nm": [-field / 2, -field / 2]}
+    doc["target_polygons_nm"] = [[[cx - hx, cy - hy], [cx + hx, cy - hy],
+                                  [cx + hx, cy + hy], [cx - hx, cy + hy]]]
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        for run in ("a", "b"):
+            out = Path(tmp) / run
+            assert main(["--quiet", "optimize", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("convergence.csv", "mask_final.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_optimize_writes_outputs_and_descends(tmp_path):

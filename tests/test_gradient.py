@@ -297,6 +297,36 @@ def test_end_to_end_gradient_matches_fd_under_random_control_perturbations(desk_
     assert_gradient_matches_fd(problem, region.with_controls(region.controls + jitter))
 
 
+def frozen_difference_gradient(problem, evaluation, step=1e-6):
+    """Central differences that re-image every region per bump; the reference for finite_difference_gradient."""
+    controls = [s.region.controls.copy() for s in evaluation.systems]
+    out = []
+    for r, base in enumerate(controls):
+        grad = np.zeros_like(base)
+        for k in range(base.shape[0]):
+            for c in range(2):
+                bumped = [ctrl.copy() for ctrl in controls]
+                bumped[r][k, c] += step
+                j_plus = evaluate_frozen(problem, evaluation.systems, bumped).objective
+                bumped[r][k, c] -= 2 * step
+                j_minus = evaluate_frozen(problem, evaluation.systems, bumped).objective
+                grad[k, c] = (j_plus - j_minus) / (2 * step)
+        out.append(grad)
+    return out
+
+
+def test_finite_differences_match_full_reimaging_bitwise(desk_square):
+    # two regions, so each bump leaves one region's image as it was
+    cfg, problem, region = desk_square
+    left = region.with_controls(0.5 * region.controls - [0.25, 0.0])
+    right = region.with_controls(0.4 * region.controls + [0.3, 0.1])
+    evaluation = evaluate(problem, [left, right])
+    got = finite_difference_gradient(problem, evaluation)
+    want = frozen_difference_gradient(problem, evaluation)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, [region])

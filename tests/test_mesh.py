@@ -353,6 +353,11 @@ lattice_loops = st.tuples(
 @example(([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (0, 1)], 1.0))  # collinear neighbours
 @example(([(0, 0), (2, 2), (2, 0), (0, 2)], 1.0))                 # bowtie
 @example(([(0, 0), (3, 0), (3, 1), (1, 1), (1, -1)], 1.0))        # last edge crosses the first
+@example(([(0, 0), (2, 0), (0, 0)], 1.0))                         # triangle with a repeat
+@example(([(0, 0), (0, 0), (2, 0), (1, 2)], 1.0))                 # consecutive repeat
+@example(([(0, 0), (2, 0), (0, 0), (1, 2)], 1.0))                 # repeat two apart
+@example(([(0, 0), (2, 0), (2, 2), (0, 0), (0, 2)], 1.0))         # repeat three apart
+@example(([(0, 0), (2, 0), (2, 2), (0, 2), (0, 2)], 1e-7))        # last two repeat
 def test_polyline_self_intersects_matches_loop_reference(case):
     points, scale = case
     pts = np.array(points, dtype=float).reshape(-1, 2) * scale
@@ -360,15 +365,21 @@ def test_polyline_self_intersects_matches_loop_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(3, 40), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
-def test_polyline_self_intersects_matches_loop_reference_on_float_loops(m, wobble, seed):
-    # star-shaped loops are simple; a large radial wobble makes some cross
+@given(st.integers(3, 40), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1),
+       st.one_of(st.none(), st.tuples(st.integers(0, 39), st.integers(1, 39))))
+def test_polyline_self_intersects_matches_loop_reference_on_float_loops(m, wobble, seed, repeat):
+    # star-shaped loops are simple; a large radial wobble makes some cross.
+    # `repeat` = (i, gap) inserts a copy of vertex i that many places after
+    # it: gap 1 repeats it consecutively, a larger gap elsewhere in the loop
     rng = np.random.default_rng(seed)
     theta = np.sort(rng.uniform(0, 2 * np.pi, m))
     radius = 1.0 + wobble * rng.uniform(-1, 1, m)
     pts = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if rng.random() < 0.5:
         pts = pts[rng.permutation(m)]
+    if repeat is not None:
+        i, gap = repeat[0] % m, repeat[1] % m + 1
+        pts = np.insert(pts, min(i + gap, m), pts[i], axis=0)
     assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
 
 

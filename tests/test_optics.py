@@ -293,6 +293,19 @@ def test_forward_and_gradient_make_no_bessel_call(desk_square, monkeypatch):
     assert np.abs(grads[0]).max() > 0.0
 
 
+def test_forward_and_gradient_form_phasors_in_one_place(desk_square, monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("phasor block built")
+
+    monkeypatch.setattr(optics.PupilBasis, "phasor_blocks", no_blocks)
+    cfg, problem, region = desk_square
+    system = build_region_system(region, problem)
+    with pytest.raises(AssertionError, match="phasor block built"):
+        forward_amplitude([system.mesh], problem.quad, problem.grid)
+    with pytest.raises(AssertionError, match="phasor block built"):
+        amplitude_gradient([system.mesh], problem.quad, problem.grid, [system.sens])
+
+
 def test_degree3_rule_is_bytewise_the_float_literals(desk_square):
     # 5/15, 9/15 and 3/15 round to the same doubles as 1/3, 0.6 and 0.2
     third = 1.0 / 3.0
@@ -314,41 +327,66 @@ def dense_desk_system(problem, region):
     return system
 
 
-def assert_spectrum_matches_point_oracle(mesh, quad, grid, coef):
+def assert_spectra_match_point_oracle(mesh, quad, grid, coef, slot_coef):
+    # per-triangle coefficients (..., T) stand for coef_t w_q at the points,
+    # per-slot ones (..., 3, T) for sum_j slot_coef_jt w_q n_jq / d
     basis = pupil_basis(mesh, quad, grid)
     points = gauss_points(TriangleTensor(basis.vertices[basis.triangles]), quad).reshape(-1, 2)
-    got = basis.spectrum(coef)
-    want = point_spectrum(points, basis.freqs, coef)
-    scale = np.abs(want).max(axis=-1, keepdims=True)
-    assert (np.abs(got - want) <= 1e-14 * scale).all()
+    at_points = (coef[..., None] * quad.weights).reshape(*coef.shape[:-1], -1)
+    slot_at_points = np.einsum("...jt,jq->...tq", slot_coef, quad.weights * quad.barycentric)
+    area, slot = basis.slot_spectra(coef, slot_coef)
+    pairs = [(basis.spectrum(coef), at_points), (area, at_points),
+             (slot, slot_at_points.reshape(*slot_coef.shape[:-2], -1))]
+    for got, point_coef in pairs:
+        want = point_spectrum(points, basis.freqs, point_coef)
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-14 * scale).all()
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 1.3), block=st.sampled_from([1, 300, 5000, None]))
 def test_vertex_phasor_spectrum_matches_point_oracle(desk_square, seed, scale, block):
     # random perturbations of the desk square; a small block budget forces
-    # several column blocks down to one node per block
+    # several column blocks down to one node per block. The forward (area)
+    # coefficients come first, then random per-triangle and per-slot ones
     cfg, problem, region = desk_square
     rng = np.random.default_rng(seed)
     moved = region.with_controls(scale * region.controls
                                  + rng.uniform(-0.05, 0.05, region.controls.shape))
     mesh = build_region_system(moved, problem).mesh
-    q = mesh.num_triangles * problem.quad.num_points
-    coef = np.concatenate([(mesh.areas()[:, None] * problem.quad.weights).reshape(1, q),
-                           rng.normal(size=(3, q))])
+    nt = mesh.num_triangles
+    coef = np.concatenate([mesh.areas()[None], rng.normal(size=(3, nt))])
+    slot_coef = rng.normal(size=(2, 3, nt))
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(optics, "PHASOR_BLOCK", block)
-        assert_spectrum_matches_point_oracle(mesh, problem.quad, problem.grid, coef)
+        assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, coef, slot_coef)
 
 
 @pytest.mark.parametrize("block", [optics.PHASOR_BLOCK, 4096])
 def test_vertex_phasor_spectrum_matches_point_oracle_on_a_dense_mesh(desk_square, monkeypatch, block):
     cfg, problem, region = desk_square
-    mesh = dense_desk_system(problem, region).mesh
+    system = dense_desk_system(problem, region)
+    mesh = system.mesh
     monkeypatch.setattr(optics, "PHASOR_BLOCK", block)
-    coef = (mesh.areas()[:, None] * problem.quad.weights).ravel()
-    assert_spectrum_matches_point_oracle(mesh, problem.quad, problem.grid, coef)
+    # the forward's area coefficients and the gradient's slot coefficients of control 0
+    slot_coef = (mesh.areas()[:, None] * system.sens[mesh.triangles, 0]).T
+    assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, mesh.areas(), slot_coef)
+
+
+def test_phasor_sums_follow_the_rule_numerators(desk_square):
+    # a made-up rule over 15: five levels of min numerator, points at a
+    # vertex, and points that leave two vertex factors
+    cfg, problem, region = desk_square
+    mesh = build_region_system(region, problem).mesh
+    numerators = np.array([[5, 9, 8, 15, 7, 6, 4],
+                           [5, 3, 4, 0, 6, 4, 5],
+                           [5, 3, 3, 0, 2, 5, 6]])
+    quad = TriangleQuadrature(numerators, 15, np.linspace(-0.5, 1.0, 7))
+    rng = np.random.default_rng(3)
+    nt = mesh.num_triangles
+    assert_spectra_match_point_oracle(mesh, quad, problem.grid, rng.normal(size=(2, nt)),
+                                      rng.normal(size=(2, 3, nt)))
 
 
 def traced_peak(fn) -> int:
