@@ -21,7 +21,7 @@ points have integer barycentric numerators, so from the vertex phasors (one
 cos/sin pair per vertex and node) each H_t takes a few complex multiplies and
 no phasor of a single point is formed. `PupilBasis.phasor_blocks` makes these
 sums, for the forward image and the gradient alike, a block of node columns
-at a time; the grid side of the table is cached per grid and node count.
+at a time; the node table is cached per grid and node count.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ SMALL_RHO = 1e-6
 # faults per call where 2**14 had two.
 PHASOR_BLOCK = 2**14
 
-# Grid-side exponential tables kept, one per (grid, n_r, n_theta); a desk
-# optimize run meets 7 node counts.
+# Node tables (frequencies and grid-side exponentials) kept, one per
+# (grid, n_r, n_theta); a desk optimize run meets 7 node counts.
 GRID_TABLES = 8
 
 
@@ -118,6 +118,13 @@ class ImageGrid:
     @property
     def ys(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.ny) * self.pitch
+
+    @property
+    def center(self) -> np.ndarray:
+        """(x, y) midway between the first and last samples: (xs[0] + xs[-1]) / 2, bit for bit."""
+        x0, y0 = self.origin
+        return np.array([x0 + (x0 + (self.nx - 1) * self.pitch),
+                         y0 + (y0 + (self.ny - 1) * self.pitch)]) / 2.0
 
     @property
     def pixel_area(self) -> float:
@@ -207,7 +214,6 @@ class AmplitudeField:
         return self.values * self.values
 
 
-@lru_cache(maxsize=None)
 def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (2, K) as rows fx, fy and weights (K,) of the half-disk rule, read-only.
 
@@ -287,8 +293,8 @@ class PupilBasis:
     triangle, and `freqs` holds the node frequencies f_k as rows fx, fy,
     (2, K). `wex` is w_k exp(2 pi i f_k,x x_i), (nx, K); `ey` is
     conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and imaginary
-    parts interleaved like a complex array's memory. Both are the cached,
-    read-only tables of `grid_phasors`.
+    parts interleaved like a complex array's memory. All three are the
+    cached, read-only tables of `grid_phasors`.
     """
 
     vertices: np.ndarray
@@ -386,20 +392,16 @@ class PupilBasis:
         return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
 
 
-def _grid_center(grid: ImageGrid) -> np.ndarray:
-    return np.array([grid.xs[0] + grid.xs[-1], grid.ys[0] + grid.ys[-1]]) / 2.0
-
-
 @lru_cache(maxsize=GRID_TABLES)
-def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid side of the node table, `wex` (nx, K) and `ey` (ny, 2K) of PupilBasis, read-only."""
+def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node table of PupilBasis on `grid`: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
     freqs, weights = pupil_nodes(n_r, n_theta)
-    center = _grid_center(grid)
+    center = grid.center
     wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
     ey = cis((-2.0 * np.pi) * np.outer(grid.ys - center[1], freqs[1])).view(np.float64)
     for table in (wex, ey):
         table.setflags(write=False)
-    return wex, ey
+    return freqs, wex, ey
 
 
 def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
@@ -409,13 +411,12 @@ def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid
     point and a grid sample (reached at a grid corner), so it depends on the
     grid and this mesh alone.
     """
-    center = _grid_center(grid)
+    center = grid.center
     half = center - grid.origin
     rel = gauss_points(assemble_tensor(mesh), quad).reshape(-1, 2) - center
     reach = math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
     counts = pupil_node_counts(reach)
-    return PupilBasis(mesh.vertices - center, mesh.triangles, quad,
-                      pupil_nodes(*counts)[0], *grid_phasors(grid, *counts))
+    return PupilBasis(mesh.vertices - center, mesh.triangles, quad, *grid_phasors(grid, *counts))
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,

@@ -9,12 +9,17 @@ regenerated from scratch, so the analytic gradient at the next iterate again
 sees a consistent frozen topology. The control loop may run either way round:
 the mesh orients every triangle counterclockwise, and nothing downstream sees
 anything but triangles.
+
+The iterate is immutable: `step` maps a state to the next one and the step
+size, and `optimize` alone keeps the trace and decides every stop. A step the
+line search found is always taken; a step below `eps_alpha` is taken and then
+ends the run.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +47,7 @@ class OptimizerConfig:
 
     max_iters: int = 100
     eps: float = 1e-4          # stop when the objective drops below this
-    eps_alpha: float = 1e-4    # stop when the accepted step size drops below this
+    eps_alpha: float = 1e-4    # stop after taking a step shorter than this
     gs_tol: float = 1e-5
     refine_area_tol: float = 0.02
 
@@ -54,20 +59,19 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceEntry:
     iteration: int
     objective: float
     alpha: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizationState:
-    """Mutable loop state: current evaluation and the accepted-step trace."""
+    """One iterate: its evaluation and the number of steps taken to reach it."""
 
     evaluation: MaskEvaluation
     iteration: int = 0
-    trace: list[TraceEntry] = field(default_factory=list)
 
     @property
     def objective(self) -> float:
@@ -96,57 +100,43 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _try_evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]):
-    try:
-        return evaluate(problem, regions)
-    except (SelfIntersectionError, MeshError):
-        return None
-
-
 def step(state: OptimizationState, problem: ImagingProblem,
-         opt: OptimizerConfig) -> tuple[OptimizationState, float, bool]:
+         opt: OptimizerConfig) -> tuple[OptimizationState, float]:
     """One steepest-descent step with golden-section sizing and full regeneration.
 
-    Returns (state, alpha, accepted). The step is accepted only if the line
-    search found a strict objective decrease.
+    Returns (next state, alpha). When the gradient vanishes or the line search
+    finds no strict objective decrease, that is the given state and alpha 0.
     """
     grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
     if gmax < 1e-12:
-        return state, 0.0, False
+        return state, 0.0
     regions = [s.region for s in state.evaluation.systems]
-
-    def controls_at(alpha: float):
-        return [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
-
-    scored: dict[float, MaskEvaluation | None] = {}
+    scored: dict[float, MaskEvaluation] = {}
 
     def phi(alpha: float) -> float:
-        trial = scored[alpha] = _try_evaluate(problem, controls_at(alpha))
-        return trial.objective if trial is not None else math.inf
+        moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
+        try:
+            trial = scored[alpha] = evaluate(problem, moved)
+        except (SelfIntersectionError, MeshError):
+            return math.inf
+        return trial.objective
 
     alpha, j_alpha = golden_section(phi, MAX_DISPLACEMENT / gmax, opt.gs_tol)
     if not (j_alpha < state.objective):
-        return state, 0.0, False
-
+        return state, 0.0
     # golden_section returns one of the alphas phi scored, with its value; a
     # value below the current objective is finite, so that trial was feasible
-    new_state = OptimizationState(
-        evaluation=scored[alpha],
-        iteration=state.iteration + 1,
-        trace=state.trace,
-    )
-    return new_state, alpha, True
+    return OptimizationState(scored[alpha], state.iteration + 1), alpha
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The last iterate, the first evaluation, and the trace from one to the other."""
+
     state: OptimizationState
     initial: MaskEvaluation
-
-    @property
-    def trace(self) -> list[TraceEntry]:
-        return self.state.trace
+    trace: tuple[TraceEntry, ...]
 
     @property
     def final(self) -> MaskEvaluation:
@@ -157,24 +147,26 @@ def optimize(regions: list[PeriodicSplineRegion], problem: ImagingProblem,
              opt: OptimizerConfig) -> OptimizationResult:
     """Run the descent loop until the objective or step size drops below tolerance.
 
-    Raises if the initial boundary is self-intersecting. The trace records the
-    initial state and every accepted step; objective values along it are
-    non-increasing.
+    Stops after `max_iters` steps, once J <= `eps`, when a step finds no
+    decrease, or right after taking a step shorter than `eps_alpha`. Raises if
+    the initial boundary is self-intersecting. The trace records the initial
+    state and every step taken; objective values along it are non-increasing.
     """
-    evaluation = evaluate(problem, regions)
-    state = OptimizationState(evaluation=evaluation)
-    state.trace.append(TraceEntry(0, evaluation.objective, 0.0))
-    initial = evaluation
-
+    initial = evaluate(problem, regions)
+    state = OptimizationState(initial)
+    trace = [TraceEntry(0, initial.objective, 0.0)]
     while state.objective > opt.eps and state.iteration < opt.max_iters:
-        candidate, alpha, accepted = step(state, problem, opt)
-        if not accepted or alpha < opt.eps_alpha:
-            logger.info("stopping: step size %.3g below tolerance", alpha)
+        state_next, alpha = step(state, problem, opt)
+        if alpha == 0.0:
+            logger.info("stopping: no decrease along the negative gradient")
             break
-        state = candidate
-        state.trace.append(TraceEntry(state.iteration, state.objective, alpha))
+        state = state_next
+        trace.append(TraceEntry(state.iteration, state.objective, alpha))
         logger.info("iter %d  J=%.6g  alpha=%.4g", state.iteration, state.objective, alpha)
-    return OptimizationResult(state=state, initial=initial)
+        if alpha < opt.eps_alpha:
+            logger.info("stopping: step size %.3g below eps_alpha %.3g", alpha, opt.eps_alpha)
+            break
+    return OptimizationResult(state, initial, tuple(trace))
 
 
 def init_controls_from_target(polygons, num_controls, num_samples,

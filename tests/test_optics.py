@@ -185,6 +185,10 @@ def test_grid_basics():
     assert grid.pixel_area == 0.25
     with pytest.raises(ValueError):
         ImageGrid(1, 3, 0.5, (0.0, 0.0))
+    desk = ImageGrid(20, 20, 20.0, (-190.0, -190.0)).scaled(OpticalConfig().scale_per_nm)
+    for g in (grid, scaled, desk, ImageGrid(37, 5, 0.1, (-0.0, 1e-3)), ImageGrid(2, 9, 1 / 3, (0.7, -2.9))):
+        expected = np.array([g.xs[0] + g.xs[-1], g.ys[0] + g.ys[-1]]) / 2.0
+        assert g.center.tobytes() == expected.tobytes()
 
 
 def test_grid_for_polygons_covers_bbox():
@@ -416,10 +420,24 @@ def test_node_and_grid_tables_are_cached_read_only(desk_square):
     cfg, problem, region = desk_square
     basis = pupil_basis(build_region_system(region, problem).mesh, problem.quad, problem.grid)
     n_r, n_theta = optics.pupil_node_counts(1.0)
-    wex, ey = grid_phasors(problem.grid, n_r, n_theta)
-    assert grid_phasors(problem.grid, n_r, n_theta)[0] is wex
-    tables = [wex, ey, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
+    freqs, wex, ey = grid_phasors(problem.grid, n_r, n_theta)
+    assert grid_phasors(problem.grid, n_r, n_theta)[1] is wex
+    tables = [freqs, wex, ey, basis.freqs, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
+
+
+def test_warm_forward_builds_no_grid_sample_array(desk_square, monkeypatch):
+    cfg, problem, region = desk_square
+    mesh = build_region_system(region, problem).mesh
+    warm = forward_amplitude([mesh], problem.quad, problem.grid).values
+
+    def no_samples(grid):
+        raise AssertionError("grid sample array built")
+
+    monkeypatch.setattr(ImageGrid, "xs", property(no_samples))
+    monkeypatch.setattr(ImageGrid, "ys", property(no_samples))
+    again = forward_amplitude([mesh], problem.quad, problem.grid).values
+    assert again.tobytes() == warm.tobytes()

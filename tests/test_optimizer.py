@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from splinemask.optimizer import (
 )
 from splinemask.cli import build_setup, parse_config
 from splinemask.pipeline import evaluate, print_report
-from splinemask.optimizer import OptimizationState
+from splinemask.optimizer import OptimizationState, TraceEntry
 
 from conftest import SQUARE_NM, desk_square_problem, square_region
 
@@ -103,8 +106,7 @@ def test_init_controls_magnification_scaling():
 def test_step_decreases_objective():
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
-    new_state, alpha, accepted = step(state, problem, OptimizerConfig())
-    assert accepted
+    new_state, alpha = step(state, problem, OptimizerConfig())
     assert alpha > 0
     assert new_state.objective < state.objective
     mesh = new_state.evaluation.systems[0].mesh
@@ -131,8 +133,7 @@ def test_step_evaluates_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     monkeypatch.setattr(optimizer, "golden_section", counted_golden_section)
-    new_state, alpha, accepted = step(state, problem, OptimizerConfig())
-    assert accepted
+    new_state, alpha = step(state, problem, OptimizerConfig())
     assert alpha in trials
     assert len(evaluations) == len(trials) > 0
 
@@ -150,8 +151,8 @@ def test_step_builds_the_sensitivity_only_for_the_gradient(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(pipeline, "sensitivity", counted)
-    _, _, accepted = step(state, problem, OptimizerConfig())
-    assert accepted
+    _, alpha = step(state, problem, OptimizerConfig())
+    assert alpha > 0
     assert len(calls) == 1
 
 
@@ -162,8 +163,7 @@ def test_step_zero_gradient_no_op(monkeypatch):
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
     n = len(state.evaluation.systems[0].region.controls)
     monkeypatch.setattr(optimizer, "gradient_of", lambda problem, evaluation: [np.zeros((n, 2))])
-    same_state, alpha, accepted = step(state, problem, OptimizerConfig())
-    assert not accepted
+    same_state, alpha = step(state, problem, OptimizerConfig())
     assert alpha == 0.0
     assert same_state is state
 
@@ -215,21 +215,64 @@ def test_optimize_deterministic():
     assert t1 == t2
 
 
-def test_optimize_ignores_the_listing_direction():
-    """The target square listed clockwise reaches the counterclockwise result.
+def desk_setup(square=SQUARE_NM, **optimizer):
+    """The criterion-9 config: regions placed on the target square; the optimizer keys given."""
+    _, problem, regions, opt, _ = build_setup(parse_config({
+        "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0, "origin_nm": [-190.0, -190.0]},
+        "target_polygons_nm": [square.tolist()],
+        "regions": [{"num_samples": 24, "init_from_target": 0, "num_controls": 12}],
+        "optimizer": optimizer,
+    }))
+    return problem, regions, opt
 
-    The criterion-9 config: regions placed on the target, 12 steps.
-    """
+
+def test_optimize_ignores_the_listing_direction():
+    """The target square listed clockwise reaches the counterclockwise result, in 12 steps."""
     finals = []
     for square in (SQUARE_NM, SQUARE_NM[::-1]):
-        _, problem, regions, opt, _ = build_setup(parse_config({
-            "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0, "origin_nm": [-190.0, -190.0]},
-            "target_polygons_nm": [square.tolist()],
-            "regions": [{"num_samples": 24, "init_from_target": 0, "num_controls": 12}],
-            "optimizer": {"max_iters": 12},
-        }))
+        problem, regions, opt = desk_setup(square, max_iters=12)
         final = optimize(regions, problem, opt).final
         finals.append((final.objective, print_report(problem, final).epe_count))
     (j_ccw, epe_ccw), (j_cw, epe_cw) = finals
     assert epe_cw == epe_ccw
     assert j_cw == pytest.approx(j_ccw, rel=1e-4)
+
+
+def test_optimize_takes_a_found_step_before_stopping_on_its_size():
+    # every step is below eps_alpha, so the run stops after the first one,
+    # which the line search found and scored at J 0.11058 (from 0.180148)
+    problem, regions, opt = desk_setup(eps_alpha=1e9, max_iters=3)
+    result = optimize(regions, problem, opt)
+    assert result.state.iteration == 1
+    assert [e.iteration for e in result.trace] == [0, 1]
+    assert result.trace[1].alpha > 0
+    assert result.final.objective == result.trace[1].objective
+    assert result.final.objective == pytest.approx(0.11058, rel=1e-4)
+    assert result.initial.objective == pytest.approx(0.180148, rel=1e-5)
+
+
+@pytest.mark.parametrize("target, stand_in", [
+    ("gradient_of", lambda problem, evaluation: [np.zeros_like(s.region.controls)
+                                                 for s in evaluation.systems]),
+    ("golden_section", lambda phi, alpha_max, tol: (alpha_max, math.inf)),
+], ids=["zero_gradient", "no_decrease"])
+def test_optimize_stops_without_a_step(monkeypatch, caplog, target, stand_in):
+    from splinemask import optimizer
+
+    monkeypatch.setattr(optimizer, target, stand_in)
+    problem, regions, opt = desk_setup(max_iters=3)
+    with caplog.at_level("INFO", logger=optimizer.__name__):
+        result = optimize(regions, problem, opt)
+    assert result.state.iteration == 0
+    assert result.trace == (TraceEntry(0, result.initial.objective, 0.0),)
+    assert result.final is result.initial
+    assert "no decrease" in caplog.text
+    assert "step size" not in caplog.text
+
+
+def test_loop_records_reject_assignment():
+    state = OptimizationState(evaluation=None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.iteration = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TraceEntry(0, 1.0, 0.0).alpha = 0.5
