@@ -7,10 +7,10 @@ gradient with respect to the spline control points is assembled analytically
 through the mesh provenance chain and the same pupil nodes, and descended
 with a golden-section line search.
 """
-from .geometry import SelfIntersectionError
 from .mesh import (
     MeshError,
     ProvenancedMesh,
+    SelfIntersectionError,
     TriangleQuadrature,
     TriangleTensor,
     assemble_tensor,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import SelfIntersectionError
 from .mesh import MeshError, TriangleQuadrature, triangulate_region
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import ImageGrid, OpticalConfig
@@ -161,7 +160,7 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
         blame = where
     try:
         triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
-    except (SelfIntersectionError, MeshError) as exc:
+    except MeshError as exc:
         raise ConfigError(blame, str(exc)) from None
     return region
 
@@ -195,6 +194,8 @@ def parse_config(document: dict) -> RunConfig:
     given = _object(document.get("grid", {}), "grid", GRID_KEYS)
     if "pixel_nm" not in given:
         raise ConfigError("grid.pixel_nm", "missing required field")
+    if "margin" in given and {"nx", "ny", "origin_nm"} <= given.keys():
+        raise ConfigError("grid.margin", "no effect when nx, ny and origin_nm are all given")
     grid = _build("grid", GRID_KEYS, lambda: ImageGrid.for_polygons(targets, **_args(given, GRID_KEYS)))
 
     raw_regions = document.get("regions", [])
@@ -276,7 +277,7 @@ def write_mask_json(path: Path, regions: list[PeriodicSplineRegion],
 
 
 def write_boundary_svg(path: Path, regions: list[PeriodicSplineRegion], optical: OpticalConfig) -> None:
-    """Closed path per region sampled densely along the spline, in mask-plane nm."""
+    """Closed path per region sampled densely along the spline, in mask-plane nm; one region at least."""
     paths = []
     all_pts = []
     for region in regions:
@@ -286,13 +287,10 @@ def write_boundary_svg(path: Path, regions: list[PeriodicSplineRegion], optical:
         all_pts.append(pts)
         coords = " ".join(f"{x:.3f},{-y:.3f}" for x, y in pts)  # SVG y runs downward
         paths.append(f'  <polygon points="{coords}" fill="none" stroke="black" stroke-width="1"/>')
-    if all_pts:
-        stacked = np.concatenate(all_pts)
-        lo = stacked.min(axis=0) - 10
-        hi = stacked.max(axis=0) + 10
-        viewbox = f"{lo[0]:.1f} {-hi[1]:.1f} {hi[0] - lo[0]:.1f} {hi[1] - lo[1]:.1f}"
-    else:
-        viewbox = "0 0 1 1"
+    stacked = np.concatenate(all_pts)
+    lo = stacked.min(axis=0) - 10
+    hi = stacked.max(axis=0) + 10
+    viewbox = f"{lo[0]:.1f} {-hi[1]:.1f} {hi[0] - lo[0]:.1f} {hi[1] - lo[1]:.1f}"
     body = "\n".join(paths)
     path.write_text(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{viewbox}">\n{body}\n</svg>\n'
@@ -301,7 +299,7 @@ def write_boundary_svg(path: Path, regions: list[PeriodicSplineRegion], optical:
 
 def _write_field_set(out_dir: Path, prefix: str, problem, evaluation) -> dict:
     report = print_report(problem, evaluation)
-    intensity_vals = evaluation.intensity
+    intensity_vals = evaluation.field.intensity_values
     scale = float(intensity_vals.max()) if intensity_vals.max() > 0 else 1.0
     write_pgm(out_dir / f"intensity{prefix}.pgm", intensity_vals, scale)
     write_pgm(out_dir / f"print{prefix}.pgm", report.printed.astype(float), 1.0)
@@ -392,13 +390,16 @@ def make_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="forward image, print and EPE for a fixed mask")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
+    sim.set_defaults(run=lambda args: cmd_simulate(args.config, args.out))
 
     grad = sub.add_parser("gradcheck", help="verify the analytic gradient against finite differences")
     grad.add_argument("--config", required=True)
+    grad.set_defaults(run=lambda args: cmd_gradcheck(args.config))
 
     opt = sub.add_parser("optimize", help="run the descent loop and write all artifacts")
     opt.add_argument("--config", required=True)
     opt.add_argument("--out", required=True)
+    opt.set_defaults(run=lambda args: cmd_optimize(args.config, args.out))
     return parser
 
 
@@ -407,13 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(message)s")
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args.config)
-        if args.command == "optimize":
-            return cmd_optimize(args.config, args.out)
-        return 2
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,10 +13,6 @@ import numpy as np
 POINT_BLOCK = 2**16
 
 
-class SelfIntersectionError(ValueError):
-    """Raised when a closed boundary polyline crosses itself."""
-
-
 def polygon_signed_area(points: np.ndarray) -> float:
     """Shoelace signed area of a closed polygon given as an (m, 2) vertex loop.
 

@@ -13,13 +13,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import SelfIntersectionError, orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
+from .geometry import orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
 
 SLIVER_AREA = 1e-14
 
 
 class MeshError(ValueError):
-    """Raised when triangulation cannot produce a consistent covering mesh."""
+    """Raised when a boundary loop cannot be triangulated into a covering mesh."""
+
+
+class SelfIntersectionError(MeshError):
+    """Raised when the boundary loop crosses itself, so it encloses no simple region."""
 
 
 def signed_area(v1, v2, v3) -> float:
@@ -69,9 +73,9 @@ def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     """Delaunay-triangulate a closed sample loop and drop exterior triangles.
 
     The samples must form a simple polygon in order. Exterior triangles are
-    removed with a centroid-in-polygon test; remaining triangles are oriented
-    counterclockwise and their total area must reproduce the shoelace area of
-    the loop (a mismatch means the triangulation failed to cover the region).
+    removed with a centroid-in-polygon test and slivers by their signed area
+    (Qhull returns 2-D simplices counterclockwise); the rest must reproduce
+    the shoelace area of the loop, or the loop raises MeshError.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
@@ -89,12 +93,9 @@ def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     simplices = simplices[keep]
 
     areas = TriangleTensor(pts[simplices]).areas()
-    flip = areas < 0
-    simplices[flip] = simplices[flip][:, [0, 2, 1]]
-    areas = np.abs(areas)
-    simplices = simplices[areas > SLIVER_AREA]
-
-    covered = float(np.abs(areas[areas > SLIVER_AREA]).sum())
+    kept = areas > SLIVER_AREA
+    simplices = simplices[kept]
+    covered = float(areas[kept].sum())
     target = abs(polygon_signed_area(pts))
     if abs(covered - target) > 1e-9 * max(1.0, target):
         raise MeshError("triangulation does not cover the sampled region")

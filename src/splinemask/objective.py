@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .geometry import points_in_polygon, polygon_signed_area
+from .geometry import points_in_polygon, polygon_signed_area, polyline_self_intersects
 from .optics import ImageGrid
 
 
@@ -44,13 +44,16 @@ def sigmoid_derivative(x, model: ResistModel):
 def check_target_polygon(polygon) -> np.ndarray:
     """A target polygon as an (m, 2) float array, or ValueError if it cannot be one.
 
-    It needs at least 3 points, all finite, enclosing a nonzero area.
+    It needs at least 3 points, all finite, forming a simple loop (no
+    crossing edges, no repeated point) that encloses a nonzero area.
     """
     poly = np.asarray(polygon, dtype=float)
     if len(poly) < 3:
         raise ValueError("polygon needs at least 3 points")
     if not np.isfinite(poly).all():
         raise ValueError("points must be finite")
+    if polyline_self_intersects(poly):
+        raise ValueError("polygon crosses itself")
     if polygon_signed_area(poly) == 0.0:
         raise ValueError("polygon has zero area")
     return poly
@@ -65,7 +68,7 @@ def rasterize_checked(polygons, grid: ImageGrid) -> np.ndarray:
     """Binary target raster: pixel = 1 iff its sample point is inside any polygon.
 
     Uses the even-odd rule. The polygons must already have passed
-    `check_target_polygon`, be simple and be in the same units as the grid.
+    `check_target_polygon`, which makes them simple, and be in grid units.
     """
     raster = np.zeros((grid.nx, grid.ny), dtype=np.uint8)
     px, py = grid.flat_coords()

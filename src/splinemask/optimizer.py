@@ -7,7 +7,7 @@ controls; trial boundaries that self-intersect or fail to mesh score +inf so
 the line search backs away from them. After an accepted step everything is
 regenerated from scratch, so the analytic gradient at the next iterate again
 sees a consistent frozen topology. The control loop may run either way round:
-the mesh orients every triangle counterclockwise, and nothing downstream sees
+Qhull returns the triangles counterclockwise, and nothing downstream sees
 anything but triangles.
 
 The iterate is immutable: `step` maps a state to the next one and the step
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SelfIntersectionError, polygon_perimeter_points
+from .geometry import polygon_perimeter_points
 from .mesh import MeshError
 from .optics import OpticalConfig
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, gradient_of
@@ -118,7 +118,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
         moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
         try:
             trial = scored[alpha] = evaluate(problem, moved)
-        except (SelfIntersectionError, MeshError):
+        except MeshError:
             return math.inf
         return trial.objective
 

@@ -59,10 +59,6 @@ class MaskEvaluation:
     field: AmplitudeField
     objective: float
 
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.field.intensity_values
-
 
 def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
     samples = build_collocation(region) @ region.controls
@@ -142,4 +138,4 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
 
 def print_report(problem: ImagingProblem, evaluation: MaskEvaluation):
     """Threshold print raster and EPE of an evaluated state."""
-    return print_and_epe(evaluation.intensity, problem.target, problem.model)
+    return print_and_epe(evaluation.field.intensity_values, problem.target, problem.model)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemask import OpticalConfig, OptimizerConfig, PeriodicSplineRegion, ResistModel, cli, objective
+from splinemask.geometry import polygon_perimeter_points
 from splinemask.cli import (
     ConfigError,
     build_setup,
@@ -127,6 +128,26 @@ def test_missing_config_file_exits_2(tmp_path):
     code = main(["--quiet", "simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_invalid_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"grid": {"pixel_nm": 20.0}')
+    code = main(["--quiet", "simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: <file>: invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_runtime_failure_exits_1(tmp_path, capsys):
+    # the config is valid; the output directory cannot be made over a file
+    config = write_config(tmp_path, desk_config())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["--quiet", "simulate", "--config", str(config), "--out", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config error" not in err
 
 
 def test_simulate_writes_outputs(tmp_path):
@@ -287,6 +308,16 @@ def test_optimize_requires_regions(tmp_path):
     config = write_config(tmp_path, desk_config(regions=[]))
     code = main(["--quiet", "optimize", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def test_optimize_requires_a_target(tmp_path, capsys):
+    controls = polygon_perimeter_points(np.array(SQUARE), 12).tolist()
+    doc = {**desk_config(regions=[{"num_samples": 24, "controls_nm": controls}]), "target_polygons_nm": []}
+    config = write_config(tmp_path, doc)
+    code = main(["--quiet", "optimize", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error: target_polygons_nm:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_mask_json_reusable_as_region_config(tmp_path):

@@ -37,6 +37,8 @@ NEGATIVE_OK = {"optical.magnification"}
 # initial regions that cannot mesh: a boundary that crosses itself, one too small for any triangle
 BOWTIE = [[-100.0, -100.0], [100.0, 100.0], [100.0, -100.0], [-100.0, 100.0], [0.0, -150.0], [-150.0, 0.0]]
 TINY_SQUARE = (polygon_perimeter_points(np.array(SQUARE), 12) * 5e-12).tolist()  # 1e-9 nm side
+# a target that crosses itself with a nonzero signed area, so only the crossing test rejects it
+PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -80.9]]
 
 
 def explicit_config():
@@ -136,6 +138,15 @@ def test_unknown_nested_key_is_config_error(section):
     ("regions[0].controls_nm", BOWTIE, "regions[0].controls_nm"),
     ("regions[0].controls_nm", TINY_SQUARE, "regions[0].controls_nm"),
     ("optimizer.alpha_max", 1.0, "optimizer.alpha_max"),  # the bracket is derived, not set
+    ("grid.margin", 5.0, "grid.margin"),  # no effect next to nx, ny and origin_nm
+    ("grid", {"pixel_nm": 20.0, "margin": NAN}, "grid.margin"),  # in use: its own range check
+    ("grid", {"nx": 20, "ny": 20, "origin_nm": [-190.0, -190.0]}, "grid.pixel_nm"),
+    ("target_polygons_nm[0]", BOWTIE, "target_polygons_nm[0]"),
+    ("target_polygons_nm[0]", PENTAGRAM, "target_polygons_nm[0]"),
+    ("optical", 5.0, "optical"),
+    ("regions[0]", "square", "regions[0]"),
+    ("target_polygons_nm", {}, "target_polygons_nm"),
+    ("regions", "square", "regions"),
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -147,4 +158,29 @@ def test_region_from_target_reports_its_keys():
     assert_config_error(replaced(doc, "regions[0].degree", 0), "regions[0].degree")
     assert_config_error(replaced(doc, "regions[0].num_controls", 4), "regions[0].num_controls")
     assert_config_error(replaced(doc, "regions[0].num_controls", -1), "regions[0].num_controls")
-    assert_config_error(replaced(doc, "target_polygons_nm[0]", BOWTIE), "regions[0]")
+    assert_config_error(replaced(doc, "regions[0].init_from_target", 1), "regions[0].init_from_target")
+    assert_config_error(replaced(doc, "regions[0]", {"num_samples": 24, "init_from_target": 0}),
+                        "regions[0].num_controls")
+    assert_config_error(replaced(doc, "regions[0]", {"init_from_target": 0, "num_controls": 12}),
+                        "regions[0].num_samples")
+    # a simple target too small to mesh is blamed on the region placed on it
+    assert_config_error(replaced(doc, "target_polygons_nm[0]", TINY_SQUARE), "regions[0]")
+
+
+def test_root_must_be_an_object():
+    assert_config_error([desk_config()], "<root>")
+
+
+def test_null_member_counts_as_absent():
+    # a null margin next to nx, ny and origin_nm is absent too, so it is no error
+    doc = explicit_config()
+    absent = parse_config({**doc, "optical": {}, "resist": {"tr": 0.3}, "optimizer": {}})
+    doc.update(optical={"na": None}, resist={"a": None, "tr": 0.3}, optimizer={"eps": None})
+    doc["grid"]["margin"] = None
+    doc["regions"][0]["degree"] = None
+    nulls = parse_config(doc)
+    for name in ("optical", "resist", "optimizer", "grid", "target_polygons_nm"):
+        assert getattr(nulls, name) == getattr(absent, name)
+    [region], [expected] = nulls.regions, absent.regions
+    assert region.degree == expected.degree
+    assert np.array_equal(region.controls, expected.controls)

@@ -95,7 +95,7 @@ def test_objective_matches_plain_summation_oracle(desk_square):
     cfg, problem, region = desk_square
     from splinemask.pipeline import evaluate
     evaluation = evaluate(problem, [region])
-    intensity = evaluation.intensity
+    intensity = evaluation.field.intensity_values
     a, tr = problem.model.steepness, problem.model.threshold
     total = 0.0
     for ix in range(problem.grid.nx):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from splinemask.geometry import SelfIntersectionError, polygon_signed_area
+from splinemask.geometry import polygon_signed_area
+from splinemask.mesh import SelfIntersectionError
 from splinemask.optimizer import (
     OptimizerConfig,
     golden_section,
