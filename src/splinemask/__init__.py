@@ -20,7 +20,8 @@ from .mesh import (
     signed_area,
     triangulate_region,
 )
-from .objective import ResistModel, objective_value, print_and_epe, rasterize_target, sigmoid, sigmoid_derivative
+from .objective import (ResistModel, objective_gradient, objective_value, print_and_epe,
+                        rasterize_target, sigmoid, sigmoid_derivative)
 from .optics import (
     AmplitudeField,
     ImageGrid,
@@ -37,7 +38,7 @@ from .optimizer import (
     optimize,
     step,
 )
-from .gradient import amplitude_gradient, area_gradient, objective_gradient, sensitivity
+from .gradient import amplitude_gradient, area_gradient, sensitivity
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, evaluate_frozen, gradient_of
 from .spline import PeriodicSplineRegion, build_collocation, evaluate_curve, periodic_basis, sample_boundary
 

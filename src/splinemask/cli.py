@@ -177,6 +177,7 @@ def parse_config(document: dict) -> RunConfig:
     for key in document:
         if key not in known:
             raise ConfigError(key, "unknown field")
+    document = {key: part for key, part in document.items() if part is not None}  # null is absent
 
     optical = _scalars(document, "optical", OpticalConfig, OPTICAL_KEYS)
     resist = _scalars(document, "resist", ResistModel, RESIST_KEYS)
@@ -311,7 +312,7 @@ def _write_field_set(out_dir: Path, prefix: str, problem, evaluation) -> dict:
 
 def cmd_simulate(config_path: str, out_dir: str) -> int:
     cfg = load_config(config_path)
-    optical, problem, regions, _, _ = build_setup(cfg)
+    _, problem, regions, _, _ = build_setup(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     evaluation = evaluate(problem, regions)

@@ -1,14 +1,14 @@
-"""Analytic shape gradient of the image-fidelity objective.
+"""Analytic derivatives dU/dP of the image amplitude w.r.t. the control points.
 
 For fixed mesh topology every vertex is linear in the control points through
-T = W @ N, so the gradient of the objective decomposes into an area term
-(triangle measures change) and a point term (quadrature points move with
-their triangle's vertices). Both act on the region's pupil spectrum
-S = sum_t A_t H_t: the area term against the triangle phasor sums H_t, the
-point term against the slot sums G_tj, which weight triangle t's phasors by
-the barycentric coordinate of its vertex slot j. Both come from the blocks
-`PupilBasis.phasor_blocks` makes for the forward image, and all derivative
-spectra are synthesized at once.
+T = W @ N, so dU/dP decomposes into an area term (triangle measures change)
+and a point term (quadrature points move with their triangle's vertices).
+Both act on the region's pupil spectrum S = sum_t A_t H_t: the area term
+against the triangle phasor sums H_t, the point term against the slot sums
+G_tj, which weight triangle t's phasors by the barycentric coordinate of its
+vertex slot j. Both come from the blocks `PupilBasis.phasor_blocks` makes for
+the forward image, and all derivative spectra are synthesized at once;
+`objective.objective_gradient` contracts them to dJ/dP.
 Topology (W, C, L) is treated as constant: it is rebuilt between optimizer
 steps, never differentiated.
 """
@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .objective import ResistModel, sigmoid, sigmoid_derivative
-from .optics import AmplitudeField, ImageGrid, pupil_basis
+from .optics import ImageGrid, pupil_basis
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -81,18 +80,3 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
         spectra = np.stack([area_x + moved * fx, area_y + moved * fy], axis=1)
         out.append(basis.synthesize(spectra))  # (n, 2, nx, ny)
     return out
-
-
-def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,
-                       grid: ImageGrid, amplitude_grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Gradient of J w.r.t. all control coordinates, one (n, 2) array per region.
-
-    Contracts the amplitude-derivative fields with the per-pixel weight
-    2 (sig(I) - target) sig'(I) * 2U * dx dy; the 2U factor is the collapse of
-    the conjugate pair for the real kernel.
-    """
-    u = field.values
-    i_vals = u * u
-    residual = sigmoid(i_vals, model) - np.asarray(target, dtype=float)
-    weight = 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
-    return [np.einsum("xy,ncxy->nc", weight, fields) for fields in amplitude_grads]

@@ -8,6 +8,7 @@ linearity is what makes the shape gradient a plain matrix chain later on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,10 +50,6 @@ class ProvenancedMesh:
     def boundary(self) -> np.ndarray:
         """The (m, 2) samples Q the mesh was built from: its first m vertices."""
         return self.vertices[: self.provenance.shape[1]]
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
 
     @property
     def num_triangles(self) -> int:
@@ -113,8 +110,8 @@ def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
     of the parent's area), so the sweep count is bounded and vertices = W @ Q
     is preserved exactly.
     """
-    if max_area <= 0.0:
-        raise ValueError("max_area must be positive")
+    if not 0 < max_area < math.inf:
+        raise ValueError("max_area must be positive and finite")
     vertices = np.array(mesh.vertices, dtype=float)
     prov = np.array(mesh.provenance, dtype=float)
     triangles = np.array(mesh.triangles, dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Image-fidelity objective: sigmoid resist model, binary target, squared error."""
+"""Image-fidelity objective and its gradient: sigmoid resist, binary target, squared error."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from .geometry import points_in_polygon, polygon_signed_area, polyline_self_intersects
-from .optics import ImageGrid
+from .optics import AmplitudeField, ImageGrid
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,21 @@ def objective_value(intensity_array: np.ndarray, target: np.ndarray,
         raise ValueError("intensity shape does not match the grid")
     residual = sigmoid(intensity_array, model) - np.asarray(target, dtype=float)
     return float(np.sum(residual * residual) * grid.pixel_area)
+
+
+def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,
+                       grid: ImageGrid, amplitude_grads: list[np.ndarray]) -> list[np.ndarray]:
+    """Gradient of J w.r.t. all control coordinates, one (n, 2) array per region.
+
+    Contracts the amplitude-derivative fields with the per-pixel weight
+    2 (sig(I) - target) sig'(I) * 2U * dx dy; the 2U factor is the collapse of
+    the conjugate pair for the real kernel.
+    """
+    u = field.values
+    i_vals = u * u
+    residual = sigmoid(i_vals, model) - np.asarray(target, dtype=float)
+    weight = 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
+    return [np.einsum("xy,ncxy->nc", weight, fields) for fields in amplitude_grads]
 
 
 class PrintReport(NamedTuple):

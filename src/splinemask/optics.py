@@ -82,9 +82,6 @@ class OpticalConfig:
         """Image-plane nm -> normalized: multiply by NA / wavelength."""
         return np.asarray(points_nm, dtype=float) * self.scale_per_nm
 
-    def denormalize_image(self, points):
-        return np.asarray(points, dtype=float) / self.scale_per_nm
-
 
 @dataclass(frozen=True)
 class ImageGrid:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import amplitude_gradient, objective_gradient, sensitivity
+from .gradient import amplitude_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, refine_mesh, triangulate_region
-from .objective import ResistModel, objective_value, print_and_epe
+from .objective import ResistModel, objective_gradient, objective_value, print_and_epe
 from .optics import AmplitudeField, ImageGrid, forward_amplitude
 from .spline import PeriodicSplineRegion, build_collocation
 

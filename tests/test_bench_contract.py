@@ -1,9 +1,12 @@
-"""The benchmark tracer wraps package attributes by name; each one must exist.
+"""The benchmark reaches into the package by name; each name it uses must exist.
 
-A traced run lists a vanished target in `trace.missing_targets` and records
-no span for it, so a rename would silently drop a layer from the benchmark.
-Its annotators also bind arguments by name (`meshes`, `grid`, `quad`) and read
-`num_triangles` and `num_points`, which only a traced run exercises.
+The tracer wraps package attributes by name. A traced run lists a vanished
+target in `trace.missing_targets` and records no span for it, so a rename
+would silently drop a layer from the benchmark. Its annotators also bind
+arguments by name (`meshes`, `grid`, `quad`) and read `num_triangles` and
+`num_points`, which only a traced run exercises. The untraced runs call the
+package too: the worker's set-up probe and EPE report, and the runner's
+seeded configs. A break there fails `setup_s` and `epe_final_px` on every run.
 """
 import importlib
 import importlib.util
@@ -17,16 +20,21 @@ from splinemask.cli import main
 
 from test_cli import desk_config, write_config
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(monkeypatch, name: str, path: Path):
+    """Import a benchmark file by path as module `name`, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    return load(monkeypatch, "tracer", PERFBENCH / "tracer.py")  # the name run.py imports it by
 
 
 def test_every_traced_target_exists(tracer):
@@ -53,3 +61,18 @@ def test_traced_commands_fill_the_layer_metrics(tracer, tmp_path):
     for name in ("mesh.triangles", "optics.forward.kernel_evals", "gradient.amplitude.kernel_evals"):
         assert metrics[name] > 0, name
     assert metrics["trace.missing_targets"] == 0
+
+
+def test_untraced_entry_points_run(tracer, monkeypatch, tmp_path):
+    run = load(monkeypatch, "perfbench_run", PERFBENCH / "run.py")
+    worker = load(monkeypatch, "perfbench_worker", PERFBENCH / "worker.py")
+    doc = run.workload_config("twin", 7)  # a seed other than 0 places controls through the package
+    doc["grid"] = {"nx": 12, "ny": 10, "pixel_nm": 40.0, "origin_nm": [-220.0, -180.0]}
+    for region in doc["regions"]:
+        region["num_samples"] = 16
+    config = write_config(tmp_path, doc)
+    spec = {"config": str(config), "trace": False, "epe_of_setup": True}
+    assert "t_end" in worker.setup_probe(spec)
+    result = worker.run_command({**spec, "argv": ["--quiet", "gradcheck", "--config", str(config)]})
+    assert result["rc"] == 0, result["stdout_tail"]
+    assert isinstance(result["epe_count"], int)

@@ -147,6 +147,8 @@ def test_unknown_nested_key_is_config_error(section):
     ("regions[0]", "square", "regions[0]"),
     ("target_polygons_nm", {}, "target_polygons_nm"),
     ("regions", "square", "regions"),
+    ("regions[0]", None, "regions[0]"),  # null leaves out a part, not an entry of a list
+    ("target_polygons_nm[0]", None, "target_polygons_nm[0]"),
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -171,16 +173,26 @@ def test_root_must_be_an_object():
     assert_config_error([desk_config()], "<root>")
 
 
-def test_null_member_counts_as_absent():
+def parsed(doc):
+    """What parse_config makes of doc: its error message, or its config with arrays as lists."""
+    try:
+        cfg = parse_config(doc)
+    except ConfigError as exc:
+        return str(exc)
+    regions = [(r.degree, r.num_samples, r.controls.tolist()) for r in cfg.regions]
+    return cfg.optical, cfg.resist, cfg.grid, cfg.target_polygons_nm, regions, cfg.optimizer
+
+
+def test_null_member_or_part_counts_as_absent():
     # a null margin next to nx, ny and origin_nm is absent too, so it is no error
     doc = explicit_config()
-    absent = parse_config({**doc, "optical": {}, "resist": {"tr": 0.3}, "optimizer": {}})
-    doc.update(optical={"na": None}, resist={"a": None, "tr": 0.3}, optimizer={"eps": None})
-    doc["grid"]["margin"] = None
-    doc["regions"][0]["degree"] = None
-    nulls = parse_config(doc)
-    for name in ("optical", "resist", "optimizer", "grid", "target_polygons_nm"):
-        assert getattr(nulls, name) == getattr(absent, name)
-    [region], [expected] = nulls.regions, absent.regions
-    assert region.degree == expected.degree
-    assert np.array_equal(region.controls, expected.controls)
+    nulls = copy.deepcopy(doc)
+    nulls.update(optical={"na": None}, resist={"a": None, "tr": 0.3}, optimizer={"eps": None})
+    nulls["grid"]["margin"] = None
+    nulls["regions"][0]["degree"] = None
+    assert parsed(nulls) == parsed({**doc, "optical": {}, "resist": {"tr": 0.3}, "optimizer": {}})
+    # every top-level part may be left out, and a null part is left out
+    for part in ("optical", "resist", "optimizer", "grid", "target_polygons_nm", "regions"):
+        absent = {key: value for key, value in doc.items() if key != part}
+        assert parsed({**doc, part: None}) == parsed(absent), part
+    assert parsed({**doc, "grid": None}) == "grid.pixel_nm: missing required field"

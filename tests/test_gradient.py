@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
-from splinemask.gradient import (
-    amplitude_gradient,
-    area_gradient,
-    objective_gradient,
-    sensitivity,
-)
+from splinemask.gradient import amplitude_gradient, area_gradient, sensitivity
 from splinemask.mesh import (
     ProvenancedMesh,
     TriangleQuadrature,
@@ -18,7 +13,7 @@ from splinemask.mesh import (
     refine_mesh,
     triangulate_region,
 )
-from splinemask.objective import ResistModel, rasterize_target
+from splinemask.objective import ResistModel, objective_gradient, rasterize_target
 from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude
 from splinemask.pipeline import (
     evaluate,

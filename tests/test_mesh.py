@@ -110,15 +110,25 @@ def test_triangulate_rejects_bowtie():
 
 
 def test_triangulate_rejects_degenerate():
-    with pytest.raises(MeshError):
-        triangulate_region(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    # one row per failure branch of triangulate_region other than the crossing test
+    rows = [
+        ([[0.0, 0.0], [1.0, 0.0]], "at least 3 planar boundary samples"),
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "Delaunay triangulation failed"),
+        # its edge (0.91, -0.25)-(0.23, -0.04) is no Delaunay edge, so no set of Delaunay triangles tiles it
+        ([[0.5, 0.68], [0.1, 0.93], [-0.41, 0.05], [0.28, -0.57], [0.43, -0.35], [0.91, -0.25],
+          [0.23, -0.04], [0.78, -0.09]], "does not cover"),
+        (square_samples(4, side=1e-8), "no interior triangles"),
+    ]
+    for samples, message in rows:
+        with pytest.raises(MeshError, match=message):
+            triangulate_region(np.array(samples))
 
 
 def test_refine_single_triangle_once():
     mesh = triangulate_region(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     area = polygon_area(mesh)
     refined = refine_mesh(mesh, area * 0.9)  # exactly one split pass
-    assert refined.num_vertices == 4
+    assert len(refined.vertices) == 4
     assert refined.num_triangles == 3
     np.testing.assert_allclose(refined.provenance[-1], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
     assert polygon_area(refined) == pytest.approx(area, abs=1e-14)
@@ -138,10 +148,12 @@ def test_refinement_preserves_area_and_provenance():
     assert refined.areas().max() <= 0.004
 
 
-def test_refine_rejects_bad_tolerance():
+@pytest.mark.parametrize("max_area", [0.0, -0.01, float("nan"), float("inf")])
+def test_refine_rejects_bad_tolerance(max_area):
+    # a NaN bound would split every triangle on every sweep, without end
     mesh = triangulate_region(square_samples(8))
-    with pytest.raises(ValueError):
-        refine_mesh(mesh, 0.0)
+    with pytest.raises(ValueError, match="max_area"):
+        refine_mesh(mesh, max_area)
 
 
 def test_moved_mesh_keeps_provenance_exact():

@@ -164,7 +164,6 @@ def test_normalize_examples():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(20, 2)) * 100
     np.testing.assert_allclose(cfg.denormalize_mask(cfg.normalize_mask(pts)), pts, atol=1e-12)
-    np.testing.assert_allclose(cfg.denormalize_image(cfg.normalize_image(pts)), pts, atol=1e-12)
 
 
 def test_optical_config_validation():
