@@ -1,10 +1,15 @@
 """Steepest descent on control points with golden-section step sizing.
 
-The line search brackets each step on [0, MAX_DISPLACEMENT / max|g|], so no
-control moves further than MAX_DISPLACEMENT in one step. Each trial step
-rebuilds the full geometry chain (samples, mesh, provenance) at the displaced
-controls; trial boundaries that self-intersect or fail to mesh score +inf so
-the line search backs away from them. After an accepted step everything is
+No control moves further than MAX_DISPLACEMENT in one step: the step size is
+at most alpha_max = MAX_DISPLACEMENT / max|g|. The line search grows its
+bracket [0, B] from the step that reached the iterate (1e-3 alpha_max for the
+initial one), since accepted steps are mostly far shorter than alpha_max and
+a bracket over the whole field can settle in a distant spurious minimum. It
+expands while trials score below J and backs off otherwise, then
+golden-section search runs inside the bracket. Each trial step rebuilds the
+full geometry chain (samples, mesh, provenance) at the displaced controls;
+trial boundaries that self-intersect or fail to mesh score +inf so the line
+search backs away from them. After an accepted step everything is
 regenerated from scratch, so the analytic gradient at the next iterate again
 sees a consistent frozen topology. The control loop may run either way round:
 Qhull returns the triangles counterclockwise, and nothing downstream sees
@@ -33,8 +38,14 @@ logger = logging.getLogger(__name__)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest control move per step, in normalized units: the line-search bracket.
+# Largest control move per step, in normalized units: alpha_max is this over max|g|.
 MAX_DISPLACEMENT = 2.0
+# First trial step of an initial iterate, and the smallest trial step, over alpha_max.
+FIRST_STEP = 1e-3
+SMALLEST_STEP = 1e-12
+# Trial steps this close, relative, are one trial: golden-section search's first
+# two points repeat the bracket's last two trials up to rounding.
+SAME_STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,10 +79,14 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class OptimizationState:
-    """One iterate: its evaluation and the number of steps taken to reach it."""
+    """One iterate: its evaluation, the number of steps taken to reach it and the last step size.
+
+    `alpha` is 0 for the initial iterate; the next line search starts from it.
+    """
 
     evaluation: MaskEvaluation
     iteration: int = 0
+    alpha: float = 0.0
 
     @property
     def objective(self) -> float:
@@ -100,34 +115,72 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float | None:
+    """The end B of a bracket [0, B] that holds a trial scoring below `objective`.
+
+    Trials start at `start`. While they score below `objective` they grow by
+    1/GOLDEN, up to alpha_max, and B is the first that does not (or is
+    infeasible), else alpha_max. Otherwise they shrink by GOLDEN**2 until one
+    does, and B is the trial before it. Returns None when no trial down to
+    SMALLEST_STEP * alpha_max scores below `objective`.
+    """
+    alpha = start
+    if phi(alpha) < objective:
+        while alpha < alpha_max:
+            alpha = min(alpha / GOLDEN, alpha_max)
+            if not phi(alpha) < objective:
+                break
+        return alpha
+    while True:
+        end, alpha = alpha, alpha * GOLDEN ** 2
+        if alpha < SMALLEST_STEP * alpha_max:
+            return None
+        if phi(alpha) < objective:
+            return end
+
+
 def step(state: OptimizationState, problem: ImagingProblem,
          opt: OptimizerConfig) -> tuple[OptimizationState, float]:
-    """One steepest-descent step with golden-section sizing and full regeneration.
+    """One steepest-descent step with a grown bracket, golden-section sizing and full regeneration.
 
-    Returns (next state, alpha). When the gradient vanishes or the line search
-    finds no strict objective decrease, that is the given state and alpha 0.
+    Returns (next state, alpha). When the gradient vanishes or no trial down
+    to SMALLEST_STEP * alpha_max scores below J, that is the given state and
+    alpha 0. Every distinct trial step is evaluated once.
     """
     grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
     if gmax < 1e-12:
         return state, 0.0
+    alpha_max = MAX_DISPLACEMENT / gmax
     regions = [s.region for s in state.evaluation.systems]
-    scored: dict[float, MaskEvaluation] = {}
+    # (alpha, objective, evaluation) per trial; an infeasible one scores +inf with no evaluation
+    trials: list[tuple[float, float, MaskEvaluation | None]] = []
+
+    def scored(alpha: float):
+        return next((t for t in trials if abs(alpha - t[0]) <= SAME_STEP_RTOL * t[0]), None)
 
     def phi(alpha: float) -> float:
-        moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
-        try:
-            trial = scored[alpha] = evaluate(problem, moved)
-        except MeshError:
-            return math.inf
-        return trial.objective
+        trial = scored(alpha)
+        if trial is None:
+            moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
+            try:
+                evaluation = evaluate(problem, moved)
+            except MeshError:
+                trial = (alpha, math.inf, None)
+            else:
+                trial = (alpha, evaluation.objective, evaluation)
+            trials.append(trial)
+        return trial[1]
 
-    alpha, j_alpha = golden_section(phi, MAX_DISPLACEMENT / gmax, opt.gs_tol)
-    if not (j_alpha < state.objective):
+    start = min(state.alpha, alpha_max) if state.alpha > 0 else FIRST_STEP * alpha_max
+    end = grow_bracket(phi, state.objective, start, alpha_max)
+    if end is None:
         return state, 0.0
-    # golden_section returns one of the alphas phi scored, with its value; a
-    # value below the current objective is finite, so that trial was feasible
-    return OptimizationState(scored[alpha], state.iteration + 1), alpha
+    alpha, _ = golden_section(phi, end, opt.gs_tol)
+    # golden-section's trial, unless another scored strictly lower; the bracket
+    # holds a trial below J, so this one is below J and feasible
+    alpha, _, evaluation = min([scored(alpha), *trials], key=lambda t: t[1])
+    return OptimizationState(evaluation, state.iteration + 1, alpha), alpha
 
 
 @dataclass(frozen=True)

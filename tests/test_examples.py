@@ -43,6 +43,7 @@ def test_two_rectangles_optimization():
     problem = ImagingProblem(grid, target, ResistModel(), TriangleQuadrature.degree3(),
                              refine_max_area=0.02)
     result = optimize(regions, problem, OptimizerConfig(max_iters=6))
+    assert result.state.iteration == 6
     assert result.final.objective < result.initial.objective
     assert print_report(problem, result.final).epe_count \
         < print_report(problem, result.initial).epe_count

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -7,15 +6,17 @@ import pytest
 from splinemask.geometry import polygon_signed_area
 from splinemask.mesh import SelfIntersectionError
 from splinemask.optimizer import (
+    GOLDEN,
     OptimizerConfig,
     golden_section,
+    grow_bracket,
     init_controls_from_target,
     optimize,
     step,
 )
 from splinemask.cli import build_setup, parse_config
-from splinemask.pipeline import evaluate, print_report
-from splinemask.optimizer import OptimizationState, TraceEntry
+from splinemask.pipeline import evaluate, gradient_of, print_report
+from splinemask.optimizer import MAX_DISPLACEMENT, OptimizationState, TraceEntry
 
 from conftest import SQUARE_NM, desk_square_problem, square_region
 
@@ -47,6 +48,27 @@ def test_golden_section_matches_dense_scan():
     dense_argmin = grid[np.argmin([phi(a) for a in grid])]
     alpha, _ = golden_section(phi, 1.0, 1e-6)
     assert alpha == pytest.approx(dense_argmin, abs=1e-4)
+
+
+@pytest.mark.parametrize("start, alpha_max, end", [
+    (0.1, 10.0, 0.1 / GOLDEN ** 7),   # grows while below: 0.1 / GOLDEN**6 < 2 <= the next trial
+    (0.1, 1.5, 1.5),                  # every trial below, up to alpha_max
+    (3.0, 10.0, 3.0),                 # backs off: 3 GOLDEN**2 scores below, so the end is 3
+    (9.0, 10.0, 9.0 * GOLDEN ** 2),   # backs off twice
+])
+def test_grow_bracket_ends(start, alpha_max, end):
+    phi = lambda a: a * (a - 2.0)   # below 0 on (0, 2)
+    assert grow_bracket(phi, 0.0, start, alpha_max) == pytest.approx(end, rel=1e-12)
+
+
+def test_grow_bracket_gives_up_without_a_decrease():
+    trials = []
+
+    def phi(a):
+        trials.append(a)
+        return a
+    assert grow_bracket(phi, 0.0, 1.0, 1.0) is None
+    assert min(trials) >= 1e-12 > min(trials) * GOLDEN ** 2
 
 
 def test_init_controls_square_spacing():
@@ -115,28 +137,89 @@ def test_step_decreases_objective():
     assert (mesh.areas() > 0).all()
 
 
+def record_trial_steps(monkeypatch):
+    """Make `step` record the step size of each trial it evaluates, recovered from the trial's controls."""
+    from splinemask import optimizer
+
+    ray, alphas = {}, []
+
+    def recorded_gradient(problem, evaluation):
+        grads = gradient_of(problem, evaluation)
+        ray["controls"] = np.concatenate([s.region.controls for s in evaluation.systems])
+        ray["g"] = np.concatenate(grads)
+        return grads
+
+    def recorded_evaluate(problem, regions):
+        moved = np.concatenate([r.controls for r in regions])
+        g = ray["g"]
+        alphas.append(float(np.sum((ray["controls"] - moved) * g) / np.sum(g * g)))
+        return evaluate(problem, regions)
+
+    monkeypatch.setattr(optimizer, "gradient_of", recorded_gradient)
+    monkeypatch.setattr(optimizer, "evaluate", recorded_evaluate)
+    return alphas
+
+
+def distinct(alphas, rtol=1e-9):
+    """The number of step sizes that differ from each other by more than rtol, relative."""
+    ordered = sorted(alphas)
+    return 1 + sum(b - a > rtol * b for a, b in zip(ordered, ordered[1:]))
+
+
 def test_step_evaluates_each_trial_once(monkeypatch):
     from splinemask import optimizer
 
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
-    evaluations, trials = [], []
-
-    def counted_evaluate(*args, **kwargs):
-        evaluations.append(1)
-        return evaluate(*args, **kwargs)
+    evaluated = record_trial_steps(monkeypatch)
+    bracket, searched = [], []
 
     def counted_golden_section(phi, alpha_max, tol):
+        bracket.extend(evaluated)
+
         def counted_phi(alpha):
-            trials.append(alpha)
+            searched.append(alpha)
             return phi(alpha)
         return golden_section(counted_phi, alpha_max, tol)
 
-    monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     monkeypatch.setattr(optimizer, "golden_section", counted_golden_section)
     new_state, alpha = step(state, problem, OptimizerConfig())
-    assert alpha in trials
-    assert len(evaluations) == len(trials) > 0
+    assert alpha > 0 and new_state.alpha == alpha
+    # every trial of the line search, bracket and golden-section alike, was
+    # evaluated, and no step size twice
+    assert len(evaluated) == distinct(evaluated) == distinct(evaluated + searched)
+    assert distinct(evaluated + [alpha]) == len(evaluated)
+    # the bracket grew here, so golden-section's first two points are its last two trials
+    assert len(bracket) >= 2
+    assert distinct(bracket + searched[:2]) == len(bracket)
+
+
+def test_step_starts_from_the_carried_step(monkeypatch):
+    """The first trial is the step that reached the iterate, capped at alpha_max; 1e-3 alpha_max at first."""
+    cfg, problem = desk_square_problem()
+    initial = evaluate(problem, [square_region(cfg=cfg)])
+    [g] = gradient_of(problem, initial)
+    alpha_max = MAX_DISPLACEMENT / np.max(np.hypot(g[:, 0], g[:, 1]))
+    evaluated = record_trial_steps(monkeypatch)
+    for carried, first in [(0.0, 1e-3 * alpha_max), (0.3 * alpha_max, 0.3 * alpha_max),
+                           (5.0 * alpha_max, alpha_max)]:
+        evaluated.clear()
+        step(OptimizationState(initial, 1 if carried else 0, carried), problem, OptimizerConfig())
+        assert evaluated[0] == pytest.approx(first, rel=1e-9)
+
+
+def test_step_takes_a_lower_bracket_trial_over_golden_sections(monkeypatch):
+    """A golden-section result above another scored trial is not taken: the lowest trial is."""
+    from splinemask import optimizer
+
+    cfg, problem = desk_square_problem()
+    state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
+    evaluated = record_trial_steps(monkeypatch)
+    # the bracket end scores at or above J (or is infeasible)
+    monkeypatch.setattr(optimizer, "golden_section", lambda phi, end, tol: (end, phi(end)))
+    new_state, alpha = step(state, problem, OptimizerConfig())
+    assert new_state.objective < state.objective
+    assert distinct(evaluated + [alpha]) == len(evaluated)
 
 
 def test_step_builds_the_sensitivity_only_for_the_gradient(monkeypatch):
@@ -216,11 +299,12 @@ def test_optimize_deterministic():
     assert t1 == t2
 
 
-def desk_setup(square=SQUARE_NM, **optimizer):
-    """The criterion-9 config: regions placed on the target square; the optimizer keys given."""
+def desk_setup(square=SQUARE_NM, shift=(0.0, 0.0), **optimizer):
+    """The criterion-9 config moved by `shift` nm: regions placed on the target square; the optimizer keys given."""
     _, problem, regions, opt, _ = build_setup(parse_config({
-        "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0, "origin_nm": [-190.0, -190.0]},
-        "target_polygons_nm": [square.tolist()],
+        "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0,
+                 "origin_nm": (np.array([-190.0, -190.0]) + shift).tolist()},
+        "target_polygons_nm": [(square + shift).tolist()],
         "regions": [{"num_samples": 24, "init_from_target": 0, "num_controls": 12}],
         "optimizer": optimizer,
     }))
@@ -252,15 +336,26 @@ def test_optimize_takes_a_found_step_before_stopping_on_its_size():
     assert result.initial.objective == pytest.approx(0.180148, rel=1e-5)
 
 
-@pytest.mark.parametrize("target, stand_in", [
-    ("gradient_of", lambda problem, evaluation: [np.zeros_like(s.region.controls)
-                                                 for s in evaluation.systems]),
-    ("golden_section", lambda phi, alpha_max, tol: (alpha_max, math.inf)),
+def evaluate_as_initial():
+    """An `evaluate` whose every call returns the first call's evaluation: no trial scores below J."""
+    first = []
+
+    def stand_in(problem, regions):
+        if not first:
+            first.append(evaluate(problem, regions))
+        return first[0]
+    return stand_in
+
+
+@pytest.mark.parametrize("target, make_stand_in", [
+    ("gradient_of", lambda: lambda problem, evaluation: [np.zeros_like(s.region.controls)
+                                                         for s in evaluation.systems]),
+    ("evaluate", evaluate_as_initial),
 ], ids=["zero_gradient", "no_decrease"])
-def test_optimize_stops_without_a_step(monkeypatch, caplog, target, stand_in):
+def test_optimize_stops_without_a_step(monkeypatch, caplog, target, make_stand_in):
     from splinemask import optimizer
 
-    monkeypatch.setattr(optimizer, target, stand_in)
+    monkeypatch.setattr(optimizer, target, make_stand_in())
     problem, regions, opt = desk_setup(max_iters=3)
     with caplog.at_level("INFO", logger=optimizer.__name__):
         result = optimize(regions, problem, opt)
@@ -269,6 +364,18 @@ def test_optimize_stops_without_a_step(monkeypatch, caplog, target, stand_in):
     assert result.final is result.initial
     assert "no decrease" in caplog.text
     assert "step size" not in caplog.text
+
+
+def test_optimize_does_not_stall_on_the_shifted_desk():
+    """A whole-pixel shift leaves the target raster unchanged, and the descent goes on.
+
+    A line search over the whole field [0, alpha_max] found a spurious minimum
+    4e-2 above J at the third step here and stopped at J 0.1102.
+    """
+    problem, regions, opt = desk_setup(shift=(20.0, 0.0), max_iters=8)
+    result = optimize(regions, problem, opt)
+    assert result.state.iteration == 8
+    assert result.final.objective < 0.1
 
 
 def test_loop_records_reject_assignment():
