@@ -1,12 +1,16 @@
-"""Steepest descent on control points with golden-section step sizing.
+"""Steepest descent on control points with golden-section and parabolic step sizing.
 
 No control moves further than MAX_DISPLACEMENT in one step: the step size is
 at most alpha_max = MAX_DISPLACEMENT / max|g|. The line search grows its
 bracket [0, B] from the step that reached the iterate (1e-3 alpha_max for the
 initial one), since accepted steps are mostly far shorter than alpha_max and
 a bracket over the whole field can settle in a distant spurious minimum. It
-expands while trials score below J and backs off otherwise, then
-golden-section search runs inside the bracket. Each trial step rebuilds the
+expands while trials score below J and backs off otherwise, then zooms in on
+a minimum inside the bracket by golden-section search with parabolic steps
+(Brent, 1973). A parabolic step is taken only through a convex three-point
+bracket, a point between two that score no lower: the trial objective is not
+smooth in the step, since each trial meshes afresh, and a parabola through
+any three points can jump into another dip. Each trial step rebuilds the
 full geometry chain (samples, mesh, provenance) at the displaced controls;
 trial boundaries that self-intersect or fail to mesh score +inf so the line
 search backs away from them. After an accepted step everything is
@@ -43,8 +47,8 @@ MAX_DISPLACEMENT = 2.0
 # First trial step of an initial iterate, and the smallest trial step, over alpha_max.
 FIRST_STEP = 1e-3
 SMALLEST_STEP = 1e-12
-# Trial steps this close, relative, are one trial: golden-section search's first
-# two points repeat the bracket's last two trials up to rounding.
+# Trial steps this close, relative, are one trial: the zoom's first two points
+# repeat the bracket's last two trials up to rounding.
 SAME_STEP_RTOL = 1e-12
 
 
@@ -94,25 +98,68 @@ class OptimizationState:
 
 
 def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
-    """Minimize phi on [0, alpha_max] by golden-section search.
+    """Minimize phi on [0, alpha_max] by golden-section search with parabolic steps.
 
-    Returns (alpha, phi(alpha)) for the best interior evaluation once the
-    bracket width drops below tol. phi may return +inf for infeasible trials.
+    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 5) with the parabola kept to convex triples. x is the lowest
+    point scored, w the next lowest and v the one w replaced. The step goes to
+    the vertex of the parabola through (v, x, w) only when x lies strictly
+    between w and v and scores no higher than either, so that the three points
+    bracket a local minimum, and only when it is shorter than half the step
+    before last and lands inside the bracket (a, b). Otherwise a golden-section
+    step divides the larger side of x. A step shorter than tol/2 is lengthened
+    to tol/2 toward the middle of the bracket. x moves only on a strict
+    decrease, so +inf trials shrink the bracket as in plain golden-section
+    search.
+
+    The search starts from the golden points of [0, alpha_max], x the lower
+    (the left on a tie), and stops once every point of the bracket lies within
+    tol of x. Returns (x, phi(x)). phi may return +inf for infeasible trials.
     """
     a, b = 0.0, float(alpha_max)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = phi(x1), phi(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = phi(x1)
+    x, w = b - GOLDEN * b, GOLDEN * b
+    fx, fw = phi(x), phi(w)
+    if fw < fx:
+        x, fx, w, fw = w, fw, x, fx
+    v, fv = w, fw
+    d = e = 0.0   # the last step and the step before it (after a golden step, the side it divided)
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= tol - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if min(v, w) < x < max(v, w) and fx <= min(fw, fv) and max(fw, fv) < math.inf:
+            # the vertex of the parabola through (v, x, w) is at x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            e, d = d, p / q
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = phi(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            e = a - x if x >= m else b - x
+            d = (1.0 - GOLDEN) * e
+        u = x + d if abs(d) >= 0.5 * tol else x + math.copysign(0.5 * tol, m - x)
+        fu = phi(u)
+        if fu < fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == w:
+                v, fv = u, fu
 
 
 def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float | None:
@@ -141,7 +188,7 @@ def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float
 
 def step(state: OptimizationState, problem: ImagingProblem,
          opt: OptimizerConfig) -> tuple[OptimizationState, float]:
-    """One steepest-descent step with a grown bracket, golden-section sizing and full regeneration.
+    """One steepest-descent step: grown bracket, golden-section and parabolic zoom, regeneration.
 
     Returns (next state, alpha). When the gradient vanishes or no trial down
     to SMALLEST_STEP * alpha_max scores below J, that is the given state and
@@ -177,7 +224,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
     if end is None:
         return state, 0.0
     alpha, _ = golden_section(phi, end, opt.gs_tol)
-    # golden-section's trial, unless another scored strictly lower; the bracket
+    # the zoom's trial, unless another scored strictly lower; the bracket
     # holds a trial below J, so this one is below J and feasible
     alpha, _, evaluation = min([scored(alpha), *trials], key=lambda t: t[1])
     return OptimizationState(evaluation, state.iteration + 1, alpha), alpha

@@ -50,6 +50,28 @@ def test_golden_section_matches_dense_scan():
     assert alpha == pytest.approx(dense_argmin, abs=1e-4)
 
 
+@pytest.mark.parametrize("phi, alpha_max, tol, minimizer, most", [
+    # golden-section steps alone make 33 calls here, and 39 on the infeasible right half
+    (lambda a: (a - 1.0) ** 2, 3.0, 1e-6, 1.0, 10),
+    (lambda a: float("inf") if a > 1.0 else (a - 0.8) ** 2, 4.0, 1e-7, 0.8, 15),
+], ids=["quadratic", "inf_right_half"])
+def test_golden_section_takes_parabolic_steps(phi, alpha_max, tol, minimizer, most):
+    calls = []
+
+    def counted_phi(alpha):
+        calls.append(alpha)
+        return phi(alpha)
+    alpha, _ = golden_section(counted_phi, alpha_max, tol)
+    assert abs(alpha - minimizer) <= tol
+    assert len(calls) <= most
+
+
+def test_golden_section_ends_within_tol_of_a_monotone_minimum():
+    alpha, value = golden_section(lambda a: 2.0 + a, 5.0, 1e-6)
+    assert 0.0 < alpha <= 1e-6
+    assert value == 2.0 + alpha
+
+
 @pytest.mark.parametrize("start, alpha_max, end", [
     (0.1, 10.0, 0.1 / GOLDEN ** 7),   # grows while below: 0.1 / GOLDEN**6 < 2 <= the next trial
     (0.1, 1.5, 1.5),                  # every trial below, up to alpha_max
@@ -376,6 +398,27 @@ def test_optimize_does_not_stall_on_the_shifted_desk():
     result = optimize(regions, problem, opt)
     assert result.state.iteration == 8
     assert result.final.objective < 0.1
+
+
+def test_optimize_desk_trials_per_step(monkeypatch):
+    """Parabolic steps in the zoom keep the desk line search near 20 trials per step.
+
+    With golden-section steps alone the same 8 steps take 30.5 `evaluate`
+    calls each, counting the initial evaluation.
+    """
+    from splinemask import optimizer
+
+    calls = []
+
+    def counted_evaluate(problem, regions):
+        calls.append(1)
+        return evaluate(problem, regions)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
+    problem, regions, opt = desk_setup(max_iters=8)
+    result = optimize(regions, problem, opt)
+    assert result.state.iteration == 8
+    assert len(calls) / result.state.iteration <= 24
 
 
 def test_loop_records_reject_assignment():
