@@ -1,10 +1,13 @@
 """Planar polygon predicates shared by the meshing, rasterization and line-search code.
 
-The crossing test of a closed polyline orients every segment against both
-endpoints of every other segment once, as two (m, m) matrices; the reverse
-orientations of each segment pair are their transposes.
+The crossing test of a closed polyline orients every segment against the
+start of every other segment once, as one (m, m) matrix; the orientations
+against the ends are its columns rolled by one, and the reverse orientations
+of each segment pair are the transposes.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +62,21 @@ def orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+def incircle(ax, ay, bx, by, cx, cy, dx, dy):
+    """Lifted determinant of b, c and d taken about a.
+
+    For counterclockwise a, b, c it is positive iff d lies strictly inside
+    their circumcircle and zero iff the four points are cocircular. The terms
+    of b and c come first, so broadcasting triangles against points forms
+    them once per triangle. Works elementwise on arrays.
+    """
+    bax, bay, cax, cay = bx - ax, by - ay, cx - ax, cy - ay
+    b2, c2 = bax * bax + bay * bay, cax * cax + cay * cay
+    dax, day = dx - ax, dy - ay
+    return ((dax * dax + day * day) * (bay * cax - bax * cay)
+            + dax * (b2 * cay - bay * c2) + day * (bax * c2 - b2 * cax))
+
+
 def polyline_self_intersects(points: np.ndarray) -> bool:
     """True if the closed polyline through `points` has any crossing edge pair.
 
@@ -79,22 +97,37 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
         return len(np.unique(pts, axis=0)) < m
     # segment s runs from a[s] to b[s] = a[s + 1 mod m]; o1[i, j] and o2[i, j]
     # orient the start and end of segment j against segment i, so segment j's
-    # orientations against segment i are the transposes
+    # orientations against segment i are the transposes. The end of segment j
+    # is the start of segment j + 1, so o2 is o1 with its columns rolled
     a, b = pts, np.roll(pts, -1, axis=0)
-    ax, ay, bx, by = a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None]
-    o1 = orient(ax, ay, bx, by, a[:, 0], a[:, 1])
-    o2 = orient(ax, ay, bx, by, b[:, 0], b[:, 1])
-    proper = (o1 * o2 < 0) & (o1.T * o2.T < 0)
+    o1 = orient(a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None], a[:, 0], a[:, 1])
+    o2 = np.roll(o1, -1, axis=1)
+    apart = _non_adjacent(m)
+    straddle = o1 * o2 < 0
+    if (apart & straddle & straddle.T).any():
+        return True
     # collinear overlap: any zero orientation with bounding-box overlap
-    touch = (o1 == 0) | (o2 == 0) | (o1.T == 0) | (o2.T == 0)
+    touch = (o1 == 0) | (o2 == 0)
+    touch = apart & (touch | touch.T)
+    if not touch.any():
+        return False
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     overlap_x, overlap_y = (np.maximum(lo[:, c, None], lo[:, c]) <= np.minimum(hi[:, c, None], hi[:, c])
                             for c in (0, 1))
-    # segments i and j are non-adjacent when their index gap is 2..m-2 either
-    # way round the loop, which also leaves out the wrap-around pair (0, m-1)
+    return bool((touch & overlap_x & overlap_y).any())
+
+
+@lru_cache(maxsize=64)
+def _non_adjacent(m: int) -> np.ndarray:
+    """Read-only (m, m) mask of the non-adjacent segment pairs of an m-loop.
+
+    Segments i and j are non-adjacent when their index gap is 2..m-2 either
+    way round the loop, which also leaves out the wrap-around pair (0, m-1).
+    """
     gap = np.abs(np.arange(m)[:, None] - np.arange(m))
     apart = (gap >= 2) & (gap <= m - 2)
-    return bool((apart & (proper | (touch & overlap_x & overlap_y))).any())
+    apart.setflags(write=False)
+    return apart
 
 
 def polygon_perimeter_points(polygon: np.ndarray, count: int) -> np.ndarray:

@@ -11,12 +11,14 @@ a minimum inside the bracket by golden-section search with parabolic steps
 bracket, a point between two that score no lower: the trial objective is not
 smooth in the step, since each trial meshes afresh, and a parabola through
 any three points can jump into another dip. Each trial step rebuilds the
-full geometry chain (samples, mesh, provenance) at the displaced controls;
-trial boundaries that self-intersect or fail to mesh score +inf so the line
-search backs away from them. After an accepted step everything is
-regenerated from scratch, so the analytic gradient at the next iterate again
-sees a consistent frozen topology. The control loop may run either way round:
-Qhull returns the triangles counterclockwise, and nothing downstream sees
+full geometry chain (samples, mesh, provenance) at the displaced controls.
+A trial re-meshes its samples by edge flips from the iterate's unrefined
+triangles, which gives the mesh a from-scratch triangulation would give, so
+the accepted trial's meshes are those of the regenerated chain and the
+analytic gradient at the next iterate again sees a consistent frozen
+topology. Trial boundaries that self-intersect or fail to mesh score +inf so
+the line search backs away from them. The control loop may run either way
+round: every triangle is counterclockwise, and nothing downstream sees
 anything but triangles.
 
 The iterate is immutable: `step` maps a state to the next one and the step
@@ -50,6 +52,8 @@ SMALLEST_STEP = 1e-12
 # Trial steps this close, relative, are one trial: the zoom's first two points
 # repeat the bracket's last two trials up to rounding.
 SAME_STEP_RTOL = 1e-12
+# The line search's tolerance is at least this many float spacings of its bracket end.
+FLOAT_SPACINGS = 4
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,12 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
 
     The search starts from the golden points of [0, alpha_max], x the lower
     (the left on a tie), and stops once every point of the bracket lies within
-    tol of x. Returns (x, phi(x)). phi may return +inf for infeasible trials.
+    tol of x. tol is floored at FLOAT_SPACINGS float spacings of alpha_max,
+    since no bracket shrinks below one spacing. Returns (x, phi(x)). phi may
+    return +inf for infeasible trials.
     """
     a, b = 0.0, float(alpha_max)
+    tol = max(tol, FLOAT_SPACINGS * math.ulp(b))
     x, w = b - GOLDEN * b, GOLDEN * b
     fx, fw = phi(x), phi(w)
     if fw < fx:
@@ -211,7 +218,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
         if trial is None:
             moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
             try:
-                evaluation = evaluate(problem, moved)
+                evaluation = evaluate(problem, moved, state.evaluation.systems)
             except MeshError:
                 trial = (alpha, math.inf, None)
             else:

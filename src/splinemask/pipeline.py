@@ -1,12 +1,13 @@
 """Assembly of the full forward chain and its frozen-topology re-evaluation.
 
 One RegionSystem bundles a region's control points with the refined mesh
-built from its boundary samples; the vertex-to-control sensitivity is derived
-from the two only when the gradient needs it. The frozen variants recompute
-the chain for new controls while keeping the provenance and connectivity of
-an existing system, which is exactly the setting in which the analytic
-gradient is defined (and which finite differences must share to be
-comparable).
+built from its boundary samples and that mesh's unrefined triangles, from
+which a line-search trial re-meshes its own samples by edge flips; the
+vertex-to-control sensitivity is derived from the region and the mesh only
+when the gradient needs it. The frozen variants recompute the chain for new
+controls while keeping the provenance and connectivity of an existing
+system, which is exactly the setting in which the analytic gradient is
+defined (and which finite differences must share to be comparable).
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ class RegionSystem:
 
     region: PeriodicSplineRegion
     mesh: ProvenancedMesh
+    base_triangles: np.ndarray  # the unrefined triangles over the boundary samples
 
     @property
     def sens(self) -> np.ndarray:
@@ -37,7 +39,7 @@ class RegionSystem:
         """Re-evaluate the chain at new controls with frozen topology."""
         region = self.region.with_controls(controls)
         samples = build_collocation(region) @ region.controls
-        return RegionSystem(region, self.mesh.with_boundary(samples))
+        return RegionSystem(region, self.mesh.with_boundary(samples), self.base_triangles)
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,17 @@ class MaskEvaluation:
     objective: float
 
 
-def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
+def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
+                        start: RegionSystem | None = None) -> RegionSystem:
+    """Mesh a region's boundary samples and refine the mesh.
+
+    `start`, a system of the same region at other controls, hands its
+    unrefined triangles to `triangulate_region`, which flips them into the
+    mesh it would build from scratch.
+    """
     samples = build_collocation(region) @ region.controls
-    mesh = refine_mesh(triangulate_region(samples), problem.refine_max_area)
-    return RegionSystem(region, mesh)
+    base = triangulate_region(samples, None if start is None else start.base_triangles)
+    return RegionSystem(region, refine_mesh(base, problem.refine_max_area), base.triangles)
 
 
 def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvaluation:
@@ -72,9 +81,15 @@ def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvalua
     return MaskEvaluation(systems, field, j)
 
 
-def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> MaskEvaluation:
-    """Full evaluation with fresh meshes (topology regenerated from scratch)."""
-    systems = [build_region_system(r, problem) for r in regions]
+def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
+             starts: list[RegionSystem] | None = None) -> MaskEvaluation:
+    """Full evaluation with fresh meshes, the same from scratch or from `starts`.
+
+    `starts` are the systems of the same regions at other controls, one per
+    region; their triangles are where re-meshing begins (`build_region_system`).
+    """
+    starts = starts if starts is not None else [None] * len(regions)
+    systems = [build_region_system(r, problem, s) for r, s in zip(regions, starts, strict=True)]
     return _forward(problem, systems)
 
 

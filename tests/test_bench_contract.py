@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from splinemask.cli import main
+from splinemask.cli import build_setup, main, parse_config
+from splinemask.optimizer import OptimizationState, OptimizerConfig, step
+from splinemask.pipeline import evaluate
 
 from test_cli import desk_config, write_config
 
@@ -76,3 +78,38 @@ def test_untraced_entry_points_run(tracer, monkeypatch, tmp_path):
     result = worker.run_command({**spec, "argv": ["--quiet", "gradcheck", "--config", str(config)]})
     assert result["rc"] == 0, result["stdout_tail"]
     assert isinstance(result["epe_count"], int)
+
+
+def test_every_trial_meshes_each_region_from_the_iterates_triangles(monkeypatch):
+    """A line-search trial re-meshes each region through `pipeline.triangulate_region`, from the iterate's triangles.
+
+    The `mesh.triangulate` span wraps that name, so it times the meshing of
+    every trial however the trial meshes.
+    """
+    from splinemask import optimizer, pipeline
+
+    doc = desk_config(regions=[{"num_samples": 20, "init_from_target": t, "num_controls": 10} for t in (0, 1)])
+    doc["target_polygons_nm"] = [[[-140.0, -100.0], [-20.0, -100.0], [-20.0, 100.0], [-140.0, 100.0]],
+                                 [[20.0, -100.0], [140.0, -100.0], [140.0, 100.0], [20.0, 100.0]]]
+    _, problem, regions, _, _ = build_setup(parse_config(doc))
+    state = OptimizationState(evaluate(problem, regions))
+    trials, handed = [], []
+    triangulate = pipeline.triangulate_region
+
+    def counted_evaluate(problem, regions, starts=None):
+        trials.append(starts)
+        return evaluate(problem, regions, starts)
+
+    def recorded_triangulate(samples, start=None):
+        handed.append(start)
+        return triangulate(samples, start)
+
+    monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
+    monkeypatch.setattr(pipeline, "triangulate_region", recorded_triangulate)
+    _, alpha = step(state, problem, OptimizerConfig())
+    assert alpha > 0
+    iterate = [system.base_triangles for system in state.evaluation.systems]
+    assert all(given is state.evaluation.systems for given in trials)
+    assert len(handed) == len(trials) * len(iterate) > 0
+    for k, start in enumerate(handed):
+        assert start is iterate[k % len(iterate)]

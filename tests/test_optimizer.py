@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from splinemask.geometry import polygon_signed_area
 from splinemask.mesh import SelfIntersectionError
 from splinemask.optimizer import (
+    FLOAT_SPACINGS,
     GOLDEN,
     OptimizerConfig,
     golden_section,
@@ -64,6 +66,25 @@ def test_golden_section_takes_parabolic_steps(phi, alpha_max, tol, minimizer, mo
     alpha, _ = golden_section(counted_phi, alpha_max, tol)
     assert abs(alpha - minimizer) <= tol
     assert len(calls) <= most
+
+
+def test_golden_section_returns_when_tol_is_below_float_spacing():
+    """No bracket near 2e12 shrinks below one float spacing, 2.4e-4, so a 1e-5 tolerance cannot be met.
+
+    Without a floor on the tolerance the search would never return; `phi`
+    gives up after 200 calls instead of a clock.
+    """
+    calls = []
+
+    def phi(alpha):
+        calls.append(alpha)
+        if len(calls) > 200:
+            raise RuntimeError("golden_section did not return")
+        return (alpha - 1e12) ** 2
+
+    alpha, value = golden_section(phi, 2e12, 1e-5)
+    assert abs(alpha - 1e12) <= FLOAT_SPACINGS * math.ulp(2e12)
+    assert value == phi(alpha)
 
 
 def test_golden_section_ends_within_tol_of_a_monotone_minimum():
@@ -171,11 +192,11 @@ def record_trial_steps(monkeypatch):
         ray["g"] = np.concatenate(grads)
         return grads
 
-    def recorded_evaluate(problem, regions):
+    def recorded_evaluate(problem, regions, starts=None):
         moved = np.concatenate([r.controls for r in regions])
         g = ray["g"]
         alphas.append(float(np.sum((ray["controls"] - moved) * g) / np.sum(g * g)))
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, starts)
 
     monkeypatch.setattr(optimizer, "gradient_of", recorded_gradient)
     monkeypatch.setattr(optimizer, "evaluate", recorded_evaluate)
@@ -362,9 +383,9 @@ def evaluate_as_initial():
     """An `evaluate` whose every call returns the first call's evaluation: no trial scores below J."""
     first = []
 
-    def stand_in(problem, regions):
+    def stand_in(problem, regions, starts=None):
         if not first:
-            first.append(evaluate(problem, regions))
+            first.append(evaluate(problem, regions, starts))
         return first[0]
     return stand_in
 
@@ -410,9 +431,9 @@ def test_optimize_desk_trials_per_step(monkeypatch):
 
     calls = []
 
-    def counted_evaluate(problem, regions):
+    def counted_evaluate(problem, regions, starts=None):
         calls.append(1)
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, starts)
 
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     problem, regions, opt = desk_setup(max_iters=8)
