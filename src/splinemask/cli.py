@@ -19,7 +19,7 @@ import numpy as np
 
 from .mesh import MeshError, TriangleQuadrature, triangulate_region
 from .objective import ResistModel, check_target_polygon, rasterize_checked
-from .optics import ImageGrid, OpticalConfig
+from .optics import MAX_REACH, ImageGrid, OpticalConfig, grid_reach
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
 from .pipeline import (
     ImagingProblem,
@@ -165,6 +165,24 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
     return region
 
 
+def _check_reach(grid: ImageGrid, origin_given: bool, regions: list, optical: OpticalConfig) -> None:
+    """Each region must lie within MAX_REACH of every grid sample, the reach the pupil rule is sized for.
+
+    A grid that spans too much is blamed on its pitch. A grid too far from a
+    region is blamed on its origin, or on the region when the origin was
+    fitted to the targets. Reaches too large for a float count as too far.
+    """
+    scaled = _build("grid", GRID_KEYS, lambda: grid.scaled(optical.scale_per_nm))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not grid_reach(scaled, scaled.center) <= MAX_REACH:
+            raise ConfigError("grid.pixel_nm",
+                              f"the grid reaches more than {MAX_REACH:g} wavelength / NA from its center")
+        for i, region in enumerate(regions):
+            if not grid_reach(scaled, optical.normalize_mask(region.controls)) <= MAX_REACH:
+                raise ConfigError("grid.origin_nm" if origin_given else f"regions[{i}]",
+                                  f"regions[{i}] lies more than {MAX_REACH:g} wavelength / NA from the grid")
+
+
 def parse_config(document: dict) -> RunConfig:
     """Validate a JSON object into the domain objects it describes, naming any offending field.
 
@@ -203,6 +221,7 @@ def parse_config(document: dict) -> RunConfig:
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
     regions = [_region(raw, f"regions[{i}]", targets, optical) for i, raw in enumerate(raw_regions)]
+    _check_reach(grid, "origin_nm" in given, regions, optical)
 
     return RunConfig(optical=optical, resist=resist, grid=grid,
                      target_polygons_nm=targets, regions=regions, optimizer=optimizer)

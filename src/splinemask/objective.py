@@ -45,16 +45,20 @@ def check_target_polygon(polygon) -> np.ndarray:
     """A target polygon as an (m, 2) float array, or ValueError if it cannot be one.
 
     It needs at least 3 points, all finite, forming a simple loop (no
-    crossing edges, no repeated point) that encloses a nonzero area.
+    crossing edges, no repeated point) that encloses a nonzero, finite area.
     """
     poly = np.asarray(polygon, dtype=float)
     if len(poly) < 3:
         raise ValueError("polygon needs at least 3 points")
     if not np.isfinite(poly).all():
         raise ValueError("points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = polygon_signed_area(poly)
+    if not math.isfinite(area):
+        raise ValueError("polygon area is not finite")
     if polyline_self_intersects(poly):
         raise ValueError("polygon crosses itself")
-    if polygon_signed_area(poly) == 0.0:
+    if area == 0.0:
         raise ValueError("polygon has zero area")
     return poly
 

@@ -11,9 +11,10 @@ convolution U(x) = sum_q c_q H(x - g_q) equals the pupil integral
 U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df with the mask spectrum
 S(f) = sum_q c_q exp(-2 pi i f.g_q). The integral is evaluated on a polar node
 table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
-2 Re), whose size follows from the largest point-to-pixel distance; on the
-tensor pixel grid the synthesis is one real matrix product and no Bessel
-function is evaluated.
+2 Re) sized by D, the largest point-to-pixel distance: the radial count
+follows from D and each ring's angular count from its own reach r D, so
+inner rings take fewer nodes. On the tensor pixel grid the synthesis is one
+real matrix product and no Bessel function is evaluated.
 
 With c_q the triangle area times the rule weight, S = sum_t A_t H_t where
 H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The rule's
@@ -40,13 +41,23 @@ SMALL_RHO = 1e-6
 
 # Triangle phasor sums (rows x triangles x pupil nodes) per block of node
 # columns in PupilBasis.phasor_blocks: a block holds a few arrays of this
-# many complex values, whatever the size of a line-search trial mesh. At
-# 2**15 the desk forward passes took 2.6 times as long, with about 1200 page
-# faults per call where 2**14 had two.
+# many complex values, whatever the size of a line-search trial mesh. A desk
+# forward pass (210 to 240 nodes) takes 2 to 6 blocks, median 2, with 3 to 5
+# minor page faults per call in a CLI run. At 2**15 it took 1 to 3 blocks but
+# 2.5 times as long, with about 900 page faults per call.
 PHASOR_BLOCK = 2**14
 
+# Angular pupil nodes added to ceil(1.36 pi D) at reach D, on every ring of
+# the rule (`pupil_node_counts`, `pupil_nodes`).
+THETA_MARGIN = 10
+
+# The largest reach D, in units of wavelength / NA, that a configuration may
+# ask of the pupil rule: about 21 um at 193 nm and NA 0.93. The node table
+# there has 61,962 nodes, 1 MB per grid row, and it grows as D ** 2.
+MAX_REACH = 100.0
+
 # Node tables (frequencies and grid-side exponentials) kept, one per
-# (grid, n_r, n_theta); a desk optimize run meets 7 node counts.
+# (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
 GRID_TABLES = 8
 
 
@@ -214,17 +225,23 @@ class AmplitudeField:
 def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (2, K) as rows fx, fy and weights (K,) of the half-disk rule, read-only.
 
-    K = n_r * n_theta nodes: Gauss-Legendre in r on [0, 1] with the weight
-    r dr, times the trapezoid rule on theta in [0, pi) with weight
-    pi / n_theta. The weights carry the factor 2 of the 2 Re that adds the
-    other half of the disk, so for any F with F(-f) = conj(F(f)),
+    Gauss-Legendre in r on [0, 1] with the weight r dr gives n_r rings. Ring
+    i, of radius r_i, takes the trapezoid rule on theta in [0, pi) with
+    n_i = ceil((n_theta - THETA_MARGIN) r_i) + THETA_MARGIN nodes and weight
+    pi / n_i: the angular count of `pupil_node_counts` at the ring's own
+    reach r_i D, since on that ring the exponentials turn through 2 pi r_i D
+    radians around the circle. So n_i <= n_theta and K = sum_i n_i, ring by
+    ring. The weights carry the factor 2 of the 2 Re that adds the other half
+    of the disk, so for any F with F(-f) = conj(F(f)),
     int_{|f| <= 1} F df ~ Re sum_k w_k F(f_k).
     """
     t, w = roots_legendre(n_r)
     r = 0.5 * (t + 1.0)
-    theta = np.arange(n_theta) * (np.pi / n_theta)
-    freqs = np.stack([np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()])
-    weights = np.repeat(w * r * (np.pi / n_theta), n_theta)
+    counts = np.ceil((n_theta - THETA_MARGIN) * r).astype(int) + THETA_MARGIN
+    theta = np.concatenate([np.arange(n) * (np.pi / n) for n in counts])
+    radius = np.repeat(r, counts)
+    freqs = np.stack([radius * np.cos(theta), radius * np.sin(theta)])
+    weights = np.repeat(w * r * (np.pi / counts), counts)
     for table in (freqs, weights):
         table.setflags(write=False)
     return freqs, weights
@@ -241,7 +258,7 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     theta, for D from 0.85 to 11; the margins below clear the largest.
     """
     k = math.pi * distance
-    return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + 10
+    return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + THETA_MARGIN
 
 
 def cis(phase: np.ndarray) -> np.ndarray:
@@ -401,19 +418,25 @@ def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, n
     return freqs, wex, ey
 
 
-def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
-    """Node table and grid exponentials for one region's mesh imaged on `grid`.
+def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
+    """D, the largest distance between one of the points (..., 2) and a sample of `grid`.
 
-    The node count follows from D, the largest distance between a quadrature
-    point and a grid sample (reached at a grid corner), so it depends on the
-    grid and this mesh alone.
+    For each point it is reached at a grid corner.
     """
     center = grid.center
     half = center - grid.origin
-    rel = gauss_points(assemble_tensor(mesh), quad).reshape(-1, 2) - center
-    reach = math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
-    counts = pupil_node_counts(reach)
-    return PupilBasis(mesh.vertices - center, mesh.triangles, quad, *grid_phasors(grid, *counts))
+    rel = points.reshape(-1, 2) - center
+    return math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
+
+
+def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
+    """Node table and grid exponentials for one region's mesh imaged on `grid`.
+
+    The node count follows from D, the grid's reach over the mesh's
+    quadrature points, so it depends on the grid and this mesh alone.
+    """
+    counts = pupil_node_counts(grid_reach(grid, gauss_points(assemble_tensor(mesh), quad)))
+    return PupilBasis(mesh.vertices - grid.center, mesh.triangles, quad, *grid_phasors(grid, *counts))
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,

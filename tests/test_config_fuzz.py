@@ -39,6 +39,8 @@ BOWTIE = [[-100.0, -100.0], [100.0, 100.0], [100.0, -100.0], [-100.0, 100.0], [0
 TINY_SQUARE = (polygon_perimeter_points(np.array(SQUARE), 12) * 5e-12).tolist()  # 1e-9 nm side
 # a target that crosses itself with a nonzero signed area, so only the crossing test rejects it
 PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -80.9]]
+# a simple target of finite corners whose shoelace area overflows to infinity
+HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
 
 
 def explicit_config():
@@ -149,6 +151,9 @@ def test_unknown_nested_key_is_config_error(section):
     ("regions", "square", "regions"),
     ("regions[0]", None, "regions[0]"),  # null leaves out a part, not an entry of a list
     ("target_polygons_nm[0]", None, "target_polygons_nm[0]"),
+    ("target_polygons_nm[0]", HUGE_SQUARE, "target_polygons_nm[0]"),
+    ("grid.pixel_nm", 1e308, "grid.pixel_nm"),  # sample coordinates overflow
+    ("grid.origin_nm", [1e308, 0.0], "grid.origin_nm"),  # squared distances overflow
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -167,6 +172,22 @@ def test_region_from_target_reports_its_keys():
                         "regions[0].num_samples")
     # a simple target too small to mesh is blamed on the region placed on it
     assert_config_error(replaced(doc, "target_polygons_nm[0]", TINY_SQUARE), "regions[0]")
+
+
+def test_grid_reach_is_bounded_before_numerics():
+    # the reach is in wavelength / NA, 193 / 0.93 nm here: a region 90 units
+    # from the grid parses and one 110 units away does not, nor does a grid
+    # whose corners lie 110 units from its center
+    unit = 193.0 / 0.93
+    doc = explicit_config()
+    parse_config(replaced(doc, "grid.origin_nm", [90 * unit, -190.0]))
+    assert_config_error(replaced(doc, "grid.origin_nm", [110 * unit, -190.0]), "grid.origin_nm")
+    side = 110 * unit * 2 / (2**0.5 * 19)
+    assert_config_error(replaced(doc, "grid.pixel_nm", side), "grid.pixel_nm")
+    # with the origin fitted to the targets, the far region is at fault
+    far = replaced(doc, "grid", {"pixel_nm": 20.0})
+    controls = np.array(far["regions"][0]["controls_nm"]) + [110 * unit, 0.0]
+    assert_config_error(replaced(far, "regions[0].controls_nm", controls.tolist()), "regions[0]")
 
 
 def test_root_must_be_an_object():

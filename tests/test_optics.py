@@ -282,6 +282,58 @@ def test_pupil_integral_matches_direct_sum(desk_square, seed, scale, two_regions
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
 
+def test_pupil_integral_matches_direct_sum_over_the_rule_reach(desk_square):
+    # a quarter-size desk square imaged on 5 x 4 px grids placed beside it,
+    # from next to the mask out to the far end of the range the node rule
+    # was fitted on, D from 0.85 to 11
+    cfg, problem, region = desk_square
+    rng = np.random.default_rng(7)
+    moved = region.with_controls(0.25 * region.controls
+                                 + rng.uniform(-0.01, 0.01, region.controls.shape))
+    system = build_region_system(moved, problem)
+    meshes, sens = [system.mesh], [system.sens]
+    points = gauss_points(assemble_tensor(system.mesh), problem.quad)
+    reaches = []
+    for x0 in (0.29, 0.6, 1.0, 2.0, 3.5, 5.0, 7.0, 9.0, 10.5):
+        grid = ImageGrid(5, 4, 0.1, (x0, -0.15))
+        reaches.append(optics.grid_reach(grid, points))
+        u = forward_amplitude(meshes, problem.quad, grid).values
+        assert np.abs(u - direct_forward_amplitude(meshes, problem.quad, grid).values).max() <= 1e-12
+        fields = amplitude_gradient(meshes, problem.quad, grid, sens)
+        for got, want in zip(fields, direct_amplitude_gradient(meshes, problem.quad, grid, sens)):
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+    assert min(reaches) <= 0.85 and max(reaches) >= 11.0
+
+
+@pytest.mark.parametrize("reach", [0.3, 1.0, 2.4, 5.0, 11.0, 40.0])
+def test_pupil_nodes_give_each_ring_the_angular_rule_at_its_radius(reach):
+    n_r, n_theta = optics.pupil_node_counts(reach)
+    freqs, weights = pupil_nodes(n_r, n_theta)
+    fx, fy = freqs
+    # each ring starts at theta = 0, the only node of the ring with fy = 0
+    starts = np.flatnonzero(fy == 0.0)
+    counts = np.diff([*starts, len(fy)])
+    radii = fx[starts]
+    assert len(starts) == n_r
+    assert (counts >= np.ceil(1.36 * np.pi * radii * reach) + optics.THETA_MARGIN).all()
+    assert (counts <= n_theta).all()
+    assert len(weights) == counts.sum() < n_r * n_theta
+    for start, n, r in zip(starts, counts, radii):
+        ring = slice(start, start + n)
+        np.testing.assert_allclose(np.hypot(fx[ring], fy[ring]), r, rtol=1e-15)
+        np.testing.assert_allclose(np.arctan2(fy[ring], fx[ring]), np.arange(n) * np.pi / n,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(weights[ring], weights[start])
+    # twice the half-disk integrals of 1, |f| ** 2 and fx ** 2, exact for this rule
+    np.testing.assert_allclose(weights.sum(), np.pi, rtol=1e-14)
+    np.testing.assert_allclose(weights @ (fx * fx + fy * fy), np.pi / 2, rtol=1e-14)
+    np.testing.assert_allclose(weights @ (fx * fx), np.pi / 4, rtol=1e-14)
+    for table in (freqs, weights):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
 def test_forward_and_gradient_make_no_bessel_call(desk_square, monkeypatch):
     def no_bessel(*args):
         raise AssertionError("Bessel function called")
