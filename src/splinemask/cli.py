@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MeshError, TriangleQuadrature, triangulate_region
+from .mesh import MAX_PROVENANCE_SIZE, MeshError, TriangleQuadrature, refine_mesh, triangulate_region
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import MAX_REACH, ImageGrid, OpticalConfig, grid_reach
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
@@ -128,12 +128,16 @@ def _scalars(document: dict, name: str, cls, keys: dict):
     return _build(name, keys, lambda: cls(**_args(given, keys)))
 
 
-def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> PeriodicSplineRegion:
+def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
+            max_area: float) -> PeriodicSplineRegion:
     """One region in mask-plane nm, from explicit controls or placed on its target.
 
     It must mesh as `build_setup` and `evaluate` will mesh it: a boundary that
     crosses itself or encloses no triangle is blamed on `controls_nm`, or on
-    the region when it was placed on a target.
+    the region when it was placed on a target. Its provenance must stay within
+    MAX_PROVENANCE_SIZE entries: the m x m of its samples, checked before any
+    array of that size is made, and that of its initial mesh refined to
+    `max_area`, which refinement checks before each sweep.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -158,10 +162,17 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
         region = _build(where, keys, lambda: init_controls_from_target(
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
+    if region.num_samples ** 2 > MAX_PROVENANCE_SIZE:
+        raise ConfigError(f"{where}.num_samples", f"{region.num_samples} samples squared is more than "
+                          f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
     try:
-        triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
+        mesh = triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
     except MeshError as exc:
         raise ConfigError(blame, str(exc)) from None
+    try:
+        refine_mesh(mesh, max_area)
+    except MeshError as exc:
+        raise ConfigError("optimizer.refine_area_tol", f"too small for {where}: {exc}") from None
     return region
 
 
@@ -220,7 +231,8 @@ def parse_config(document: dict) -> RunConfig:
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
-    regions = [_region(raw, f"regions[{i}]", targets, optical) for i, raw in enumerate(raw_regions)]
+    regions = [_region(raw, f"regions[{i}]", targets, optical, optimizer.refine_area_tol)
+               for i, raw in enumerate(raw_regions)]
     _check_reach(grid, "origin_nm" in given, regions, optical)
 
     return RunConfig(optical=optical, resist=resist, grid=grid,

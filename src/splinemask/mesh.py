@@ -27,6 +27,10 @@ SLIVER_AREA = 1e-14
 # determinant exceeds this times the fourth power of the loop's extent; the
 # rounding error of the determinant is far below it.
 TIE_RTOL = 1e-12
+# The most provenance entries, vertices x boundary samples, a region's mesh may
+# hold (8 MiB of float64): refinement stops short of it, and a config whose
+# num_samples squared or refined initial mesh passes it is rejected.
+MAX_PROVENANCE_SIZE = 2**20
 
 
 class MeshError(ValueError):
@@ -210,40 +214,35 @@ def _circles_holding_samples(pts: np.ndarray, triangles: np.ndarray, tie: float)
 def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:
     """Split every triangle larger than max_area at its centroid, repeatedly.
 
-    Each insertion appends one vertex whose provenance row is the mean of the
-    parent rows, and replaces the parent with its three children (each a third
-    of the parent's area), so the sweep count is bounded and vertices = W @ Q
-    is preserved exactly.
+    Each vertex is one row [x, y | provenance row], and an inserted vertex is
+    the mean of its parents' rows, so vertices = W @ Q is preserved exactly.
+    A sweep appends the centroids of the triangles it splits, in order, and
+    puts each parent's children (i, j, g), (j, k, g), (k, i, g), each a third
+    of its area, in its place. A sweep that would grow the provenance past
+    MAX_PROVENANCE_SIZE entries raises MeshError before it runs.
     """
     if not 0 < max_area < math.inf:
         raise ValueError("max_area must be positive and finite")
-    vertices = np.array(mesh.vertices, dtype=float)
-    prov = np.array(mesh.provenance, dtype=float)
+    m = mesh.provenance.shape[1]
+    rows = np.concatenate([mesh.vertices, mesh.provenance], axis=1, dtype=float)
     triangles = np.array(mesh.triangles, dtype=np.int64)
 
     while True:
-        # one sweep: every triangle larger than max_area splits, in order
-        split = ~(TriangleTensor(vertices[triangles]).areas() <= max_area)
+        split = ~(TriangleTensor(rows[triangles, :2]).areas() <= max_area)
         if not split.any():
             break
-        parents = triangles[split]
-        i, j, k = parents.T
-        g = len(vertices) + np.arange(len(parents))
-        vertices = np.concatenate([vertices, (vertices[i] + vertices[j] + vertices[k]) / 3.0])
-        prov = np.concatenate([prov, (prov[i] + prov[j] + prov[k]) / 3.0])
-        # a kept triangle stays in place; a split parent gives way to its
-        # three children (i, j, g), (j, k, g), (k, i, g)
+        i, j, k = triangles[split].T
+        size = (len(rows) + len(i)) * m
+        if size > MAX_PROVENANCE_SIZE:
+            raise MeshError(f"refining to area {max_area:g} would hold {size} provenance entries, "
+                            f"more than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE}")
+        g = len(rows) + np.arange(len(i))
+        rows = np.concatenate([rows, (rows[i] + rows[j] + rows[k]) / 3.0])
         width = np.where(split, 3, 1)
-        start = np.cumsum(width) - width
-        out = np.empty((int(width.sum()), 3), dtype=np.int64)
-        out[start[~split]] = triangles[~split]
-        first = start[split]
-        out[first] = np.stack([i, j, g], axis=1)
-        out[first + 1] = np.stack([j, k, g], axis=1)
-        out[first + 2] = np.stack([k, i, g], axis=1)
-        triangles = out
+        triangles = np.repeat(triangles, width, axis=0)
+        triangles[np.repeat(split, width)] = np.stack([i, j, g, j, k, g, k, i, g], axis=1).reshape(-1, 3)
 
-    return ProvenancedMesh(vertices=vertices, triangles=triangles, provenance=prov)
+    return ProvenancedMesh(vertices=rows[:, :2].copy(), triangles=triangles, provenance=rows[:, 2:].copy())
 
 
 @dataclass(frozen=True)

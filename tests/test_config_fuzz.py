@@ -10,6 +10,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from splinemask import cli
 from splinemask.cli import ConfigError, main, parse_config
 from splinemask.geometry import polygon_perimeter_points
+from splinemask.mesh import MAX_PROVENANCE_SIZE
 
 from test_cli import SQUARE, desk_config
 
@@ -41,6 +43,8 @@ TINY_SQUARE = (polygon_perimeter_points(np.array(SQUARE), 12) * 5e-12).tolist() 
 PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -80.9]]
 # a simple target of finite corners whose shoelace area overflows to infinity
 HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
+# the fewest samples whose m x m provenance passes the bound
+TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
 
 
 def explicit_config():
@@ -154,9 +158,39 @@ def test_unknown_nested_key_is_config_error(section):
     ("target_polygons_nm[0]", HUGE_SQUARE, "target_polygons_nm[0]"),
     ("grid.pixel_nm", 1e308, "grid.pixel_nm"),  # sample coordinates overflow
     ("grid.origin_nm", [1e308, 0.0], "grid.origin_nm"),  # squared distances overflow
+    ("regions[0].num_samples", TOO_MANY_SAMPLES, "regions[0].num_samples"),
+    ("optimizer.refine_area_tol", 1e-300, "optimizer.refine_area_tol"),  # 1e300 triangles
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"pixel_nm": 20.0}, "grid.origin_nm"),
+    ({"pixel_nm": 20.0, "origin_nm": [0, 0]}, "grid.nx"),
+])
+def test_grid_without_targets_needs_its_size(grid, field):
+    # with no target to fit the grid to, origin_nm, nx and ny must all be given
+    doc = replaced(explicit_config(), "target_polygons_nm", [])
+    assert_config_error(replaced(doc, "grid", grid), field)
+
+
+@pytest.mark.parametrize("path, value, most", [
+    ("regions[0].num_samples", 20000, 0.125),  # its crossing tests alone would take about 15 GB
+    ("optimizer.refine_area_tol", 1e-300, 2.0),  # refinement goes up to the bound, then stops
+])
+def test_region_work_is_bounded_before_it_is_allocated(path, value, most):
+    # the traced peak, against the bound's 8 bytes per provenance entry
+    doc = replaced(explicit_config(), path, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field_name == path
+    assert peak < most * 8 * MAX_PROVENANCE_SIZE
 
 
 def test_region_from_target_reports_its_keys():
@@ -170,6 +204,7 @@ def test_region_from_target_reports_its_keys():
                         "regions[0].num_controls")
     assert_config_error(replaced(doc, "regions[0]", {"init_from_target": 0, "num_controls": 12}),
                         "regions[0].num_samples")
+    assert_config_error(replaced(doc, "regions[0].num_samples", TOO_MANY_SAMPLES), "regions[0].num_samples")
     # a simple target too small to mesh is blamed on the region placed on it
     assert_config_error(replaced(doc, "target_polygons_nm[0]", TINY_SQUARE), "regions[0]")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from math import factorial
 
 import numpy as np
@@ -13,6 +15,7 @@ from splinemask.geometry import (
     polyline_self_intersects,
 )
 from splinemask.mesh import (
+    MAX_PROVENANCE_SIZE,
     MeshError,
     ProvenancedMesh,
     SelfIntersectionError,
@@ -30,6 +33,7 @@ from splinemask.pipeline import build_region_system
 from splinemask.spline import sample_boundary
 
 from conftest import desk_square_problem, square_region
+from refine_loop import depth_first_refine
 
 
 # -- independent oracle: analytic monomial integral over a triangle ---------------
@@ -160,10 +164,44 @@ def test_refine_rejects_bad_tolerance(max_area):
         refine_mesh(mesh, max_area)
 
 
+def test_refine_stops_at_the_provenance_bound_before_allocating():
+    # one triangle over 128 samples, laid many times: a single sweep at half
+    # its area appends one vertex per copy, so 8064 copies reach exactly
+    # 8192 x 128 = MAX_PROVENANCE_SIZE entries and one more copy passes it
+    theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
+    samples = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    area = signed_area(samples[0], samples[43], samples[86])
+    mesh = ProvenancedMesh(samples, np.array([[0, 43, 86]] * 8064), np.eye(128))
+    assert (128 + 8064) * 128 == MAX_PROVENANCE_SIZE
+    assert refine_mesh(mesh, area / 2).provenance.shape == (128 + 8064, 128)
+    # the sweep past the bound would make 8065 more rows of 130 floats; the
+    # raise comes before it, with a quarter of the bound's bytes at most in use
+    mesh = replace(mesh, triangles=np.array([[0, 43, 86]] * 8065))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshError, match="MAX_PROVENANCE_SIZE"):
+            refine_mesh(mesh, area / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MAX_PROVENANCE_SIZE / 4
+    # a tolerance far below every area raises too, after the sweeps that fit
+    with pytest.raises(MeshError, match="MAX_PROVENANCE_SIZE"):
+        refine_mesh(triangulate_region(square_samples(24)), 1e-300)
+
+
 def test_moved_mesh_keeps_provenance_exact():
     mesh = refine_mesh(triangulate_region(square_samples(12)), 0.01)
     shifted = mesh.with_boundary(mesh.boundary + np.array([0.3, -0.1]))
     assert np.abs(shifted.vertices - shifted.provenance @ shifted.boundary).max() == 0.0
+
+
+@pytest.mark.parametrize("samples", [square_samples(13), square_samples(12).T, square_samples(12)[:, :1]],
+                         ids=["more samples", "transposed", "one coordinate"])
+def test_moved_mesh_needs_boundary_of_the_same_shape(samples):
+    mesh = refine_mesh(triangulate_region(square_samples(12)), 0.01)
+    with pytest.raises(ValueError, match="rebuild the mesh"):
+        mesh.with_boundary(samples)
 
 
 def test_assemble_tensor_matches_indexing():
@@ -434,6 +472,22 @@ def random_meshes(draw):
     return mesh, largest * draw(st.floats(0.01, 2.0))
 
 
+def assert_refines_as_depth_first(mesh, max_area):
+    """refine_mesh and the depth-first oracle give the same triangles, bit for bit.
+
+    Gathering coordinates and provenance rows through the triangles ignores
+    how the inserted vertices are numbered; the given vertices keep theirs.
+    """
+    refined = refine_mesh(mesh, max_area)
+    vertices, triangles, provenance = depth_first_refine(mesh, max_area)
+    assert np.array_equal(refined.vertices[refined.triangles], vertices[triangles])
+    assert np.array_equal(refined.provenance[refined.triangles], provenance[triangles])
+    given = len(mesh.vertices)
+    assert np.array_equal(refined.vertices[:given], vertices[:given])
+    assert np.array_equal(refined.provenance[:given], provenance[:given])
+    assert len(refined.vertices) == len(vertices)
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_meshes())
 def test_refine_mesh_matches_loop_reference(case):
@@ -445,6 +499,7 @@ def test_refine_mesh_matches_loop_reference(case):
     assert np.array_equal(refined.provenance, provenance)
     assert refined.triangles.dtype == np.int64
     assert np.array_equal(refined.boundary, mesh.boundary)
+    assert_refines_as_depth_first(mesh, max_area)
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,6 +519,14 @@ def test_refine_mesh_matches_loop_reference_on_region_meshes(m, wobble, fraction
     assert np.array_equal(refined.vertices, vertices)
     assert np.array_equal(refined.triangles, triangles)
     assert np.array_equal(refined.provenance, provenance)
+    assert_refines_as_depth_first(mesh, max_area)
+
+
+@pytest.mark.parametrize("num_controls, num_samples, max_area", [(12, 24, 0.02), (40, 100, 0.01)],
+                         ids=["desk", "full"])
+def test_refine_mesh_matches_depth_first_on_initial_meshes(num_controls, num_samples, max_area):
+    region = square_region(num_controls, num_samples)
+    assert_refines_as_depth_first(triangulate_region(sample_boundary(region)), max_area)
 
 
 # -- the whole geometry chain: spline -> samples -> Delaunay -> refinement ------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from splinemask.geometry import polygon_signed_area
-from splinemask.mesh import SelfIntersectionError
+from splinemask.mesh import MeshError, SelfIntersectionError
 from splinemask.optimizer import (
     FLOAT_SPACINGS,
     GOLDEN,
@@ -263,6 +263,31 @@ def test_step_takes_a_lower_bracket_trial_over_golden_sections(monkeypatch):
     new_state, alpha = step(state, problem, OptimizerConfig())
     assert new_state.objective < state.objective
     assert distinct(evaluated + [alpha]) == len(evaluated)
+
+
+def test_step_scores_a_trial_that_cannot_mesh_as_infeasible(monkeypatch):
+    """A trial whose mesh raises MeshError scores +inf; the step taken is a feasible one below J."""
+    from splinemask import optimizer
+
+    cfg, problem = desk_square_problem()
+    state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
+    _, free = step(state, problem, OptimizerConfig())
+    limit = 0.5 * free
+    evaluated = record_trial_steps(monkeypatch)
+    recorded = optimizer.evaluate
+
+    def meshes_only_short_steps(problem, regions, starts=None):
+        evaluation = recorded(problem, regions, starts)
+        if evaluated[-1] > limit:
+            raise MeshError("stand-in for a trial that cannot mesh")
+        return evaluation
+
+    monkeypatch.setattr(optimizer, "evaluate", meshes_only_short_steps)
+    new_state, alpha = step(state, problem, OptimizerConfig())
+    assert any(a > limit for a in evaluated)
+    assert 0 < alpha <= limit
+    assert new_state.evaluation is not None
+    assert new_state.objective < state.objective
 
 
 def test_step_builds_the_sensitivity_only_for_the_gradient(monkeypatch):
