@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .mesh import MAX_PROVENANCE_SIZE, MeshError, TriangleQuadrature, refine_mesh, triangulate_region
 from .objective import ResistModel, check_target_polygon, rasterize_checked
-from .optics import MAX_REACH, ImageGrid, OpticalConfig, grid_reach
+from .optics import MAX_PIXELS, MAX_REACH, ImageGrid, OpticalConfig, grid_reach
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
 from .pipeline import (
     ImagingProblem,
@@ -135,9 +136,10 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
     It must mesh as `build_setup` and `evaluate` will mesh it: a boundary that
     crosses itself or encloses no triangle is blamed on `controls_nm`, or on
     the region when it was placed on a target. Its provenance must stay within
-    MAX_PROVENANCE_SIZE entries: the m x m of its samples, checked before any
-    array of that size is made, and that of its initial mesh refined to
-    `max_area`, which refinement checks before each sweep.
+    MAX_PROVENANCE_SIZE entries: the m x m of its samples and the m x n of
+    its collocation matrix, both checked before the region is built, and
+    that of its initial mesh refined to `max_area`, which refinement checks
+    before each sweep.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -145,6 +147,15 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
     source = raw.get("init_from_target")
     if ("controls_nm" in raw) == (source is not None):
         raise ConfigError(where, "needs exactly one of controls_nm and init_from_target")
+    m = raw["num_samples"]
+    if m > math.isqrt(MAX_PROVENANCE_SIZE):
+        raise ConfigError(f"{where}.num_samples", f"{m} samples squared is more than "
+                          f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
+    count_key = "controls_nm" if source is None else "num_controls"
+    count = len(raw["controls_nm"]) if source is None else raw.get("num_controls", 0)
+    if m > 0 and m * count > MAX_PROVENANCE_SIZE:
+        raise ConfigError(f"{where}.{count_key}", f"{count} controls times {m} samples is more than "
+                          f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} collocation entries")
     shape = {key: raw[key] for key in ("num_samples", "degree") if key in raw}
     keys = {"num_samples": "num_samples", "degree": "degree"}
     if source is None:
@@ -162,9 +173,6 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
         region = _build(where, keys, lambda: init_controls_from_target(
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
-    if region.num_samples ** 2 > MAX_PROVENANCE_SIZE:
-        raise ConfigError(f"{where}.num_samples", f"{region.num_samples} samples squared is more than "
-                          f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
     try:
         mesh = triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
     except MeshError as exc:
@@ -227,6 +235,11 @@ def parse_config(document: dict) -> RunConfig:
     if "margin" in given and {"nx", "ny", "origin_nm"} <= given.keys():
         raise ConfigError("grid.margin", "no effect when nx, ny and origin_nm are all given")
     grid = _build("grid", GRID_KEYS, lambda: ImageGrid.for_polygons(targets, **_args(given, GRID_KEYS)))
+    if grid.nx * grid.ny > MAX_PIXELS:
+        # the larger side is at fault: as given, or as fitted to the targets at the given pitch
+        side = "nx" if grid.nx >= grid.ny else "ny"
+        raise ConfigError(f"grid.{side}" if side in given else "grid.pixel_nm",
+                          f"a {grid.nx} x {grid.ny} grid has more than MAX_PIXELS = {MAX_PIXELS} samples")
 
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):

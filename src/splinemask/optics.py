@@ -22,7 +22,10 @@ points have integer barycentric numerators, so from the vertex phasors (one
 cos/sin pair per vertex and node) each H_t takes a few complex multiplies and
 no phasor of a single point is formed. `PupilBasis.phasor_blocks` makes these
 sums, for the forward image and the gradient alike, a block of node columns
-at a time; the node table is cached per grid and node count.
+at a time and in two steps: vertex phasors, then triangle sums from them. The
+node table is cached per grid and node count. A `PhasorCache` keeps one
+region's phasors, so that an image of the region with a few vertices moved
+repeats the two steps only for those vertices and the triangles they touch.
 """
 from __future__ import annotations
 
@@ -55,6 +58,13 @@ THETA_MARGIN = 10
 # ask of the pupil rule: about 21 um at 193 nm and NA 0.93. The node table
 # there has 61,962 nodes, 1 MB per grid row, and it grows as D ** 2.
 MAX_REACH = 100.0
+
+# The most samples, nx * ny, a configuration may ask of the image grid: 1024
+# x 1024. Each (nx, ny) float64 image array is then at most 8 MiB, and the
+# gradient synthesizes 2n of them per region for n controls. On a square grid
+# the node tables wex and ey, (nx, K) complex and (ny, 2K) float, then hold at
+# most 16 bytes x 1024 x K each: 1 GiB at MAX_REACH, where K = 61,962.
+MAX_PIXELS = 2**20
 
 # Node tables (frequencies and grid-side exponentials) kept, one per
 # (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
@@ -173,10 +183,14 @@ class ImageGrid:
         span = hi - lo
         lo = lo - margin * span
         hi = hi + margin * span
+        with np.errstate(over="ignore"):
+            steps = np.ceil((hi - lo) / pitch)
+        if not np.isfinite(steps).all():
+            raise ValueError("pitch is too small: the samples across the polygons overflow a float")
         if nx is None:
-            nx = max(2, int(np.ceil((hi[0] - lo[0]) / pitch)) + 1)
+            nx = max(2, int(steps[0]) + 1)
         if ny is None:
-            ny = max(2, int(np.ceil((hi[1] - lo[1]) / pitch)) + 1)
+            ny = max(2, int(steps[1]) + 1)
         if origin is None:
             # center the lattice on the grown box
             cx, cy = (lo + hi) / 2.0
@@ -274,28 +288,33 @@ def cis(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """coef @ h for real coef (..., T) and complex h (T, b): two real products, one per part."""
+    return (coef @ h.view(np.float64)).view(complex)
+
+
+@lru_cache(maxsize=4)  # a run uses one rule
+def _horner_plan(numerators: tuple) -> tuple[list, list, list, int]:
+    """How `PupilBasis.triangle_sums` factors the points of a rule with these numerators (3 x N_G).
+
+    The powers m of u from the top down, the steps between them, per power
+    its points with their leftover (slot, power) factors, and the largest
+    leftover power.
+    """
+    points = list(zip(*numerators))
+    levels = sorted({min(n) for n in points}, reverse=True)
+    steps = [0] + [above - m for above, m in zip(levels, levels[1:])]
+    groups = [[(q, [(j, nj - m) for j, nj in enumerate(n) if nj > m])
+               for q, n in enumerate(points) if min(n) == m] for m in levels]
+    return levels, steps, groups, max(max(n) - min(n) for n in points)
+
+
 def _powers(x: np.ndarray, top: int) -> list:
     """[1, x, x ** 2, ..., x ** top], each power the one below times x."""
     table = [1.0, x]
     for _ in range(top - 1):
         table.append(table[-1] * x)
     return table
-
-
-def _point_factor(weight: float, factors: list, zpow: list, triangles: np.ndarray):
-    """weight * prod_j z[t_j] ** e over a point's leftover (slot j, power e) factors, (T, b).
-
-    `zpow[e]` is the vertex table z ** e. The bare weight when the point has
-    no factor. The weight scales the vertex table, which is smaller than the
-    gathered one.
-    """
-    if not factors:
-        return weight
-    (j, e), *others = factors
-    out = (weight * zpow[e]).take(triangles[:, j], axis=0)
-    for j, e in others:
-        out *= zpow[e].take(triangles[:, j], axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -318,49 +337,76 @@ class PupilBasis:
     wex: np.ndarray
     ey: np.ndarray
 
-    def phasor_blocks(self, point_weights: np.ndarray):
-        """Yield (cols, sums) over blocks of node columns: sums[r, t] = sum_q point_weights[r, q] E_tq.
+    def vertex_phasors(self, cols: slice, rows: np.ndarray | None = None) -> np.ndarray:
+        """z_v = exp(-2 pi i f . v / d) at the node columns `cols`, (V, b), for the vertices `rows` or all.
+
+        d is the rule's denominator. The phase product always runs over every
+        vertex: a BLAS product of only some rows can round them differently,
+        and each z_v must be the same whichever rows are asked for.
+        """
+        phase = self.vertices @ self.freqs[:, cols]
+        scale = -2.0 * np.pi / self.quad.denominator
+        return cis(scale * (phase if rows is None else phase[rows]))
+
+    def triangle_sums(self, point_weights: np.ndarray, z: np.ndarray,
+                      triangles: np.ndarray) -> np.ndarray:
+        """sums[r, t] = sum_q point_weights[r, q] E_tq for the given triangles, (R, T, b).
 
         E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t,
-        and sums is (R, T, b) for the b node columns `cols`. Point q is
-        g = sum_j (n_jq / d) v_t_j with the rule's integer numerators n and
-        denominator d, so with the vertex phasors z_v = exp(-2 pi i f . v / d)
-        (one cos/sin pair per vertex and node) and the triangle product
+        and `triangles` index the rows of `z`, vertex phasors from
+        `vertex_phasors`. Point q is g = sum_j (n_jq / d) v_t_j with the rule's
+        integer numerators n and denominator d, so with the triangle product
         u_t = z_a z_b z_c, E_tq = u_t ** m_q prod_j z_t_j ** (n_jq - m_q) with
         m_q = min_j n_jq. For degree 3 the centroid is u ** 5 and point j is
         u ** 3 z_j ** 6. The sums take Horner's rule in u over the distinct
-        m_q, so no (T, N_G, b) point-phasor array is formed. A block holds
-        about PHASOR_BLOCK triangle sums.
+        m_q, so no (T, N_G, b) point-phasor array is formed, and each distinct
+        weighted power table w z ** e is formed once for all points and rows.
+        Every entry is elementwise arithmetic on the phasors of its own
+        triangle's vertices, so it is the same whichever triangles are asked for.
         """
-        # the powers m of u from the top down, the steps between them, and
-        # per power its points with their leftover (slot, power) factors
-        points = list(zip(*self.quad.numerators.tolist()))
-        levels = sorted({min(n) for n in points}, reverse=True)
-        steps = [0] + [above - m for above, m in zip(levels, levels[1:])]
-        groups = [[(q, [(j, nj - m) for j, nj in enumerate(n) if nj > m])
-                   for q, n in enumerate(points) if min(n) == m] for m in levels]
-        tri = self.triangles
-        nt, k = len(tri), self.freqs.shape[1]
+        levels, steps, groups, top = _horner_plan(tuple(map(tuple, self.quad.numerators.tolist())))
+        zpow = _powers(z, top)
+        u = z.take(triangles[:, 0], axis=0)
+        u *= z.take(triangles[:, 1], axis=0)
+        u *= z.take(triangles[:, 2], axis=0)
+        upow = _powers(u, max(levels[-1], *steps))
+        tables = {}  # (w, e) -> w * z ** e
+
+        def point_factor(weight, factors):
+            """weight * prod_j z[t_j] ** e over a point's leftover factors, (T, b); without any, weight."""
+            if not factors:
+                return weight
+            (j, e), *others = factors
+            if (weight, e) not in tables:
+                tables[weight, e] = weight * zpow[e]
+            out = tables[weight, e].take(triangles[:, j], axis=0)
+            for j, e in others:
+                out *= zpow[e].take(triangles[:, j], axis=0)
+            return out
+
+        sums = np.empty((len(point_weights), len(triangles), z.shape[1]), dtype=complex)
+        for weights, out in zip(point_weights, sums):
+            # Horner's rule in u: scale by u ** (the step down), add the level's points
+            acc = 0.0
+            for group, step in zip(groups, steps):
+                acc *= upow[step]
+                for q, factors in group:
+                    acc += point_factor(weights[q], factors)
+            np.multiply(upow[levels[-1]], acc, out=out)
+        return sums
+
+    def phasor_blocks(self, point_weights: np.ndarray):
+        """Yield (cols, z, sums) over blocks of node columns: both steps above for the whole mesh.
+
+        z is `vertex_phasors` (V, b) and sums is `triangle_sums` (R, T, b) for
+        the b node columns `cols`. A block holds about PHASOR_BLOCK triangle sums.
+        """
+        nt, k = len(self.triangles), self.freqs.shape[1]
         width = max(1, PHASOR_BLOCK // (len(point_weights) * nt))
-        scale = -2.0 * np.pi / self.quad.denominator
         for start in range(0, k, width):
             cols = slice(start, start + width)
-            z = cis(scale * (self.vertices @ self.freqs[:, cols]))  # (V, b)
-            zpow = _powers(z, max(max(n) - min(n) for n in points))
-            u = z.take(tri[:, 0], axis=0)
-            u *= z.take(tri[:, 1], axis=0)
-            u *= z.take(tri[:, 2], axis=0)
-            upow = _powers(u, max(levels[-1], *steps))
-            sums = np.empty((len(point_weights), nt, z.shape[1]), dtype=complex)
-            for weights, out in zip(point_weights, sums):
-                # Horner's rule in u: scale by u ** (the step down), add the level's points
-                acc = 0.0
-                for group, step in zip(groups, steps):
-                    acc *= upow[step]
-                    for q, factors in group:
-                        acc += _point_factor(weights[q], factors, zpow, tri)
-                np.multiply(upow[levels[-1]], acc, out=out)
-            yield cols, sums
+            z = self.vertex_phasors(cols)
+            yield cols, z, self.triangle_sums(point_weights, z, self.triangles)
 
     def spectrum(self, coef: np.ndarray) -> np.ndarray:
         """S_k = sum_t coef[..., t] H_tk, (..., T) real -> (..., K) complex.
@@ -370,9 +416,8 @@ class PupilBasis:
         c_tq = coef_t w_q; area coefficients give the forward spectrum.
         """
         out = np.empty((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
-        for cols, (h,) in self.phasor_blocks(self.quad.weights[None]):
-            # a real coefficient times a complex phasor is two real products
-            out[..., cols] = (coef @ h.view(np.float64)).view(complex)
+        for cols, _, (h,) in self.phasor_blocks(self.quad.weights[None]):
+            out[..., cols] = _real_times(coef, h)
         return out
 
     def slot_spectra(self, coef: np.ndarray, slot_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,9 +432,9 @@ class PupilBasis:
         area = np.empty((*coef.shape[:-1], k), dtype=complex)
         slot = np.empty((*slot_coef.shape[:-2], k), dtype=complex)
         flat = slot_coef.reshape(*slot_coef.shape[:-2], -1)
-        for cols, g in self.phasor_blocks(self.quad.weights * self.quad.barycentric):
-            area[..., cols] = (coef @ g.sum(axis=0).view(np.float64)).view(complex)
-            slot[..., cols] = (flat @ g.reshape(-1, g.shape[2]).view(np.float64)).view(complex)
+        for cols, _, g in self.phasor_blocks(self.quad.weights * self.quad.barycentric):
+            area[..., cols] = _real_times(coef, g.sum(axis=0))
+            slot[..., cols] = _real_times(flat, g.reshape(-1, g.shape[2]))
         return area, slot
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
@@ -439,17 +484,97 @@ def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid
     return PupilBasis(mesh.vertices - grid.center, mesh.triangles, quad, *grid_phasors(grid, *counts))
 
 
+def _amplitude(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
+    """One region's amplitude on `grid`, (nx, ny): the pupil integral of its area spectrum."""
+    basis = pupil_basis(mesh, quad, grid)
+    return basis.synthesize(basis.spectrum(mesh.areas()))
+
+
+class PhasorCache:
+    """One region's pupil phasors at its base coordinates, kept for images of moved copies of its mesh.
+
+    The first `forward_amplitude` pass given the cache images the mesh in full
+    and keeps, per block of node columns, its vertex phasors and triangle
+    phasor sums. A later pass given it images a copy of that mesh with the
+    same triangles and some vertices moved, such as a finite-difference bump.
+    It forms phasors only for the moved vertices and sums only for the
+    triangles that touch them, and takes the other rows from the base. Each
+    row is elementwise arithmetic on the same values either way, and the
+    spectrum product and the synthesis run on whole arrays as in a full pass,
+    so the image is bit for bit the one a full pass gives. A copy whose pupil
+    node count differs from the base's is imaged in full. The cache holds
+    K (V + T) complex values for a mesh of V vertices and T triangles on K
+    pupil nodes.
+    """
+
+    def __init__(self):
+        self._base = None
+
+    def amplitude(self, mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
+        """The mesh's amplitude on `grid`, (nx, ny); the first call fixes the base mesh, quad and grid.
+
+        The first call images its mesh in full, then goes on as for a copy in
+        which nothing moved.
+        """
+        if self._base is None:
+            basis = pupil_basis(mesh, quad, grid)
+            blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(quad.weights[None])]
+            reach = grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))
+            # how far a quadrature point moves per unit of vertex move, and an
+            # allowance far above the rounding of D
+            spread = float(np.abs(quad.barycentric).sum(axis=0).max())
+            slack = 1e-12 * (1.0 + reach + float(np.abs(mesh.vertices).max()))
+            self._base = mesh, quad, grid, reach, pupil_node_counts(reach), spread, slack, basis, blocks
+        base, base_quad, base_grid, reach, counts, spread, slack, basis, blocks = self._base
+        if quad is not base_quad or grid != base_grid or not np.array_equal(mesh.triangles, base.triangles):
+            raise ValueError("a PhasorCache images copies of its first mesh on its first grid and rule")
+
+        # D is 1-Lipschitz in each quadrature point, and the node counts rise
+        # with D, so counts that hold at both ends of the interval the moved
+        # points can take D to hold at the copy's D; otherwise that D is found
+        # as `pupil_basis` finds it
+        shift = spread * float(np.abs(mesh.vertices - base.vertices).sum(axis=1).max()) + slack
+        if not pupil_node_counts(reach - shift) == counts == pupil_node_counts(reach + shift):
+            if pupil_node_counts(grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))) != counts:
+                return _amplitude(mesh, quad, grid)
+
+        moved = (mesh.vertices != base.vertices).any(axis=1)
+        touched = moved[mesh.triangles].any(axis=1)
+        # the touched triangles over their own vertices, and which of those moved
+        tri = mesh.triangles[touched]
+        used = np.zeros(len(moved), dtype=bool)
+        used[tri] = True
+        local = np.flatnonzero(used)
+        tri = (np.cumsum(used) - 1)[tri]
+        fresh = np.flatnonzero(moved[local])
+        basis = replace(basis, vertices=mesh.vertices - grid.center)
+        coef = mesh.areas()
+        spectrum = np.empty(basis.freqs.shape[1], dtype=complex)
+        for cols, z, h in blocks:
+            z = z[local]
+            z[fresh] = basis.vertex_phasors(cols, local[fresh])
+            # the copy's sums stand in for the base's rows while the product runs,
+            # which spares a (T, b) copy per block
+            kept = h[touched]
+            h[touched] = basis.triangle_sums(quad.weights[None], z, tri)[0]
+            try:
+                spectrum[cols] = _real_times(coef, h)
+            finally:
+                h[touched] = kept
+        return basis.synthesize(spectrum)
+
+
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
-                      grid: ImageGrid) -> AmplitudeField:
+                      grid: ImageGrid, caches: list[PhasorCache | None] | None = None) -> AmplitudeField:
     """Aerial amplitude: triangle-quadrature convolution of all regions with the kernel.
 
     U(x) = sum over regions, triangles p, quadrature points q of
     w_q * H(x - g_pq) * |S_p|, evaluated per region as the pupil integral of
     the region's spectrum. Meshes and grid must already be in normalized
-    coordinates. Summation order is fixed for reproducibility.
+    coordinates. Summation order is fixed for reproducibility. `caches`, one
+    per mesh, image a mesh through its `PhasorCache`, bit for bit as without.
     """
     u = np.zeros((grid.nx, grid.ny))
-    for mesh in meshes:
-        basis = pupil_basis(mesh, quad, grid)
-        u += basis.synthesize(basis.spectrum(mesh.areas()))
+    for mesh, cache in zip(meshes, caches or [None] * len(meshes), strict=True):
+        u += _amplitude(mesh, quad, grid) if cache is None else cache.amplitude(mesh, quad, grid)
     return AmplitudeField(u)

@@ -18,7 +18,7 @@ import numpy as np
 from .gradient import amplitude_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, refine_mesh, triangulate_region
 from .objective import ResistModel, objective_gradient, objective_value, print_and_epe
-from .optics import AmplitudeField, ImageGrid, forward_amplitude
+from .optics import AmplitudeField, ImageGrid, PhasorCache, forward_amplitude
 from .spline import PeriodicSplineRegion, build_collocation
 
 
@@ -113,17 +113,21 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     """Central finite differences of J at frozen topology; the oracle twin of gradient_of.
 
     A bump of region r moves only region r's mesh, so each region is imaged
-    once at the base controls and each bump re-images region r alone. The
-    region fields are added from zeros in region order, as
-    `forward_amplitude` adds them, so every J is bitwise the one
-    `evaluate_frozen` gives for the same controls.
+    once at the base controls, through a `PhasorCache`, and each bump
+    re-images region r alone. Within it, a bump moves only the vertices whose
+    provenance reaches the bumped control's samples: the cache forms phasors
+    for those vertices and triangle sums for the triangles that touch them,
+    and takes the rest from the base image. The region fields are added from
+    zeros in region order, as `forward_amplitude` adds them, so every J is
+    bitwise the one `evaluate_frozen` gives for the same controls.
     """
     systems = evaluation.systems
     controls = [s.region.controls.copy() for s in systems]
+    caches = [PhasorCache() for _ in systems]
 
     def image(r: int, region_controls: np.ndarray) -> np.ndarray:
         return forward_amplitude([systems[r].moved(region_controls).mesh],
-                                 problem.quad, problem.grid).values
+                                 problem.quad, problem.grid, [caches[r]]).values
 
     alone = [image(r, c) for r, c in enumerate(controls)]
 

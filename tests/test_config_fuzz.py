@@ -22,6 +22,7 @@ from splinemask import cli
 from splinemask.cli import ConfigError, main, parse_config
 from splinemask.geometry import polygon_perimeter_points
 from splinemask.mesh import MAX_PROVENANCE_SIZE
+from splinemask.optics import MAX_PIXELS
 
 from test_cli import SQUARE, desk_config
 
@@ -45,6 +46,8 @@ PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -
 HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
 # the fewest samples whose m x m provenance passes the bound
 TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
+# the fewest controls whose collocation matrix with the test configs' 24 samples passes it
+TOO_MANY_CONTROLS = MAX_PROVENANCE_SIZE // 24 + 1
 
 
 def explicit_config():
@@ -160,6 +163,13 @@ def test_unknown_nested_key_is_config_error(section):
     ("grid.origin_nm", [1e308, 0.0], "grid.origin_nm"),  # squared distances overflow
     ("regions[0].num_samples", TOO_MANY_SAMPLES, "regions[0].num_samples"),
     ("optimizer.refine_area_tol", 1e-300, "optimizer.refine_area_tol"),  # 1e300 triangles
+    ("grid", {"pixel_nm": 0.05}, "grid.pixel_nm"),  # fitted to 5601 x 5601
+    ("grid.nx", MAX_PIXELS, "grid.nx"),
+    ("grid.ny", MAX_PIXELS, "grid.ny"),
+    ("grid", {"pixel_nm": 20.0, "nx": MAX_PIXELS}, "grid.nx"),  # ny fitted, nx at fault
+    ("grid", {"pixel_nm": 1e-320}, "grid.pixel_nm"),  # the fitted sample count overflows
+    ("regions[0].controls_nm", polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist(),
+     "regions[0].controls_nm"),
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -191,6 +201,43 @@ def test_region_work_is_bounded_before_it_is_allocated(path, value, most):
         tracemalloc.stop()
     assert info.value.field_name == path
     assert peak < most * 8 * MAX_PROVENANCE_SIZE
+
+
+def traced_peak(doc) -> int:
+    """The traced memory peak, in bytes, of parse_config on doc until it raises its ConfigError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collocation_size_is_bounded_before_it_is_allocated():
+    # one control past the bound is refused before the m x n matrix exists,
+    # placed on a target or listed; at the bound the desk region parses
+    doc = desk_config()
+    placed = replaced(doc, "regions[0].num_controls", TOO_MANY_CONTROLS)
+    listed = replaced(explicit_config(), "regions[0].controls_nm",
+                      polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist())
+    for case, field in ((placed, "regions[0].num_controls"), (listed, "regions[0].controls_nm")):
+        assert_config_error(case, field)
+        assert traced_peak(case) < 2**20
+    parse_config(replaced(doc, "regions[0].num_controls", TOO_MANY_CONTROLS - 1))
+
+
+def test_grid_size_is_bounded_before_numerics():
+    # MAX_PIXELS samples parse, one row more does not, and a fitted grid is
+    # refused before any (nx, ny) array exists
+    doc = explicit_config()
+    side = math.isqrt(MAX_PIXELS)
+    square = replaced(doc, "grid", {"nx": side, "ny": side, "pixel_nm": 1.0,
+                                    "origin_nm": [-side / 2, -side / 2]})
+    grid = parse_config(square).grid
+    assert grid.nx * grid.ny == MAX_PIXELS
+    assert_config_error(replaced(square, "grid.ny", side + 1), "grid.ny")
+    assert traced_peak(replaced(doc, "grid", {"pixel_nm": 0.05})) < 2**16  # 5601 x 5601
 
 
 def test_region_from_target_reports_its_keys():

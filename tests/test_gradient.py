@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
+from splinemask import optics
 from splinemask.gradient import amplitude_gradient, area_gradient, sensitivity
 from splinemask.mesh import (
     ProvenancedMesh,
@@ -320,6 +321,79 @@ def test_finite_differences_match_full_reimaging_bitwise(desk_square):
     want = frozen_difference_gradient(problem, evaluation)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def two_regions(region, jitter=0.0):
+    """The desk square shrunk into two regions side by side, each control moved by `jitter`."""
+    return [region.with_controls(0.5 * region.controls - [0.25, 0.0] + jitter),
+            region.with_controls(0.4 * region.controls + [0.3, 0.1] - jitter)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_square, seed):
+    # up to 0.03 normalized units per control coordinate, mirrored in the second region
+    cfg, problem, region = desk_square
+    jitter = np.random.default_rng(seed).uniform(-0.03, 0.03, region.controls.shape)
+    evaluation = evaluate(problem, two_regions(region, jitter))
+    got = finite_difference_gradient(problem, evaluation)
+    want = frozen_difference_gradient(problem, evaluation)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(desk_square, monkeypatch):
+    # bumps of 0.2 units move two of the 96 meshes across a pupil node count
+    cfg, problem, region = desk_square
+    evaluation = evaluate(problem, two_regions(region))
+    bases, reaches = [], []
+    basis, grid_reach = optics.pupil_basis, optics.grid_reach
+    monkeypatch.setattr(optics, "pupil_basis", lambda *args: bases.append(1) or basis(*args))
+    monkeypatch.setattr(optics, "grid_reach", lambda *args: reaches.append(1) or grid_reach(*args))
+    got = finite_difference_gradient(problem, evaluation, step=0.2)
+    # one basis per region for the cached base images, then one per full re-imaging
+    assert len(bases) == 2 + 2
+    # D is found anew for the bumps that may cross a count, and most of those keep it
+    exact = len(reaches) - len(bases) - 2
+    assert exact > 2 * (len(bases) - 2)
+    want = frozen_difference_gradient(problem, evaluation, step=0.2)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_a_bump_forms_phasors_only_for_the_vertices_it_moves(desk_square, monkeypatch):
+    cfg, problem, region = desk_square
+    system = evaluate(problem, [region]).systems[0]
+    base = system.moved(region.controls).mesh
+    cache = optics.PhasorCache()
+    forward_amplitude([base], QUAD, problem.grid, [cache])
+    nodes = optics.pupil_basis(base, QUAD, problem.grid).freqs.shape[1]
+    phasors, sums = [], []
+    cis, triangle_sums = optics.cis, optics.PupilBasis.triangle_sums
+    monkeypatch.setattr(optics, "cis", lambda phase: phasors.append(phase.size) or cis(phase))
+    monkeypatch.setattr(optics.PupilBasis, "triangle_sums",
+                        lambda self, w, z, tri: sums.append(len(tri)) or triangle_sums(self, w, z, tri))
+    # each control bump, then single vertices moved: a BLAS product of one row
+    # rounds differently from the same row inside the whole vertex product
+    meshes = [system.moved(region.controls + 1e-6 * np.eye(region.n)[k][:, None]).mesh
+              for k in range(region.n)]
+    for v in (0, len(base.vertices) // 2, len(base.vertices) - 1):
+        vertices = base.vertices.copy()
+        vertices[v] += [1e-3, -2e-3]
+        meshes.append(ProvenancedMesh(vertices, base.triangles, base.provenance))
+    for mesh in meshes:
+        phasors.clear()
+        sums.clear()
+        got = forward_amplitude([mesh], QUAD, problem.grid, [cache]).values
+        moved = (mesh.vertices != base.vertices).any(axis=1)
+        touched = moved[mesh.triangles].any(axis=1)
+        assert 0 < moved.sum() < len(moved)
+        assert sum(phasors) == moved.sum() * nodes
+        assert sum(sums) == touched.sum() * len(sums)  # one call per block of node columns
+        assert got.tobytes() == forward_amplitude([mesh], QUAD, problem.grid).values.tobytes()
+    with pytest.raises(ValueError):
+        cache.amplitude(ProvenancedMesh(base.vertices, base.triangles[::-1], base.provenance),
+                        QUAD, problem.grid)
 
 
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
