@@ -267,8 +267,9 @@ class TriangleQuadrature:
 
     The barycentric coordinates are integers over one denominator,
     L = numerators / denominator, 3 x N_G with unit column sums; `weights`
-    sum to 1. The integer form lets a point's phasor be built from integer
-    powers of its triangle's vertex phasors.
+    sum to 1. For `degree3`, the rule the optics image with, the integer form
+    makes each point's phasor a product of integer powers of its triangle's
+    vertex phasors (`optics.PupilBasis.triangle_sums`).
     """
 
     numerators: np.ndarray

@@ -17,15 +17,17 @@ inner rings take fewer nodes. On the tensor pixel grid the synthesis is one
 real matrix product and no Bessel function is evaluated.
 
 With c_q the triangle area times the rule weight, S = sum_t A_t H_t where
-H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The rule's
-points have integer barycentric numerators, so from the vertex phasors (one
-cos/sin pair per vertex and node) each H_t takes a few complex multiplies and
-no phasor of a single point is formed. `PupilBasis.phasor_blocks` makes these
-sums, for the forward image and the gradient alike, a block of node columns
-at a time and in two steps: vertex phasors, then triangle sums from them. The
-node table is cached per grid and node count. A `PhasorCache` keeps one
-region's phasors, so that an image of the region with a few vertices moved
-repeats the two steps only for those vertices and the triangles they touch.
+H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The
+degree-3 rule, the one rule imaged here, has its points at barycentric
+coordinates over 15, so from the vertex phasors z (one cos/sin pair per
+vertex and node) H_t has a closed form in z ** 6 and the triangle product
+u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
+`PupilBasis.phasor_blocks` makes these sums, for the forward image and the
+gradient alike, a block of node columns at a time and in two steps: vertex
+phasors, then triangle sums from them. The node table is cached per grid and
+node count. A `PhasorCache` keeps one region's phasors, so that an image of
+the region with a few vertices moved repeats the two steps only for those
+vertices and the triangles they touch.
 """
 from __future__ import annotations
 
@@ -59,16 +61,20 @@ THETA_MARGIN = 10
 # there has 61,962 nodes, 1 MB per grid row, and it grows as D ** 2.
 MAX_REACH = 100.0
 
-# The most samples, nx * ny, a configuration may ask of the image grid: 1024
-# x 1024. Each (nx, ny) float64 image array is then at most 8 MiB, and the
-# gradient synthesizes 2n of them per region for n controls. On a square grid
-# the node tables wex and ey, (nx, K) complex and (ny, 2K) float, then hold at
-# most 16 bytes x 1024 x K each: 1 GiB at MAX_REACH, where K = 61,962.
-MAX_PIXELS = 2**20
+# The most samples along either side, nx or ny, a configuration may ask of
+# the image grid. Each (nx, ny) float64 image array is then at most 8 MiB,
+# and the gradient synthesizes 2n of them per region for n controls. The node
+# tables wex and ey, (nx, K) complex and (ny, 2K) float, grow with one side
+# each, so they hold at most 16 bytes x 1024 x K each: 1 GiB at MAX_REACH,
+# where K = 61,962.
+MAX_GRID_SIDE = 1024
 
 # Node tables (frequencies and grid-side exponentials) kept, one per
 # (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
 GRID_TABLES = 8
+
+# The quadrature rule `PupilBasis.triangle_sums` is written for.
+DEGREE3 = TriangleQuadrature.degree3()
 
 
 @dataclass(frozen=True)
@@ -293,30 +299,6 @@ def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (coef @ h.view(np.float64)).view(complex)
 
 
-@lru_cache(maxsize=4)  # a run uses one rule
-def _horner_plan(numerators: tuple) -> tuple[list, list, list, int]:
-    """How `PupilBasis.triangle_sums` factors the points of a rule with these numerators (3 x N_G).
-
-    The powers m of u from the top down, the steps between them, per power
-    its points with their leftover (slot, power) factors, and the largest
-    leftover power.
-    """
-    points = list(zip(*numerators))
-    levels = sorted({min(n) for n in points}, reverse=True)
-    steps = [0] + [above - m for above, m in zip(levels, levels[1:])]
-    groups = [[(q, [(j, nj - m) for j, nj in enumerate(n) if nj > m])
-               for q, n in enumerate(points) if min(n) == m] for m in levels]
-    return levels, steps, groups, max(max(n) - min(n) for n in points)
-
-
-def _powers(x: np.ndarray, top: int) -> list:
-    """[1, x, x ** 2, ..., x ** top], each power the one below times x."""
-    table = [1.0, x]
-    for _ in range(top - 1):
-        table.append(table[-1] * x)
-    return table
-
-
 @dataclass(frozen=True)
 class PupilBasis:
     """Pupil-node exponentials of one region's mesh on one image grid.
@@ -352,47 +334,34 @@ class PupilBasis:
                       triangles: np.ndarray) -> np.ndarray:
         """sums[r, t] = sum_q point_weights[r, q] E_tq for the given triangles, (R, T, b).
 
-        E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t,
-        and `triangles` index the rows of `z`, vertex phasors from
-        `vertex_phasors`. Point q is g = sum_j (n_jq / d) v_t_j with the rule's
-        integer numerators n and denominator d, so with the triangle product
-        u_t = z_a z_b z_c, E_tq = u_t ** m_q prod_j z_t_j ** (n_jq - m_q) with
-        m_q = min_j n_jq. For degree 3 the centroid is u ** 5 and point j is
-        u ** 3 z_j ** 6. The sums take Horner's rule in u over the distinct
-        m_q, so no (T, N_G, b) point-phasor array is formed, and each distinct
-        weighted power table w z ** e is formed once for all points and rows.
-        Every entry is elementwise arithmetic on the phasors of its own
-        triangle's vertices, so it is the same whichever triangles are asked for.
+        E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t
+        under the degree-3 rule, the only one `pupil_basis` accepts, and
+        `triangles` index the rows of `z`, vertex phasors from
+        `vertex_phasors`. With the triangle product u_t = z_a z_b z_c the
+        centroid (5, 5, 5) / 15 has E = u ** 5 and point j, (9, 3, 3) / 15 with
+        the 9 in slot j, has E = u ** 3 z_j ** 6. So a row of weights
+        (w_0, w_a, w_b, w_c) in the rule's point order gives
+        u ** 3 (w_0 u ** 2 + sum_j w_j z_j ** 6); no (T, N_G, b) point-phasor
+        array is formed, and each distinct weighted table w z ** 6 is formed
+        once for all rows. Every entry is elementwise arithmetic on the phasors
+        of its own triangle's vertices, so it is the same whichever triangles
+        are asked for.
         """
-        levels, steps, groups, top = _horner_plan(tuple(map(tuple, self.quad.numerators.tolist())))
-        zpow = _powers(z, top)
+        z6 = z * z * z * z * z * z
         u = z.take(triangles[:, 0], axis=0)
         u *= z.take(triangles[:, 1], axis=0)
         u *= z.take(triangles[:, 2], axis=0)
-        upow = _powers(u, max(levels[-1], *steps))
-        tables = {}  # (w, e) -> w * z ** e
-
-        def point_factor(weight, factors):
-            """weight * prod_j z[t_j] ** e over a point's leftover factors, (T, b); without any, weight."""
-            if not factors:
-                return weight
-            (j, e), *others = factors
-            if (weight, e) not in tables:
-                tables[weight, e] = weight * zpow[e]
-            out = tables[weight, e].take(triangles[:, j], axis=0)
-            for j, e in others:
-                out *= zpow[e].take(triangles[:, j], axis=0)
-            return out
-
+        u2 = u * u
+        u3 = u2 * u
+        tables = {}  # w -> w * z ** 6
         sums = np.empty((len(point_weights), len(triangles), z.shape[1]), dtype=complex)
-        for weights, out in zip(point_weights, sums):
-            # Horner's rule in u: scale by u ** (the step down), add the level's points
-            acc = 0.0
-            for group, step in zip(groups, steps):
-                acc *= upow[step]
-                for q, factors in group:
-                    acc += point_factor(weights[q], factors)
-            np.multiply(upow[levels[-1]], acc, out=out)
+        for (w0, *slot_weights), out in zip(point_weights, sums):
+            acc = w0 * u2
+            for j, w in enumerate(slot_weights):
+                if w not in tables:
+                    tables[w] = w * z6
+                acc += tables[w].take(triangles[:, j], axis=0)
+            np.multiply(u3, acc, out=out)
         return sums
 
     def phasor_blocks(self, point_weights: np.ndarray):
@@ -474,13 +443,22 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
     return math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
 
 
+def _mesh_reach(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> float:
+    """D, the grid's reach over the mesh's quadrature points."""
+    return grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))
+
+
 def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
     """Node table and grid exponentials for one region's mesh imaged on `grid`.
 
     The node count follows from D, the grid's reach over the mesh's
-    quadrature points, so it depends on the grid and this mesh alone.
+    quadrature points, so it depends on the grid and this mesh alone. `quad`
+    must be `TriangleQuadrature.degree3()`, the rule `triangle_sums` sums.
     """
-    counts = pupil_node_counts(grid_reach(grid, gauss_points(assemble_tensor(mesh), quad)))
+    if not (quad.denominator == DEGREE3.denominator and np.array_equal(quad.numerators, DEGREE3.numerators)
+            and np.array_equal(quad.weights, DEGREE3.weights)):
+        raise ValueError("the pupil kernel sums the degree-3 rule only")
+    counts = pupil_node_counts(_mesh_reach(mesh, quad, grid))
     return PupilBasis(mesh.vertices - grid.center, mesh.triangles, quad, *grid_phasors(grid, *counts))
 
 
@@ -519,23 +497,24 @@ class PhasorCache:
         if self._base is None:
             basis = pupil_basis(mesh, quad, grid)
             blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(quad.weights[None])]
-            reach = grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))
-            # how far a quadrature point moves per unit of vertex move, and an
-            # allowance far above the rounding of D
-            spread = float(np.abs(quad.barycentric).sum(axis=0).max())
+            reach = _mesh_reach(mesh, quad, grid)
+            # an allowance far above the rounding of D
             slack = 1e-12 * (1.0 + reach + float(np.abs(mesh.vertices).max()))
-            self._base = mesh, quad, grid, reach, pupil_node_counts(reach), spread, slack, basis, blocks
-        base, base_quad, base_grid, reach, counts, spread, slack, basis, blocks = self._base
+            self._base = mesh, quad, grid, reach, pupil_node_counts(reach), slack, basis, blocks
+        base, base_quad, base_grid, reach, counts, slack, basis, blocks = self._base
         if quad is not base_quad or grid != base_grid or not np.array_equal(mesh.triangles, base.triangles):
             raise ValueError("a PhasorCache images copies of its first mesh on its first grid and rule")
 
-        # D is 1-Lipschitz in each quadrature point, and the node counts rise
+        # Each degree-3 point is a convex combination of its triangle's
+        # vertices, so no point moves farther than the vertex that moves most
+        # (its move measured in the 1-norm, which bounds the distance). D is
+        # 1-Lipschitz in each quadrature point, and the node counts rise
         # with D, so counts that hold at both ends of the interval the moved
         # points can take D to hold at the copy's D; otherwise that D is found
         # as `pupil_basis` finds it
-        shift = spread * float(np.abs(mesh.vertices - base.vertices).sum(axis=1).max()) + slack
+        shift = float(np.abs(mesh.vertices - base.vertices).sum(axis=1).max()) + slack
         if not pupil_node_counts(reach - shift) == counts == pupil_node_counts(reach + shift):
-            if pupil_node_counts(grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))) != counts:
+            if pupil_node_counts(_mesh_reach(mesh, quad, grid)) != counts:
                 return _amplitude(mesh, quad, grid)
 
         moved = (mesh.vertices != base.vertices).any(axis=1)

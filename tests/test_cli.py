@@ -207,6 +207,21 @@ def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_gradcheck_nan_error_fails(tmp_path, capsys, monkeypatch):
+    # one NaN entry of the analytic gradient must not drop out of the maximum
+    gradient_of = cli.gradient_of
+
+    def with_nan(*args):
+        grads = gradient_of(*args)
+        grads[0][1, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(cli, "gradient_of", with_nan)
+    config = write_config(tmp_path, desk_config())
+    assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
+    assert "max mixed error nan -> FAIL" in capsys.readouterr().out
+
+
 def test_gradcheck_requires_regions(tmp_path, capsys):
     config = write_config(tmp_path, desk_config(regions=[]))
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 2

@@ -22,7 +22,7 @@ from splinemask import cli
 from splinemask.cli import ConfigError, main, parse_config
 from splinemask.geometry import polygon_perimeter_points
 from splinemask.mesh import MAX_PROVENANCE_SIZE
-from splinemask.optics import MAX_PIXELS
+from splinemask.optics import MAX_GRID_SIDE
 
 from test_cli import SQUARE, desk_config
 
@@ -48,6 +48,8 @@ HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308
 TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
 # the fewest controls whose collocation matrix with the test configs' 24 samples passes it
 TOO_MANY_CONTROLS = MAX_PROVENANCE_SIZE // 24 + 1
+# a grid side far past the bound
+LONG_SIDE = 2**20
 
 
 def explicit_config():
@@ -164,9 +166,9 @@ def test_unknown_nested_key_is_config_error(section):
     ("regions[0].num_samples", TOO_MANY_SAMPLES, "regions[0].num_samples"),
     ("optimizer.refine_area_tol", 1e-300, "optimizer.refine_area_tol"),  # 1e300 triangles
     ("grid", {"pixel_nm": 0.05}, "grid.pixel_nm"),  # fitted to 5601 x 5601
-    ("grid.nx", MAX_PIXELS, "grid.nx"),
-    ("grid.ny", MAX_PIXELS, "grid.ny"),
-    ("grid", {"pixel_nm": 20.0, "nx": MAX_PIXELS}, "grid.nx"),  # ny fitted, nx at fault
+    ("grid.nx", LONG_SIDE, "grid.nx"),
+    ("grid.ny", LONG_SIDE, "grid.ny"),
+    ("grid", {"pixel_nm": 20.0, "nx": LONG_SIDE}, "grid.nx"),  # ny fitted, nx at fault
     ("grid", {"pixel_nm": 1e-320}, "grid.pixel_nm"),  # the fitted sample count overflows
     ("regions[0].controls_nm", polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist(),
      "regions[0].controls_nm"),
@@ -228,16 +230,22 @@ def test_collocation_size_is_bounded_before_it_is_allocated():
 
 
 def test_grid_size_is_bounded_before_numerics():
-    # MAX_PIXELS samples parse, one row more does not, and a fitted grid is
-    # refused before any (nx, ny) array exists
+    # MAX_GRID_SIDE samples a side parse, one row more does not, and a fitted
+    # grid or a thin one is refused before any (nx, ny) array or node table exists
     doc = explicit_config()
-    side = math.isqrt(MAX_PIXELS)
+    side = MAX_GRID_SIDE
     square = replaced(doc, "grid", {"nx": side, "ny": side, "pixel_nm": 1.0,
                                     "origin_nm": [-side / 2, -side / 2]})
     grid = parse_config(square).grid
-    assert grid.nx * grid.ny == MAX_PIXELS
+    assert grid.nx == grid.ny == side
     assert_config_error(replaced(square, "grid.ny", side + 1), "grid.ny")
     assert traced_peak(replaced(doc, "grid", {"pixel_nm": 0.05})) < 2**16  # 5601 x 5601
+    # 2**20 samples in all, but 524288 along x: for the desk region this
+    # grid's node table wex would take 440 GiB
+    thin = replaced(desk_config(), "grid", {"nx": 524288, "ny": 2, "pixel_nm": 0.075,
+                                            "origin_nm": [-19660.76, 0]})
+    assert_config_error(thin, "grid.nx")
+    assert traced_peak(thin) < 2**16
 
 
 def test_region_from_target_reports_its_keys():

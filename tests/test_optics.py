@@ -429,19 +429,21 @@ def test_vertex_phasor_spectrum_matches_point_oracle_on_a_dense_mesh(desk_square
     assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, mesh.areas(), slot_coef)
 
 
-def test_phasor_sums_follow_the_rule_numerators(desk_square):
-    # a made-up rule over 15: five levels of min numerator, points at a
-    # vertex, and points that leave two vertex factors
+def test_pupil_basis_rejects_other_rules(desk_square):
+    # the phasor sums are written for the degree-3 rule's points and weights:
+    # a made-up rule, the same points over 30, or other weights are refused
     cfg, problem, region = desk_square
     mesh = build_region_system(region, problem).mesh
-    numerators = np.array([[5, 9, 8, 15, 7, 6, 4],
-                           [5, 3, 4, 0, 6, 4, 5],
-                           [5, 3, 3, 0, 2, 5, 6]])
-    quad = TriangleQuadrature(numerators, 15, np.linspace(-0.5, 1.0, 7))
-    rng = np.random.default_rng(3)
-    nt = mesh.num_triangles
-    assert_spectra_match_point_oracle(mesh, quad, problem.grid, rng.normal(size=(2, nt)),
-                                      rng.normal(size=(2, 3, nt)))
+    degree3 = TriangleQuadrature.degree3()
+    made_up = np.array([[5, 9, 8, 15, 7, 6, 4],
+                        [5, 3, 4, 0, 6, 4, 5],
+                        [5, 3, 3, 0, 2, 5, 6]])
+    for quad in (TriangleQuadrature(made_up, 15, np.linspace(-0.5, 1.0, 7)),
+                 TriangleQuadrature(2 * degree3.numerators, 30, degree3.weights),
+                 TriangleQuadrature(degree3.numerators, 15, np.full(4, 0.25))):
+        with pytest.raises(ValueError, match="degree-3"):
+            pupil_basis(mesh, quad, problem.grid)
+    pupil_basis(mesh, degree3, problem.grid)
 
 
 def traced_peak(fn) -> int:
