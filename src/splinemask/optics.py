@@ -11,10 +11,12 @@ convolution U(x) = sum_q c_q H(x - g_q) equals the pupil integral
 U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df with the mask spectrum
 S(f) = sum_q c_q exp(-2 pi i f.g_q). The integral is evaluated on a polar node
 table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
-2 Re) sized by D, the largest point-to-pixel distance: the radial count
-follows from D and each ring's angular count from its own reach r D, so
-inner rings take fewer nodes. On the tensor pixel grid the synthesis is one
-real matrix product and no Bessel function is evaluated.
+2 Re) sized by D, the largest distance from a mesh vertex to a pixel. The
+distance to a pixel is convex, so no quadrature point reaches farther than
+the vertices of its triangle. The radial count follows from D and each
+ring's angular count from its own reach r D, so inner rings take fewer
+nodes. On the tensor pixel grid the synthesis is one real matrix product and
+no Bessel function is evaluated.
 
 With c_q the triangle area times the rule weight, S = sum_t A_t H_t where
 H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The
@@ -26,8 +28,8 @@ u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
 gradient alike, a block of node columns at a time and in two steps: vertex
 phasors, then triangle sums from them. The node table is cached per grid and
 node count. A `PhasorCache` keeps one region's phasors, so that an image of
-the region with a few vertices moved repeats the two steps only for those
-vertices and the triangles they touch.
+the region with a few vertices moved, and the same node count, repeats the
+two steps only for those vertices and the triangles they touch.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0, j1, jv, roots_legendre
 
-from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
+from .mesh import ProvenancedMesh, TriangleQuadrature
 
 # Below this radius the kernel switches to its series form, which keeps the
 # 0/0 at the kernel peak out of the values.
@@ -304,17 +306,16 @@ class PupilBasis:
     """Pupil-node exponentials of one region's mesh on one image grid.
 
     Coordinates are taken relative to the grid center. `vertices` (V, 2) and
-    `triangles` (T, 3) are the mesh, `quad` places its points in each
-    triangle, and `freqs` holds the node frequencies f_k as rows fx, fy,
-    (2, K). `wex` is w_k exp(2 pi i f_k,x x_i), (nx, K); `ey` is
-    conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and imaginary
-    parts interleaved like a complex array's memory. All three are the
-    cached, read-only tables of `grid_phasors`.
+    `triangles` (T, 3) are the mesh, imaged through the points of DEGREE3,
+    and `freqs` holds the node frequencies f_k as rows fx, fy, (2, K). `wex`
+    is w_k exp(2 pi i f_k,x x_i), (nx, K); `ey` is conj(exp(2 pi i f_k,y y_j))
+    seen as reals, (ny, 2K), real and imaginary parts interleaved like a
+    complex array's memory. All three are the cached, read-only tables of
+    `grid_phasors`.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    quad: TriangleQuadrature
     freqs: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
@@ -327,7 +328,7 @@ class PupilBasis:
         and each z_v must be the same whichever rows are asked for.
         """
         phase = self.vertices @ self.freqs[:, cols]
-        scale = -2.0 * np.pi / self.quad.denominator
+        scale = -2.0 * np.pi / DEGREE3.denominator
         return cis(scale * (phase if rows is None else phase[rows]))
 
     def triangle_sums(self, point_weights: np.ndarray, z: np.ndarray,
@@ -385,7 +386,7 @@ class PupilBasis:
         c_tq = coef_t w_q; area coefficients give the forward spectrum.
         """
         out = np.empty((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
-        for cols, _, (h,) in self.phasor_blocks(self.quad.weights[None]):
+        for cols, _, (h,) in self.phasor_blocks(DEGREE3.weights[None]):
             out[..., cols] = _real_times(coef, h)
         return out
 
@@ -401,7 +402,7 @@ class PupilBasis:
         area = np.empty((*coef.shape[:-1], k), dtype=complex)
         slot = np.empty((*slot_coef.shape[:-2], k), dtype=complex)
         flat = slot_coef.reshape(*slot_coef.shape[:-2], -1)
-        for cols, _, g in self.phasor_blocks(self.quad.weights * self.quad.barycentric):
+        for cols, _, g in self.phasor_blocks(DEGREE3.weights * DEGREE3.barycentric):
             area[..., cols] = _real_times(coef, g.sum(axis=0))
             slot[..., cols] = _real_times(flat, g.reshape(-1, g.shape[2]))
         return area, slot
@@ -443,23 +444,20 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
     return math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
 
 
-def _mesh_reach(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> float:
-    """D, the grid's reach over the mesh's quadrature points."""
-    return grid_reach(grid, gauss_points(assemble_tensor(mesh), quad))
-
-
 def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
     """Node table and grid exponentials for one region's mesh imaged on `grid`.
 
     The node count follows from D, the grid's reach over the mesh's
-    quadrature points, so it depends on the grid and this mesh alone. `quad`
-    must be `TriangleQuadrature.degree3()`, the rule `triangle_sums` sums.
+    vertices, so it depends on the grid and this mesh alone. The distance to
+    a grid corner is convex, so over a triangle it peaks at a vertex, and D
+    bounds every quadrature point's reach. `quad` must be
+    `TriangleQuadrature.degree3()`, the rule `triangle_sums` sums.
     """
     if not (quad.denominator == DEGREE3.denominator and np.array_equal(quad.numerators, DEGREE3.numerators)
             and np.array_equal(quad.weights, DEGREE3.weights)):
         raise ValueError("the pupil kernel sums the degree-3 rule only")
-    counts = pupil_node_counts(_mesh_reach(mesh, quad, grid))
-    return PupilBasis(mesh.vertices - grid.center, mesh.triangles, quad, *grid_phasors(grid, *counts))
+    counts = pupil_node_counts(grid_reach(grid, mesh.vertices))
+    return PupilBasis(mesh.vertices - grid.center, mesh.triangles, *grid_phasors(grid, *counts))
 
 
 def _amplitude(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
@@ -480,9 +478,9 @@ class PhasorCache:
     row is elementwise arithmetic on the same values either way, and the
     spectrum product and the synthesis run on whole arrays as in a full pass,
     so the image is bit for bit the one a full pass gives. A copy whose pupil
-    node count differs from the base's is imaged in full. The cache holds
-    K (V + T) complex values for a mesh of V vertices and T triangles on K
-    pupil nodes.
+    node count, found from its vertices as `pupil_basis` finds it, differs
+    from the base's is imaged in full. The cache holds K (V + T) complex
+    values for a mesh of V vertices and T triangles on K pupil nodes.
     """
 
     def __init__(self):
@@ -494,48 +492,30 @@ class PhasorCache:
         The first call images its mesh in full, then goes on as for a copy in
         which nothing moved.
         """
+        counts = pupil_node_counts(grid_reach(grid, mesh.vertices))
         if self._base is None:
             basis = pupil_basis(mesh, quad, grid)
-            blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(quad.weights[None])]
-            reach = _mesh_reach(mesh, quad, grid)
-            # an allowance far above the rounding of D
-            slack = 1e-12 * (1.0 + reach + float(np.abs(mesh.vertices).max()))
-            self._base = mesh, quad, grid, reach, pupil_node_counts(reach), slack, basis, blocks
-        base, base_quad, base_grid, reach, counts, slack, basis, blocks = self._base
+            blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(DEGREE3.weights[None])]
+            self._base = mesh, quad, grid, counts, basis, blocks
+        base, base_quad, base_grid, base_counts, basis, blocks = self._base
         if quad is not base_quad or grid != base_grid or not np.array_equal(mesh.triangles, base.triangles):
             raise ValueError("a PhasorCache images copies of its first mesh on its first grid and rule")
-
-        # Each degree-3 point is a convex combination of its triangle's
-        # vertices, so no point moves farther than the vertex that moves most
-        # (its move measured in the 1-norm, which bounds the distance). D is
-        # 1-Lipschitz in each quadrature point, and the node counts rise
-        # with D, so counts that hold at both ends of the interval the moved
-        # points can take D to hold at the copy's D; otherwise that D is found
-        # as `pupil_basis` finds it
-        shift = float(np.abs(mesh.vertices - base.vertices).sum(axis=1).max()) + slack
-        if not pupil_node_counts(reach - shift) == counts == pupil_node_counts(reach + shift):
-            if pupil_node_counts(_mesh_reach(mesh, quad, grid)) != counts:
-                return _amplitude(mesh, quad, grid)
+        if counts != base_counts:
+            return _amplitude(mesh, quad, grid)
 
         moved = (mesh.vertices != base.vertices).any(axis=1)
         touched = moved[mesh.triangles].any(axis=1)
-        # the touched triangles over their own vertices, and which of those moved
         tri = mesh.triangles[touched]
-        used = np.zeros(len(moved), dtype=bool)
-        used[tri] = True
-        local = np.flatnonzero(used)
-        tri = (np.cumsum(used) - 1)[tri]
-        fresh = np.flatnonzero(moved[local])
         basis = replace(basis, vertices=mesh.vertices - grid.center)
         coef = mesh.areas()
         spectrum = np.empty(basis.freqs.shape[1], dtype=complex)
         for cols, z, h in blocks:
-            z = z[local]
-            z[fresh] = basis.vertex_phasors(cols, local[fresh])
+            z = z.copy()
+            z[moved] = basis.vertex_phasors(cols, moved)
             # the copy's sums stand in for the base's rows while the product runs,
             # which spares a (T, b) copy per block
             kept = h[touched]
-            h[touched] = basis.triangle_sums(quad.weights[None], z, tri)[0]
+            h[touched] = basis.triangle_sums(DEGREE3.weights[None], z, tri)[0]
             try:
                 spectrum[cols] = _real_times(coef, h)
             finally:

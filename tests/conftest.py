@@ -16,10 +16,10 @@ SQUARE_NM = np.array([[-100.0, -100.0], [100.0, -100.0], [100.0, 100.0], [-100.0
 
 
 def desk_square_problem(nx: int = 20, ny: int = 20, pixel_nm: float = 20.0,
-                        refine_max_area: float = 0.02):
+                        refine_max_area: float = 0.02, origin_nm: tuple[float, float] = (-190.0, -190.0)):
     """Normalized imaging problem for the 200 nm square target on a 400 nm field."""
     cfg = OpticalConfig()
-    grid = ImageGrid(nx, ny, pixel_nm, (-190.0, -190.0)).scaled(cfg.scale_per_nm)
+    grid = ImageGrid(nx, ny, pixel_nm, origin_nm).scaled(cfg.scale_per_nm)
     target = rasterize_target([cfg.normalize_image(SQUARE_NM)], grid)
     return cfg, ImagingProblem(
         grid=grid,

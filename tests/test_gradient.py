@@ -342,20 +342,34 @@ def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_squar
         assert g.tobytes() == w.tobytes()
 
 
+def node_count_changes(problem, evaluation, step):
+    """How many central-difference bumps of `step` give a mesh whose vertex reach takes other pupil node counts."""
+    changes = 0
+    for system in evaluation.systems:
+        base = system.moved(system.region.controls).mesh.vertices  # the cache's base mesh
+        counts = optics.pupil_node_counts(optics.grid_reach(problem.grid, base))
+        for k in range(system.region.n):
+            for c in range(2):
+                bumped = system.region.controls.copy()
+                for delta in (step, -2 * step):
+                    bumped[k, c] += delta
+                    vertices = system.moved(bumped).mesh.vertices
+                    changes += optics.pupil_node_counts(optics.grid_reach(problem.grid, vertices)) != counts
+    return changes
+
+
 def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(desk_square, monkeypatch):
-    # bumps of 0.2 units move two of the 96 meshes across a pupil node count
+    # bumps of 0.2 units move a few of the 96 meshes across a pupil node count
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, two_regions(region))
-    bases, reaches = [], []
-    basis, grid_reach = optics.pupil_basis, optics.grid_reach
+    changes = node_count_changes(problem, evaluation, 0.2)
+    assert changes > 0
+    bases = []
+    basis = optics.pupil_basis
     monkeypatch.setattr(optics, "pupil_basis", lambda *args: bases.append(1) or basis(*args))
-    monkeypatch.setattr(optics, "grid_reach", lambda *args: reaches.append(1) or grid_reach(*args))
     got = finite_difference_gradient(problem, evaluation, step=0.2)
     # one basis per region for the cached base images, then one per full re-imaging
-    assert len(bases) == 2 + 2
-    # D is found anew for the bumps that may cross a count, and most of those keep it
-    exact = len(reaches) - len(bases) - 2
-    assert exact > 2 * (len(bases) - 2)
+    assert len(bases) == 2 + changes
     want = frozen_difference_gradient(problem, evaluation, step=0.2)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
