@@ -1,11 +1,13 @@
 """Curvilinear photomask optimization with periodic B-spline boundaries.
 
-Mask regions are closed periodic B-spline loops; imaging is a coherent
-triangle-quadrature convolution with the Airy kernel, evaluated as an
-integral of each region's spectrum over the pupil disk; the objective
-gradient with respect to the spline control points is assembled analytically
-through the mesh provenance chain and the same pupil nodes, and descended
-with a golden-section line search.
+Mask regions are closed periodic B-spline loops; imaging is coherent, with
+the Airy kernel, and evaluated as an integral of each region's spectrum over
+the pupil disk. The chain images the polygon of each region's boundary
+samples exactly, its spectrum a sum over its edges; the objective gradient
+with respect to the spline control points is an adjoint of that image,
+descended with a golden-section line search. The library keeps the
+triangle-quadrature mesh image, with its provenance-chain gradient, beside
+it.
 """
 from .mesh import (
     MeshError,

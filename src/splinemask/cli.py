@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MAX_PROVENANCE_SIZE, MeshError, TriangleQuadrature, refine_mesh, triangulate_region
+from .mesh import MAX_PROVENANCE_SIZE, MeshError, TriangleQuadrature, check_loop
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import MAX_GRID_SIDE, MAX_REACH, ImageGrid, OpticalConfig, grid_reach
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
@@ -133,13 +133,14 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
             max_area: float) -> PeriodicSplineRegion:
     """One region in mask-plane nm, from explicit controls or placed on its target.
 
-    It must mesh as `build_setup` and `evaluate` will mesh it: a boundary that
-    crosses itself or encloses no triangle is blamed on `controls_nm`, or on
-    the region when it was placed on a target. Its provenance must stay within
-    MAX_PROVENANCE_SIZE entries: the m x m of its samples and the m x n of
-    its collocation matrix, both checked before the region is built, and
-    that of its initial mesh refined to `max_area`, which refinement checks
-    before each sweep.
+    Its sample loop must bound a region, as `evaluate` checks it: a loop that
+    crosses itself or encloses no area is blamed on `controls_nm`, or on the
+    region when it was placed on a target. Its work must stay within
+    MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test and
+    of its library mesh's provenance, and the m x n of its collocation
+    matrix, both checked before the region is built. `max_area` sizes only
+    the library mesh, which no command builds: it is refused when that mesh
+    would certainly pass the bound, which needs no mesh to tell.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -174,13 +175,15 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
     try:
-        mesh = triangulate_region(build_collocation(region) @ optical.normalize_mask(region.controls))
+        area = check_loop(build_collocation(region) @ optical.normalize_mask(region.controls))
     except MeshError as exc:
         raise ConfigError(blame, str(exc)) from None
-    try:
-        refine_mesh(mesh, max_area)
-    except MeshError as exc:
-        raise ConfigError("optimizer.refine_area_tol", f"too small for {where}: {exc}") from None
+    # a mesh refined to max_area has at least area / max_area triangles, and
+    # with m boundary vertices more than half as many vertices, of m entries each
+    if abs(area) * m > 2.0 * max_area * MAX_PROVENANCE_SIZE:
+        raise ConfigError("optimizer.refine_area_tol",
+                          f"too small for {where}: its mesh refined to area {max_area:g} would hold more "
+                          f"than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
     return region
 
 

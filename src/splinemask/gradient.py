@@ -1,6 +1,14 @@
-"""Analytic derivatives dU/dP of the image amplitude w.r.t. the control points.
+"""Analytic derivatives of the image with respect to the control points.
 
-For fixed mesh topology every vertex is linear in the control points through
+The chain images each region's boundary loop Q = N P exactly, and takes J's
+gradient as an adjoint (`loop_gradient`). With the pixel weight W = dJ/dU,
+J moves as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`, and the
+spectrum S is a sum of edge terms, so dJ/dQ collects each sample's share of
+the derivatives of its two edges' terms (`edge_gradient`), and
+dJ/dP = N^T dJ/dQ. No derivative field is synthesized.
+
+The library's mesh image has the fields dU/dP themselves
+(`amplitude_gradient`). For fixed mesh topology every vertex is linear in the control points through
 T = W @ N, so dU/dP decomposes into an area term (triangle measures change)
 and a point term (quadrature points move with their triangle's vertices).
 Both act on the region's pupil spectrum S = sum_t A_t H_t: the area term
@@ -17,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import ImageGrid, pupil_basis
+from .optics import ImageGrid, cis, edge_factor, edge_products, node_table, pupil_basis, sinc, sinc_derivative
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -80,3 +88,37 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
         spectra = np.stack([area_x + moved * fx, area_y + moved * fy], axis=1)
         out.append(basis.synthesize(spectra))  # (n, 2, nx, ny)
     return out
+
+
+def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re sum_k coef_k dT_ek/dd_e and Re sum_k coef_k dT_ek/dm_e for every edge e of the loop, each (m, 2).
+
+    T_ek = c s E is `optics.edge_terms` with c = k_x d_y - k_y d_x,
+    s = sinc(k . d / 2) and E = exp(-i k . m) for edge vector d and midpoint
+    m (`optics.edge_products`). Then
+    dT/dd = ((-k_y, k_x) s + k c sinc'(k . d / 2) / 2) E, whose factor before
+    E is real, and dT/dm = -i k T.
+    """
+    cross, half, phase = edge_products(loop, k)
+    s = sinc(half)
+    p = coef * cis(-phase)
+    slope, flat, moved = np.stack([p.real * (0.5 * cross * sinc_derivative(half)),
+                                   p.real * s, p.imag * (cross * s)]) @ k.T
+    return slope + flat[:, ::-1] * [-1.0, 1.0], moved
+
+
+def loop_gradient(loop: np.ndarray, grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
+    """dJ/dQ for one region's loop Q (m, 2) imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
+
+    The loop is imaged on the node table of its samples, as
+    `optics.loop_amplitude` images it, with spectrum S = F sum_e T_e for the
+    factor F of `optics.edge_factor`. So dJ = Re sum_k L_k F_k sum_e dT_ek,
+    with L the adjoint of the weight, and sample i takes the derivative of
+    edge i at its start a = m - d / 2 and of edge i - 1 at its end
+    b = m + d / 2.
+    """
+    nodes = node_table(grid, loop)
+    rel = loop - grid.center
+    k = 2.0 * np.pi * nodes.freqs
+    along, mid = edge_gradient(rel, k, edge_factor(rel, k) * nodes.adjoint(weight))
+    return 0.5 * mid - along + np.roll(0.5 * mid + along, 1, axis=0)

@@ -5,6 +5,10 @@ The combination weights live in the provenance matrix W (K x m, first m rows
 the identity), so vertices = W @ Q holds exactly through any number of
 centroid-insertion refinements, and Q itself is the first m vertices. That
 linearity is what makes the shape gradient a plain matrix chain later on.
+
+`check_loop` tells whether a sample loop bounds a region at all. The chain
+runs it on every evaluation and images the loop without a mesh; the meshes
+here are the library's.
 """
 from __future__ import annotations
 
@@ -34,11 +38,27 @@ MAX_PROVENANCE_SIZE = 2**20
 
 
 class MeshError(ValueError):
-    """Raised when a boundary loop cannot be triangulated into a covering mesh."""
+    """Raised when a boundary loop bounds no region or cannot be triangulated into a covering mesh."""
 
 
 class SelfIntersectionError(MeshError):
     """Raised when the boundary loop crosses itself, so it encloses no simple region."""
+
+
+def check_loop(samples: np.ndarray) -> float:
+    """The shoelace area of a sample loop that bounds a region; MeshError if it bounds none.
+
+    The loop must not cross itself (SelfIntersectionError) and must enclose
+    a finite area above SLIVER_AREA, either way round. Any such loop is
+    imaged exactly; no mesh is needed.
+    """
+    if polyline_self_intersects(samples):
+        raise SelfIntersectionError("boundary polyline intersects itself")
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = polygon_signed_area(samples)
+    if not SLIVER_AREA < abs(area) < math.inf:
+        raise MeshError(f"boundary loop encloses no finite area above SLIVER_AREA = {SLIVER_AREA:g}: {area:g}")
+    return area
 
 
 def signed_area(v1, v2, v3) -> float:

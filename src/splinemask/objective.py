@@ -93,18 +93,25 @@ def objective_value(intensity_array: np.ndarray, target: np.ndarray,
     return float(np.sum(residual * residual) * grid.pixel_area)
 
 
-def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,
-                       grid: ImageGrid, amplitude_grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Gradient of J w.r.t. all control coordinates, one (n, 2) array per region.
+def pixel_weight(field: AmplitudeField, target: np.ndarray, model: ResistModel,
+                 grid: ImageGrid) -> np.ndarray:
+    """dJ/dU per pixel, (nx, ny): 2 (sig(I) - target) sig'(I) * 2U * dx dy.
 
-    Contracts the amplitude-derivative fields with the per-pixel weight
-    2 (sig(I) - target) sig'(I) * 2U * dx dy; the 2U factor is the collapse of
-    the conjugate pair for the real kernel.
+    The 2U factor is the collapse of the conjugate pair for the real kernel.
     """
     u = field.values
     i_vals = u * u
     residual = sigmoid(i_vals, model) - np.asarray(target, dtype=float)
-    weight = 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
+    return 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
+
+
+def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,
+                       grid: ImageGrid, amplitude_grads: list[np.ndarray]) -> list[np.ndarray]:
+    """Gradient of J w.r.t. all control coordinates, one (n, 2) array per region.
+
+    Contracts the amplitude-derivative fields with the `pixel_weight`.
+    """
+    weight = pixel_weight(field, target, model, grid)
     return [np.einsum("xy,ncxy->nc", weight, fields) for fields in amplitude_grads]
 
 

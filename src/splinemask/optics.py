@@ -6,30 +6,39 @@ mask side). In those units the point-spread function of the circular pupil
 is H(rho) = J1(2 pi rho) / rho, which is real, so the image amplitude is a
 real scalar field and the intensity is its pointwise square.
 
-H is the Fourier transform of the unit pupil disk, so the triangle-quadrature
-convolution U(x) = sum_q c_q H(x - g_q) equals the pupil integral
-U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df with the mask spectrum
-S(f) = sum_q c_q exp(-2 pi i f.g_q). The integral is evaluated on a polar node
+H is the Fourier transform of the unit pupil disk, so the image of a mask
+region P, U(x) = int_P H(x - g) dg, equals the pupil integral
+U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df of the mask spectrum
+S(f) = int_P exp(-2 pi i f.g) dg. The integral is evaluated on a polar node
 table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
-2 Re) sized by D, the largest distance from a mesh vertex to a pixel. The
-distance to a pixel is convex, so no quadrature point reaches farther than
-the vertices of its triangle. The radial count follows from D and each
-ring's angular count from its own reach r D, so inner rings take fewer
-nodes. On the tensor pixel grid the synthesis is one real matrix product and
-no Bessel function is evaluated.
+2 Re) sized by D, the largest distance from a region's boundary samples or
+mesh vertices to a pixel. The distance to a pixel is convex, so no point of
+the region reaches farther. The radial count follows from D and each ring's
+angular count from its own reach r D, so inner rings take fewer nodes. On
+the tensor pixel grid the synthesis is one real matrix product and no Bessel
+function is evaluated. `NodeTable` holds the nodes and the grid-side
+exponentials and synthesizes any spectrum.
 
-With c_q the triangle area times the rule weight, S = sum_t A_t H_t where
-H_t = sum_q w_q exp(-2 pi i f.g_tq) is one phasor sum per triangle. The
-degree-3 rule, the one rule imaged here, has its points at barycentric
+The chain images each region's boundary loop, the polygon of its samples,
+exactly: its spectrum is a sum over its edges (`polygon_spectrum`), one
+elementwise term per edge and node, and `LoopImage` keeps a region's edge
+terms so that a copy with a few samples moved recomputes only their edges.
+
+The library also images a triangle mesh of a region through the degree-3
+quadrature rule, with quadrature points g_q and weights c_q, as
+S(f) = sum_q c_q exp(-2 pi i f.g_q). With c_q the triangle area times the
+rule weight, S = sum_t A_t H_t where H_t = sum_q w_q exp(-2 pi i f.g_tq) is
+one phasor sum per triangle. The rule has its points at barycentric
 coordinates over 15, so from the vertex phasors z (one cos/sin pair per
 vertex and node) H_t has a closed form in z ** 6 and the triangle product
 u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
-`PupilBasis.phasor_blocks` makes these sums, for the forward image and the
-gradient alike, a block of node columns at a time and in two steps: vertex
-phasors, then triangle sums from them. The node table is cached per grid and
-node count. A `PhasorCache` keeps one region's phasors, so that an image of
-the region with a few vertices moved, and the same node count, repeats the
-two steps only for those vertices and the triangles they touch.
+`PupilBasis`, a node table with a mesh, makes these sums in
+`phasor_blocks`, for the forward image and the gradient alike, a block of
+node columns at a time and in two steps: vertex phasors, then triangle sums
+from them. The node table is cached per grid and node count. A
+`PhasorCache` keeps one region's phasors, so that an image of the region
+with a few vertices moved, and the same node count, repeats the two steps
+only for those vertices and the triangles they touch.
 """
 from __future__ import annotations
 
@@ -40,6 +49,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0, j1, jv, roots_legendre
 
+from .geometry import polygon_signed_area
 from .mesh import ProvenancedMesh, TriangleQuadrature
 
 # Below this radius the kernel switches to its series form, which keeps the
@@ -77,6 +87,14 @@ GRID_TABLES = 8
 
 # The quadrature rule `PupilBasis.triangle_sums` is written for.
 DEGREE3 = TriangleQuadrature.degree3()
+
+# Below this |x| `sinc` takes 1 - x^2 / 6, whose first omitted term x^4 / 120
+# is below 1e-17 relative there; sin(x) / x would divide 0 by 0 at x = 0.
+SINC_SERIES = 1e-4
+# Below this |x| `sinc_derivative` takes its Maclaurin series to x^7. The
+# closed form (x cos x - sin x) / x^2 cancels toward 0, and loses about
+# 3e-16 / x^2 relative: 1.3e-13 here, 6e-10 at x = 1e-3.
+SINC_SLOPE_SERIES = 0.05
 
 
 @dataclass(frozen=True)
@@ -301,24 +319,77 @@ def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (coef @ h.view(np.float64)).view(complex)
 
 
+def sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x elementwise, 1 at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(x) / x
+    small = np.abs(x) < SINC_SERIES
+    if small.any():
+        out[small] = 1.0 - x[small] ** 2 / 6.0
+    return out
+
+
+def sinc_derivative(x: np.ndarray) -> np.ndarray:
+    """d/dx sin(x) / x = (x cos x - sin x) / x^2 elementwise, 0 at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (x * np.cos(x) - np.sin(x)) / (x * x)
+    small = np.abs(x) < SINC_SLOPE_SERIES
+    if small.any():
+        t = x[small]
+        t2 = t * t
+        out[small] = t * (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)))
+    return out
+
+
 @dataclass(frozen=True)
-class PupilBasis:
-    """Pupil-node exponentials of one region's mesh on one image grid.
+class NodeTable:
+    """Pupil nodes of one node count on one image grid, with the grid-side exponentials.
+
+    `freqs` holds the node frequencies f_k as rows fx, fy, (2, K). `wex` is
+    w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the grid center;
+    `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and
+    imaginary parts interleaved like a complex array's memory. All three are
+    the cached, read-only tables of `grid_phasors`.
+    """
+
+    freqs: np.ndarray
+    wex: np.ndarray
+    ey: np.ndarray
+
+    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
+        """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
+
+        U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
+        leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
+        x-side products as interleaved reals makes this one real matrix
+        product against `ey`.
+        """
+        nx, k = self.wex.shape
+        a = spectra[..., None, :] * self.wex
+        out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
+        return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
+
+    def adjoint(self, weight: np.ndarray) -> np.ndarray:
+        """L_k = w_k sum_ij weight[i, j] exp(2 pi i f_k . x_ij), (nx, ny) real -> (K,) complex.
+
+        The adjoint of `synthesize`: sum_ij weight U = Re sum_k L_k S_k for the
+        image U of a spectrum S. The y-side sums are one real matrix product
+        against `ey`, which gives their conjugates.
+        """
+        conj_y = (weight @ self.ey).view(complex)  # (nx, K)
+        return (self.wex * conj_y.conj()).sum(axis=0)
+
+
+@dataclass(frozen=True)
+class PupilBasis(NodeTable):
+    """The node table of one region's mesh, with the mesh it sums phasors over.
 
     Coordinates are taken relative to the grid center. `vertices` (V, 2) and
-    `triangles` (T, 3) are the mesh, imaged through the points of DEGREE3,
-    and `freqs` holds the node frequencies f_k as rows fx, fy, (2, K). `wex`
-    is w_k exp(2 pi i f_k,x x_i), (nx, K); `ey` is conj(exp(2 pi i f_k,y y_j))
-    seen as reals, (ny, 2K), real and imaginary parts interleaved like a
-    complex array's memory. All three are the cached, read-only tables of
-    `grid_phasors`.
+    `triangles` (T, 3) are the mesh, imaged through the points of DEGREE3.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    freqs: np.ndarray
-    wex: np.ndarray
-    ey: np.ndarray
 
     def vertex_phasors(self, cols: slice, rows: np.ndarray | None = None) -> np.ndarray:
         """z_v = exp(-2 pi i f . v / d) at the node columns `cols`, (V, b), for the vertices `rows` or all.
@@ -407,23 +478,10 @@ class PupilBasis:
             slot[..., cols] = _real_times(flat, g.reshape(-1, g.shape[2]))
         return area, slot
 
-    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
-        """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
-
-        U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
-        leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
-        x-side products as interleaved reals makes this one real matrix
-        product against `ey`.
-        """
-        nx, k = self.wex.shape
-        a = spectra[..., None, :] * self.wex
-        out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
-        return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
-
 
 @lru_cache(maxsize=GRID_TABLES)
 def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node table of PupilBasis on `grid`: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
+    """The tables of a NodeTable on `grid`: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
     freqs, weights = pupil_nodes(n_r, n_theta)
     center = grid.center
     wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
@@ -444,20 +502,33 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
     return math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
 
 
+def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
+    """Radial and angular node counts on `grid` for a region whose points (..., 2) span its convex hull.
+
+    They follow from D, the grid's reach over the points. The distance to a
+    grid corner is convex, so no point of the hull reaches farther.
+    """
+    return pupil_node_counts(grid_reach(grid, points))
+
+
+def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
+    """The cached node table at `node_counts(grid, points)`."""
+    return NodeTable(*grid_phasors(grid, *node_counts(grid, points)))
+
+
 def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
     """Node table and grid exponentials for one region's mesh imaged on `grid`.
 
-    The node count follows from D, the grid's reach over the mesh's
-    vertices, so it depends on the grid and this mesh alone. The distance to
-    a grid corner is convex, so over a triangle it peaks at a vertex, and D
-    bounds every quadrature point's reach. `quad` must be
-    `TriangleQuadrature.degree3()`, the rule `triangle_sums` sums.
+    The node count follows from the mesh's vertices (`node_counts`), so it
+    depends on the grid and this mesh alone, and it bounds the reach of
+    every quadrature point. `quad` must be `TriangleQuadrature.degree3()`,
+    the rule `triangle_sums` sums.
     """
     if not (quad.denominator == DEGREE3.denominator and np.array_equal(quad.numerators, DEGREE3.numerators)
             and np.array_equal(quad.weights, DEGREE3.weights)):
         raise ValueError("the pupil kernel sums the degree-3 rule only")
-    counts = pupil_node_counts(grid_reach(grid, mesh.vertices))
-    return PupilBasis(mesh.vertices - grid.center, mesh.triangles, *grid_phasors(grid, *counts))
+    return PupilBasis(*grid_phasors(grid, *node_counts(grid, mesh.vertices)),
+                      mesh.vertices - grid.center, mesh.triangles)
 
 
 def _amplitude(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
@@ -492,7 +563,7 @@ class PhasorCache:
         The first call images its mesh in full, then goes on as for a copy in
         which nothing moved.
         """
-        counts = pupil_node_counts(grid_reach(grid, mesh.vertices))
+        counts = node_counts(grid, mesh.vertices)
         if self._base is None:
             basis = pupil_basis(mesh, quad, grid)
             blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(DEGREE3.weights[None])]
@@ -537,3 +608,102 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     for mesh, cache in zip(meshes, caches or [None] * len(meshes), strict=True):
         u += _amplitude(mesh, quad, grid) if cache is None else cache.amplitude(mesh, quad, grid)
     return AmplitudeField(u)
+
+
+def edge_products(loop: np.ndarray, k: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, ...]:
+    """k_x d_y - k_y d_x, k . d / 2 and k . m for the loop's edges `rows`, each (E, K).
+
+    Edge e runs from a = loop[e] to b = loop[e + 1], the last one back to the
+    first, with d = b - a and midpoint m = (a + b) / 2; `k` = 2 pi f holds the
+    node wave vectors as rows k_x, k_y, (2, K). Every entry is elementwise
+    arithmetic on its own edge's endpoints, with no matrix product, so a row
+    is the same whichever rows are asked for.
+    """
+    a = loop[rows]
+    b = np.concatenate((loop[1:], loop[:1]))[rows]
+    (dx, dy), (mx, my) = (b - a).T[:, :, None], (0.5 * (a + b)).T[:, :, None]
+    kx, ky = k
+    return dy * kx - dx * ky, 0.5 * (dx * kx + dy * ky), mx * kx + my * ky
+
+
+def edge_terms(loop: np.ndarray, k: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """T_ek = (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m) for the loop's edges `rows`, (E, K) complex.
+
+    Elementwise on `edge_products`, so a row is the same whichever rows are asked for.
+    """
+    cross, half, phase = edge_products(loop, k, rows)
+    return cross * sinc(half) * cis(-phase)
+
+
+def edge_factor(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sign i / |k|^2, (K,): the loop's spectrum is this times the sum of its `edge_terms`.
+
+    `sign` is that of the loop's shoelace area, so either way round gives the
+    spectrum of the region it bounds. Every pupil node has |f| > 0.
+    """
+    return np.sign(polygon_signed_area(loop)) * 1j / (k * k).sum(axis=0)
+
+
+def polygon_spectrum(loop: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at `freqs` (2, K), (K,) complex.
+
+    With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
+    31(1), 1983; Wuttke, arXiv:1703.00255),
+    S = sign (i / |k|^2) sum_e (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m)
+    over the edges of `edge_terms`, exact up to rounding. `loop` lists the
+    vertices in order, either way round, without repeating the first.
+    """
+    k = 2.0 * np.pi * freqs
+    return edge_factor(loop, k) * edge_terms(loop, k).sum(axis=0)
+
+
+def _loop_image(loop: np.ndarray, grid: ImageGrid) -> np.ndarray:
+    """The amplitude of the polygon `loop` bounds, (nx, ny), on the node table of its samples."""
+    nodes = node_table(grid, loop)
+    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes.freqs))
+
+
+def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid) -> AmplitudeField:
+    """Aerial amplitude of the regions the loops bound: the pupil integral of each exact polygon spectrum.
+
+    Each loop (m, 2) is a region's boundary samples in order, in normalized
+    coordinates, simple and either way round. Its node table follows from
+    its samples (`node_counts`), which span the polygon's convex hull. The
+    region fields are added from zeros in loop order.
+    """
+    u = np.zeros((grid.nx, grid.ny))
+    for loop in loops:
+        u += _loop_image(loop, grid)
+    return AmplitudeField(u)
+
+
+class LoopImage:
+    """One region's edge terms at its base loop, kept for images of copies of the loop with some samples moved.
+
+    A copy at the base's node counts recomputes only the terms of the edges
+    with a moved end and takes the other rows from the base. Each row is
+    elementwise arithmetic on the same values either way, and the sum over
+    the edges and the synthesis run on whole arrays as in a full image, so
+    the image is bit for bit the one `loop_amplitude` gives. A copy whose
+    samples take other node counts is imaged in full. The base holds m x K
+    complex values for m samples on K pupil nodes.
+    """
+
+    def __init__(self, loop: np.ndarray, grid: ImageGrid):
+        self.grid = grid
+        self.counts = node_counts(grid, loop)
+        self.nodes = node_table(grid, loop)
+        self.k = 2.0 * np.pi * self.nodes.freqs
+        self.base = loop - grid.center
+        self.terms = edge_terms(self.base, self.k)
+
+    def amplitude(self, loop: np.ndarray) -> np.ndarray:
+        """The amplitude, (nx, ny), of the region a copy of the base loop bounds."""
+        if node_counts(self.grid, loop) != self.counts:
+            return _loop_image(loop, self.grid)
+        rel = loop - self.grid.center
+        moved = (rel != self.base).any(axis=1)
+        rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
+        terms = self.terms.copy()
+        terms[rows] = edge_terms(rel, self.k, rows)
+        return self.nodes.synthesize(edge_factor(rel, self.k) * terms.sum(axis=0))

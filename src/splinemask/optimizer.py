@@ -8,18 +8,13 @@ a bracket over the whole field can settle in a distant spurious minimum. It
 expands while trials score below J and backs off otherwise, then zooms in on
 a minimum inside the bracket by golden-section search with parabolic steps
 (Brent, 1973). A parabolic step is taken only through a convex three-point
-bracket, a point between two that score no lower: the trial objective is not
-smooth in the step, since each trial meshes afresh, and a parabola through
-any three points can jump into another dip. Each trial step rebuilds the
-full geometry chain (samples, mesh, provenance) at the displaced controls.
-A trial re-meshes its samples by edge flips from the iterate's unrefined
-triangles, which gives the mesh a from-scratch triangulation would give, so
-the accepted trial's meshes are those of the regenerated chain and the
-analytic gradient at the next iterate again sees a consistent frozen
-topology. Trial boundaries that self-intersect or fail to mesh score +inf so
-the line search backs away from them. The control loop may run either way
-round: every triangle is counterclockwise, and nothing downstream sees
-anything but triangles.
+bracket, a point between two that score no lower, so that a parabola through
+three points of different dips cannot jump into another one. Each trial step
+rebuilds the chain at the displaced controls: boundary samples, then the
+exact image of the polygon they bound, so the accepted trial's evaluation is
+the next iterate's. A trial loop that crosses itself or encloses no area
+scores +inf, so the line search backs away from it. The control loop may run
+either way round: the image takes the sign of the loop's area.
 
 The iterate is immutable: `step` maps a state to the next one and the step
 size, and `optimize` alone keeps the trace and decides every stop. A step the
@@ -61,7 +56,8 @@ class OptimizerConfig:
     """Loop controls: iteration cap, stopping thresholds, line-search knobs.
 
     `refine_area_tol` is the largest triangle area, in normalized units, of
-    the meshes every step regenerates; it becomes `ImagingProblem.refine_max_area`.
+    the library's region meshes (`ImagingProblem.refine_max_area`); the
+    descent images the sample loops exactly and builds no mesh.
     """
 
     max_iters: int = 100
@@ -218,7 +214,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
         if trial is None:
             moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
             try:
-                evaluation = evaluate(problem, moved, state.evaluation.systems)
+                evaluation = evaluate(problem, moved)
             except MeshError:
                 trial = (alpha, math.inf, None)
             else:

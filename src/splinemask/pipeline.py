@@ -1,34 +1,52 @@
-"""Assembly of the full forward chain and its frozen-topology re-evaluation.
+"""Assembly of the forward chain, its gradient and its finite-difference twin.
 
-One RegionSystem bundles a region's control points with the refined mesh
-built from its boundary samples and that mesh's unrefined triangles, from
-which a line-search trial re-meshes its own samples by edge flips; the
-vertex-to-control sensitivity is derived from the region and the mesh only
-when the gradient needs it. The frozen variants recompute the chain for new
-controls while keeping the provenance and connectivity of an existing
-system, which is exactly the setting in which the analytic gradient is
-defined (and which finite differences must share to be comparable).
+One RegionSystem bundles a region's control points with its boundary loop,
+the samples Q = N P, whose polygon the chain images exactly. `evaluate`
+checks that each loop bounds a region, images the loops and scores the
+image; `gradient_of` takes J's gradient as an adjoint of that image, and
+`finite_difference_gradient` is its oracle twin. None of them builds a mesh.
+
+The paper's mesh chain stays a library path beside them. A system's `mesh`
+is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
+built on first use, and `sens` its vertex-to-control sensitivity.
+`evaluate_frozen` re-images systems at new controls through their meshes
+with frozen topology, and `frozen_gradient_of` is the analytic gradient of
+that mesh image, the setting in which the mesh gradient is defined.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .gradient import amplitude_gradient, sensitivity
-from .mesh import ProvenancedMesh, TriangleQuadrature, refine_mesh, triangulate_region
-from .objective import ResistModel, objective_gradient, objective_value, print_and_epe
-from .optics import AmplitudeField, ImageGrid, PhasorCache, forward_amplitude
+from .gradient import amplitude_gradient, loop_gradient, sensitivity
+from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
+from .objective import ResistModel, objective_gradient, objective_value, pixel_weight, print_and_epe
+from .optics import AmplitudeField, ImageGrid, LoopImage, forward_amplitude, loop_amplitude
 from .spline import PeriodicSplineRegion, build_collocation
 
 
 @dataclass(frozen=True)
 class RegionSystem:
-    """Geometry chain of one region at its current control points."""
+    """Geometry chain of one region at its current control points.
+
+    `samples` is the boundary loop Q = N P. `topology`, when given, is a mesh
+    of this region at other controls whose triangles and provenance `mesh`
+    keeps; without it `mesh` meshes the loop afresh.
+    """
 
     region: PeriodicSplineRegion
-    mesh: ProvenancedMesh
-    base_triangles: np.ndarray  # the unrefined triangles over the boundary samples
+    samples: np.ndarray
+    refine_max_area: float
+    topology: ProvenancedMesh | None = None
+
+    @cached_property
+    def mesh(self) -> ProvenancedMesh:
+        """The loop's refined mesh, built on first use: the topology's moved to the samples, or a fresh one."""
+        if self.topology is not None:
+            return self.topology.with_boundary(self.samples)
+        return refine_mesh(triangulate_region(self.samples), self.refine_max_area)
 
     @property
     def sens(self) -> np.ndarray:
@@ -36,15 +54,18 @@ class RegionSystem:
         return sensitivity(self.mesh, build_collocation(self.region))
 
     def moved(self, controls: np.ndarray) -> "RegionSystem":
-        """Re-evaluate the chain at new controls with frozen topology."""
+        """The system at new controls, its mesh of frozen topology."""
         region = self.region.with_controls(controls)
-        samples = build_collocation(region) @ region.controls
-        return RegionSystem(region, self.mesh.with_boundary(samples), self.base_triangles)
+        return RegionSystem(region, build_collocation(region) @ region.controls, self.refine_max_area, self.mesh)
 
 
 @dataclass(frozen=True)
 class ImagingProblem:
-    """Static problem data in normalized coordinates."""
+    """Static problem data in normalized coordinates.
+
+    `quad` and `refine_max_area` are the quadrature rule and largest triangle
+    area of the library's mesh image; the chain's exact image needs neither.
+    """
 
     grid: ImageGrid
     target: np.ndarray
@@ -62,78 +83,77 @@ class MaskEvaluation:
     objective: float
 
 
-def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
-                        start: RegionSystem | None = None) -> RegionSystem:
-    """Mesh a region's boundary samples and refine the mesh.
-
-    `start`, a system of the same region at other controls, hands its
-    unrefined triangles to `triangulate_region`, which flips them into the
-    mesh it would build from scratch.
-    """
+def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
+    """A region's system at its controls; MeshError when its loop bounds no region (`check_loop`)."""
     samples = build_collocation(region) @ region.controls
-    base = triangulate_region(samples, None if start is None else start.base_triangles)
-    return RegionSystem(region, refine_mesh(base, problem.refine_max_area), base.triangles)
+    check_loop(samples)
+    return RegionSystem(region, samples, problem.refine_max_area)
 
 
-def _forward(problem: ImagingProblem, systems: list[RegionSystem]) -> MaskEvaluation:
-    field = forward_amplitude([s.mesh for s in systems], problem.quad, problem.grid)
+def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
     j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
 
 
-def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
-             starts: list[RegionSystem] | None = None) -> MaskEvaluation:
-    """Full evaluation with fresh meshes, the same from scratch or from `starts`.
+def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> MaskEvaluation:
+    """The exact image of the regions' sample loops, scored.
 
-    `starts` are the systems of the same regions at other controls, one per
-    region; their triangles are where re-meshing begins (`build_region_system`).
+    Raises MeshError, or its subclass SelfIntersectionError, when a loop
+    crosses itself or encloses no area.
     """
-    starts = starts if starts is not None else [None] * len(regions)
-    systems = [build_region_system(r, problem, s) for r, s in zip(regions, starts, strict=True)]
-    return _forward(problem, systems)
+    systems = [build_region_system(r, problem) for r in regions]
+    return _scored(problem, systems, loop_amplitude([s.samples for s in systems], problem.grid))
 
 
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
                     controls: list[np.ndarray]) -> MaskEvaluation:
-    """Re-evaluate at new controls without re-meshing; topology stays fixed."""
+    """The mesh image at new controls, each system's mesh moved with its topology fixed."""
     moved = [s.moved(c) for s, c in zip(systems, controls)]
-    return _forward(problem, moved)
+    return _scored(problem, moved, forward_amplitude([s.mesh for s in moved], problem.quad, problem.grid))
 
 
 def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
-    """Analytic objective gradient at an evaluated state, one (n, 2) array per region."""
+    """Analytic gradient of `evaluate`'s J at an evaluated state, one (n, 2) array per region.
+
+    dJ/dP = N^T dJ/dQ, with dJ/dQ the adjoint of each loop's image against
+    the pixel weight dJ/dU (`gradient.loop_gradient`).
+    """
+    weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
+    return [build_collocation(s.region).T @ loop_gradient(s.samples, problem.grid, weight)
+            for s in evaluation.systems]
+
+
+def frozen_gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
+    """Analytic gradient of the mesh image's J at an `evaluate_frozen` state, one (n, 2) array per region.
+
+    The amplitude-derivative fields of each region's mesh, contracted with
+    the pixel weight of the mesh image.
+    """
     grads = amplitude_gradient([s.mesh for s in evaluation.systems], problem.quad,
                                problem.grid, [s.sens for s in evaluation.systems])
-    return objective_gradient(evaluation.field, problem.target, problem.model,
-                              problem.grid, grads)
+    return objective_gradient(evaluation.field, problem.target, problem.model, problem.grid, grads)
 
 
 def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluation,
                                step: float = 1e-6) -> list[np.ndarray]:
-    """Central finite differences of J at frozen topology; the oracle twin of gradient_of.
+    """Central finite differences of `evaluate`'s J; the oracle twin of gradient_of.
 
-    A bump of region r moves only region r's mesh, so each region is imaged
-    once at the base controls, through a `PhasorCache`, and each bump
-    re-images region r alone. Within it, a bump moves only the vertices whose
-    provenance reaches the bumped control's samples: the cache forms phasors
-    for those vertices and triangle sums for the triangles that touch them,
-    and takes the rest from the base image. The region fields are added from
-    zeros in region order, as `forward_amplitude` adds them, so every J is
-    bitwise the one `evaluate_frozen` gives for the same controls.
+    A bump of region r moves only region r's loop, so each region is imaged
+    once at the base controls, through a `LoopImage`, and each bump
+    re-images region r alone. Within it, a bump moves only the samples the
+    bumped control reaches, and only the edges with an end among them take new
+    terms. The region fields are added from zeros in region order, as
+    `loop_amplitude` adds them, so every J is bitwise the one `evaluate`
+    gives at the bumped controls.
     """
     systems = evaluation.systems
-    controls = [s.region.controls.copy() for s in systems]
-    caches = [PhasorCache() for _ in systems]
-
-    def image(r: int, region_controls: np.ndarray) -> np.ndarray:
-        return forward_amplitude([systems[r].moved(region_controls).mesh],
-                                 problem.quad, problem.grid, [caches[r]]).values
-
-    alone = [image(r, c) for r, c in enumerate(controls)]
+    images = [LoopImage(s.samples, problem.grid) for s in systems]
+    alone = [image.amplitude(s.samples) for image, s in zip(images, systems)]
 
     def objective(r: int, bumped: np.ndarray) -> float:
+        region = systems[r].region.with_controls(bumped)
         fields = alone.copy()
-        fields[r] = image(r, bumped)
+        fields[r] = images[r].amplitude(build_collocation(region) @ region.controls)
         u = np.zeros((problem.grid.nx, problem.grid.ny))
         for field in fields:
             u += field
@@ -141,7 +161,8 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
                                problem.model, problem.grid)
 
     out = []
-    for r, base in enumerate(controls):
+    for r, system in enumerate(systems):
+        base = system.region.controls
         grad = np.zeros_like(base)
         for k in range(base.shape[0]):
             for c in range(2):

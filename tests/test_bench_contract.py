@@ -46,23 +46,50 @@ def test_every_traced_target_exists(tracer):
 
 
 def test_traced_commands_fill_the_layer_metrics(tracer, tmp_path):
+    """The CLI fills the layers its exact image runs through; one library mesh pass fills the mesh layers.
+
+    No command meshes a region, so the annotators of the mesh, the mesh
+    image and its gradient run only on the library path.
+    """
+    from splinemask import pipeline
+
     doc = desk_config(max_iters=1, regions=[{"num_samples": 16, "init_from_target": 0, "num_controls": 8}])
     doc["grid"] = {"nx": 12, "ny": 12, "pixel_nm": 20.0, "origin_nm": [-110.0, -110.0]}
     config = str(write_config(tmp_path, doc))
-    recorder = tracer.Tracer()
-    recorder.install()
-    start = time.perf_counter()
-    try:
-        codes = [main(["--quiet", "optimize", "--config", config, "--out", str(tmp_path / "out")]),
-                 main(["--quiet", "gradcheck", "--config", config])]
-    finally:
-        recorder.restore()
-    metrics = tracer.layer_metrics(recorder.spans, time.perf_counter() - start, 0.0,
-                                   len(recorder.missing))
+
+    def traced(run):
+        recorder = tracer.Tracer()
+        recorder.install()
+        start = time.perf_counter()
+        try:
+            result = run()
+        finally:
+            recorder.restore()
+        metrics = tracer.layer_metrics(recorder.spans, time.perf_counter() - start, 0.0,
+                                       len(recorder.missing))
+        assert metrics["trace.missing_targets"] == 0
+        return result, metrics
+
+    codes, metrics = traced(lambda: [main(["--quiet", "optimize", "--config", config, "--out", str(tmp_path / "out")]),
+                                     main(["--quiet", "gradcheck", "--config", config])])
     assert codes == [0, 0]
+    for name in ("spline.collocation.calls", "geometry.self_intersect.calls", "objective.value.calls",
+                 "pipeline.evaluate.calls", "pipeline.gradient_of.s", "optimizer.step.calls",
+                 "optimizer.line_search.s", "cli.setup.s", "cli.write.s"):
+        assert metrics[name] > 0, name
+    for name in ("mesh.triangulate.calls", "mesh.triangles", "optics.forward.calls", "gradient.amplitude.calls"):
+        assert metrics[name] == 0, name
+
+    _, problem, regions, _, _ = build_setup(parse_config(doc))
+
+    def mesh_pass():
+        systems = evaluate(problem, regions).systems
+        frozen = pipeline.evaluate_frozen(problem, systems, [r.controls for r in regions])
+        return pipeline.frozen_gradient_of(problem, frozen)
+
+    _, metrics = traced(mesh_pass)
     for name in ("mesh.triangles", "optics.forward.kernel_evals", "gradient.amplitude.kernel_evals"):
         assert metrics[name] > 0, name
-    assert metrics["trace.missing_targets"] == 0
 
 
 def test_untraced_entry_points_run(tracer, monkeypatch, tmp_path):
@@ -80,11 +107,11 @@ def test_untraced_entry_points_run(tracer, monkeypatch, tmp_path):
     assert isinstance(result["epe_count"], int)
 
 
-def test_every_trial_meshes_each_region_from_the_iterates_triangles(monkeypatch):
-    """A line-search trial re-meshes each region through `pipeline.triangulate_region`, from the iterate's triangles.
+def test_no_trial_meshes_a_region(monkeypatch):
+    """A line-search trial images its sample loops exactly: no trial calls `pipeline.triangulate_region`.
 
-    The `mesh.triangulate` span wraps that name, so it times the meshing of
-    every trial however the trial meshes.
+    The `mesh.triangulate` span wraps that name, so a CLI run records no
+    meshing at all.
     """
     from splinemask import optimizer, pipeline
 
@@ -93,23 +120,15 @@ def test_every_trial_meshes_each_region_from_the_iterates_triangles(monkeypatch)
                                  [[20.0, -100.0], [140.0, -100.0], [140.0, 100.0], [20.0, 100.0]]]
     _, problem, regions, _, _ = build_setup(parse_config(doc))
     state = OptimizationState(evaluate(problem, regions))
-    trials, handed = [], []
-    triangulate = pipeline.triangulate_region
+    trials, meshed = [], []
 
-    def counted_evaluate(problem, regions, starts=None):
-        trials.append(starts)
-        return evaluate(problem, regions, starts)
-
-    def recorded_triangulate(samples, start=None):
-        handed.append(start)
-        return triangulate(samples, start)
+    def counted_evaluate(problem, regions):
+        trials.append(regions)
+        return evaluate(problem, regions)
 
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
-    monkeypatch.setattr(pipeline, "triangulate_region", recorded_triangulate)
+    monkeypatch.setattr(pipeline, "triangulate_region", lambda *args: meshed.append(args))
     _, alpha = step(state, problem, OptimizerConfig())
     assert alpha > 0
-    iterate = [system.base_triangles for system in state.evaluation.systems]
-    assert all(given is state.evaluation.systems for given in trials)
-    assert len(handed) == len(trials) * len(iterate) > 0
-    for k, start in enumerate(handed):
-        assert start is iterate[k % len(iterate)]
+    assert len(trials) > 0
+    assert meshed == []

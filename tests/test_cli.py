@@ -195,13 +195,13 @@ def test_gradcheck_passes(tmp_path, capsys):
 
 
 def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
-    # a 1 % error in the triangle-area derivatives of the analytic gradient;
-    # finite differences never call them
+    # a 1 % error in the edge derivatives of the analytic gradient; finite
+    # differences never call them
     from splinemask import gradient
 
-    area_derivatives = gradient.area_gradient
-    monkeypatch.setattr(gradient, "area_gradient",
-                        lambda *args: tuple(1.01 * d for d in area_derivatives(*args)))
+    edge_derivatives = gradient.edge_gradient
+    monkeypatch.setattr(gradient, "edge_gradient",
+                        lambda *args: tuple(1.01 * d for d in edge_derivatives(*args)))
     config = write_config(tmp_path, desk_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -251,22 +251,23 @@ def test_gradcheck_two_regions_reports_locality(tmp_path, capsys):
 
 
 def test_gradcheck_reimages_only_the_bumped_region(tmp_path, capsys, monkeypatch):
-    from splinemask import pipeline
+    from splinemask import optics
 
     images = []
-    forward = pipeline.forward_amplitude
+    synthesize = optics.NodeTable.synthesize
 
-    def counted(meshes, *args):
-        images.append(len(meshes))
-        return forward(meshes, *args)
+    def counted(self, spectra):
+        images.append(1)
+        return synthesize(self, spectra)
 
-    monkeypatch.setattr(pipeline, "forward_amplitude", counted)
+    monkeypatch.setattr(optics.NodeTable, "synthesize", counted)
     config = write_config(tmp_path, two_region_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 0
     assert "PASS" in capsys.readouterr().out
     bumps = 4 * (8 + 8)
-    # the evaluation images both regions, the differences image each region
-    # once at its base controls and then only the bumped region per bump
+    # the evaluation images both loops and the adjoint gradient none, the
+    # differences image each loop once at its base controls and then only
+    # the bumped region's loop per bump
     assert sum(images) == 2 + 2 + bumps
     # re-imaging both regions for every bump took 2 + 2 * bumps region images
     assert sum(images) <= 0.55 * (2 + 2 * bumps)

@@ -14,15 +14,16 @@ from splinemask.mesh import (
     refine_mesh,
     triangulate_region,
 )
-from splinemask.objective import ResistModel, objective_gradient, rasterize_target
-from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude
+from splinemask.objective import ResistModel, objective_gradient, objective_value, rasterize_target
+from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude, loop_amplitude
 from splinemask.pipeline import (
     evaluate,
     evaluate_frozen,
     finite_difference_gradient,
+    frozen_gradient_of,
     gradient_of,
 )
-from splinemask.spline import PeriodicSplineRegion, build_collocation
+from splinemask.spline import PeriodicSplineRegion, build_collocation, sample_boundary
 
 from direct_sum import airy_kernel_radial_derivative
 
@@ -293,19 +294,22 @@ def test_end_to_end_gradient_matches_fd_under_random_control_perturbations(desk_
     assert_gradient_matches_fd(problem, region.with_controls(region.controls + jitter))
 
 
-def frozen_difference_gradient(problem, evaluation, step=1e-6):
-    """Central differences that re-image every region per bump; the reference for finite_difference_gradient."""
-    controls = [s.region.controls.copy() for s in evaluation.systems]
+def full_difference_gradient(problem, evaluation, step=1e-6):
+    """Central differences that evaluate every region afresh per bump; the reference for finite_difference_gradient."""
+    regions = [s.region for s in evaluation.systems]
     out = []
-    for r, base in enumerate(controls):
-        grad = np.zeros_like(base)
-        for k in range(base.shape[0]):
+    for r, region in enumerate(regions):
+        grad = np.zeros_like(region.controls)
+        for k in range(region.n):
             for c in range(2):
-                bumped = [ctrl.copy() for ctrl in controls]
-                bumped[r][k, c] += step
-                j_plus = evaluate_frozen(problem, evaluation.systems, bumped).objective
-                bumped[r][k, c] -= 2 * step
-                j_minus = evaluate_frozen(problem, evaluation.systems, bumped).objective
+                bumped = region.controls.copy()
+                moved = regions.copy()
+                bumped[k, c] += step
+                moved[r] = region.with_controls(bumped.copy())
+                j_plus = evaluate(problem, moved).objective
+                bumped[k, c] -= 2 * step
+                moved[r] = region.with_controls(bumped.copy())
+                j_minus = evaluate(problem, moved).objective
                 grad[k, c] = (j_plus - j_minus) / (2 * step)
         out.append(grad)
     return out
@@ -318,7 +322,7 @@ def test_finite_differences_match_full_reimaging_bitwise(desk_square):
     right = region.with_controls(0.4 * region.controls + [0.3, 0.1])
     evaluation = evaluate(problem, [left, right])
     got = finite_difference_gradient(problem, evaluation)
-    want = frozen_difference_gradient(problem, evaluation)
+    want = full_difference_gradient(problem, evaluation)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
@@ -337,42 +341,64 @@ def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_squar
     jitter = np.random.default_rng(seed).uniform(-0.03, 0.03, region.controls.shape)
     evaluation = evaluate(problem, two_regions(region, jitter))
     got = finite_difference_gradient(problem, evaluation)
-    want = frozen_difference_gradient(problem, evaluation)
+    want = full_difference_gradient(problem, evaluation)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 
 
 def node_count_changes(problem, evaluation, step):
-    """How many central-difference bumps of `step` give a mesh whose vertex reach takes other pupil node counts."""
+    """How many central-difference bumps of `step` move a loop's samples to other pupil node counts."""
     changes = 0
     for system in evaluation.systems:
-        base = system.moved(system.region.controls).mesh.vertices  # the cache's base mesh
-        counts = optics.pupil_node_counts(optics.grid_reach(problem.grid, base))
+        counts = optics.node_counts(problem.grid, system.samples)
         for k in range(system.region.n):
             for c in range(2):
                 bumped = system.region.controls.copy()
                 for delta in (step, -2 * step):
                     bumped[k, c] += delta
-                    vertices = system.moved(bumped).mesh.vertices
-                    changes += optics.pupil_node_counts(optics.grid_reach(problem.grid, vertices)) != counts
+                    samples = sample_boundary(system.region.with_controls(bumped))
+                    changes += optics.node_counts(problem.grid, samples) != counts
     return changes
 
 
 def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(desk_square, monkeypatch):
-    # bumps of 0.2 units move a few of the 96 meshes across a pupil node count
+    # bumps of 0.2 units move a few of the 96 loops across a pupil node count
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, two_regions(region))
     changes = node_count_changes(problem, evaluation, 0.2)
     assert changes > 0
-    bases = []
-    basis = optics.pupil_basis
-    monkeypatch.setattr(optics, "pupil_basis", lambda *args: bases.append(1) or basis(*args))
+    full = []
+    image = optics._loop_image
+    monkeypatch.setattr(optics, "_loop_image", lambda *args: full.append(1) or image(*args))
     got = finite_difference_gradient(problem, evaluation, step=0.2)
-    # one basis per region for the cached base images, then one per full re-imaging
-    assert len(bases) == 2 + changes
-    want = frozen_difference_gradient(problem, evaluation, step=0.2)
+    assert len(full) == changes
+    want = full_difference_gradient(problem, evaluation, step=0.2)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def test_a_bump_recomputes_only_the_edge_terms_of_the_samples_it_moves(desk_square, monkeypatch):
+    cfg, problem, region = desk_square
+    samples = sample_boundary(region)
+    image = optics.LoopImage(samples, problem.grid)
+    rows = []
+    edge_terms = optics.edge_terms
+    monkeypatch.setattr(optics, "edge_terms", lambda *args: rows.append(len(edge_terms(*args))) or edge_terms(*args))
+    # each control bump, then single samples moved
+    loops = [sample_boundary(region.with_controls(region.controls + 1e-6 * np.eye(region.n)[k][:, None]))
+             for k in range(region.n)]
+    for i in (0, len(samples) // 2, len(samples) - 1):
+        loop = samples.copy()
+        loop[i] += [1e-3, -2e-3]
+        loops.append(loop)
+    center = problem.grid.center
+    for loop in loops:
+        rows.clear()
+        got = image.amplitude(loop)
+        moved = (loop - center != samples - center).any(axis=1)
+        assert 0 < moved.sum() < len(moved)
+        assert rows == [(moved | np.roll(moved, -1)).sum()]
+        assert got.tobytes() == loop_amplitude([loop], problem.grid).values.tobytes()
 
 
 def test_a_bump_forms_phasors_only_for_the_vertices_it_moves(desk_square, monkeypatch):
@@ -411,10 +437,33 @@ def test_a_bump_forms_phasors_only_for_the_vertices_it_moves(desk_square, monkey
 
 
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
+    # at the same controls the frozen system's mesh is the fresh system's mesh, up to rounding
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, [region])
     frozen = evaluate_frozen(problem, evaluation.systems, [region.controls])
-    assert frozen.objective == pytest.approx(evaluation.objective, abs=1e-14)
+    mesh = forward_amplitude([evaluation.systems[0].mesh], QUAD, problem.grid)
+    fresh = objective_value(mesh.intensity_values, problem.target, problem.model, problem.grid)
+    assert frozen.objective == pytest.approx(fresh, abs=1e-14)
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one_region", "two_regions"])
+def test_frozen_gradient_matches_central_differences_of_the_frozen_mesh_image(desk_square, two):
+    cfg, problem, region = desk_square
+    regions = two_regions(region) if two else [region]
+    systems = evaluate(problem, regions).systems
+    controls = [r.controls for r in regions]
+    analytic = frozen_gradient_of(problem, evaluate_frozen(problem, systems, controls))
+    h = 1e-6
+    for r, grad in enumerate(analytic):
+        for k in range(regions[r].n):
+            for c in range(2):
+                bumped = [ctrl.copy() for ctrl in controls]
+                bumped[r][k, c] += h
+                j_plus = evaluate_frozen(problem, systems, bumped).objective
+                bumped[r][k, c] -= 2 * h
+                j_minus = evaluate_frozen(problem, systems, bumped).objective
+                fd = (j_plus - j_minus) / (2 * h)
+                assert abs(grad[k, c] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_rho_chain_matches_fd():

@@ -22,6 +22,7 @@ from splinemask.mesh import (
     TriangleQuadrature,
     TriangleTensor,
     assemble_tensor,
+    check_loop,
     gauss_points,
     polygon_area,
     refine_mesh,
@@ -29,8 +30,8 @@ from splinemask.mesh import (
     triangulate_region,
 )
 from splinemask.optimizer import init_controls_from_target
-from splinemask.pipeline import build_region_system
-from splinemask.spline import sample_boundary
+from splinemask.pipeline import build_region_system, evaluate, finite_difference_gradient, gradient_of
+from splinemask.spline import PeriodicSplineRegion, sample_boundary
 
 from conftest import desk_square_problem, square_region
 from refine_loop import depth_first_refine
@@ -130,6 +131,29 @@ def test_triangulate_rejects_degenerate():
     for samples, message in rows:
         with pytest.raises(MeshError, match=message):
             triangulate_region(np.array(samples))
+
+
+def test_check_loop_passes_exactly_the_loops_that_bound_a_region():
+    square = square_samples(8)
+    assert check_loop(square) == polygon_signed_area(square) > 0
+    assert check_loop(square[::-1]) == polygon_signed_area(square[::-1]) < 0
+    with pytest.raises(SelfIntersectionError):
+        check_loop(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+    for samples in ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], square_samples(4, side=1e-8)):
+        with pytest.raises(MeshError, match="no finite area"):
+            check_loop(np.array(samples))
+
+
+def test_a_loop_no_delaunay_triangles_tile_is_imaged_without_a_mesh():
+    # degree 1 with one sample per control: the samples are NON_DELAUNAY_LOOP itself
+    cfg, problem = desk_square_problem()
+    region = PeriodicSplineRegion(np.array(NON_DELAUNAY_LOOP), 8, degree=1)
+    with pytest.raises(MeshError, match="does not cover"):
+        triangulate_region(sample_boundary(region))
+    evaluation = evaluate(problem, [region])
+    analytic = gradient_of(problem, evaluation)[0]
+    numeric = finite_difference_gradient(problem, evaluation)[0]
+    assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 def test_refine_single_triangle_once():

@@ -28,9 +28,13 @@ from splinemask.optics import (
     bessel_j,
     forward_amplitude,
     grid_phasors,
+    loop_amplitude,
+    polygon_spectrum,
     psf,
     pupil_basis,
     pupil_nodes,
+    sinc,
+    sinc_derivative,
 )
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
 
@@ -40,7 +44,7 @@ from direct_sum import (
     direct_forward_amplitude,
     point_spectrum,
 )
-from polygon_spectrum import collapsed_gauss_spectrum, polygon_spectrum
+from polygon_spectrum import collapsed_gauss_spectrum
 from conftest import desk_square_problem, square_region
 
 J1_FIRST_ROOT = 3.8317059702075123  # frozen from the series-oracle bisection below
@@ -348,8 +352,8 @@ def initial_square(name):
 def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_the_unrefined_mesh(name):
     # the unrefined triangles tile the sample polygon exactly, either way round
     problem, system, basis = initial_square(name)
-    loop = basis.vertices[:len(system.mesh.boundary)]
-    gauss = collapsed_gauss_spectrum(basis.vertices, system.base_triangles, basis.freqs)
+    loop = basis.vertices[:len(system.samples)]
+    gauss = collapsed_gauss_spectrum(basis.vertices, triangulate_region(system.samples).triangles, basis.freqs)
     for exact in (polygon_spectrum(loop, basis.freqs), polygon_spectrum(loop[::-1], basis.freqs)):
         assert np.abs(exact - gauss).max() <= 1e-13 * polygon_area(system.mesh)
 
@@ -359,9 +363,47 @@ def test_mesh_image_error_against_the_exact_polygon_image_stays_bounded(name, bo
     # relative L2 error of the refined mesh's image at the initial controls,
     # measured at 1.943e-3 on desk and 3.200e-3 on full
     problem, system, basis = initial_square(name)
-    exact = basis.synthesize(polygon_spectrum(basis.vertices[:len(system.mesh.boundary)], basis.freqs))
+    exact = loop_amplitude([system.samples], problem.grid).values
     mesh = forward_amplitude([system.mesh], problem.quad, problem.grid).values
     assert np.linalg.norm(mesh - exact) <= bound * np.linalg.norm(exact)
+
+
+def mp_sinc(x: float) -> tuple[float, float]:
+    """sin(x) / x and its derivative from 40-digit values; 1 and 0 at x = 0."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x == 0:
+            return 1.0, 0.0
+        return float(mpmath.sin(x) / x), float((x * mpmath.cos(x) - mpmath.sin(x)) / (x * x))
+
+
+def test_sinc_and_its_derivative_match_mpmath_down_to_zero():
+    # |x| <= 10 on a grid and log-spaced toward 0, with 0 and both sides of each series switch
+    switches = [optics.SINC_SERIES, optics.SINC_SLOPE_SERIES]
+    edges = [np.nextafter(t, side) for t in switches for side in (0.0, 1.0)]
+    xs = np.concatenate([[0.0], np.logspace(-12, 1, 261), np.linspace(0.01, 10.0, 1000), switches, edges])
+    xs = np.concatenate([xs, -xs])
+    exact = np.array([mp_sinc(x) for x in xs])
+    nonzero = exact[:, 1] != 0.0
+    assert (np.abs(sinc(xs) - exact[:, 0]) <= 1e-15 * np.abs(exact[:, 0])).all()
+    slope = sinc_derivative(xs)
+    assert (slope[~nonzero] == 0.0).all()
+    assert (np.abs(slope - exact[:, 1])[nonzero] <= 1e-12 * np.abs(exact[nonzero, 1])).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 12), ny=st.integers(2, 12), reach=st.floats(0.3, 6.0))
+def test_node_table_adjoint_is_the_transpose_of_synthesis(seed, nx, ny, reach):
+    # sum W U = Re sum_k L_k S_k for the image U of any spectrum S
+    rng = np.random.default_rng(seed)
+    grid = ImageGrid(nx, ny, 0.1, (-0.3, 0.2))
+    nodes = optics.NodeTable(*grid_phasors(grid, *optics.pupil_node_counts(reach)))
+    k = nodes.freqs.shape[1]
+    spectrum = rng.normal(size=k) + 1j * rng.normal(size=k)
+    weight = rng.normal(size=(nx, ny))
+    got = np.real(nodes.adjoint(weight) @ spectrum)
+    want = np.sum(weight * nodes.synthesize(spectrum))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(weight).sum() * np.abs(spectrum).sum())
 
 
 @pytest.mark.parametrize("reach", [0.3, 1.0, 2.4, 5.0, 11.0, 40.0])
