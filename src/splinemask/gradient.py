@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import ImageGrid, cis, edge_factor, edge_products, node_table, pupil_basis, sinc, sinc_derivative
+from .optics import (ImageGrid, cis, edge_factor, edge_products, edge_scratch, node_table, pupil_basis, sinc,
+                     sinc_derivative)
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -99,20 +100,30 @@ def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np
     dT/dd = ((-k_y, k_x) s + k c sinc'(k . d / 2) / 2) E, whose factor before
     E is real, and dT/dm = -i k T.
     """
-    cross, half, phase = edge_products(loop, k)
-    s = sinc(half)
-    p = coef * cis(-phase)
-    slope, flat, moved = np.stack([p.real * (0.5 * cross * sinc_derivative(half)),
-                                   p.real * s, p.imag * (cross * s)]) @ k.T
+    work = edge_scratch(len(loop), k.shape[1])
+    cross, half, phase = edge_products(loop, k, slice(None), work)
+    p = cis(np.negative(phase, out=phase), work.terms)
+    np.multiply(coef, p, out=p)
+    spare = work.real[4]
+    s = sinc(half, work.real[3])
+    ds = sinc_derivative(half, phase, spare)
+    # rows 1 to 3 take p.real * (0.5 cross sinc'), p.real * s and p.imag * (cross s)
+    # as each dies, in the float operations of the plain expressions
+    stack = work.real[1:4]
+    np.multiply(np.multiply(np.multiply(0.5, cross, out=spare), ds, out=spare), p.real, out=stack[0])
+    np.multiply(p.real, s, out=stack[1])
+    np.multiply(p.imag, np.multiply(cross, s, out=cross), out=stack[2])
+    slope, flat, moved = stack @ k.T
     return slope + flat[:, ::-1] * [-1.0, 1.0], moved
 
 
-def loop_gradient(loop: np.ndarray, grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
+def loop_gradient(loop: np.ndarray, sign: float, grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
     """dJ/dQ for one region's loop Q (m, 2) imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
 
     The loop is imaged on the node table of its samples, as
     `optics.loop_amplitude` images it, with spectrum S = F sum_e T_e for the
-    factor F of `optics.edge_factor`. So dJ = Re sum_k L_k F_k sum_e dT_ek,
+    factor F of `optics.edge_factor` at `sign`, the loop's
+    `optics.orientation`. So dJ = Re sum_k L_k F_k sum_e dT_ek,
     with L the adjoint of the weight, and sample i takes the derivative of
     edge i at its start a = m - d / 2 and of edge i - 1 at its end
     b = m + d / 2.
@@ -120,5 +131,5 @@ def loop_gradient(loop: np.ndarray, grid: ImageGrid, weight: np.ndarray) -> np.n
     nodes = node_table(grid, loop)
     rel = loop - grid.center
     k = 2.0 * np.pi * nodes.freqs
-    along, mid = edge_gradient(rel, k, edge_factor(rel, k) * nodes.adjoint(weight))
+    along, mid = edge_gradient(rel, k, edge_factor(sign, k) * nodes.adjoint(weight))
     return 0.5 * mid - along + np.roll(0.5 * mid + along, 1, axis=0)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .geometry import (
     incircle,
@@ -141,6 +140,8 @@ def triangulate_region(samples: np.ndarray, start: np.ndarray | None = None) -> 
 
 def _delaunay_tiling(pts: np.ndarray) -> np.ndarray:
     """Qhull's Delaunay triangles of the samples that tile the loop, checked by area."""
+    from scipy.spatial import Delaunay, QhullError  # only the library's mesh needs Qhull
+
     try:
         tri = Delaunay(pts)
     except QhullError as exc:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .geometry import points_in_polygon, polygon_signed_area, polyline_self_intersects
 from .optics import AmplitudeField, ImageGrid
@@ -26,19 +25,39 @@ class ResistModel:
             raise ValueError("threshold must be positive and finite")
 
 
+@np.errstate(over="ignore")  # far out on the sigmoid's lower tail exp(t) is inf, and the quotient 0
+def _inverse_one_plus_exp(t):
+    """1 / (1 + exp(t)), the logistic at -t, written over t when t is a float array.
+
+    The only roundings are in exp, one add and one divide, so both tails
+    keep full relative accuracy. In place, and with `np.reciprocal` rather
+    than a divide of 1.0, the three ufuncs and the error state cost less per
+    call than scipy's `expit` on a 20 x 20 image.
+    """
+    if not isinstance(t, np.ndarray):
+        return 1.0 / (1.0 + np.exp(t))
+    np.exp(t, out=t)
+    t += 1.0
+    return np.reciprocal(t, out=t)
+
+
 def sigmoid(x, model: ResistModel):
-    """Logistic resist response; saturates without overflow, sig(tr) = 0.5."""
-    return expit(model.steepness * (np.asarray(x, dtype=float) - model.threshold))
+    """Logistic resist response 1 / (1 + exp(-a (x - tr))); saturates without overflow, sig(tr) = 0.5."""
+    t = model.threshold - np.asarray(x, dtype=float)
+    t *= model.steepness  # a (tr - x), which is -a (x - tr) bit for bit
+    return _inverse_one_plus_exp(t)
 
 
 def sigmoid_derivative(x, model: ResistModel):
-    """d/dx of the resist sigmoid: a * sig * (1 - sig).
+    """d/dx of the resist sigmoid: a sig(z) sig(-z) = a e / (1 + e)^2 with z = a (x - tr), e = exp(-|z|).
 
-    The complement is evaluated as expit(-z) rather than 1 - expit(z) so the
-    derivative keeps full relative accuracy on both saturated tails.
+    e is at most 1, so nothing overflows, and the form is the same on both
+    sides of tr, so the derivative keeps full relative accuracy on both
+    saturated tails.
     """
-    z = model.steepness * (np.asarray(x, dtype=float) - model.threshold)
-    return model.steepness * expit(z) * expit(-z)
+    e = np.exp(-np.abs(model.steepness * (np.asarray(x, dtype=float) - model.threshold)))
+    d = 1.0 + e
+    return model.steepness * e / (d * d)
 
 
 def check_target_polygon(polygon) -> np.ndarray:

@@ -23,6 +23,9 @@ The chain images each region's boundary loop, the polygon of its samples,
 exactly: its spectrum is a sum over its edges (`polygon_spectrum`), one
 elementwise term per edge and node, and `LoopImage` keeps a region's edge
 terms so that a copy with a few samples moved recomputes only their edges.
+The edge kernels of a whole loop, in the image and in its adjoint, write
+into work arrays each thread keeps per loop size and node count
+(`edge_scratch`), so that no call allocates them afresh.
 
 The library also images a triangle mesh of a region through the degree-3
 quadrature rule, with quadrature points g_q and weights c_q, as
@@ -43,11 +46,12 @@ only for those vertices and the triangles they touch.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1, jv, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import polygon_signed_area
 from .mesh import ProvenancedMesh, TriangleQuadrature
@@ -226,6 +230,8 @@ class ImageGrid:
 
 def bessel_j(order: int, x):
     """Bessel function of the first kind J_order for order 0, 1 or 2."""
+    from scipy.special import j0, j1, jv  # the image itself evaluates no Bessel function
+
     if order == 0:
         return j0(x)
     if order == 1:
@@ -237,6 +243,8 @@ def bessel_j(order: int, x):
 
 def airy_kernel(rho):
     """H(rho) = J1(2 pi rho) / rho with the removable singularity H(0) = pi."""
+    from scipy.special import j1
+
     rho = np.asarray(rho, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(j1(2.0 * np.pi * rho) / rho)
@@ -275,7 +283,7 @@ def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     of the disk, so for any F with F(-f) = conj(F(f)),
     int_{|f| <= 1} F df ~ Re sum_k w_k F(f_k).
     """
-    t, w = roots_legendre(n_r)
+    t, w = leggauss(n_r)
     r = 0.5 * (t + 1.0)
     counts = np.ceil((n_theta - THETA_MARGIN) * r).astype(int) + THETA_MARGIN
     theta = np.concatenate([np.arange(n) * (np.pi / n) for n in counts])
@@ -301,14 +309,15 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + THETA_MARGIN
 
 
-def cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a real phase, as cos and sin written into one complex array.
+def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i phase) for a real phase, as cos and sin written into one complex array, `out` if given.
 
     np.exp(1j * phase) first builds the complex argument and then spends an
     exp on its zero real part; on the desk forward pass this form took half
     the time.
     """
-    out = np.empty(phase.shape, dtype=complex)
+    if out is None:
+        out = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
@@ -319,21 +328,27 @@ def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (coef @ h.view(np.float64)).view(complex)
 
 
-def sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x) / x elementwise, 1 at x = 0."""
+def sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sin(x) / x elementwise, 1 at x = 0; written into `out`, which must not be x, if given."""
+    small = np.abs(x, out=out) < SINC_SERIES
+    out = np.sin(x, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(x) / x
-    small = np.abs(x) < SINC_SERIES
+        np.divide(out, x, out=out)
     if small.any():
         out[small] = 1.0 - x[small] ** 2 / 6.0
     return out
 
 
-def sinc_derivative(x: np.ndarray) -> np.ndarray:
-    """d/dx sin(x) / x = (x cos x - sin x) / x^2 elementwise, 0 at x = 0."""
+def sinc_derivative(x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """d/dx sin(x) / x = (x cos x - sin x) / x^2 elementwise, 0 at x = 0.
+
+    Written into `out`, with `tmp` for a partial result, if given; neither
+    may be x.
+    """
+    small = np.abs(x, out=out) < SINC_SLOPE_SERIES
+    out = np.multiply(x, np.cos(x, out=out), out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (x * np.cos(x) - np.sin(x)) / (x * x)
-    small = np.abs(x) < SINC_SLOPE_SERIES
+        np.divide(np.subtract(out, np.sin(x, out=tmp), out=out), np.multiply(x, x, out=tmp), out=out)
     if small.any():
         t = x[small]
         t2 = t * t
@@ -610,70 +625,135 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     return AmplitudeField(u)
 
 
-def edge_products(loop: np.ndarray, k: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True)
+class EdgeWork:
+    """Arrays the edge kernels write into, for E edges on K pupil nodes.
+
+    `real` is (5, E, K): `edge_products` writes its three products into rows
+    0 to 2 and forms each from partial products in row 3, and
+    `gradient.edge_gradient` uses row 4 as well. `terms` is (E, K) complex.
+    """
+
+    real: np.ndarray
+    terms: np.ndarray
+
+    @classmethod
+    def empty(cls, edges: int, nodes: int) -> "EdgeWork":
+        return cls(np.empty((5, edges, nodes)), np.empty((edges, nodes), dtype=complex))
+
+
+@lru_cache(maxsize=GRID_TABLES)
+def _thread_scratch(edges: int, nodes: int, thread: int) -> EdgeWork:
+    return EdgeWork.empty(edges, nodes)
+
+
+def edge_scratch(edges: int, nodes: int) -> EdgeWork:
+    """The EdgeWork the calling thread reuses for every whole loop of `edges` samples on `nodes` pupil nodes.
+
+    A desk evaluation's edge kernels take about 400 KiB of temporaries, each
+    of 40 to 80 KiB. Allocated afresh on every call, they sit at the top of
+    the heap, glibc hands their pages back when they are freed, and the next
+    call faults them in again: about 5,700 minor faults in a desk optimize,
+    against about 440 with the arrays reused. A caller must not keep what is
+    written here: the next whole loop of the same size overwrites it. Like
+    the node tables, at most GRID_TABLES of them are kept, 56 m K bytes each
+    for m samples on K nodes.
+    """
+    return _thread_scratch(edges, nodes, threading.get_ident())
+
+
+def edge_products(loop: np.ndarray, k: np.ndarray, rows=slice(None),
+                  work: EdgeWork | None = None) -> tuple[np.ndarray, ...]:
     """k_x d_y - k_y d_x, k . d / 2 and k . m for the loop's edges `rows`, each (E, K).
 
     Edge e runs from a = loop[e] to b = loop[e + 1], the last one back to the
     first, with d = b - a and midpoint m = (a + b) / 2; `k` = 2 pi f holds the
     node wave vectors as rows k_x, k_y, (2, K). Every entry is elementwise
     arithmetic on its own edge's endpoints, with no matrix product, so a row
-    is the same whichever rows are asked for.
+    is the same whichever rows are asked for. The three are rows of
+    `work.real`, fresh arrays without it.
     """
     a = loop[rows]
     b = np.concatenate((loop[1:], loop[:1]))[rows]
     (dx, dy), (mx, my) = (b - a).T[:, :, None], (0.5 * (a + b)).T[:, :, None]
     kx, ky = k
-    return dy * kx - dx * ky, 0.5 * (dx * kx + dy * ky), mx * kx + my * ky
+    real = np.empty((4, len(a), k.shape[1])) if work is None else work.real
+    cross, half, phase, partial = real[:4]
+    np.subtract(np.multiply(dy, kx, out=cross), np.multiply(dx, ky, out=partial), out=cross)
+    np.add(np.multiply(dx, kx, out=half), np.multiply(dy, ky, out=partial), out=half)
+    np.multiply(0.5, half, out=half)
+    np.add(np.multiply(mx, kx, out=phase), np.multiply(my, ky, out=partial), out=phase)
+    return cross, half, phase
 
 
-def edge_terms(loop: np.ndarray, k: np.ndarray, rows=slice(None)) -> np.ndarray:
+def edge_terms(loop: np.ndarray, k: np.ndarray, rows=slice(None), work: EdgeWork | None = None) -> np.ndarray:
     """T_ek = (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m) for the loop's edges `rows`, (E, K) complex.
 
-    Elementwise on `edge_products`, so a row is the same whichever rows are asked for.
+    Elementwise on `edge_products`, so a row is the same whichever rows are
+    asked for. The terms are `work.terms`, of a fresh EdgeWork without it.
     """
-    cross, half, phase = edge_products(loop, k, rows)
-    return cross * sinc(half) * cis(-phase)
+    if work is None:
+        work = EdgeWork.empty(len(loop[rows]), k.shape[1])
+    cross, half, phase = edge_products(loop, k, rows, work)
+    terms = cis(np.negative(phase, out=phase), work.terms)
+    np.multiply(cross, sinc(half, work.real[3]), out=cross)
+    return np.multiply(cross, terms, out=terms)
 
 
-def edge_factor(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sign i / |k|^2, (K,): the loop's spectrum is this times the sum of its `edge_terms`.
+def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_e T_ek over all the loop's edges, (K,) complex, the terms formed in the thread's `edge_scratch`."""
+    return edge_terms(loop, k, slice(None), edge_scratch(len(loop), k.shape[1])).sum(axis=0)
 
-    `sign` is that of the loop's shoelace area, so either way round gives the
+
+def edge_factor(sign: float, k: np.ndarray) -> np.ndarray:
+    """sign i / |k|^2, (K,): a loop's spectrum is this times the sum of its `edge_terms`.
+
+    `sign` is the loop's `orientation`, so either way round gives the
     spectrum of the region it bounds. Every pupil node has |f| > 0.
     """
-    return np.sign(polygon_signed_area(loop)) * 1j / (k * k).sum(axis=0)
+    return sign * 1j / (k * k).sum(axis=0)
 
 
-def polygon_spectrum(loop: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def orientation(loop: np.ndarray) -> float:
+    """The sign of the loop's shoelace area: 1 counterclockwise, -1 clockwise."""
+    return np.sign(polygon_signed_area(loop))
+
+
+def polygon_spectrum(loop: np.ndarray, freqs: np.ndarray, sign: float | None = None) -> np.ndarray:
     """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at `freqs` (2, K), (K,) complex.
 
     With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
     31(1), 1983; Wuttke, arXiv:1703.00255),
     S = sign (i / |k|^2) sum_e (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m)
     over the edges of `edge_terms`, exact up to rounding. `loop` lists the
-    vertices in order, either way round, without repeating the first.
+    vertices in order, either way round, without repeating the first; `sign`
+    is its `orientation`, found here when not given.
     """
     k = 2.0 * np.pi * freqs
-    return edge_factor(loop, k) * edge_terms(loop, k).sum(axis=0)
+    return edge_factor(orientation(loop) if sign is None else sign, k) * edge_sum(loop, k)
 
 
-def _loop_image(loop: np.ndarray, grid: ImageGrid) -> np.ndarray:
-    """The amplitude of the polygon `loop` bounds, (nx, ny), on the node table of its samples."""
+def _loop_image(loop: np.ndarray, sign: float | None, grid: ImageGrid) -> np.ndarray:
+    """The amplitude, (nx, ny), of the region the polygon `loop` bounds, on the node table of its samples.
+
+    `sign` is the loop's `orientation`, found here when None.
+    """
     nodes = node_table(grid, loop)
-    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes.freqs))
+    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes.freqs, sign))
 
 
-def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid) -> AmplitudeField:
+def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] | None = None) -> AmplitudeField:
     """Aerial amplitude of the regions the loops bound: the pupil integral of each exact polygon spectrum.
 
     Each loop (m, 2) is a region's boundary samples in order, in normalized
     coordinates, simple and either way round. Its node table follows from
     its samples (`node_counts`), which span the polygon's convex hull. The
-    region fields are added from zeros in loop order.
+    region fields are added from zeros in loop order. `signs` are the loops'
+    `orientation`s, found here when not given.
     """
     u = np.zeros((grid.nx, grid.ny))
-    for loop in loops:
-        u += _loop_image(loop, grid)
+    for loop, sign in zip(loops, signs or [None] * len(loops), strict=True):
+        u += _loop_image(loop, sign, grid)
     return AmplitudeField(u)
 
 
@@ -699,11 +779,12 @@ class LoopImage:
 
     def amplitude(self, loop: np.ndarray) -> np.ndarray:
         """The amplitude, (nx, ny), of the region a copy of the base loop bounds."""
-        if node_counts(self.grid, loop) != self.counts:
-            return _loop_image(loop, self.grid)
         rel = loop - self.grid.center
+        sign = orientation(rel)
+        if node_counts(self.grid, loop) != self.counts:
+            return _loop_image(loop, sign, self.grid)
         moved = (rel != self.base).any(axis=1)
         rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
         terms = self.terms.copy()
         terms[rows] = edge_terms(rel, self.k, rows)
-        return self.nodes.synthesize(edge_factor(rel, self.k) * terms.sum(axis=0))
+        return self.nodes.synthesize(edge_factor(sign, self.k) * terms.sum(axis=0))

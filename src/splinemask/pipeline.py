@@ -23,7 +23,7 @@ import numpy as np
 from .gradient import amplitude_gradient, loop_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
 from .objective import ResistModel, objective_gradient, objective_value, pixel_weight, print_and_epe
-from .optics import AmplitudeField, ImageGrid, LoopImage, forward_amplitude, loop_amplitude
+from .optics import AmplitudeField, ImageGrid, LoopImage, forward_amplitude, loop_amplitude, orientation
 from .spline import PeriodicSplineRegion, build_collocation
 
 
@@ -31,13 +31,15 @@ from .spline import PeriodicSplineRegion, build_collocation
 class RegionSystem:
     """Geometry chain of one region at its current control points.
 
-    `samples` is the boundary loop Q = N P. `topology`, when given, is a mesh
+    `samples` is the boundary loop Q = N P, and `orientation` the sign of its
+    shoelace area (`optics.orientation`). `topology`, when given, is a mesh
     of this region at other controls whose triangles and provenance `mesh`
     keeps; without it `mesh` meshes the loop afresh.
     """
 
     region: PeriodicSplineRegion
     samples: np.ndarray
+    orientation: float
     refine_max_area: float
     topology: ProvenancedMesh | None = None
 
@@ -56,7 +58,8 @@ class RegionSystem:
     def moved(self, controls: np.ndarray) -> "RegionSystem":
         """The system at new controls, its mesh of frozen topology."""
         region = self.region.with_controls(controls)
-        return RegionSystem(region, build_collocation(region) @ region.controls, self.refine_max_area, self.mesh)
+        samples = build_collocation(region) @ region.controls
+        return RegionSystem(region, samples, orientation(samples), self.refine_max_area, self.mesh)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ class MaskEvaluation:
 def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
     """A region's system at its controls; MeshError when its loop bounds no region (`check_loop`)."""
     samples = build_collocation(region) @ region.controls
-    check_loop(samples)
-    return RegionSystem(region, samples, problem.refine_max_area)
+    return RegionSystem(region, samples, np.sign(check_loop(samples)), problem.refine_max_area)
 
 
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
@@ -102,7 +104,8 @@ def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> Ma
     crosses itself or encloses no area.
     """
     systems = [build_region_system(r, problem) for r in regions]
-    return _scored(problem, systems, loop_amplitude([s.samples for s in systems], problem.grid))
+    field = loop_amplitude([s.samples for s in systems], problem.grid, [s.orientation for s in systems])
+    return _scored(problem, systems, field)
 
 
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
@@ -119,7 +122,7 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
     the pixel weight dJ/dU (`gradient.loop_gradient`).
     """
     weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
-    return [build_collocation(s.region).T @ loop_gradient(s.samples, problem.grid, weight)
+    return [build_collocation(s.region).T @ loop_gradient(s.samples, s.orientation, problem.grid, weight)
             for s in evaluation.systems]
 
 

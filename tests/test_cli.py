@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,7 +24,10 @@ from splinemask.cli import (
 )
 
 SQUARE = [[-100.0, -100.0], [100.0, -100.0], [100.0, 100.0], [-100.0, 100.0]]
+RECT_LEFT = [[-140.0, -100.0], [-20.0, -100.0], [-20.0, 100.0], [-140.0, 100.0]]
+RECT_RIGHT = [[20.0, -100.0], [140.0, -100.0], [140.0, 100.0], [20.0, 100.0]]
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def desk_config(max_iters=3, regions=None):
@@ -186,6 +192,34 @@ def test_pgm_orientation(tmp_path):
     assert pixels.shape == (4, 3)  # rows = ny, cols = nx
     assert pixels[0, 2] == 65535  # top row is max y, rightmost column is max x
     assert pixels.sum() == 65535
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter in which any import of scipy fails runs a desk optimize
+    # and a two-rectangle gradcheck, and ends with no scipy module loaded
+    desk = write_config(tmp_path, desk_config(max_iters=30), "desk.json")
+    twin = write_config(tmp_path, {
+        "grid": {"nx": 48, "ny": 36, "pixel_nm": 10.0, "origin_nm": [-235.0, -175.0]},
+        "target_polygons_nm": [RECT_LEFT, RECT_RIGHT],
+        "regions": [{"num_samples": 32, "init_from_target": 0, "num_controls": 16},
+                    {"num_samples": 32, "init_from_target": 1, "num_controls": 16}],
+    }, "twin.json")
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from splinemask import cli",
+        f"print(cli.main(['--quiet', 'optimize', '--config', {str(desk)!r}, '--out', {str(tmp_path / 'out')!r}]))",
+        f"print(cli.main(['--quiet', 'gradcheck', '--config', {str(twin)!r}]))",
+        "print(sorted(name for name, module in sys.modules.items() if name.split('.')[0] == 'scipy' and module))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "0"
+    assert lines[-3].endswith("-> PASS") and lines[-2] == "0"
+    assert lines[-1] == "[]"
+    assert (tmp_path / "out" / "convergence.csv").is_file()
 
 
 def test_gradcheck_passes(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
-from splinemask import optics
+from splinemask import gradient, optics
 from splinemask.gradient import amplitude_gradient, area_gradient, sensitivity
 from splinemask.mesh import (
     ProvenancedMesh,
@@ -26,6 +26,7 @@ from splinemask.pipeline import (
 from splinemask.spline import PeriodicSplineRegion, build_collocation, sample_boundary
 
 from direct_sum import airy_kernel_radial_derivative
+from polygon_spectrum import plain_edge_gradient, plain_edge_terms
 
 QUAD = TriangleQuadrature.degree3()
 
@@ -375,6 +376,31 @@ def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(d
     want = full_difference_gradient(problem, evaluation, step=0.2)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("loop_kind", ["desk", "clockwise", "short edge"])
+def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_kind):
+    # the scratch forms repeat the float operations of the plain ones; a short
+    # edge takes both sinc series
+    cfg, problem, region = desk_square
+    samples = sample_boundary(region)
+    if loop_kind == "clockwise":
+        samples = samples[::-1]
+    elif loop_kind == "short edge":
+        samples = samples.copy()
+        samples[1] = samples[0] + [3e-6, -1e-6]
+    loop = samples - problem.grid.center
+    k = 2.0 * np.pi * optics.node_table(problem.grid, samples).freqs
+    coef = np.random.default_rng(5).normal(size=(k.shape[1], 2)) @ [1.0, 1j]
+    terms = plain_edge_terms(loop, k)
+    assert optics.edge_terms(loop, k).tobytes() == terms.tobytes()
+    first = optics.edge_sum(loop, k)
+    assert first.tobytes() == terms.sum(axis=0).tobytes()
+    for got, want in zip(gradient.edge_gradient(loop, k, coef), plain_edge_gradient(loop, k, coef)):
+        assert got.tobytes() == want.tobytes()
+    # the scratch is reused, and what the kernels returned is the caller's own
+    optics.edge_sum(1.01 * loop, k)
+    assert first.tobytes() == terms.sum(axis=0).tobytes()
 
 
 def test_a_bump_recomputes_only_the_edge_terms_of_the_samples_it_moves(desk_square, monkeypatch):
