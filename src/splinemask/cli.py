@@ -371,7 +371,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
 
 
 def cmd_gradcheck(config_path: str) -> int:
-    """Analytic vs frozen-topology finite-difference gradient report.
+    """Analytic vs central finite-difference gradient report, both of the exact loop image.
 
     Returns 0 iff the max mixed error is below GRADCHECK_TOLERANCE.
     """
@@ -392,7 +392,7 @@ def cmd_gradcheck(config_path: str) -> int:
                 errors.append(err)
                 print(f"{r:>6} {k:>7} {name:>5} {ga[k, c]:>24.15e} {gf[k, c]:>24.15e} {err:>12.3e}")
     if len(regions) > 1:
-        # a control never moves another region's mesh, so cross terms vanish identically
+        # a control never moves another region's loop, so cross terms vanish identically
         print("cross-region amplitude-derivative components: 0 (exact by construction)")
     max_err = float(np.max(errors))  # a NaN error stays NaN here, and fails
     passed = max_err < GRADCHECK_TOLERANCE

@@ -64,21 +64,6 @@ def orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def incircle(ax, ay, bx, by, cx, cy, dx, dy):
-    """Lifted determinant of b, c and d taken about a.
-
-    For counterclockwise a, b, c it is positive iff d lies strictly inside
-    their circumcircle and zero iff the four points are cocircular. The terms
-    of b and c come first, so broadcasting triangles against points forms
-    them once per triangle. Works elementwise on arrays.
-    """
-    bax, bay, cax, cay = bx - ax, by - ay, cx - ax, cy - ay
-    b2, c2 = bax * bax + bay * bay, cax * cax + cay * cay
-    dax, day = dx - ax, dy - ay
-    return ((dax * dax + day * day) * (bay * cax - bax * cay)
-            + dax * (b2 * cay - bay * c2) + day * (bax * c2 - b2 * cax))
-
-
 def polyline_self_intersects(points: np.ndarray) -> bool:
     """True if the closed polyline through `points` has any crossing edge pair.
 

@@ -17,8 +17,9 @@ G_tj, which weight triangle t's phasors by the barycentric coordinate of its
 vertex slot j. Both come from the blocks `PupilBasis.phasor_blocks` makes for
 the forward image, and all derivative spectra are synthesized at once;
 `objective.objective_gradient` contracts them to dJ/dP.
-Topology (W, C, L) is treated as constant: it is rebuilt between optimizer
-steps, never differentiated.
+Topology (W, C, L) is treated as constant: the mesh gradient is that of the
+mesh moved with its topology fixed (`pipeline.evaluate_frozen`), and the
+topology is never differentiated.
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     entry is independent of the other meshes.
     """
     out = []
-    for mesh, sens in zip(meshes, sensitivities):
+    for mesh, sens in zip(meshes, sensitivities, strict=True):
         tensor = assemble_tensor(mesh)
         dsx, dsy = area_gradient(tensor, sens, mesh.triangles)
         # slot j of triangle t moves with its vertex: A_t T[t_j, :], laid out (n, 3, T)

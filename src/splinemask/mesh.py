@@ -17,19 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    incircle,
-    orient,
-    points_in_polygon,
-    polygon_signed_area,
-    polyline_self_intersects,
-)
+from .geometry import orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
 
 SLIVER_AREA = 1e-14
-# A sample is inside a circle through three others when their incircle
-# determinant exceeds this times the fourth power of the loop's extent; the
-# rounding error of the determinant is far below it.
-TIE_RTOL = 1e-12
 # The most provenance entries, vertices x boundary samples, a region's mesh may
 # hold (8 MiB of float64): refinement stops short of it, and a config whose
 # num_samples squared or refined initial mesh passes it is rejected.
@@ -99,47 +89,23 @@ class ProvenancedMesh:
         return replace(self, vertices=self.provenance @ boundary)
 
 
-def triangulate_region(samples: np.ndarray, start: np.ndarray | None = None) -> ProvenancedMesh:
+def triangulate_region(samples: np.ndarray) -> ProvenancedMesh:
     """Delaunay-triangulate a closed sample loop; the triangles that tile it, in canonical order.
 
-    The samples must form a simple polygon in order. From scratch, Qhull
-    triangulates the samples (its 2-D simplices come counterclockwise),
-    exterior triangles are removed with a centroid-in-polygon test and
-    slivers by their signed area, and the rest must reproduce the shoelace
-    area of the loop, or the loop raises MeshError.
-
-    `start` is a triangulation of the same loop at other sample positions,
-    such as the iterate's unrefined triangles when a line-search trial moves
-    its samples. While every start triangle keeps an area above SLIVER_AREA
-    it still tiles the loop, and Lawson flips of its interior edges reach the
-    constrained Delaunay triangulation (de Berg et al., *Computational
-    Geometry*, ch. 9). That is Qhull's filtered set whenever some Delaunay
-    triangles tile the loop, and when none do, a triangle's circumcircle
-    holds another sample, which raises MeshError as the coverage check
-    would. Where four samples are cocircular, up to rounding, the start's
-    diagonal stays, as Qhull's own choice there is arbitrary. A start
-    triangle at or below SLIVER_AREA, or a flip that would make one, leaves
-    the loop to Qhull.
+    The samples must form a simple polygon in order. Qhull triangulates the
+    samples (its 2-D simplices come counterclockwise), exterior triangles
+    are removed with a centroid-in-polygon test and slivers by their signed
+    area, and the rest must reproduce the shoelace area of the loop, or the
+    loop raises MeshError.
 
     Each triangle is rotated so that its smallest index leads, keeping its
-    orientation, and the rows are sorted, so both ways give the same array.
+    orientation, and the rows are sorted.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise MeshError("need at least 3 planar boundary samples")
     if polyline_self_intersects(pts):
         raise SelfIntersectionError("boundary polyline intersects itself")
-    simplices = None if start is None else _flipped(pts, start)
-    if simplices is None:
-        simplices = _delaunay_tiling(pts)
-    lead = simplices.argmin(axis=1)
-    simplices = simplices[np.arange(len(simplices))[:, None], (lead[:, None] + np.arange(3)) % 3]
-    simplices = simplices[np.lexsort((simplices[:, 2], simplices[:, 1], simplices[:, 0]))]
-    return ProvenancedMesh(vertices=pts.copy(), triangles=simplices, provenance=np.eye(len(pts)))
-
-
-def _delaunay_tiling(pts: np.ndarray) -> np.ndarray:
-    """Qhull's Delaunay triangles of the samples that tile the loop, checked by area."""
     from scipy.spatial import Delaunay, QhullError  # only the library's mesh needs Qhull
 
     try:
@@ -161,75 +127,11 @@ def _delaunay_tiling(pts: np.ndarray) -> np.ndarray:
         raise MeshError("triangulation does not cover the sampled region")
     if len(simplices) == 0:
         raise MeshError("no interior triangles left after filtering")
-    return simplices
 
-
-def _flipped(pts: np.ndarray, start: np.ndarray) -> np.ndarray | None:
-    """Lawson flips from a triangulation of the loop to its Delaunay tiling; None to ask Qhull.
-
-    An interior edge flips only when the far vertex lies inside the
-    circumcircle of the triangle across it by more than rounding (TIE_RTOL),
-    so a cocircular quad keeps the diagonal it came with. The loop's own
-    edges bound one triangle each and never flip. In exact arithmetic no edge comes back once flipped away, so
-    more flips than sample pairs means rounding has misled the test, and the
-    loop goes to Qhull, as it does when a triangle would not keep an area
-    above SLIVER_AREA.
-    """
-    triangles = np.asarray(start, dtype=np.int64)
-    if not (TriangleTensor(pts[triangles]).areas() > SLIVER_AREA).all():
-        return None
-    tie = TIE_RTOL * float(np.ptp(pts, axis=0).max()) ** 4
-    holding = _circles_holding_samples(pts, triangles, tie)
-    if not holding.any():
-        return triangles
-    xy = pts.tolist()
-    triangles = triangles.tolist()
-
-    def apex(t: int, a: int) -> int:
-        """The vertex of triangle t across from its edge that starts at a."""
-        tri = triangles[t]
-        return tri[(tri.index(a) + 2) % 3]
-
-    # owner[a, b] is the triangle whose counterclockwise boundary runs from a to b
-    owner = {}
-    for t, (a, b, c) in enumerate(triangles):
-        owner[a, b] = owner[b, c] = owner[c, a] = t
-    # an edge whose far vertex lies inside the circle across it borders a holding triangle
-    edges = [(a, b) for t in np.flatnonzero(holding).tolist()
-             for a, b in zip(triangles[t], triangles[t][1:] + triangles[t][:1]) if (b, a) in owner]
-    budget = len(xy) * (len(xy) - 1) // 2
-    while edges:
-        a, b = edges.pop()
-        t, s = owner.get((a, b)), owner.get((b, a))
-        if t is None or s is None:
-            continue
-        c, d = apex(t, a), apex(s, b)
-        if not incircle(*xy[a], *xy[b], *xy[c], *xy[d]) > tie:
-            continue
-        # triangles (a, b, c) and (b, a, d) become (c, a, d) and (d, b, c)
-        if budget == 0 or not (0.5 * orient(*xy[c], *xy[a], *xy[d]) > SLIVER_AREA
-                               and 0.5 * orient(*xy[d], *xy[b], *xy[c]) > SLIVER_AREA):
-            return None
-        budget -= 1
-        triangles[t], triangles[s] = [c, a, d], [d, b, c]
-        del owner[a, b], owner[b, a]
-        owner[c, a] = owner[a, d] = owner[d, c] = t
-        owner[d, b] = owner[b, c] = owner[c, d] = s
-        edges.extend([(c, a), (a, d), (d, b), (b, c)])
-
-    tiling = np.array(triangles, dtype=np.int64)
-    if _circles_holding_samples(pts, tiling, tie).any():
-        raise MeshError("a boundary edge is no Delaunay edge, so no Delaunay triangles tile the region")
-    return tiling
-
-
-def _circles_holding_samples(pts: np.ndarray, triangles: np.ndarray, tie: float) -> np.ndarray:
-    """Per triangle, whether some sample's incircle determinant against it exceeds `tie`.
-
-    A triangle's own corners lie on its circle, so theirs is zero up to rounding.
-    """
-    ax, ay, bx, by, cx, cy = pts[triangles].reshape(-1, 6).T[:, :, None]
-    return (incircle(ax, ay, bx, by, cx, cy, pts[:, 0], pts[:, 1]) > tie).any(axis=1)
+    lead = simplices.argmin(axis=1)
+    simplices = simplices[np.arange(len(simplices))[:, None], (lead[:, None] + np.arange(3)) % 3]
+    simplices = simplices[np.lexsort((simplices[:, 2], simplices[:, 1], simplices[:, 0]))]
+    return ProvenancedMesh(vertices=pts.copy(), triangles=simplices, provenance=np.eye(len(pts)))
 
 
 def refine_mesh(mesh: ProvenancedMesh, max_area: float) -> ProvenancedMesh:

@@ -38,10 +38,7 @@ u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
 `PupilBasis`, a node table with a mesh, makes these sums in
 `phasor_blocks`, for the forward image and the gradient alike, a block of
 node columns at a time and in two steps: vertex phasors, then triangle sums
-from them. The node table is cached per grid and node count. A
-`PhasorCache` keeps one region's phasors, so that an image of the region
-with a few vertices moved, and the same node count, repeats the two steps
-only for those vertices and the triangles they touch.
+from them. The node table is cached per grid and node count.
 """
 from __future__ import annotations
 
@@ -62,10 +59,10 @@ SMALL_RHO = 1e-6
 
 # Triangle phasor sums (rows x triangles x pupil nodes) per block of node
 # columns in PupilBasis.phasor_blocks: a block holds a few arrays of this
-# many complex values, whatever the size of a line-search trial mesh. A desk
-# forward pass (210 to 240 nodes) takes 2 to 6 blocks, median 2, with 3 to 5
-# minor page faults per call in a CLI run. At 2**15 it took 1 to 3 blocks but
-# 2.5 times as long, with about 900 page faults per call.
+# many complex values, whatever the size of the mesh. A mesh image of the
+# desk square (210 to 240 nodes) takes 2 to 6 blocks, median 2, with 3 to 5
+# minor page faults per call. At 2**15 it took 1 to 3 blocks but 2.5 times
+# as long, with about 900 page faults per call.
 PHASOR_BLOCK = 2**14
 
 # Angular pupil nodes added to ceil(1.36 pi D) at reach D, on every ring of
@@ -406,34 +403,24 @@ class PupilBasis(NodeTable):
     vertices: np.ndarray
     triangles: np.ndarray
 
-    def vertex_phasors(self, cols: slice, rows: np.ndarray | None = None) -> np.ndarray:
-        """z_v = exp(-2 pi i f . v / d) at the node columns `cols`, (V, b), for the vertices `rows` or all.
+    def vertex_phasors(self, cols: slice) -> np.ndarray:
+        """z_v = exp(-2 pi i f . v / d) at the node columns `cols`, (V, b); d is the rule's denominator."""
+        return cis((-2.0 * np.pi / DEGREE3.denominator) * (self.vertices @ self.freqs[:, cols]))
 
-        d is the rule's denominator. The phase product always runs over every
-        vertex: a BLAS product of only some rows can round them differently,
-        and each z_v must be the same whichever rows are asked for.
-        """
-        phase = self.vertices @ self.freqs[:, cols]
-        scale = -2.0 * np.pi / DEGREE3.denominator
-        return cis(scale * (phase if rows is None else phase[rows]))
-
-    def triangle_sums(self, point_weights: np.ndarray, z: np.ndarray,
-                      triangles: np.ndarray) -> np.ndarray:
-        """sums[r, t] = sum_q point_weights[r, q] E_tq for the given triangles, (R, T, b).
+    def triangle_sums(self, point_weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """sums[r, t] = sum_q point_weights[r, q] E_tq for every triangle, (R, T, b).
 
         E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t
-        under the degree-3 rule, the only one `pupil_basis` accepts, and
-        `triangles` index the rows of `z`, vertex phasors from
-        `vertex_phasors`. With the triangle product u_t = z_a z_b z_c the
-        centroid (5, 5, 5) / 15 has E = u ** 5 and point j, (9, 3, 3) / 15 with
-        the 9 in slot j, has E = u ** 3 z_j ** 6. So a row of weights
-        (w_0, w_a, w_b, w_c) in the rule's point order gives
-        u ** 3 (w_0 u ** 2 + sum_j w_j z_j ** 6); no (T, N_G, b) point-phasor
-        array is formed, and each distinct weighted table w z ** 6 is formed
-        once for all rows. Every entry is elementwise arithmetic on the phasors
-        of its own triangle's vertices, so it is the same whichever triangles
-        are asked for.
+        under the degree-3 rule, the only one `pupil_basis` accepts, and z
+        holds the vertex phasors from `vertex_phasors`. With the triangle
+        product u_t = z_a z_b z_c the centroid (5, 5, 5) / 15 has E = u ** 5
+        and point j, (9, 3, 3) / 15 with the 9 in slot j, has
+        E = u ** 3 z_j ** 6. So a row of weights (w_0, w_a, w_b, w_c) in the
+        rule's point order gives u ** 3 (w_0 u ** 2 + sum_j w_j z_j ** 6); no
+        (T, N_G, b) point-phasor array is formed, and each distinct weighted
+        table w z ** 6 is formed once for all rows.
         """
+        triangles = self.triangles
         z6 = z * z * z * z * z * z
         u = z.take(triangles[:, 0], axis=0)
         u *= z.take(triangles[:, 1], axis=0)
@@ -452,17 +439,16 @@ class PupilBasis(NodeTable):
         return sums
 
     def phasor_blocks(self, point_weights: np.ndarray):
-        """Yield (cols, z, sums) over blocks of node columns: both steps above for the whole mesh.
+        """Yield (cols, sums) over blocks of node columns: both steps above for the whole mesh.
 
-        z is `vertex_phasors` (V, b) and sums is `triangle_sums` (R, T, b) for
-        the b node columns `cols`. A block holds about PHASOR_BLOCK triangle sums.
+        sums is `triangle_sums` (R, T, b) for the b node columns `cols`. A
+        block holds about PHASOR_BLOCK triangle sums.
         """
         nt, k = len(self.triangles), self.freqs.shape[1]
         width = max(1, PHASOR_BLOCK // (len(point_weights) * nt))
         for start in range(0, k, width):
             cols = slice(start, start + width)
-            z = self.vertex_phasors(cols)
-            yield cols, z, self.triangle_sums(point_weights, z, self.triangles)
+            yield cols, self.triangle_sums(point_weights, self.vertex_phasors(cols))
 
     def spectrum(self, coef: np.ndarray) -> np.ndarray:
         """S_k = sum_t coef[..., t] H_tk, (..., T) real -> (..., K) complex.
@@ -472,7 +458,7 @@ class PupilBasis(NodeTable):
         c_tq = coef_t w_q; area coefficients give the forward spectrum.
         """
         out = np.empty((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
-        for cols, _, (h,) in self.phasor_blocks(DEGREE3.weights[None]):
+        for cols, (h,) in self.phasor_blocks(DEGREE3.weights[None]):
             out[..., cols] = _real_times(coef, h)
         return out
 
@@ -488,7 +474,7 @@ class PupilBasis(NodeTable):
         area = np.empty((*coef.shape[:-1], k), dtype=complex)
         slot = np.empty((*slot_coef.shape[:-2], k), dtype=complex)
         flat = slot_coef.reshape(*slot_coef.shape[:-2], -1)
-        for cols, _, g in self.phasor_blocks(DEGREE3.weights * DEGREE3.barycentric):
+        for cols, g in self.phasor_blocks(DEGREE3.weights * DEGREE3.barycentric):
             area[..., cols] = _real_times(coef, g.sum(axis=0))
             slot[..., cols] = _real_times(flat, g.reshape(-1, g.shape[2]))
         return area, slot
@@ -546,82 +532,18 @@ def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid
                       mesh.vertices - grid.center, mesh.triangles)
 
 
-def _amplitude(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
-    """One region's amplitude on `grid`, (nx, ny): the pupil integral of its area spectrum."""
-    basis = pupil_basis(mesh, quad, grid)
-    return basis.synthesize(basis.spectrum(mesh.areas()))
-
-
-class PhasorCache:
-    """One region's pupil phasors at its base coordinates, kept for images of moved copies of its mesh.
-
-    The first `forward_amplitude` pass given the cache images the mesh in full
-    and keeps, per block of node columns, its vertex phasors and triangle
-    phasor sums. A later pass given it images a copy of that mesh with the
-    same triangles and some vertices moved, such as a finite-difference bump.
-    It forms phasors only for the moved vertices and sums only for the
-    triangles that touch them, and takes the other rows from the base. Each
-    row is elementwise arithmetic on the same values either way, and the
-    spectrum product and the synthesis run on whole arrays as in a full pass,
-    so the image is bit for bit the one a full pass gives. A copy whose pupil
-    node count, found from its vertices as `pupil_basis` finds it, differs
-    from the base's is imaged in full. The cache holds K (V + T) complex
-    values for a mesh of V vertices and T triangles on K pupil nodes.
-    """
-
-    def __init__(self):
-        self._base = None
-
-    def amplitude(self, mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> np.ndarray:
-        """The mesh's amplitude on `grid`, (nx, ny); the first call fixes the base mesh, quad and grid.
-
-        The first call images its mesh in full, then goes on as for a copy in
-        which nothing moved.
-        """
-        counts = node_counts(grid, mesh.vertices)
-        if self._base is None:
-            basis = pupil_basis(mesh, quad, grid)
-            blocks = [(cols, z, h) for cols, z, (h,) in basis.phasor_blocks(DEGREE3.weights[None])]
-            self._base = mesh, quad, grid, counts, basis, blocks
-        base, base_quad, base_grid, base_counts, basis, blocks = self._base
-        if quad is not base_quad or grid != base_grid or not np.array_equal(mesh.triangles, base.triangles):
-            raise ValueError("a PhasorCache images copies of its first mesh on its first grid and rule")
-        if counts != base_counts:
-            return _amplitude(mesh, quad, grid)
-
-        moved = (mesh.vertices != base.vertices).any(axis=1)
-        touched = moved[mesh.triangles].any(axis=1)
-        tri = mesh.triangles[touched]
-        basis = replace(basis, vertices=mesh.vertices - grid.center)
-        coef = mesh.areas()
-        spectrum = np.empty(basis.freqs.shape[1], dtype=complex)
-        for cols, z, h in blocks:
-            z = z.copy()
-            z[moved] = basis.vertex_phasors(cols, moved)
-            # the copy's sums stand in for the base's rows while the product runs,
-            # which spares a (T, b) copy per block
-            kept = h[touched]
-            h[touched] = basis.triangle_sums(DEGREE3.weights[None], z, tri)[0]
-            try:
-                spectrum[cols] = _real_times(coef, h)
-            finally:
-                h[touched] = kept
-        return basis.synthesize(spectrum)
-
-
-def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
-                      grid: ImageGrid, caches: list[PhasorCache | None] | None = None) -> AmplitudeField:
+def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
     """Aerial amplitude: triangle-quadrature convolution of all regions with the kernel.
 
     U(x) = sum over regions, triangles p, quadrature points q of
     w_q * H(x - g_pq) * |S_p|, evaluated per region as the pupil integral of
     the region's spectrum. Meshes and grid must already be in normalized
-    coordinates. Summation order is fixed for reproducibility. `caches`, one
-    per mesh, image a mesh through its `PhasorCache`, bit for bit as without.
+    coordinates. Summation order is fixed for reproducibility.
     """
     u = np.zeros((grid.nx, grid.ny))
-    for mesh, cache in zip(meshes, caches or [None] * len(meshes), strict=True):
-        u += _amplitude(mesh, quad, grid) if cache is None else cache.amplitude(mesh, quad, grid)
+    for mesh in meshes:
+        basis = pupil_basis(mesh, quad, grid)
+        u += basis.synthesize(basis.spectrum(mesh.areas()))
     return AmplitudeField(u)
 
 

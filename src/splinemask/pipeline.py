@@ -111,7 +111,7 @@ def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> Ma
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
                     controls: list[np.ndarray]) -> MaskEvaluation:
     """The mesh image at new controls, each system's mesh moved with its topology fixed."""
-    moved = [s.moved(c) for s, c in zip(systems, controls)]
+    moved = [s.moved(c) for s, c in zip(systems, controls, strict=True)]
     return _scored(problem, moved, forward_amplitude([s.mesh for s in moved], problem.quad, problem.grid))
 
 

@@ -427,41 +427,6 @@ def test_a_bump_recomputes_only_the_edge_terms_of_the_samples_it_moves(desk_squa
         assert got.tobytes() == loop_amplitude([loop], problem.grid).values.tobytes()
 
 
-def test_a_bump_forms_phasors_only_for_the_vertices_it_moves(desk_square, monkeypatch):
-    cfg, problem, region = desk_square
-    system = evaluate(problem, [region]).systems[0]
-    base = system.moved(region.controls).mesh
-    cache = optics.PhasorCache()
-    forward_amplitude([base], QUAD, problem.grid, [cache])
-    nodes = optics.pupil_basis(base, QUAD, problem.grid).freqs.shape[1]
-    phasors, sums = [], []
-    cis, triangle_sums = optics.cis, optics.PupilBasis.triangle_sums
-    monkeypatch.setattr(optics, "cis", lambda phase: phasors.append(phase.size) or cis(phase))
-    monkeypatch.setattr(optics.PupilBasis, "triangle_sums",
-                        lambda self, w, z, tri: sums.append(len(tri)) or triangle_sums(self, w, z, tri))
-    # each control bump, then single vertices moved: a BLAS product of one row
-    # rounds differently from the same row inside the whole vertex product
-    meshes = [system.moved(region.controls + 1e-6 * np.eye(region.n)[k][:, None]).mesh
-              for k in range(region.n)]
-    for v in (0, len(base.vertices) // 2, len(base.vertices) - 1):
-        vertices = base.vertices.copy()
-        vertices[v] += [1e-3, -2e-3]
-        meshes.append(ProvenancedMesh(vertices, base.triangles, base.provenance))
-    for mesh in meshes:
-        phasors.clear()
-        sums.clear()
-        got = forward_amplitude([mesh], QUAD, problem.grid, [cache]).values
-        moved = (mesh.vertices != base.vertices).any(axis=1)
-        touched = moved[mesh.triangles].any(axis=1)
-        assert 0 < moved.sum() < len(moved)
-        assert sum(phasors) == moved.sum() * nodes
-        assert sum(sums) == touched.sum() * len(sums)  # one call per block of node columns
-        assert got.tobytes() == forward_amplitude([mesh], QUAD, problem.grid).values.tobytes()
-    with pytest.raises(ValueError):
-        cache.amplitude(ProvenancedMesh(base.vertices, base.triangles[::-1], base.provenance),
-                        QUAD, problem.grid)
-
-
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
     # at the same controls the frozen system's mesh is the fresh system's mesh, up to rounding
     cfg, problem, region = desk_square
@@ -470,6 +435,17 @@ def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
     mesh = forward_amplitude([evaluation.systems[0].mesh], QUAD, problem.grid)
     fresh = objective_value(mesh.intensity_values, problem.target, problem.model, problem.grid)
     assert frozen.objective == pytest.approx(fresh, abs=1e-14)
+
+
+def test_mesh_image_lists_must_pair_up(desk_square):
+    # one list per system or mesh; a shorter one must not cut the other down
+    cfg, problem, region = desk_square
+    system = evaluate(problem, [region]).systems[0]
+    for controls in ([], [region.controls, region.controls]):
+        with pytest.raises(ValueError):
+            evaluate_frozen(problem, [system], controls)
+    with pytest.raises(ValueError):
+        amplitude_gradient([system.mesh], QUAD, problem.grid, [])
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one_region", "two_regions"])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splinemask import OpticalConfig, geometry
+from splinemask import geometry
 from splinemask.geometry import (
     points_in_polygon,
     polygon_signed_area,
@@ -29,7 +29,6 @@ from splinemask.mesh import (
     signed_area,
     triangulate_region,
 )
-from splinemask.optimizer import init_controls_from_target
 from splinemask.pipeline import build_region_system, evaluate, finite_difference_gradient, gradient_of
 from splinemask.spline import PeriodicSplineRegion, sample_boundary
 
@@ -105,6 +104,14 @@ def test_triangulate_l_shape_matches_shoelace():
     mesh = triangulate_region(l_shape)
     assert polygon_area(mesh) == pytest.approx(abs(polygon_signed_area(l_shape)), rel=1e-12)
     assert polygon_area(mesh) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_triangles_come_in_canonical_order():
+    # each row led by its smallest index, rows sorted, orientation kept
+    mesh = triangulate_region(square_samples(16))
+    assert (mesh.triangles[:, 0] < mesh.triangles[:, 1:].min(axis=1)).all()
+    assert np.array_equal(mesh.triangles, sorted(mesh.triangles.tolist()))
+    assert (mesh.areas() > 0).all()
 
 
 def test_triangulate_rejects_bowtie():
@@ -574,143 +581,3 @@ def test_region_system_keeps_provenance_exact_and_area(num_samples, noise):
     assert (mesh.areas() > 0).all()
     assert np.abs(mesh.vertices - mesh.provenance @ mesh.boundary).max() < 1e-12
     assert abs(polygon_area(mesh) - abs(polygon_signed_area(samples))) < 1e-12
-
-
-# -- re-meshing a loop by edge flips from another triangulation of it ------------
-
-def ear_clipping(samples):
-    """Some counterclockwise triangulation of a simple loop: cut off convex corners that hold no other sample."""
-    pts = np.asarray(samples, dtype=float)
-    loop = list(range(len(pts)))
-    if polygon_signed_area(pts) < 0:
-        loop.reverse()
-    triangles = []
-    while len(loop) > 3:
-        for k in range(len(loop)):
-            corner = (loop[k - 1], loop[k], loop[(k + 1) % len(loop)])
-            a, b, c = pts[list(corner)]
-            if signed_area(a, b, c) <= 0:
-                continue
-            if any(min(signed_area(a, b, p), signed_area(b, c, p), signed_area(c, a, p)) >= 0
-                   for p in pts[[i for i in loop if i not in corner]]):
-                continue
-            triangles.append(corner)
-            del loop[k]
-            break
-        else:
-            raise ValueError("no ear: the loop is not simple")
-    return np.array(triangles + [tuple(loop)], dtype=np.int64)
-
-
-def assert_flips_match_meshing_from_scratch(samples, start):
-    """The flipped mesh is the from-scratch mesh array for array, or both raise the same error type."""
-    outcomes = []
-    for kwargs in ({}, {"start": start}):
-        try:
-            outcomes.append(triangulate_region(samples, **kwargs).triangles)
-        except MeshError as exc:
-            outcomes.append(type(exc))
-    scratch, flipped = outcomes
-    if isinstance(scratch, np.ndarray) and isinstance(flipped, np.ndarray):
-        assert np.array_equal(flipped, scratch)
-    else:
-        assert flipped is scratch
-
-
-def test_triangles_come_in_canonical_order():
-    # each row led by its smallest index, rows sorted, orientation kept
-    mesh = triangulate_region(square_samples(16))
-    assert (mesh.triangles[:, 0] < mesh.triangles[:, 1:].min(axis=1)).all()
-    assert np.array_equal(mesh.triangles, sorted(mesh.triangles.tolist()))
-    assert (mesh.areas() > 0).all()
-
-
-@pytest.mark.parametrize("diagonal", [[[0, 1, 2], [0, 2, 3]], [[0, 1, 3], [1, 2, 3]]],
-                         ids=["0-2", "1-3"])
-def test_flips_keep_the_diagonal_of_a_cocircular_quad(diagonal):
-    # the square's corners are exactly cocircular, so neither diagonal flips
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert np.array_equal(triangulate_region(square, np.array(diagonal)).triangles, diagonal)
-
-
-def test_flips_raise_where_no_delaunay_triangles_tile_the_loop():
-    loop = np.array(NON_DELAUNAY_LOOP)
-    with pytest.raises(MeshError, match="no Delaunay edge") as caught:
-        triangulate_region(loop, ear_clipping(loop))
-    assert caught.type is MeshError
-
-
-def test_flips_that_do_not_settle_leave_the_loop_to_qhull(monkeypatch):
-    # an incircle test that always asks for a flip cycles an octagon's diagonals
-    # for ever; past one flip per sample pair the loop is Qhull's
-    from splinemask import mesh as mesh_module
-
-    theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
-    octagon = np.stack([np.cos(theta), 1.3 * np.sin(theta)], axis=1)
-    scratch = triangulate_region(octagon).triangles
-    fan = np.array([[0, k, k + 1] for k in range(1, 7)])
-    asked = []
-    monkeypatch.setattr(mesh_module, "incircle",
-                        lambda *xy: asked.append(1) or np.ones(np.broadcast(*xy).shape))
-    assert np.array_equal(triangulate_region(octagon, fan).triangles, scratch)
-    assert len(asked) > 8 * 7 // 2
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(4, 30), st.floats(0.01, 0.9), st.integers(0, 2**32 - 1))
-def test_flips_from_any_triangulation_reach_the_mesh_from_scratch(m, wobble, seed):
-    # star-shaped loops with random radii: their boundary edges are often no
-    # Delaunay edges, and ear clipping is far from Delaunay. Radii that all
-    # agree would put every sample on one circle, an exact tie
-    rng = np.random.default_rng(seed)
-    theta = np.sort(rng.uniform(0, 2 * np.pi, m))
-    radius = 1.0 + wobble * rng.uniform(-1, 1, m)
-    loop = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if polyline_self_intersects(loop):
-        return
-    assert_flips_match_meshing_from_scratch(loop, ear_clipping(loop))
-
-
-def example_regions():
-    """The desk square, its clockwise twin, the L-shape and the two rectangles, in normalized units."""
-    cfg = OpticalConfig()
-    square = square_region(cfg=cfg)
-    l_shape = [[-150.0, -150.0], [150.0, -150.0], [150.0, 0.0], [0.0, 0.0], [0.0, 150.0], [-150.0, 150.0]]
-    rect_left = [[-140.0, -100.0], [-20.0, -100.0], [-20.0, 100.0], [-140.0, 100.0]]
-    rect_right = [[20.0, -100.0], [140.0, -100.0], [140.0, 100.0], [20.0, 100.0]]
-    regions = init_controls_from_target([l_shape], 16, 32) \
-        + init_controls_from_target([rect_left, rect_right], 10, 20)
-    regions = [r.with_controls(cfg.normalize_mask(r.controls)) for r in regions]
-    return {"desk square": square, "clockwise square": square.with_controls(square.controls[::-1]),
-            "L-shape": regions[0], "left rectangle": regions[1], "right rectangle": regions[2]}
-
-
-EXAMPLE_REGIONS = example_regions()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(EXAMPLE_REGIONS)), st.sampled_from([1e-3, 1e-2, 0.05, 0.15]),
-       st.sampled_from([1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3]), st.integers(0, 2**32 - 1))
-def test_flips_under_control_moves_match_meshing_from_scratch(name, iterate_move, trial_move, seed):
-    # the iterate moves every control of an example, and a trial moves it
-    # again, each coordinate by a uniform draw: the symmetric examples'
-    # exactly cocircular samples do not survive, so no draw holds an exact tie
-    rng = np.random.default_rng(seed)
-    region = EXAMPLE_REGIONS[name]
-    iterate = region.with_controls(region.controls + iterate_move * rng.uniform(-1, 1, region.controls.shape))
-    trial = iterate.with_controls(iterate.controls + trial_move * rng.uniform(-1, 1, region.controls.shape))
-    try:
-        start = triangulate_region(sample_boundary(iterate)).triangles
-    except MeshError:
-        return
-    assert_flips_match_meshing_from_scratch(sample_boundary(trial), start)
-
-
-def test_flips_keep_a_mesh_of_the_same_samples():
-    # the desk square's samples are symmetric, and nine interior edges of their
-    # mesh have cocircular quads whose incircle test rounds to about +1e-17; a
-    # flip on any positive value would turn them, find samples on the circles
-    # of the new triangles and raise MeshError
-    samples = sample_boundary(square_region())
-    mesh = triangulate_region(samples)
-    assert np.array_equal(triangulate_region(samples, mesh.triangles).triangles, mesh.triangles)
