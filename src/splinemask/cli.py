@@ -455,8 +455,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO,
-                        format="%(message)s")
+    # basicConfig only acts once per process, so the level is set on every call
+    logging.basicConfig(format="%(message)s")
+    logging.getLogger().setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.run(args)
     except ConfigError as exc:

@@ -2,14 +2,18 @@
 
 No control moves further than MAX_DISPLACEMENT in one step: the step size is
 at most alpha_max = MAX_DISPLACEMENT / max|g|. The line search grows its
-bracket [0, B] from the step that reached the iterate (1e-3 alpha_max for the
-initial one), since accepted steps are mostly far shorter than alpha_max and
-a bracket over the whole field can settle in a distant spurious minimum. It
-expands while trials score below J and backs off otherwise, then zooms in on
-a minimum inside the bracket by golden-section search with parabolic steps
-(Brent, 1973). A parabolic step is taken only through a convex three-point
-bracket, a point between two that score no lower, so that a parabola through
-three points of different dips cannot jump into another one. Each trial step
+bracket [0, B] from the step before last (from the last step while it is
+the only one, and from 1e-3 alpha_max before any), since accepted steps are
+mostly far shorter than alpha_max and a bracket over the whole field can
+settle in a distant spurious minimum. Steepest descent with exact line searches settles
+into a two-step zigzag whose step sizes alternate (Akaike, 1959), so the step
+before last is the closer guess. The search expands while trials score below
+J and backs off otherwise, then zooms in on a minimum inside the bracket by
+golden-section search with parabolic steps (Brent, 1973). A parabolic step is
+taken only through a convex three-point bracket, a point between two that
+score no lower, so that a parabola through three points of different dips
+cannot jump into another one: Brent's (v, x, w) where they are one, else the
+bracket ends (a, x, b), which are one once both are trials. Each trial step
 rebuilds the chain at the displaced controls: boundary samples, then the
 exact image of the polygon they bound, so the accepted trial's evaluation is
 the next iterate's. A trial loop that crosses itself or encloses no area
@@ -83,14 +87,17 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class OptimizationState:
-    """One iterate: its evaluation, the number of steps taken to reach it and the last step size.
+    """One iterate: its evaluation, the number of steps taken to reach it and the last two step sizes.
 
-    `alpha` is 0 for the initial iterate; the next line search starts from it.
+    `alpha` is the last step and `previous_alpha` the one before it; each is 0
+    until taken. The next line search starts from `previous_alpha`, or from
+    `alpha` while that is the only step.
     """
 
     evaluation: MaskEvaluation
     iteration: int = 0
     alpha: float = 0.0
+    previous_alpha: float = 0.0
 
     @property
     def objective(self) -> float:
@@ -103,14 +110,19 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
     1973, ch. 5) with the parabola kept to convex triples. x is the lowest
     point scored, w the next lowest and v the one w replaced. The step goes to
-    the vertex of the parabola through (v, x, w) only when x lies strictly
-    between w and v and scores no higher than either, so that the three points
-    bracket a local minimum, and only when it is shorter than half the step
-    before last and lands inside the bracket (a, b). Otherwise a golden-section
-    step divides the larger side of x. A step shorter than tol/2 is lengthened
-    to tol/2 toward the middle of the bracket. x moves only on a strict
-    decrease, so +inf trials shrink the bracket as in plain golden-section
-    search.
+    the vertex of the parabola through (v, x, w) when x lies strictly between
+    w and v and scores no higher than either, so that the three points bracket
+    a local minimum. When they do not, as when every trial on one side of x
+    scored above both v and w, the parabola goes through the bracket ends
+    (a, x, b) instead, once both are finite trials: x always scores no higher
+    than either. It does so only if the last two steps shrank the bracket to
+    GOLDEN**2 of its width, as two golden-section steps would, so that a far
+    end that scores high cannot hold the steps creeping toward it. Either
+    parabolic step is taken only when it is shorter than half the step before
+    last and lands inside the bracket (a, b). Otherwise a golden-section step
+    divides the larger side of x. A step shorter than tol/2 is lengthened to
+    tol/2 toward the middle of the bracket. x moves only on a strict decrease,
+    so +inf trials shrink the bracket as in plain golden-section search.
 
     The search starts from the golden points of [0, alpha_max], x the lower
     (the left on a tie), and stops once every point of the bracket lies within
@@ -119,6 +131,7 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     return +inf for infeasible trials.
     """
     a, b = 0.0, float(alpha_max)
+    fa = fb = math.inf   # +inf until the bracket end is a trial
     tol = max(tol, FLOAT_SPACINGS * math.ulp(b))
     x, w = b - GOLDEN * b, GOLDEN * b
     fx, fw = phi(x), phi(w)
@@ -126,16 +139,24 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
         x, fx, w, fw = w, fw, x, fx
     v, fv = w, fw
     d = e = 0.0   # the last step and the step before it (after a golden step, the side it divided)
+    widths = (math.inf, math.inf)   # the bracket's width before the step before last and before the last
     while True:
         m = 0.5 * (a + b)
         if abs(x - m) <= tol - 0.5 * (b - a):
             return x, fx
+        triples = [(v, fv, w, fw)]
+        if b - a <= GOLDEN ** 2 * widths[0]:
+            triples.append((a, fa, b, fb))
+        widths = (widths[1], b - a)
+        convex = [(s, fs, t, ft) for s, fs, t, ft in triples
+                  if min(s, t) < x < max(s, t) and fx <= min(fs, ft) and max(fs, ft) < math.inf]
         parabolic = False
-        if min(v, w) < x < max(v, w) and fx <= min(fw, fv) and max(fw, fv) < math.inf:
-            # the vertex of the parabola through (v, x, w) is at x + p / q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
+        if convex:
+            # the vertex of the parabola through (s, x, t) is at x + p / q
+            s, fs, t, ft = convex[0]
+            r = (x - t) * (fx - fs)
+            q = (x - s) * (fx - ft)
+            p = (x - s) * q - (x - t) * r
             q = 2.0 * (q - r)
             if q > 0:
                 p = -p
@@ -150,15 +171,15 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
         fu = phi(u)
         if fu < fx:
             if u >= x:
-                a = x
+                a, fa = x, fx
             else:
-                b = x
+                b, fb = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu <= fw:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == w:
@@ -168,11 +189,12 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
 def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float | None:
     """The end B of a bracket [0, B] that holds a trial scoring below `objective`.
 
-    Trials start at `start`. While they score below `objective` they grow by
-    1/GOLDEN, up to alpha_max, and B is the first that does not (or is
-    infeasible), else alpha_max. Otherwise they shrink by GOLDEN**2 until one
-    does, and B is the trial before it. Returns None when no trial down to
-    SMALLEST_STEP * alpha_max scores below `objective`.
+    Trials start at `start` (`step` passes its step before last). While they
+    score below `objective` they grow by 1/GOLDEN, up to alpha_max, and B is
+    the first that does not (or is infeasible), else alpha_max. Otherwise they
+    shrink by GOLDEN**2 until one does, and B is the trial before it. Returns
+    None when no trial down to SMALLEST_STEP * alpha_max scores below
+    `objective`.
     """
     alpha = start
     if phi(alpha) < objective:
@@ -193,9 +215,12 @@ def step(state: OptimizationState, problem: ImagingProblem,
          opt: OptimizerConfig) -> tuple[OptimizationState, float]:
     """One steepest-descent step: grown bracket, golden-section and parabolic zoom, regeneration.
 
-    Returns (next state, alpha). When the gradient vanishes or no trial down
-    to SMALLEST_STEP * alpha_max scores below J, that is the given state and
-    alpha 0. Every distinct trial step is evaluated once.
+    The bracket grows from the state's step before last, else its last step,
+    else FIRST_STEP * alpha_max, capped at alpha_max. Returns (next state,
+    alpha); the next state carries alpha and the given state's last step.
+    When the gradient vanishes or no trial down to SMALLEST_STEP * alpha_max
+    scores below J, that is the given state and alpha 0. Every distinct trial
+    step is evaluated once.
     """
     grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
@@ -222,7 +247,8 @@ def step(state: OptimizationState, problem: ImagingProblem,
             trials.append(trial)
         return trial[1]
 
-    start = min(state.alpha, alpha_max) if state.alpha > 0 else FIRST_STEP * alpha_max
+    carried = state.previous_alpha or state.alpha
+    start = min(carried, alpha_max) if carried > 0 else FIRST_STEP * alpha_max
     end = grow_bracket(phi, state.objective, start, alpha_max)
     if end is None:
         return state, 0.0
@@ -230,7 +256,7 @@ def step(state: OptimizationState, problem: ImagingProblem,
     # the zoom's trial, unless another scored strictly lower; the bracket
     # holds a trial below J, so this one is below J and feasible
     alpha, _, evaluation = min([scored(alpha), *trials], key=lambda t: t[1])
-    return OptimizationState(evaluation, state.iteration + 1, alpha), alpha
+    return OptimizationState(evaluation, state.iteration + 1, alpha, state.alpha), alpha
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,23 @@ def test_commands_run_without_scipy(tmp_path):
     assert (tmp_path / "out" / "convergence.csv").is_file()
 
 
+@pytest.mark.parametrize("order", [(False, True), (True, False)], ids=["loud_then_quiet", "quiet_then_loud"])
+def test_quiet_holds_for_each_call_in_a_process(tmp_path, order):
+    """Two `main` calls in one fresh interpreter: only the call without --quiet logs its progress line."""
+    config = write_config(tmp_path, desk_config())
+    script = ["import sys", "from splinemask import cli"]
+    expected = []
+    for quiet in order:
+        argv = ["--quiet"] * quiet + ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+        script += [f"print('quiet={quiet}', file=sys.stderr, flush=True)", f"assert cli.main({argv!r}) == 0"]
+        expected += [f"quiet={quiet}"] + ["simulate: J=0.180269 epe=20"] * (not quiet)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines() == expected
+
+
 def test_gradcheck_passes(tmp_path, capsys):
     config = write_config(tmp_path, desk_config())
     assert cmd_gradcheck(str(config)) == 0
