@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import (ImageGrid, cis, edge_factor, edge_products, edge_scratch, node_table, pupil_basis, sinc,
-                     sinc_derivative)
+from .optics import (ImageGrid, edge_products, edge_scratch, node_table, phasor_of_tangent, pupil_basis,
+                     sinc_of_tangent, sinc_slope)
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -99,21 +99,26 @@ def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np
     s = sinc(k . d / 2) and E = exp(-i k . m) for edge vector d and midpoint
     m (`optics.edge_products`). Then
     dT/dd = ((-k_y, k_x) s + k c sinc'(k . d / 2) / 2) E, whose factor before
-    E is real, and dT/dm = -i k T.
+    E is real, and dT/dm = -i k T. As in the image, two tangents per edge and
+    node give E, s and sinc', the last from the cosine of the same u.
     """
     work = edge_scratch(len(loop), k.shape[1])
-    cross, half, phase = edge_products(loop, k, slice(None), work)
-    p = cis(np.negative(phase, out=phase), work.terms)
+    cross, quarter, phase = edge_products(loop, k, slice(None), work)
+    u = np.tan(quarter, out=work.real[1])
+    p = work.terms
+    phasor_of_tangent(np.tan(phase, out=phase), p.real, p.imag, work.real[3])
     np.multiply(coef, p, out=p)
-    spare = work.real[4]
-    s = sinc(half, work.real[3])
-    ds = sinc_derivative(half, phase, spare)
-    # rows 1 to 3 take p.real * (0.5 cross sinc'), p.real * s and p.imag * (cross s)
+    cos_h, sin_h, s = work.real[3:6]
+    phasor_of_tangent(u, cos_h, sin_h, s)
+    sinc_of_tangent(quarter, u, s)
+    ds = sinc_slope(np.add(quarter, quarter, out=quarter), s, cos_h, sin_h)
+    # rows 3 to 5 take p.real * (0.5 cross sinc'), p.real * s and p.imag * (cross s)
     # as each dies, in the float operations of the plain expressions
-    stack = work.real[1:4]
-    np.multiply(np.multiply(np.multiply(0.5, cross, out=spare), ds, out=spare), p.real, out=stack[0])
+    half_slope = np.multiply(np.multiply(0.5, cross, out=quarter), ds, out=quarter)
+    stack = work.real[3:6]
     np.multiply(p.real, s, out=stack[1])
-    np.multiply(p.imag, np.multiply(cross, s, out=cross), out=stack[2])
+    np.multiply(p.imag, np.multiply(cross, s, out=stack[2]), out=stack[2])
+    np.multiply(p.real, half_slope, out=stack[0])
     slope, flat, moved = stack @ k.T
     return slope + flat[:, ::-1] * [-1.0, 1.0], moved
 
@@ -122,8 +127,8 @@ def loop_gradient(loop: np.ndarray, sign: float, grid: ImageGrid, weight: np.nda
     """dJ/dQ for one region's loop Q (m, 2) imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
 
     The loop is imaged on the node table of its samples, as
-    `optics.loop_amplitude` images it, with spectrum S = F sum_e T_e for the
-    factor F of `optics.edge_factor` at `sign`, the loop's
+    `optics.loop_amplitude` images it, with spectrum S = F sum_e T_e for
+    F = sign i / |k|^2, the nodes' `edge_factor` times `sign`, the loop's
     `optics.orientation`. So dJ = Re sum_k L_k F_k sum_e dT_ek,
     with L the adjoint of the weight, and sample i takes the derivative of
     edge i at its start a = m - d / 2 and of edge i - 1 at its end
@@ -131,6 +136,5 @@ def loop_gradient(loop: np.ndarray, sign: float, grid: ImageGrid, weight: np.nda
     """
     nodes = node_table(grid, loop)
     rel = loop - grid.center
-    k = 2.0 * np.pi * nodes.freqs
-    along, mid = edge_gradient(rel, k, edge_factor(sign, k) * nodes.adjoint(weight))
+    along, mid = edge_gradient(rel, nodes.k, sign * nodes.edge_factor * nodes.adjoint(weight))
     return 0.5 * mid - along + np.roll(0.5 * mid + along, 1, axis=0)

@@ -27,13 +27,22 @@ The edge kernels of a whole loop, in the image and in its adjoint, write
 into work arrays each thread keeps per loop size and node count
 (`edge_scratch`), so that no call allocates them afresh.
 
+Every phasor and sinc is formed from the tangent of its half angle: with
+u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`) and
+sin(x) / x = (u / (x / 2)) / (1 + u^2) (`sinc`), so an edge term costs two
+tan calls per node and no sin or cos. numpy evaluates tan with a SIMD loop
+where the CPU has AVX-512, several times faster than a libm sin or cos;
+elsewhere it calls libm's tan, and two tangents then cost about as much as
+the three libm calls they replace. The two round differently, so the last
+bits of an image depend on which one numpy dispatches.
+
 The library also images a triangle mesh of a region through the degree-3
 quadrature rule, with quadrature points g_q and weights c_q, as
 S(f) = sum_q c_q exp(-2 pi i f.g_q). With c_q the triangle area times the
 rule weight, S = sum_t A_t H_t where H_t = sum_q w_q exp(-2 pi i f.g_tq) is
 one phasor sum per triangle. The rule has its points at barycentric
-coordinates over 15, so from the vertex phasors z (one cos/sin pair per
-vertex and node) H_t has a closed form in z ** 6 and the triangle product
+coordinates over 15, so from the vertex phasors z (one tangent per vertex
+and node) H_t has a closed form in z ** 6 and the triangle product
 u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
 `PupilBasis`, a node table with a mesh, makes these sums in
 `phasor_blocks`, for the forward image and the gradient alike, a block of
@@ -45,7 +54,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -89,12 +98,9 @@ GRID_TABLES = 8
 # The quadrature rule `PupilBasis.triangle_sums` is written for.
 DEGREE3 = TriangleQuadrature.degree3()
 
-# Below this |x| `sinc` takes 1 - x^2 / 6, whose first omitted term x^4 / 120
-# is below 1e-17 relative there; sin(x) / x would divide 0 by 0 at x = 0.
-SINC_SERIES = 1e-4
-# Below this |x| `sinc_derivative` takes its Maclaurin series to x^7. The
-# closed form (x cos x - sin x) / x^2 cancels toward 0, and loses about
-# 3e-16 / x^2 relative: 1.3e-13 here, 6e-10 at x = 1e-3.
+# Below this |x| `sinc_slope` takes its Maclaurin series to x^7. The closed
+# form (cos x - sinc x) / x cancels toward 0, and loses up to about
+# 7e-16 / x^2 relative: 3e-13 here, 7e-10 at x = 1e-3.
 SINC_SLOPE_SERIES = 0.05
 
 
@@ -307,17 +313,33 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
 
 
 def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i phase) for a real phase, as cos and sin written into one complex array, `out` if given.
+    """exp(i phase) for a real phase, from its half-angle tangent, written into one complex array, `out` if given.
 
-    np.exp(1j * phase) first builds the complex argument and then spends an
-    exp on its zero real part; on the desk forward pass this form took half
-    the time.
+    With u = tan(phase / 2), exp(i phase) = ((1 - u^2) + 2 i u) / (1 + u^2)
+    (`phasor_of_tangent`): within 2.6e-16 of it for |phase| up to
+    2 pi MAX_REACH, where libm's cos and sin are within 1.6e-16. One tan
+    costs less than a cos and a sin wherever numpy evaluates tan with SIMD:
+    with AVX-512, numpy 2.4 took 9 to 14 us for a tan of a (24, 210) array
+    against 75 to 110 us for a sin or a cos, and its scalar libm tan, 74 to
+    79 us, costs about what a sin or a cos does.
     """
     if out is None:
         out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
+    u = np.tan(np.multiply(0.5, phase, out=out.imag), out=out.imag)
+    phasor_of_tangent(u, out.real, out.imag, np.empty(out.shape))
     return out
+
+
+def phasor_of_tangent(u: np.ndarray, re: np.ndarray, im: np.ndarray, tmp: np.ndarray) -> None:
+    """cos x = (1 - u^2) / (1 + u^2) into `re` and sin x = 2 u / (1 + u^2) into `im`, for u = tan(x / 2).
+
+    `tmp` holds 1 + u^2. `im` may be u itself; `re` and `tmp` may not.
+    """
+    np.multiply(u, u, out=tmp)
+    np.subtract(1.0, tmp, out=re)
+    np.add(tmp, 1.0, out=tmp)
+    np.divide(re, tmp, out=re)
+    np.divide(np.add(u, u, out=im), tmp, out=im)
 
 
 def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -326,26 +348,52 @@ def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(x) / x elementwise, 1 at x = 0; written into `out`, which must not be x, if given."""
-    small = np.abs(x, out=out) < SINC_SERIES
-    out = np.sin(x, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, x, out=out)
-    if small.any():
-        out[small] = 1.0 - x[small] ** 2 / 6.0
-    return out
+    """sin(x) / x elementwise, 1 at x = 0; written into `out`, which must not be x, if given.
+
+    With u = tan(x / 2), sin x = 2 u / (1 + u^2), so sin(x) / x is
+    (u / (x / 2)) / (1 + u^2) (`sinc_of_tangent`): no series is needed
+    near 0, where tan(x / 2) / (x / 2) keeps every digit, and only x = 0
+    itself, 0 / 0, is set to 1.
+    """
+    half = np.multiply(0.5, x, out=out)
+    return sinc_of_tangent(half, np.tan(half), half)
+
+
+def sinc_of_tangent(half: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sinc x = (u / half) / (1 + u^2) for half = x / 2 and u = tan(x / 2), 1 where x = 0, into `out`.
+
+    `out` may be `half`; u is left holding 1 + u^2.
+    """
+    zero = None if half.all() else half == 0
+    with np.errstate(invalid="ignore"):
+        np.divide(u, half, out=out)
+    if zero is not None:
+        out[zero] = 1.0
+    np.add(np.multiply(u, u, out=u), 1.0, out=u)
+    return np.divide(out, u, out=out)
 
 
 def sinc_derivative(x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """d/dx sin(x) / x = (x cos x - sin x) / x^2 elementwise, 0 at x = 0.
+    """d/dx sin(x) / x = (cos x - sinc x) / x elementwise, 0 at x = 0 (`sinc_slope`).
 
-    Written into `out`, with `tmp` for a partial result, if given; neither
-    may be x.
+    cos x is the real part of `cis` and sinc x is `sinc`. Written into
+    `out`, with `tmp` for sinc x, if given; neither may be x.
+    """
+    return sinc_slope(x, sinc(x, tmp), cis(x).real, out)
+
+
+def sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """sinc' x = (cos x - sinc x) / x from s = sinc x and cos x, into `out`, which may be none of the inputs, if given.
+
+    Below SINC_SLOPE_SERIES in |x|, where the difference cancels, the
+    Maclaurin series to x^7 takes over. Elsewhere, with cos x and sinc x
+    from tangents, the error stays below 3.3e-16 / |x| up to |x| = 200:
+    below 1.2e-13 relative for |x| <= 10, but more near the roots of sinc',
+    where it is small (1.5e-12 relative 1e-4 from the root near 98.95).
     """
     small = np.abs(x, out=out) < SINC_SLOPE_SERIES
-    out = np.multiply(x, np.cos(x, out=out), out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.subtract(out, np.sin(x, out=tmp), out=out), np.multiply(x, x, out=tmp), out=out)
+        out = np.divide(np.subtract(cos_x, s, out=out), x, out=out)
     if small.any():
         t = x[small]
         t2 = t * t
@@ -361,12 +409,31 @@ class NodeTable:
     w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the grid center;
     `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and
     imaginary parts interleaved like a complex array's memory. All three are
-    the cached, read-only tables of `grid_phasors`.
+    the cached, read-only tables of `grid_phasors`, and `node_table` keeps the
+    table itself, so that its node constants `k` and `edge_factor` are formed
+    once per node count.
     """
 
     freqs: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """The node wave vectors k = 2 pi f as rows k_x, k_y, (2, K), read-only."""
+        k = 2.0 * np.pi * self.freqs
+        k.setflags(write=False)
+        return k
+
+    @cached_property
+    def edge_factor(self) -> np.ndarray:
+        """i / |k|^2, (K,) complex, read-only: a loop's spectrum is its orientation times this times its `edge_sum`.
+
+        Every pupil node has |f| > 0.
+        """
+        factor = 1j / (self.k * self.k).sum(axis=0)
+        factor.setflags(write=False)
+        return factor
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
         """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
@@ -374,10 +441,14 @@ class NodeTable:
         U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
         leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
         x-side products as interleaved reals makes this one real matrix
-        product against `ey`.
+        product against `ey`. The products of a single spectrum, (nx, K), go
+        into an array the calling thread reuses (`_synthesis_scratch`); a
+        batch of spectra, as the mesh gradient synthesizes, takes a fresh
+        array, which a scratch would keep alive at its full size.
         """
         nx, k = self.wex.shape
-        a = spectra[..., None, :] * self.wex
+        a = _synthesis_scratch(nx, k, threading.get_ident()) if spectra.ndim == 1 else None
+        a = np.multiply(spectra[..., None, :], self.wex, out=a)
         out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
         return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
 
@@ -512,9 +583,14 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
     return pupil_node_counts(grid_reach(grid, points))
 
 
+@lru_cache(maxsize=GRID_TABLES)
+def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
+    return NodeTable(*grid_phasors(grid, n_r, n_theta))
+
+
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
     """The cached node table at `node_counts(grid, points)`."""
-    return NodeTable(*grid_phasors(grid, *node_counts(grid, points)))
+    return _node_table(grid, *node_counts(grid, points))
 
 
 def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
@@ -551,9 +627,9 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
 class EdgeWork:
     """Arrays the edge kernels write into, for E edges on K pupil nodes.
 
-    `real` is (5, E, K): `edge_products` writes its three products into rows
-    0 to 2 and forms each from partial products in row 3, and
-    `gradient.edge_gradient` uses row 4 as well. `terms` is (E, K) complex.
+    `real` is (6, E, K): `edge_products` forms its six products in it and
+    leaves its three sums in rows 0, 2 and 4, and the kernels work in the
+    others. `terms` is (E, K) complex.
     """
 
     real: np.ndarray
@@ -561,12 +637,21 @@ class EdgeWork:
 
     @classmethod
     def empty(cls, edges: int, nodes: int) -> "EdgeWork":
-        return cls(np.empty((5, edges, nodes)), np.empty((edges, nodes), dtype=complex))
+        return cls(np.empty((6, edges, nodes)), np.empty((edges, nodes), dtype=complex))
 
 
 @lru_cache(maxsize=GRID_TABLES)
 def _thread_scratch(edges: int, nodes: int, thread: int) -> EdgeWork:
     return EdgeWork.empty(edges, nodes)
+
+
+@lru_cache(maxsize=GRID_TABLES)
+def _synthesis_scratch(nx: int, nodes: int, thread: int) -> np.ndarray:
+    """The (nx, K) complex array `NodeTable.synthesize` writes one spectrum's x-side products into on `thread`.
+
+    It is reused for the reason `edge_scratch` gives: 67 KiB on desk.
+    """
+    return np.empty((nx, nodes), dtype=complex)
 
 
 def edge_scratch(edges: int, nodes: int) -> EdgeWork:
@@ -584,42 +669,50 @@ def edge_scratch(edges: int, nodes: int) -> EdgeWork:
     return _thread_scratch(edges, nodes, threading.get_ident())
 
 
-def edge_products(loop: np.ndarray, k: np.ndarray, rows=slice(None),
-                  work: EdgeWork | None = None) -> tuple[np.ndarray, ...]:
-    """k_x d_y - k_y d_x, k . d / 2 and k . m for the loop's edges `rows`, each (E, K).
+def edge_products(loop: np.ndarray, k: np.ndarray, rows, work: EdgeWork) -> tuple[np.ndarray, ...]:
+    """k_x d_y - k_y d_x and the half angles k . d / 4 and -k . m / 2 for the loop's edges `rows`, each (E, K).
 
     Edge e runs from a = loop[e] to b = loop[e + 1], the last one back to the
     first, with d = b - a and midpoint m = (a + b) / 2; `k` = 2 pi f holds the
-    node wave vectors as rows k_x, k_y, (2, K). Every entry is elementwise
-    arithmetic on its own edge's endpoints, with no matrix product, so a row
-    is the same whichever rows are asked for. The three are rows of
-    `work.real`, fresh arrays without it.
+    node wave vectors as rows k_x, k_y, (2, K). An edge term takes
+    sinc(k . d / 2) and exp(-i k . m), each from the tangent of half its
+    argument. Each of the three is c_x k_x + c_y k_y for per-edge
+    coefficients formed on the endpoints, (d_y, -d_x), d / 4 and
+    -(a + b) / 4, exactly; the six products are one broadcast multiply into
+    rows 0 to 5 of `work.real`, and the three sums land in rows 0, 2 and 4.
+    Every entry is elementwise arithmetic on its own edge's endpoints, with
+    no matrix product, so a row is the same whichever rows are asked for.
     """
     a = loop[rows]
     b = np.concatenate((loop[1:], loop[:1]))[rows]
-    (dx, dy), (mx, my) = (b - a).T[:, :, None], (0.5 * (a + b)).T[:, :, None]
-    kx, ky = k
-    real = np.empty((4, len(a), k.shape[1])) if work is None else work.real
-    cross, half, phase, partial = real[:4]
-    np.subtract(np.multiply(dy, kx, out=cross), np.multiply(dx, ky, out=partial), out=cross)
-    np.add(np.multiply(dx, kx, out=half), np.multiply(dy, ky, out=partial), out=half)
-    np.multiply(0.5, half, out=half)
-    np.add(np.multiply(mx, kx, out=phase), np.multiply(my, ky, out=partial), out=phase)
-    return cross, half, phase
+    d = b - a
+    coef = np.stack([d[:, ::-1] * [1.0, -1.0], 0.25 * d, -0.25 * (a + b)]).transpose(0, 2, 1)  # (3, 2, E)
+    pairs = work.real.reshape(3, 2, *work.real.shape[1:])
+    np.multiply(coef[..., None], k[:, None, :], out=pairs)
+    cross, quarter, phase = np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    return cross, quarter, phase
 
 
 def edge_terms(loop: np.ndarray, k: np.ndarray, rows=slice(None), work: EdgeWork | None = None) -> np.ndarray:
     """T_ek = (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m) for the loop's edges `rows`, (E, K) complex.
 
-    Elementwise on `edge_products`, so a row is the same whichever rows are
-    asked for. The terms are `work.terms`, of a fresh EdgeWork without it.
+    Two tangents per edge and node, u = tan(k . d / 4) and w = tan(-k . m / 2)
+    of `edge_products`, give the sinc as `sinc` forms it and the phasor as
+    `cis` forms it; no sin or cos is evaluated. Elementwise, so a row is the
+    same whichever rows are asked for. The terms are `work.terms`, of a fresh
+    EdgeWork without it.
     """
     if work is None:
         work = EdgeWork.empty(len(loop[rows]), k.shape[1])
-    cross, half, phase = edge_products(loop, k, rows, work)
-    terms = cis(np.negative(phase, out=phase), work.terms)
-    np.multiply(cross, sinc(half, work.real[3]), out=cross)
-    return np.multiply(cross, terms, out=terms)
+    cross, quarter, phase = edge_products(loop, k, rows, work)
+    # row 1 takes u, then the phasor's real part; row 3 takes 1 + w^2
+    np.multiply(cross, sinc_of_tangent(quarter, np.tan(quarter, out=work.real[1]), quarter), out=cross)
+    cos, sin = work.real[1], np.tan(phase, out=phase)
+    phasor_of_tangent(sin, cos, sin, work.real[3])
+    terms = work.terms
+    np.multiply(cross, cos, out=terms.real)
+    np.multiply(cross, sin, out=terms.imag)
+    return terms
 
 
 def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -627,32 +720,25 @@ def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
     return edge_terms(loop, k, slice(None), edge_scratch(len(loop), k.shape[1])).sum(axis=0)
 
 
-def edge_factor(sign: float, k: np.ndarray) -> np.ndarray:
-    """sign i / |k|^2, (K,): a loop's spectrum is this times the sum of its `edge_terms`.
-
-    `sign` is the loop's `orientation`, so either way round gives the
-    spectrum of the region it bounds. Every pupil node has |f| > 0.
-    """
-    return sign * 1j / (k * k).sum(axis=0)
-
-
 def orientation(loop: np.ndarray) -> float:
     """The sign of the loop's shoelace area: 1 counterclockwise, -1 clockwise."""
     return np.sign(polygon_signed_area(loop))
 
 
-def polygon_spectrum(loop: np.ndarray, freqs: np.ndarray, sign: float | None = None) -> np.ndarray:
-    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at `freqs` (2, K), (K,) complex.
+def polygon_spectrum(loop: np.ndarray, nodes: NodeTable, sign: float | None = None) -> np.ndarray:
+    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at the nodes' `freqs`, (K,) complex.
 
     With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
     31(1), 1983; Wuttke, arXiv:1703.00255),
     S = sign (i / |k|^2) sum_e (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m)
-    over the edges of `edge_terms`, exact up to rounding. `loop` lists the
-    vertices in order, either way round, without repeating the first; `sign`
-    is its `orientation`, found here when not given.
+    over the edges of `edge_terms`, exact up to rounding, with i / |k|^2 the
+    nodes' `edge_factor`. `loop` lists the vertices in order, either way
+    round, without repeating the first; `sign` is its `orientation`, found
+    here when not given, so either way round gives the spectrum of the
+    region it bounds.
     """
-    k = 2.0 * np.pi * freqs
-    return edge_factor(orientation(loop) if sign is None else sign, k) * edge_sum(loop, k)
+    sign = orientation(loop) if sign is None else sign
+    return sign * nodes.edge_factor * edge_sum(loop, nodes.k)
 
 
 def _loop_image(loop: np.ndarray, sign: float | None, grid: ImageGrid) -> np.ndarray:
@@ -661,7 +747,7 @@ def _loop_image(loop: np.ndarray, sign: float | None, grid: ImageGrid) -> np.nda
     `sign` is the loop's `orientation`, found here when None.
     """
     nodes = node_table(grid, loop)
-    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes.freqs, sign))
+    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes, sign))
 
 
 def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] | None = None) -> AmplitudeField:
@@ -695,9 +781,8 @@ class LoopImage:
         self.grid = grid
         self.counts = node_counts(grid, loop)
         self.nodes = node_table(grid, loop)
-        self.k = 2.0 * np.pi * self.nodes.freqs
         self.base = loop - grid.center
-        self.terms = edge_terms(self.base, self.k)
+        self.terms = edge_terms(self.base, self.nodes.k)
 
     def amplitude(self, loop: np.ndarray) -> np.ndarray:
         """The amplitude, (nx, ny), of the region a copy of the base loop bounds."""
@@ -708,5 +793,5 @@ class LoopImage:
         moved = (rel != self.base).any(axis=1)
         rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
         terms = self.terms.copy()
-        terms[rows] = edge_terms(rel, self.k, rows)
-        return self.nodes.synthesize(edge_factor(sign, self.k) * terms.sum(axis=0))
+        terms[rows] = edge_terms(rel, self.nodes.k, rows)
+        return self.nodes.synthesize(sign * self.nodes.edge_factor * terms.sum(axis=0))

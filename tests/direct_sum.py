@@ -4,15 +4,16 @@ U(x) = sum over triangles p and quadrature points q of w_q |S_p| H(x - g_pq),
 one Bessel evaluation per image sample and quadrature point, and its control
 derivatives through the kernel's radial derivative. The package evaluates the
 same sums as integrals over the pupil disk; these are the plain forms. So is
-`point_spectrum`, the mask spectrum with one cos/sin pair per quadrature point
-and pupil node, which the package builds per triangle from vertex phasors.
+`point_spectrum`, the mask spectrum with one libm cos/sin pair per quadrature
+point and pupil node, which the package builds per triangle from vertex
+phasors of half-angle tangents.
 """
 import numpy as np
 from scipy.special import j0, j1
 
 from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
-from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel, cis
+from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel
 
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
@@ -108,5 +109,10 @@ def direct_amplitude_gradient(meshes, quad, grid, sensitivities) -> list[np.ndar
 
 
 def point_spectrum(points, freqs, coef):
-    """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q) for points (Q, 2) and freqs (2, K)."""
-    return coef @ cis((-2.0 * np.pi) * (points @ freqs))
+    """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q) for points (Q, 2) and freqs (2, K).
+
+    The phasors are libm's cos and sin, not the package's `optics.cis`, so
+    that this oracle shares no code with the phasors it checks.
+    """
+    phase = (2.0 * np.pi) * (points @ freqs)
+    return coef @ (np.cos(phase) - 1j * np.sin(phase))

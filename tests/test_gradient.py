@@ -378,10 +378,11 @@ def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(d
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("loop_kind", ["desk", "clockwise", "short edge"])
+@pytest.mark.parametrize("loop_kind", ["desk", "clockwise", "short edge", "vertical edge"])
 def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_kind):
     # the scratch forms repeat the float operations of the plain ones; a short
-    # edge takes both sinc series
+    # edge takes the series of sinc', and an edge with d_x = 0 meets
+    # k . d = 0 exactly at the nodes on k_y = 0
     cfg, problem, region = desk_square
     samples = sample_boundary(region)
     if loop_kind == "clockwise":
@@ -389,8 +390,11 @@ def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_ki
     elif loop_kind == "short edge":
         samples = samples.copy()
         samples[1] = samples[0] + [3e-6, -1e-6]
+    elif loop_kind == "vertical edge":
+        samples = samples.copy()
+        samples[1, 0] = samples[0, 0]
     loop = samples - problem.grid.center
-    k = 2.0 * np.pi * optics.node_table(problem.grid, samples).freqs
+    k = optics.node_table(problem.grid, samples).k
     coef = np.random.default_rng(5).normal(size=(k.shape[1], 2)) @ [1.0, 1j]
     terms = plain_edge_terms(loop, k)
     assert optics.edge_terms(loop, k).tobytes() == terms.tobytes()

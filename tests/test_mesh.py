@@ -357,42 +357,35 @@ def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
+def _in_box(p, a, b):
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def segments_meet(a, b, c, d):
+    """The closed segments ab and cd share a point: each straddles the other, or an end of one lies on the other."""
+    d1, d2 = _orient(*c, *d, *a), _orient(*c, *d, *b)
+    d3, d4 = _orient(*a, *b, *c), _orient(*a, *b, *d)
+    if (d1 < 0 < d2 or d2 < 0 < d1) and (d3 < 0 < d4 or d4 < 0 < d3):
+        return True
+    return ((d1 == 0 and _in_box(a, c, d)) or (d2 == 0 and _in_box(b, c, d))
+            or (d3 == 0 and _in_box(c, a, b)) or (d4 == 0 and _in_box(d, a, b)))
+
+
 def loop_polyline_self_intersects(points):
-    """Segment-by-segment crossing test; the reference for polyline_self_intersects."""
-    pts = np.asarray(points, dtype=float)
+    """Pair-by-pair crossing test in Python floats; the reference for polyline_self_intersects.
+
+    A repeated vertex counts, and so does every pair of non-adjacent segments
+    that meet; segment i runs from vertex i to vertex i + 1 around the loop.
+    """
+    pts = [(float(x), float(y)) for x, y in np.asarray(points, dtype=float).reshape(-1, 2)]
     m = len(pts)
     if m < 3:
         return False
-    if len(np.unique(pts, axis=0)) < m:
+    if len(set(pts)) < m:
         return True
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    for i in range(m - 2):
-        # candidate partners: non-adjacent segments after i
-        j0 = i + 2
-        j1 = m if i > 0 else m - 1  # segment (m-1, 0) is adjacent to segment 0
-        if j0 >= j1:
-            continue
-        ax, ay = a[i]
-        bx, by = b[i]
-        cx, cy = a[j0:j1, 0], a[j0:j1, 1]
-        dx, dy = b[j0:j1, 0], b[j0:j1, 1]
-        d1 = _orient(ax, ay, bx, by, cx, cy)
-        d2 = _orient(ax, ay, bx, by, dx, dy)
-        d3 = _orient(cx, cy, dx, dy, ax, ay)
-        d4 = _orient(cx, cy, dx, dy, bx, by)
-        proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        if proper.any():
-            return True
-        touch = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        if touch.any():
-            lo_x = np.maximum(min(ax, bx), np.minimum(cx, dx))
-            hi_x = np.minimum(max(ax, bx), np.maximum(cx, dx))
-            lo_y = np.maximum(min(ay, by), np.minimum(cy, dy))
-            hi_y = np.minimum(max(ay, by), np.maximum(cy, dy))
-            if (touch & (lo_x <= hi_x) & (lo_y <= hi_y)).any():
-                return True
-    return False
+    segments = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    return any(segments_meet(*segments[i], *segments[j])
+               for i in range(m) for j in range(i + 2, m - (i == 0)))
 
 
 def loop_refine_mesh(mesh, max_area):
@@ -445,6 +438,7 @@ lattice_loops = st.tuples(
 @example(([(0, 0), (2, 0), (0, 0), (1, 2)], 1.0))                 # repeat two apart
 @example(([(0, 0), (2, 0), (2, 2), (0, 0), (0, 2)], 1.0))         # repeat three apart
 @example(([(0, 0), (2, 0), (2, 2), (0, 2), (0, 2)], 1e-7))        # last two repeat
+@example(([(0, 0), (1, 0), (2, -1), (2, 0), (1, 2), (-1, 1)], 1.0))  # vertex on an edge's line, beyond it
 def test_polyline_self_intersects_matches_loop_reference(case):
     points, scale = case
     pts = np.array(points, dtype=float).reshape(-1, 2) * scale
@@ -467,6 +461,33 @@ def test_polyline_self_intersects_matches_loop_reference_on_float_loops(m, wobbl
     if repeat is not None:
         i, gap = repeat[0] % m, repeat[1] % m + 1
         pts = np.insert(pts, min(i + gap, m), pts[i], axis=0)
+    assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
+
+
+def drawn_loop(kind: str, m: int, seed: int) -> np.ndarray:
+    """An m-vertex loop of one kind: random, snapped to a grid, collinear, or random with repeated vertices."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (m, 2))
+    if kind == "snapped":
+        pts = np.round(3.0 * pts) / rng.choice([1.0, 3.0])  # a 7 x 7 lattice of ones or thirds
+    elif kind == "collinear":
+        # integer steps along (2, 1) keep every orientation exactly 0; a
+        # scale of 1/3 rounds some of them away, one vertex off the line
+        # makes a loop that can bound area
+        pts = rng.integers(-4, 5, m)[:, None] * np.array([2.0, 1.0]) / rng.choice([1.0, 3.0])
+        if rng.random() < 0.5:
+            pts[rng.integers(m)] += [0.0, 1.0]
+    elif kind == "repeated":
+        copies = rng.integers(m, size=rng.integers(1, 4))
+        pts = np.insert(pts, rng.integers(m + 1, size=len(copies)), pts[copies], axis=0)
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["random", "snapped", "collinear", "repeated"]), st.integers(3, 12),
+       st.integers(0, 2**32 - 1))
+def test_polyline_self_intersects_matches_the_pairwise_reference_on_drawn_loops(kind, m, seed):
+    pts = drawn_loop(kind, m, seed)
     assert polyline_self_intersects(pts) == loop_polyline_self_intersects(pts)
 
 

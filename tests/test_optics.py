@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j1
 
-from splinemask import geometry, mesh, optics
+from splinemask import geometry, gradient, mesh, optics
 from splinemask.gradient import amplitude_gradient
 from splinemask.mesh import (
     TriangleQuadrature,
@@ -46,6 +50,8 @@ from direct_sum import (
 )
 from polygon_spectrum import collapsed_gauss_spectrum
 from conftest import desk_square_problem, square_region
+
+ROOT = Path(__file__).resolve().parent.parent
 
 J1_FIRST_ROOT = 3.8317059702075123  # frozen from the series-oracle bisection below
 
@@ -354,7 +360,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_the_unrefined_mesh(n
     problem, system, basis = initial_square(name)
     loop = basis.vertices[:len(system.samples)]
     gauss = collapsed_gauss_spectrum(basis.vertices, triangulate_region(system.samples).triangles, basis.freqs)
-    for exact in (polygon_spectrum(loop, basis.freqs), polygon_spectrum(loop[::-1], basis.freqs)):
+    for exact in (polygon_spectrum(loop, basis), polygon_spectrum(loop[::-1], basis)):
         assert np.abs(exact - gauss).max() <= 1e-13 * polygon_area(system.mesh)
 
 
@@ -391,17 +397,74 @@ def mp_sinc(x: float) -> tuple[float, float]:
 
 
 def test_sinc_and_its_derivative_match_mpmath_down_to_zero():
-    # |x| <= 10 on a grid and log-spaced toward 0, with 0 and both sides of each series switch
-    switches = [optics.SINC_SERIES, optics.SINC_SLOPE_SERIES]
-    edges = [np.nextafter(t, side) for t in switches for side in (0.0, 1.0)]
-    xs = np.concatenate([[0.0], np.logspace(-12, 1, 261), np.linspace(0.01, 10.0, 1000), switches, edges])
+    # |x| <= 200 on a grid and log-spaced toward 0, with 0 and both sides of
+    # the series switch of sinc'. Away from 0, sinc' is off by up to about
+    # 3.3e-16 / |x|, the error of the half-angle cos x over x, which is more
+    # than 1e-12 relative near its roots past |x| = 10
+    switch = optics.SINC_SLOPE_SERIES
+    xs = np.concatenate([[0.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)],
+                         np.logspace(-12, np.log10(200.0), 400), np.linspace(0.01, 200.0, 4000)])
     xs = np.concatenate([xs, -xs])
     exact = np.array([mp_sinc(x) for x in xs])
     nonzero = exact[:, 1] != 0.0
     assert (np.abs(sinc(xs) - exact[:, 0]) <= 1e-15 * np.abs(exact[:, 0])).all()
     slope = sinc_derivative(xs)
     assert (slope[~nonzero] == 0.0).all()
-    assert (np.abs(slope - exact[:, 1])[nonzero] <= 1e-12 * np.abs(exact[nonzero, 1])).all()
+    error = np.abs(slope - exact[:, 1])
+    near = nonzero & (np.abs(xs) <= 10.0)
+    assert (error[near] <= 1e-12 * np.abs(exact[near, 1])).all()
+    assert (error[nonzero] <= 1e-15 / np.abs(xs[nonzero])).all()
+
+
+def test_cis_matches_mpmath_up_to_the_largest_reach():
+    # a grid and random phases over |x| <= 2 pi MAX_REACH, every multiple of
+    # pi / 2 there and its float neighbours, and the floats next to +-pi,
+    # where tan(x / 2) is largest
+    reach = 2.0 * np.pi * optics.MAX_REACH
+    quarters = np.arange(-400, 401) * (np.pi / 2.0)
+    beside_pi = np.pi + np.spacing(np.pi) * np.arange(-4, 5)
+    xs = np.concatenate([np.linspace(-reach, reach, 2001), np.random.default_rng(0).uniform(-reach, reach, 2000),
+                         quarters, np.nextafter(quarters, np.inf), np.nextafter(quarters, -np.inf),
+                         beside_pi, -beside_pi, np.logspace(-12, 0, 40)])
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.cos(x), mpmath.sin(x)) for x in map(mpmath.mpf, xs)])
+    assert np.abs(optics.cis(xs) - exact).max() <= 4.5e-16
+
+
+def test_the_edge_kernels_and_cis_evaluate_no_sin_or_cos(desk_square, monkeypatch):
+    cfg, problem, region = desk_square
+    samples = evaluate(problem, [region]).systems[0].samples
+    nodes = optics.node_table(problem.grid, samples)
+    loop = samples - problem.grid.center
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sin or cos was evaluated")
+
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    optics.cis(np.linspace(-5.0, 5.0, 11))
+    optics.edge_terms(loop, nodes.k)
+    optics.edge_sum(loop, nodes.k)
+    gradient.edge_gradient(loop, nodes.k, nodes.edge_factor)
+
+
+def test_the_tangent_forms_hold_with_scalar_libm_tan():
+    # numpy evaluates tan with a SIMD loop on AVX-512 and with libm without
+    # it; the two round differently, and both must meet the tolerances
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    avx512 = [feature for feature in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+              if feature in __cpu_dispatch__ and __cpu_features__.get(feature)]
+    if not avx512:
+        pytest.skip("numpy dispatches no AVX-512 feature here")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(avx512),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    tests = [f"{Path(__file__).name}::{name}" for name in (
+        "test_sinc_and_its_derivative_match_mpmath_down_to_zero", "test_cis_matches_mpmath_up_to_the_largest_reach")]
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                         cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "2 passed" in run.stdout
 
 
 @settings(max_examples=20, deadline=None)
