@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import (ImageGrid, edge_products, edge_scratch, node_table, phasor_of_tangent, pupil_basis,
-                     sinc_of_tangent, sinc_slope)
+from .optics import ImageGrid, edge_products, edge_scratch, node_table, pupil_basis, sinc_slope, tangent_ratio
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -96,31 +95,46 @@ def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np
     """Re sum_k coef_k dT_ek/dd_e and Re sum_k coef_k dT_ek/dm_e for every edge e of the loop, each (m, 2).
 
     T_ek = c s E is `optics.edge_terms` with c = k_x d_y - k_y d_x,
-    s = sinc(k . d / 2) and E = exp(-i k . m) for edge vector d and midpoint
-    m (`optics.edge_products`). Then
-    dT/dd = ((-k_y, k_x) s + k c sinc'(k . d / 2) / 2) E, whose factor before
-    E is real, and dT/dm = -i k T. As in the image, two tangents per edge and
-    node give E, s and sinc', the last from the cosine of the same u.
+    s = sinc(2 q) and E = exp(2 i phi) for q = k . d / 4 and
+    phi = -k . m / 2, edge vector d and midpoint m (`optics.edge_products`).
+    Then dT/dd = ((-k_y, k_x) s + k c sinc'(2 q) / 2) E, whose factor before
+    E is real, and dT/dm = -i k T, so with p = coef E
+    Re coef dT/dd = (-k_y, k_x) p.real s + k p.real c sinc'(2 q) / 2 and
+    Re coef dT/dm = k p.imag c s. As in the image, t = tan q and w = tan phi
+    give E = ((1 - w^2) + 2 i w) / (1 + w^2), s = (t / q) / (1 + t^2) and
+    cos 2 q = (1 - t^2) / (1 + t^2), which gives sinc' (`optics.sinc_slope`).
+    The factor 1 / (1 + w^2) of p is taken into s and sinc', so p is formed
+    as Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w) for coef = a + i b
+    and Y = 1 + w^2.
+    The three sums over the nodes are one matrix product against k.
     """
     work = edge_scratch(len(loop), k.shape[1])
-    cross, quarter, phase = edge_products(loop, k, slice(None), work)
-    u = np.tan(quarter, out=work.real[1])
-    p = work.terms
-    phasor_of_tangent(np.tan(phase, out=phase), p.real, p.imag, work.real[3])
-    np.multiply(coef, p, out=p)
-    cos_h, sin_h, s = work.real[3:6]
-    phasor_of_tangent(u, cos_h, sin_h, s)
-    sinc_of_tangent(quarter, u, s)
-    ds = sinc_slope(np.add(quarter, quarter, out=quarter), s, cos_h, sin_h)
-    # rows 3 to 5 take p.real * (0.5 cross sinc'), p.real * s and p.imag * (cross s)
-    # as each dies, in the float operations of the plain expressions
-    half_slope = np.multiply(np.multiply(0.5, cross, out=quarter), ds, out=quarter)
-    stack = work.real[3:6]
-    np.multiply(p.real, s, out=stack[1])
-    np.multiply(p.imag, np.multiply(cross, s, out=stack[2]), out=stack[2])
-    np.multiply(p.real, half_slope, out=stack[0])
-    slope, flat, moved = stack @ k.T
-    return slope + flat[:, ::-1] * [-1.0, 1.0], moved
+    edge_products(loop, k, work[:3])
+    cross, quarter, phase, t, s, slope, real = work
+    a, b = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
+    tangent_ratio(quarter, np.tan(quarter, out=t), s)
+    x = np.add(quarter, quarter, out=quarter)
+    tt = np.multiply(t, t, out=t)
+    big_t = np.add(tt, 1.0, out=slope)
+    cos_x = np.divide(np.subtract(1.0, tt, out=t), big_t, out=t)
+    np.divide(s, big_t, out=s)
+    sinc_slope(x, s, cos_x, slope)
+    # rows 1 to 3 take 1 + w^2, 2 w and 1 - w^2; s and sinc' are divided by 1 + w^2
+    w = np.tan(phase, out=phase)
+    ww = np.multiply(w, w, out=quarter)
+    one_minus = np.subtract(1.0, ww, out=t)
+    big_w = np.add(ww, 1.0, out=quarter)
+    np.divide(s, big_w, out=s)
+    np.divide(slope, big_w, out=slope)
+    twice_w = np.add(w, w, out=w)
+    np.subtract(np.multiply(a, one_minus, out=real), np.multiply(b, twice_w, out=quarter), out=real)
+    imag = np.add(np.multiply(one_minus, b, out=t), np.multiply(twice_w, a, out=phase), out=t)
+    # rows 0 to 2 take p.real (c sinc'), p.real s and p.imag (c s) as each dies
+    np.multiply(real, s, out=quarter)
+    np.multiply(imag, np.multiply(s, cross, out=s), out=phase)
+    np.multiply(real, np.multiply(slope, cross, out=slope), out=cross)
+    slope_sum, flat, moved = work[:3] @ k.T
+    return 0.5 * slope_sum + flat[:, ::-1] * [-1.0, 1.0], moved
 
 
 def loop_gradient(loop: np.ndarray, sign: float, grid: ImageGrid, weight: np.ndarray) -> np.ndarray:

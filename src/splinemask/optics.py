@@ -20,21 +20,27 @@ function is evaluated. `NodeTable` holds the nodes and the grid-side
 exponentials and synthesizes any spectrum.
 
 The chain images each region's boundary loop, the polygon of its samples,
-exactly: its spectrum is a sum over its edges (`polygon_spectrum`), one
-elementwise term per edge and node, and `LoopImage` keeps a region's edge
-terms so that a copy with a few samples moved recomputes only their edges.
-The edge kernels of a whole loop, in the image and in its adjoint, write
-into work arrays each thread keeps per loop size and node count
-(`edge_scratch`), so that no call allocates them afresh.
+exactly: its spectrum is a sum over its edges (`polygon_spectrum`), and
+`LoopImage` keeps a region's edge terms so that a copy with a few samples
+moved recomputes only their edges. An edge term takes three projections of
+the node wave vectors, on the edge's normal, its vector and its midpoint;
+for a whole loop they are one matrix product (`edge_products`). Each term
+is then one real quotient of the tangents t = tan q and w = tan phi of
+q = k . d / 4 and phi = -k . m / 2 (`edge_terms`):
+sinc(2 q) = (t / q) / (1 + t^2) and
+exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so an edge term costs two tan
+calls per node and no sin or cos. The kernels of a whole loop, in the image
+and in its adjoint, write into a work array each thread keeps per loop size
+and node count (`edge_scratch`), so that no call allocates it afresh.
 
-Every phasor and sinc is formed from the tangent of its half angle: with
-u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`) and
-sin(x) / x = (u / (x / 2)) / (1 + u^2) (`sinc`), so an edge term costs two
-tan calls per node and no sin or cos. numpy evaluates tan with a SIMD loop
-where the CPU has AVX-512, several times faster than a libm sin or cos;
-elsewhere it calls libm's tan, and two tangents then cost about as much as
-the three libm calls they replace. The two round differently, so the last
-bits of an image depend on which one numpy dispatches.
+Every other phasor and sinc is formed from the tangent of its half angle
+too: with u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`)
+and sin(x) / x = (u / (x / 2)) / (1 + u^2) (`sinc`). numpy evaluates tan
+with a SIMD loop where the CPU has AVX-512, several times faster than a libm
+sin or cos; elsewhere it calls libm's tan, and two tangents then cost about
+as much as the three libm calls they replace. The two round differently, so
+the last bits of an image depend on which one numpy dispatches, and on the
+BLAS that forms the projections.
 
 The library also images a triangle mesh of a region through the degree-3
 quadrature rule, with quadrature points g_q and weights c_q, as
@@ -170,12 +176,14 @@ class ImageGrid:
     def ys(self) -> np.ndarray:
         return self.origin[1] + np.arange(self.ny) * self.pitch
 
-    @property
+    @cached_property
     def center(self) -> np.ndarray:
-        """(x, y) midway between the first and last samples: (xs[0] + xs[-1]) / 2, bit for bit."""
+        """(x, y) midway between the first and last samples, (xs[0] + xs[-1]) / 2 bit for bit; read-only, made once."""
         x0, y0 = self.origin
-        return np.array([x0 + (x0 + (self.nx - 1) * self.pitch),
-                         y0 + (y0 + (self.ny - 1) * self.pitch)]) / 2.0
+        center = np.array([x0 + (x0 + (self.nx - 1) * self.pitch),
+                           y0 + (y0 + (self.ny - 1) * self.pitch)]) / 2.0
+        center.setflags(write=False)
+        return center
 
     @property
     def pixel_area(self) -> float:
@@ -315,8 +323,8 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
 def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i phase) for a real phase, from its half-angle tangent, written into one complex array, `out` if given.
 
-    With u = tan(phase / 2), exp(i phase) = ((1 - u^2) + 2 i u) / (1 + u^2)
-    (`phasor_of_tangent`): within 2.6e-16 of it for |phase| up to
+    With u = tan(phase / 2), exp(i phase) = ((1 - u^2) + 2 i u) / (1 + u^2):
+    within 2.6e-16 of it for |phase| up to
     2 pi MAX_REACH, where libm's cos and sin are within 1.6e-16. One tan
     costs less than a cos and a sin wherever numpy evaluates tan with SIMD:
     with AVX-512, numpy 2.4 took 9 to 14 us for a tan of a (24, 210) array
@@ -326,20 +334,12 @@ def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(phase.shape, dtype=complex)
     u = np.tan(np.multiply(0.5, phase, out=out.imag), out=out.imag)
-    phasor_of_tangent(u, out.real, out.imag, np.empty(out.shape))
+    big_u = np.multiply(u, u)
+    np.subtract(1.0, big_u, out=out.real)
+    np.add(big_u, 1.0, out=big_u)
+    np.divide(out.real, big_u, out=out.real)
+    np.divide(np.add(u, u, out=out.imag), big_u, out=out.imag)
     return out
-
-
-def phasor_of_tangent(u: np.ndarray, re: np.ndarray, im: np.ndarray, tmp: np.ndarray) -> None:
-    """cos x = (1 - u^2) / (1 + u^2) into `re` and sin x = 2 u / (1 + u^2) into `im`, for u = tan(x / 2).
-
-    `tmp` holds 1 + u^2. `im` may be u itself; `re` and `tmp` may not.
-    """
-    np.multiply(u, u, out=tmp)
-    np.subtract(1.0, tmp, out=re)
-    np.add(tmp, 1.0, out=tmp)
-    np.divide(re, tmp, out=re)
-    np.divide(np.add(u, u, out=im), tmp, out=im)
 
 
 def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -351,26 +351,19 @@ def sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sin(x) / x elementwise, 1 at x = 0; written into `out`, which must not be x, if given.
 
     With u = tan(x / 2), sin x = 2 u / (1 + u^2), so sin(x) / x is
-    (u / (x / 2)) / (1 + u^2) (`sinc_of_tangent`): no series is needed
+    (u / (x / 2)) / (1 + u^2): no series is needed
     near 0, where tan(x / 2) / (x / 2) keeps every digit, and only x = 0
     itself, 0 / 0, is set to 1.
     """
     half = np.multiply(0.5, x, out=out)
-    return sinc_of_tangent(half, np.tan(half), half)
-
-
-def sinc_of_tangent(half: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sinc x = (u / half) / (1 + u^2) for half = x / 2 and u = tan(x / 2), 1 where x = 0, into `out`.
-
-    `out` may be `half`; u is left holding 1 + u^2.
-    """
+    u = np.tan(half)
     zero = None if half.all() else half == 0
     with np.errstate(invalid="ignore"):
-        np.divide(u, half, out=out)
+        np.divide(u, half, out=half)
     if zero is not None:
-        out[zero] = 1.0
+        half[zero] = 1.0
     np.add(np.multiply(u, u, out=u), 1.0, out=u)
-    return np.divide(out, u, out=out)
+    return np.divide(half, u, out=half)
 
 
 def sinc_derivative(x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
@@ -623,45 +616,32 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
     return AmplitudeField(u)
 
 
-@dataclass(frozen=True)
-class EdgeWork:
-    """Arrays the edge kernels write into, for E edges on K pupil nodes.
-
-    `real` is (6, E, K): `edge_products` forms its six products in it and
-    leaves its three sums in rows 0, 2 and 4, and the kernels work in the
-    others. `terms` is (E, K) complex.
-    """
-
-    real: np.ndarray
-    terms: np.ndarray
-
-    @classmethod
-    def empty(cls, edges: int, nodes: int) -> "EdgeWork":
-        return cls(np.empty((6, edges, nodes)), np.empty((edges, nodes), dtype=complex))
+# Rows of an edge kernel's work array (`edge_scratch`): the image uses six,
+# its adjoint seven.
+EDGE_ROWS = 7
 
 
 @lru_cache(maxsize=GRID_TABLES)
-def _thread_scratch(edges: int, nodes: int, thread: int) -> EdgeWork:
-    return EdgeWork.empty(edges, nodes)
+def _thread_scratch(edges: int, nodes: int, thread: int) -> np.ndarray:
+    return np.empty((EDGE_ROWS, edges, nodes))
 
 
 @lru_cache(maxsize=GRID_TABLES)
 def _synthesis_scratch(nx: int, nodes: int, thread: int) -> np.ndarray:
     """The (nx, K) complex array `NodeTable.synthesize` writes one spectrum's x-side products into on `thread`.
 
-    It is reused for the reason `edge_scratch` gives: 67 KiB on desk.
+    It is reused as `edge_scratch` is: 67 KiB on desk.
     """
     return np.empty((nx, nodes), dtype=complex)
 
 
-def edge_scratch(edges: int, nodes: int) -> EdgeWork:
-    """The EdgeWork the calling thread reuses for every whole loop of `edges` samples on `nodes` pupil nodes.
+def edge_scratch(edges: int, nodes: int) -> np.ndarray:
+    """The (EDGE_ROWS, E, K) work array the calling thread reuses for every whole loop of E samples on K nodes.
 
-    A desk evaluation's edge kernels take about 400 KiB of temporaries, each
-    of 40 to 80 KiB. Allocated afresh on every call, they sit at the top of
-    the heap, glibc hands their pages back when they are freed, and the next
-    call faults them in again: about 5,700 minor faults in a desk optimize,
-    against about 440 with the arrays reused. A caller must not keep what is
+    The kernels of a desk evaluation work in 280 KiB, seven rows of 40 KiB,
+    formed afresh on no call. A desk optimize in a fresh interpreter takes
+    about 350 minor faults with them, mostly the first touch of the four
+    arrays of the node counts it meets. A caller must not keep what is
     written here: the next whole loop of the same size overwrites it. Like
     the node tables, at most GRID_TABLES of them are kept, 56 m K bytes each
     for m samples on K nodes.
@@ -669,55 +649,78 @@ def edge_scratch(edges: int, nodes: int) -> EdgeWork:
     return _thread_scratch(edges, nodes, threading.get_ident())
 
 
-def edge_products(loop: np.ndarray, k: np.ndarray, rows, work: EdgeWork) -> tuple[np.ndarray, ...]:
-    """k_x d_y - k_y d_x and the half angles k . d / 4 and -k . m / 2 for the loop's edges `rows`, each (E, K).
+def edge_products(loop: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c = k_x d_y - k_y d_x, q = k . d / 4 and phi = -k . m / 2 for every edge of the loop, into `out` (3, m, K).
 
     Edge e runs from a = loop[e] to b = loop[e + 1], the last one back to the
     first, with d = b - a and midpoint m = (a + b) / 2; `k` = 2 pi f holds the
     node wave vectors as rows k_x, k_y, (2, K). An edge term takes
-    sinc(k . d / 2) and exp(-i k . m), each from the tangent of half its
-    argument. Each of the three is c_x k_x + c_y k_y for per-edge
-    coefficients formed on the endpoints, (d_y, -d_x), d / 4 and
-    -(a + b) / 4, exactly; the six products are one broadcast multiply into
-    rows 0 to 5 of `work.real`, and the three sums land in rows 0, 2 and 4.
-    Every entry is elementwise arithmetic on its own edge's endpoints, with
-    no matrix product, so a row is the same whichever rows are asked for.
+    sinc(2 q) and exp(2 i phi), each from the tangent of q or phi. Each of
+    the three is c_x k_x + c_y k_y for per-edge coefficients formed exactly
+    on the endpoints, (d_y, -d_x), d / 4 and -(a + b) / 4, so the three are
+    one (3 m, 2) @ (2, K) matrix product. BLAS may fuse its multiply and
+    add, and may treat a row differently in another call shape, so the
+    products of a part of a loop are taken from those of the whole loop.
     """
-    a = loop[rows]
-    b = np.concatenate((loop[1:], loop[:1]))[rows]
-    d = b - a
-    coef = np.stack([d[:, ::-1] * [1.0, -1.0], 0.25 * d, -0.25 * (a + b)]).transpose(0, 2, 1)  # (3, 2, E)
-    pairs = work.real.reshape(3, 2, *work.real.shape[1:])
-    np.multiply(coef[..., None], k[:, None, :], out=pairs)
-    cross, quarter, phase = np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
-    return cross, quarter, phase
+    if not out.flags.c_contiguous:
+        raise ValueError("edge_products writes into a C-contiguous array only")  # a reshape would copy it
+    b = np.concatenate((loop[1:], loop[:1]))
+    d = b - loop
+    coef = np.concatenate([d[:, ::-1] * [1.0, -1.0], 0.25 * d, -0.25 * (loop + b)])  # (3 m, 2)
+    np.matmul(coef, k, out=out.reshape(-1, k.shape[1]))
+    return out
 
 
-def edge_terms(loop: np.ndarray, k: np.ndarray, rows=slice(None), work: EdgeWork | None = None) -> np.ndarray:
-    """T_ek = (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m) for the loop's edges `rows`, (E, K) complex.
+def tangent_ratio(q: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """t / q for t = tan q into `out`, which may be q; 1 where q = 0, the 0 / 0 of sinc(2 q) = (t / q) / (1 + t^2)."""
+    if q.all():
+        return np.divide(t, q, out=out)
+    zero = q == 0
+    with np.errstate(invalid="ignore"):
+        np.divide(t, q, out=out)
+    out[zero] = 1.0
+    return out
 
-    Two tangents per edge and node, u = tan(k . d / 4) and w = tan(-k . m / 2)
-    of `edge_products`, give the sinc as `sinc` forms it and the phasor as
-    `cis` forms it; no sin or cos is evaluated. Elementwise, so a row is the
-    same whichever rows are asked for. The terms are `work.terms`, of a fresh
-    EdgeWork without it.
+
+def edge_terms(work: np.ndarray) -> np.ndarray:
+    """Re T_ek and Im T_ek, (2, E, K), of T = c sinc(2 q) exp(2 i phi) from the products c, q, phi in work[:3].
+
+    With t = tan q and w = tan phi, sinc(2 q) = (t / q) / (1 + t^2) and
+    exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so one real quotient
+    R = c (t / q) / ((1 + t^2)(1 + w^2)) gives Re T = R (1 - w^2) and
+    Im T = R (2 w); t / q is 1 where q = 0. Two tangents per edge and node
+    and no sin or cos. `work` is (6 or more, E, K), written over; the terms
+    are its rows 4 and 5. Elementwise, so the terms of an edge are the same
+    whichever rows `work` holds.
     """
-    if work is None:
-        work = EdgeWork.empty(len(loop[rows]), k.shape[1])
-    cross, quarter, phase = edge_products(loop, k, rows, work)
-    # row 1 takes u, then the phasor's real part; row 3 takes 1 + w^2
-    np.multiply(cross, sinc_of_tangent(quarter, np.tan(quarter, out=work.real[1]), quarter), out=cross)
-    cos, sin = work.real[1], np.tan(phase, out=phase)
-    phasor_of_tangent(sin, cos, sin, work.real[3])
-    terms = work.terms
-    np.multiply(cross, cos, out=terms.real)
-    np.multiply(cross, sin, out=terms.imag)
-    return terms
+    cross, quarter, phase, t, big_w, one_minus = work[:6]
+    ratio = tangent_ratio(quarter, np.tan(quarter, out=t), quarter)
+    big_t = np.add(np.multiply(t, t, out=t), 1.0, out=t)
+    w = np.tan(phase, out=phase)
+    ww = np.multiply(w, w, out=big_w)
+    np.subtract(1.0, ww, out=one_minus)
+    np.add(ww, 1.0, out=big_w)
+    r = np.divide(np.multiply(cross, ratio, out=cross), np.multiply(big_t, big_w, out=big_t), out=cross)
+    # rows 4 and 5 take R (1 - w^2) and R (2 w)
+    np.multiply(r, one_minus, out=big_w)
+    np.multiply(r, np.add(w, w, out=w), out=one_minus)
+    return work[4:6]
+
+
+def sum_terms(terms: np.ndarray) -> np.ndarray:
+    """sum_e T_ek, (K,) complex, from the (2, E, K) parts of `edge_terms`, added edge by edge."""
+    re, im = np.add.reduce(terms, axis=1)
+    out = np.empty(len(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
     """sum_e T_ek over all the loop's edges, (K,) complex, the terms formed in the thread's `edge_scratch`."""
-    return edge_terms(loop, k, slice(None), edge_scratch(len(loop), k.shape[1])).sum(axis=0)
+    work = edge_scratch(len(loop), k.shape[1])
+    edge_products(loop, k, work[:3])
+    return sum_terms(edge_terms(work))
 
 
 def orientation(loop: np.ndarray) -> float:
@@ -768,11 +771,12 @@ def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] 
 class LoopImage:
     """One region's edge terms at its base loop, kept for images of copies of the loop with some samples moved.
 
-    A copy at the base's node counts recomputes only the terms of the edges
-    with a moved end and takes the other rows from the base. Each row is
-    elementwise arithmetic on the same values either way, and the sum over
-    the edges and the synthesis run on whole arrays as in a full image, so
-    the image is bit for bit the one `loop_amplitude` gives. A copy whose
+    A copy at the base's node counts forms the products of its whole loop,
+    as a full image does, runs `edge_terms` only on the rows of the edges
+    with a moved end, and takes the other rows from the base. Each row is
+    the same arithmetic on the same values either way, and the sum over the
+    edges and the synthesis run on whole arrays as in a full image, so the
+    image is bit for bit the one `loop_amplitude` gives. A copy whose
     samples take other node counts is imaged in full. The base holds m x K
     complex values for m samples on K pupil nodes.
     """
@@ -782,7 +786,9 @@ class LoopImage:
         self.counts = node_counts(grid, loop)
         self.nodes = node_table(grid, loop)
         self.base = loop - grid.center
-        self.terms = edge_terms(self.base, self.nodes.k)
+        work = np.empty((6, len(loop), self.nodes.k.shape[1]))
+        edge_products(self.base, self.nodes.k, work[:3])
+        self.terms = edge_terms(work).copy()
 
     def amplitude(self, loop: np.ndarray) -> np.ndarray:
         """The amplitude, (nx, ny), of the region a copy of the base loop bounds."""
@@ -792,6 +798,10 @@ class LoopImage:
             return _loop_image(loop, sign, self.grid)
         moved = (rel != self.base).any(axis=1)
         rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
+        k = self.nodes.k
+        products = edge_products(rel, k, edge_scratch(len(rel), k.shape[1])[:3])
+        work = np.empty((6, rows.sum(), k.shape[1]))
+        np.compress(rows, products, axis=1, out=work[:3])
         terms = self.terms.copy()
-        terms[rows] = edge_terms(rel, self.nodes.k, rows)
-        return self.nodes.synthesize(sign * self.nodes.edge_factor * terms.sum(axis=0))
+        terms[:, rows] = edge_terms(work)
+        return self.nodes.synthesize(sign * self.nodes.edge_factor * sum_terms(terms))

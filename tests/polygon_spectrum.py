@@ -8,9 +8,11 @@ exponential to rounding at a high enough order. The same rule checks the
 mesh image's quadrature error.
 
 The package forms the edge terms and their derivatives in reused work
-arrays, with `out=` (`splinemask.optics.edge_scratch`), from the tangents of
-the half angles. The `plain_` functions write the same float operations as
-plain expressions, every temporary fresh, and the two must agree bit for bit.
+arrays, with `out=` (`splinemask.optics.edge_scratch`): the edge projections
+as one matrix product, then each term from the tangents t = tan q and
+w = tan phi as one real quotient. The `plain_` functions write the same
+float operations as plain expressions, the same matrix products in the same
+shapes, every temporary fresh, and the two must agree bit for bit.
 """
 import numpy as np
 from scipy.special import roots_legendre
@@ -36,29 +38,21 @@ def collapsed_gauss_spectrum(vertices: np.ndarray, triangles: np.ndarray, freqs:
     return out
 
 
-def plain_edge_products(loop: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """k_x d_y - k_y d_x, k . d / 4 and -k . m / 2 per edge and node, (m, K) each, every temporary fresh."""
+def plain_edge_products(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """c = k_x d_y - k_y d_x, q = k . d / 4 and phi = -k . m / 2 per edge and node, (3, m, K), by one matrix product."""
     b = np.roll(loop, -1, axis=0)
     d = b - loop
-    (dx, dy), (qx, qy), (px, py) = (v.T[:, :, None] for v in (d, 0.25 * d, -0.25 * (loop + b)))
-    kx, ky = k
-    return dy * kx - dx * ky, qx * kx + qy * ky, px * kx + py * ky
+    coef = np.concatenate([np.stack([d[:, 1], -d[:, 0]], axis=1), 0.25 * d, -0.25 * (loop + b)])
+    return (coef @ k).reshape(3, len(loop), -1)
 
 
-def plain_phasor(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos x = (1 - u^2) / (1 + u^2) and sin x = 2 u / (1 + u^2) for u = tan(x / 2)."""
-    uu = u * u
-    big_u = uu + 1.0
-    return (1.0 - uu) / big_u, (u + u) / big_u
-
-
-def plain_sinc(quarter: np.ndarray) -> np.ndarray:
-    """sinc(2 quarter) = (u / quarter) / (1 + u^2) with u = tan(quarter), 1 at 0."""
-    u = np.tan(quarter)
+def plain_tangent_ratio(quarter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = tan q and t / q, the latter 1 where q = 0."""
+    t = np.tan(quarter)
     with np.errstate(invalid="ignore"):
-        ratio = u / quarter
+        ratio = t / quarter
     ratio[quarter == 0] = 1.0
-    return ratio / (u * u + 1.0)
+    return t, ratio
 
 
 def plain_sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
@@ -72,28 +66,34 @@ def plain_sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray) -> np.ndar
     return slope
 
 
-def plain_phasors(half_phase: np.ndarray) -> np.ndarray:
-    """exp(2 i half_phase) from w = tan(half_phase), by `plain_phasor`."""
-    out = np.empty(half_phase.shape, dtype=complex)
-    out.real, out.imag = plain_phasor(np.tan(half_phase))
-    return out
-
-
 def plain_edge_terms(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The edge terms of `optics.edge_terms` as plain expressions: the reference its scratch form matches."""
+    """Re T and Im T of `optics.edge_terms`, (2, m, K), as plain expressions: the reference its scratch form matches.
+
+    R = c (t / q) / ((1 + t^2)(1 + w^2)), Re T = R (1 - w^2), Im T = R (2 w).
+    """
     cross, quarter, phase = plain_edge_products(loop, k)
-    scaled = cross * plain_sinc(quarter)
-    e = plain_phasors(phase)
-    out = np.empty(e.shape, dtype=complex)
-    out.real, out.imag = scaled * e.real, scaled * e.imag
-    return out
+    t, ratio = plain_tangent_ratio(quarter)
+    w = np.tan(phase)
+    r = cross * ratio / ((t * t + 1.0) * (w * w + 1.0))
+    return np.stack([r * (1.0 - w * w), r * (w + w)])
 
 
 def plain_edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`gradient.edge_gradient` as plain expressions: the reference its scratch form matches."""
+    """`gradient.edge_gradient` as plain expressions: the reference its scratch form matches.
+
+    With Y = 1 + w^2, Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w)
+    for coef = a + i b, and s and sinc' are divided by Y.
+    """
     cross, quarter, phase = plain_edge_products(loop, k)
-    s = plain_sinc(quarter)
-    slope = plain_sinc_slope(quarter + quarter, s, plain_phasor(np.tan(quarter))[0])
-    p = coef * plain_phasors(phase)
-    along, flat, moved = np.stack([p.real * (0.5 * cross * slope), p.real * s, p.imag * (cross * s)]) @ k.T
-    return along + flat[:, ::-1] * [-1.0, 1.0], moved
+    t, ratio = plain_tangent_ratio(quarter)
+    big_t = t * t + 1.0
+    s = ratio / big_t
+    slope = plain_sinc_slope(quarter + quarter, s, (1.0 - t * t) / big_t)
+    w = np.tan(phase)
+    big_w = w * w + 1.0
+    a, b = coef.real, coef.imag
+    real = a * (1.0 - w * w) - b * (w + w)
+    imag = (1.0 - w * w) * b + (w + w) * a
+    s, slope = s / big_w, slope / big_w
+    slope_sum, flat, moved = np.stack([real * (slope * cross), real * s, imag * (s * cross)]) @ k.T
+    return 0.5 * slope_sum + flat[:, ::-1] * [-1.0, 1.0], moved
