@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import ImageGrid, edge_products, edge_scratch, node_table, pupil_basis, sinc_slope, tangent_ratio
+from .optics import ImageGrid, edge_products, node_table, pupil_basis, sinc_slope, tangent_ratio
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -106,9 +106,10 @@ def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np
     The factor 1 / (1 + w^2) of p is taken into s and sinc', so p is formed
     as Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w) for coef = a + i b
     and Y = 1 + w^2.
-    The three sums over the nodes are one matrix product against k.
+    The three sums over the nodes are one matrix product against k. The
+    steps run in place in one (7, m, K) work array of this call.
     """
-    work = edge_scratch(len(loop), k.shape[1])
+    work = np.empty((7, len(loop), k.shape[1]))
     edge_products(loop, k, work[:3])
     cross, quarter, phase, t, s, slope, real = work
     a, b = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)

@@ -29,18 +29,17 @@ is then one real quotient of the tangents t = tan q and w = tan phi of
 q = k . d / 4 and phi = -k . m / 2 (`edge_terms`):
 sinc(2 q) = (t / q) / (1 + t^2) and
 exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so an edge term costs two tan
-calls per node and no sin or cos. The kernels of a whole loop, in the image
-and in its adjoint, write into a work array each thread keeps per loop size
-and node count (`edge_scratch`), so that no call allocates it afresh.
+calls per node and no sin or cos. Each kernel call allocates its own work
+array and writes its steps into it in place; no kernel keeps state between
+calls.
 
-Every other phasor and sinc is formed from the tangent of its half angle
-too: with u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`)
-and sin(x) / x = (u / (x / 2)) / (1 + u^2) (`sinc`). numpy evaluates tan
-with a SIMD loop where the CPU has AVX-512, several times faster than a libm
-sin or cos; elsewhere it calls libm's tan, and two tangents then cost about
-as much as the three libm calls they replace. The two round differently, so
-the last bits of an image depend on which one numpy dispatches, and on the
-BLAS that forms the projections.
+Every other phasor is formed from the tangent of its half angle too: with
+u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`). numpy
+evaluates tan with a SIMD loop where the CPU has AVX-512, several times
+faster than a libm sin or cos; elsewhere it calls libm's tan, and two
+tangents then cost about as much as the three libm calls they replace. The
+two round differently, so the last bits of an image depend on which one
+numpy dispatches, and on the BLAS that forms the projections.
 
 The library also images a triangle mesh of a region through the degree-3
 quadrature rule, with quadrature points g_q and weights c_q, as
@@ -58,7 +57,6 @@ from them. The node table is cached per grid and node count.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -320,8 +318,8 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + THETA_MARGIN
 
 
-def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i phase) for a real phase, from its half-angle tangent, written into one complex array, `out` if given.
+def cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for a real phase, from its half-angle tangent, as one complex array.
 
     With u = tan(phase / 2), exp(i phase) = ((1 - u^2) + 2 i u) / (1 + u^2):
     within 2.6e-16 of it for |phase| up to
@@ -331,8 +329,7 @@ def cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     against 75 to 110 us for a sin or a cos, and its scalar libm tan, 74 to
     79 us, costs about what a sin or a cos does.
     """
-    if out is None:
-        out = np.empty(phase.shape, dtype=complex)
+    out = np.empty(phase.shape, dtype=complex)
     u = np.tan(np.multiply(0.5, phase, out=out.imag), out=out.imag)
     big_u = np.multiply(u, u)
     np.subtract(1.0, big_u, out=out.real)
@@ -347,36 +344,8 @@ def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (coef @ h.view(np.float64)).view(complex)
 
 
-def sinc(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(x) / x elementwise, 1 at x = 0; written into `out`, which must not be x, if given.
-
-    With u = tan(x / 2), sin x = 2 u / (1 + u^2), so sin(x) / x is
-    (u / (x / 2)) / (1 + u^2): no series is needed
-    near 0, where tan(x / 2) / (x / 2) keeps every digit, and only x = 0
-    itself, 0 / 0, is set to 1.
-    """
-    half = np.multiply(0.5, x, out=out)
-    u = np.tan(half)
-    zero = None if half.all() else half == 0
-    with np.errstate(invalid="ignore"):
-        np.divide(u, half, out=half)
-    if zero is not None:
-        half[zero] = 1.0
-    np.add(np.multiply(u, u, out=u), 1.0, out=u)
-    return np.divide(half, u, out=half)
-
-
-def sinc_derivative(x: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """d/dx sin(x) / x = (cos x - sinc x) / x elementwise, 0 at x = 0 (`sinc_slope`).
-
-    cos x is the real part of `cis` and sinc x is `sinc`. Written into
-    `out`, with `tmp` for sinc x, if given; neither may be x.
-    """
-    return sinc_slope(x, sinc(x, tmp), cis(x).real, out)
-
-
-def sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """sinc' x = (cos x - sinc x) / x from s = sinc x and cos x, into `out`, which may be none of the inputs, if given.
+def sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sinc' x = (cos x - sinc x) / x from s = sinc x and cos x, into `out`, which may be none of the inputs.
 
     Below SINC_SLOPE_SERIES in |x|, where the difference cancels, the
     Maclaurin series to x^7 takes over. Elsewhere, with cos x and sinc x
@@ -386,7 +355,7 @@ def sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray, out: np.ndarray 
     """
     small = np.abs(x, out=out) < SINC_SLOPE_SERIES
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(np.subtract(cos_x, s, out=out), x, out=out)
+        np.divide(np.subtract(cos_x, s, out=out), x, out=out)
     if small.any():
         t = x[small]
         t2 = t * t
@@ -402,9 +371,8 @@ class NodeTable:
     w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the grid center;
     `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and
     imaginary parts interleaved like a complex array's memory. All three are
-    the cached, read-only tables of `grid_phasors`, and `node_table` keeps the
-    table itself, so that its node constants `k` and `edge_factor` are formed
-    once per node count.
+    read-only, and `node_table` keeps one table per grid and node count, so
+    that its node constants `k` and `edge_factor` are formed once.
     """
 
     freqs: np.ndarray
@@ -434,14 +402,10 @@ class NodeTable:
         U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
         leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
         x-side products as interleaved reals makes this one real matrix
-        product against `ey`. The products of a single spectrum, (nx, K), go
-        into an array the calling thread reuses (`_synthesis_scratch`); a
-        batch of spectra, as the mesh gradient synthesizes, takes a fresh
-        array, which a scratch would keep alive at its full size.
+        product against `ey`.
         """
         nx, k = self.wex.shape
-        a = _synthesis_scratch(nx, k, threading.get_ident()) if spectra.ndim == 1 else None
-        a = np.multiply(spectra[..., None, :], self.wex, out=a)
+        a = spectra[..., None, :] * self.wex
         out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
         return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
 
@@ -544,18 +508,6 @@ class PupilBasis(NodeTable):
         return area, slot
 
 
-@lru_cache(maxsize=GRID_TABLES)
-def grid_phasors(grid: ImageGrid, n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of a NodeTable on `grid`: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
-    freqs, weights = pupil_nodes(n_r, n_theta)
-    center = grid.center
-    wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
-    ey = cis((-2.0 * np.pi) * np.outer(grid.ys - center[1], freqs[1])).view(np.float64)
-    for table in (wex, ey):
-        table.setflags(write=False)
-    return freqs, wex, ey
-
-
 def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
     """D, the largest distance between one of the points (..., 2) and a sample of `grid`.
 
@@ -578,7 +530,14 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
 
 @lru_cache(maxsize=GRID_TABLES)
 def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
-    return NodeTable(*grid_phasors(grid, n_r, n_theta))
+    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
+    freqs, weights = pupil_nodes(n_r, n_theta)
+    center = grid.center
+    wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
+    ey = cis((-2.0 * np.pi) * np.outer(grid.ys - center[1], freqs[1])).view(np.float64)
+    for table in (wex, ey):
+        table.setflags(write=False)
+    return NodeTable(freqs, wex, ey)
 
 
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
@@ -597,8 +556,8 @@ def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid
     if not (quad.denominator == DEGREE3.denominator and np.array_equal(quad.numerators, DEGREE3.numerators)
             and np.array_equal(quad.weights, DEGREE3.weights)):
         raise ValueError("the pupil kernel sums the degree-3 rule only")
-    return PupilBasis(*grid_phasors(grid, *node_counts(grid, mesh.vertices)),
-                      mesh.vertices - grid.center, mesh.triangles)
+    nodes = node_table(grid, mesh.vertices)
+    return PupilBasis(nodes.freqs, nodes.wex, nodes.ey, mesh.vertices - grid.center, mesh.triangles)
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
@@ -614,39 +573,6 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
         basis = pupil_basis(mesh, quad, grid)
         u += basis.synthesize(basis.spectrum(mesh.areas()))
     return AmplitudeField(u)
-
-
-# Rows of an edge kernel's work array (`edge_scratch`): the image uses six,
-# its adjoint seven.
-EDGE_ROWS = 7
-
-
-@lru_cache(maxsize=GRID_TABLES)
-def _thread_scratch(edges: int, nodes: int, thread: int) -> np.ndarray:
-    return np.empty((EDGE_ROWS, edges, nodes))
-
-
-@lru_cache(maxsize=GRID_TABLES)
-def _synthesis_scratch(nx: int, nodes: int, thread: int) -> np.ndarray:
-    """The (nx, K) complex array `NodeTable.synthesize` writes one spectrum's x-side products into on `thread`.
-
-    It is reused as `edge_scratch` is: 67 KiB on desk.
-    """
-    return np.empty((nx, nodes), dtype=complex)
-
-
-def edge_scratch(edges: int, nodes: int) -> np.ndarray:
-    """The (EDGE_ROWS, E, K) work array the calling thread reuses for every whole loop of E samples on K nodes.
-
-    The kernels of a desk evaluation work in 280 KiB, seven rows of 40 KiB,
-    formed afresh on no call. A desk optimize in a fresh interpreter takes
-    about 350 minor faults with them, mostly the first touch of the four
-    arrays of the node counts it meets. A caller must not keep what is
-    written here: the next whole loop of the same size overwrites it. Like
-    the node tables, at most GRID_TABLES of them are kept, 56 m K bytes each
-    for m samples on K nodes.
-    """
-    return _thread_scratch(edges, nodes, threading.get_ident())
 
 
 def edge_products(loop: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -717,8 +643,8 @@ def sum_terms(terms: np.ndarray) -> np.ndarray:
 
 
 def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_e T_ek over all the loop's edges, (K,) complex, the terms formed in the thread's `edge_scratch`."""
-    work = edge_scratch(len(loop), k.shape[1])
+    """sum_e T_ek over all the loop's edges, (K,) complex, the terms formed in one work array of this call."""
+    work = np.empty((6, len(loop), k.shape[1]))
     edge_products(loop, k, work[:3])
     return sum_terms(edge_terms(work))
 
@@ -799,7 +725,7 @@ class LoopImage:
         moved = (rel != self.base).any(axis=1)
         rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
         k = self.nodes.k
-        products = edge_products(rel, k, edge_scratch(len(rel), k.shape[1])[:3])
+        products = edge_products(rel, k, np.empty((3, len(rel), k.shape[1])))
         work = np.empty((6, rows.sum(), k.shape[1]))
         np.compress(rows, products, axis=1, out=work[:3])
         terms = self.terms.copy()

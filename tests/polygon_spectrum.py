@@ -7,11 +7,11 @@ Gauss rule on each triangle, collapsed onto it, integrates the smooth
 exponential to rounding at a high enough order. The same rule checks the
 mesh image's quadrature error.
 
-The package forms the edge terms and their derivatives in reused work
-arrays, with `out=` (`splinemask.optics.edge_scratch`): the edge projections
-as one matrix product, then each term from the tangents t = tan q and
-w = tan phi as one real quotient. The `plain_` functions write the same
-float operations as plain expressions, the same matrix products in the same
+The package forms the edge terms and their derivatives in place, with
+`out=`, in one work array per kernel call: the edge projections as one
+matrix product, then each term from the tangents t = tan q and w = tan phi
+as one real quotient. The `plain_` functions write the same float
+operations as plain expressions, the same matrix products in the same
 shapes, every temporary fresh, and the two must agree bit for bit.
 """
 import numpy as np
@@ -67,7 +67,7 @@ def plain_sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray) -> np.ndar
 
 
 def plain_edge_terms(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Re T and Im T of `optics.edge_terms`, (2, m, K), as plain expressions: the reference its scratch form matches.
+    """Re T and Im T of `optics.edge_terms`, (2, m, K), as plain expressions: the reference its in-place form matches.
 
     R = c (t / q) / ((1 + t^2)(1 + w^2)), Re T = R (1 - w^2), Im T = R (2 w).
     """
@@ -79,7 +79,7 @@ def plain_edge_terms(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def plain_edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`gradient.edge_gradient` as plain expressions: the reference its scratch form matches.
+    """`gradient.edge_gradient` as plain expressions: the reference its in-place form matches.
 
     With Y = 1 + w^2, Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w)
     for coef = a + i b, and s and sinc' are divided by Y.

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,7 +382,7 @@ def test_finite_differences_reimage_a_bump_in_full_when_its_node_count_changes(d
 
 @pytest.mark.parametrize("loop_kind", ["desk", "clockwise", "short edge", "vertical edge"])
 def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_kind):
-    # the scratch forms repeat the float operations of the plain ones; a short
+    # the in-place forms repeat the float operations of the plain ones; a short
     # edge takes the series of sinc', and an edge with d_x = 0 meets
     # k . d = 0 exactly at the nodes on k_y = 0
     cfg, problem, region = desk_square
@@ -405,9 +407,30 @@ def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_ki
     assert first.tobytes() == (re + 1j * im).tobytes()
     for got, want in zip(gradient.edge_gradient(loop, k, coef), plain_edge_gradient(loop, k, coef)):
         assert got.tobytes() == want.tobytes()
-    # the scratch is reused, and what the kernels returned is the caller's own
+    # what a kernel returned is the caller's own: another call leaves it as it was
     optics.edge_sum(1.01 * loop, k)
     assert first.tobytes() == (re + 1j * im).tobytes()
+
+
+def test_loop_kernels_share_no_state_across_threads(desk_square):
+    # two threads image the desk loop and take its gradient at once, each
+    # bit for bit what one thread alone gives
+    cfg, problem, region = desk_square
+    grid = problem.grid
+    samples = sample_boundary(region)
+    sign = optics.orientation(samples)
+    weight = np.random.default_rng(3).normal(size=(grid.nx, grid.ny))
+
+    def run():
+        return (loop_amplitude([samples], grid, [sign]).values.tobytes(),
+                gradient.loop_gradient(samples, sign, grid, weight).tobytes())
+
+    want = run()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(lambda: [run() for _ in range(20)]) for _ in range(2)]
+        results = [result for future in runs for result in future.result(timeout=120)]
+    assert len(results) == 40
+    assert all(got == want for got in results)
 
 
 @pytest.mark.parametrize("loop_kind", ["vertical edge", "short edge"])

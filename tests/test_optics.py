@@ -31,14 +31,11 @@ from splinemask.optics import (
     airy_kernel,
     bessel_j,
     forward_amplitude,
-    grid_phasors,
     loop_amplitude,
     polygon_spectrum,
     psf,
     pupil_basis,
     pupil_nodes,
-    sinc,
-    sinc_derivative,
 )
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
 
@@ -48,7 +45,7 @@ from direct_sum import (
     direct_forward_amplitude,
     point_spectrum,
 )
-from polygon_spectrum import collapsed_gauss_spectrum
+from polygon_spectrum import collapsed_gauss_spectrum, plain_tangent_ratio
 from conftest import desk_square_problem, square_region
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -444,7 +441,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_drawn_loops(kind, le
     # simple loops with an edge at k . d = 0 exactly, a tiny edge, an edge at
     # k . d / 4 near +-pi / 2, where tan is largest, and loops off the grid
     # center, against the fan of triangles from the loop's apex
-    nodes = optics.NodeTable(*grid_phasors(DRAWN_GRID, *DRAWN_COUNTS))
+    nodes = optics._node_table(DRAWN_GRID, *DRAWN_COUNTS)
     loop, apex = drawn_loop(kind, length, turn, tilt, side, arc, radii[:len(arc)], np.asarray(offset), nodes)
     assume(fat_fan(loop, apex))
     m = len(loop)
@@ -487,18 +484,24 @@ def mp_sinc(x: float) -> tuple[float, float]:
 
 
 def test_sinc_and_its_derivative_match_mpmath_down_to_zero():
-    # |x| <= 200 on a grid and log-spaced toward 0, with 0 and both sides of
-    # the series switch of sinc'. Away from 0, sinc' is off by up to about
-    # 3.3e-16 / |x|, the error of the half-angle cos x over x, which is more
-    # than 1e-12 relative near its roots past |x| = 10
+    # sinc x = (t / q) / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) from
+    # t = tan q, q = x / 2, as `gradient.edge_gradient` forms them, and
+    # `optics.sinc_slope` on them; |x| <= 200 on a grid and log-spaced toward
+    # 0, with 0 and both sides of the series switch of sinc'. Away from 0,
+    # sinc' is off by up to about 3.3e-16 / |x|, the error of the half-angle
+    # cos x over x, which is more than 1e-12 relative near its roots past
+    # |x| = 10
     switch = optics.SINC_SLOPE_SERIES
     xs = np.concatenate([[0.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)],
                          np.logspace(-12, np.log10(200.0), 400), np.linspace(0.01, 200.0, 4000)])
     xs = np.concatenate([xs, -xs])
     exact = np.array([mp_sinc(x) for x in xs])
     nonzero = exact[:, 1] != 0.0
-    assert (np.abs(sinc(xs) - exact[:, 0]) <= 1e-15 * np.abs(exact[:, 0])).all()
-    slope = sinc_derivative(xs)
+    t, ratio = plain_tangent_ratio(xs / 2.0)
+    big_t = t * t + 1.0
+    s = ratio / big_t
+    assert (np.abs(s - exact[:, 0]) <= 1e-15 * np.abs(exact[:, 0])).all()
+    slope = optics.sinc_slope(xs, s, (1.0 - t * t) / big_t, np.empty_like(xs))
     assert (slope[~nonzero] == 0.0).all()
     error = np.abs(slope - exact[:, 1])
     near = nonzero & (np.abs(xs) <= 10.0)
@@ -562,7 +565,7 @@ def test_node_table_adjoint_is_the_transpose_of_synthesis(seed, nx, ny, reach):
     # sum W U = Re sum_k L_k S_k for the image U of any spectrum S
     rng = np.random.default_rng(seed)
     grid = ImageGrid(nx, ny, 0.1, (-0.3, 0.2))
-    nodes = optics.NodeTable(*grid_phasors(grid, *optics.pupil_node_counts(reach)))
+    nodes = optics._node_table(grid, *optics.pupil_node_counts(reach))
     k = nodes.freqs.shape[1]
     spectrum = rng.normal(size=k) + 1j * rng.normal(size=k)
     weight = rng.normal(size=(nx, ny))
@@ -762,11 +765,14 @@ def test_forward_and_gradient_memory_stays_bounded_on_a_dense_mesh(desk_square):
 
 def test_node_and_grid_tables_are_cached_read_only(desk_square):
     cfg, problem, region = desk_square
-    basis = pupil_basis(build_region_system(region, problem).mesh, problem.quad, problem.grid)
+    region_mesh = build_region_system(region, problem).mesh
+    basis = pupil_basis(region_mesh, problem.quad, problem.grid)
+    # the mesh image takes its tables from the one node-table cache
+    assert basis.wex is optics.node_table(problem.grid, region_mesh.vertices).wex
     n_r, n_theta = optics.pupil_node_counts(1.0)
-    freqs, wex, ey = grid_phasors(problem.grid, n_r, n_theta)
-    assert grid_phasors(problem.grid, n_r, n_theta)[1] is wex
-    tables = [freqs, wex, ey, basis.freqs, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
+    nodes = optics._node_table(problem.grid, n_r, n_theta)
+    assert optics._node_table(problem.grid, n_r, n_theta) is nodes
+    tables = [nodes.freqs, nodes.wex, nodes.ey, basis.freqs, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
