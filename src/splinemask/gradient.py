@@ -8,14 +8,14 @@ the derivatives of its two edges' terms (`edge_gradient`), and
 dJ/dP = N^T dJ/dQ. No derivative field is synthesized.
 
 The library's mesh image has the fields dU/dP themselves
-(`amplitude_gradient`). For fixed mesh topology every vertex is linear in the control points through
-T = W @ N, so dU/dP decomposes into an area term (triangle measures change)
-and a point term (quadrature points move with their triangle's vertices).
-Both act on the region's pupil spectrum S = sum_t A_t H_t: the area term
-against the triangle phasor sums H_t, the point term against the slot sums
-G_tj, which weight triangle t's phasors by the barycentric coordinate of its
-vertex slot j. Both come from the blocks `PupilBasis.phasor_blocks` makes for
-the forward image, and all derivative spectra are synthesized at once;
+(`amplitude_gradient`). For fixed mesh topology every vertex is linear in
+the control points through T = W @ N, so dU/dP decomposes into an area term
+(triangle measures change) and a point term (quadrature points move with
+their triangle's vertices). Both act on the region's pupil spectrum
+S = sum_tq A_t w_q exp(-i k.g_tq), each as a point spectrum with its own
+coefficients, and all of them come from one `optics.point_spectra` call;
+the point term then takes the factor -i k of the moved phasor. All
+derivative spectra are synthesized at once, and
 `objective.objective_gradient` contracts them to dJ/dP.
 Topology (W, C, L) is treated as constant: the mesh gradient is that of the
 mesh moved with its topology fixed (`pipeline.evaluate_frozen`), and the
@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor
-from .optics import ImageGrid, edge_products, node_table, pupil_basis, sinc_slope, tangent_ratio
+from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
+from .optics import ImageGrid, edge_products, node_table, point_spectra, sinc_slope, tangent_ratio
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -64,13 +64,14 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """Fields dU/dP for every control coordinate of every region.
 
     Returns one (n, 2, nx, ny) array per region ([:, 0] for x, [:, 1] for y).
-    With E_tq = exp(-2 pi i f.g_tq) on the region's pupil nodes, the
+    With E_tq = exp(-i k.g_tq) on the region's pupil nodes, k = 2 pi f, the
     spectrum S = sum_tq A_t w_q E_tq moves as
-    dS/dP = sum_t dA_t/dP H_t - 2 pi i f sum_tj A_t T[t_j, :] G_tj:
-    point q of triangle t moves by sum_j (n_jq / d) T[t_j, :], and
-    G_tj = sum_q w_q (n_jq / d) E_tq collects those weights per vertex slot.
-    The area derivatives come from `area_gradient`. The 2n derivative spectra
-    are synthesized together. A control only moves its own region's mesh, and
+    dS/dP = sum_tq (dA_t/dP w_q - i k A_t w_q dg_tq/dP) E_tq, and point q of
+    triangle t moves by dg_tq/dP = sum_j L_jq T[t_j, :] along the axis of
+    the control coordinate. The area derivatives come from `area_gradient`. The
+    three coefficient sets (dA/dPx w, dA/dPy w and A w dg/dP) fill one
+    array for one `point_spectra` call, and the 2n derivative spectra are
+    synthesized together. A control only moves its own region's mesh, and
     the node table depends on the grid and that mesh alone, so each region's
     entry is independent of the other meshes.
     """
@@ -78,16 +79,18 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     for mesh, sens in zip(meshes, sensitivities, strict=True):
         tensor = assemble_tensor(mesh)
         dsx, dsy = area_gradient(tensor, sens, mesh.triangles)
-        # slot j of triangle t moves with its vertex: A_t T[t_j, :], laid out (n, 3, T)
-        slots = (tensor.areas()[:, None, None] * sens[mesh.triangles]).T
-
-        basis = pupil_basis(mesh, quad, grid)
-        area, moved = basis.slot_spectra(np.concatenate([dsx.T, dsy.T]), slots)
-        area_x, area_y = np.split(area, 2)  # each (n, K)
-        moved *= -2j * np.pi
-        fx, fy = basis.freqs
-        spectra = np.stack([area_x + moved * fx, area_y + moved * fy], axis=1)
-        out.append(basis.synthesize(spectra))  # (n, 2, nx, ny)
+        n, nt, ng = sens.shape[1], mesh.num_triangles, quad.num_points
+        coef = np.empty((n, 3, nt, ng))
+        np.multiply(dsx.T[:, :, None], quad.weights, out=coef[:, 0])
+        np.multiply(dsy.T[:, :, None], quad.weights, out=coef[:, 1])
+        # point q of triangle t moves with its vertices: A_t w_q sum_j L_jq T[t_j, :]
+        np.einsum("jq,tjn->ntq", quad.weights * quad.barycentric,
+                  tensor.areas()[:, None, None] * sens[mesh.triangles], out=coef[:, 2])
+        nodes = node_table(grid, mesh.vertices)
+        points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
+        spectra = point_spectra(points, coef.reshape(n, 3, -1), nodes)
+        spectra[:, :2] -= 1j * nodes.k * spectra[:, 2:]
+        out.append(nodes.synthesize(spectra[:, :2]))  # (n, 2, nx, ny)
     return out
 
 

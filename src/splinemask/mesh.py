@@ -188,15 +188,10 @@ def assemble_tensor(mesh: ProvenancedMesh) -> TriangleTensor:
 class TriangleQuadrature:
     """Quadrature rule in barycentric form: integral ~ sum_q w_q f(V @ L[:, q]) * |S|.
 
-    The barycentric coordinates are integers over one denominator,
-    L = numerators / denominator, 3 x N_G with unit column sums; `weights`
-    sum to 1. For `degree3`, the rule the optics image with, the integer form
-    makes each point's phasor a product of integer powers of its triangle's
-    vertex phasors (`optics.PupilBasis.triangle_sums`).
+    `barycentric` is L, 3 x N_G with unit column sums, and `weights` sum to 1.
     """
 
-    numerators: np.ndarray
-    denominator: int
+    barycentric: np.ndarray
     weights: np.ndarray
 
     @classmethod
@@ -205,20 +200,16 @@ class TriangleQuadrature:
 
         Centroid (5, 5, 5) / 15 plus the three points weighted 3/5 toward
         each vertex, (9, 3, 3) / 15 and its permutations; the centroid carries
-        the classic negative weight -27/48.
+        the classic negative weight -27/48. 5/15, 9/15 and 3/15 round to the
+        doubles 1/3, 0.6 and 0.2.
         """
-        numerators = np.array([
+        barycentric = np.array([
             [5, 9, 3, 3],
             [5, 3, 9, 3],
             [5, 3, 3, 9],
-        ])
+        ]) / 15
         weights = np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0
-        return cls(numerators, 15, weights)
-
-    @property
-    def barycentric(self) -> np.ndarray:
-        """L, 3 x N_G; for degree3 5/15, 9/15 and 3/15 round to 1/3, 0.6 and 0.2 exactly."""
-        return self.numerators / self.denominator
+        return cls(barycentric, weights)
 
     @property
     def num_points(self) -> int:

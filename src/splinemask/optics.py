@@ -41,18 +41,12 @@ tangents then cost about as much as the three libm calls they replace. The
 two round differently, so the last bits of an image depend on which one
 numpy dispatches, and on the BLAS that forms the projections.
 
-The library also images a triangle mesh of a region through the degree-3
-quadrature rule, with quadrature points g_q and weights c_q, as
-S(f) = sum_q c_q exp(-2 pi i f.g_q). With c_q the triangle area times the
-rule weight, S = sum_t A_t H_t where H_t = sum_q w_q exp(-2 pi i f.g_tq) is
-one phasor sum per triangle. The rule has its points at barycentric
-coordinates over 15, so from the vertex phasors z (one tangent per vertex
-and node) H_t has a closed form in z ** 6 and the triangle product
-u = z_a z_b z_c, a few complex multiplies with no phasor of a single point.
-`PupilBasis`, a node table with a mesh, makes these sums in
-`phasor_blocks`, for the forward image and the gradient alike, a block of
-node columns at a time and in two steps: vertex phasors, then triangle sums
-from them. The node table is cached per grid and node count.
+The library also images a triangle mesh of a region through a triangle
+quadrature rule, with quadrature points g_q and weights c_q (the triangle
+area times the rule weight), as S(f) = sum_q c_q exp(-2 pi i f.g_q).
+`point_spectra` sums those phasors directly, a block of points at a time,
+for the forward image and the gradient alike, on the node table of the
+mesh's vertices.
 """
 from __future__ import annotations
 
@@ -64,19 +58,17 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import polygon_signed_area
-from .mesh import ProvenancedMesh, TriangleQuadrature
+from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
 
 # Below this radius the kernel switches to its series form, which keeps the
 # 0/0 at the kernel peak out of the values.
 SMALL_RHO = 1e-6
 
-# Triangle phasor sums (rows x triangles x pupil nodes) per block of node
-# columns in PupilBasis.phasor_blocks: a block holds a few arrays of this
-# many complex values, whatever the size of the mesh. A mesh image of the
-# desk square (210 to 240 nodes) takes 2 to 6 blocks, median 2, with 3 to 5
-# minor page faults per call. At 2**15 it took 1 to 3 blocks but 2.5 times
-# as long, with about 900 page faults per call.
-PHASOR_BLOCK = 2**14
+# Quadrature points per block in `point_spectra`: a block's phasors are
+# POINT_BLOCK x K complex values, whatever the size of the mesh. On a desk
+# mesh of 882 triangles that keeps the traced peak of a mesh image to 3.6 MB
+# and of its gradient to 4.9 MB.
+POINT_BLOCK = 512
 
 # Angular pupil nodes added to ceil(1.36 pi D) at reach D, on every ring of
 # the rule (`pupil_node_counts`, `pupil_nodes`).
@@ -98,9 +90,6 @@ MAX_GRID_SIDE = 1024
 # Node tables (frequencies and grid-side exponentials) kept, one per
 # (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
 GRID_TABLES = 8
-
-# The quadrature rule `PupilBasis.triangle_sums` is written for.
-DEGREE3 = TriangleQuadrature.degree3()
 
 # Below this |x| `sinc_slope` takes its Maclaurin series to x^7. The closed
 # form (cos x - sinc x) / x cancels toward 0, and loses up to about
@@ -420,94 +409,6 @@ class NodeTable:
         return (self.wex * conj_y.conj()).sum(axis=0)
 
 
-@dataclass(frozen=True)
-class PupilBasis(NodeTable):
-    """The node table of one region's mesh, with the mesh it sums phasors over.
-
-    Coordinates are taken relative to the grid center. `vertices` (V, 2) and
-    `triangles` (T, 3) are the mesh, imaged through the points of DEGREE3.
-    """
-
-    vertices: np.ndarray
-    triangles: np.ndarray
-
-    def vertex_phasors(self, cols: slice) -> np.ndarray:
-        """z_v = exp(-2 pi i f . v / d) at the node columns `cols`, (V, b); d is the rule's denominator."""
-        return cis((-2.0 * np.pi / DEGREE3.denominator) * (self.vertices @ self.freqs[:, cols]))
-
-    def triangle_sums(self, point_weights: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """sums[r, t] = sum_q point_weights[r, q] E_tq for every triangle, (R, T, b).
-
-        E_tq = exp(-2 pi i f . g_tq) is the phasor of point q of triangle t
-        under the degree-3 rule, the only one `pupil_basis` accepts, and z
-        holds the vertex phasors from `vertex_phasors`. With the triangle
-        product u_t = z_a z_b z_c the centroid (5, 5, 5) / 15 has E = u ** 5
-        and point j, (9, 3, 3) / 15 with the 9 in slot j, has
-        E = u ** 3 z_j ** 6. So a row of weights (w_0, w_a, w_b, w_c) in the
-        rule's point order gives u ** 3 (w_0 u ** 2 + sum_j w_j z_j ** 6); no
-        (T, N_G, b) point-phasor array is formed, and each distinct weighted
-        table w z ** 6 is formed once for all rows.
-        """
-        triangles = self.triangles
-        z6 = z * z * z * z * z * z
-        u = z.take(triangles[:, 0], axis=0)
-        u *= z.take(triangles[:, 1], axis=0)
-        u *= z.take(triangles[:, 2], axis=0)
-        u2 = u * u
-        u3 = u2 * u
-        tables = {}  # w -> w * z ** 6
-        sums = np.empty((len(point_weights), len(triangles), z.shape[1]), dtype=complex)
-        for (w0, *slot_weights), out in zip(point_weights, sums):
-            acc = w0 * u2
-            for j, w in enumerate(slot_weights):
-                if w not in tables:
-                    tables[w] = w * z6
-                acc += tables[w].take(triangles[:, j], axis=0)
-            np.multiply(u3, acc, out=out)
-        return sums
-
-    def phasor_blocks(self, point_weights: np.ndarray):
-        """Yield (cols, sums) over blocks of node columns: both steps above for the whole mesh.
-
-        sums is `triangle_sums` (R, T, b) for the b node columns `cols`. A
-        block holds about PHASOR_BLOCK triangle sums.
-        """
-        nt, k = len(self.triangles), self.freqs.shape[1]
-        width = max(1, PHASOR_BLOCK // (len(point_weights) * nt))
-        for start in range(0, k, width):
-            cols = slice(start, start + width)
-            yield cols, self.triangle_sums(point_weights, self.vertex_phasors(cols))
-
-    def spectrum(self, coef: np.ndarray) -> np.ndarray:
-        """S_k = sum_t coef[..., t] H_tk, (..., T) real -> (..., K) complex.
-
-        H_t = sum_q w_q E_tq is triangle t's quadrature-weighted phasor sum,
-        so this is the point spectrum sum_q c_q exp(-2 pi i f_k . g_q) with
-        c_tq = coef_t w_q; area coefficients give the forward spectrum.
-        """
-        out = np.empty((*coef.shape[:-1], self.freqs.shape[1]), dtype=complex)
-        for cols, (h,) in self.phasor_blocks(DEGREE3.weights[None]):
-            out[..., cols] = _real_times(coef, h)
-        return out
-
-    def slot_spectra(self, coef: np.ndarray, slot_coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_t coef[..., t] H_t and sum_j,t slot_coef[..., j, t] G_tj from one pass over the blocks.
-
-        G_tj = sum_q w_q (n_jq / d) E_tq weights triangle t's phasors by the
-        barycentric coordinate of its vertex slot j, so H_t = sum_j G_tj.
-        `coef` is (..., T) and `slot_coef` (..., 3, T); the point spectra they
-        stand for have c_tq = coef_t w_q and c_tq = sum_j slot_coef_jt w_q n_jq / d.
-        """
-        k = self.freqs.shape[1]
-        area = np.empty((*coef.shape[:-1], k), dtype=complex)
-        slot = np.empty((*slot_coef.shape[:-2], k), dtype=complex)
-        flat = slot_coef.reshape(*slot_coef.shape[:-2], -1)
-        for cols, g in self.phasor_blocks(DEGREE3.weights * DEGREE3.barycentric):
-            area[..., cols] = _real_times(coef, g.sum(axis=0))
-            slot[..., cols] = _real_times(flat, g.reshape(-1, g.shape[2]))
-        return area, slot
-
-
 def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
     """D, the largest distance between one of the points (..., 2) and a sample of `grid`.
 
@@ -545,19 +446,19 @@ def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
     return _node_table(grid, *node_counts(grid, points))
 
 
-def pupil_basis(mesh: ProvenancedMesh, quad: TriangleQuadrature, grid: ImageGrid) -> PupilBasis:
-    """Node table and grid exponentials for one region's mesh imaged on `grid`.
+def point_spectra(points: np.ndarray, coef: np.ndarray, nodes: NodeTable) -> np.ndarray:
+    """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2) and real coef (..., Q), (..., K) complex.
 
-    The node count follows from the mesh's vertices (`node_counts`), so it
-    depends on the grid and this mesh alone, and it bounds the reach of
-    every quadrature point. `quad` must be `TriangleQuadrature.degree3()`,
-    the rule `triangle_sums` sums.
+    `k` = 2 pi f are the node wave vectors of `nodes`. The phasors of
+    POINT_BLOCK points at a time are formed by `cis` and contracted with
+    their coefficients as two real matrix products.
     """
-    if not (quad.denominator == DEGREE3.denominator and np.array_equal(quad.numerators, DEGREE3.numerators)
-            and np.array_equal(quad.weights, DEGREE3.weights)):
-        raise ValueError("the pupil kernel sums the degree-3 rule only")
-    nodes = node_table(grid, mesh.vertices)
-    return PupilBasis(nodes.freqs, nodes.wex, nodes.ey, mesh.vertices - grid.center, mesh.triangles)
+    minus_k = -nodes.k
+    out = np.zeros((*coef.shape[:-1], minus_k.shape[1]), dtype=complex)
+    for start in range(0, len(points), POINT_BLOCK):
+        block = slice(start, start + POINT_BLOCK)
+        out += _real_times(coef[..., block], cis(points[block] @ minus_k))
+    return out
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
@@ -565,13 +466,18 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
 
     U(x) = sum over regions, triangles p, quadrature points q of
     w_q * H(x - g_pq) * |S_p|, evaluated per region as the pupil integral of
-    the region's spectrum. Meshes and grid must already be in normalized
-    coordinates. Summation order is fixed for reproducibility.
+    the region's spectrum (`point_spectra`) on the node table of its mesh's
+    vertices, which bound the reach of every quadrature point. Meshes and
+    grid must already be in normalized coordinates. Summation order is fixed
+    for reproducibility.
     """
     u = np.zeros((grid.nx, grid.ny))
     for mesh in meshes:
-        basis = pupil_basis(mesh, quad, grid)
-        u += basis.synthesize(basis.spectrum(mesh.areas()))
+        nodes = node_table(grid, mesh.vertices)
+        tensor = assemble_tensor(mesh)
+        points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
+        coef = np.outer(tensor.areas(), quad.weights).ravel()
+        u += nodes.synthesize(point_spectra(points, coef, nodes))
     return AmplitudeField(u)
 
 
@@ -686,10 +592,11 @@ def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] 
     coordinates, simple and either way round. Its node table follows from
     its samples (`node_counts`), which span the polygon's convex hull. The
     region fields are added from zeros in loop order. `signs` are the loops'
-    `orientation`s, found here when not given.
+    `orientation`s, found here when not given; signs of another length than
+    `loops` are refused.
     """
     u = np.zeros((grid.nx, grid.ny))
-    for loop, sign in zip(loops, signs or [None] * len(loops), strict=True):
+    for loop, sign in zip(loops, [None] * len(loops) if signs is None else signs, strict=True):
         u += _loop_image(loop, sign, grid)
     return AmplitudeField(u)
 

@@ -5,8 +5,8 @@ one Bessel evaluation per image sample and quadrature point, and its control
 derivatives through the kernel's radial derivative. The package evaluates the
 same sums as integrals over the pupil disk; these are the plain forms. So is
 `point_spectrum`, the mask spectrum with one libm cos/sin pair per quadrature
-point and pupil node, which the package builds per triangle from vertex
-phasors of half-angle tangents.
+point and pupil node, which the package forms from half-angle tangents
+(`optics.point_spectra`).
 """
 import numpy as np
 from scipy.special import j0, j1

@@ -16,7 +16,6 @@ from splinemask import geometry, gradient, mesh, optics
 from splinemask.gradient import amplitude_gradient
 from splinemask.mesh import (
     TriangleQuadrature,
-    TriangleTensor,
     assemble_tensor,
     gauss_points,
     polygon_area,
@@ -34,7 +33,6 @@ from splinemask.optics import (
     loop_amplitude,
     polygon_spectrum,
     psf,
-    pupil_basis,
     pupil_nodes,
 )
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
@@ -248,6 +246,19 @@ def test_forward_superposition():
     assert np.abs(both.values - only_a.values - only_b.values).max() < 1e-12
 
 
+def test_loop_amplitude_takes_signs_as_given():
+    # an array of signs is taken as given; signs of another length, the
+    # empty list too, are refused rather than read as not given
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    loops = [square, (square + [2.0, 0.0])[::-1]]  # counterclockwise, then clockwise
+    grid = ImageGrid(10, 6, 0.3, (-0.5, -0.5))
+    found = loop_amplitude(loops, grid).values
+    assert loop_amplitude(loops, grid, np.array([1.0, -1.0])).values.tobytes() == found.tobytes()
+    for signs in ([], [1.0], np.array([1.0])):
+        with pytest.raises(ValueError, match="zip"):
+            loop_amplitude(loops, grid, signs)
+
+
 def test_forward_real_valued_and_intensity():
     field = AmplitudeField(np.array([[1.5, -2.0], [0.0, 3.0]]))
     np.testing.assert_allclose(field.intensity_values, [[2.25, 4.0], [0.0, 9.0]])
@@ -349,20 +360,21 @@ SQUARES = {
 
 
 def initial_square(name):
-    """The problem, the system at the initial controls, and its pupil basis."""
+    """The problem, the system at the initial controls, and the node table of its mesh."""
     problem_args, region_args = SQUARES[name]
     cfg, problem = desk_square_problem(**problem_args)
     system = build_region_system(square_region(cfg=cfg, **region_args), problem)
-    return problem, system, pupil_basis(system.mesh, problem.quad, problem.grid)
+    return problem, system, optics.node_table(problem.grid, system.mesh.vertices)
 
 
 @pytest.mark.parametrize("name", SQUARES)
 def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_the_unrefined_mesh(name):
     # the unrefined triangles tile the sample polygon exactly, either way round
-    problem, system, basis = initial_square(name)
-    loop = basis.vertices[:len(system.samples)]
-    gauss = collapsed_gauss_spectrum(basis.vertices, triangulate_region(system.samples).triangles, basis.freqs)
-    for exact in (polygon_spectrum(loop, basis), polygon_spectrum(loop[::-1], basis)):
+    problem, system, nodes = initial_square(name)
+    vertices = system.mesh.vertices - problem.grid.center
+    loop = vertices[:len(system.samples)]
+    gauss = collapsed_gauss_spectrum(vertices, triangulate_region(system.samples).triangles, nodes.freqs)
+    for exact in (polygon_spectrum(loop, nodes), polygon_spectrum(loop[::-1], nodes)):
         assert np.abs(exact - gauss).max() <= 1e-13 * polygon_area(system.mesh)
 
 
@@ -455,7 +467,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_drawn_loops(kind, le
 def test_mesh_image_error_against_the_exact_polygon_image_stays_bounded(name, bound):
     # relative L2 error of the refined mesh's image at the initial controls,
     # measured at 1.943e-3 on desk and 3.200e-3 on full
-    problem, system, basis = initial_square(name)
+    problem, system, _ = initial_square(name)
     exact = loop_amplitude([system.samples], problem.grid).values
     mesh = forward_amplitude([system.mesh], problem.quad, problem.grid).values
     assert np.linalg.norm(mesh - exact) <= bound * np.linalg.norm(exact)
@@ -646,7 +658,10 @@ def test_forward_and_gradient_form_phasors_in_one_place(desk_square, monkeypatch
     def no_blocks(*args):
         raise AssertionError("phasor block built")
 
-    monkeypatch.setattr(optics.PupilBasis, "phasor_blocks", no_blocks)
+    # the gradient takes the one kernel the forward image calls
+    assert gradient.point_spectra is optics.point_spectra
+    monkeypatch.setattr(optics, "point_spectra", no_blocks)
+    monkeypatch.setattr(gradient, "point_spectra", no_blocks)
     cfg, problem, region = desk_square
     system = build_region_system(region, problem)
     with pytest.raises(AssertionError, match="phasor block built"):
@@ -661,7 +676,6 @@ def test_degree3_rule_is_bytewise_the_float_literals(desk_square):
     literal = np.array([[third, 0.6, 0.2, 0.2], [third, 0.2, 0.6, 0.2], [third, 0.2, 0.2, 0.6]])
     quad = TriangleQuadrature.degree3()
     assert quad.barycentric.tobytes() == literal.tobytes()
-    assert quad.numerators.sum(axis=0).tolist() == [quad.denominator] * quad.num_points
     cfg, problem, region = desk_square
     tensor = assemble_tensor(build_region_system(region, problem).mesh)
     want = np.einsum("tjc,jq->tqc", tensor.coords, literal)
@@ -678,26 +692,25 @@ def dense_desk_system(problem, region):
 
 def assert_spectra_match_point_oracle(mesh, quad, grid, coef, slot_coef):
     # per-triangle coefficients (..., T) stand for coef_t w_q at the points,
-    # per-slot ones (..., 3, T) for sum_j slot_coef_jt w_q n_jq / d
-    basis = pupil_basis(mesh, quad, grid)
-    points = gauss_points(TriangleTensor(basis.vertices[basis.triangles]), quad).reshape(-1, 2)
+    # per-slot ones (..., 3, T) for sum_j slot_coef_jt w_q L_jq
+    nodes = optics.node_table(grid, mesh.vertices)
+    points = gauss_points(assemble_tensor(mesh), quad).reshape(-1, 2) - grid.center
     at_points = (coef[..., None] * quad.weights).reshape(*coef.shape[:-1], -1)
     slot_at_points = np.einsum("...jt,jq->...tq", slot_coef, quad.weights * quad.barycentric)
-    area, slot = basis.slot_spectra(coef, slot_coef)
-    pairs = [(basis.spectrum(coef), at_points), (area, at_points),
-             (slot, slot_at_points.reshape(*slot_coef.shape[:-2], -1))]
-    for got, point_coef in pairs:
-        want = point_spectrum(points, basis.freqs, point_coef)
+    for point_coef in (at_points, slot_at_points.reshape(*slot_coef.shape[:-2], -1)):
+        got = optics.point_spectra(points, point_coef, nodes)
+        want = point_spectrum(points, nodes.freqs, point_coef)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert (np.abs(got - want) <= 1e-14 * scale).all()
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 1.3), block=st.sampled_from([1, 300, 5000, None]))
-def test_vertex_phasor_spectrum_matches_point_oracle(desk_square, seed, scale, block):
-    # random perturbations of the desk square; a small block budget forces
-    # several column blocks down to one node per block. The forward (area)
-    # coefficients come first, then random per-triangle and per-slot ones
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 1.3), block=st.sampled_from([1, 300, None]))
+def test_point_spectra_match_point_oracle(desk_square, seed, scale, block):
+    # random perturbations of the desk square; a small block forces several
+    # point blocks down to one point per block, and 300 leaves a short last
+    # block. The forward (area) coefficients come first, then random
+    # per-triangle and per-slot ones
     cfg, problem, region = desk_square
     rng = np.random.default_rng(seed)
     moved = region.with_controls(scale * region.controls
@@ -708,36 +721,37 @@ def test_vertex_phasor_spectrum_matches_point_oracle(desk_square, seed, scale, b
     slot_coef = rng.normal(size=(2, 3, nt))
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
-            patch.setattr(optics, "PHASOR_BLOCK", block)
+            patch.setattr(optics, "POINT_BLOCK", block)
         assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, coef, slot_coef)
 
 
-@pytest.mark.parametrize("block", [optics.PHASOR_BLOCK, 4096])
-def test_vertex_phasor_spectrum_matches_point_oracle_on_a_dense_mesh(desk_square, monkeypatch, block):
+@pytest.mark.parametrize("block", [1, 300, optics.POINT_BLOCK])
+def test_point_spectra_match_point_oracle_on_a_dense_mesh(desk_square, monkeypatch, block):
     cfg, problem, region = desk_square
     system = dense_desk_system(problem, region)
     mesh = system.mesh
-    monkeypatch.setattr(optics, "PHASOR_BLOCK", block)
+    # 882 triangles, 3528 points: a multiple of none of the blocks but 1
+    num_points = mesh.num_triangles * problem.quad.num_points
+    assert num_points % 300 and num_points % optics.POINT_BLOCK
+    monkeypatch.setattr(optics, "POINT_BLOCK", block)
     # the forward's area coefficients and the gradient's slot coefficients of control 0
     slot_coef = (mesh.areas()[:, None] * system.sens[mesh.triangles, 0]).T
     assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, mesh.areas(), slot_coef)
 
 
-def test_pupil_basis_rejects_other_rules(desk_square):
-    # the phasor sums are written for the degree-3 rule's points and weights:
-    # a made-up rule, the same points over 30, or other weights are refused
+def test_mesh_image_takes_any_rule(desk_square):
+    # the mesh image sums the points of whatever rule it is given: under the
+    # one-point centroid rule it matches the plain kernel sums as the
+    # degree-3 rule does
     cfg, problem, region = desk_square
-    mesh = build_region_system(region, problem).mesh
-    degree3 = TriangleQuadrature.degree3()
-    made_up = np.array([[5, 9, 8, 15, 7, 6, 4],
-                        [5, 3, 4, 0, 6, 4, 5],
-                        [5, 3, 3, 0, 2, 5, 6]])
-    for quad in (TriangleQuadrature(made_up, 15, np.linspace(-0.5, 1.0, 7)),
-                 TriangleQuadrature(2 * degree3.numerators, 30, degree3.weights),
-                 TriangleQuadrature(degree3.numerators, 15, np.full(4, 0.25))):
-        with pytest.raises(ValueError, match="degree-3"):
-            pupil_basis(mesh, quad, problem.grid)
-    pupil_basis(mesh, degree3, problem.grid)
+    system = build_region_system(region, problem)
+    centroid = TriangleQuadrature(np.full((3, 1), 1.0 / 3.0), np.array([1.0]))
+    grid = problem.grid
+    u = forward_amplitude([system.mesh], centroid, grid).values
+    assert np.abs(u - direct_forward_amplitude([system.mesh], centroid, grid).values).max() <= 1e-12
+    (d_got,) = amplitude_gradient([system.mesh], centroid, grid, [system.sens])
+    (d_want,) = direct_amplitude_gradient([system.mesh], centroid, grid, [system.sens])
+    assert np.abs(d_got - d_want).max() <= 1e-11 * np.abs(d_want).max()
 
 
 def traced_peak(fn) -> int:
@@ -766,13 +780,14 @@ def test_forward_and_gradient_memory_stays_bounded_on_a_dense_mesh(desk_square):
 def test_node_and_grid_tables_are_cached_read_only(desk_square):
     cfg, problem, region = desk_square
     region_mesh = build_region_system(region, problem).mesh
-    basis = pupil_basis(region_mesh, problem.quad, problem.grid)
-    # the mesh image takes its tables from the one node-table cache
-    assert basis.wex is optics.node_table(problem.grid, region_mesh.vertices).wex
+    mesh_nodes = optics.node_table(problem.grid, region_mesh.vertices)
+    # the mesh image takes its table from the one node-table cache
+    assert optics.node_table(problem.grid, region_mesh.vertices) is mesh_nodes
     n_r, n_theta = optics.pupil_node_counts(1.0)
     nodes = optics._node_table(problem.grid, n_r, n_theta)
     assert optics._node_table(problem.grid, n_r, n_theta) is nodes
-    tables = [nodes.freqs, nodes.wex, nodes.ey, basis.freqs, basis.wex, basis.ey, *pupil_nodes(n_r, n_theta)]
+    tables = [nodes.freqs, nodes.wex, nodes.ey, mesh_nodes.freqs, mesh_nodes.wex, mesh_nodes.ey,
+              *pupil_nodes(n_r, n_theta)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
