@@ -129,18 +129,15 @@ def _scalars(document: dict, name: str, cls, keys: dict):
     return _build(name, keys, lambda: cls(**_args(given, keys)))
 
 
-def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
-            max_area: float) -> PeriodicSplineRegion:
+def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> PeriodicSplineRegion:
     """One region in mask-plane nm, from explicit controls or placed on its target.
 
     Its sample loop must bound a region, as `evaluate` checks it: a loop that
     crosses itself or encloses no area is blamed on `controls_nm`, or on the
     region when it was placed on a target. Its work must stay within
     MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test and
-    of its library mesh's provenance, and the m x n of its collocation
-    matrix, both checked before the region is built. `max_area` sizes only
-    the library mesh, which no command builds: it is refused when that mesh
-    would certainly pass the bound, which needs no mesh to tell.
+    the m x n of its collocation matrix, both checked before the region is
+    built.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -175,15 +172,9 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig,
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
     try:
-        area = check_loop(build_collocation(region) @ optical.normalize_mask(region.controls))
+        check_loop(build_collocation(region) @ optical.normalize_mask(region.controls))
     except MeshError as exc:
         raise ConfigError(blame, str(exc)) from None
-    # a mesh refined to max_area has at least area / max_area triangles, and
-    # with m boundary vertices more than half as many vertices, of m entries each
-    if abs(area) * m > 2.0 * max_area * MAX_PROVENANCE_SIZE:
-        raise ConfigError("optimizer.refine_area_tol",
-                          f"too small for {where}: its mesh refined to area {max_area:g} would hold more "
-                          f"than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
     return region
 
 
@@ -248,8 +239,7 @@ def parse_config(document: dict) -> RunConfig:
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
-    regions = [_region(raw, f"regions[{i}]", targets, optical, optimizer.refine_area_tol)
-               for i, raw in enumerate(raw_regions)]
+    regions = [_region(raw, f"regions[{i}]", targets, optical) for i, raw in enumerate(raw_regions)]
     _check_reach(grid, "origin_nm" in given, regions, optical)
 
     return RunConfig(optical=optical, resist=resist, grid=grid,

@@ -20,13 +20,12 @@ function is evaluated. `NodeTable` holds the nodes and the grid-side
 exponentials and synthesizes any spectrum.
 
 The chain images each region's boundary loop, the polygon of its samples,
-exactly: its spectrum is a sum over its edges (`polygon_spectrum`), and
-`LoopImage` keeps a region's edge terms so that a copy with a few samples
-moved recomputes only their edges. An edge term takes three projections of
-the node wave vectors, on the edge's normal, its vector and its midpoint;
-for a whole loop they are one matrix product (`edge_products`). Each term
-is then one real quotient of the tangents t = tan q and w = tan phi of
-q = k . d / 4 and phi = -k . m / 2 (`edge_terms`):
+exactly: its spectrum is a sum over its edges (`polygon_spectrum`). An edge
+term takes three projections of the node wave vectors, on the edge's
+normal, its vector and its midpoint; for a whole loop they are one matrix
+product (`edge_products`). Each term is then one real quotient of the
+tangents t = tan q and w = tan phi of q = k . d / 4 and phi = -k . m / 2
+(`edge_terms`):
 sinc(2 q) = (t / q) / (1 + t^2) and
 exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so an edge term costs two tan
 calls per node and no sin or cos. Each kernel call allocates its own work
@@ -490,9 +489,7 @@ def edge_products(loop: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarra
     sinc(2 q) and exp(2 i phi), each from the tangent of q or phi. Each of
     the three is c_x k_x + c_y k_y for per-edge coefficients formed exactly
     on the endpoints, (d_y, -d_x), d / 4 and -(a + b) / 4, so the three are
-    one (3 m, 2) @ (2, K) matrix product. BLAS may fuse its multiply and
-    add, and may treat a row differently in another call shape, so the
-    products of a part of a loop are taken from those of the whole loop.
+    one (3 m, 2) @ (2, K) matrix product.
     """
     if not out.flags.c_contiguous:
         raise ValueError("edge_products writes into a C-contiguous array only")  # a reshape would copy it
@@ -522,8 +519,7 @@ def edge_terms(work: np.ndarray) -> np.ndarray:
     R = c (t / q) / ((1 + t^2)(1 + w^2)) gives Re T = R (1 - w^2) and
     Im T = R (2 w); t / q is 1 where q = 0. Two tangents per edge and node
     and no sin or cos. `work` is (6 or more, E, K), written over; the terms
-    are its rows 4 and 5. Elementwise, so the terms of an edge are the same
-    whichever rows `work` holds.
+    are its rows 4 and 5.
     """
     cross, quarter, phase, t, big_w, one_minus = work[:6]
     ratio = tangent_ratio(quarter, np.tan(quarter, out=t), quarter)
@@ -539,20 +535,15 @@ def edge_terms(work: np.ndarray) -> np.ndarray:
     return work[4:6]
 
 
-def sum_terms(terms: np.ndarray) -> np.ndarray:
-    """sum_e T_ek, (K,) complex, from the (2, E, K) parts of `edge_terms`, added edge by edge."""
-    re, im = np.add.reduce(terms, axis=1)
+def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_e T_ek over all the loop's edges, (K,) complex, added edge by edge, in one work array of this call."""
+    work = np.empty((6, len(loop), k.shape[1]))
+    edge_products(loop, k, work[:3])
+    re, im = np.add.reduce(edge_terms(work), axis=1)
     out = np.empty(len(re), dtype=complex)
     out.real = re
     out.imag = im
     return out
-
-
-def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_e T_ek over all the loop's edges, (K,) complex, the terms formed in one work array of this call."""
-    work = np.empty((6, len(loop), k.shape[1]))
-    edge_products(loop, k, work[:3])
-    return sum_terms(edge_terms(work))
 
 
 def orientation(loop: np.ndarray) -> float:
@@ -576,15 +567,6 @@ def polygon_spectrum(loop: np.ndarray, nodes: NodeTable, sign: float | None = No
     return sign * nodes.edge_factor * edge_sum(loop, nodes.k)
 
 
-def _loop_image(loop: np.ndarray, sign: float | None, grid: ImageGrid) -> np.ndarray:
-    """The amplitude, (nx, ny), of the region the polygon `loop` bounds, on the node table of its samples.
-
-    `sign` is the loop's `orientation`, found here when None.
-    """
-    nodes = node_table(grid, loop)
-    return nodes.synthesize(polygon_spectrum(loop - grid.center, nodes, sign))
-
-
 def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] | None = None) -> AmplitudeField:
     """Aerial amplitude of the regions the loops bound: the pupil integral of each exact polygon spectrum.
 
@@ -597,44 +579,6 @@ def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] 
     """
     u = np.zeros((grid.nx, grid.ny))
     for loop, sign in zip(loops, [None] * len(loops) if signs is None else signs, strict=True):
-        u += _loop_image(loop, sign, grid)
+        nodes = node_table(grid, loop)
+        u += nodes.synthesize(polygon_spectrum(loop - grid.center, nodes, sign))
     return AmplitudeField(u)
-
-
-class LoopImage:
-    """One region's edge terms at its base loop, kept for images of copies of the loop with some samples moved.
-
-    A copy at the base's node counts forms the products of its whole loop,
-    as a full image does, runs `edge_terms` only on the rows of the edges
-    with a moved end, and takes the other rows from the base. Each row is
-    the same arithmetic on the same values either way, and the sum over the
-    edges and the synthesis run on whole arrays as in a full image, so the
-    image is bit for bit the one `loop_amplitude` gives. A copy whose
-    samples take other node counts is imaged in full. The base holds m x K
-    complex values for m samples on K pupil nodes.
-    """
-
-    def __init__(self, loop: np.ndarray, grid: ImageGrid):
-        self.grid = grid
-        self.counts = node_counts(grid, loop)
-        self.nodes = node_table(grid, loop)
-        self.base = loop - grid.center
-        work = np.empty((6, len(loop), self.nodes.k.shape[1]))
-        edge_products(self.base, self.nodes.k, work[:3])
-        self.terms = edge_terms(work).copy()
-
-    def amplitude(self, loop: np.ndarray) -> np.ndarray:
-        """The amplitude, (nx, ny), of the region a copy of the base loop bounds."""
-        rel = loop - self.grid.center
-        sign = orientation(rel)
-        if node_counts(self.grid, loop) != self.counts:
-            return _loop_image(loop, sign, self.grid)
-        moved = (rel != self.base).any(axis=1)
-        rows = moved | np.roll(moved, -1)  # edge e ends at sample e + 1
-        k = self.nodes.k
-        products = edge_products(rel, k, np.empty((3, len(rel), k.shape[1])))
-        work = np.empty((6, rows.sum(), k.shape[1]))
-        np.compress(rows, products, axis=1, out=work[:3])
-        terms = self.terms.copy()
-        terms[:, rows] = edge_terms(work)
-        return self.nodes.synthesize(sign * self.nodes.edge_factor * sum_terms(terms))

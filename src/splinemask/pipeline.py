@@ -4,7 +4,8 @@ One RegionSystem bundles a region's control points with its boundary loop,
 the samples Q = N P, whose polygon the chain images exactly. `evaluate`
 checks that each loop bounds a region, images the loops and scores the
 image; `gradient_of` takes J's gradient as an adjoint of that image, and
-`finite_difference_gradient` is its oracle twin. None of them builds a mesh.
+`finite_difference_gradient` is its oracle twin, which images each bumped
+loop through the same `loop_amplitude` call. None of them builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -23,7 +24,7 @@ import numpy as np
 from .gradient import amplitude_gradient, loop_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
 from .objective import ResistModel, objective_gradient, objective_value, pixel_weight, print_and_epe
-from .optics import AmplitudeField, ImageGrid, LoopImage, forward_amplitude, loop_amplitude, orientation
+from .optics import AmplitudeField, ImageGrid, forward_amplitude, loop_amplitude, orientation
 from .spline import PeriodicSplineRegion, build_collocation
 
 
@@ -142,26 +143,24 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     """Central finite differences of `evaluate`'s J; the oracle twin of gradient_of.
 
     A bump of region r moves only region r's loop, so each region is imaged
-    once at the base controls, through a `LoopImage`, and each bump
-    re-images region r alone. Within it, a bump moves only the samples the
-    bumped control reaches, and only the edges with an end among them take new
-    terms. The region fields are added from zeros in region order, as
-    `loop_amplitude` adds them, so every J is bitwise the one `evaluate`
-    gives at the bumped controls.
+    once at the base controls and each bump re-images region r alone, with
+    the `loop_amplitude` call `evaluate` makes. The region fields are added
+    from zeros in region order, as `loop_amplitude` adds them, so every J is
+    bitwise the one `evaluate` gives at the bumped controls.
     """
+    grid = problem.grid
     systems = evaluation.systems
-    images = [LoopImage(s.samples, problem.grid) for s in systems]
-    alone = [image.amplitude(s.samples) for image, s in zip(images, systems)]
+    alone = [loop_amplitude([s.samples], grid, [s.orientation]).values for s in systems]
 
     def objective(r: int, bumped: np.ndarray) -> float:
         region = systems[r].region.with_controls(bumped)
+        samples = build_collocation(region) @ region.controls
         fields = alone.copy()
-        fields[r] = images[r].amplitude(build_collocation(region) @ region.controls)
-        u = np.zeros((problem.grid.nx, problem.grid.ny))
+        fields[r] = loop_amplitude([samples], grid, [orientation(samples)]).values
+        u = np.zeros((grid.nx, grid.ny))
         for field in fields:
             u += field
-        return objective_value(AmplitudeField(u).intensity_values, problem.target,
-                               problem.model, problem.grid)
+        return objective_value(AmplitudeField(u).intensity_values, problem.target, problem.model, grid)
 
     out = []
     for r, system in enumerate(systems):

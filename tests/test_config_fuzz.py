@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from splinemask import cli
 from splinemask.cli import ConfigError, main, parse_config
 from splinemask.geometry import polygon_perimeter_points
-from splinemask.mesh import MAX_PROVENANCE_SIZE
+from splinemask.mesh import MAX_PROVENANCE_SIZE, MeshError, refine_mesh, triangulate_region
 from splinemask.optics import MAX_GRID_SIDE
+from splinemask.spline import sample_boundary
 
 from test_cli import SQUARE, desk_config
 
@@ -164,7 +165,7 @@ def test_unknown_nested_key_is_config_error(section):
     ("grid.pixel_nm", 1e308, "grid.pixel_nm"),  # sample coordinates overflow
     ("grid.origin_nm", [1e308, 0.0], "grid.origin_nm"),  # squared distances overflow
     ("regions[0].num_samples", TOO_MANY_SAMPLES, "regions[0].num_samples"),
-    ("optimizer.refine_area_tol", 1e-300, "optimizer.refine_area_tol"),  # 1e300 triangles
+    ("optimizer.refine_area_tol", 0.0, "optimizer.refine_area_tol"),  # its range check; a tiny one is valid
     ("grid", {"pixel_nm": 0.05}, "grid.pixel_nm"),  # fitted to 5601 x 5601
     ("grid.nx", LONG_SIDE, "grid.nx"),
     ("grid.ny", LONG_SIDE, "grid.ny"),
@@ -189,7 +190,6 @@ def test_grid_without_targets_needs_its_size(grid, field):
 
 @pytest.mark.parametrize("path, value, most", [
     ("regions[0].num_samples", 20000, 0.125),  # its crossing tests alone would take about 15 GB
-    ("optimizer.refine_area_tol", 1e-300, 2.0),  # refinement goes up to the bound, then stops
 ])
 def test_region_work_is_bounded_before_it_is_allocated(path, value, most):
     # the traced peak, against the bound's 8 bytes per provenance entry
@@ -203,6 +203,27 @@ def test_region_work_is_bounded_before_it_is_allocated(path, value, most):
         tracemalloc.stop()
     assert info.value.field_name == path
     assert peak < most * 8 * MAX_PROVENANCE_SIZE
+
+
+def test_refine_area_tol_refuses_no_region_and_changes_no_output(tmp_path):
+    # it sizes only the library mesh, which no command builds: a 10 um square,
+    # whose mesh refined to the default 0.02 would hold more than
+    # MAX_PROVENANCE_SIZE provenance entries, simulates all the same
+    side = 5000.0
+    doc = desk_config()
+    doc["target_polygons_nm"] = [[[-side, -side], [side, -side], [side, side], [-side, side]]]
+    _, problem, [region], _, _ = cli.build_setup(parse_config(doc))
+    with pytest.raises(MeshError, match="MAX_PROVENANCE_SIZE"):
+        refine_mesh(triangulate_region(sample_boundary(region)), problem.refine_max_area)
+    outputs = []
+    for tol in (0.02, 10.0):
+        config = tmp_path / f"config_{tol}.json"
+        config.write_text(json.dumps(replaced(doc, "optimizer.refine_area_tol", tol)))
+        out = tmp_path / f"out_{tol}"
+        assert main(["--quiet", "simulate", "--config", str(config), "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert "summary.json" in outputs[0]
 
 
 def traced_peak(doc) -> int:
