@@ -2,8 +2,8 @@
 
 Mask regions are closed periodic B-spline loops; imaging is coherent, with
 the Airy kernel, and evaluated as an integral of each region's spectrum over
-the pupil disk. The chain images the polygon of each region's boundary
-samples exactly, its spectrum a sum over its edges; the objective gradient
+the pupil disk. The chain images each region's spline curve, its spectrum
+a boundary integral over Gauss points on the curve; the objective gradient
 with respect to the spline control points is an adjoint of that image,
 descended with a golden-section line search. The library keeps the
 triangle-quadrature mesh image, with its provenance-chain gradient, beside

@@ -29,7 +29,7 @@ from .pipeline import (
     gradient_of,
     print_report,
 )
-from .spline import PeriodicSplineRegion, build_collocation, evaluate_curve
+from .spline import SPAN_POINTS, PeriodicSplineRegion, build_collocation, evaluate_curve
 
 logger = logging.getLogger(__name__)
 
@@ -136,8 +136,10 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
     crosses itself or encloses no area is blamed on `controls_nm`, or on the
     region when it was placed on a target. Its work must stay within
     MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test and
-    the m x n of its collocation matrix, both checked before the region is
-    built.
+    the 3 SPAN_POINTS n x n of the gradient's coefficient rows on its curve
+    rule, the largest of its dense per-control arrays, both checked before
+    the region is built. Its m x n collocation matrix is then smaller than
+    both.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -151,9 +153,10 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
                           f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} provenance entries")
     count_key = "controls_nm" if source is None else "num_controls"
     count = len(raw["controls_nm"]) if source is None else raw.get("num_controls", 0)
-    if m > 0 and m * count > MAX_PROVENANCE_SIZE:
-        raise ConfigError(f"{where}.{count_key}", f"{count} controls times {m} samples is more than "
-                          f"MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} collocation entries")
+    if count > 0 and 3 * SPAN_POINTS * count * count > MAX_PROVENANCE_SIZE:
+        raise ConfigError(f"{where}.{count_key}", f"{count} controls squared times 3 SPAN_POINTS = "
+                          f"{3 * SPAN_POINTS} is more than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} "
+                          "gradient coefficients")
     shape = {key: raw[key] for key in ("num_samples", "degree") if key in raw}
     keys = {"num_samples": "num_samples", "degree": "degree"}
     if source is None:
@@ -361,7 +364,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
 
 
 def cmd_gradcheck(config_path: str) -> int:
-    """Analytic vs central finite-difference gradient report, both of the exact loop image.
+    """Analytic vs central finite-difference gradient report, both of the curve image.
 
     Returns 0 iff the max mixed error is below GRADCHECK_TOLERANCE.
     """
@@ -382,7 +385,7 @@ def cmd_gradcheck(config_path: str) -> int:
                 errors.append(err)
                 print(f"{r:>6} {k:>7} {name:>5} {ga[k, c]:>24.15e} {gf[k, c]:>24.15e} {err:>12.3e}")
     if len(regions) > 1:
-        # a control never moves another region's loop, so cross terms vanish identically
+        # a control never moves another region's curve, so cross terms vanish identically
         print("cross-region amplitude-derivative components: 0 (exact by construction)")
     max_err = float(np.max(errors))  # a NaN error stays NaN here, and fails
     passed = max_err < GRADCHECK_TOLERANCE

@@ -1,11 +1,13 @@
 """Analytic derivatives of the image with respect to the control points.
 
-The chain images each region's boundary loop Q = N P exactly, and takes J's
-gradient as an adjoint (`loop_gradient`). With the pixel weight W = dJ/dU,
-J moves as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`, and the
-spectrum S is a sum of edge terms, so dJ/dQ collects each sample's share of
-the derivatives of its two edges' terms (`edge_gradient`), and
-dJ/dP = N^T dJ/dQ. No derivative field is synthesized.
+The chain images each region's spline curve through its Gauss points r_q
+and steps dr_q = w_q r'_q (`optics.curve_spectrum`), and takes J's gradient
+as an adjoint (`curve_gradient`). With the pixel weight W = dJ/dU, J moves
+as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`. The points and the
+steps are linear in the controls through the rule's basis values and
+slopes, so dS/dP is a set of point spectra with per-control coefficient
+rows, which `optics.point_spectra` forms in one call; the pairing with L
+then gives dJ/dP. No derivative field is synthesized.
 
 The library's mesh image has the fields dU/dP themselves
 (`amplitude_gradient`). For fixed mesh topology every vertex is linear in
@@ -26,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
-from .optics import ImageGrid, edge_products, node_table, point_spectra, sinc_slope, tangent_ratio
+from .optics import ImageGrid, node_table, point_spectra
+from .spline import CurveRule
 
 
 def sensitivity(mesh: ProvenancedMesh, colloc: np.ndarray) -> np.ndarray:
@@ -88,71 +91,40 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
                   tensor.areas()[:, None, None] * sens[mesh.triangles], out=coef[:, 2])
         nodes = node_table(grid, mesh.vertices)
         points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
-        spectra = point_spectra(points, coef.reshape(n, 3, -1), nodes)
+        spectra = point_spectra(points, coef.reshape(n, 3, -1), nodes.k)
         spectra[:, :2] -= 1j * nodes.k * spectra[:, 2:]
         out.append(nodes.synthesize(spectra[:, :2]))  # (n, 2, nx, ny)
     return out
 
 
-def edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re sum_k coef_k dT_ek/dd_e and Re sum_k coef_k dT_ek/dm_e for every edge e of the loop, each (m, 2).
+def curve_gradient(rule: CurveRule, points: np.ndarray, steps: np.ndarray, sign: float,
+                   grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
+    """dJ/dP (n, 2) for one region's curve imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
 
-    T_ek = c s E is `optics.edge_terms` with c = k_x d_y - k_y d_x,
-    s = sinc(2 q) and E = exp(2 i phi) for q = k . d / 4 and
-    phi = -k . m / 2, edge vector d and midpoint m (`optics.edge_products`).
-    Then dT/dd = ((-k_y, k_x) s + k c sinc'(2 q) / 2) E, whose factor before
-    E is real, and dT/dm = -i k T, so with p = coef E
-    Re coef dT/dd = (-k_y, k_x) p.real s + k p.real c sinc'(2 q) / 2 and
-    Re coef dT/dm = k p.imag c s. As in the image, t = tan q and w = tan phi
-    give E = ((1 - w^2) + 2 i w) / (1 + w^2), s = (t / q) / (1 + t^2) and
-    cos 2 q = (1 - t^2) / (1 + t^2), which gives sinc' (`optics.sinc_slope`).
-    The factor 1 / (1 + w^2) of p is taken into s and sinc', so p is formed
-    as Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w) for coef = a + i b
-    and Y = 1 + w^2.
-    The three sums over the nodes are one matrix product against k. The
-    steps run in place in one (7, m, K) work array of this call.
+    The curve is imaged as `optics.curve_amplitude` images it: on the node
+    table of its Gauss points r_q = N_q P (`points`, (Q, 2)), with steps
+    dr_q = w_q N'_q P (`steps`, rows dx and dy), spectrum
+    S = F (k_x A_y - k_y A_x) for F = sign i / |k|^2 and
+    A = sum_q dr_q exp(-i k . g_q), g = r - center. Control j moves
+    the steps of its own axis by w_q N'_qj and every point along that axis by
+    N_qj, which turns each phasor by -i k_axis. With the point spectra
+    C_j of w_q N'_qj and B_j of N_qj dr_q (two rows, one per axis), and k
+    turned a quarter on, v = (-k_y, k_x),
+    dS/dP_ja = F (v_a C_j - i k_a (v . B_j)). So with z = F L for L the
+    adjoint of the weight, dJ/dP_ja = Re sum_k L_k dS_k is
+    Re sum_k (C_jk v_a z_k - i sum_b B_jbk v_b k_a z_k): the three
+    coefficient rows per control are one `point_spectra` call, paired with
+    the (3, K) node factors of each axis in one matrix product.
     """
-    work = np.empty((7, len(loop), k.shape[1]))
-    edge_products(loop, k, work[:3])
-    cross, quarter, phase, t, s, slope, real = work
-    a, b = np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag)
-    tangent_ratio(quarter, np.tan(quarter, out=t), s)
-    x = np.add(quarter, quarter, out=quarter)
-    tt = np.multiply(t, t, out=t)
-    big_t = np.add(tt, 1.0, out=slope)
-    cos_x = np.divide(np.subtract(1.0, tt, out=t), big_t, out=t)
-    np.divide(s, big_t, out=s)
-    sinc_slope(x, s, cos_x, slope)
-    # rows 1 to 3 take 1 + w^2, 2 w and 1 - w^2; s and sinc' are divided by 1 + w^2
-    w = np.tan(phase, out=phase)
-    ww = np.multiply(w, w, out=quarter)
-    one_minus = np.subtract(1.0, ww, out=t)
-    big_w = np.add(ww, 1.0, out=quarter)
-    np.divide(s, big_w, out=s)
-    np.divide(slope, big_w, out=slope)
-    twice_w = np.add(w, w, out=w)
-    np.subtract(np.multiply(a, one_minus, out=real), np.multiply(b, twice_w, out=quarter), out=real)
-    imag = np.add(np.multiply(one_minus, b, out=t), np.multiply(twice_w, a, out=phase), out=t)
-    # rows 0 to 2 take p.real (c sinc'), p.real s and p.imag (c s) as each dies
-    np.multiply(real, s, out=quarter)
-    np.multiply(imag, np.multiply(s, cross, out=s), out=phase)
-    np.multiply(real, np.multiply(slope, cross, out=slope), out=cross)
-    slope_sum, flat, moved = work[:3] @ k.T
-    return 0.5 * slope_sum + flat[:, ::-1] * [-1.0, 1.0], moved
-
-
-def loop_gradient(loop: np.ndarray, sign: float, grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
-    """dJ/dQ for one region's loop Q (m, 2) imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
-
-    The loop is imaged on the node table of its samples, as
-    `optics.loop_amplitude` images it, with spectrum S = F sum_e T_e for
-    F = sign i / |k|^2, the nodes' `edge_factor` times `sign`, the loop's
-    `optics.orientation`. So dJ = Re sum_k L_k F_k sum_e dT_ek,
-    with L the adjoint of the weight, and sample i takes the derivative of
-    edge i at its start a = m - d / 2 and of edge i - 1 at its end
-    b = m + d / 2.
-    """
-    nodes = node_table(grid, loop)
-    rel = loop - grid.center
-    along, mid = edge_gradient(rel, nodes.k, sign * nodes.edge_factor * nodes.adjoint(weight))
-    return 0.5 * mid - along + np.roll(0.5 * mid + along, 1, axis=0)
+    nodes = node_table(grid, points)
+    basis = rule.basis.T  # (n, Q)
+    coef = np.empty((len(basis), 3, basis.shape[1]))
+    np.multiply(rule.slope.T, rule.weights, out=coef[:, 0])
+    np.multiply(basis, steps[0], out=coef[:, 1])
+    np.multiply(basis, steps[1], out=coef[:, 2])
+    spectra = point_spectra(points - grid.center, coef, nodes.k)  # (n, 3, K)
+    kx, ky = nodes.k
+    turned = np.stack([-ky, kx])
+    factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
+    factors *= sign * nodes.edge_factor * nodes.adjoint(weight)
+    return np.real(spectra.reshape(len(coef), -1) @ factors.transpose(0, 2, 1).reshape(-1, 2))

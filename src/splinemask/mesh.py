@@ -7,8 +7,8 @@ centroid-insertion refinements, and Q itself is the first m vertices. That
 linearity is what makes the shape gradient a plain matrix chain later on.
 
 `check_loop` tells whether a sample loop bounds a region at all. The chain
-runs it on every evaluation and images the loop without a mesh; the meshes
-here are the library's.
+runs it on every evaluation and images the region's curve without a mesh;
+the meshes here are the library's.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ def check_loop(samples: np.ndarray) -> float:
     """The shoelace area of a sample loop that bounds a region; MeshError if it bounds none.
 
     The loop must not cross itself (SelfIntersectionError) and must enclose
-    a finite area above SLIVER_AREA, either way round. Any such loop is
-    imaged exactly; no mesh is needed.
+    a finite area above SLIVER_AREA, either way round. The chain then images
+    the region's curve, with the sign of this area; no mesh is needed.
     """
     if polyline_self_intersects(samples):
         raise SelfIntersectionError("boundary polyline intersects itself")

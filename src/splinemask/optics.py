@@ -11,41 +11,37 @@ region P, U(x) = int_P H(x - g) dg, equals the pupil integral
 U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df of the mask spectrum
 S(f) = int_P exp(-2 pi i f.g) dg. The integral is evaluated on a polar node
 table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
-2 Re) sized by D, the largest distance from a region's boundary samples or
-mesh vertices to a pixel. The distance to a pixel is convex, so no point of
-the region reaches farther. The radial count follows from D and each ring's
-angular count from its own reach r D, so inner rings take fewer nodes. On
-the tensor pixel grid the synthesis is one real matrix product and no Bessel
-function is evaluated. `NodeTable` holds the nodes and the grid-side
+2 Re) sized by D, the largest distance from a region's curve points or mesh
+vertices to a pixel. The distance to a pixel is convex, so no point of a
+mesh reaches farther; a curve may bulge a little past the hull of its
+points, within the margins of the rule. The radial count follows from D and
+each ring's angular count from its own reach r D, so inner rings take fewer
+nodes. On the tensor pixel grid the synthesis is one real matrix product and
+no Bessel function is evaluated. `NodeTable` holds the nodes and the grid-side
 exponentials and synthesizes any spectrum.
 
-The chain images each region's boundary loop, the polygon of its samples,
-exactly: its spectrum is a sum over its edges (`polygon_spectrum`). An edge
-term takes three projections of the node wave vectors, on the edge's
-normal, its vector and its midpoint; for a whole loop they are one matrix
-product (`edge_products`). Each term is then one real quotient of the
-tangents t = tan q and w = tan phi of q = k . d / 4 and phi = -k . m / 2
-(`edge_terms`):
-sinc(2 q) = (t / q) / (1 + t^2) and
-exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so an edge term costs two tan
-calls per node and no sin or cos. Each kernel call allocates its own work
-array and writes its steps into it in place; no kernel keeps state between
-calls.
+The chain images each region's spline curve. By the divergence theorem its
+spectrum is a boundary integral, S = sign (i / |k|^2) int exp(-i k . r)
+(k_x dy - k_y dx) with k = 2 pi f, taken at the Gauss points r_q of
+`spline.curve_rule` with steps dr_q = w_q r'_q: then
+S = sign (i / |k|^2) (k_x A_y - k_y A_x) for the point spectra A of the
+points with the rows dx and dy of the steps as coefficients
+(`curve_spectrum`). The library images a triangle mesh of a region through a
+triangle quadrature rule, with quadrature points g_q and weights c_q (the
+triangle area times the rule weight), as S(f) = sum_q c_q exp(-2 pi i f.g_q),
+on the node table of the mesh's vertices (`forward_amplitude`).
 
-Every other phasor is formed from the tangent of its half angle too: with
-u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2) (`cis`). numpy
+Both are point spectra, and one kernel forms every phasor the package uses:
+`point_spectra`, which also builds the grid-side exponentials of each node
+table. It writes the phasors of a block of points from the tangent of their
+half angles, u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2), in
+one work array of the call, and contracts them with their coefficients as
+two real matrix products; no kernel keeps state between calls. numpy
 evaluates tan with a SIMD loop where the CPU has AVX-512, several times
-faster than a libm sin or cos; elsewhere it calls libm's tan, and two
-tangents then cost about as much as the three libm calls they replace. The
-two round differently, so the last bits of an image depend on which one
-numpy dispatches, and on the BLAS that forms the projections.
-
-The library also images a triangle mesh of a region through a triangle
-quadrature rule, with quadrature points g_q and weights c_q (the triangle
-area times the rule weight), as S(f) = sum_q c_q exp(-2 pi i f.g_q).
-`point_spectra` sums those phasors directly, a block of points at a time,
-for the forward image and the gradient alike, on the node table of the
-mesh's vertices.
+faster than a libm sin or cos; elsewhere it calls libm's tan, and one tangent
+then costs about as much as the sin or cos it replaces. The two round
+differently, so the last bits of an image depend on which one numpy
+dispatches, and on the BLAS that forms the products.
 """
 from __future__ import annotations
 
@@ -63,10 +59,8 @@ from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_po
 # 0/0 at the kernel peak out of the values.
 SMALL_RHO = 1e-6
 
-# Quadrature points per block in `point_spectra`: a block's phasors are
-# POINT_BLOCK x K complex values, whatever the size of the mesh. On a desk
-# mesh of 882 triangles that keeps the traced peak of a mesh image to 3.6 MB
-# and of its gradient to 4.9 MB.
+# Points per block in `point_spectra`: a block's work array holds
+# 3 x POINT_BLOCK x K reals, whatever the number of points.
 POINT_BLOCK = 512
 
 # Angular pupil nodes added to ceil(1.36 pi D) at reach D, on every ring of
@@ -89,11 +83,6 @@ MAX_GRID_SIDE = 1024
 # Node tables (frequencies and grid-side exponentials) kept, one per
 # (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
 GRID_TABLES = 8
-
-# Below this |x| `sinc_slope` takes its Maclaurin series to x^7. The closed
-# form (cos x - sinc x) / x cancels toward 0, and loses up to about
-# 7e-16 / x^2 relative: 3e-13 here, 7e-10 at x = 1e-3.
-SINC_SLOPE_SERIES = 0.05
 
 
 @dataclass(frozen=True)
@@ -306,51 +295,6 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + THETA_MARGIN
 
 
-def cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i phase) for a real phase, from its half-angle tangent, as one complex array.
-
-    With u = tan(phase / 2), exp(i phase) = ((1 - u^2) + 2 i u) / (1 + u^2):
-    within 2.6e-16 of it for |phase| up to
-    2 pi MAX_REACH, where libm's cos and sin are within 1.6e-16. One tan
-    costs less than a cos and a sin wherever numpy evaluates tan with SIMD:
-    with AVX-512, numpy 2.4 took 9 to 14 us for a tan of a (24, 210) array
-    against 75 to 110 us for a sin or a cos, and its scalar libm tan, 74 to
-    79 us, costs about what a sin or a cos does.
-    """
-    out = np.empty(phase.shape, dtype=complex)
-    u = np.tan(np.multiply(0.5, phase, out=out.imag), out=out.imag)
-    big_u = np.multiply(u, u)
-    np.subtract(1.0, big_u, out=out.real)
-    np.add(big_u, 1.0, out=big_u)
-    np.divide(out.real, big_u, out=out.real)
-    np.divide(np.add(u, u, out=out.imag), big_u, out=out.imag)
-    return out
-
-
-def _real_times(coef: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """coef @ h for real coef (..., T) and complex h (T, b): two real products, one per part."""
-    return (coef @ h.view(np.float64)).view(complex)
-
-
-def sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sinc' x = (cos x - sinc x) / x from s = sinc x and cos x, into `out`, which may be none of the inputs.
-
-    Below SINC_SLOPE_SERIES in |x|, where the difference cancels, the
-    Maclaurin series to x^7 takes over. Elsewhere, with cos x and sinc x
-    from tangents, the error stays below 3.3e-16 / |x| up to |x| = 200:
-    below 1.2e-13 relative for |x| <= 10, but more near the roots of sinc',
-    where it is small (1.5e-12 relative 1e-4 from the root near 98.95).
-    """
-    small = np.abs(x, out=out) < SINC_SLOPE_SERIES
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(np.subtract(cos_x, s, out=out), x, out=out)
-    if small.any():
-        t = x[small]
-        t2 = t * t
-        out[small] = t * (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)))
-    return out
-
-
 @dataclass(frozen=True)
 class NodeTable:
     """Pupil nodes of one node count on one image grid, with the grid-side exponentials.
@@ -376,7 +320,7 @@ class NodeTable:
 
     @cached_property
     def edge_factor(self) -> np.ndarray:
-        """i / |k|^2, (K,) complex, read-only: a loop's spectrum is its orientation times this times its `edge_sum`.
+        """i / |k|^2, (K,) complex, read-only: the factor of a boundary integral's spectrum (`curve_spectrum`).
 
         Every pupil node has |f| > 0.
         """
@@ -390,10 +334,11 @@ class NodeTable:
         U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
         leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
         x-side products as interleaved reals makes this one real matrix
-        product against `ey`.
+        product against `ey`. The products are formed C-ordered whatever the
+        layout of `spectra`, so that they are read as reals without a copy.
         """
         nx, k = self.wex.shape
-        a = spectra[..., None, :] * self.wex
+        a = np.multiply(spectra[..., None, :], self.wex, order="C")
         out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
         return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
 
@@ -430,11 +375,22 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
 
 @lru_cache(maxsize=GRID_TABLES)
 def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
-    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only."""
+    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only.
+
+    Each grid line's exponentials are the point spectrum of one point, with
+    coefficient 1 on its own row: exp(i k_x (x_i - c_x)) of the point
+    (c_x - x_i, 0) and exp(-i k_y (y_j - c_y)) of (0, y_j - c_y), for the
+    grid center c. The identity rows cost nx^2 K multiply-adds, about one
+    synthesis, once per table.
+    """
     freqs, weights = pupil_nodes(n_r, n_theta)
+    k = 2.0 * np.pi * freqs
     center = grid.center
-    wex = weights * cis((2.0 * np.pi) * np.outer(grid.xs - center[0], freqs[0]))
-    ey = cis((-2.0 * np.pi) * np.outer(grid.ys - center[1], freqs[1])).view(np.float64)
+    zeros_x, zeros_y = np.zeros(grid.nx), np.zeros(grid.ny)
+    columns = np.stack([center[0] - grid.xs, zeros_x], axis=1)
+    rows = np.stack([zeros_y, grid.ys - center[1]], axis=1)
+    wex = weights * point_spectra(columns, np.eye(grid.nx), k)
+    ey = point_spectra(rows, np.eye(grid.ny), k).view(np.float64)
     for table in (wex, ey):
         table.setflags(write=False)
     return NodeTable(freqs, wex, ey)
@@ -445,18 +401,41 @@ def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
     return _node_table(grid, *node_counts(grid, points))
 
 
-def point_spectra(points: np.ndarray, coef: np.ndarray, nodes: NodeTable) -> np.ndarray:
-    """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2) and real coef (..., Q), (..., K) complex.
+def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2), real coef (..., Q) and wave vectors k (2, K), (..., K) complex.
 
-    `k` = 2 pi f are the node wave vectors of `nodes`. The phasors of
-    POINT_BLOCK points at a time are formed by `cis` and contracted with
-    their coefficients as two real matrix products.
+    The package's one phasor kernel. For POINT_BLOCK points at a time it
+    writes the half angles x / 2 = -k . g / 2 as one matrix product, their
+    tangents u, and cos x = (1 - u^2) / (1 + u^2) and half of
+    sin x = 2 u / (1 + u^2), within 2.6e-16 of exp(i x) for |x| up to
+    2 pi MAX_REACH, into the rows of one contiguous (3, min(Q, POINT_BLOCK), K)
+    work array of this call, and contracts the cosines and the half sines
+    with the block's coefficients as two real matrix products. Doubling
+    commutes with rounding, so the doubled sums are bitwise those of the
+    sines. No sin, cos or exp is evaluated.
     """
-    minus_k = -nodes.k
-    out = np.zeros((*coef.shape[:-1], minus_k.shape[1]), dtype=complex)
+    rows = coef.reshape(-1, coef.shape[-1])
+    minus_half_k = -0.5 * k
+    work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
+    sums = np.zeros((2, len(rows), k.shape[1]))
     for start in range(0, len(points), POINT_BLOCK):
         block = slice(start, start + POINT_BLOCK)
-        out += _real_times(coef[..., block], cis(points[block] @ minus_k))
+        u, cos, sin = work[:, :len(points[block])]
+        np.tan(np.matmul(points[block], minus_half_k, out=u), out=u)
+        np.multiply(u, u, out=cos)
+        np.add(cos, 1.0, out=sin)
+        np.subtract(1.0, cos, out=cos)
+        np.divide(cos, sin, out=cos)
+        np.divide(u, sin, out=sin)
+        if start:
+            sums[0] += rows[:, block] @ cos
+            sums[1] += rows[:, block] @ sin
+        else:
+            np.matmul(rows[:, block], cos, out=sums[0])
+            np.matmul(rows[:, block], sin, out=sums[1])
+    out = np.empty((*coef.shape[:-1], k.shape[1]), dtype=complex)
+    out.real = sums[0].reshape(out.shape)
+    out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
     return out
 
 
@@ -476,74 +455,8 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
         tensor = assemble_tensor(mesh)
         points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
         coef = np.outer(tensor.areas(), quad.weights).ravel()
-        u += nodes.synthesize(point_spectra(points, coef, nodes))
+        u += nodes.synthesize(point_spectra(points, coef, nodes.k))
     return AmplitudeField(u)
-
-
-def edge_products(loop: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c = k_x d_y - k_y d_x, q = k . d / 4 and phi = -k . m / 2 for every edge of the loop, into `out` (3, m, K).
-
-    Edge e runs from a = loop[e] to b = loop[e + 1], the last one back to the
-    first, with d = b - a and midpoint m = (a + b) / 2; `k` = 2 pi f holds the
-    node wave vectors as rows k_x, k_y, (2, K). An edge term takes
-    sinc(2 q) and exp(2 i phi), each from the tangent of q or phi. Each of
-    the three is c_x k_x + c_y k_y for per-edge coefficients formed exactly
-    on the endpoints, (d_y, -d_x), d / 4 and -(a + b) / 4, so the three are
-    one (3 m, 2) @ (2, K) matrix product.
-    """
-    if not out.flags.c_contiguous:
-        raise ValueError("edge_products writes into a C-contiguous array only")  # a reshape would copy it
-    b = np.concatenate((loop[1:], loop[:1]))
-    d = b - loop
-    coef = np.concatenate([d[:, ::-1] * [1.0, -1.0], 0.25 * d, -0.25 * (loop + b)])  # (3 m, 2)
-    np.matmul(coef, k, out=out.reshape(-1, k.shape[1]))
-    return out
-
-
-def tangent_ratio(q: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """t / q for t = tan q into `out`, which may be q; 1 where q = 0, the 0 / 0 of sinc(2 q) = (t / q) / (1 + t^2)."""
-    if q.all():
-        return np.divide(t, q, out=out)
-    zero = q == 0
-    with np.errstate(invalid="ignore"):
-        np.divide(t, q, out=out)
-    out[zero] = 1.0
-    return out
-
-
-def edge_terms(work: np.ndarray) -> np.ndarray:
-    """Re T_ek and Im T_ek, (2, E, K), of T = c sinc(2 q) exp(2 i phi) from the products c, q, phi in work[:3].
-
-    With t = tan q and w = tan phi, sinc(2 q) = (t / q) / (1 + t^2) and
-    exp(2 i phi) = ((1 - w^2) + 2 i w) / (1 + w^2), so one real quotient
-    R = c (t / q) / ((1 + t^2)(1 + w^2)) gives Re T = R (1 - w^2) and
-    Im T = R (2 w); t / q is 1 where q = 0. Two tangents per edge and node
-    and no sin or cos. `work` is (6 or more, E, K), written over; the terms
-    are its rows 4 and 5.
-    """
-    cross, quarter, phase, t, big_w, one_minus = work[:6]
-    ratio = tangent_ratio(quarter, np.tan(quarter, out=t), quarter)
-    big_t = np.add(np.multiply(t, t, out=t), 1.0, out=t)
-    w = np.tan(phase, out=phase)
-    ww = np.multiply(w, w, out=big_w)
-    np.subtract(1.0, ww, out=one_minus)
-    np.add(ww, 1.0, out=big_w)
-    r = np.divide(np.multiply(cross, ratio, out=cross), np.multiply(big_t, big_w, out=big_t), out=cross)
-    # rows 4 and 5 take R (1 - w^2) and R (2 w)
-    np.multiply(r, one_minus, out=big_w)
-    np.multiply(r, np.add(w, w, out=w), out=one_minus)
-    return work[4:6]
-
-
-def edge_sum(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sum_e T_ek over all the loop's edges, (K,) complex, added edge by edge, in one work array of this call."""
-    work = np.empty((6, len(loop), k.shape[1]))
-    edge_products(loop, k, work[:3])
-    re, im = np.add.reduce(edge_terms(work), axis=1)
-    out = np.empty(len(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
 
 
 def orientation(loop: np.ndarray) -> float:
@@ -551,34 +464,30 @@ def orientation(loop: np.ndarray) -> float:
     return np.sign(polygon_signed_area(loop))
 
 
-def polygon_spectrum(loop: np.ndarray, nodes: NodeTable, sign: float | None = None) -> np.ndarray:
-    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at the nodes' `freqs`, (K,) complex.
+def curve_spectrum(points: np.ndarray, steps: np.ndarray, sign: float, nodes: NodeTable) -> np.ndarray:
+    """S_k = int_R exp(-2 pi i f_k . x) dx for the region R a closed curve bounds, at the nodes' `freqs`, (K,) complex.
 
     With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
     31(1), 1983; Wuttke, arXiv:1703.00255),
-    S = sign (i / |k|^2) sum_e (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m)
-    over the edges of `edge_terms`, exact up to rounding, with i / |k|^2 the
-    nodes' `edge_factor`. `loop` lists the vertices in order, either way
-    round, without repeating the first; `sign` is its `orientation`, found
-    here when not given, so either way round gives the spectrum of the
-    region it bounds.
+    S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) along the curve,
+    here a sum over its Gauss points r_q (Q, 2) with steps dr_q = w_q r'_q,
+    given as rows dx and dy (2, Q): S = sign (i / |k|^2) (k_x A_y - k_y A_x)
+    for A = `point_spectra` of the points with the steps as coefficients.
+    i / |k|^2 is the nodes' `edge_factor`, and `sign` the curve's
+    orientation, 1 counterclockwise, so either way round gives the spectrum
+    of the region it bounds.
     """
-    sign = orientation(loop) if sign is None else sign
-    return sign * nodes.edge_factor * edge_sum(loop, nodes.k)
+    kx, ky = nodes.k
+    ax, ay = point_spectra(points, steps, nodes.k)
+    return sign * nodes.edge_factor * (kx * ay - ky * ax)
 
 
-def loop_amplitude(loops: list[np.ndarray], grid: ImageGrid, signs: list[float] | None = None) -> AmplitudeField:
-    """Aerial amplitude of the regions the loops bound: the pupil integral of each exact polygon spectrum.
+def curve_amplitude(points: np.ndarray, steps: np.ndarray, sign: float, grid: ImageGrid) -> np.ndarray:
+    """Aerial amplitude (nx, ny) of the region a closed curve bounds: the pupil integral of its `curve_spectrum`.
 
-    Each loop (m, 2) is a region's boundary samples in order, in normalized
-    coordinates, simple and either way round. Its node table follows from
-    its samples (`node_counts`), which span the polygon's convex hull. The
-    region fields are added from zeros in loop order. `signs` are the loops'
-    `orientation`s, found here when not given; signs of another length than
-    `loops` are refused.
+    `points` (Q, 2) are the curve's Gauss points in normalized coordinates
+    and `steps` (2, Q) their steps w_q r'_q. The node table follows from the
+    points (`node_counts`).
     """
-    u = np.zeros((grid.nx, grid.ny))
-    for loop, sign in zip(loops, [None] * len(loops) if signs is None else signs, strict=True):
-        nodes = node_table(grid, loop)
-        u += nodes.synthesize(polygon_spectrum(loop - grid.center, nodes, sign))
-    return AmplitudeField(u)
+    nodes = node_table(grid, points)
+    return nodes.synthesize(curve_spectrum(points - grid.center, steps, sign, nodes))

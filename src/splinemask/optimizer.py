@@ -15,10 +15,10 @@ score no lower, so that a parabola through three points of different dips
 cannot jump into another one: Brent's (v, x, w) where they are one, else the
 bracket ends (a, x, b), which are one once both are trials. Each trial step
 rebuilds the chain at the displaced controls: boundary samples, then the
-exact image of the polygon they bound, so the accepted trial's evaluation is
-the next iterate's. A trial loop that crosses itself or encloses no area
+image of the curve, so the accepted trial's evaluation is the next
+iterate's. A trial whose sample loop crosses itself or encloses no area
 scores +inf, so the line search backs away from it. The control loop may run
-either way round: the image takes the sign of the loop's area.
+either way round: the image takes the sign of the sample loop's area.
 
 The iterate is immutable: `step` maps a state to the next one and the step
 size, and `optimize` alone keeps the trace and decides every stop. A step the
@@ -61,7 +61,7 @@ class OptimizerConfig:
 
     `refine_area_tol` is the largest triangle area, in normalized units, of
     the library's region meshes (`ImagingProblem.refine_max_area`); the
-    descent images the sample loops exactly and builds no mesh.
+    descent images the spline curves and builds no mesh.
     """
 
     max_iters: int = 100

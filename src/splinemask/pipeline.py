@@ -1,11 +1,13 @@
 """Assembly of the forward chain, its gradient and its finite-difference twin.
 
 One RegionSystem bundles a region's control points with its boundary loop,
-the samples Q = N P, whose polygon the chain images exactly. `evaluate`
-checks that each loop bounds a region, images the loops and scores the
-image; `gradient_of` takes J's gradient as an adjoint of that image, and
-`finite_difference_gradient` is its oracle twin, which images each bumped
-loop through the same `loop_amplitude` call. None of them builds a mesh.
+the samples Q = N P, and with its curve at the Gauss points of
+`spline.curve_rule`. `evaluate` checks that each sample loop bounds a region
+and takes the curve's orientation from it, images each curve
+(`optics.curve_amplitude`) and scores the image; `gradient_of` takes J's
+gradient as an adjoint of that image (`gradient.curve_gradient`), and
+`finite_difference_gradient` is its oracle twin, which re-images each bumped
+region through the same `curve_amplitude` call. None of them builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -21,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .gradient import amplitude_gradient, loop_gradient, sensitivity
+from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
 from .objective import ResistModel, objective_gradient, objective_value, pixel_weight, print_and_epe
-from .optics import AmplitudeField, ImageGrid, forward_amplitude, loop_amplitude, orientation
-from .spline import PeriodicSplineRegion, build_collocation
+from .optics import AmplitudeField, ImageGrid, curve_amplitude, forward_amplitude, orientation
+from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,10 @@ class RegionSystem:
     """Geometry chain of one region at its current control points.
 
     `samples` is the boundary loop Q = N P, and `orientation` the sign of its
-    shoelace area (`optics.orientation`). `topology`, when given, is a mesh
-    of this region at other controls whose triangles and provenance `mesh`
-    keeps; without it `mesh` meshes the loop afresh.
+    shoelace area (`optics.orientation`), which the curve takes as its own.
+    `topology`, when given, is a mesh of this region at other controls whose
+    triangles and provenance `mesh` keeps; without it `mesh` meshes the loop
+    afresh.
     """
 
     region: PeriodicSplineRegion
@@ -43,6 +46,17 @@ class RegionSystem:
     orientation: float
     refine_max_area: float
     topology: ProvenancedMesh | None = None
+
+    @property
+    def curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """The curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q)."""
+        rule = curve_rule(self.region)
+        controls = self.region.controls
+        return rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)
+
+    def amplitude(self, grid: ImageGrid) -> np.ndarray:
+        """The image (nx, ny) of the region's curve on `grid` (`optics.curve_amplitude`)."""
+        return curve_amplitude(*self.curve, self.orientation, grid)
 
     @cached_property
     def mesh(self) -> ProvenancedMesh:
@@ -68,7 +82,7 @@ class ImagingProblem:
     """Static problem data in normalized coordinates.
 
     `quad` and `refine_max_area` are the quadrature rule and largest triangle
-    area of the library's mesh image; the chain's exact image needs neither.
+    area of the library's mesh image; the chain's curve image needs neither.
     """
 
     grid: ImageGrid
@@ -93,20 +107,27 @@ def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -
     return RegionSystem(region, samples, np.sign(check_loop(samples)), problem.refine_max_area)
 
 
+def _summed(fields: list[np.ndarray], grid: ImageGrid) -> AmplitudeField:
+    """The region images added from zeros in region order."""
+    u = np.zeros((grid.nx, grid.ny))
+    for field in fields:
+        u += field
+    return AmplitudeField(u)
+
+
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
     j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
 
 
 def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> MaskEvaluation:
-    """The exact image of the regions' sample loops, scored.
+    """The image of the regions' curves, scored.
 
-    Raises MeshError, or its subclass SelfIntersectionError, when a loop
-    crosses itself or encloses no area.
+    Raises MeshError, or its subclass SelfIntersectionError, when a sample
+    loop crosses itself or encloses no area.
     """
     systems = [build_region_system(r, problem) for r in regions]
-    field = loop_amplitude([s.samples for s in systems], problem.grid, [s.orientation for s in systems])
-    return _scored(problem, systems, field)
+    return _scored(problem, systems, _summed([s.amplitude(problem.grid) for s in systems], problem.grid))
 
 
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
@@ -119,11 +140,11 @@ def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
 def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
     """Analytic gradient of `evaluate`'s J at an evaluated state, one (n, 2) array per region.
 
-    dJ/dP = N^T dJ/dQ, with dJ/dQ the adjoint of each loop's image against
-    the pixel weight dJ/dU (`gradient.loop_gradient`).
+    Each region's dJ/dP is the adjoint of its curve image against the pixel
+    weight dJ/dU (`gradient.curve_gradient`).
     """
     weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
-    return [build_collocation(s.region).T @ loop_gradient(s.samples, s.orientation, problem.grid, weight)
+    return [curve_gradient(curve_rule(s.region), *s.curve, s.orientation, problem.grid, weight)
             for s in evaluation.systems]
 
 
@@ -142,25 +163,22 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
                                step: float = 1e-6) -> list[np.ndarray]:
     """Central finite differences of `evaluate`'s J; the oracle twin of gradient_of.
 
-    A bump of region r moves only region r's loop, so each region is imaged
+    A bump of region r moves only region r's curve, so each region is imaged
     once at the base controls and each bump re-images region r alone, with
-    the `loop_amplitude` call `evaluate` makes. The region fields are added
-    from zeros in region order, as `loop_amplitude` adds them, so every J is
+    the `RegionSystem.amplitude` call `evaluate` makes. The region fields are
+    added from zeros in region order, as `evaluate` adds them, so every J is
     bitwise the one `evaluate` gives at the bumped controls.
     """
     grid = problem.grid
     systems = evaluation.systems
-    alone = [loop_amplitude([s.samples], grid, [s.orientation]).values for s in systems]
+    alone = [s.amplitude(grid) for s in systems]
 
     def objective(r: int, bumped: np.ndarray) -> float:
         region = systems[r].region.with_controls(bumped)
         samples = build_collocation(region) @ region.controls
         fields = alone.copy()
-        fields[r] = loop_amplitude([samples], grid, [orientation(samples)]).values
-        u = np.zeros((grid.nx, grid.ny))
-        for field in fields:
-            u += field
-        return objective_value(AmplitudeField(u).intensity_values, problem.target, problem.model, grid)
+        fields[r] = RegionSystem(region, samples, orientation(samples), problem.refine_max_area).amplitude(grid)
+        return objective_value(_summed(fields, grid).intensity_values, problem.target, problem.model, grid)
 
     out = []
     for r, system in enumerate(systems):

@@ -111,8 +111,9 @@ def direct_amplitude_gradient(meshes, quad, grid, sensitivities) -> list[np.ndar
 def point_spectrum(points, freqs, coef):
     """S_k = sum_q coef[..., q] exp(-2 pi i f_k . g_q) for points (Q, 2) and freqs (2, K).
 
-    The phasors are libm's cos and sin, not the package's `optics.cis`, so
-    that this oracle shares no code with the phasors it checks.
+    The phasors are libm's cos and sin, not the half-angle tangents of the
+    package's `optics.point_spectra`, so that this oracle shares no code
+    with the phasors it checks.
     """
     phase = (2.0 * np.pi) * (points @ freqs)
     return coef @ (np.cos(phase) - 1j * np.sin(phase))

@@ -1,18 +1,14 @@
-"""Test oracles for the exact polygon spectrum.
+"""Test oracles for the region spectra.
 
-The package images a region's sample polygon through its closed-form
-spectrum, a sum over its edges (`splinemask.optics.polygon_spectrum`). Any
-triangulation of the polygon integrates the same indicator, and a tensor
-Gauss rule on each triangle, collapsed onto it, integrates the smooth
-exponential to rounding at a high enough order. The same rule checks the
-mesh image's quadrature error.
-
-The package forms the edge terms and their derivatives in place, with
-`out=`, in one work array per kernel call: the edge projections as one
-matrix product, then each term from the tangents t = tan q and w = tan phi
-as one real quotient. The `plain_` functions write the same float
-operations as plain expressions, the same matrix products in the same
-shapes, every temporary fresh, and the two must agree bit for bit.
+The package images a region's spline curve through Gauss points on it
+(`splinemask.optics.curve_spectrum`). The exact spectrum of a polygon, a
+closed-form sum over its edges (`polygon_spectrum`), is the oracle: the
+polygons through ever more points of the curve converge on the curve's
+spectrum. Any triangulation of a polygon integrates the same indicator, and
+a tensor Gauss rule on each triangle, collapsed onto it, integrates the
+smooth exponential to rounding at a high enough order
+(`collapsed_gauss_spectrum`); the same rule checks the mesh image's
+quadrature error.
 """
 import numpy as np
 from scipy.special import roots_legendre
@@ -38,62 +34,22 @@ def collapsed_gauss_spectrum(vertices: np.ndarray, triangles: np.ndarray, freqs:
     return out
 
 
-def plain_edge_products(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """c = k_x d_y - k_y d_x, q = k . d / 4 and phi = -k . m / 2 per edge and node, (3, m, K), by one matrix product."""
+def polygon_spectrum(loop: np.ndarray, nodes, sign: float | None = None) -> np.ndarray:
+    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at the nodes' `freqs`, (K,) complex.
+
+    With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
+    31(1), 1983; Wuttke, arXiv:1703.00255),
+    S = sign (i / |k|^2) sum_e (k_x d_y - k_y d_x) sinc(k . d / 2) exp(-i k . m)
+    over the edges from a = loop[e] to b = loop[e + 1], with d = b - a and
+    midpoint m = (a + b) / 2, exact up to rounding. `loop` lists the
+    vertices in order, either way round, without repeating the first; `sign`
+    is its orientation, found from its shoelace area when not given.
+    """
     b = np.roll(loop, -1, axis=0)
     d = b - loop
-    coef = np.concatenate([np.stack([d[:, 1], -d[:, 0]], axis=1), 0.25 * d, -0.25 * (loop + b)])
-    return (coef @ k).reshape(3, len(loop), -1)
-
-
-def plain_tangent_ratio(quarter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t = tan q and t / q, the latter 1 where q = 0."""
-    t = np.tan(quarter)
-    with np.errstate(invalid="ignore"):
-        ratio = t / quarter
-    ratio[quarter == 0] = 1.0
-    return t, ratio
-
-
-def plain_sinc_slope(x: np.ndarray, s: np.ndarray, cos_x: np.ndarray) -> np.ndarray:
-    """sinc' x = (cos x - sinc x) / x, with the series of `optics.sinc_slope` near 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (cos_x - s) / x
-    small = np.abs(x) < 0.05
-    t = x[small]
-    t2 = t * t
-    slope[small] = t * (-1.0 / 3.0 + t2 * (1.0 / 30.0 + t2 * (-1.0 / 840.0 + t2 / 45360.0)))
-    return slope
-
-
-def plain_edge_terms(loop: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Re T and Im T of `optics.edge_terms`, (2, m, K), as plain expressions: the reference its in-place form matches.
-
-    R = c (t / q) / ((1 + t^2)(1 + w^2)), Re T = R (1 - w^2), Im T = R (2 w).
-    """
-    cross, quarter, phase = plain_edge_products(loop, k)
-    t, ratio = plain_tangent_ratio(quarter)
-    w = np.tan(phase)
-    r = cross * ratio / ((t * t + 1.0) * (w * w + 1.0))
-    return np.stack([r * (1.0 - w * w), r * (w + w)])
-
-
-def plain_edge_gradient(loop: np.ndarray, k: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`gradient.edge_gradient` as plain expressions: the reference its in-place form matches.
-
-    With Y = 1 + w^2, Y p = (a (1 - w^2) - b 2 w) + i (b (1 - w^2) + a 2 w)
-    for coef = a + i b, and s and sinc' are divided by Y.
-    """
-    cross, quarter, phase = plain_edge_products(loop, k)
-    t, ratio = plain_tangent_ratio(quarter)
-    big_t = t * t + 1.0
-    s = ratio / big_t
-    slope = plain_sinc_slope(quarter + quarter, s, (1.0 - t * t) / big_t)
-    w = np.tan(phase)
-    big_w = w * w + 1.0
-    a, b = coef.real, coef.imag
-    real = a * (1.0 - w * w) - b * (w + w)
-    imag = (1.0 - w * w) * b + (w + w) * a
-    s, slope = s / big_w, slope / big_w
-    slope_sum, flat, moved = np.stack([real * (slope * cross), real * s, imag * (s * cross)]) @ k.T
-    return 0.5 * slope_sum + flat[:, ::-1] * [-1.0, 1.0], moved
+    if sign is None:
+        sign = np.sign(np.sum(loop[:, 0] * b[:, 1] - b[:, 0] * loop[:, 1]))
+    k = 2.0 * np.pi * nodes.freqs
+    cross = d[:, 1, None] * k[0] - d[:, 0, None] * k[1]
+    terms = cross * np.sinc((d @ k) / (2.0 * np.pi)) * np.exp(-0.5j * ((loop + b) @ k))
+    return sign * 1j / (k * k).sum(axis=0) * terms.sum(axis=0)

@@ -6,6 +6,7 @@ pytest -s or in the captured output); a failure reads as the criterion number.
 import json
 
 import numpy as np
+import pytest
 from scipy.special import j1
 
 from splinemask.cli import main
@@ -159,6 +160,7 @@ def test_criterion_7_square_optimization():
               f"EPE {epe_initial} -> {epe_final}")
 
 
+@pytest.mark.blas_threads
 def test_criterion_8_multi_region_locality():
     left = np.array([[-1.6, -0.5], [-0.6, -0.5], [-0.6, 0.5], [-1.6, 0.5]])
     right = left + np.array([2.2, 0.0])
@@ -188,6 +190,7 @@ def test_criterion_8_multi_region_locality():
               "deleting a region leaves the other's gradient unchanged")
 
 
+@pytest.mark.blas_threads
 def test_criterion_9_determinism(tmp_path):
     doc = {
         "grid": {"nx": 20, "ny": 20, "pixel_nm": 20.0, "origin_nm": [-190.0, -190.0]},

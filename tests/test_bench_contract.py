@@ -46,7 +46,7 @@ def test_every_traced_target_exists(tracer):
 
 
 def test_traced_commands_fill_the_layer_metrics(tracer, tmp_path):
-    """The CLI fills the layers its exact image runs through; one library mesh pass fills the mesh layers.
+    """The CLI fills the layers its curve image runs through; one library mesh pass fills the mesh layers.
 
     No command meshes a region, so the annotators of the mesh, the mesh
     image and its gradient run only on the library path.

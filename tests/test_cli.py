@@ -231,7 +231,7 @@ def test_quiet_holds_for_each_call_in_a_process(tmp_path, order):
     for quiet in order:
         argv = ["--quiet"] * quiet + ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
         script += [f"print('quiet={quiet}', file=sys.stderr, flush=True)", f"assert cli.main({argv!r}) == 0"]
-        expected += [f"quiet={quiet}"] + ["simulate: J=0.180269 epe=20"] * (not quiet)
+        expected += [f"quiet={quiet}"] + ["simulate: J=0.176352 epe=20"] * (not quiet)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", "\n".join(script)], capture_output=True, text=True, env=env,
                          timeout=300)
@@ -246,13 +246,12 @@ def test_gradcheck_passes(tmp_path, capsys):
 
 
 def test_gradcheck_corrupted_kernel_fails(tmp_path, capsys, monkeypatch):
-    # a 1 % error in the edge derivatives of the analytic gradient; finite
-    # differences never call them
-    from splinemask import gradient
+    # a 1 % error in the curve gradient kernel of the analytic gradient;
+    # finite differences never call it
+    from splinemask import pipeline
 
-    edge_derivatives = gradient.edge_gradient
-    monkeypatch.setattr(gradient, "edge_gradient",
-                        lambda *args: tuple(1.01 * d for d in edge_derivatives(*args)))
+    curve_gradient = pipeline.curve_gradient
+    monkeypatch.setattr(pipeline, "curve_gradient", lambda *args: 1.01 * curve_gradient(*args))
     config = write_config(tmp_path, desk_config())
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -23,7 +23,7 @@ from splinemask.cli import ConfigError, main, parse_config
 from splinemask.geometry import polygon_perimeter_points
 from splinemask.mesh import MAX_PROVENANCE_SIZE, MeshError, refine_mesh, triangulate_region
 from splinemask.optics import MAX_GRID_SIDE
-from splinemask.spline import sample_boundary
+from splinemask.spline import SPAN_POINTS, sample_boundary
 
 from test_cli import SQUARE, desk_config
 
@@ -47,8 +47,8 @@ PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -
 HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
 # the fewest samples whose m x m provenance passes the bound
 TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
-# the fewest controls whose collocation matrix with the test configs' 24 samples passes it
-TOO_MANY_CONTROLS = MAX_PROVENANCE_SIZE // 24 + 1
+# the fewest controls whose gradient coefficient rows, 3 SPAN_POINTS n x n, pass it
+TOO_MANY_CONTROLS = math.isqrt(MAX_PROVENANCE_SIZE // (3 * SPAN_POINTS)) + 1
 # a grid side far past the bound
 LONG_SIDE = 2**20
 
@@ -188,12 +188,19 @@ def test_grid_without_targets_needs_its_size(grid, field):
     assert_config_error(replaced(doc, "grid", grid), field)
 
 
-@pytest.mark.parametrize("path, value, most", [
-    ("regions[0].num_samples", 20000, 0.125),  # its crossing tests alone would take about 15 GB
+@pytest.mark.parametrize("base, path, value, most", [
+    # its crossing tests alone would take about 15 GB
+    pytest.param(explicit_config, "regions[0].num_samples", 20000, 0.125, id="regions[0].num_samples-20000-0.125"),
+    # the gradient's coefficient rows, 3 SPAN_POINTS n x n, would pass the bound
+    pytest.param(explicit_config, "regions[0].controls_nm",
+                 polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist(), 0.125,
+                 id="regions[0].controls_nm-listed-0.125"),
+    pytest.param(desk_config, "regions[0].num_controls", TOO_MANY_CONTROLS, 0.125,
+                 id="regions[0].num_controls-placed-0.125"),
 ])
-def test_region_work_is_bounded_before_it_is_allocated(path, value, most):
+def test_region_work_is_bounded_before_it_is_allocated(base, path, value, most):
     # the traced peak, against the bound's 8 bytes per provenance entry
-    doc = replaced(explicit_config(), path, value)
+    doc = replaced(base(), path, value)
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError) as info:
@@ -238,8 +245,9 @@ def traced_peak(doc) -> int:
 
 
 def test_collocation_size_is_bounded_before_it_is_allocated():
-    # one control past the bound is refused before the m x n matrix exists,
-    # placed on a target or listed; at the bound the desk region parses
+    # one control past the bound is refused before its curve rule or the
+    # gradient's coefficient rows exist, placed on a target or listed; at the
+    # bound the desk region parses
     doc = desk_config()
     placed = replaced(doc, "regions[0].num_controls", TOO_MANY_CONTROLS)
     listed = replaced(explicit_config(), "regions[0].controls_nm",

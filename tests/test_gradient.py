@@ -17,18 +17,18 @@ from splinemask.mesh import (
     triangulate_region,
 )
 from splinemask.objective import ResistModel, objective_gradient, objective_value, rasterize_target
-from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude, loop_amplitude
+from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude
 from splinemask.pipeline import (
+    build_region_system,
     evaluate,
     evaluate_frozen,
     finite_difference_gradient,
     frozen_gradient_of,
     gradient_of,
 )
-from splinemask.spline import PeriodicSplineRegion, build_collocation, sample_boundary
+from splinemask.spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 from direct_sum import airy_kernel_radial_derivative
-from polygon_spectrum import plain_edge_gradient, plain_edge_terms
 
 QUAD = TriangleQuadrature.degree3()
 
@@ -318,6 +318,7 @@ def full_difference_gradient(problem, evaluation, step=1e-6):
     return out
 
 
+@pytest.mark.blas_threads
 def test_finite_differences_match_full_reimaging_bitwise(desk_square):
     # two regions, so each bump leaves one region's image as it was
     cfg, problem, region = desk_square
@@ -336,6 +337,7 @@ def two_regions(region, jitter=0.0):
             region.with_controls(0.4 * region.controls + [0.3, 0.1] - jitter)]
 
 
+@pytest.mark.blas_threads
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_square, seed):
@@ -350,22 +352,23 @@ def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_squar
 
 
 def node_count_changes(problem, evaluation, step):
-    """How many central-difference bumps of `step` move a loop's samples to other pupil node counts."""
+    """How many central-difference bumps of `step` move a curve's Gauss points to other pupil node counts."""
     changes = 0
     for system in evaluation.systems:
-        counts = optics.node_counts(problem.grid, system.samples)
+        basis = curve_rule(system.region).basis
+        counts = optics.node_counts(problem.grid, basis @ system.region.controls)
         for k in range(system.region.n):
             for c in range(2):
                 bumped = system.region.controls.copy()
                 for delta in (step, -2 * step):
                     bumped[k, c] += delta
-                    samples = sample_boundary(system.region.with_controls(bumped))
-                    changes += optics.node_counts(problem.grid, samples) != counts
+                    changes += optics.node_counts(problem.grid, basis @ bumped) != counts
     return changes
 
 
+@pytest.mark.blas_threads
 def test_finite_differences_match_full_reimaging_bitwise_when_a_bump_changes_the_node_count(desk_square):
-    # bumps of 0.2 units move a few of the 96 loops across a pupil node count
+    # bumps of 0.2 units move a few of the 96 curves across a pupil node count
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, two_regions(region))
     assert node_count_changes(problem, evaluation, 0.2) > 0
@@ -375,50 +378,19 @@ def test_finite_differences_match_full_reimaging_bitwise_when_a_bump_changes_the
         assert g.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("loop_kind", ["desk", "clockwise", "short edge", "vertical edge"])
-def test_edge_kernels_match_their_plain_expressions_bitwise(desk_square, loop_kind):
-    # the in-place forms repeat the float operations of the plain ones; a short
-    # edge takes the series of sinc', and an edge with d_x = 0 meets
-    # k . d = 0 exactly at the nodes on k_y = 0
-    cfg, problem, region = desk_square
-    samples = sample_boundary(region)
-    if loop_kind == "clockwise":
-        samples = samples[::-1]
-    elif loop_kind == "short edge":
-        samples = samples.copy()
-        samples[1] = samples[0] + [3e-6, -1e-6]
-    elif loop_kind == "vertical edge":
-        samples = samples.copy()
-        samples[1, 0] = samples[0, 0]
-    loop = samples - problem.grid.center
-    k = optics.node_table(problem.grid, samples).k
-    coef = np.random.default_rng(5).normal(size=(k.shape[1], 2)) @ [1.0, 1j]
-    terms = plain_edge_terms(loop, k)
-    work = np.empty((6, len(loop), k.shape[1]))
-    optics.edge_products(loop, k, work[:3])
-    assert optics.edge_terms(work).tobytes() == terms.tobytes()
-    first = optics.edge_sum(loop, k)
-    re, im = terms.sum(axis=1)
-    assert first.tobytes() == (re + 1j * im).tobytes()
-    for got, want in zip(gradient.edge_gradient(loop, k, coef), plain_edge_gradient(loop, k, coef)):
-        assert got.tobytes() == want.tobytes()
-    # what a kernel returned is the caller's own: another call leaves it as it was
-    optics.edge_sum(1.01 * loop, k)
-    assert first.tobytes() == (re + 1j * im).tobytes()
-
-
+@pytest.mark.blas_threads
 def test_loop_kernels_share_no_state_across_threads(desk_square):
-    # two threads image the desk loop and take its gradient at once, each
+    # two threads image the desk curve and take its gradient at once, each
     # bit for bit what one thread alone gives
     cfg, problem, region = desk_square
     grid = problem.grid
-    samples = sample_boundary(region)
-    sign = optics.orientation(samples)
+    system = build_region_system(region, problem)
     weight = np.random.default_rng(3).normal(size=(grid.nx, grid.ny))
 
     def run():
-        return (loop_amplitude([samples], grid, [sign]).values.tobytes(),
-                gradient.loop_gradient(samples, sign, grid, weight).tobytes())
+        return (system.amplitude(grid).tobytes(),
+                gradient.curve_gradient(curve_rule(region), *system.curve, system.orientation, grid,
+                                        weight).tobytes())
 
     want = run()
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -428,35 +400,44 @@ def test_loop_kernels_share_no_state_across_threads(desk_square):
     assert all(got == want for got in results)
 
 
-@pytest.mark.parametrize("loop_kind", ["vertical edge", "short edge"])
-def test_loop_gradient_matches_central_differences_of_the_spectrum_pairing(desk_square, loop_kind):
-    # dJ = Re sum_k L_k dS_k per sample coordinate, on the node table of the
-    # unmoved loop; an edge with d_x = 0 has k . d = 0 exactly at the nodes on
-    # k_y = 0, and a short edge takes the series of sinc'. Both came within
-    # 9e-11 of max |dJ/dQ| at this step
+def curve_case(region, kind):
+    """The desk region as is, clockwise, as a degree-1 curve with vertical spans, or with a span 3e-6 long."""
+    controls = region.controls.copy()
+    if kind == "clockwise":
+        return region.with_controls(controls[::-1].copy())
+    if kind == "vertical span":
+        # degree 1: the curve is the control polygon, whose sides at x = +-100 nm run with x' = 0 up to rounding
+        return PeriodicSplineRegion(controls, region.num_samples, degree=1)
+    if kind == "short span":
+        controls[1] = controls[0] + [3e-6, -1e-6]
+    return region.with_controls(controls)
+
+
+@pytest.mark.parametrize("kind", ["desk", "clockwise", "vertical span", "short span"])
+def test_curve_gradient_matches_central_differences_of_the_spectrum_pairing(desk_square, kind):
+    # dJ = Re sum_k L_k dS_k per control coordinate, on the node table of the
+    # unmoved curve; each came within 7e-11 of max |dJ/dP| at this step
     cfg, problem, region = desk_square
     grid = problem.grid
-    samples = sample_boundary(region).copy()
-    if loop_kind == "vertical edge":
-        samples[1, 0] = samples[0, 0]
-    else:
-        samples[1] = samples[0] + [3e-6, -1e-6]
-    nodes = optics.node_table(grid, samples)
-    sign = optics.orientation(samples)
+    system = build_region_system(curve_case(region, kind), problem)
+    rule = curve_rule(system.region)
+    nodes = optics.node_table(grid, system.curve[0])
     weight = np.random.default_rng(11).normal(size=(grid.nx, grid.ny))
     pairing = nodes.adjoint(weight)
 
-    def value(loop):
-        return np.real(pairing @ optics.polygon_spectrum(loop - grid.center, nodes, sign))
+    def value(controls):
+        points, steps = rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)
+        return np.real(pairing @ optics.curve_spectrum(points - grid.center, steps, system.orientation, nodes))
 
     step = 1e-6
-    want = np.empty_like(samples)
-    for i, c in np.ndindex(*samples.shape):
-        bumped = [samples.copy(), samples.copy()]
+    controls = system.region.controls
+    want = np.empty_like(controls)
+    for i, c in np.ndindex(*controls.shape):
+        bumped = [controls.copy(), controls.copy()]
         bumped[0][i, c] += step
         bumped[1][i, c] -= step
         want[i, c] = (value(bumped[0]) - value(bumped[1])) / (2 * step)
-    got = gradient.loop_gradient(samples, sign, grid, weight)
+    got = gradient.curve_gradient(rule, *system.curve, system.orientation, grid, weight)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 

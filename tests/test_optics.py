@@ -30,12 +30,12 @@ from splinemask.optics import (
     airy_kernel,
     bessel_j,
     forward_amplitude,
-    loop_amplitude,
-    polygon_spectrum,
     psf,
     pupil_nodes,
 )
+from splinemask.optimizer import OptimizerConfig, init_controls_from_target, optimize
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
+from splinemask.spline import evaluate_curve
 
 from direct_sum import (
     airy_kernel_radial_derivative,
@@ -43,7 +43,7 @@ from direct_sum import (
     direct_forward_amplitude,
     point_spectrum,
 )
-from polygon_spectrum import collapsed_gauss_spectrum, plain_tangent_ratio
+from polygon_spectrum import collapsed_gauss_spectrum, polygon_spectrum
 from conftest import desk_square_problem, square_region
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -246,19 +246,6 @@ def test_forward_superposition():
     assert np.abs(both.values - only_a.values - only_b.values).max() < 1e-12
 
 
-def test_loop_amplitude_takes_signs_as_given():
-    # an array of signs is taken as given; signs of another length, the
-    # empty list too, are refused rather than read as not given
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    loops = [square, (square + [2.0, 0.0])[::-1]]  # counterclockwise, then clockwise
-    grid = ImageGrid(10, 6, 0.3, (-0.5, -0.5))
-    found = loop_amplitude(loops, grid).values
-    assert loop_amplitude(loops, grid, np.array([1.0, -1.0])).values.tobytes() == found.tobytes()
-    for signs in ([], [1.0], np.array([1.0])):
-        with pytest.raises(ValueError, match="zip"):
-            loop_amplitude(loops, grid, signs)
-
-
 def test_forward_real_valued_and_intensity():
     field = AmplitudeField(np.array([[1.5, -2.0], [0.0, 3.0]]))
     np.testing.assert_allclose(field.intensity_values, [[2.25, 4.0], [0.0, 9.0]])
@@ -378,12 +365,44 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_the_unrefined_mesh(n
         assert np.abs(exact - gauss).max() <= 1e-13 * polygon_area(system.mesh)
 
 
+def curves(name):
+    """The problem and the regions of a named curve case: desk at its initial or final controls, twin, full."""
+    if name == "twin":
+        # the two-rectangle gradcheck workload: 48 x 36 px at 10 nm, 16 controls and 32 samples each
+        cfg, problem = desk_square_problem(nx=48, ny=36, pixel_nm=10.0, origin_nm=(-235.0, -175.0))
+        rects = [np.array([[x0, -100.0], [x0 + 120.0, -100.0], [x0 + 120.0, 100.0], [x0, 100.0]])
+                 for x0 in (-140.0, 20.0)]
+        return problem, [r.with_controls(cfg.normalize_mask(r.controls)) for r in init_controls_from_target(rects, 16, 32)]
+    problem_args, region_args = SQUARES["full" if name == "full" else "desk"]
+    cfg, problem = desk_square_problem(**problem_args)
+    region = square_region(cfg=cfg, **region_args)
+    if name == "desk final":
+        region = optimize([region], problem, OptimizerConfig(max_iters=30)).final.systems[0].region
+    return problem, [region]
+
+
+def extrapolated_polygon_spectrum(region, nodes, center):
+    """The Richardson extrapolation of the 3200- and 6400-gon spectra through the curve: their error is O(m^-2)."""
+    s3200, s6400 = (polygon_spectrum(evaluate_curve(region, np.arange(m) / m) - center, nodes) for m in (3200, 6400))
+    return (4.0 * s6400 - s3200) / 3.0
+
+
+@pytest.mark.parametrize("name", ["desk initial", "desk final", "twin", "full"])
+def test_curve_spectrum_matches_the_extrapolated_dense_polygons(name):
+    # 5 points per span came within 1.2e-8, 1.1e-6, 1.1e-9 and 1.1e-11 of max |S| here
+    problem, regions = curves(name)
+    for system in evaluate(problem, regions).systems:
+        points, steps = system.curve
+        nodes = optics.node_table(problem.grid, points)
+        got = optics.curve_spectrum(points - problem.grid.center, steps, system.orientation, nodes)
+        want = extrapolated_polygon_spectrum(system.region, nodes, problem.grid.center)
+        assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
+
+
 # a node table for drawn loops: 13 rings, K = 266; the outer ring's |k| is 6.23
 DRAWN_GRID = ImageGrid(8, 8, 0.5, (-1.75, -1.75))
 DRAWN_COUNTS = (13, 30)
-# |S - Gauss| / max |S| on drawn loops. The same 600 derandomized draws
-# reached 2.05e-13 with the edge projections formed by broadcast products
-# and 2.8e-13 with one matrix product and one quotient per term
+# |S - Gauss| / max |S| on drawn loops: 600 derandomized draws reached 2.8e-13
 DRAWN_LOOP_RTOL = 1e-12
 
 
@@ -450,9 +469,10 @@ def fat_fan(loop, apex):
        offset=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
 def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_drawn_loops(kind, length, turn, tilt, side, arc,
                                                                        radii, offset):
-    # simple loops with an edge at k . d = 0 exactly, a tiny edge, an edge at
-    # k . d / 4 near +-pi / 2, where tan is largest, and loops off the grid
-    # center, against the fan of triangles from the loop's apex
+    # the oracle on simple loops with an edge at k . d = 0 exactly, a tiny
+    # edge, an edge at k . d / 4 near +-pi / 2, where a tangent form of the
+    # sinc would be largest, and loops off the grid center, against the fan
+    # of triangles from the loop's apex
     nodes = optics._node_table(DRAWN_GRID, *DRAWN_COUNTS)
     loop, apex = drawn_loop(kind, length, turn, tilt, side, arc, radii[:len(arc)], np.asarray(offset), nodes)
     assume(fat_fan(loop, apex))
@@ -468,7 +488,8 @@ def test_mesh_image_error_against_the_exact_polygon_image_stays_bounded(name, bo
     # relative L2 error of the refined mesh's image at the initial controls,
     # measured at 1.943e-3 on desk and 3.200e-3 on full
     problem, system, _ = initial_square(name)
-    exact = loop_amplitude([system.samples], problem.grid).values
+    nodes = optics.node_table(problem.grid, system.samples)
+    exact = nodes.synthesize(polygon_spectrum(system.samples - problem.grid.center, nodes))
     mesh = forward_amplitude([system.mesh], problem.quad, problem.grid).values
     assert np.linalg.norm(mesh - exact) <= bound * np.linalg.norm(exact)
 
@@ -486,45 +507,11 @@ def test_an_evaluation_and_its_gradient_take_each_loop_area_once(desk_square, mo
     assert evaluation.systems[0].orientation == 1.0
 
 
-def mp_sinc(x: float) -> tuple[float, float]:
-    """sin(x) / x and its derivative from 40-digit values; 1 and 0 at x = 0."""
-    with mpmath.workdps(40):
-        x = mpmath.mpf(x)
-        if x == 0:
-            return 1.0, 0.0
-        return float(mpmath.sin(x) / x), float((x * mpmath.cos(x) - mpmath.sin(x)) / (x * x))
-
-
-def test_sinc_and_its_derivative_match_mpmath_down_to_zero():
-    # sinc x = (t / q) / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) from
-    # t = tan q, q = x / 2, as `gradient.edge_gradient` forms them, and
-    # `optics.sinc_slope` on them; |x| <= 200 on a grid and log-spaced toward
-    # 0, with 0 and both sides of the series switch of sinc'. Away from 0,
-    # sinc' is off by up to about 3.3e-16 / |x|, the error of the half-angle
-    # cos x over x, which is more than 1e-12 relative near its roots past
-    # |x| = 10
-    switch = optics.SINC_SLOPE_SERIES
-    xs = np.concatenate([[0.0, switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)],
-                         np.logspace(-12, np.log10(200.0), 400), np.linspace(0.01, 200.0, 4000)])
-    xs = np.concatenate([xs, -xs])
-    exact = np.array([mp_sinc(x) for x in xs])
-    nonzero = exact[:, 1] != 0.0
-    t, ratio = plain_tangent_ratio(xs / 2.0)
-    big_t = t * t + 1.0
-    s = ratio / big_t
-    assert (np.abs(s - exact[:, 0]) <= 1e-15 * np.abs(exact[:, 0])).all()
-    slope = optics.sinc_slope(xs, s, (1.0 - t * t) / big_t, np.empty_like(xs))
-    assert (slope[~nonzero] == 0.0).all()
-    error = np.abs(slope - exact[:, 1])
-    near = nonzero & (np.abs(xs) <= 10.0)
-    assert (error[near] <= 1e-12 * np.abs(exact[near, 1])).all()
-    assert (error[nonzero] <= 1e-15 / np.abs(xs[nonzero])).all()
-
-
 def test_cis_matches_mpmath_up_to_the_largest_reach():
-    # a grid and random phases over |x| <= 2 pi MAX_REACH, every multiple of
-    # pi / 2 there and its float neighbours, and the floats next to +-pi,
-    # where tan(x / 2) is largest
+    # cis x = exp(i x) as `point_spectra` forms it, for the point (-1, 0)
+    # and wave vectors (x, 0): a grid and random phases over
+    # |x| <= 2 pi MAX_REACH, every multiple of pi / 2 there and its float
+    # neighbours, and the floats next to +-pi, where tan(x / 2) is largest
     reach = 2.0 * np.pi * optics.MAX_REACH
     quarters = np.arange(-400, 401) * (np.pi / 2.0)
     beside_pi = np.pi + np.spacing(np.pi) * np.arange(-4, 5)
@@ -533,23 +520,8 @@ def test_cis_matches_mpmath_up_to_the_largest_reach():
                          beside_pi, -beside_pi, np.logspace(-12, 0, 40)])
     with mpmath.workdps(40):
         exact = np.array([complex(mpmath.cos(x), mpmath.sin(x)) for x in map(mpmath.mpf, xs)])
-    assert np.abs(optics.cis(xs) - exact).max() <= 4.5e-16
-
-
-def test_the_edge_kernels_and_cis_evaluate_no_sin_or_cos(desk_square, monkeypatch):
-    cfg, problem, region = desk_square
-    samples = evaluate(problem, [region]).systems[0].samples
-    nodes = optics.node_table(problem.grid, samples)
-    loop = samples - problem.grid.center
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sin or cos was evaluated")
-
-    monkeypatch.setattr(np, "sin", refuse)
-    monkeypatch.setattr(np, "cos", refuse)
-    optics.cis(np.linspace(-5.0, 5.0, 11))
-    optics.edge_sum(loop, nodes.k)
-    gradient.edge_gradient(loop, nodes.k, nodes.edge_factor)
+    cis = optics.point_spectra(np.array([[-1.0, 0.0]]), np.ones(1), np.stack([xs, np.zeros_like(xs)]))
+    assert np.abs(cis - exact).max() <= 4.5e-16
 
 
 def test_the_tangent_forms_hold_with_scalar_libm_tan():
@@ -564,11 +536,11 @@ def test_the_tangent_forms_hold_with_scalar_libm_tan():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(avx512),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     tests = [f"{Path(__file__).name}::{name}" for name in (
-        "test_sinc_and_its_derivative_match_mpmath_down_to_zero", "test_cis_matches_mpmath_up_to_the_largest_reach")]
+        "test_cis_matches_mpmath_up_to_the_largest_reach", "test_curve_spectrum_matches_the_extrapolated_dense_polygons")]
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "2 passed" in run.stdout
+    assert "5 passed" in run.stdout
 
 
 @settings(max_examples=20, deadline=None)
@@ -655,19 +627,45 @@ def test_pupil_nodes_give_each_ring_the_angular_rule_at_its_radius(reach):
 
 
 def test_forward_and_gradient_form_phasors_in_one_place(desk_square, monkeypatch):
-    def no_blocks(*args):
-        raise AssertionError("phasor block built")
-
-    # the gradient takes the one kernel the forward image calls
-    assert gradient.point_spectra is optics.point_spectra
-    monkeypatch.setattr(optics, "point_spectra", no_blocks)
-    monkeypatch.setattr(gradient, "point_spectra", no_blocks)
+    # the chain's image and gradient and the mesh image and its gradient each
+    # form their phasors in `point_spectra`, and with their node tables built
+    # none of them evaluates a sin or a cos, or an exp of a complex phase;
+    # the resist sigmoid takes exp of real values
     cfg, problem, region = desk_square
     system = build_region_system(region, problem)
-    with pytest.raises(AssertionError, match="phasor block built"):
-        forward_amplitude([system.mesh], problem.quad, problem.grid)
-    with pytest.raises(AssertionError, match="phasor block built"):
-        amplitude_gradient([system.mesh], problem.quad, problem.grid, [system.sens])
+    mesh, sens = system.mesh, system.sens
+    steps = {
+        "evaluate": lambda: evaluate(problem, [region]),
+        "gradient_of": lambda: gradient_of(problem, evaluate(problem, [region])),
+        "forward_amplitude": lambda: forward_amplitude([mesh], problem.quad, problem.grid),
+        "amplitude_gradient": lambda: amplitude_gradient([mesh], problem.quad, problem.grid, [sens]),
+    }
+    for step in steps.values():
+        step()  # fill the node-table and rule caches
+    assert gradient.point_spectra is optics.point_spectra
+    kernel, calls = optics.point_spectra, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def refuse(name, real_ok):
+        ufunc = getattr(np, name)
+
+        def call(x, *args, **kwargs):
+            if not (real_ok and np.isrealobj(x)):
+                raise AssertionError(f"{name} evaluated on a phase")
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(optics, "point_spectra", counted)
+    monkeypatch.setattr(gradient, "point_spectra", counted)
+    for name, real_ok in (("sin", False), ("cos", False), ("exp", True)):
+        monkeypatch.setattr(np, name, refuse(name, real_ok))
+    for name, step in steps.items():
+        calls.clear()
+        step()
+        assert calls, f"{name} formed its phasors elsewhere"
 
 
 def test_degree3_rule_is_bytewise_the_float_literals(desk_square):
@@ -698,7 +696,7 @@ def assert_spectra_match_point_oracle(mesh, quad, grid, coef, slot_coef):
     at_points = (coef[..., None] * quad.weights).reshape(*coef.shape[:-1], -1)
     slot_at_points = np.einsum("...jt,jq->...tq", slot_coef, quad.weights * quad.barycentric)
     for point_coef in (at_points, slot_at_points.reshape(*slot_coef.shape[:-2], -1)):
-        got = optics.point_spectra(points, point_coef, nodes)
+        got = optics.point_spectra(points, point_coef, nodes.k)
         want = point_spectrum(points, nodes.freqs, point_coef)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert (np.abs(got - want) <= 1e-14 * scale).all()
@@ -775,6 +773,21 @@ def test_forward_and_gradient_memory_stays_bounded_on_a_dense_mesh(desk_square):
     grad = traced_peak(lambda: amplitude_gradient([mesh], problem.quad, problem.grid, [sens]))
     assert forward <= 3.63e6
     assert grad <= 5.33e6
+
+
+def test_synthesis_of_a_strided_view_matches_its_contiguous_copy():
+    # 40 controls' x and y derivative spectra on the full-scale 100 x 100 px
+    # grid, laid out control-major and viewed axis-swapped: bit for bit the
+    # image of the contiguous copy, at no higher traced peak
+    cfg, problem = desk_square_problem(**SQUARES["full"][0])
+    nodes = optics._node_table(problem.grid, *optics.pupil_node_counts(2.0))
+    rng = np.random.default_rng(4)
+    k = nodes.freqs.shape[1]
+    view = (rng.normal(size=(40, 2, k)) + 1j * rng.normal(size=(40, 2, k))).swapaxes(0, 1)
+    copy = np.ascontiguousarray(view)
+    assert not view.flags.c_contiguous
+    assert nodes.synthesize(view).tobytes() == nodes.synthesize(copy).tobytes()
+    assert traced_peak(lambda: nodes.synthesize(view)) <= traced_peak(lambda: nodes.synthesize(copy))
 
 
 def test_node_and_grid_tables_are_cached_read_only(desk_square):
