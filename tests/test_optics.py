@@ -35,7 +35,7 @@ from splinemask.optics import (
 )
 from splinemask.optimizer import OptimizerConfig, init_controls_from_target, optimize
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
-from splinemask.spline import evaluate_curve
+from splinemask.spline import curve_rule, evaluate_curve
 
 from direct_sum import (
     airy_kernel_radial_derivative,
@@ -522,6 +522,28 @@ def test_cis_matches_mpmath_up_to_the_largest_reach():
         exact = np.array([complex(mpmath.cos(x), mpmath.sin(x)) for x in map(mpmath.mpf, xs)])
     cis = optics.point_spectra(np.array([[-1.0, 0.0]]), np.ones(1), np.stack([xs, np.zeros_like(xs)]))
     assert np.abs(cis - exact).max() <= 4.5e-16
+
+
+def test_the_edge_kernels_and_cis_evaluate_no_sin_or_cos(desk_square, monkeypatch):
+    # the curve kernels that image a region's boundary and its gradient, and
+    # `point_spectra`, which forms cis x = exp(i x) for them, use tangents only
+    cfg, problem, region = desk_square
+    system = evaluate(problem, [region]).systems[0]
+    points, steps = system.curve
+    nodes = optics.node_table(problem.grid, points)
+    rule = curve_rule(system.region)
+    weight = np.ones((problem.grid.nx, problem.grid.ny))
+    optics.curve_amplitude(points, steps, system.orientation, problem.grid)  # fill the node-table cache
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sin or cos was evaluated")
+
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    xs = np.linspace(-5.0, 5.0, 11)
+    optics.point_spectra(np.array([[-1.0, 0.0]]), np.ones(1), np.stack([xs, np.zeros_like(xs)]))
+    optics.curve_spectrum(points - problem.grid.center, steps, system.orientation, nodes)
+    gradient.curve_gradient(rule, points, steps, system.orientation, problem.grid, weight)
 
 
 def test_the_tangent_forms_hold_with_scalar_libm_tan():
