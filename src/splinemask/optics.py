@@ -81,7 +81,8 @@ MAX_REACH = 100.0
 MAX_GRID_SIDE = 1024
 
 # Node tables (frequencies and grid-side exponentials) kept, one per
-# (grid, n_r, n_theta); a desk optimize run meets 4 node counts.
+# (grid, n_r, n_theta); a desk optimize run meets 2 node counts, and a
+# 100-step full-scale run 4.
 GRID_TABLES = 8
 
 

@@ -9,16 +9,15 @@ settle in a distant spurious minimum. Steepest descent with exact line searches 
 into a two-step zigzag whose step sizes alternate (Akaike, 1959), so the step
 before last is the closer guess. The search expands while trials score below
 J and backs off otherwise, then zooms in on a minimum inside the bracket by
-golden-section search with parabolic steps (Brent, 1973). A parabolic step is
-taken only through a convex three-point bracket, a point between two that
-score no lower, so that a parabola through three points of different dips
-cannot jump into another one: Brent's (v, x, w) where they are one, else the
-bracket ends (a, x, b), which are one once both are trials. Each trial step
-rebuilds the chain at the displaced controls: boundary samples, then the
-image of the curve, so the accepted trial's evaluation is the next
-iterate's. A trial whose sample loop crosses itself or encloses no area
-scores +inf, so the line search backs away from it. The control loop may run
-either way round: the image takes the sign of the sample loop's area.
+golden-section search with parabolic steps. The one parabola goes through the
+bracket ends and the lowest trial between them, (a, x, b), once both ends are
+trials: a convex three-point bracket, so that a parabola through three points
+of different dips cannot jump into another one. Each trial step rebuilds the
+chain at the displaced controls: boundary samples, then the image of the
+curve, so the accepted trial's evaluation is the next iterate's. A trial
+whose sample loop crosses itself or encloses no area scores +inf, so the
+line search backs away from it. The control loop may run either way round:
+the image takes the sign of the sample loop's area.
 
 The iterate is immutable: `step` maps a state to the next one and the step
 size, and `optimize` alone keeps the trace and decides every stop. A step the
@@ -107,22 +106,20 @@ class OptimizationState:
 def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     """Minimize phi on [0, alpha_max] by golden-section search with parabolic steps.
 
-    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 5) with the parabola kept to convex triples. x is the lowest
-    point scored, w the next lowest and v the one w replaced. The step goes to
-    the vertex of the parabola through (v, x, w) when x lies strictly between
-    w and v and scores no higher than either, so that the three points bracket
-    a local minimum. When they do not, as when every trial on one side of x
-    scored above both v and w, the parabola goes through the bracket ends
-    (a, x, b) instead, once both are finite trials: x always scores no higher
-    than either. It does so only if the last two steps shrank the bracket to
-    GOLDEN**2 of its width, as two golden-section steps would, so that a far
-    end that scores high cannot hold the steps creeping toward it. Either
-    parabolic step is taken only when it is shorter than half the step before
-    last and lands inside the bracket (a, b). Otherwise a golden-section step
-    divides the larger side of x. A step shorter than tol/2 is lengthened to
-    tol/2 toward the middle of the bracket. x moves only on a strict decrease,
-    so +inf trials shrink the bracket as in plain golden-section search.
+    x is the lowest point scored and (a, b) the bracket around it. x moves
+    only on a strict decrease, so it scores no higher than either end, and
+    +inf trials shrink the bracket as in plain golden-section search. Once
+    both ends are finite trials, the step goes to the vertex of the parabola
+    through (a, x, b), a convex three-point bracket. It does so only if the
+    last two steps shrank the bracket to GOLDEN**2 of its width, as two
+    golden-section steps would, so that a far end that scores high cannot
+    hold the steps creeping toward it, and only if the vertex lands inside
+    (a, b). Otherwise a golden-section step divides the larger side of x. A
+    step shorter than tol/2 is lengthened to tol/2 toward the middle of the
+    bracket. Brent's method (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5) also fits one through the three lowest points
+    (v, x, w); in the descent's line searches v and w were the bracket ends
+    on every step that parabola decided, so one rule does the work of both.
 
     The search starts from the golden points of [0, alpha_max], x the lower
     (the left on a tie), and stops once every point of the bracket lies within
@@ -133,40 +130,28 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
     a, b = 0.0, float(alpha_max)
     fa = fb = math.inf   # +inf until the bracket end is a trial
     tol = max(tol, FLOAT_SPACINGS * math.ulp(b))
-    x, w = b - GOLDEN * b, GOLDEN * b
-    fx, fw = phi(x), phi(w)
-    if fw < fx:
-        x, fx, w, fw = w, fw, x, fx
-    v, fv = w, fw
-    d = e = 0.0   # the last step and the step before it (after a golden step, the side it divided)
+    x, u = b - GOLDEN * b, GOLDEN * b
+    fx, fu = phi(x), phi(u)
+    if fu < fx:
+        x, fx = u, fu
     widths = (math.inf, math.inf)   # the bracket's width before the step before last and before the last
     while True:
         m = 0.5 * (a + b)
         if abs(x - m) <= tol - 0.5 * (b - a):
             return x, fx
-        triples = [(v, fv, w, fw)]
-        if b - a <= GOLDEN ** 2 * widths[0]:
-            triples.append((a, fa, b, fb))
-        widths = (widths[1], b - a)
-        convex = [(s, fs, t, ft) for s, fs, t, ft in triples
-                  if min(s, t) < x < max(s, t) and fx <= min(fs, ft) and max(fs, ft) < math.inf]
         parabolic = False
-        if convex:
-            # the vertex of the parabola through (s, x, t) is at x + p / q
-            s, fs, t, ft = convex[0]
-            r = (x - t) * (fx - fs)
-            q = (x - s) * (fx - ft)
-            p = (x - s) * q - (x - t) * r
+        if b - a <= GOLDEN ** 2 * widths[0] and max(fa, fb) < math.inf:
+            # the vertex of the parabola through (a, x, b) is at x + p / q
+            r = (x - b) * (fx - fa)
+            q = (x - a) * (fx - fb)
+            p = (x - a) * q - (x - b) * r
             q = 2.0 * (q - r)
             if q > 0:
                 p = -p
             q = abs(q)
-            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
-        if parabolic:
-            e, d = d, p / q
-        else:
-            e = a - x if x >= m else b - x
-            d = (1.0 - GOLDEN) * e
+            parabolic = q * (a - x) < p < q * (b - x)
+        widths = (widths[1], b - a)
+        d = p / q if parabolic else (1.0 - GOLDEN) * (a - x if x >= m else b - x)
         u = x + d if abs(d) >= 0.5 * tol else x + math.copysign(0.5 * tol, m - x)
         fu = phi(u)
         if fu < fx:
@@ -174,16 +159,11 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
                 a, fa = x, fx
             else:
                 b, fb = x, fx
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            x, fx = u, fu
+        elif u < x:
+            a, fa = u, fu
         else:
-            if u < x:
-                a, fa = u, fu
-            else:
-                b, fb = u, fu
-            if fu <= fw:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == w:
-                v, fv = u, fu
+            b, fb = u, fu
 
 
 def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float | None:
