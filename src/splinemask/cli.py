@@ -136,10 +136,14 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
     crosses itself or encloses no area is blamed on `controls_nm`, or on the
     region when it was placed on a target. Its work must stay within
     MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test and
-    the 3 SPAN_POINTS n x n of the gradient's coefficient rows on its curve
-    rule, the largest of its dense per-control arrays, both checked before
-    the region is built. Its m x n collocation matrix is then smaller than
-    both.
+    the 3 SPAN_POINTS n x n coefficient rows of the curve gradient on its
+    curve rule, both checked before the region is built. Its m x n
+    collocation matrix is then smaller than both. These bound the arrays
+    whose size follows from the region alone. The curve gradient's
+    (n, 3, K) point spectra also grow with the pupil node count K, and take
+    more bytes than its coefficient rows whenever K > 5n / 2 (at desk, 5,688
+    complex values against 2,160 reals); K is bounded through MAX_REACH,
+    which `_check_reach` checks.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:

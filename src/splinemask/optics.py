@@ -63,26 +63,32 @@ SMALL_RHO = 1e-6
 # 3 x POINT_BLOCK x K reals, whatever the number of points.
 POINT_BLOCK = 512
 
-# Angular pupil nodes added to ceil(1.36 pi D) at reach D, on every ring of
-# the rule (`pupil_node_counts`, `pupil_nodes`).
-THETA_MARGIN = 10
+# The pupil rule at reach D (`pupil_node_counts`, `pupil_nodes`): past pi D / 2
+# rings, RADIAL_LAYER (pi D)^(1/3) + RADIAL_MARGIN more, and at least
+# MIN_RINGS; on a ring of reach rho, past pi rho nodes, RING_LAYER
+# (pi rho)^(1/3) + RING_MARGIN more (`ring_count`).
+RADIAL_LAYER = 5.0
+RADIAL_MARGIN = 0.5
+MIN_RINGS = 3
+RING_LAYER = 6.0
+RING_MARGIN = 0.5
 
 # The largest reach D, in units of wavelength / NA, that a configuration may
 # ask of the pupil rule: about 21 um at 193 nm and NA 0.93. The node table
-# there has 61,962 nodes, 1 MB per grid row, and it grows as D ** 2.
+# there has 35,991 nodes, 576 KB per grid row, and it grows as D ** 2.
 MAX_REACH = 100.0
 
 # The most samples along either side, nx or ny, a configuration may ask of
-# the image grid. Each (nx, ny) float64 image array is then at most 8 MiB,
-# and the gradient synthesizes 2n of them per region for n controls. The node
-# tables wex and ey, (nx, K) complex and (ny, 2K) float, grow with one side
-# each, so they hold at most 16 bytes x 1024 x K each: 1 GiB at MAX_REACH,
-# where K = 61,962.
+# the image grid. Each (nx, ny) float64 image array is then at most 8 MiB;
+# the library's mesh gradient synthesizes 2n of them per region for n
+# controls, and the chain's curve gradient none. The node tables wex and ey,
+# (nx, K) complex and (2K, ny) float, grow with one side each, so they hold
+# at most 16 bytes x 1024 x K each: 562 MiB at MAX_REACH, where K = 35,991.
 MAX_GRID_SIDE = 1024
 
 # Node tables (frequencies and grid-side exponentials) kept, one per
-# (grid, n_r, n_theta); a desk optimize run meets 2 node counts, and a
-# 100-step full-scale run 4.
+# (grid, n_r, n_theta); a desk optimize run meets 4 node counts, and a
+# 100-step full-scale run 6.
 GRID_TABLES = 8
 
 
@@ -257,22 +263,36 @@ class AmplitudeField:
         return self.values * self.values
 
 
+def ring_count(reach):
+    """Trapezoid nodes on the half circle of a ring of reach rho = r D, before rounding up.
+
+    pi rho + RING_LAYER (pi rho)^(1/3) + RING_MARGIN, elementwise: on that ring
+    the exponentials turn through 2 pi rho radians around the circle.
+    """
+    k = np.pi * np.asarray(reach, dtype=float)
+    return k + RING_LAYER * np.cbrt(k) + RING_MARGIN
+
+
 def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (2, K) as rows fx, fy and weights (K,) of the half-disk rule, read-only.
 
-    Gauss-Legendre in r on [0, 1] with the weight r dr gives n_r rings. Ring
+    Gauss-Legendre in r on [0, 1] with the weight r dr gives n_r rings. The
+    outer count n_theta = ceil(`ring_count`(D)) fixes the largest reach D of
+    the rule: s = (pi D)^(1/3) is the real root of
+    s^3 + RING_LAYER s + RING_MARGIN - n_theta = 0 (Cardano's formula). Ring
     i, of radius r_i, takes the trapezoid rule on theta in [0, pi) with
-    n_i = ceil((n_theta - THETA_MARGIN) r_i) + THETA_MARGIN nodes and weight
-    pi / n_i: the angular count of `pupil_node_counts` at the ring's own
-    reach r_i D, since on that ring the exponentials turn through 2 pi r_i D
-    radians around the circle. So n_i <= n_theta and K = sum_i n_i, ring by
-    ring. The weights carry the factor 2 of the 2 Re that adds the other half
-    of the disk, so for any F with F(-f) = conj(F(f)),
+    n_i = ceil(ring_count(r_i D)) nodes and weight pi / n_i, the angular
+    count at the ring's own reach. So n_i <= n_theta, and K = sum_i n_i,
+    ring by ring. The weights carry the factor 2 of the 2 Re that adds the
+    other half of the disk, so for any F with F(-f) = conj(F(f)),
     int_{|f| <= 1} F df ~ Re sum_k w_k F(f_k).
     """
     t, w = leggauss(n_r)
     r = 0.5 * (t + 1.0)
-    counts = np.ceil((n_theta - THETA_MARGIN) * r).astype(int) + THETA_MARGIN
+    half_q = 0.5 * (n_theta - RING_MARGIN)
+    u = (half_q + math.sqrt(half_q * half_q + (RING_LAYER / 3.0) ** 3)) ** (1.0 / 3.0)
+    s = u - RING_LAYER / (3.0 * u)
+    counts = np.ceil(ring_count(r * (s ** 3 / np.pi))).astype(int)
     theta = np.concatenate([np.arange(n) * (np.pi / n) for n in counts])
     radius = np.repeat(r, counts)
     freqs = np.stack([radius * np.cos(theta), radius * np.sin(theta)])
@@ -286,14 +306,25 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     """Radial and angular node counts that resolve point-to-pixel offsets up to `distance`.
 
     Over the pupil the exponentials turn through pi D radians along the
-    radius and 2 pi D around the circle. The Gauss-Legendre error falls off
-    past about (e/4) pi D nodes and the trapezoid error past (e/2) pi D.
-    Against the direct kernel sum, the smallest counts that met 1e-12 on the
-    image were 0.85 pi D + 3.0 to 7.3 in r and 1.36 pi D + 4.3 to 8.8 in
-    theta, for D from 0.85 to 11; the margins below clear the largest.
+    radius and 2 pi D around the circle. Gauss-Legendre in r resolves them
+    from about pi D / 2 nodes on, and the trapezoid rule on a ring of reach
+    rho from about pi rho; past those counts the error falls geometrically,
+    after a transition layer that widens as the cube root of the reach, as
+    at the turning point of J_n(2 pi rho) (Trefethen and Weideman, SIAM
+    Review 56(3), 2014). So
+    n_r = ceil(pi D / 2 + RADIAL_LAYER (pi D)^(1/3) + RADIAL_MARGIN), at
+    least MIN_RINGS, and n_theta = ceil(`ring_count`(D)); neither falls as
+    D grows. The target is 1e-12 on the image, met with a safety factor of
+    5: against the direct sums, mesh images (1e-12) and their gradients
+    (1e-11 of max|dU|) for D from 0.3 to 11, and curve images (1e-12) for D
+    from 1e-7 to MAX_REACH, all stayed within 0.17 of their bounds, the mesh
+    gradient at D = 9.5 to 11 the closest. With RING_MARGIN = 1/4 the curve
+    images above D = 12 came to 0.7 of the bound, and with fewer than
+    MIN_RINGS rings so did those below D = 1e-3.
     """
     k = math.pi * distance
-    return math.ceil(0.85 * k) + 8, math.ceil(1.36 * k) + THETA_MARGIN
+    n_r = math.ceil(0.5 * k + RADIAL_LAYER * k ** (1.0 / 3.0) + RADIAL_MARGIN)
+    return max(MIN_RINGS, n_r), math.ceil(ring_count(distance))
 
 
 @dataclass(frozen=True)
@@ -302,8 +333,9 @@ class NodeTable:
 
     `freqs` holds the node frequencies f_k as rows fx, fy, (2, K). `wex` is
     w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the grid center;
-    `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (ny, 2K), real and
-    imaginary parts interleaved like a complex array's memory. All three are
+    `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (2K, ny) C-ordered,
+    with the real part of node k in row 2k and its imaginary part in row
+    2k + 1, the layout that the synthesis product reads. All three are
     read-only, and `node_table` keeps one table per grid and node count, so
     that its node constants `k` and `edge_factor` are formed once.
     """
@@ -340,8 +372,8 @@ class NodeTable:
         """
         nx, k = self.wex.shape
         a = np.multiply(spectra[..., None, :], self.wex, order="C")
-        out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey.T
-        return out.reshape(*spectra.shape[:-1], nx, len(self.ey))
+        out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey
+        return out.reshape(*spectra.shape[:-1], nx, self.ey.shape[1])
 
     def adjoint(self, weight: np.ndarray) -> np.ndarray:
         """L_k = w_k sum_ij weight[i, j] exp(2 pi i f_k . x_ij), (nx, ny) real -> (K,) complex.
@@ -350,7 +382,7 @@ class NodeTable:
         image U of a spectrum S. The y-side sums are one real matrix product
         against `ey`, which gives their conjugates.
         """
-        conj_y = (weight @ self.ey).view(complex)  # (nx, K)
+        conj_y = (weight @ self.ey.T).view(complex)  # (nx, K)
         return (self.wex * conj_y.conj()).sum(axis=0)
 
 
@@ -376,7 +408,7 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
 
 @lru_cache(maxsize=GRID_TABLES)
 def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
-    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (ny, 2K), read-only.
+    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (2K, ny), read-only.
 
     Each grid line's exponentials are the point spectrum of one point, with
     coefficient 1 on its own row: exp(i k_x (x_i - c_x)) of the point
@@ -391,7 +423,7 @@ def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     columns = np.stack([center[0] - grid.xs, zeros_x], axis=1)
     rows = np.stack([zeros_y, grid.ys - center[1]], axis=1)
     wex = weights * point_spectra(columns, np.eye(grid.nx), k)
-    ey = point_spectra(rows, np.eye(grid.ny), k).view(np.float64)
+    ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
     for table in (wex, ey):
         table.setflags(write=False)
     return NodeTable(freqs, wex, ey)

@@ -6,7 +6,9 @@ derivatives through the kernel's radial derivative. The package evaluates the
 same sums as integrals over the pupil disk; these are the plain forms. So is
 `point_spectrum`, the mask spectrum with one libm cos/sin pair per quadrature
 point and pupil node, which the package forms from half-angle tangents
-(`optics.point_spectra`).
+(`optics.point_spectra`), and `direct_curve_amplitude`, the image of a region
+as a sum over the Gauss points of its boundary curve, one Bessel evaluation
+per image sample and point.
 """
 import numpy as np
 from scipy.special import j0, j1
@@ -18,6 +20,11 @@ from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
 SERIES_RHO = 1e-2
+
+# Below this z = 2 pi |y| the boundary kernel uses its series (pi / 2)(1 - z^2 / 16):
+# there 1 - J0(z) cancels to about 1.1e-16 / z absolute in V, and the
+# series' first omitted term is about z^5 / 2304; both are under 1.5e-14.
+SERIES_Z = 8e-3
 
 PIXEL_CHUNK = 4096
 
@@ -117,3 +124,29 @@ def point_spectrum(points, freqs, coef):
     """
     phase = (2.0 * np.pi) * (points @ freqs)
     return coef @ (np.cos(phase) - 1j * np.sin(phase))
+
+
+def direct_curve_amplitude(points, steps, sign, grid) -> np.ndarray:
+    """Aerial amplitude (nx, ny) of the region a closed curve bounds, as a sum over its Gauss points.
+
+    U(x) = sign sum_q (V_x dy_q - V_y dx_q) with y = r_q - x, for the points
+    r_q (Q, 2) and their steps dr_q (2, Q) in normalized coordinates, where
+    V(y) = y (1 - J0(2 pi |y|)) / (2 pi |y|^2) is the field whose divergence
+    is the Airy kernel H(|y|) (divergence theorem). Below SERIES_Z of
+    z = 2 pi |y| it is y (pi / 2)(1 - z^2 / 16).
+    """
+    gx, gy = grid.flat_coords()
+    u = np.zeros(grid.nx * grid.ny)
+    dx, dy = steps
+    for start in range(0, len(u), PIXEL_CHUNK):
+        stop = min(start + PIXEL_CHUNK, len(u))
+        yx = points[None, :, 0] - gx[start:stop, None]
+        yy = points[None, :, 1] - gy[start:stop, None]
+        rho2 = yx * yx + yy * yy
+        z = 2.0 * np.pi * np.sqrt(rho2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = (1.0 - j0(z)) / (2.0 * np.pi * rho2)
+        small = z < SERIES_Z
+        factor[small] = 0.5 * np.pi * (1.0 - z[small] ** 2 / 16.0)
+        u[start:stop] = (factor * yx) @ dy - (factor * yy) @ dx
+    return sign * u.reshape(grid.nx, grid.ny)

@@ -35,11 +35,12 @@ from splinemask.optics import (
 )
 from splinemask.optimizer import OptimizerConfig, init_controls_from_target, optimize
 from splinemask.pipeline import build_region_system, evaluate, gradient_of
-from splinemask.spline import curve_rule, evaluate_curve
+from splinemask.spline import PeriodicSplineRegion, curve_rule, evaluate_curve
 
 from direct_sum import (
     airy_kernel_radial_derivative,
     direct_amplitude_gradient,
+    direct_curve_amplitude,
     direct_forward_amplitude,
     point_spectrum,
 )
@@ -297,8 +298,8 @@ def test_pupil_integral_matches_direct_sum(desk_square, seed, scale, two_regions
 
 def test_pupil_integral_matches_direct_sum_over_the_rule_reach(desk_square):
     # a quarter-size desk square imaged on 5 x 4 px grids placed beside it,
-    # from next to the mask out to the far end of the range the node rule
-    # was fitted on, D from 0.85 to 11
+    # from next to the mask out to the far end of the mesh checks the node
+    # rule was fitted on, D from 0.85 to 11
     cfg, problem, region = desk_square
     rng = np.random.default_rng(7)
     moved = region.with_controls(0.25 * region.controls
@@ -316,6 +317,32 @@ def test_pupil_integral_matches_direct_sum_over_the_rule_reach(desk_square):
         for got, want in zip(fields, direct_amplitude_gradient(meshes, problem.quad, grid, sens)):
             assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
     assert min(reaches) <= 0.85 and max(reaches) >= 11.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(-9.0, 0.0), seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 6),
+       ny=st.integers(2, 6))
+@example(exponent=0.0, seed=0, nx=6, ny=6)
+def test_curve_image_matches_the_direct_boundary_sum_over_every_reach(exponent, seed, nx, ny):
+    # D log-uniform over (0, MAX_REACH]: a wavy loop of 12 controls and a
+    # small grid beside it, scaled together so that the grid's reach over
+    # the loop's Gauss points is D
+    reach = optics.MAX_REACH * 10.0 ** exponent
+    rng = np.random.default_rng(seed)
+    angles = 2.0 * np.pi * (np.arange(12) + rng.uniform(-0.3, 0.3, 12)) / 12
+    radii = rng.uniform(0.2, 1.0) * rng.uniform(0.7, 1.3, 12)
+    direction = rng.uniform(0.0, 2.0 * np.pi)
+    controls = (np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+                + rng.uniform(0.0, 2.0) * np.array([np.cos(direction), np.sin(direction)]))
+    rule = curve_rule(PeriodicSplineRegion(controls, 24))
+    points, steps = rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)
+    pitch = rng.uniform(0.02, 0.5)
+    grid = ImageGrid(nx, ny, pitch, (-0.5 * (nx - 1) * pitch, -0.5 * (ny - 1) * pitch))
+    scale = reach / optics.grid_reach(grid, points)
+    grid, points, steps = grid.scaled(scale), scale * points, scale * steps
+    assert optics.grid_reach(grid, points) == pytest.approx(reach, rel=1e-12)
+    got = optics.curve_amplitude(points, steps, 1.0, grid)
+    assert np.abs(got - direct_curve_amplitude(points, steps, 1.0, grid)).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,10 +426,10 @@ def test_curve_spectrum_matches_the_extrapolated_dense_polygons(name):
         assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
 
 
-# a node table for drawn loops: 13 rings, K = 266; the outer ring's |k| is 6.23
+# a node table for drawn loops: 13 rings, K = 248; the outer ring's |k| is 6.23
 DRAWN_GRID = ImageGrid(8, 8, 0.5, (-1.75, -1.75))
 DRAWN_COUNTS = (13, 30)
-# |S - Gauss| / max |S| on drawn loops: 600 derandomized draws reached 2.8e-13
+# |S - Gauss| / max |S| on drawn loops: 600 derandomized draws reached 1.7e-13
 DRAWN_LOOP_RTOL = 1e-12
 
 
@@ -558,11 +585,12 @@ def test_the_tangent_forms_hold_with_scalar_libm_tan():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(avx512),
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     tests = [f"{Path(__file__).name}::{name}" for name in (
-        "test_cis_matches_mpmath_up_to_the_largest_reach", "test_curve_spectrum_matches_the_extrapolated_dense_polygons")]
+        "test_cis_matches_mpmath_up_to_the_largest_reach", "test_curve_spectrum_matches_the_extrapolated_dense_polygons",
+        "test_curve_image_matches_the_direct_boundary_sum_over_every_reach")]
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "5 passed" in run.stdout
+    assert "6 passed" in run.stdout
 
 
 @settings(max_examples=20, deadline=None)
@@ -603,19 +631,19 @@ def mp_legendre_rule(n: int) -> tuple[list, list]:
     return list(nodes), list(weights)
 
 
-@pytest.mark.parametrize("n", [8, 9, 16, 33, 64, 79, 128, 200, 276])
+@pytest.mark.parametrize("n", [optics.MIN_RINGS, 8, 9, 16, 33, 64, 79, 128,
+                               optics.pupil_node_counts(optics.MAX_REACH)[0], 200])
 def test_radial_rule_matches_mpmath(n):
-    # n from the smallest radial count up to pupil_node_counts(MAX_REACH)[0] = 276;
-    # numpy's rule and scipy's roots_legendre both came within 1.9e-14 on every
-    # n in 8..276
-    assert optics.pupil_node_counts(optics.MAX_REACH)[0] == 276
+    # n from the smallest radial count, MIN_RINGS, up to the largest,
+    # pupil_node_counts(MAX_REACH)[0], and past it; numpy's rule and scipy's
+    # roots_legendre both came within 1.9e-14 on every n in 8..276
     t, w = optics.leggauss(n)
     nodes, weights = mp_legendre_rule(n)
     assert all(a < b for a, b in zip(nodes, nodes[1:]))  # n distinct roots of P_n, so all of them
     assert max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(t, nodes)) <= 2.3e-16
     assert max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(w, weights)) <= 5e-14
     # the rings of pupil_nodes are this rule moved to [0, 1]
-    freqs, _ = pupil_nodes(n, optics.THETA_MARGIN)
+    freqs, _ = pupil_nodes(n, 1)
     assert freqs[0][freqs[1] == 0.0].tolist() == (0.5 * (t + 1.0)).tolist()
 
 
@@ -629,7 +657,8 @@ def test_pupil_nodes_give_each_ring_the_angular_rule_at_its_radius(reach):
     counts = np.diff([*starts, len(fy)])
     radii = fx[starts]
     assert len(starts) == n_r
-    assert (counts >= np.ceil(1.36 * np.pi * radii * reach) + optics.THETA_MARGIN).all()
+    assert n_theta == np.ceil(optics.ring_count(reach))
+    assert (counts >= np.ceil(optics.ring_count(radii * reach))).all()
     assert (counts <= n_theta).all()
     assert len(weights) == counts.sum() < n_r * n_theta
     for start, n, r in zip(starts, counts, radii):
@@ -646,6 +675,17 @@ def test_pupil_nodes_give_each_ring_the_angular_rule_at_its_radius(reach):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.tuples(st.floats(-9.0, 0.0), st.floats(-9.0, 0.0)))
+@example(exponents=(-9.0, 0.0))
+def test_pupil_node_counts_never_fall_as_the_reach_grows(exponents):
+    # D log-uniform over (0, MAX_REACH]: both counts and K grow with D
+    near, far = sorted(optics.MAX_REACH * 10.0 ** e for e in exponents)
+    counts = [optics.pupil_node_counts(reach) for reach in (near, far)]
+    assert counts[0][0] <= counts[1][0] and counts[0][1] <= counts[1][1]
+    assert len(pupil_nodes(*counts[0])[1]) <= len(pupil_nodes(*counts[1])[1])
 
 
 def test_forward_and_gradient_form_phasors_in_one_place(desk_square, monkeypatch):
