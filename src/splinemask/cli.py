@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import MAX_PROVENANCE_SIZE, MeshError, TriangleQuadrature, check_loop
+from .mesh import MAX_PROVENANCE_SIZE, TriangleQuadrature, check_loop
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import MAX_GRID_SIDE, MAX_REACH, ImageGrid, OpticalConfig, grid_reach
 from .optimizer import OptimizerConfig, init_controls_from_target, optimize
@@ -178,10 +178,7 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
         region = _build(where, keys, lambda: init_controls_from_target(
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
-    try:
-        check_loop(build_collocation(region) @ optical.normalize_mask(region.controls))
-    except MeshError as exc:
-        raise ConfigError(blame, str(exc)) from None
+    _build(blame, {}, lambda: check_loop(build_collocation(region) @ optical.normalize_mask(region.controls)))
     return region
 
 

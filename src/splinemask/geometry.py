@@ -94,7 +94,9 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     o1 = orient(a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None], a[:, 0], a[:, 1])
     o2 = o1[:, successor]
     apart = _non_adjacent(m)
-    straddle = o1 * o2 < 0
+    # o2 times o1's sign is exact, where o1 * o2 underflows to 0 on a loop
+    # under about 1e-81 across, hiding its crossings, and overflows over 1e77
+    straddle = np.sign(o1) * o2 < 0
     if (apart & straddle & straddle.T).any():
         return True
     # an end of one segment on the other: a zero orientation whose end lies

@@ -6,9 +6,9 @@ the identity), so vertices = W @ Q holds exactly through any number of
 centroid-insertion refinements, and Q itself is the first m vertices. That
 linearity is what makes the shape gradient a plain matrix chain later on.
 
-`check_loop` tells whether a sample loop bounds a region at all. The chain
-runs it on every evaluation and images the region's curve without a mesh;
-the meshes here are the library's.
+`check_loop` tells whether a loop, a region's samples or a target polygon,
+bounds a region at all; the chain images each region's curve without a
+mesh, and the meshes here are the library's.
 """
 from __future__ import annotations
 
@@ -34,19 +34,23 @@ class SelfIntersectionError(MeshError):
     """Raised when the boundary loop crosses itself, so it encloses no simple region."""
 
 
-def check_loop(samples: np.ndarray) -> float:
-    """The shoelace area of a sample loop that bounds a region; MeshError if it bounds none.
+def check_loop(samples: np.ndarray, min_area: float = SLIVER_AREA) -> float:
+    """The shoelace area of a loop that bounds a region; MeshError if it bounds none.
 
-    The loop must not cross itself (SelfIntersectionError) and must enclose
-    a finite area above SLIVER_AREA, either way round. The chain then images
-    the region's curve, with the sign of this area; no mesh is needed.
+    For sample loops and target polygons alike, in an order that cannot warn
+    at any scale: the area; if it is finite, the crossing test
+    (SelfIntersectionError); then the area must be finite and above
+    `min_area` either way round. Sample loops take SLIVER_AREA; targets pass
+    0, since a tiny simple target is valid and the region placed on it takes
+    the blame. The chain images the curve with the sign of this area.
     """
-    if polyline_self_intersects(samples):
-        raise SelfIntersectionError("boundary polyline intersects itself")
     with np.errstate(over="ignore", invalid="ignore"):
         area = polygon_signed_area(samples)
-    if not SLIVER_AREA < abs(area) < math.inf:
-        raise MeshError(f"boundary loop encloses no finite area above SLIVER_AREA = {SLIVER_AREA:g}: {area:g}")
+        crosses = math.isfinite(area) and polyline_self_intersects(samples)
+    if crosses:
+        raise SelfIntersectionError("boundary polyline intersects itself")
+    if not min_area < abs(area) < math.inf:
+        raise MeshError(f"boundary loop encloses no finite area above {min_area:g}: {area:g}")
     return area
 
 

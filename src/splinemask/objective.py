@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import points_in_polygon, polygon_signed_area, polyline_self_intersects
+from .geometry import points_in_polygon
+from .mesh import check_loop
 from .optics import AmplitudeField, ImageGrid
 
 
@@ -63,22 +64,14 @@ def sigmoid_derivative(x, model: ResistModel):
 def check_target_polygon(polygon) -> np.ndarray:
     """A target polygon as an (m, 2) float array, or ValueError if it cannot be one.
 
-    It needs at least 3 points, all finite, forming a simple loop (no
-    crossing edges, no repeated point) that encloses a nonzero, finite area.
+    It needs at least 3 points, and must pass `mesh.check_loop` with no
+    area floor: a finite shoelace area, no crossing edges or repeated point,
+    and a nonzero area (MeshError, a ValueError, otherwise).
     """
     poly = np.asarray(polygon, dtype=float)
     if len(poly) < 3:
         raise ValueError("polygon needs at least 3 points")
-    if not np.isfinite(poly).all():
-        raise ValueError("points must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        area = polygon_signed_area(poly)
-    if not math.isfinite(area):
-        raise ValueError("polygon area is not finite")
-    if polyline_self_intersects(poly):
-        raise ValueError("polygon crosses itself")
-    if area == 0.0:
-        raise ValueError("polygon has zero area")
+    check_loop(poly, min_area=0.0)
     return poly
 
 

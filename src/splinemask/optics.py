@@ -81,9 +81,11 @@ MAX_REACH = 100.0
 # The most samples along either side, nx or ny, a configuration may ask of
 # the image grid. Each (nx, ny) float64 image array is then at most 8 MiB;
 # the library's mesh gradient synthesizes 2n of them per region for n
-# controls, and the chain's curve gradient none. The node tables wex and ey,
+# controls, and the chain's curve gradient none. A node table's wex and ey,
 # (nx, K) complex and (2K, ny) float, grow with one side each, so they hold
 # at most 16 bytes x 1024 x K each: 562 MiB at MAX_REACH, where K = 35,991.
+# One table is then 1.1 GiB, and the GRID_TABLES cache of them 8.8 GiB; these
+# figures follow from the array shapes alone.
 MAX_GRID_SIDE = 1024
 
 # Node tables (frequencies and grid-side exponentials) kept, one per

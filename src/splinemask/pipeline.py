@@ -47,9 +47,9 @@ class RegionSystem:
     refine_max_area: float
     topology: ProvenancedMesh | None = None
 
-    @property
+    @cached_property
     def curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """The curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q)."""
+        """The curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q), formed once."""
         rule = curve_rule(self.region)
         controls = self.region.controls
         return rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)

@@ -130,7 +130,7 @@ def test_criterion_5_gradient_correctness():
         err = float((np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))).max())
         worst = max(worst, err)
         assert err < 1e-4, f"configuration {case} mixed error {err:.3e}"
-    report(5, f"5 random configs, loop-image adjoint vs central differences, mixed error worst {worst:.2e}")
+    report(5, f"5 random configs, curve-image adjoint vs central differences, mixed error worst {worst:.2e}")
 
 
 def test_criterion_6_bessel_identity():

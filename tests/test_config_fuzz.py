@@ -51,12 +51,14 @@ TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
 TOO_MANY_CONTROLS = math.isqrt(MAX_PROVENANCE_SIZE // (3 * SPAN_POINTS)) + 1
 # a grid side far past the bound
 LONG_SIDE = 2**20
+# the explicit config's controls; scaled by 1e150 or more, they are finite but too large for
+# the products of the loop check, which must then name a field and not warn of an overflow
+CONTROLS = polygon_perimeter_points(np.array(SQUARE), 12)
 
 
 def explicit_config():
     """The desk config with its region given as explicit control points."""
-    controls = polygon_perimeter_points(np.array(SQUARE), 12).tolist()
-    return desk_config(regions=[{"num_samples": 24, "controls_nm": controls}])
+    return desk_config(regions=[{"num_samples": 24, "controls_nm": CONTROLS.tolist()}])
 
 
 def replaced(doc, path, value):
@@ -173,6 +175,12 @@ def test_unknown_nested_key_is_config_error(section):
     ("grid", {"pixel_nm": 1e-320}, "grid.pixel_nm"),  # the fitted sample count overflows
     ("regions[0].controls_nm", polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist(),
      "regions[0].controls_nm"),
+    ("target_polygons_nm[0]", [], "target_polygons_nm[0]"),  # no loop to take an area of
+    ("target_polygons_nm[0]", [[0, 0]], "target_polygons_nm[0]"),
+    ("target_polygons_nm[0]", [[0, 0], [1, 1]], "target_polygons_nm[0]"),
+    ("regions[0].controls_nm", (1e150 * CONTROLS).tolist(), "grid.origin_nm"),  # simple, far from the grid
+    ("regions[0].controls_nm", (1e300 * CONTROLS).tolist(), "regions[0].controls_nm"),  # the area overflows
+    ("target_polygons_nm[0]", (1e300 * np.array(SQUARE)).tolist(), "target_polygons_nm[0]"),
 ])
 def test_reported_inputs_are_config_errors(path, value, field):
     assert_config_error(replaced(explicit_config(), path, value), field)
@@ -291,6 +299,9 @@ def test_region_from_target_reports_its_keys():
     assert_config_error(replaced(doc, "regions[0].num_samples", TOO_MANY_SAMPLES), "regions[0].num_samples")
     # a simple target too small to mesh is blamed on the region placed on it
     assert_config_error(replaced(doc, "target_polygons_nm[0]", TINY_SQUARE), "regions[0]")
+    # a simple target so large that the region placed on it lies too far from the grid
+    assert_config_error(replaced(doc, "target_polygons_nm[0]", (1e150 * np.array(SQUARE)).tolist()),
+                        "grid.origin_nm")
 
 
 def test_grid_reach_is_bounded_before_numerics():

@@ -16,6 +16,7 @@ from splinemask.geometry import (
 )
 from splinemask.mesh import (
     MAX_PROVENANCE_SIZE,
+    SLIVER_AREA,
     MeshError,
     ProvenancedMesh,
     SelfIntersectionError,
@@ -149,6 +150,47 @@ def test_check_loop_passes_exactly_the_loops_that_bound_a_region():
     for samples in ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], square_samples(4, side=1e-8)):
         with pytest.raises(MeshError, match="no finite area"):
             check_loop(np.array(samples))
+
+
+# a loop that crosses itself once, with a nonzero signed area, so only the crossing test rejects it
+SKEW_BOWTIE = np.array([[-1.0, -0.5], [1.0, 1.5], [1.0, -0.5], [-1.0, 0.5]])
+
+
+@st.composite
+def star_loops(draw):
+    """A simple loop star-shaped about an offset center, counterclockwise, with at most 24 vertices.
+
+    Every angular gap is under pi, so the loop winds once round its center.
+    """
+    gaps = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=3, max_size=24)))
+    angles = 2 * np.pi * np.cumsum(gaps) / gaps.sum()
+    radii = np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=len(gaps), max_size=len(gaps))))
+    center = np.array(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
+    return center + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_loops(), st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0),
+       st.sampled_from([SLIVER_AREA, 0.0]))
+@example(square_samples(4) - 0.5, 1.0, 153.9, SLIVER_AREA)  # a product of orientations overflows, the area not
+@example(square_samples(4) - 0.5, -1.0, -300.0, 0.0)  # the area underflows to 0
+def test_check_loop_gives_a_verdict_at_any_scale_and_never_warns(loop, sign, exponent, min_area):
+    # pytest turns every warning into an error, so an overflow in the area or
+    # the crossing test fails here; a loop either bounds a region, with the
+    # area's sign its orientation, or raises MeshError
+    scale = 10.0 ** exponent
+    loop = loop if sign > 0 else loop[::-1]
+    try:
+        area = check_loop(loop * scale, min_area=min_area)
+    except MeshError:
+        pass
+    else:
+        assert np.sign(area) == sign and abs(area) > min_area
+    bowtie = SKEW_BOWTIE * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(polygon_signed_area(bowtie))
+    with pytest.raises(SelfIntersectionError if finite else MeshError):
+        check_loop(bowtie, min_area=min_area)
 
 
 def test_a_loop_no_delaunay_triangles_tile_is_imaged_without_a_mesh():
