@@ -7,6 +7,7 @@ orientations of each segment pair are the transposes.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +84,10 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
         return False
     if m == 3:
         return len(np.unique(pts, axis=0)) < m
+    # orientations multiply coordinate differences, so they overflow on a loop
+    # about 1e154 across; scaled by a power of two, which is exact, the largest
+    # |coordinate| lies in [0.5, 1) (a loop with one that is not finite stays)
+    pts = np.ldexp(pts, -math.frexp(np.abs(pts).max())[1])
     # segment s runs from a[s] to b[s] = a[s + 1 mod m]; o1[i, j] and o2[i, j]
     # orient the start and end of segment j against segment i, so segment j's
     # orientations against segment i are the transposes. The end of segment j

@@ -1,18 +1,19 @@
 """Steepest descent on control points with golden-section and parabolic step sizing.
 
 No control moves further than MAX_DISPLACEMENT in one step: the step size is
-at most alpha_max = MAX_DISPLACEMENT / max|g|. The line search grows its
-bracket [0, B] from the step before last (from the last step while it is
-the only one, and from 1e-3 alpha_max before any), since accepted steps are
-mostly far shorter than alpha_max and a bracket over the whole field can
-settle in a distant spurious minimum. Steepest descent with exact line searches settles
-into a two-step zigzag whose step sizes alternate (Akaike, 1959), so the step
-before last is the closer guess. The search expands while trials score below
-J and backs off otherwise, then zooms in on a minimum inside the bracket by
-golden-section search with parabolic steps. The one parabola goes through the
-bracket ends and the lowest trial between them, (a, x, b), once both ends are
-trials: a convex three-point bracket, so that a parabola through three points
-of different dips cannot jump into another one. Each trial step rebuilds the
+at most alpha_max = MAX_DISPLACEMENT / max|g|. The line search grows a
+bracket from the step before last (from the last step while it is the only
+one, and from 1e-3 alpha_max before any), since accepted steps are mostly
+far shorter than alpha_max and a bracket over the whole field can settle in
+a distant spurious minimum. Steepest descent with exact line searches
+settles into a two-step zigzag whose step sizes alternate (Akaike, 1959), so
+the step before last is the closer guess. The trials expand while they score
+below J and back off otherwise, then hand their lowest, x, and its
+neighbours a and b among the scored steps (step 0 scores J) to the zoom
+(Nocedal and Wright, *Numerical Optimization*, section 3.5): golden-section
+search with parabolic steps through (a, x, b) once both ends are finite, a
+convex three-point bracket, so that a parabola through three points of
+different dips cannot jump into another one. Each trial step rebuilds the
 chain at the displaced controls: boundary samples, then the image of the
 curve, so the accepted trial's evaluation is the next iterate's. A trial
 whose sample loop crosses itself or encloses no area scores +inf, so the
@@ -47,10 +48,7 @@ MAX_DISPLACEMENT = 2.0
 # First trial step of an initial iterate, and the smallest trial step, over alpha_max.
 FIRST_STEP = 1e-3
 SMALLEST_STEP = 1e-12
-# Trial steps this close, relative, are one trial: the zoom's first two points
-# repeat the bracket's last two trials up to rounding.
-SAME_STEP_RTOL = 1e-12
-# The line search's tolerance is at least this many float spacings of its bracket end.
+# The zoom's tolerance is at least this many float spacings of its bracket end.
 FLOAT_SPACINGS = 4
 
 
@@ -103,37 +101,32 @@ class OptimizationState:
         return self.evaluation.objective
 
 
-def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
-    """Minimize phi on [0, alpha_max] by golden-section search with parabolic steps.
+def golden_section(phi, bracket, tol: float) -> tuple[float, float]:
+    """Minimize phi in `grow_bracket`'s bracket by golden-section search with parabolic steps.
 
-    x is the lowest point scored and (a, b) the bracket around it. x moves
-    only on a strict decrease, so it scores no higher than either end, and
-    +inf trials shrink the bracket as in plain golden-section search. Once
-    both ends are finite trials, the step goes to the vertex of the parabola
-    through (a, x, b), a convex three-point bracket. It does so only if the
-    last two steps shrank the bracket to GOLDEN**2 of its width, as two
-    golden-section steps would, so that a far end that scores high cannot
-    hold the steps creeping toward it, and only if the vertex lands inside
-    (a, b). Otherwise a golden-section step divides the larger side of x. A
-    step shorter than tol/2 is lengthened to tol/2 toward the middle of the
+    The bracket ((a, fa), (x, fx), (b, fb)) has a < x <= b and fx no higher
+    than fa or fb, either of which may be +inf. x is the lowest point scored
+    and (a, b) the bracket around it. x moves only on a strict decrease, and
+    +inf trials shrink the bracket as in plain golden-section search. While
+    both ends are finite, the step goes to the vertex of the parabola through
+    (a, x, b), a convex three-point bracket. It does so only if the last two
+    steps shrank the bracket to GOLDEN**2 of its width, as two golden-section
+    steps would, so that a far end that scores high cannot hold the steps
+    creeping toward it, and only if the vertex lands inside (a, b).
+    Otherwise a golden-section step divides the larger side of x. A step
+    shorter than tol/2 is lengthened to tol/2 toward the middle of the
     bracket. Brent's method (Brent, *Algorithms for Minimization without
     Derivatives*, 1973, ch. 5) also fits one through the three lowest points
     (v, x, w); in the descent's line searches v and w were the bracket ends
     on every step that parabola decided, so one rule does the work of both.
 
-    The search starts from the golden points of [0, alpha_max], x the lower
-    (the left on a tie), and stops once every point of the bracket lies within
-    tol of x. tol is floored at FLOAT_SPACINGS float spacings of alpha_max,
-    since no bracket shrinks below one spacing. Returns (x, phi(x)). phi may
-    return +inf for infeasible trials.
+    Each trial lies strictly inside the bracket, so no step is scored twice.
+    The search stops once every point of the bracket lies within tol of x,
+    tol floored at FLOAT_SPACINGS float spacings of b, since no bracket
+    shrinks below one spacing. Returns (x, phi(x)).
     """
-    a, b = 0.0, float(alpha_max)
-    fa = fb = math.inf   # +inf until the bracket end is a trial
+    (a, fa), (x, fx), (b, fb) = bracket
     tol = max(tol, FLOAT_SPACINGS * math.ulp(b))
-    x, u = b - GOLDEN * b, GOLDEN * b
-    fx, fu = phi(x), phi(u)
-    if fu < fx:
-        x, fx = u, fu
     widths = (math.inf, math.inf)   # the bracket's width before the step before last and before the last
     while True:
         m = 0.5 * (a + b)
@@ -166,29 +159,39 @@ def golden_section(phi, alpha_max: float, tol: float) -> tuple[float, float]:
             b, fb = u, fu
 
 
-def grow_bracket(phi, objective: float, start: float, alpha_max: float) -> float | None:
-    """The end B of a bracket [0, B] that holds a trial scoring below `objective`.
+def grow_bracket(phi, objective: float, start: float, alpha_max: float):
+    """The bracket ((a, fa), (x, fx), (b, fb)) that `golden_section` starts from, or None.
 
     Trials start at `start` (`step` passes its step before last). While they
-    score below `objective` they grow by 1/GOLDEN, up to alpha_max, and B is
-    the first that does not (or is infeasible), else alpha_max. Otherwise they
-    shrink by GOLDEN**2 until one does, and B is the trial before it. Returns
-    None when no trial down to SMALLEST_STEP * alpha_max scores below
-    `objective`.
+    score below `objective` they grow by 1/GOLDEN, up to alpha_max, until one
+    does not; otherwise they shrink by GOLDEN**2 until one does. x is the
+    lowest trial (the smaller step on a tie), and a and b its neighbours
+    among the scored steps, step 0 scoring `objective` with no call; b is x
+    when x is alpha_max. Returns None when no trial down to SMALLEST_STEP *
+    alpha_max scores below `objective`.
     """
+    scored = {0.0: objective}
+
+    def below(alpha: float) -> bool:
+        scored[alpha] = phi(alpha)
+        return scored[alpha] < objective
+
     alpha = start
-    if phi(alpha) < objective:
+    if below(alpha):
         while alpha < alpha_max:
             alpha = min(alpha / GOLDEN, alpha_max)
-            if not phi(alpha) < objective:
+            if not below(alpha):
                 break
-        return alpha
-    while True:
-        end, alpha = alpha, alpha * GOLDEN ** 2
-        if alpha < SMALLEST_STEP * alpha_max:
-            return None
-        if phi(alpha) < objective:
-            return end
+    else:
+        while True:
+            alpha *= GOLDEN ** 2
+            if alpha < SMALLEST_STEP * alpha_max:
+                return None
+            if below(alpha):
+                break
+    steps = sorted(scored)
+    i = steps.index(min(steps, key=scored.get))
+    return tuple((s, scored[s]) for s in (steps[i - 1], steps[i], steps[min(i + 1, len(steps) - 1)]))
 
 
 def step(state: OptimizationState, problem: ImagingProblem,
@@ -199,8 +202,8 @@ def step(state: OptimizationState, problem: ImagingProblem,
     else FIRST_STEP * alpha_max, capped at alpha_max. Returns (next state,
     alpha); the next state carries alpha and the given state's last step.
     When the gradient vanishes or no trial down to SMALLEST_STEP * alpha_max
-    scores below J, that is the given state and alpha 0. Every distinct trial
-    step is evaluated once.
+    scores below J, that is the given state and alpha 0. No trial step is
+    evaluated twice, and the step taken is the lowest trial.
     """
     grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
@@ -208,35 +211,24 @@ def step(state: OptimizationState, problem: ImagingProblem,
         return state, 0.0
     alpha_max = MAX_DISPLACEMENT / gmax
     regions = [s.region for s in state.evaluation.systems]
-    # (alpha, objective, evaluation) per trial; an infeasible one scores +inf with no evaluation
-    trials: list[tuple[float, float, MaskEvaluation | None]] = []
-
-    def scored(alpha: float):
-        return next((t for t in trials if abs(alpha - t[0]) <= SAME_STEP_RTOL * t[0]), None)
+    # each feasible trial's evaluation by its step; an infeasible one scores +inf
+    trials: dict[float, MaskEvaluation] = {}
 
     def phi(alpha: float) -> float:
-        trial = scored(alpha)
-        if trial is None:
-            moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
-            try:
-                evaluation = evaluate(problem, moved)
-            except MeshError:
-                trial = (alpha, math.inf, None)
-            else:
-                trial = (alpha, evaluation.objective, evaluation)
-            trials.append(trial)
-        return trial[1]
+        moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
+        try:
+            trials[alpha] = evaluate(problem, moved)
+        except MeshError:
+            return math.inf
+        return trials[alpha].objective
 
     carried = state.previous_alpha or state.alpha
     start = min(carried, alpha_max) if carried > 0 else FIRST_STEP * alpha_max
-    end = grow_bracket(phi, state.objective, start, alpha_max)
-    if end is None:
+    bracket = grow_bracket(phi, state.objective, start, alpha_max)
+    if bracket is None:
         return state, 0.0
-    alpha, _ = golden_section(phi, end, opt.gs_tol)
-    # the zoom's trial, unless another scored strictly lower; the bracket
-    # holds a trial below J, so this one is below J and feasible
-    alpha, _, evaluation = min([scored(alpha), *trials], key=lambda t: t[1])
-    return OptimizationState(evaluation, state.iteration + 1, alpha, state.alpha), alpha
+    alpha, _ = golden_section(phi, bracket, opt.gs_tol)   # below J, so feasible
+    return OptimizationState(trials[alpha], state.iteration + 1, alpha, state.alpha), alpha
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,10 @@ def test_check_loop_passes_exactly_the_loops_that_bound_a_region():
             check_loop(np.array(samples))
 
 
-# a loop that crosses itself once, with a nonzero signed area, so only the crossing test rejects it
+# loops that cross themselves once, with a nonzero signed area, so only the crossing test rejects them
 SKEW_BOWTIE = np.array([[-1.0, -0.5], [1.0, 1.5], [1.0, -0.5], [-1.0, 0.5]])
+# thin: scaled by 10^153.9 to 10^154.1 its area is finite and its orientations are not
+THIN_BOWTIE = np.array([[-1.0, -1.0], [1.0, 1.1], [1.0, 1.0], [-1.0, -0.98]])
 
 
 @st.composite
@@ -173,6 +175,7 @@ def star_loops(draw):
 @given(star_loops(), st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0),
        st.sampled_from([SLIVER_AREA, 0.0]))
 @example(square_samples(4) - 0.5, 1.0, 153.9, SLIVER_AREA)  # a product of orientations overflows, the area not
+@example(square_samples(4) - 0.5, -1.0, 154.1, 0.0)  # the thin bowtie's orientations overflow, its area not
 @example(square_samples(4) - 0.5, -1.0, -300.0, 0.0)  # the area underflows to 0
 def test_check_loop_gives_a_verdict_at_any_scale_and_never_warns(loop, sign, exponent, min_area):
     # pytest turns every warning into an error, so an overflow in the area or
@@ -186,11 +189,11 @@ def test_check_loop_gives_a_verdict_at_any_scale_and_never_warns(loop, sign, exp
         pass
     else:
         assert np.sign(area) == sign and abs(area) > min_area
-    bowtie = SKEW_BOWTIE * scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(polygon_signed_area(bowtie))
-    with pytest.raises(SelfIntersectionError if finite else MeshError):
-        check_loop(bowtie, min_area=min_area)
+    for bowtie in (SKEW_BOWTIE * scale, THIN_BOWTIE * scale):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(polygon_signed_area(bowtie))
+        with pytest.raises(SelfIntersectionError if finite else MeshError):
+            check_loop(bowtie, min_area=min_area)
 
 
 def test_a_loop_no_delaunay_triangles_tile_is_imaged_without_a_mesh():

@@ -25,14 +25,33 @@ from splinemask.optimizer import MAX_DISPLACEMENT, OptimizationState, TraceEntry
 from conftest import SQUARE_NM, desk_square_problem, square_region
 
 
+def golden_bracket(phi, end):
+    """A bracket in [0, end] for `golden_section` from phi at the golden points of [0, end].
+
+    x is the lower golden point (the left on a tie), and its neighbours are
+    the other golden point and the far end, which scores +inf: the bracket a
+    golden-section search of [0, end] reaches after its first step.
+    """
+    left, right = end - GOLDEN * end, GOLDEN * end
+    f_left, f_right = phi(left), phi(right)
+    if f_right < f_left:
+        return (left, f_left), (right, f_right), (end, math.inf)
+    return (0.0, math.inf), (left, f_left), (right, f_right)
+
+
+def golden_search(phi, end, tol):
+    """`golden_section` on [0, end], started from `golden_bracket`."""
+    return golden_section(phi, golden_bracket(phi, end), tol)
+
+
 def test_golden_section_quadratic():
-    alpha, value = golden_section(lambda a: (a - 1.0) ** 2, 3.0, 1e-6)
+    alpha, value = golden_search(lambda a: (a - 1.0) ** 2, 3.0, 1e-6)
     assert alpha == pytest.approx(1.0, abs=1e-5)
     assert value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_golden_section_monotone_increasing():
-    alpha, _ = golden_section(lambda a: 2.0 + a, 5.0, 1e-6)
+    alpha, _ = golden_search(lambda a: 2.0 + a, 5.0, 1e-6)
     assert alpha <= 1e-5
 
 
@@ -40,7 +59,7 @@ def test_golden_section_handles_inf():
     # infeasible right half: the search must settle in the feasible valley
     def phi(a):
         return float("inf") if a > 1.0 else (a - 0.8) ** 2
-    alpha, value = golden_section(phi, 4.0, 1e-7)
+    alpha, value = golden_search(phi, 4.0, 1e-7)
     assert alpha == pytest.approx(0.8, abs=1e-5)
     assert np.isfinite(value)
 
@@ -50,12 +69,12 @@ def test_golden_section_matches_dense_scan():
         return (a - 0.37) ** 2 + 0.1 * np.sin(10 * a) ** 2
     grid = np.arange(0.0, 1.0, 1e-5)
     dense_argmin = grid[np.argmin([phi(a) for a in grid])]
-    alpha, _ = golden_section(phi, 1.0, 1e-6)
+    alpha, _ = golden_search(phi, 1.0, 1e-6)
     assert alpha == pytest.approx(dense_argmin, abs=1e-4)
 
 
 @pytest.mark.parametrize("phi, alpha_max, tol, minimizer, most", [
-    # golden-section steps alone make 33 calls here, and 39 on the infeasible right half
+    # golden-section steps alone make 31 calls here, and 37 on the infeasible right half
     (lambda a: (a - 1.0) ** 2, 3.0, 1e-6, 1.0, 10),
     (lambda a: float("inf") if a > 1.0 else (a - 0.8) ** 2, 4.0, 1e-7, 0.8, 15),
 ], ids=["quadratic", "inf_right_half"])
@@ -65,7 +84,7 @@ def test_golden_section_takes_parabolic_steps(phi, alpha_max, tol, minimizer, mo
     def counted_phi(alpha):
         calls.append(alpha)
         return phi(alpha)
-    alpha, _ = golden_section(counted_phi, alpha_max, tol)
+    alpha, _ = golden_search(counted_phi, alpha_max, tol)
     assert abs(alpha - minimizer) <= tol
     assert len(calls) <= most
 
@@ -84,13 +103,13 @@ def test_golden_section_returns_when_tol_is_below_float_spacing():
             raise RuntimeError("golden_section did not return")
         return (alpha - 1e12) ** 2
 
-    alpha, value = golden_section(phi, 2e12, 1e-5)
+    alpha, value = golden_search(phi, 2e12, 1e-5)
     assert abs(alpha - 1e12) <= FLOAT_SPACINGS * math.ulp(2e12)
     assert value == phi(alpha)
 
 
 def test_golden_section_ends_within_tol_of_a_monotone_minimum():
-    alpha, value = golden_section(lambda a: 2.0 + a, 5.0, 1e-6)
+    alpha, value = golden_search(lambda a: 2.0 + a, 5.0, 1e-6)
     assert 0.0 < alpha <= 1e-6
     assert value == 2.0 + alpha
 
@@ -115,20 +134,16 @@ def test_golden_section_fits_through_the_bracket_ends(phi, alpha_max, most):
     def counted_phi(alpha):
         calls.append(alpha)
         return phi(alpha)
-    alpha, _ = golden_section(counted_phi, alpha_max, 1e-6)
+    alpha, _ = golden_search(counted_phi, alpha_max, 1e-6)
     assert abs(alpha - scanned_minimizer(phi, alpha_max)) <= 1e-6
     assert len(calls) <= most
 
 
 def golden_steps_only_calls(phi, alpha_max, tol):
-    """The number of calls `golden_section` makes on phi with its parabolic steps left out."""
-    a, b = 0.0, float(alpha_max)
+    """The number of calls `golden_search` makes on phi with its parabolic steps left out."""
+    (a, _), (x, fx), (b, _) = golden_bracket(phi, alpha_max)
     tol = max(tol, FLOAT_SPACINGS * math.ulp(b))
-    x, w = b - GOLDEN * b, GOLDEN * b
-    fx, fw = phi(x), phi(w)
     calls = 2
-    if fw < fx:
-        x, fx = w, fw
     while True:
         m = 0.5 * (a + b)
         if abs(x - m) <= tol - 0.5 * (b - a):
@@ -176,7 +191,7 @@ def test_golden_section_on_smooth_unimodal_phi(shape, where, log_width, mirrored
     def counted_phi(alpha):
         trials.append(alpha)
         return phi(alpha)
-    alpha, value = golden_section(counted_phi, alpha_max, tol)
+    alpha, value = golden_search(counted_phi, alpha_max, tol)
     assert all(0.0 <= t <= alpha_max for t in trials)
     assert abs(alpha - minimizer) <= tol
     assert value == phi(alpha)
@@ -207,21 +222,44 @@ def test_golden_section_on_flat_or_kinked_minima(where, log_width, power, log_sl
     def counted_phi(alpha):
         trials.append(alpha)
         return phi(alpha)
-    alpha, _ = golden_section(counted_phi, alpha_max, tol)
+    alpha, _ = golden_search(counted_phi, alpha_max, tol)
     assert all(0.0 <= t <= alpha_max for t in trials)
     assert abs(alpha - minimizer) <= tol
     assert len(trials) <= golden_steps_only_calls(phi, alpha_max, tol) + 12
 
 
-@pytest.mark.parametrize("start, alpha_max, end", [
-    (0.1, 10.0, 0.1 / GOLDEN ** 7),   # grows while below: 0.1 / GOLDEN**6 < 2 <= the next trial
-    (0.1, 1.5, 1.5),                  # every trial below, up to alpha_max
-    (3.0, 10.0, 3.0),                 # backs off: 3 GOLDEN**2 scores below, so the end is 3
-    (9.0, 10.0, 9.0 * GOLDEN ** 2),   # backs off twice
-])
-def test_grow_bracket_ends(start, alpha_max, end):
-    phi = lambda a: a * (a - 2.0)   # below 0 on (0, 2)
-    assert grow_bracket(phi, 0.0, start, alpha_max) == pytest.approx(end, rel=1e-12)
+# (start, alpha_max, end, bracket steps (a, x, b)) on phi(a) = a (a - 2), which
+# is below 0 on (0, 2) and lowest at 1. `end` is the smallest trial step above
+# x that does not score below 0, else alpha_max: where the trials stopped
+GROWN_BRACKETS = [
+    # grows while below: 0.1 / GOLDEN**6 < 2 <= the next trial
+    (0.1, 10.0, 0.1 / GOLDEN ** 7, (0.1 / GOLDEN ** 4, 0.1 / GOLDEN ** 5, 0.1 / GOLDEN ** 6)),
+    # every trial below, up to alpha_max
+    (0.1, 1.5, 1.5, (0.1 / GOLDEN ** 4, 0.1 / GOLDEN ** 5, 1.5)),
+    # backs off: 3 GOLDEN**2 scores below, so the end is 3; step 0 is x's left neighbour
+    (3.0, 10.0, 3.0, (0.0, 3.0 * GOLDEN ** 2, 3.0)),
+    # backs off twice
+    (9.0, 10.0, 9.0 * GOLDEN ** 2, (0.0, 9.0 * GOLDEN ** 4, 9.0 * GOLDEN ** 2)),
+    # every trial below and falling, up to alpha_max: x is alpha_max, and so is b
+    (0.1, 0.5, 0.5, (0.1 / GOLDEN ** 3, 0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("start, alpha_max, end, steps", GROWN_BRACKETS,
+                         ids=[f"{start}-{alpha_max}-{end}" for start, alpha_max, end, _ in GROWN_BRACKETS])
+def test_grow_bracket_ends(start, alpha_max, end, steps):
+    """The bracket is the lowest trial and its neighbours among the scored steps, step 0 scoring the objective."""
+    phi = lambda a: a * (a - 2.0)
+    trials = []
+
+    def counted_phi(alpha):
+        trials.append(alpha)
+        return phi(alpha)
+    bracket = grow_bracket(counted_phi, 0.0, start, alpha_max)
+    assert [s for s, _ in bracket] == pytest.approx(steps, rel=1e-12)
+    assert [f for _, f in bracket] == [phi(s) for s, _ in bracket]
+    x = bracket[1][0]
+    assert min([t for t in trials if t > x and not phi(t) < 0.0], default=alpha_max) == pytest.approx(end, rel=1e-12)
 
 
 def test_grow_bracket_gives_up_without_a_decrease():
@@ -232,6 +270,61 @@ def test_grow_bracket_gives_up_without_a_decrease():
         return a
     assert grow_bracket(phi, 0.0, 1.0, 1.0) is None
     assert min(trials) >= 1e-12 > min(trials) * GOLDEN ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(sorted(SMOOTH_MINIMA) + ["kink"]), where=st.floats(-0.5, 2.0),
+       log_width=st.floats(-3.0, 2.0), log_slopes=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       infeasible=st.none() | st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(sorted),
+       objective=st.floats(-0.1, 3.0), log_start=st.floats(-6.0, 0.0),
+       alpha_max=st.floats(1e-3, 1e3), log_tol=st.floats(-8.0, -3.0))
+def test_the_bracket_hands_its_lowest_trial_and_neighbours_to_the_zoom(
+        shape, where, log_width, log_slopes, infeasible, objective, log_start, alpha_max, log_tol):
+    """`grow_bracket` brackets its lowest trial; the zoom returns its lowest value and scores no step twice.
+
+    phi is a smooth shape or a kink |t| with a slope factor from 0.1 to 10 on
+    each side, with its minimum anywhere from -0.5 to 2 alpha_max, stretched
+    as in the smooth property and, when drawn, +inf on a stretch of [0, 2
+    alpha_max]. The objective, which step 0 scores, is drawn apart from phi.
+    """
+    minimizer = where * alpha_max
+    stretch = 10.0 ** log_width / alpha_max
+    left, right = (10.0 ** s for s in log_slopes)
+
+    def phi(alpha):
+        if infeasible is not None and infeasible[0] * alpha_max <= alpha <= infeasible[1] * alpha_max:
+            return math.inf
+        t = stretch * (alpha - minimizer)
+        if shape == "kink":
+            return (left if t < 0 else right) * abs(t)
+        return SMOOTH_MINIMA[shape](t)
+
+    scored = {}
+
+    def counted_phi(alpha):
+        assert alpha not in scored
+        scored[alpha] = phi(alpha)
+        return scored[alpha]
+
+    bracket = grow_bracket(counted_phi, objective, 10.0 ** log_start * alpha_max, alpha_max)
+    if bracket is None:
+        assert not min(scored.values()) < objective
+        return
+    (a, fa), (x, fx), (b, fb) = bracket
+    assert a < x <= b and fx < objective and fx <= fa and fx <= fb
+    # x is the lowest value phi returned, the smaller step on a tie, and a and
+    # b its neighbours among the scored steps, step 0 scoring the objective
+    assert fx == min(scored.values()) and x == min(s for s, f in scored.items() if f == fx)
+    steps = {0.0: objective, **scored}
+    assert (fa, fx, fb) == (steps[a], steps[x], steps[b])
+    assert not any(a < s < x or x < s < b for s in steps)
+    assert b > x or x == alpha_max == max(steps)
+
+    grown = dict(scored)
+    alpha, value = golden_section(counted_phi, bracket, 10.0 ** log_tol * alpha_max)
+    searched = {s: f for s, f in scored.items() if s not in grown}
+    assert all(a < s < b for s in searched)
+    assert value == phi(alpha) == min([fx, *searched.values()])
 
 
 def test_init_controls_square_spacing():
@@ -335,26 +428,30 @@ def test_step_evaluates_each_trial_once(monkeypatch):
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
     evaluated = record_trial_steps(monkeypatch)
-    bracket, searched = [], []
+    grown, handed, searched = [], [], []
 
-    def counted_golden_section(phi, alpha_max, tol):
-        bracket.extend(evaluated)
+    def counted_golden_section(phi, bracket, tol):
+        grown.extend(evaluated)
+        handed.extend(bracket)
 
         def counted_phi(alpha):
             searched.append(alpha)
             return phi(alpha)
-        return golden_section(counted_phi, alpha_max, tol)
+        return golden_section(counted_phi, bracket, tol)
 
     monkeypatch.setattr(optimizer, "golden_section", counted_golden_section)
     new_state, alpha = step(state, problem, OptimizerConfig())
     assert alpha > 0 and new_state.alpha == alpha
-    # every trial of the line search, bracket and golden-section alike, was
-    # evaluated, and no step size twice
+    # every trial of the line search, bracket and zoom alike, was evaluated,
+    # and no step size twice
     assert len(evaluated) == distinct(evaluated) == distinct(evaluated + searched)
     assert distinct(evaluated + [alpha]) == len(evaluated)
-    # the bracket grew here, so golden-section's first two points are its last two trials
-    assert len(bracket) >= 2
-    assert distinct(bracket + searched[:2]) == len(bracket)
+    # the zoom starts from steps the bracket scored, step 0 scoring J with no
+    # evaluation, and scores none of them again
+    (a, fa), (x, fx), (b, fb) = handed
+    assert a < x <= b and fx < state.objective and fx <= min(fa, fb)
+    assert distinct(grown + [s for s in (a, x, b) if s > 0]) == len(grown)
+    assert distinct(grown + searched) == len(grown) + len(searched)
 
 
 def test_step_starts_from_the_carried_step(monkeypatch):
@@ -381,17 +478,31 @@ def test_step_starts_from_the_carried_step(monkeypatch):
 
 
 def test_step_takes_a_lower_bracket_trial_over_golden_sections(monkeypatch):
-    """A golden-section result above another scored trial is not taken: the lowest trial is."""
+    """No trial of the line search, bracket or zoom, scores below the step taken: the lowest trial is taken."""
     from splinemask import optimizer
 
     cfg, problem = desk_square_problem()
     state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
     evaluated = record_trial_steps(monkeypatch)
-    # the bracket end scores at or above J (or is infeasible)
-    monkeypatch.setattr(optimizer, "golden_section", lambda phi, end, tol: (end, phi(end)))
-    new_state, alpha = step(state, problem, OptimizerConfig())
-    assert new_state.objective < state.objective
-    assert distinct(evaluated + [alpha]) == len(evaluated)
+    recorded, scores = optimizer.evaluate, []
+
+    def scored_evaluate(problem, regions):
+        try:
+            evaluation = recorded(problem, regions)
+        except MeshError:
+            scores.append(math.inf)
+            raise
+        scores.append(evaluation.objective)
+        return evaluation
+
+    monkeypatch.setattr(optimizer, "evaluate", scored_evaluate)
+    for _ in range(3):
+        evaluated.clear()
+        scores.clear()
+        new_state, alpha = step(state, problem, OptimizerConfig())
+        assert new_state.objective == min(scores) < state.objective
+        assert alpha == pytest.approx(evaluated[scores.index(min(scores))], rel=1e-9)
+        state = new_state
 
 
 def test_step_scores_a_trial_that_cannot_mesh_as_infeasible(monkeypatch):
@@ -608,13 +719,15 @@ def test_optimize_does_not_stall_on_the_shifted_desk():
 
 
 def test_optimize_desk_trials_per_step(monkeypatch):
-    """The first 8 desk steps take 14.1 `evaluate` calls each, counting the initial evaluation.
+    """The first 8 desk steps take 12.9 `evaluate` calls each, counting the initial evaluation.
 
     Their bracket starts from the step before last, which the two-step zigzag
-    of steepest descent makes the closer guess, and the zoom fits its
-    parabolas through the bracket ends and the lowest trial. Brackets started
-    from the last step and zoomed with Brent's (v, x, w) parabolas alone took
-    19.1 calls each.
+    of steepest descent makes the closer guess, the zoom starts from the
+    bracket's lowest trial and its neighbours, and it fits its parabolas
+    through the bracket ends and the lowest trial. Zooms that started afresh
+    from the golden points of [0, B] took 14.1 calls each, and brackets
+    started from the last step and zoomed with Brent's (v, x, w) parabolas
+    alone took 19.1.
     """
     from splinemask import optimizer
 
@@ -628,7 +741,7 @@ def test_optimize_desk_trials_per_step(monkeypatch):
     problem, regions, opt = desk_setup(max_iters=8)
     result = optimize(regions, problem, opt)
     assert result.state.iteration == 8
-    assert len(calls) / result.state.iteration <= 16
+    assert len(calls) / result.state.iteration <= 14
 
 
 def test_loop_records_reject_assignment():
