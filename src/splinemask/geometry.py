@@ -17,17 +17,19 @@ import numpy as np
 POINT_BLOCK = 2**16
 
 
-def polygon_signed_area(points: np.ndarray) -> float:
-    """Shoelace signed area of a closed polygon given as an (m, 2) vertex loop.
+def polygon_signed_area(points: np.ndarray) -> float | np.ndarray:
+    """Shoelace signed area of a closed polygon given as an (m, 2) vertex loop, a float; of each loop of a stack (..., m, 2), an array.
 
     Positive for counterclockwise orientation. The closing edge from the last
     vertex back to the first is implied.
     """
     pts = np.asarray(points, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = pts[..., 0], pts[..., 1]
     # each vertex's successor: np.roll(-1) without its overhead, which dominated on short loops
-    x_next, y_next = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
-    return 0.5 * float(np.sum(x * y_next - x_next * y))
+    x_next = np.concatenate((x[..., 1:], x[..., :1]), axis=-1)
+    y_next = np.concatenate((y[..., 1:], y[..., :1]), axis=-1)
+    area = 0.5 * np.sum(x * y_next - x_next * y, axis=-1)
+    return float(area) if area.ndim == 0 else area
 
 
 def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: np.ndarray) -> np.ndarray:

@@ -96,13 +96,23 @@ def rasterize_checked(polygons, grid: ImageGrid) -> np.ndarray:
 def objective_value(intensity_array: np.ndarray, target: np.ndarray,
                     model: ResistModel, grid: ImageGrid) -> float:
     """Discrete image-fidelity error J = sum (sig(I) - target)^2 * dx * dy."""
+    return float(objective_values(intensity_array, target, model, grid))
+
+
+def objective_values(intensity_array: np.ndarray, target: np.ndarray,
+                     model: ResistModel, grid: ImageGrid) -> np.ndarray:
+    """J of each image of a stack (..., nx, ny) of intensities, (...); `objective_value` of one image.
+
+    The sum over each image is numpy's pairwise sum over its nx ny values,
+    the same whether the image stands alone or in a stack.
+    """
     intensity_array = np.asarray(intensity_array, dtype=float)
-    if intensity_array.shape != np.shape(target):
+    if intensity_array.shape[-2:] != np.shape(target):
         raise ValueError("intensity and target shapes differ")
-    if intensity_array.shape != (grid.nx, grid.ny):
+    if intensity_array.shape[-2:] != (grid.nx, grid.ny):
         raise ValueError("intensity shape does not match the grid")
     residual = sigmoid(intensity_array, model) - np.asarray(target, dtype=float)
-    return float(np.sum(residual * residual) * grid.pixel_area)
+    return np.sum(residual * residual, axis=(-2, -1)) * grid.pixel_area
 
 
 def pixel_weight(field: AmplitudeField, target: np.ndarray, model: ResistModel,

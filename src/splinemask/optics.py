@@ -31,12 +31,15 @@ triangle quadrature rule, with quadrature points g_q and weights c_q (the
 triangle area times the rule weight), as S(f) = sum_q c_q exp(-2 pi i f.g_q),
 on the node table of the mesh's vertices (`forward_amplitude`).
 
-Both are point spectra, and one kernel forms every phasor the package uses:
-`point_spectra`, which also builds the grid-side exponentials of each node
-table. It writes the phasors of a block of points from the tangent of their
-half angles, u = tan(x / 2), exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2), in
-one work array of the call, and contracts them with their coefficients as
-two real matrix products; no kernel keeps state between calls. numpy
+Both are point spectra, and one formula forms every phasor the package
+uses: `phasors`, from the tangent of the half angles, u = tan(x / 2),
+exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2). `point_spectra`, which also
+builds the grid-side exponentials of each node table, writes the phasors of
+a block of points into one work array of the call and contracts them with
+their coefficients as two real matrix products (`phasor_sums`); no kernel
+keeps state between calls. The finite differences of `pipeline` keep one
+curve's phasors and form anew only the rows a bump moves
+(`moved_point_spectra`), with the same contraction. numpy
 evaluates tan with a SIMD loop where the CPU has AVX-512, several times
 faster than a libm sin or cos; elsewhere it calls libm's tan, and one tangent
 then costs about as much as the sin or cos it replaces. The two round
@@ -62,6 +65,22 @@ SMALL_RHO = 1e-6
 # Points per block in `point_spectra`: a block's work array holds
 # 3 x POINT_BLOCK x K reals, whatever the number of points.
 POINT_BLOCK = 512
+
+# Bytes of the work arrays of `pipeline.finite_difference_gradient`. A chunk
+# holds the most bumps whose synthesis product, 16 nx K bytes a bump, fits,
+# and at least one; the base curve's phasor table, 24 Q K bytes, is kept only
+# when it fits. On the benchmark's twin (nx 48, K 179, Q 80) this budget
+# takes 7 bumps a chunk. A gradcheck process runs the differences once, and
+# there, at one BLAS thread, they took a median 19 ms at this budget, 20 ms
+# at half of it, and 30 to 32 ms at two to eight times it, where each run
+# page-faulted 2,900 to 5,800 times against 640 here: larger chunks need
+# fresh pages that malloc then returns and asks for again. At MAX_GRID_SIDE
+# and MAX_REACH one bump's product is 16 x 1024 x 35,991 bytes, 590 MB, so
+# each chunk holds one bump, and no table fits (13 MB already at the fewest
+# Gauss points, 15): every bump takes the full kernel, whose work array of at
+# most 442 MB (POINT_BLOCK) is freed before the synthesis. The peak is then
+# one bump's 590 MB product, as before the bumps were chunked.
+FD_BYTES = 2**20
 
 # The pupil rule at reach D (`pupil_node_counts`, `pupil_nodes`): past pi D / 2
 # rings, RADIAL_LAYER (pi D)^(1/3) + RADIAL_MARGIN more, and at least
@@ -368,14 +387,15 @@ class NodeTable:
 
         U[i, j] = Re sum_k w_k S_k exp(2 pi i (f_k,x x_i + f_k,y y_j)) for every
         leading index. Re(a b) = Re a Re b + Im a Im(conj b), so reading the
-        x-side products as interleaved reals makes this one real matrix
-        product against `ey`. The products are formed C-ordered whatever the
-        layout of `spectra`, so that they are read as reals without a copy.
+        x-side products as interleaved reals makes this one real (nx, 2K)
+        by (2K, ny) matrix product against `ey` per spectrum, the same
+        product whether a spectrum comes alone or in a stack; one product
+        over a whole stack could round differently. The products are formed
+        C-ordered whatever the layout of `spectra`, so that they are read as
+        reals without a copy.
         """
-        nx, k = self.wex.shape
         a = np.multiply(spectra[..., None, :], self.wex, order="C")
-        out = a.view(np.float64).reshape(-1, 2 * k) @ self.ey
-        return out.reshape(*spectra.shape[:-1], nx, self.ey.shape[1])
+        return np.matmul(a.view(np.float64), self.ey)
 
     def adjoint(self, weight: np.ndarray) -> np.ndarray:
         """L_k = w_k sum_ij weight[i, j] exp(2 pi i f_k . x_ij), (nx, ny) real -> (K,) complex.
@@ -393,10 +413,14 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
 
     For each point it is reached at a grid corner.
     """
+    return float(grid_reaches(grid, points.reshape(-1, 2)))
+
+
+def grid_reaches(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
+    """`grid_reach` of each point set of a stack (..., Q, 2), (...)."""
     center = grid.center
     half = center - grid.origin
-    rel = points.reshape(-1, 2) - center
-    return math.sqrt(((np.abs(rel) + half) ** 2).sum(axis=1).max())
+    return np.sqrt(((np.abs(points - center) + half) ** 2).sum(axis=-1).max(axis=-1))
 
 
 def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
@@ -409,7 +433,7 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=GRID_TABLES)
-def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
+def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (2K, ny), read-only.
 
     Each grid line's exponentials are the point spectrum of one point, with
@@ -433,45 +457,65 @@ def _node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
 
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
     """The cached node table at `node_counts(grid, points)`."""
-    return _node_table(grid, *node_counts(grid, points))
+    return node_table_at(grid, *node_counts(grid, points))
 
 
-def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2), real coef (..., Q) and wave vectors k (2, K), (..., K) complex.
+def phasors(points: np.ndarray, minus_half_k: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """cos x and half of sin x for x = -k . g at points g (q, 2), in rows 1 and 2 of `work` (3, q, K), which it returns.
 
-    The package's one phasor kernel. For POINT_BLOCK points at a time it
-    writes the half angles x / 2 = -k . g / 2 as one matrix product, their
-    tangents u, and cos x = (1 - u^2) / (1 + u^2) and half of
-    sin x = 2 u / (1 + u^2), within 2.6e-16 of exp(i x) for |x| up to
-    2 pi MAX_REACH, into the rows of one contiguous (3, min(Q, POINT_BLOCK), K)
-    work array of this call, and contracts the cosines and the half sines
-    with the block's coefficients as two real matrix products. Doubling
+    The package's one phasor formula. It writes the half angles
+    x / 2 = g . minus_half_k as one matrix product into row 0, their tangents
+    u, and cos x = (1 - u^2) / (1 + u^2) and half of sin x = u / (1 + u^2),
+    within 2.6e-16 of exp(i x) for |x| up to 2 pi MAX_REACH. Each point's
+    phasors depend on that point alone. No sin, cos or exp is evaluated.
+    """
+    u, cos, sin = work
+    np.tan(np.matmul(points, minus_half_k, out=u), out=u)
+    np.multiply(u, u, out=cos)
+    np.add(cos, 1.0, out=sin)
+    np.subtract(1.0, cos, out=cos)
+    np.divide(cos, sin, out=cos)
+    np.divide(u, sin, out=sin)
+    return work[1:]
+
+
+def phasor_sums(coef: np.ndarray, tables, num_nodes: int) -> np.ndarray:
+    """sum_q coef[..., q] exp(i x_q) for real coef (..., Q), (..., K) complex, from the phasor tables of successive point blocks.
+
+    `tables` yields, block by block, the (2, q, K) cosines and half sines
+    (`phasors`) of POINT_BLOCK points, the last block the rest, for
+    K = `num_nodes`. Each block is contracted with its coefficients as two
+    real matrix products, and the sums are added in block order. Doubling
     commutes with rounding, so the doubled sums are bitwise those of the
-    sines. No sin, cos or exp is evaluated.
+    sines.
     """
     rows = coef.reshape(-1, coef.shape[-1])
-    minus_half_k = -0.5 * k
-    work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
-    sums = np.zeros((2, len(rows), k.shape[1]))
-    for start in range(0, len(points), POINT_BLOCK):
+    sums = np.zeros((2, len(rows), num_nodes))
+    for start, (cos, sin) in zip(range(0, rows.shape[1], POINT_BLOCK), tables):
         block = slice(start, start + POINT_BLOCK)
-        u, cos, sin = work[:, :len(points[block])]
-        np.tan(np.matmul(points[block], minus_half_k, out=u), out=u)
-        np.multiply(u, u, out=cos)
-        np.add(cos, 1.0, out=sin)
-        np.subtract(1.0, cos, out=cos)
-        np.divide(cos, sin, out=cos)
-        np.divide(u, sin, out=sin)
         if start:
             sums[0] += rows[:, block] @ cos
             sums[1] += rows[:, block] @ sin
         else:
             np.matmul(rows[:, block], cos, out=sums[0])
             np.matmul(rows[:, block], sin, out=sums[1])
-    out = np.empty((*coef.shape[:-1], k.shape[1]), dtype=complex)
+    out = np.empty((*coef.shape[:-1], num_nodes), dtype=complex)
     out.real = sums[0].reshape(out.shape)
     out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
     return out
+
+
+def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2), real coef (..., Q) and wave vectors k (2, K), (..., K) complex.
+
+    The package's one point-spectrum kernel: the `phasors` of POINT_BLOCK
+    points at a time, in one contiguous (3, min(Q, POINT_BLOCK), K) work
+    array of this call, contracted block by block (`phasor_sums`).
+    """
+    minus_half_k = -0.5 * k
+    work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
+    blocks = (points[start:start + POINT_BLOCK] for start in range(0, len(points), POINT_BLOCK))
+    return phasor_sums(coef, (phasors(block, minus_half_k, work[:, :len(block)]) for block in blocks), k.shape[1])
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
@@ -494,9 +538,20 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
     return AmplitudeField(u)
 
 
-def orientation(loop: np.ndarray) -> float:
-    """The sign of the loop's shoelace area: 1 counterclockwise, -1 clockwise."""
+def orientation(loop: np.ndarray) -> float | np.ndarray:
+    """The sign of the loop's shoelace area: 1 counterclockwise, -1 clockwise; of each loop of a stack (..., m, 2), an array."""
     return np.sign(polygon_signed_area(loop))
+
+
+def boundary_spectrum(spectra: np.ndarray, sign, nodes: NodeTable) -> np.ndarray:
+    """sign (i / |k|^2) (k_x A_y - k_y A_x) for point spectra A (..., 2, K) of a curve's steps and its orientation sign (...), (..., K) complex.
+
+    The spectrum of the region a curve bounds (`curve_spectrum`), from the
+    point spectra of its Gauss points with its steps as coefficients.
+    """
+    kx, ky = nodes.k
+    ax, ay = spectra[..., 0, :], spectra[..., 1, :]
+    return np.asarray(sign)[..., None] * nodes.edge_factor * (kx * ay - ky * ax)
 
 
 def curve_spectrum(points: np.ndarray, steps: np.ndarray, sign: float, nodes: NodeTable) -> np.ndarray:
@@ -507,14 +562,37 @@ def curve_spectrum(points: np.ndarray, steps: np.ndarray, sign: float, nodes: No
     S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) along the curve,
     here a sum over its Gauss points r_q (Q, 2) with steps dr_q = w_q r'_q,
     given as rows dx and dy (2, Q): S = sign (i / |k|^2) (k_x A_y - k_y A_x)
-    for A = `point_spectra` of the points with the steps as coefficients.
-    i / |k|^2 is the nodes' `edge_factor`, and `sign` the curve's
-    orientation, 1 counterclockwise, so either way round gives the spectrum
-    of the region it bounds.
+    (`boundary_spectrum`) for A = `point_spectra` of the points with the
+    steps as coefficients. i / |k|^2 is the nodes' `edge_factor`, and `sign`
+    the curve's orientation, 1 counterclockwise, so either way round gives
+    the spectrum of the region it bounds.
     """
-    kx, ky = nodes.k
-    ax, ay = point_spectra(points, steps, nodes.k)
-    return sign * nodes.edge_factor * (kx * ay - ky * ax)
+    return boundary_spectrum(point_spectra(points, steps, nodes.k), sign, nodes)
+
+
+def moved_point_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray, coef: np.ndarray,
+                        k: np.ndarray) -> np.ndarray:
+    """`point_spectra` of point sets that each differ from a phasor table's points only at some rows, bit for bit.
+
+    `table` (2, Q, K) holds the cosines and half sines (`phasors`) of points
+    g at the wave vectors k. Set i is g with its rows `rows[i]` replaced by
+    `points[i]`, (C, s) and (C, s, 2), and takes the coefficients
+    `coef[i]`, (C, ..., Q). The moved rows' phasors are formed in one call.
+    Set by set, they are written into the table, the coefficients are
+    contracted with it block by block as `point_spectra` contracts them
+    (`phasor_sums`), and the table's own rows are put back. (C, ..., K)
+    complex.
+    """
+    size = table.shape[2]
+    moved = phasors(points.reshape(-1, 2), -0.5 * k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)
+    out = np.empty((*coef.shape[:-1], size), dtype=complex)
+    for i, (moved_rows, own) in enumerate(zip(rows, coef)):
+        kept = table[:, moved_rows]
+        table[:, moved_rows] = moved[:, i]
+        out[i] = phasor_sums(own, (table[:, start:start + POINT_BLOCK]
+                                   for start in range(0, table.shape[1], POINT_BLOCK)), size)
+        table[:, moved_rows] = kept
+    return out
 
 
 def curve_amplitude(points: np.ndarray, steps: np.ndarray, sign: float, grid: ImageGrid) -> np.ndarray:

@@ -6,8 +6,14 @@ the samples Q = N P, and with its curve at the Gauss points of
 and takes the curve's orientation from it, images each curve
 (`optics.curve_amplitude`) and scores the image; `gradient_of` takes J's
 gradient as an adjoint of that image (`gradient.curve_gradient`), and
-`finite_difference_gradient` is its oracle twin, which re-images each bumped
-region through the same `curve_amplitude` call. None of them builds a mesh.
+`finite_difference_gradient` is its oracle twin. The twin images each region
+once at its base controls and then forms all central-difference bumps of a
+region as stacks: their curves, orientations and node counts at once, their
+images a chunk of bumps per `NodeTable.synthesize` call, and their J values
+a chunk at a time. A bump moves one control, so it forms phasors anew only
+at the Gauss points of that control's spans and takes the others from the
+base curve; every J is still bit for bit a full `evaluate`'s. None of them
+builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -25,8 +31,11 @@ import numpy as np
 
 from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
-from .objective import ResistModel, objective_gradient, objective_value, pixel_weight, print_and_epe
-from .optics import AmplitudeField, ImageGrid, curve_amplitude, forward_amplitude, orientation
+from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
+                        print_and_epe)
+from .optics import (FD_BYTES, AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
+                     grid_reaches, moved_point_spectra, node_counts, node_table_at, orientation, phasors,
+                     point_spectra, pupil_node_counts)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 
@@ -50,9 +59,7 @@ class RegionSystem:
     @cached_property
     def curve(self) -> tuple[np.ndarray, np.ndarray]:
         """The curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q), formed once."""
-        rule = curve_rule(self.region)
-        controls = self.region.controls
-        return rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)
+        return curve_rule(self.region).curve(self.region.controls)
 
     def amplitude(self, grid: ImageGrid) -> np.ndarray:
         """The image (nx, ny) of the region's curve on `grid` (`optics.curve_amplitude`)."""
@@ -107,12 +114,12 @@ def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -
     return RegionSystem(region, samples, np.sign(check_loop(samples)), problem.refine_max_area)
 
 
-def _summed(fields: list[np.ndarray], grid: ImageGrid) -> AmplitudeField:
-    """The region images added from zeros in region order."""
-    u = np.zeros((grid.nx, grid.ny))
+def _summed(fields: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The region images added from zeros of `shape` in region order: (nx, ny), or a stack of sums."""
+    u = np.zeros(shape)
     for field in fields:
         u += field
-    return AmplitudeField(u)
+    return u
 
 
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
@@ -127,7 +134,8 @@ def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> Ma
     loop crosses itself or encloses no area.
     """
     systems = [build_region_system(r, problem) for r in regions]
-    return _scored(problem, systems, _summed([s.amplitude(problem.grid) for s in systems], problem.grid))
+    fields = [s.amplitude(problem.grid) for s in systems]
+    return _scored(problem, systems, AmplitudeField(_summed(fields, (problem.grid.nx, problem.grid.ny))))
 
 
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
@@ -164,36 +172,73 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     """Central finite differences of `evaluate`'s J; the oracle twin of gradient_of.
 
     A bump of region r moves only region r's curve, so each region is imaged
-    once at the base controls and each bump re-images region r alone, with
-    the `RegionSystem.amplitude` call `evaluate` makes. The region fields are
-    added from zeros in region order, as `evaluate` adds them, so every J is
-    bitwise the one `evaluate` gives at the bumped controls.
+    once at the base controls, and the bumps of region r re-image region r
+    alone. Its 4n bumped control sets are formed at once with the float
+    operations of a bump made one at a time (+ step, then - 2 step from the
+    plus bump), and so are their Gauss points, steps, orientations and node
+    counts. The bumps that share node counts are imaged a chunk at a time,
+    through one `NodeTable.synthesize` call per chunk whose product fits
+    FD_BYTES, and each chunk's images are added to the other regions' from
+    zeros in region order and scored (`objective.objective_values`) as
+    `evaluate` adds and scores them. Moving control k moves only the Gauss
+    points of its spans (`CurveRule.support`), so a bump with the base
+    curve's node counts forms phasors anew only there and takes the rest
+    from the base curve's table (`optics.moved_point_spectra`); any other
+    bump, or every bump when the table exceeds FD_BYTES, takes the full
+    kernel (`optics.point_spectra`). Every J is bit for bit the one
+    `evaluate` gives at the bumped controls.
+    """
+    alone = [s.amplitude(problem.grid) for s in evaluation.systems]
+    out = []
+    for r, system in enumerate(evaluation.systems):
+        j = _bumped_objectives(problem, system, alone[:r], alone[r + 1:], step)
+        out.append((j[:, :, 0] - j[:, :, 1]) / (2 * step))
+    return out
+
+
+def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: list[np.ndarray],
+                       after: list[np.ndarray], step: float) -> np.ndarray:
+    """J (n, 2, 2) at each central-difference bump of one region: control k, coordinate c, plus then minus.
+
+    `before` and `after` are the images of the regions before and after it,
+    at their base controls (`finite_difference_gradient`).
     """
     grid = problem.grid
-    systems = evaluation.systems
-    alone = [s.amplitude(grid) for s in systems]
-
-    def objective(r: int, bumped: np.ndarray) -> float:
-        region = systems[r].region.with_controls(bumped)
-        samples = build_collocation(region) @ region.controls
-        fields = alone.copy()
-        fields[r] = RegionSystem(region, samples, orientation(samples), problem.refine_max_area).amplitude(grid)
-        return objective_value(_summed(fields, grid).intensity_values, problem.target, problem.model, grid)
-
-    out = []
-    for r, system in enumerate(systems):
-        base = system.region.controls
-        grad = np.zeros_like(base)
-        for k in range(base.shape[0]):
-            for c in range(2):
-                bumped = base.copy()
-                bumped[k, c] += step
-                j_plus = objective(r, bumped)
-                bumped[k, c] -= 2 * step
-                j_minus = objective(r, bumped)
-                grad[k, c] = (j_plus - j_minus) / (2 * step)
-        out.append(grad)
-    return out
+    region = system.region
+    n = region.n
+    rule = curve_rule(region)
+    k, c = np.arange(n)[:, None], np.arange(2)
+    plus = np.broadcast_to(region.controls, (n, 2, n, 2)).copy()
+    plus[k, c, k, c] += step
+    minus = plus.copy()
+    minus[k, c, k, c] -= 2 * step
+    controls = np.stack([plus, minus], axis=2).reshape(-1, n, 2)  # bump (k, c, sign) at 4k + 2c + sign
+    points, steps = rule.curve(controls)
+    signs = orientation(build_collocation(region) @ controls)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b, reach in enumerate(grid_reaches(grid, points)):
+        groups.setdefault(pupil_node_counts(reach), []).append(b)
+    points = points - grid.center
+    base, base_counts = system.curve[0] - grid.center, node_counts(grid, system.curve[0])
+    j = np.empty(len(controls))
+    for counts, bumps in groups.items():
+        nodes = node_table_at(grid, *counts)
+        size = nodes.k.shape[1]
+        table = None
+        if counts == base_counts and 24 * len(base) * size <= FD_BYTES:
+            table = phasors(base, -0.5 * nodes.k, np.empty((3, len(base), size)))
+        chunk = max(1, FD_BYTES // (16 * grid.nx * size))
+        for start in range(0, len(bumps), chunk):
+            members = np.array(bumps[start:start + chunk])
+            if table is None:
+                spectra = np.stack([point_spectra(points[b], steps[b], nodes.k) for b in members])
+            else:
+                rows = rule.support[members // 4]
+                spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
+            fields = nodes.synthesize(boundary_spectrum(spectra, signs[members], nodes))
+            field = AmplitudeField(_summed([*before, fields, *after], fields.shape))
+            j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
+    return j.reshape(n, 2, 2)
 
 
 def print_report(problem: ImagingProblem, evaluation: MaskEvaluation):

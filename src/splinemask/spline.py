@@ -147,12 +147,21 @@ class CurveRule(NamedTuple):
 
     For controls P the points are r_q = basis @ P and their tangents
     r'_q = slope @ P, both (n SPAN_POINTS, 2), span by span, and
-    sum_q weights_q f(t_q) integrates f over [0, 1].
+    sum_q weights_q f(t_q) integrates f over [0, 1]. Row k of `support`
+    lists the Gauss points of spans k to k + degree (mod n), where control
+    k's basis function lives; its column of `basis` and of `slope` is 0 at
+    every other point, so moving control k moves those points and steps
+    alone.
     """
 
     basis: np.ndarray
     slope: np.ndarray
     weights: np.ndarray
+    support: np.ndarray
+
+    def curve(self, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points r_q = N_q P (..., Q, 2) and steps w_q N'_q P as rows dx, dy (..., 2, Q) of controls P (..., n, 2)."""
+        return self.basis @ controls, self.weights * (np.swapaxes(controls, -1, -2) @ self.slope.T)
 
 
 def curve_rule(region: PeriodicSplineRegion) -> CurveRule:
@@ -161,7 +170,9 @@ def curve_rule(region: PeriodicSplineRegion) -> CurveRule:
     Span j takes the SPAN_POINTS Gauss-Legendre nodes moved to
     [j / n, (j + 1) / n], each with its weight over 2 n. On a span the curve
     is a polynomial of degree p in t, so the rule is exact there for any
-    polynomial integrand of degree up to 2 SPAN_POINTS - 1.
+    polynomial integrand of degree up to 2 SPAN_POINTS - 1. Control k pairs
+    with the plain basis function on [k / n, (k + degree + 1) / n], wrapped
+    across the seam (`_basis_and_slope`), hence its `support`.
     """
     return _curve_rule(region.n, region.degree)
 
@@ -170,7 +181,9 @@ def curve_rule(region: PeriodicSplineRegion) -> CurveRule:
 def _curve_rule(n: int, degree: int) -> CurveRule:
     nodes, weights = leggauss(SPAN_POINTS)
     t = ((np.arange(n)[:, None] + 0.5 * (nodes + 1.0)) / n).ravel()
-    rule = CurveRule(*_basis_and_slope(n, degree, t), np.tile(weights / (2 * n), n))
+    spans = (np.arange(n)[:, None] + np.arange(degree + 1)) % n
+    support = (SPAN_POINTS * spans[:, :, None] + np.arange(SPAN_POINTS)).reshape(n, -1)
+    rule = CurveRule(*_basis_and_slope(n, degree, t), np.tile(weights / (2 * n), n), support)
     for table in rule:
         table.setflags(write=False)
     return rule

@@ -27,7 +27,8 @@ SQUARE = [[-100.0, -100.0], [100.0, -100.0], [100.0, 100.0], [-100.0, 100.0]]
 RECT_LEFT = [[-140.0, -100.0], [-20.0, -100.0], [-20.0, 100.0], [-140.0, 100.0]]
 RECT_RIGHT = [[20.0, -100.0], [140.0, -100.0], [140.0, 100.0], [20.0, 100.0]]
 README = Path(__file__).resolve().parents[1] / "README.md"
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the source tree under test, which fresh interpreters must import too
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def desk_config(max_iters=3, regions=None):
@@ -307,7 +308,7 @@ def test_gradcheck_reimages_only_the_bumped_region(tmp_path, capsys, monkeypatch
     synthesize = optics.NodeTable.synthesize
 
     def counted(self, spectra):
-        images.append(1)
+        images.append(spectra[..., 0].size)  # spectra synthesized by this call
         return synthesize(self, spectra)
 
     monkeypatch.setattr(optics.NodeTable, "synthesize", counted)
@@ -315,6 +316,7 @@ def test_gradcheck_reimages_only_the_bumped_region(tmp_path, capsys, monkeypatch
     assert main(["--quiet", "gradcheck", "--config", str(config)]) == 0
     assert "PASS" in capsys.readouterr().out
     bumps = 4 * (8 + 8)
+    # spectra synthesized, whether one per call or a chunk of bumps per call:
     # the evaluation images both loops and the adjoint gradient none, the
     # differences image each loop once at its base controls and then only
     # the bumped region's loop per bump

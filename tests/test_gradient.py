@@ -1,14 +1,16 @@
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
-from splinemask import gradient, optics
+from splinemask import gradient, optics, pipeline
 from splinemask.gradient import amplitude_gradient, area_gradient, sensitivity
 from splinemask.mesh import (
+    MeshError,
     ProvenancedMesh,
     TriangleQuadrature,
     assemble_tensor,
@@ -376,6 +378,52 @@ def test_finite_differences_match_full_reimaging_bitwise_when_a_bump_changes_the
     want = full_difference_gradient(problem, evaluation, step=0.2)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+def three_regions(data):
+    """Three jittered rings of controls on the desk grid, of distinct control counts 6-20 and degrees 1-3."""
+    counts = data.draw(st.lists(st.integers(6, 20), min_size=3, max_size=3, unique=True), label="n")
+    degrees = data.draw(st.permutations([1, 2, 3]), label="degree")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    regions = []
+    for n, degree, center in zip(counts, degrees, [(-0.45, -0.3), (0.45, -0.3), (0.0, 0.45)]):
+        theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        radius = rng.uniform(0.28, 0.34) + rng.uniform(-0.02, 0.02, n)
+        controls = np.add(center, radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        regions.append(PeriodicSplineRegion(controls, 2 * n, degree))
+    return regions
+
+
+@pytest.mark.blas_threads
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, data):
+    # three regions of different shapes, imaged in chunks that divide no
+    # region's bump count, at the default step and at a step that moves
+    # some bumps to other pupil node counts
+    cfg, problem, _ = desk_square
+    evaluation = evaluate(problem, three_regions(data))
+    bumps = [4 * s.region.n for s in evaluation.systems]
+    chunk = data.draw(st.sampled_from([3, 7, 11, 13, 17, 19, 23]).filter(lambda c: all(b % c for b in bumps)),
+                      label="chunk")
+    # a chunk of `chunk` bumps at the base curves' largest node count; at the
+    # smaller chunks a region's phasor table (24 Q K bytes) can exceed the
+    # budget, and then its bumps take the full kernel
+    size = max(optics.node_table(problem.grid, s.curve[0]).k.shape[1] for s in evaluation.systems)
+    budget = chunk * 16 * problem.grid.nx * size
+    moving = next((step for step in (0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.15)
+                   if node_count_changes(problem, evaluation, step) > 0), None)
+    assume(moving is not None)
+    with mock.patch.object(pipeline, "FD_BYTES", budget):
+        for step in (1e-6, moving):
+            try:
+                want = full_difference_gradient(problem, evaluation, step=step)
+            except MeshError:
+                reject()  # a bump of this step folded a sample loop, which evaluate refuses
+            got = finite_difference_gradient(problem, evaluation, step=step)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.blas_threads

@@ -47,7 +47,6 @@ from direct_sum import (
 from polygon_spectrum import collapsed_gauss_spectrum, polygon_spectrum
 from conftest import desk_square_problem, square_region
 
-ROOT = Path(__file__).resolve().parent.parent
 
 J1_FIRST_ROOT = 3.8317059702075123  # frozen from the series-oracle bisection below
 
@@ -500,7 +499,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_drawn_loops(kind, le
     # edge, an edge at k . d / 4 near +-pi / 2, where a tangent form of the
     # sinc would be largest, and loops off the grid center, against the fan
     # of triangles from the loop's apex
-    nodes = optics._node_table(DRAWN_GRID, *DRAWN_COUNTS)
+    nodes = optics.node_table_at(DRAWN_GRID, *DRAWN_COUNTS)
     loop, apex = drawn_loop(kind, length, turn, tilt, side, arc, radii[:len(arc)], np.asarray(offset), nodes)
     assume(fat_fan(loop, apex))
     m = len(loop)
@@ -582,8 +581,9 @@ def test_the_tangent_forms_hold_with_scalar_libm_tan():
               if feature in __cpu_dispatch__ and __cpu_features__.get(feature)]
     if not avx512:
         pytest.skip("numpy dispatches no AVX-512 feature here")
+    tree = str(Path(optics.__file__).parents[1])  # the source tree under test
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(avx512),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [tree, os.environ.get("PYTHONPATH")])))
     tests = [f"{Path(__file__).name}::{name}" for name in (
         "test_cis_matches_mpmath_up_to_the_largest_reach", "test_curve_spectrum_matches_the_extrapolated_dense_polygons",
         "test_curve_image_matches_the_direct_boundary_sum_over_every_reach")]
@@ -599,7 +599,7 @@ def test_node_table_adjoint_is_the_transpose_of_synthesis(seed, nx, ny, reach):
     # sum W U = Re sum_k L_k S_k for the image U of any spectrum S
     rng = np.random.default_rng(seed)
     grid = ImageGrid(nx, ny, 0.1, (-0.3, 0.2))
-    nodes = optics._node_table(grid, *optics.pupil_node_counts(reach))
+    nodes = optics.node_table_at(grid, *optics.pupil_node_counts(reach))
     k = nodes.freqs.shape[1]
     spectrum = rng.normal(size=k) + 1j * rng.normal(size=k)
     weight = rng.normal(size=(nx, ny))
@@ -842,7 +842,7 @@ def test_synthesis_of_a_strided_view_matches_its_contiguous_copy():
     # grid, laid out control-major and viewed axis-swapped: bit for bit the
     # image of the contiguous copy, at no higher traced peak
     cfg, problem = desk_square_problem(**SQUARES["full"][0])
-    nodes = optics._node_table(problem.grid, *optics.pupil_node_counts(2.0))
+    nodes = optics.node_table_at(problem.grid, *optics.pupil_node_counts(2.0))
     rng = np.random.default_rng(4)
     k = nodes.freqs.shape[1]
     view = (rng.normal(size=(40, 2, k)) + 1j * rng.normal(size=(40, 2, k))).swapaxes(0, 1)
@@ -859,8 +859,8 @@ def test_node_and_grid_tables_are_cached_read_only(desk_square):
     # the mesh image takes its table from the one node-table cache
     assert optics.node_table(problem.grid, region_mesh.vertices) is mesh_nodes
     n_r, n_theta = optics.pupil_node_counts(1.0)
-    nodes = optics._node_table(problem.grid, n_r, n_theta)
-    assert optics._node_table(problem.grid, n_r, n_theta) is nodes
+    nodes = optics.node_table_at(problem.grid, n_r, n_theta)
+    assert optics.node_table_at(problem.grid, n_r, n_theta) is nodes
     tables = [nodes.freqs, nodes.wex, nodes.ey, mesh_nodes.freqs, mesh_nodes.wex, mesh_nodes.ey,
               *pupil_nodes(n_r, n_theta)]
     for table in tables:

@@ -144,6 +144,24 @@ def test_slope_basis_integrates_to_the_basis_and_closes_the_curve(data):
     assert (np.abs(rule.weights @ tangents) <= 4e-15 * (rule.weights @ np.abs(tangents))).all()
 
 
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_each_control_moves_only_the_gauss_points_of_its_spans(degree):
+    # the finite differences form a bumped curve's phasors anew only at the
+    # bumped control's support, so its basis and slope columns must be
+    # exactly 0 everywhere else; inside, its basis function is positive
+    for n in range(degree + 2, 41):
+        rule = curve_rule(PeriodicSplineRegion(np.zeros((n, 2)), 3, degree))
+        assert rule.support.shape == (n, (degree + 1) * SPAN_POINTS)
+        for k, rows in enumerate(rule.support):
+            assert len(set(rows)) == len(rows)
+            outside = np.ones(n * SPAN_POINTS, dtype=bool)
+            outside[rows] = False
+            assert not rule.basis[outside, k].any()
+            assert not rule.slope[outside, k].any()
+            assert (rule.basis[rows, k] > 0).all()
+
+
 def test_collocation_rows_sum_to_one():
     region = PeriodicSplineRegion(np.random.default_rng(0).normal(size=(9, 2)), 18)
     colloc = build_collocation(region)
