@@ -3,7 +3,9 @@
 The crossing test of a closed polyline orients every segment against the
 start of every other segment once, as one (m, m) matrix; the orientations
 against the ends are its columns in successor order, and the reverse
-orientations of each segment pair are the transposes.
+orientations of each segment pair are the transposes. The clearance of a
+loop, a lower bound on the distance between its non-adjacent segments, is
+an (m, m) matrix of the same pairs.
 """
 from __future__ import annotations
 
@@ -119,6 +121,29 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
              & (lo[:, 1, None] <= a[:, 1]) & (a[:, 1] <= hi[:, 1, None]))
     on = (start_on & boxed) | (end_on & boxed[:, successor])
     return bool((apart & (on | on.T)).any())
+
+
+def loop_clearance(loop: np.ndarray) -> float:
+    """A lower bound c on the distance between any two non-adjacent segments of a closed polyline.
+
+    Segment s lies within half its length of its midpoint, so segments i and
+    j lie at least |mid_i - mid_j| - (len_i + len_j) / 2 apart; c is the least
+    of these over the non-adjacent pairs (`_non_adjacent`), in the crossing
+    test's (m, m) style. A positive c proves the loop simple. It is +inf for
+    a triangle, which has no such pair, and NaN when a coordinate is not
+    finite. The distances are hypotenuses, so no square over- or underflows
+    at any scale.
+    """
+    pts = np.asarray(loop, dtype=float)
+    m = len(pts)
+    if m < 4:
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = pts[_successor(m)]
+        mid = 0.5 * (pts + ends)
+        half = 0.5 * np.hypot(ends[:, 0] - pts[:, 0], ends[:, 1] - pts[:, 1])
+        gap = np.hypot(mid[:, 0, None] - mid[:, 0], mid[:, 1, None] - mid[:, 1]) - (half[:, None] + half)
+    return float(gap[_non_adjacent(m)].min())
 
 
 @lru_cache(maxsize=64)

@@ -7,8 +7,10 @@ centroid-insertion refinements, and Q itself is the first m vertices. That
 linearity is what makes the shape gradient a plain matrix chain later on.
 
 `check_loop` tells whether a loop, a region's samples or a target polygon,
-bounds a region at all; the chain images each region's curve without a
-mesh, and the meshes here are the library's.
+bounds a region at all; a loop that stays within another loop's
+`clearance_radius` of it is simple and skips the crossing test. The chain
+images each region's curve without a mesh, and the meshes here are the
+library's.
 """
 from __future__ import annotations
 
@@ -17,9 +19,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
+from .geometry import loop_clearance, orient, points_in_polygon, polygon_signed_area, polyline_self_intersects
 
 SLIVER_AREA = 1e-14
+# The rounding margin of a clearance radius, relative to its loop's largest
+# |coordinate| (`clearance_radius`): 2**-40, 8192 float spacings at 1. The
+# clearance and the sample moves each round within a few spacings, and a
+# loop that skips the crossing test keeps its non-adjacent segments at least
+# twice the margin apart, far past the few spacings within which one of the
+# test's orientations can take the wrong sign.
+CLEARANCE_MARGIN = 2.0**-40
 # The most provenance entries, vertices x boundary samples, a region's mesh may
 # hold (8 MiB of float64): refinement stops short of it, and a config whose
 # num_samples squared or refined initial mesh passes it is rejected.
@@ -34,8 +43,9 @@ class SelfIntersectionError(MeshError):
     """Raised when the boundary loop crosses itself, so it encloses no simple region."""
 
 
-def check_loop(samples: np.ndarray, min_area: float = SLIVER_AREA) -> float:
-    """The shoelace area of a loop that bounds a region; MeshError if it bounds none.
+def check_loop(samples: np.ndarray, min_area: float = SLIVER_AREA,
+               near: tuple[np.ndarray, float] | None = None) -> float | np.ndarray:
+    """The shoelace area of a loop that bounds a region, or of each loop of a stack (..., m, 2); MeshError if one bounds none.
 
     For sample loops and target polygons alike, in an order that cannot warn
     at any scale: the area; if it is finite, the crossing test
@@ -43,15 +53,51 @@ def check_loop(samples: np.ndarray, min_area: float = SLIVER_AREA) -> float:
     `min_area` either way round. Sample loops take SLIVER_AREA; targets pass
     0, since a tiny simple target is valid and the region placed on it takes
     the blame. The chain images the curve with the sign of this area.
+
+    `near` is another loop of m samples with its `clearance_radius` r, such
+    as the line search's iterate. A loop whose samples each lie less than r
+    from the same sample of that loop is simple, so it skips the crossing
+    test; it still takes the area and its floor. Any other loop, and every
+    loop when r is not finite, runs the test.
     """
+    loops = np.asarray(samples, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        area = polygon_signed_area(samples)
-        crosses = math.isfinite(area) and polyline_self_intersects(samples)
+        area = polygon_signed_area(loops)
+        if loops.ndim == 2:  # one loop, in Python scalars: each line-search trial checks one
+            crosses = math.isfinite(area) and not _kept_simple(loops, near) and polyline_self_intersects(loops)
+            unbounded = [] if min_area < abs(area) < math.inf else [area]
+        else:
+            crosses = any(map(polyline_self_intersects, loops[np.isfinite(area) & ~_kept_simple(loops, near)]))
+            size = np.abs(area)
+            unbounded = area[~((min_area < size) & (size < math.inf))]
     if crosses:
         raise SelfIntersectionError("boundary polyline intersects itself")
-    if not min_area < abs(area) < math.inf:
-        raise MeshError(f"boundary loop encloses no finite area above {min_area:g}: {area:g}")
+    if len(unbounded):
+        raise MeshError(f"boundary loop encloses no finite area above {min_area:g}: {unbounded[0]:g}")
     return area
+
+
+def clearance_radius(loop: np.ndarray) -> float:
+    """How far each sample of a loop may move with the loop kept simple: half its clearance, less a margin.
+
+    Each point of a segment is a convex combination of its ends, so when no
+    sample moves r or more, no point of any segment does, and non-adjacent
+    segments at least c apart (`geometry.loop_clearance`) stay more than
+    c - 2r apart. r is c / 2 less CLEARANCE_MARGIN times the loop's largest
+    |coordinate|. Not positive when c does not prove the loop simple, and
+    NaN or +inf when c is (`check_loop` then runs the crossing test).
+    """
+    loop = np.asarray(loop, dtype=float)
+    return 0.5 * loop_clearance(loop) - CLEARANCE_MARGIN * float(np.abs(loop).max())
+
+
+def _kept_simple(loops: np.ndarray, near: tuple[np.ndarray, float] | None) -> bool | np.ndarray:
+    """Whether the samples of a loop, or of each loop of a stack, all lie less than `near`'s finite radius from its loop's."""
+    if near is None or not near[1] < math.inf:
+        return np.False_
+    loop, radius = near
+    moves = np.hypot(loops[..., 0] - loop[:, 0], loops[..., 1] - loop[:, 1])
+    return moves.max(axis=-1) < radius
 
 
 def signed_area(v1, v2, v3) -> float:

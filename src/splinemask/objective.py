@@ -111,8 +111,10 @@ def objective_values(intensity_array: np.ndarray, target: np.ndarray,
         raise ValueError("intensity and target shapes differ")
     if intensity_array.shape[-2:] != (grid.nx, grid.ny):
         raise ValueError("intensity shape does not match the grid")
-    residual = sigmoid(intensity_array, model) - np.asarray(target, dtype=float)
-    return np.sum(residual * residual, axis=(-2, -1)) * grid.pixel_area
+    residual = sigmoid(intensity_array, model)
+    residual -= target  # in place; a float target, as `pipeline` passes, needs no conversion
+    residual *= residual
+    return np.add.reduce(residual, axis=(-2, -1)) * grid.pixel_area
 
 
 def pixel_weight(field: AmplitudeField, target: np.ndarray, model: ResistModel,

@@ -188,6 +188,13 @@ class ImageGrid:
         center.setflags(write=False)
         return center
 
+    @cached_property
+    def half_extent(self) -> np.ndarray:
+        """(x, y) from the first sample to the `center`, the grid's half width and height; read-only, made once."""
+        half = self.center - self.origin
+        half.setflags(write=False)
+        return half
+
     @property
     def pixel_area(self) -> float:
         return self.pitch * self.pitch
@@ -413,14 +420,20 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
 
     For each point it is reached at a grid corner.
     """
-    return float(grid_reaches(grid, points.reshape(-1, 2)))
+    return math.sqrt(_corner_squares(grid, points).max())
 
 
 def grid_reaches(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
     """`grid_reach` of each point set of a stack (..., Q, 2), (...)."""
-    center = grid.center
-    half = center - grid.origin
-    return np.sqrt(((np.abs(points - center) + half) ** 2).sum(axis=-1).max(axis=-1))
+    return np.sqrt(_corner_squares(grid, points).max(axis=-1))
+
+
+def _corner_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
+    """The squared distance from each point (..., 2) to its farthest grid corner, (...)."""
+    d = np.abs(points - grid.center)
+    d += grid.half_extent
+    d *= d
+    return d[..., 0] + d[..., 1]
 
 
 def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
@@ -514,6 +527,8 @@ def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.nda
     """
     minus_half_k = -0.5 * k
     work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
+    if len(points) <= POINT_BLOCK:
+        return phasor_sums(coef, [phasors(points, minus_half_k, work)], k.shape[1])
     blocks = (points[start:start + POINT_BLOCK] for start in range(0, len(points), POINT_BLOCK))
     return phasor_sums(coef, (phasors(block, minus_half_k, work[:, :len(block)]) for block in blocks), k.shape[1])
 

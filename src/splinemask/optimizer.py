@@ -17,8 +17,14 @@ different dips cannot jump into another one. Each trial step rebuilds the
 chain at the displaced controls: boundary samples, then the image of the
 curve, so the accepted trial's evaluation is the next iterate's. A trial
 whose sample loop crosses itself or encloses no area scores +inf, so the
-line search backs away from it. The control loop may run either way round:
-the image takes the sign of the sample loop's area.
+line search backs away from it. The crossing test is the costly part of
+that check, and most trials need none: `step` bounds the distance between
+non-adjacent segments of each iterate loop once (`geometry.loop_clearance`),
+and a trial loop whose samples all move less than half of it, less a
+rounding margin (`mesh.clearance_radius`), is simple too. Such a trial
+still takes its area and the area floor; any other runs the full test. The
+control loop may run either way round: the image takes the sign of the
+sample loop's area.
 
 The iterate is immutable: `step` maps a state to the next one and the step
 size, and `optimize` alone keeps the trace and decides every stop. A step the
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import polygon_perimeter_points
-from .mesh import MeshError
+from .mesh import MeshError, clearance_radius
 from .optics import OpticalConfig
 from .pipeline import ImagingProblem, MaskEvaluation, evaluate, gradient_of
 from .spline import PeriodicSplineRegion
@@ -203,7 +209,9 @@ def step(state: OptimizationState, problem: ImagingProblem,
     alpha); the next state carries alpha and the given state's last step.
     When the gradient vanishes or no trial down to SMALLEST_STEP * alpha_max
     scores below J, that is the given state and alpha 0. No trial step is
-    evaluated twice, and the step taken is the lowest trial.
+    evaluated twice, and the step taken is the lowest trial. Each region's
+    `mesh.clearance_radius` is taken once, at the iterate, and a trial loop
+    whose samples all stay within it skips the crossing test (`check_loop`).
     """
     grads = gradient_of(problem, state.evaluation)
     gmax = max((float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads), default=0.0)
@@ -211,13 +219,15 @@ def step(state: OptimizationState, problem: ImagingProblem,
         return state, 0.0
     alpha_max = MAX_DISPLACEMENT / gmax
     regions = [s.region for s in state.evaluation.systems]
+    # each region's iterate loop and clearance radius: a trial loop within it skips the crossing test
+    near = [(s.samples, clearance_radius(s.samples)) for s in state.evaluation.systems]
     # each feasible trial's evaluation by its step; an infeasible one scores +inf
     trials: dict[float, MaskEvaluation] = {}
 
     def phi(alpha: float) -> float:
         moved = [r.with_controls(r.controls - alpha * g) for r, g in zip(regions, grads)]
         try:
-            trials[alpha] = evaluate(problem, moved)
+            trials[alpha] = evaluate(problem, moved, near)
         except MeshError:
             return math.inf
         return trials[alpha].objective

@@ -8,12 +8,12 @@ and takes the curve's orientation from it, images each curve
 gradient as an adjoint of that image (`gradient.curve_gradient`), and
 `finite_difference_gradient` is its oracle twin. The twin images each region
 once at its base controls and then forms all central-difference bumps of a
-region as stacks: their curves, orientations and node counts at once, their
-images a chunk of bumps per `NodeTable.synthesize` call, and their J values
-a chunk at a time. A bump moves one control, so it forms phasors anew only
-at the Gauss points of that control's spans and takes the others from the
-base curve; every J is still bit for bit a full `evaluate`'s. None of them
-builds a mesh.
+region as stacks: their loop checks, curves, orientations and node counts
+at once, their images a chunk of bumps per `NodeTable.synthesize` call, and
+their J values a chunk at a time. A bump moves one control, so it forms
+phasors anew only at the Gauss points of that control's spans and takes the
+others from the base curve; every J is still bit for bit a full
+`evaluate`'s. None of them builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -24,13 +24,13 @@ that mesh image, the setting in which the mesh gradient is defined.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .gradient import amplitude_gradient, curve_gradient, sensitivity
-from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, refine_mesh, triangulate_region
+from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_radius, refine_mesh, triangulate_region
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
 from .optics import (FD_BYTES, AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
@@ -55,11 +55,13 @@ class RegionSystem:
     orientation: float
     refine_max_area: float
     topology: ProvenancedMesh | None = None
+    # the curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q)
+    curve: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """The curve's Gauss points r_q = N_q P (Q, 2) and steps w_q N'_q P as rows dx, dy (2, Q), formed once."""
-        return curve_rule(self.region).curve(self.region.controls)
+    def __post_init__(self):
+        # formed with the system: every system of the chain is imaged, and a
+        # cached_property takes a lock on the first read of each new system
+        object.__setattr__(self, "curve", curve_rule(self.region).curve(self.region.controls))
 
     def amplitude(self, grid: ImageGrid) -> np.ndarray:
         """The image (nx, ny) of the region's curve on `grid` (`optics.curve_amplitude`)."""
@@ -98,6 +100,13 @@ class ImagingProblem:
     quad: TriangleQuadrature
     refine_max_area: float
 
+    @cached_property
+    def target_values(self) -> np.ndarray:
+        """The target raster as floats, read-only, made once: the objective subtracts it from every image."""
+        values = np.array(self.target, dtype=float)
+        values.setflags(write=False)
+        return values
+
 
 @dataclass(frozen=True)
 class MaskEvaluation:
@@ -108,10 +117,11 @@ class MaskEvaluation:
     objective: float
 
 
-def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem) -> RegionSystem:
-    """A region's system at its controls; MeshError when its loop bounds no region (`check_loop`)."""
+def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
+                        near: tuple[np.ndarray, float] | None = None) -> RegionSystem:
+    """A region's system at its controls; MeshError when its loop bounds no region (`check_loop`, given `near`)."""
     samples = build_collocation(region) @ region.controls
-    return RegionSystem(region, samples, np.sign(check_loop(samples)), problem.refine_max_area)
+    return RegionSystem(region, samples, np.sign(check_loop(samples, near=near)), problem.refine_max_area)
 
 
 def _summed(fields: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
@@ -123,17 +133,22 @@ def _summed(fields: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
-    j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
+    j = objective_value(field.intensity_values, problem.target_values, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
 
 
-def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion]) -> MaskEvaluation:
+def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
+             near: list[tuple[np.ndarray, float]] | None = None) -> MaskEvaluation:
     """The image of the regions' curves, scored.
 
     Raises MeshError, or its subclass SelfIntersectionError, when a sample
-    loop crosses itself or encloses no area.
+    loop crosses itself or encloses no area. `near`, one loop and its
+    `mesh.clearance_radius` per region, such as the line search's iterate,
+    lets each loop that stays within its radius skip the crossing test
+    (`check_loop`).
     """
-    systems = [build_region_system(r, problem) for r in regions]
+    near = near or [None] * len(regions)
+    systems = [build_region_system(r, problem, n) for r, n in zip(regions, near, strict=True)]
     fields = [s.amplitude(problem.grid) for s in systems]
     return _scored(problem, systems, AmplitudeField(_summed(fields, (problem.grid.nx, problem.grid.ny))))
 
@@ -151,7 +166,7 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
     Each region's dJ/dP is the adjoint of its curve image against the pixel
     weight dJ/dU (`gradient.curve_gradient`).
     """
-    weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
+    weight = pixel_weight(evaluation.field, problem.target_values, problem.model, problem.grid)
     return [curve_gradient(curve_rule(s.region), *s.curve, s.orientation, problem.grid, weight)
             for s in evaluation.systems]
 
@@ -186,7 +201,10 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     from the base curve's table (`optics.moved_point_spectra`); any other
     bump, or every bump when the table exceeds FD_BYTES, takes the full
     kernel (`optics.point_spectra`). Every J is bit for bit the one
-    `evaluate` gives at the bumped controls.
+    `evaluate` gives at the bumped controls. Each bumped sample loop goes
+    through `check_loop` with its base loop's `clearance_radius`, so a
+    bump that bounds no region raises MeshError, as `evaluate` would, and a
+    bump within the radius runs no crossing test.
     """
     alone = [s.amplitude(problem.grid) for s in evaluation.systems]
     out = []
@@ -214,7 +232,10 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
     minus[k, c, k, c] -= 2 * step
     controls = np.stack([plus, minus], axis=2).reshape(-1, n, 2)  # bump (k, c, sign) at 4k + 2c + sign
     points, steps = rule.curve(controls)
-    signs = orientation(build_collocation(region) @ controls)
+    # each bumped loop must bound a region, as in `evaluate`; one within the
+    # base loop's clearance radius skips the crossing test
+    base_loop = system.samples
+    signs = np.sign(check_loop(build_collocation(region) @ controls, near=(base_loop, clearance_radius(base_loop))))
     groups: dict[tuple[int, int], list[int]] = {}
     for b, reach in enumerate(grid_reaches(grid, points)):
         groups.setdefault(pupil_node_counts(reach), []).append(b)
@@ -237,7 +258,7 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
                 spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
             fields = nodes.synthesize(boundary_spectrum(spectra, signs[members], nodes))
             field = AmplitudeField(_summed([*before, fields, *after], fields.shape))
-            j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
+            j[members] = objective_values(field.intensity_values, problem.target_values, problem.model, grid)
     return j.reshape(n, 2, 2)
 
 

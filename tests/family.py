@@ -118,9 +118,9 @@ def run_member(name: str, work: Path) -> dict:
     config.write_text(json.dumps(MEMBERS[name]))
     evaluate, calls = optimizer.evaluate, []
 
-    def counted(problem, regions):
+    def counted(problem, regions, near=None):
         calls.append(1)
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, near)
 
     optimizer.evaluate = counted
     try:

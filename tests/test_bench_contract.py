@@ -122,9 +122,9 @@ def test_no_trial_meshes_a_region(monkeypatch):
     state = OptimizationState(evaluate(problem, regions))
     trials, meshed = [], []
 
-    def counted_evaluate(problem, regions):
+    def counted_evaluate(problem, regions, near=None):
         trials.append(regions)
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, near)
 
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     monkeypatch.setattr(pipeline, "triangulate_region", lambda *args: meshed.append(args))

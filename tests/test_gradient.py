@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinemask.geometry import polygon_perimeter_points
@@ -353,6 +353,35 @@ def test_finite_differences_match_full_reimaging_bitwise_under_jitter(desk_squar
         assert g.tobytes() == w.tobytes()
 
 
+def test_finite_differences_run_no_crossing_test_on_bumps_within_the_clearance(desk_square, monkeypatch):
+    # every 1e-6 bump keeps its loop within the base loop's clearance radius
+    from splinemask import mesh
+
+    cfg, problem, region = desk_square
+    evaluation = evaluate(problem, two_regions(region))
+    want = finite_difference_gradient(problem, evaluation)
+
+    def no_test(points):
+        raise AssertionError("crossing test run")
+
+    monkeypatch.setattr(mesh, "polyline_self_intersects", no_test)
+    got = finite_difference_gradient(problem, evaluation)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("step", [0.6, 1.2])
+def test_finite_differences_refuse_a_bump_whose_loop_bounds_no_region(desk_square, step):
+    # a bump this long drags a control across the square, and its sample loop
+    # crosses itself: evaluate refuses that bump, and so does the twin
+    cfg, problem, region = desk_square
+    evaluation = evaluate(problem, [region])
+    with pytest.raises(MeshError):
+        full_difference_gradient(problem, evaluation, step=step)
+    with pytest.raises(MeshError):
+        finite_difference_gradient(problem, evaluation, step=step)
+
+
 def node_count_changes(problem, evaluation, step):
     """How many central-difference bumps of `step` move a curve's Gauss points to other pupil node counts."""
     changes = 0
@@ -420,7 +449,11 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
             try:
                 want = full_difference_gradient(problem, evaluation, step=step)
             except MeshError:
-                reject()  # a bump of this step folded a sample loop, which evaluate refuses
+                # a bump of this step folded a sample loop, which evaluate
+                # refuses, and so does the twin
+                with pytest.raises(MeshError):
+                    finite_difference_gradient(problem, evaluation, step=step)
+                continue
             got = finite_difference_gradient(problem, evaluation, step=step)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()

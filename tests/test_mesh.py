@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from splinemask import geometry
 from splinemask.geometry import (
+    loop_clearance,
     points_in_polygon,
     polygon_signed_area,
     polyline_self_intersects,
@@ -24,6 +25,7 @@ from splinemask.mesh import (
     TriangleTensor,
     assemble_tensor,
     check_loop,
+    clearance_radius,
     gauss_points,
     polygon_area,
     refine_mesh,
@@ -194,6 +196,113 @@ def test_check_loop_gives_a_verdict_at_any_scale_and_never_warns(loop, sign, exp
             finite = np.isfinite(polygon_signed_area(bowtie))
         with pytest.raises(SelfIntersectionError if finite else MeshError):
             check_loop(bowtie, min_area=min_area)
+
+
+def segment_distance(p, q, r, s):
+    """The distance between segments pq and rs: 0 when they cross, else the least distance from an end to the other."""
+    def side(a, b, c):
+        return np.sign((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+    if side(p, q, r) * side(p, q, s) < 0 and side(r, s, p) * side(r, s, q) < 0:
+        return 0.0
+
+    def to_segment(c, a, b):
+        t = np.clip(np.dot(c - a, b - a) / np.dot(b - a, b - a), 0.0, 1.0)
+        return np.hypot(*(a + t * (b - a) - c))
+
+    return min(to_segment(p, r, s), to_segment(q, r, s), to_segment(r, p, q), to_segment(s, p, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_loops())
+def test_loop_clearance_bounds_the_distance_between_non_adjacent_segments(loop):
+    m = len(loop)
+    ends = np.roll(loop, -1, axis=0)
+    distances = [segment_distance(loop[i], ends[i], loop[j], ends[j])
+                 for i in range(m) for j in range(i + 2, m) if (i, j) != (0, m - 1)]
+    c = loop_clearance(loop)
+    if m == 3:
+        assert c == np.inf
+    else:
+        assert c <= min(distances) + 1e-12
+        # a positive clearance proves the loop simple
+        assert c <= 0 or not polyline_self_intersects(loop)
+
+
+@st.composite
+def petal_loops(draw):
+    """A loop r = 1 + a cos(k theta) sampled at m = 4 k j angles: its k petals meet within 1 - a of the center.
+
+    1 - a runs from 1e-14 to about 0.3, so the loop's non-adjacent segments
+    come as near as a few float spacings of its largest coordinate, or keep
+    well apart.
+    """
+    k = draw(st.integers(2, 3))
+    m = 4 * k * draw(st.integers(1, 6))
+    a = 1.0 - 10.0 ** draw(st.floats(-14.0, -0.5))
+    theta = 2 * np.pi * np.arange(m) / m
+    radius = 1.0 + a * np.cos(k * theta)
+    return radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(star_loops(), petal_loops(), st.sampled_from([SKEW_BOWTIE, THIN_BOWTIE])),
+       st.floats(-150.0, 153.9), st.floats(0.0, 1.05), st.integers(0, 2**32 - 1),
+       st.sampled_from([SLIVER_AREA, 0.0]))
+@example(square_samples(8) - 0.5, 0.0, 0.999, 0, SLIVER_AREA)
+@example(square_samples(8) - 0.5, 0.0, 1.0, 0, SLIVER_AREA)
+def test_the_clearance_skip_never_changes_a_verdict(loop, exponent, reach, seed, min_area):
+    # every sample of the trial moves `reach` times the loop's clearance radius,
+    # from 0 to just past it, each its own way; a loop whose radius proves
+    # nothing moves up to a thousandth of its size. check_loop with the loop
+    # as `near` gives the trial the same area, or raises the same error, as
+    # check_loop alone
+    loop = loop * 10.0 ** exponent
+    radius = clearance_radius(loop)
+    step = radius if 0 < radius < np.inf else 1e-3 * np.abs(loop).max()
+    angle = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, len(loop))
+    trial = loop + reach * step * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+    def verdict(near):
+        try:
+            return check_loop(trial, min_area=min_area, near=near)
+        except MeshError as exc:
+            return type(exc)
+
+    assert verdict((loop, radius)) == verdict(None)
+
+
+def test_a_triangle_or_a_loop_of_no_clearance_runs_the_crossing_test(monkeypatch):
+    from splinemask import mesh
+
+    tested = []
+    crossing = mesh.polyline_self_intersects
+    monkeypatch.setattr(mesh, "polyline_self_intersects", lambda points: tested.append(1) or crossing(points))
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    square = square_samples(8)
+    for loop in (triangle, square, SKEW_BOWTIE):
+        radius = clearance_radius(loop)
+        tested.clear()
+        try:
+            check_loop(loop, near=(loop, radius))
+        except SelfIntersectionError:
+            pass
+        assert tested == ([] if loop is square else [1])
+    assert clearance_radius(triangle) == np.inf and clearance_radius(SKEW_BOWTIE) < 0 < clearance_radius(square)
+
+
+def test_check_loop_checks_each_loop_of_a_stack():
+    square = square_samples(8)
+    stack = np.stack([square, square[::-1], 2 * square])
+    np.testing.assert_array_equal(check_loop(stack), polygon_signed_area(stack))
+    near = (square, clearance_radius(square))
+    np.testing.assert_array_equal(check_loop(stack[:2], near=near), polygon_signed_area(stack[:2]))
+    folded = square.copy()
+    folded[[2, 5]] = folded[[5, 2]]
+    with pytest.raises(SelfIntersectionError):
+        check_loop(np.stack([square, folded]), near=near)
+    with pytest.raises(MeshError, match="no finite area above 1e-14: 1e-16"):
+        check_loop(np.stack([square, 1e-8 * square]), near=near)
 
 
 def test_a_loop_no_delaunay_triangles_tile_is_imaged_without_a_mesh():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinemask.geometry import polygon_signed_area
+from splinemask.geometry import polygon_signed_area, polyline_self_intersects
 from splinemask.mesh import MeshError, SelfIntersectionError
 from splinemask.optimizer import (
     FLOAT_SPACINGS,
@@ -405,11 +405,11 @@ def record_trial_steps(monkeypatch):
         ray["g"] = np.concatenate(grads)
         return grads
 
-    def recorded_evaluate(problem, regions):
+    def recorded_evaluate(problem, regions, near=None):
         moved = np.concatenate([r.controls for r in regions])
         g = ray["g"]
         alphas.append(float(np.sum((ray["controls"] - moved) * g) / np.sum(g * g)))
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, near)
 
     monkeypatch.setattr(optimizer, "gradient_of", recorded_gradient)
     monkeypatch.setattr(optimizer, "evaluate", recorded_evaluate)
@@ -486,9 +486,9 @@ def test_step_takes_a_lower_bracket_trial_over_golden_sections(monkeypatch):
     evaluated = record_trial_steps(monkeypatch)
     recorded, scores = optimizer.evaluate, []
 
-    def scored_evaluate(problem, regions):
+    def scored_evaluate(problem, regions, near=None):
         try:
-            evaluation = recorded(problem, regions)
+            evaluation = recorded(problem, regions, near)
         except MeshError:
             scores.append(math.inf)
             raise
@@ -516,8 +516,8 @@ def test_step_scores_a_trial_that_cannot_mesh_as_infeasible(monkeypatch):
     evaluated = record_trial_steps(monkeypatch)
     recorded = optimizer.evaluate
 
-    def bounds_only_short_steps(problem, regions):
-        evaluation = recorded(problem, regions)
+    def bounds_only_short_steps(problem, regions, near=None):
+        evaluation = recorded(problem, regions, near)
         if evaluated[-1] > limit:
             raise MeshError("stand-in for a trial loop that bounds no region")
         return evaluation
@@ -531,7 +531,10 @@ def test_step_scores_a_trial_that_cannot_mesh_as_infeasible(monkeypatch):
 
 
 def test_step_scores_a_crossing_trial_loop_as_infeasible(monkeypatch):
-    """A trial whose loop crosses itself, by the `mesh.polyline_self_intersects` test `evaluate` runs, scores +inf."""
+    """A trial whose loop crosses itself, by the `mesh.polyline_self_intersects` test `evaluate` runs, scores +inf.
+
+    The iterate's clearance is forced to 0, so that no trial skips the test.
+    """
     from splinemask import mesh
 
     cfg, problem = desk_square_problem()
@@ -539,12 +542,38 @@ def test_step_scores_a_crossing_trial_loop_as_infeasible(monkeypatch):
     _, free = step(state, problem, OptimizerConfig())
     limit = 0.5 * free
     evaluated = record_trial_steps(monkeypatch)
+    monkeypatch.setattr(mesh, "loop_clearance", lambda loop: 0.0)
     crossing = mesh.polyline_self_intersects
     monkeypatch.setattr(mesh, "polyline_self_intersects", lambda samples: evaluated[-1] > limit or crossing(samples))
     new_state, alpha = step(state, problem, OptimizerConfig())
     assert any(a > limit for a in evaluated)
     assert 0 < alpha <= limit
     assert new_state.objective < state.objective
+
+
+@pytest.mark.parametrize("member", ["desk", "full"])
+def test_every_trial_that_skips_the_crossing_test_is_simple(monkeypatch, member):
+    """Along the desk and the 100-step full-scale runs, the trials within their iterate's clearance radius are simple.
+
+    They skip the crossing test, and they are more than nine in ten of the
+    loops checked.
+    """
+    from splinemask import mesh, pipeline
+    from family import MEMBERS
+
+    skipped, tested = [], []
+    check = pipeline.check_loop
+
+    def recorded_check(samples, min_area=mesh.SLIVER_AREA, near=None):
+        kept = near is not None and mesh._kept_simple(samples, near)
+        (skipped if kept else tested).append(samples)
+        return check(samples, min_area, near)
+
+    monkeypatch.setattr(pipeline, "check_loop", recorded_check)
+    _, problem, regions, opt, _ = build_setup(parse_config(MEMBERS[member]))
+    optimize(regions, problem, opt)
+    assert not any(polyline_self_intersects(samples) for samples in skipped)
+    assert len(skipped) > 9 * len(tested)
 
 
 def test_step_builds_no_mesh(monkeypatch):
@@ -680,9 +709,9 @@ def evaluate_as_initial():
     """An `evaluate` whose every call returns the first call's evaluation: no trial scores below J."""
     first = []
 
-    def stand_in(problem, regions):
+    def stand_in(problem, regions, near=None):
         if not first:
-            first.append(evaluate(problem, regions))
+            first.append(evaluate(problem, regions, near))
         return first[0]
     return stand_in
 
@@ -733,9 +762,9 @@ def test_optimize_desk_trials_per_step(monkeypatch):
 
     calls = []
 
-    def counted_evaluate(problem, regions):
+    def counted_evaluate(problem, regions, near=None):
         calls.append(1)
-        return evaluate(problem, regions)
+        return evaluate(problem, regions, near)
 
     monkeypatch.setattr(optimizer, "evaluate", counted_evaluate)
     problem, regions, opt = desk_setup(max_iters=8)
