@@ -41,7 +41,8 @@ from .optimizer import (
     step,
 )
 from .gradient import amplitude_gradient, area_gradient, sensitivity
-from .pipeline import ImagingProblem, MaskEvaluation, evaluate, evaluate_frozen, gradient_of
-from .spline import PeriodicSplineRegion, build_collocation, evaluate_curve, periodic_basis, sample_boundary
+from .pipeline import ImagingProblem, MaskEvaluation, evaluate, evaluate_frozen, frozen_gradient_of, gradient_of
+from .spline import (PeriodicSplineRegion, build_collocation, evaluate_curve, periodic_basis, periodic_basis_slope,
+                     sample_boundary)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 
 # Edge-point pairs per block of points_in_polygon.
-POINT_BLOCK = 2**16
+PAIR_BLOCK = 2**16
 
 
 def polygon_signed_area(points: np.ndarray) -> float | np.ndarray:
@@ -40,7 +40,7 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: np.ndarray) -> np
     A point is inside when a ray from it toward +x crosses an odd number of
     edges. Points exactly on a horizontal edge follow the half-open crossing
     rule; results on the boundary are convention-dependent, as usual for
-    rasterizers. The edges are tested against POINT_BLOCK / m points at a
+    rasterizers. The edges are tested against PAIR_BLOCK / m points at a
     time, so the work arrays stay small for any polygon and grid.
     """
     px = np.asarray(px, dtype=float)
@@ -50,7 +50,7 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, polygon: np.ndarray) -> np
     x1, y1, x2, y2 = poly[:, 0, None], poly[:, 1, None], nxt[:, 0, None], nxt[:, 1, None]
     qx, qy = px.ravel(), py.ravel()
     inside = np.empty(qx.shape, dtype=bool)
-    step = max(1, POINT_BLOCK // max(1, len(poly)))
+    step = max(1, PAIR_BLOCK // max(1, len(poly)))
     for start in range(0, len(qx), step):
         bx, by = qx[start:start + step], qy[start:start + step]
         crosses = ((y1 <= by) & (by < y2)) | ((y2 <= by) & (by < y1))  # (m, points)
@@ -96,8 +96,7 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
     # orient the start and end of segment j against segment i, so segment j's
     # orientations against segment i are the transposes. The end of segment j
     # is the start of segment j + 1, so o2 is o1 with its columns taken in
-    # successor order, by a cached index: the two np.roll calls it replaces took
-    # about a quarter of a desk-sized call
+    # successor order, by a cached index
     successor = _successor(m)
     a, b = pts, pts[successor]
     o1 = orient(a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None], a[:, 0], a[:, 1])

@@ -30,8 +30,9 @@ SLIVER_AREA = 1e-14
 # test's orientations can take the wrong sign.
 CLEARANCE_MARGIN = 2.0**-40
 # The most provenance entries, vertices x boundary samples, a region's mesh may
-# hold (8 MiB of float64): refinement stops short of it, and a config whose
-# num_samples squared or refined initial mesh passes it is rejected.
+# hold (8 MiB of float64): refinement stops short of it, and `cli` rejects a
+# region whose num_samples squared, or whose 3 SPAN_POINTS n^2 gradient
+# coefficient rows for n controls, pass it.
 MAX_PROVENANCE_SIZE = 2**20
 
 

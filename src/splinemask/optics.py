@@ -66,22 +66,6 @@ SMALL_RHO = 1e-6
 # 3 x POINT_BLOCK x K reals, whatever the number of points.
 POINT_BLOCK = 512
 
-# Bytes of the work arrays of `pipeline.finite_difference_gradient`. A chunk
-# holds the most bumps whose synthesis product, 16 nx K bytes a bump, fits,
-# and at least one; the base curve's phasor table, 24 Q K bytes, is kept only
-# when it fits. On the benchmark's twin (nx 48, K 179, Q 80) this budget
-# takes 7 bumps a chunk. A gradcheck process runs the differences once, and
-# there, at one BLAS thread, they took a median 19 ms at this budget, 20 ms
-# at half of it, and 30 to 32 ms at two to eight times it, where each run
-# page-faulted 2,900 to 5,800 times against 640 here: larger chunks need
-# fresh pages that malloc then returns and asks for again. At MAX_GRID_SIDE
-# and MAX_REACH one bump's product is 16 x 1024 x 35,991 bytes, 590 MB, so
-# each chunk holds one bump, and no table fits (13 MB already at the fewest
-# Gauss points, 15): every bump takes the full kernel, whose work array of at
-# most 442 MB (POINT_BLOCK) is freed before the synthesis. The peak is then
-# one bump's 590 MB product, as before the bumps were chunked.
-FD_BYTES = 2**20
-
 # The pupil rule at reach D (`pupil_node_counts`, `pupil_nodes`): past pi D / 2
 # rings, RADIAL_LAYER (pi D)^(1/3) + RADIAL_MARGIN more, and at least
 # MIN_RINGS; on a ring of reach rho, past pi rho nodes, RING_LAYER
@@ -359,35 +343,20 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
 class NodeTable:
     """Pupil nodes of one node count on one image grid, with the grid-side exponentials.
 
-    `freqs` holds the node frequencies f_k as rows fx, fy, (2, K). `wex` is
-    w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the grid center;
-    `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (2K, ny) C-ordered,
-    with the real part of node k in row 2k and its imaginary part in row
-    2k + 1, the layout that the synthesis product reads. All three are
-    read-only, and `node_table` keeps one table per grid and node count, so
-    that its node constants `k` and `edge_factor` are formed once.
+    `k` holds the node wave vectors k = 2 pi f_k as rows k_x, k_y, (2, K),
+    and `edge_factor` i / |k|^2, (K,) complex, the factor of a boundary
+    integral's spectrum (`curve_spectrum`); every pupil node has |f| > 0.
+    `wex` is w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the
+    grid center; `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (2K, ny)
+    C-ordered, with the real part of node k in row 2k and its imaginary part
+    in row 2k + 1, the layout that the synthesis product reads. All four are
+    read-only, and `node_table_at` keeps one table per grid and node count.
     """
 
-    freqs: np.ndarray
+    k: np.ndarray
+    edge_factor: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """The node wave vectors k = 2 pi f as rows k_x, k_y, (2, K), read-only."""
-        k = 2.0 * np.pi * self.freqs
-        k.setflags(write=False)
-        return k
-
-    @cached_property
-    def edge_factor(self) -> np.ndarray:
-        """i / |k|^2, (K,) complex, read-only: the factor of a boundary integral's spectrum (`curve_spectrum`).
-
-        Every pupil node has |f| > 0.
-        """
-        factor = 1j / (self.k * self.k).sum(axis=0)
-        factor.setflags(write=False)
-        return factor
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
         """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
@@ -447,7 +416,7 @@ def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
 
 @lru_cache(maxsize=GRID_TABLES)
 def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
-    """The NodeTable of `grid` at these node counts: `freqs` (2, K), `wex` (nx, K) and `ey` (2K, ny), read-only.
+    """The NodeTable of `grid` at these node counts: `k` (2, K), `edge_factor` (K,), `wex` (nx, K) and `ey` (2K, ny), read-only.
 
     Each grid line's exponentials are the point spectrum of one point, with
     coefficient 1 on its own row: exp(i k_x (x_i - c_x)) of the point
@@ -457,15 +426,16 @@ def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     """
     freqs, weights = pupil_nodes(n_r, n_theta)
     k = 2.0 * np.pi * freqs
+    edge_factor = 1j / (k * k).sum(axis=0)
     center = grid.center
     zeros_x, zeros_y = np.zeros(grid.nx), np.zeros(grid.ny)
     columns = np.stack([center[0] - grid.xs, zeros_x], axis=1)
     rows = np.stack([zeros_y, grid.ys - center[1]], axis=1)
     wex = weights * point_spectra(columns, np.eye(grid.nx), k)
     ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
-    for table in (wex, ey):
+    for table in (k, edge_factor, wex, ey):
         table.setflags(write=False)
-    return NodeTable(freqs, wex, ey)
+    return NodeTable(k, edge_factor, wex, ey)
 
 
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
@@ -570,7 +540,7 @@ def boundary_spectrum(spectra: np.ndarray, sign, nodes: NodeTable) -> np.ndarray
 
 
 def curve_spectrum(points: np.ndarray, steps: np.ndarray, sign: float, nodes: NodeTable) -> np.ndarray:
-    """S_k = int_R exp(-2 pi i f_k . x) dx for the region R a closed curve bounds, at the nodes' `freqs`, (K,) complex.
+    """S_k = int_R exp(-2 pi i f_k . x) dx for the region R a closed curve bounds, at the nodes' frequencies, (K,) complex.
 
     With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
     31(1), 1983; Wuttke, arXiv:1703.00255),

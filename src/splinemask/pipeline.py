@@ -33,10 +33,26 @@ from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_radius, refine_mesh, triangulate_region
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
-from .optics import (FD_BYTES, AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
+from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
                      grid_reaches, moved_point_spectra, node_counts, node_table_at, orientation, phasors,
                      point_spectra, pupil_node_counts)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
+
+# Bytes of the work arrays of `finite_difference_gradient`. A chunk holds the
+# most bumps whose synthesis product, 16 nx K bytes a bump, fits, and at least
+# one; the base curve's phasor table, 24 Q K bytes, is kept only when it fits.
+# On the benchmark's twin (nx 48, K 179, Q 80) this budget takes 7 bumps a
+# chunk. A gradcheck process runs the differences once, and there, at one BLAS
+# thread, they took a median 19 ms at this budget, 20 ms at half of it, and 30
+# to 32 ms at two to eight times it, where each run page-faulted 2,900 to 5,800
+# times against 640 here: larger chunks need fresh pages that malloc then
+# returns and asks for again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` one
+# bump's product is 16 x 1024 x 35,991 bytes, 590 MB, so each chunk holds one
+# bump, and no table fits (13 MB already at the fewest Gauss points, 15): every
+# bump takes the full kernel, whose work array of at most 442 MB
+# (`optics.POINT_BLOCK`) is freed before the synthesis. The peak is then one
+# bump's 590 MB product.
+FD_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -90,8 +106,10 @@ class RegionSystem:
 class ImagingProblem:
     """Static problem data in normalized coordinates.
 
-    `quad` and `refine_max_area` are the quadrature rule and largest triangle
-    area of the library's mesh image; the chain's curve image needs neither.
+    `target` is kept as a read-only float raster, made once: the objective
+    subtracts it from every image. `quad` and `refine_max_area` are the
+    quadrature rule and largest triangle area of the library's mesh image;
+    the chain's curve image needs neither.
     """
 
     grid: ImageGrid
@@ -100,12 +118,10 @@ class ImagingProblem:
     quad: TriangleQuadrature
     refine_max_area: float
 
-    @cached_property
-    def target_values(self) -> np.ndarray:
-        """The target raster as floats, read-only, made once: the objective subtracts it from every image."""
-        values = np.array(self.target, dtype=float)
-        values.setflags(write=False)
-        return values
+    def __post_init__(self):
+        target = np.array(self.target, dtype=float)
+        target.setflags(write=False)
+        object.__setattr__(self, "target", target)
 
 
 @dataclass(frozen=True)
@@ -133,7 +149,7 @@ def _summed(fields: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
-    j = objective_value(field.intensity_values, problem.target_values, problem.model, problem.grid)
+    j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
 
 
@@ -166,7 +182,7 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
     Each region's dJ/dP is the adjoint of its curve image against the pixel
     weight dJ/dU (`gradient.curve_gradient`).
     """
-    weight = pixel_weight(evaluation.field, problem.target_values, problem.model, problem.grid)
+    weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
     return [curve_gradient(curve_rule(s.region), *s.curve, s.orientation, problem.grid, weight)
             for s in evaluation.systems]
 
@@ -258,7 +274,7 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
                 spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
             fields = nodes.synthesize(boundary_spectrum(spectra, signs[members], nodes))
             field = AmplitudeField(_summed([*before, fields, *after], fields.shape))
-            j[members] = objective_values(field.intensity_values, problem.target_values, problem.model, grid)
+            j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
     return j.reshape(n, 2, 2)
 
 

@@ -14,9 +14,9 @@ import numpy as np
 from scipy.special import roots_legendre
 
 
-def collapsed_gauss_spectrum(vertices: np.ndarray, triangles: np.ndarray, freqs: np.ndarray,
+def collapsed_gauss_spectrum(vertices: np.ndarray, triangles: np.ndarray, k: np.ndarray,
                              order: int = 30) -> np.ndarray:
-    """sum_t int_t exp(-2 pi i f_k . x) dx by an order x order collapsed Gauss rule per triangle, (K,).
+    """sum_t int_t exp(-i k . x) dx at the wave vectors k (2, K) by an order x order collapsed Gauss rule per triangle, (K,).
 
     Triangle (a, b, c) is the image of the unit square under
     x = a + u ((1 - v)(b - a) + v (c - a)), with Jacobian 2 |A| u.
@@ -25,17 +25,17 @@ def collapsed_gauss_spectrum(vertices: np.ndarray, triangles: np.ndarray, freqs:
     t, w = 0.5 * (t + 1.0), 0.5 * w
     u, v = (x.ravel() for x in np.meshgrid(t, t, indexing="ij"))
     weights = np.outer(w, w).ravel() * u
-    out = np.zeros(freqs.shape[1], dtype=complex)
+    out = np.zeros(k.shape[1], dtype=complex)
     for a, b, c in vertices[triangles]:
         ab, ac = b - a, c - a
         twice_area = abs(ab[0] * ac[1] - ab[1] * ac[0])
         points = a + u[:, None] * ((1.0 - v)[:, None] * ab + v[:, None] * ac)
-        out += (twice_area * weights) @ np.exp(-2j * np.pi * (points @ freqs))
+        out += (twice_area * weights) @ np.exp(-1j * (points @ k))
     return out
 
 
 def polygon_spectrum(loop: np.ndarray, nodes, sign: float | None = None) -> np.ndarray:
-    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at the nodes' `freqs`, (K,) complex.
+    """S_k = int_P exp(-2 pi i f_k . x) dx for the simple polygon `loop` (m, 2) at the nodes' wave vectors `k`, (K,) complex.
 
     With k = 2 pi f, by the divergence theorem (Lee and Mittra, IEEE TAP
     31(1), 1983; Wuttke, arXiv:1703.00255),
@@ -49,7 +49,7 @@ def polygon_spectrum(loop: np.ndarray, nodes, sign: float | None = None) -> np.n
     d = b - loop
     if sign is None:
         sign = np.sign(np.sum(loop[:, 0] * b[:, 1] - b[:, 0] * loop[:, 1]))
-    k = 2.0 * np.pi * nodes.freqs
+    k = nodes.k
     cross = d[:, 1, None] * k[0] - d[:, 0, None] * k[1]
     terms = cross * np.sinc((d @ k) / (2.0 * np.pi)) * np.exp(-0.5j * ((loop + b) @ k))
     return sign * 1j / (k * k).sum(axis=0) * terms.sum(axis=0)

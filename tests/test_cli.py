@@ -122,6 +122,8 @@ def test_setup_checks_each_target_polygon_once(tmp_path, monkeypatch):
     _, problem, _, _, _ = build_setup(load_config(write_config(tmp_path, desk_config())))
     assert len(calls) == 1
     assert problem.target.sum() == 100  # the 200 nm square covers 10 x 10 pixels
+    # the problem keeps one target, a read-only float raster
+    assert problem.target.dtype == float and not problem.target.flags.writeable
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Tooling: static checks on the imports of the modules under tests/ and src/splinemask/.
 
 No module imports a name it never reads; the package `__init__.py` is
-skipped, as its imports are the public re-exports. And no package module
-imports scipy when it is loaded: the CLI runs on numpy alone, and scipy is
-imported inside the library functions that need it.
+skipped, as its imports are the public re-exports. No package module defines
+a function or class at module level that nothing in the package reads, the
+re-exports counting as reads, so package code whose last caller goes fails
+here. And no package module imports scipy when it is loaded: the CLI runs on
+numpy alone, and scipy is imported inside the library functions that need
+it.
 """
 import ast
 from pathlib import Path
@@ -39,6 +42,44 @@ def test_unused_imports_finds_planted_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each module-level function and class of a package that the package never reads.
+
+    `sources` maps each module name, `__init__` among them, to its source. A
+    name is read where its own module loads it, where another module imports
+    it from that module (which `test_no_unused_imports` makes a read), or as
+    an attribute of that module's name.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    return sorted(
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (module, node.name) not in read
+    )
+
+
+def test_orphans_finds_planted_definitions():
+    sources = {
+        "__init__": "from .shapes import Square\n",
+        "shapes": "class Square:\n    pass\nclass Circle:\n    pass\ndef area(s):\n    return s * s\n"
+                  "def unused():\n    return area(2)\n",
+        "draw": "from . import shapes\nfrom .shapes import area\ndef plot():\n    return shapes.Circle, area\n",
+    }
+    assert orphans(sources) == ["draw.plot", "shapes.unused"]
+
+
+def test_no_orphan_definitions_in_the_package():
+    assert orphans({path.stem: path.read_text() for path in PACKAGE}) == []
 
 
 def load_time_imports(source: str) -> set[str]:

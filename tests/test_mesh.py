@@ -647,8 +647,8 @@ def test_polyline_self_intersects_matches_the_pairwise_reference_on_drawn_loops(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(lattice_points, max_size=14), st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
-       st.integers(0, 2**32 - 1), st.sampled_from([1, 7, geometry.POINT_BLOCK]))
-@example([(0, 0), (2, 0), (2, 2), (0, 2)], 1.0, 0, geometry.POINT_BLOCK)  # queries on edges and corners
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 7, geometry.PAIR_BLOCK]))
+@example([(0, 0), (2, 0), (2, 2), (0, 2)], 1.0, 0, geometry.PAIR_BLOCK)  # queries on edges and corners
 def test_points_in_polygon_matches_loop_reference(points, scale, seed, block):
     # lattice loops and half-lattice queries put points on vertices, on
     # horizontal edges and on the crossing rays; a small block budget splits
@@ -658,7 +658,7 @@ def test_points_in_polygon_matches_loop_reference(points, scale, seed, block):
     px = np.concatenate([rng.integers(-8, 9, 40) / 2.0, rng.uniform(-4, 4, 40)]) * scale
     py = np.concatenate([rng.integers(-8, 9, 40) / 2.0, rng.uniform(-4, 4, 40)]) * scale
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "POINT_BLOCK", block)
+        patch.setattr(geometry, "PAIR_BLOCK", block)
         got = points_in_polygon(px.reshape(8, 10), py.reshape(8, 10), poly)
     assert got.shape == (8, 10)
     assert np.array_equal(got, loop_points_in_polygon(px, py, poly).reshape(8, 10))

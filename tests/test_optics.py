@@ -386,7 +386,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_the_unrefined_mesh(n
     problem, system, nodes = initial_square(name)
     vertices = system.mesh.vertices - problem.grid.center
     loop = vertices[:len(system.samples)]
-    gauss = collapsed_gauss_spectrum(vertices, triangulate_region(system.samples).triangles, nodes.freqs)
+    gauss = collapsed_gauss_spectrum(vertices, triangulate_region(system.samples).triangles, nodes.k)
     for exact in (polygon_spectrum(loop, nodes), polygon_spectrum(loop[::-1], nodes)):
         assert np.abs(exact - gauss).max() <= 1e-13 * polygon_area(system.mesh)
 
@@ -504,7 +504,7 @@ def test_polygon_spectrum_matches_a_collapsed_gauss_rule_on_drawn_loops(kind, le
     assume(fat_fan(loop, apex))
     m = len(loop)
     fan = np.stack([np.full(m, m), np.arange(m), (np.arange(m) + 1) % m], axis=1)
-    gauss = collapsed_gauss_spectrum(np.vstack([loop, apex]), fan, nodes.freqs, order=24)
+    gauss = collapsed_gauss_spectrum(np.vstack([loop, apex]), fan, nodes.k, order=24)
     exact = polygon_spectrum(loop, nodes)
     assert np.abs(exact - gauss).max() <= DRAWN_LOOP_RTOL * np.abs(gauss).max()
 
@@ -600,7 +600,7 @@ def test_node_table_adjoint_is_the_transpose_of_synthesis(seed, nx, ny, reach):
     rng = np.random.default_rng(seed)
     grid = ImageGrid(nx, ny, 0.1, (-0.3, 0.2))
     nodes = optics.node_table_at(grid, *optics.pupil_node_counts(reach))
-    k = nodes.freqs.shape[1]
+    k = nodes.k.shape[1]
     spectrum = rng.normal(size=k) + 1j * rng.normal(size=k)
     weight = rng.normal(size=(nx, ny))
     got = np.real(nodes.adjoint(weight) @ spectrum)
@@ -759,7 +759,7 @@ def assert_spectra_match_point_oracle(mesh, quad, grid, coef, slot_coef):
     slot_at_points = np.einsum("...jt,jq->...tq", slot_coef, quad.weights * quad.barycentric)
     for point_coef in (at_points, slot_at_points.reshape(*slot_coef.shape[:-2], -1)):
         got = optics.point_spectra(points, point_coef, nodes.k)
-        want = point_spectrum(points, nodes.freqs, point_coef)
+        want = point_spectrum(points, nodes.k, point_coef)
         scale = np.abs(want).max(axis=-1, keepdims=True)
         assert (np.abs(got - want) <= 1e-14 * scale).all()
 
@@ -844,7 +844,7 @@ def test_synthesis_of_a_strided_view_matches_its_contiguous_copy():
     cfg, problem = desk_square_problem(**SQUARES["full"][0])
     nodes = optics.node_table_at(problem.grid, *optics.pupil_node_counts(2.0))
     rng = np.random.default_rng(4)
-    k = nodes.freqs.shape[1]
+    k = nodes.k.shape[1]
     view = (rng.normal(size=(40, 2, k)) + 1j * rng.normal(size=(40, 2, k))).swapaxes(0, 1)
     copy = np.ascontiguousarray(view)
     assert not view.flags.c_contiguous
@@ -861,7 +861,8 @@ def test_node_and_grid_tables_are_cached_read_only(desk_square):
     n_r, n_theta = optics.pupil_node_counts(1.0)
     nodes = optics.node_table_at(problem.grid, n_r, n_theta)
     assert optics.node_table_at(problem.grid, n_r, n_theta) is nodes
-    tables = [nodes.freqs, nodes.wex, nodes.ey, mesh_nodes.freqs, mesh_nodes.wex, mesh_nodes.ey,
+    tables = [nodes.k, nodes.edge_factor, nodes.wex, nodes.ey,
+              mesh_nodes.k, mesh_nodes.edge_factor, mesh_nodes.wex, mesh_nodes.ey,
               *pupil_nodes(n_r, n_theta)]
     for table in tables:
         assert not table.flags.writeable
