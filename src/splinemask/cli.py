@@ -135,15 +135,13 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
     Its sample loop must bound a region, as `evaluate` checks it: a loop that
     crosses itself or encloses no area is blamed on `controls_nm`, or on the
     region when it was placed on a target. Its work must stay within
-    MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test and
-    the 3 SPAN_POINTS n x n coefficient rows of the curve gradient on its
-    curve rule, both checked before the region is built. Its m x n
-    collocation matrix is then smaller than both. These bound the arrays
-    whose size follows from the region alone. The curve gradient's
-    (n, 3, K) point spectra also grow with the pupil node count K, and take
-    more bytes than its coefficient rows whenever K > 5n / 2 (at desk, 5,688
-    complex values against 2,160 reals); K is bounded through MAX_REACH,
-    which `_check_reach` checks.
+    MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test, and
+    3 SPAN_POINTS n x n for n controls, which bounds the curve rule's two
+    (SPAN_POINTS n, n) tables and, within a factor 16 / 3, the Gauss points
+    and steps of the 4n bumped curves of its finite differences; both are
+    checked before the region is built. Its m x n collocation matrix is then
+    smaller than both. These bound the arrays whose size follows from the
+    region alone.
     """
     raw = _object(raw, where, REGION_KEYS)
     if "num_samples" not in raw:
@@ -159,8 +157,8 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
     count = len(raw["controls_nm"]) if source is None else raw.get("num_controls", 0)
     if count > 0 and 3 * SPAN_POINTS * count * count > MAX_PROVENANCE_SIZE:
         raise ConfigError(f"{where}.{count_key}", f"{count} controls squared times 3 SPAN_POINTS = "
-                          f"{3 * SPAN_POINTS} is more than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE} "
-                          "gradient coefficients")
+                          f"{3 * SPAN_POINTS} is more than MAX_PROVENANCE_SIZE = {MAX_PROVENANCE_SIZE}, "
+                          "which bounds its curve rule and its finite differences' bumped curves")
     shape = {key: raw[key] for key in ("num_samples", "degree") if key in raw}
     keys = {"num_samples": "num_samples", "degree": "degree"}
     if source is None:

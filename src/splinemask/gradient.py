@@ -3,11 +3,12 @@
 The chain images each region's spline curve through its Gauss points r_q
 and steps dr_q = w_q r'_q (`optics.curve_spectrum`), and takes J's gradient
 as an adjoint (`curve_gradient`). With the pixel weight W = dJ/dU, J moves
-as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`. The points and the
-steps are linear in the controls through the rule's basis values and
-slopes, so dS/dP is a set of point spectra with per-control coefficient
-rows, which `optics.point_spectra` forms in one call; the pairing with L
-then gives dJ/dP. No derivative field is synthesized.
+as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`. In reverse mode the
+adjoint is paired with the phasors first: one `optics.point_spectra` call,
+with the pupil nodes as its points and the Gauss points as its wave
+vectors, gives dJ/dr_q and dJ/d(dr_q) at every Gauss point, and the rule's
+basis values and slopes, in which the points and steps are linear, carry
+them to dJ/dP. No derivative spectrum or field is formed.
 
 The library's mesh image has the fields dU/dP themselves
 (`amplitude_gradient`). For fixed mesh topology every vertex is linear in
@@ -104,27 +105,22 @@ def curve_gradient(rule: CurveRule, points: np.ndarray, steps: np.ndarray, sign:
     The curve is imaged as `optics.curve_amplitude` images it: on the node
     table of its Gauss points r_q = N_q P (`points`, (Q, 2)), with steps
     dr_q = w_q N'_q P (`steps`, rows dx and dy), spectrum
-    S = F (k_x A_y - k_y A_x) for F = sign i / |k|^2 and
-    A = sum_q dr_q exp(-i k . g_q), g = r - center. Control j moves
-    the steps of its own axis by w_q N'_qj and every point along that axis by
-    N_qj, which turns each phasor by -i k_axis. With the point spectra
-    C_j of w_q N'_qj and B_j of N_qj dr_q (two rows, one per axis), and k
-    turned a quarter on, v = (-k_y, k_x),
-    dS/dP_ja = F (v_a C_j - i k_a (v . B_j)). So with z = F L for L the
-    adjoint of the weight, dJ/dP_ja = Re sum_k L_k dS_k is
-    Re sum_k (C_jk v_a z_k - i sum_b B_jbk v_b k_a z_k): the three
-    coefficient rows per control are one `point_spectra` call, paired with
-    the (3, K) node factors of each axis in one matrix product.
+    S = F sum_q E_qk (v . dr_q) for F = sign i / |k|^2, E_qk = exp(-i k . g_q),
+    g = r - center and k turned a quarter on, v = (-k_y, k_x). With z = F L
+    for L the adjoint of the weight, in reverse mode (Griewank and Walther,
+    Evaluating Derivatives, 2nd ed., ch. 3) dJ/d(dr_qa) = Re sum_k E_qk z v_a
+    and dJ/dg_qa = sum_b dr_qb Re sum_k E_qk z v_b (-i k_a). These six node
+    sums per point are one `point_spectra` call with the nodes as its points
+    and the Gauss points as its wave vectors, on the real and imaginary parts
+    of the node factors as coefficient rows. Then
+    dJ/dP = N^T dJ/dg + N'^T (w dJ/d(dr)).
     """
     nodes = node_table(grid, points)
-    basis = rule.basis.T  # (n, Q)
-    coef = np.empty((len(basis), 3, basis.shape[1]))
-    np.multiply(rule.slope.T, rule.weights, out=coef[:, 0])
-    np.multiply(basis, steps[0], out=coef[:, 1])
-    np.multiply(basis, steps[1], out=coef[:, 2])
-    spectra = point_spectra(points - grid.center, coef, nodes.k)  # (n, 3, K)
     kx, ky = nodes.k
     turned = np.stack([-ky, kx])
     factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
     factors *= sign * nodes.edge_factor * nodes.adjoint(weight)
-    return np.real(spectra.reshape(len(coef), -1) @ factors.transpose(0, 2, 1).reshape(-1, 2))
+    sums = point_spectra(nodes.k.T, np.stack([factors.real, factors.imag]), (points - grid.center).T)
+    sums = sums[0].real - sums[1].imag  # (3, axis, Q): dJ/d(dr), then dJ/dg's factors of dx and of dy
+    moved = steps[0] * sums[1] + steps[1] * sums[2]  # dJ/dg (axis, Q)
+    return rule.basis.T @ moved.T + rule.slope.T @ (rule.weights * sums[0]).T

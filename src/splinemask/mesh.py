@@ -31,8 +31,8 @@ SLIVER_AREA = 1e-14
 CLEARANCE_MARGIN = 2.0**-40
 # The most provenance entries, vertices x boundary samples, a region's mesh may
 # hold (8 MiB of float64): refinement stops short of it, and `cli` rejects a
-# region whose num_samples squared, or whose 3 SPAN_POINTS n^2 gradient
-# coefficient rows for n controls, pass it.
+# region whose num_samples squared, or 3 SPAN_POINTS n^2 for n controls (the
+# curve rule's tables and the twin's bumped curves), passes it.
 MAX_PROVENANCE_SIZE = 2**20
 
 

@@ -8,14 +8,16 @@ same sums as integrals over the pupil disk; these are the plain forms. So is
 point and pupil node, which the package forms from half-angle tangents
 (`optics.point_spectra`), and `direct_curve_amplitude`, the image of a region
 as a sum over the Gauss points of its boundary curve, one Bessel evaluation
-per image sample and point.
+per image sample and point. `forward_curve_gradient` is the curve gradient in
+forward mode, through the derivative spectra of every control, which the
+package's reverse-mode `gradient.curve_gradient` replaces.
 """
 import numpy as np
 from scipy.special import j0, j1
 
 from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
-from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel
+from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel, node_table, point_spectra
 
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
@@ -150,3 +152,29 @@ def direct_curve_amplitude(points, steps, sign, grid) -> np.ndarray:
         factor[small] = 0.5 * np.pi * (1.0 - z[small] ** 2 / 16.0)
         u[start:stop] = (factor * yx) @ dy - (factor * yy) @ dx
     return sign * u.reshape(grid.nx, grid.ny)
+
+
+def forward_curve_gradient(rule, points, steps, sign, grid, weight) -> np.ndarray:
+    """dJ/dP (n, 2) of one region's curve image, as `gradient.curve_gradient` takes it, in forward mode.
+
+    With S = F (k_x A_y - k_y A_x), F = sign i / |k|^2 and
+    A = sum_q dr_q exp(-i k . g_q), g = r - center, control j moves the
+    steps of its own axis by w_q N'_qj and every point along that axis by
+    N_qj, which turns each phasor by -i k_axis. With the point spectra C_j
+    of w_q N'_qj and B_j of N_qj dr_q (two rows, one per axis), and
+    v = (-k_y, k_x), dS/dP_ja = F (v_a C_j - i k_a (v . B_j)): three
+    coefficient rows per control and (n, 3, K) derivative spectra, each
+    paired with the adjoint L of the weight, dJ/dP_ja = Re sum_k L_k dS_k.
+    """
+    nodes = node_table(grid, points)
+    basis = rule.basis.T  # (n, Q)
+    coef = np.empty((len(basis), 3, basis.shape[1]))
+    np.multiply(rule.slope.T, rule.weights, out=coef[:, 0])
+    np.multiply(basis, steps[0], out=coef[:, 1])
+    np.multiply(basis, steps[1], out=coef[:, 2])
+    spectra = point_spectra(points - grid.center, coef, nodes.k)  # (n, 3, K)
+    kx, ky = nodes.k
+    turned = np.stack([-ky, kx])
+    factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
+    factors *= sign * nodes.edge_factor * nodes.adjoint(weight)
+    return np.real(spectra.reshape(len(coef), -1) @ factors.transpose(0, 2, 1).reshape(-1, 2))

@@ -47,7 +47,8 @@ PENTAGRAM = [[0.0, 100.0], [-58.8, -80.9], [95.1, 30.9], [-95.1, 30.9], [58.8, -
 HUGE_SQUARE = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
 # the fewest samples whose m x m provenance passes the bound
 TOO_MANY_SAMPLES = math.isqrt(MAX_PROVENANCE_SIZE) + 1
-# the fewest controls whose gradient coefficient rows, 3 SPAN_POINTS n x n, pass it
+# the fewest controls whose 3 SPAN_POINTS n x n, the bound of the curve rule and the
+# twin's bumped curves, passes it
 TOO_MANY_CONTROLS = math.isqrt(MAX_PROVENANCE_SIZE // (3 * SPAN_POINTS)) + 1
 # a grid side far past the bound
 LONG_SIDE = 2**20
@@ -199,7 +200,7 @@ def test_grid_without_targets_needs_its_size(grid, field):
 @pytest.mark.parametrize("base, path, value, most", [
     # its crossing tests alone would take about 15 GB
     pytest.param(explicit_config, "regions[0].num_samples", 20000, 0.125, id="regions[0].num_samples-20000-0.125"),
-    # the gradient's coefficient rows, 3 SPAN_POINTS n x n, would pass the bound
+    # 3 SPAN_POINTS n x n, the curve rule's and the twin's bumped curves' bound, would pass it
     pytest.param(explicit_config, "regions[0].controls_nm",
                  polygon_perimeter_points(np.array(SQUARE), TOO_MANY_CONTROLS).tolist(), 0.125,
                  id="regions[0].controls_nm-listed-0.125"),
@@ -254,7 +255,7 @@ def traced_peak(doc) -> int:
 
 def test_collocation_size_is_bounded_before_it_is_allocated():
     # one control past the bound is refused before its curve rule or the
-    # gradient's coefficient rows exist, placed on a target or listed; at the
+    # twin's bumped curves exist, placed on a target or listed; at the
     # bound the desk region parses
     doc = desk_config()
     placed = replaced(doc, "regions[0].num_controls", TOO_MANY_CONTROLS)

@@ -30,7 +30,7 @@ from splinemask.pipeline import (
 )
 from splinemask.spline import PeriodicSplineRegion, build_collocation, curve_rule
 
-from direct_sum import airy_kernel_radial_derivative
+from direct_sum import airy_kernel_radial_derivative, forward_curve_gradient
 
 QUAD = TriangleQuadrature.degree3()
 
@@ -520,6 +520,32 @@ def test_curve_gradient_matches_central_differences_of_the_spectrum_pairing(desk
         want[i, c] = (value(bumped[0]) - value(bumped[1])) / (2 * step)
     got = gradient.curve_gradient(rule, *system.curve, system.orientation, grid, weight)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_curve_gradient_matches_the_forward_derivative_spectra(data):
+    # a jittered ring of controls of degree 1-5 on a grid of drawn size,
+    # pitch and origin, in normalized units; the reverse-mode gradient
+    # against the forward form's (n, 3, K) derivative spectra
+    degree = data.draw(st.integers(1, 5), label="degree")
+    n = data.draw(st.integers(degree + 2, 24), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    nx, ny = data.draw(st.integers(2, 24), label="nx"), data.draw(st.integers(2, 24), label="ny")
+    pitch = data.draw(st.floats(0.01, 0.2), label="pitch")
+    offset = data.draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), label="origin offset")
+    sign = data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+    rng = np.random.default_rng(seed)
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    radius = rng.uniform(0.1, 1.0) * (1.0 + rng.uniform(-0.2, 0.2, n))
+    controls = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1) + rng.uniform(-0.02, 0.02, (n, 2))
+    grid = ImageGrid(nx, ny, pitch, (offset[0] - 0.5 * (nx - 1) * pitch, offset[1] - 0.5 * (ny - 1) * pitch))
+    rule = curve_rule(PeriodicSplineRegion(controls, 2 * n, degree))
+    weight = rng.normal(size=(nx, ny))
+    points, steps = rule.curve(controls)
+    got = gradient.curve_gradient(rule, points, steps, sign, grid, weight)
+    want = forward_curve_gradient(rule, points, steps, sign, grid, weight)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):
