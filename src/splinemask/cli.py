@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import loops_overlap
 from .mesh import MAX_PROVENANCE_SIZE, TriangleQuadrature, check_loop
 from .objective import ResistModel, check_target_polygon, rasterize_checked
 from .optics import MAX_GRID_SIDE, MAX_REACH, ImageGrid, OpticalConfig, grid_reach
@@ -129,13 +130,19 @@ def _scalars(document: dict, name: str, cls, keys: dict):
     return _build(name, keys, lambda: cls(**_args(given, keys)))
 
 
-def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> PeriodicSplineRegion:
+def _region(raw: dict, where: str, targets: list, optical: OpticalConfig, loops: list) -> PeriodicSplineRegion:
     """One region in mask-plane nm, from explicit controls or placed on its target.
 
     Its sample loop must bound a region, as `evaluate` checks it: a loop that
     crosses itself or encloses no area is blamed on `controls_nm`, or on the
-    region when it was placed on a target. Its work must stay within
-    MAX_PROVENANCE_SIZE entries: the m x m of its samples' crossing test, and
+    region when it was placed on a target. The mask is binary, and the sum
+    of region spectra is the spectrum of their union only when the regions
+    are disjoint, so a loop that crosses, touches, encloses or lies inside
+    the loop of an earlier region, one of the normalized sample `loops`
+    (`geometry.loops_overlap`), is blamed the same way; its own loop is then
+    added to them. Its work must stay within MAX_PROVENANCE_SIZE entries:
+    the m x m of its samples' crossing test, which also bounds the m x m'
+    pairs it tests against a loop of m' samples, and
     3 SPAN_POINTS n x n for n controls, which bounds the curve rule's two
     (SPAN_POINTS n, n) tables and, within a factor 16 / 3, the Gauss points
     and steps of the 4n bumped curves of its finite differences; both are
@@ -176,7 +183,12 @@ def _region(raw: dict, where: str, targets: list, optical: OpticalConfig) -> Per
         region = _build(where, keys, lambda: init_controls_from_target(
             [targets[source]], raw["num_controls"], magnification=optical.magnification, **shape)[0])
         blame = where
-    _build(blame, {}, lambda: check_loop(build_collocation(region) @ optical.normalize_mask(region.controls)))
+    loop = build_collocation(region) @ optical.normalize_mask(region.controls)
+    _build(blame, {}, lambda: check_loop(loop))
+    for i, other in enumerate(loops):
+        if loops_overlap(loop, other):
+            raise ConfigError(blame, f"its sample loop crosses, touches, encloses or lies inside that of regions[{i}]")
+    loops.append(loop)
     return region
 
 
@@ -241,7 +253,8 @@ def parse_config(document: dict) -> RunConfig:
     raw_regions = document.get("regions", [])
     if not isinstance(raw_regions, list):
         raise ConfigError("regions", "must be a list")
-    regions = [_region(raw, f"regions[{i}]", targets, optical) for i, raw in enumerate(raw_regions)]
+    loops: list[np.ndarray] = []
+    regions = [_region(raw, f"regions[{i}]", targets, optical, loops) for i, raw in enumerate(raw_regions)]
     _check_reach(grid, "origin_nm" in given, regions, optical)
 
     return RunConfig(optical=optical, resist=resist, grid=grid,
@@ -249,12 +262,13 @@ def parse_config(document: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The run a JSON config file describes; any failure to read or decode the file is a ConfigError on `<file>`."""
     try:
-        document = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError("<file>", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"invalid JSON: {exc}")
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        raise ConfigError("<file>", f"cannot read the config file: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
+        raise ConfigError("<file>", f"invalid JSON: {exc}") from None
     return parse_config(document)
 
 

@@ -3,9 +3,10 @@
 The crossing test of a closed polyline orients every segment against the
 start of every other segment once, as one (m, m) matrix; the orientations
 against the ends are its columns in successor order, and the reverse
-orientations of each segment pair are the transposes. The clearance of a
-loop, a lower bound on the distance between its non-adjacent segments, is
-an (m, m) matrix of the same pairs.
+orientations of each segment pair are the transposes. The overlap test of
+two loops takes the same pair test across them, one matrix each way. The
+clearance of a loop, a lower bound on the distance between its
+non-adjacent segments, is an (m, m) matrix of the same pairs.
 """
 from __future__ import annotations
 
@@ -88,38 +89,86 @@ def polyline_self_intersects(points: np.ndarray) -> bool:
         return False
     if m == 3:
         return len(np.unique(pts, axis=0)) < m
-    # orientations multiply coordinate differences, so they overflow on a loop
-    # about 1e154 across; scaled by a power of two, which is exact, the largest
-    # |coordinate| lies in [0.5, 1) (a loop with one that is not finite stays)
-    pts = np.ldexp(pts, -math.frexp(np.abs(pts).max())[1])
-    # segment s runs from a[s] to b[s] = a[s + 1 mod m]; o1[i, j] and o2[i, j]
-    # orient the start and end of segment j against segment i, so segment j's
-    # orientations against segment i are the transposes. The end of segment j
-    # is the start of segment j + 1, so o2 is o1 with its columns taken in
-    # successor order, by a cached index
+    (pts,) = _unit_scaled(pts)
+    # segment s runs from a[s] to b[s] = a[s + 1 mod m]; segment j's
+    # orientations against segment i are the transposes of segment i's against j
     successor = _successor(m)
     a, b = pts, pts[successor]
-    o1 = orient(a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None], a[:, 0], a[:, 1])
-    o2 = o1[:, successor]
+    o1, o2, straddle = _orientations(a, b, a, successor)
     apart = _non_adjacent(m)
-    # o2 times o1's sign is exact, where o1 * o2 underflows to 0 on a loop
-    # under about 1e-81 across, hiding its crossings, and overflows over 1e77
-    straddle = np.sign(o1) * o2 < 0
     if (apart & straddle & straddle.T).any():
         return True
-    # an end of one segment on the other: a zero orientation whose end lies
-    # in the segment's bounding box. Overlapping boxes alone are not enough:
-    # an end on the segment's line beyond it touches nothing
-    start_on, end_on = o1 == 0, o2 == 0
-    touch = start_on | end_on
+    touch = (o1 == 0) | (o2 == 0)
     if not (apart & (touch | touch.T)).any():
         return False
+    on = _ends_on(a, b, a, successor, o1, o2)
+    return bool((apart & (on | on.T)).any())
+
+
+def loops_overlap(first: np.ndarray, second: np.ndarray) -> bool:
+    """True if two simple closed polylines share a point: their segments cross or touch, or one lies inside the other.
+
+    Loops whose bounding boxes are apart are apart. Otherwise every segment
+    pair is tested as `polyline_self_intersects` tests the pairs of one loop.
+    Loops whose segments do not meet either nest or are apart, and one
+    vertex of each, tested against the other (`points_in_polygon`), tells
+    which.
+    """
+    p, r = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    if (p.max(axis=0) < r.min(axis=0)).any() or (r.max(axis=0) < p.min(axis=0)).any():
+        return False
+    p, r = _unit_scaled(p, r)
+    p_next, r_next = _successor(len(p)), _successor(len(r))
+    p_ends, r_ends = p[p_next], r[r_next]
+    o1, o2, straddle = _orientations(p, p_ends, r, r_next)  # r's segments against p's, (len(p), len(r))
+    q1, q2, straddle_r = _orientations(r, r_ends, p, p_next)
+    if (straddle & straddle_r.T).any():
+        return True
+    if (_ends_on(p, p_ends, r, r_next, o1, o2) | _ends_on(r, r_ends, p, p_next, q1, q2).T).any():
+        return True
+    return bool(points_in_polygon(r[:1, 0], r[:1, 1], p)[0] or points_in_polygon(p[:1, 0], p[:1, 1], r)[0])
+
+
+def _unit_scaled(*loops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The loops scaled by one power of two, which is exact, so that their largest |coordinate| lies in [0.5, 1).
+
+    Orientations multiply coordinate differences, so they overflow on a loop
+    about 1e154 across. One loop with a coordinate that is not finite stays
+    as it is.
+    """
+    exponent = math.frexp(max(np.abs(loop).max() for loop in loops))[1]
+    return tuple(np.ldexp(loop, -exponent) for loop in loops)
+
+
+def _orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  successor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """o1, o2 and straddle, (len(a), len(c)): a loop's segment j, c[j] to c[successor[j]], against segment i, a[i] to b[i].
+
+    o1[i, j] and o2[i, j] orient the start and the end of segment j against
+    segment i, and straddle[i, j] says that they lie strictly on either side
+    of its line. The end of segment j is the start of segment j + 1, so o2
+    is o1 with its columns taken in successor order, by a cached index. o2
+    times o1's sign is exact, where o1 * o2 underflows to 0 on a loop under
+    about 1e-81 across, hiding its crossings, and overflows over 1e77.
+    """
+    o1 = orient(a[:, 0, None], a[:, 1, None], b[:, 0, None], b[:, 1, None], c[:, 0], c[:, 1])
+    o2 = o1[:, successor]
+    return o1, o2, np.sign(o1) * o2 < 0
+
+
+def _ends_on(a: np.ndarray, b: np.ndarray, c: np.ndarray, successor: np.ndarray, o1: np.ndarray,
+             o2: np.ndarray) -> np.ndarray:
+    """Whether an end of segment j lies on segment i, (len(a), len(c)), given the `_orientations` o1 and o2 of the pairs.
+
+    An end lies on the segment when its orientation is zero and it lies in
+    the segment's bounding box. Overlapping boxes alone are not enough: an
+    end on the segment's line beyond it touches nothing.
+    """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # boxed[i, j]: the start of segment j lies in segment i's bounding box
-    boxed = ((lo[:, 0, None] <= a[:, 0]) & (a[:, 0] <= hi[:, 0, None])
-             & (lo[:, 1, None] <= a[:, 1]) & (a[:, 1] <= hi[:, 1, None]))
-    on = (start_on & boxed) | (end_on & boxed[:, successor])
-    return bool((apart & (on | on.T)).any())
+    boxed = ((lo[:, 0, None] <= c[:, 0]) & (c[:, 0] <= hi[:, 0, None])
+             & (lo[:, 1, None] <= c[:, 1]) & (c[:, 1] <= hi[:, 1, None]))
+    return ((o1 == 0) & boxed) | ((o2 == 0) & boxed[:, successor])
 
 
 def loop_clearance(loop: np.ndarray) -> float:

@@ -55,7 +55,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import polygon_signed_area
 from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
 
 # Below this radius the kernel switches to its series form, which keeps the
@@ -405,15 +404,6 @@ def _corner_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
     return d[..., 0] + d[..., 1]
 
 
-def node_counts(grid: ImageGrid, points: np.ndarray) -> tuple[int, int]:
-    """Radial and angular node counts on `grid` for a region whose points (..., 2) span its convex hull.
-
-    They follow from D, the grid's reach over the points. The distance to a
-    grid corner is convex, so no point of the hull reaches farther.
-    """
-    return pupil_node_counts(grid_reach(grid, points))
-
-
 @lru_cache(maxsize=GRID_TABLES)
 def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     """The NodeTable of `grid` at these node counts: `k` (2, K), `edge_factor` (K,), `wex` (nx, K) and `ey` (2K, ny), read-only.
@@ -439,21 +429,26 @@ def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
 
 
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
-    """The cached node table at `node_counts(grid, points)`."""
-    return node_table_at(grid, *node_counts(grid, points))
+    """The cached node table for a region whose points (..., 2) span its convex hull.
+
+    Its node counts follow from D, the grid's reach over the points
+    (`pupil_node_counts`). The distance to a grid corner is convex, so no
+    point of the hull reaches farther.
+    """
+    return node_table_at(grid, *pupil_node_counts(grid_reach(grid, points)))
 
 
-def phasors(points: np.ndarray, minus_half_k: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """cos x and half of sin x for x = -k . g at points g (q, 2), in rows 1 and 2 of `work` (3, q, K), which it returns.
+def phasors(points: np.ndarray, k: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """cos x and half of sin x for x = -k . g at points g (q, 2) and wave vectors k (2, K), in rows 1 and 2 of `work` (3, q, K), which it returns.
 
     The package's one phasor formula. It writes the half angles
-    x / 2 = g . minus_half_k as one matrix product into row 0, their tangents
+    x / 2 = g . (-k / 2) as one matrix product into row 0, their tangents
     u, and cos x = (1 - u^2) / (1 + u^2) and half of sin x = u / (1 + u^2),
     within 2.6e-16 of exp(i x) for |x| up to 2 pi MAX_REACH. Each point's
     phasors depend on that point alone. No sin, cos or exp is evaluated.
     """
     u, cos, sin = work
-    np.tan(np.matmul(points, minus_half_k, out=u), out=u)
+    np.tan(np.matmul(points, -0.5 * k, out=u), out=u)
     np.multiply(u, u, out=cos)
     np.add(cos, 1.0, out=sin)
     np.subtract(1.0, cos, out=cos)
@@ -492,15 +487,15 @@ def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.nda
     """S_k = sum_q coef[..., q] exp(-i k_k . g_q) for points g (Q, 2), real coef (..., Q) and wave vectors k (2, K), (..., K) complex.
 
     The package's one point-spectrum kernel: the `phasors` of POINT_BLOCK
-    points at a time, in one contiguous (3, min(Q, POINT_BLOCK), K) work
-    array of this call, contracted block by block (`phasor_sums`).
+    points at a time at the wave vectors k, in one contiguous
+    (3, min(Q, POINT_BLOCK), K) work array of this call, contracted block by
+    block (`phasor_sums`).
     """
-    minus_half_k = -0.5 * k
     work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
     if len(points) <= POINT_BLOCK:
-        return phasor_sums(coef, [phasors(points, minus_half_k, work)], k.shape[1])
+        return phasor_sums(coef, [phasors(points, k, work)], k.shape[1])
     blocks = (points[start:start + POINT_BLOCK] for start in range(0, len(points), POINT_BLOCK))
-    return phasor_sums(coef, (phasors(block, minus_half_k, work[:, :len(block)]) for block in blocks), k.shape[1])
+    return phasor_sums(coef, (phasors(block, k, work[:, :len(block)]) for block in blocks), k.shape[1])
 
 
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
@@ -521,11 +516,6 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
         coef = np.outer(tensor.areas(), quad.weights).ravel()
         u += nodes.synthesize(point_spectra(points, coef, nodes.k))
     return AmplitudeField(u)
-
-
-def orientation(loop: np.ndarray) -> float | np.ndarray:
-    """The sign of the loop's shoelace area: 1 counterclockwise, -1 clockwise; of each loop of a stack (..., m, 2), an array."""
-    return np.sign(polygon_signed_area(loop))
 
 
 def boundary_spectrum(spectra: np.ndarray, sign, nodes: NodeTable) -> np.ndarray:
@@ -569,7 +559,7 @@ def moved_point_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray,
     complex.
     """
     size = table.shape[2]
-    moved = phasors(points.reshape(-1, 2), -0.5 * k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)
+    moved = phasors(points.reshape(-1, 2), k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)
     out = np.empty((*coef.shape[:-1], size), dtype=complex)
     for i, (moved_rows, own) in enumerate(zip(rows, coef)):
         kept = table[:, moved_rows]
@@ -585,7 +575,7 @@ def curve_amplitude(points: np.ndarray, steps: np.ndarray, sign: float, grid: Im
 
     `points` (Q, 2) are the curve's Gauss points in normalized coordinates
     and `steps` (2, Q) their steps w_q r'_q. The node table follows from the
-    points (`node_counts`).
+    points (`node_table`).
     """
     nodes = node_table(grid, points)
     return nodes.synthesize(curve_spectrum(points - grid.center, steps, sign, nodes))

@@ -10,16 +10,20 @@ gradient as an adjoint of that image (`gradient.curve_gradient`), and
 once at its base controls and then forms all central-difference bumps of a
 region as stacks: their loop checks, curves, orientations and node counts
 at once, their images a chunk of bumps per `NodeTable.synthesize` call, and
-their J values a chunk at a time. A bump moves one control, so it forms
-phasors anew only at the Gauss points of that control's spans and takes the
-others from the base curve; every J is still bit for bit a full
-`evaluate`'s. None of them builds a mesh.
+their J values a chunk at a time. Each bump's node counts, and the base
+curve's, follow from the grid's reach over its Gauss points
+(`optics.pupil_node_counts`), as `optics.node_table` picks them. A bump
+moves one control, so it forms phasors (`optics.phasors`) anew only at the
+Gauss points of that control's spans and takes the others from the base
+curve; every J is still bit for bit a full `evaluate`'s. None of them
+builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
 built on first use, and `sens` its vertex-to-control sensitivity.
 `evaluate_frozen` re-images systems at new controls through their meshes
-with frozen topology, and `frozen_gradient_of` is the analytic gradient of
+with frozen topology, each moved loop taking its orientation from its
+shoelace area, and `frozen_gradient_of` is the analytic gradient of
 that mesh image, the setting in which the mesh gradient is defined.
 """
 from __future__ import annotations
@@ -29,13 +33,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .geometry import polygon_signed_area
 from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_radius, refine_mesh, triangulate_region
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
 from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
-                     grid_reaches, moved_point_spectra, node_counts, node_table_at, orientation, phasors,
-                     point_spectra, pupil_node_counts)
+                     grid_reaches, moved_point_spectra, node_table_at, phasors, point_spectra, pupil_node_counts)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the work arrays of `finite_difference_gradient`. A chunk holds the
@@ -60,7 +64,8 @@ class RegionSystem:
     """Geometry chain of one region at its current control points.
 
     `samples` is the boundary loop Q = N P, and `orientation` the sign of its
-    shoelace area (`optics.orientation`), which the curve takes as its own.
+    shoelace area (`geometry.polygon_signed_area`, as `check_loop` finds it),
+    which the curve takes as its own.
     `topology`, when given, is a mesh of this region at other controls whose
     triangles and provenance `mesh` keeps; without it `mesh` meshes the loop
     afresh.
@@ -99,7 +104,7 @@ class RegionSystem:
         """The system at new controls, its mesh of frozen topology."""
         region = self.region.with_controls(controls)
         samples = build_collocation(region) @ region.controls
-        return RegionSystem(region, samples, orientation(samples), self.refine_max_area, self.mesh)
+        return RegionSystem(region, samples, np.sign(polygon_signed_area(samples)), self.refine_max_area, self.mesh)
 
 
 @dataclass(frozen=True)
@@ -256,14 +261,14 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
     for b, reach in enumerate(grid_reaches(grid, points)):
         groups.setdefault(pupil_node_counts(reach), []).append(b)
     points = points - grid.center
-    base, base_counts = system.curve[0] - grid.center, node_counts(grid, system.curve[0])
+    base, base_counts = system.curve[0] - grid.center, pupil_node_counts(grid_reaches(grid, system.curve[0]))
     j = np.empty(len(controls))
     for counts, bumps in groups.items():
         nodes = node_table_at(grid, *counts)
         size = nodes.k.shape[1]
         table = None
         if counts == base_counts and 24 * len(base) * size <= FD_BYTES:
-            table = phasors(base, -0.5 * nodes.k, np.empty((3, len(base), size)))
+            table = phasors(base, nodes.k, np.empty((3, len(base), size)))
         chunk = max(1, FD_BYTES // (16 * grid.nx * size))
         for start in range(0, len(bumps), chunk):
             members = np.array(bumps[start:start + chunk])

@@ -139,6 +139,22 @@ def test_missing_config_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8", "nested 100,000 deep"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    # every failure to read or decode the file is blamed on <file>, before any output
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    elif kind == "not UTF-8":
+        config.write_bytes(b'{"grid": "\xff"}')
+    else:
+        config.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["--quiet", "simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: <file>: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text('{"grid": {"pixel_nm": 20.0}')

@@ -305,6 +305,26 @@ def test_region_from_target_reports_its_keys():
                         "grid.origin_nm")
 
 
+def test_regions_that_meet_are_config_errors():
+    # the mask is binary, and the region spectra add up to the spectrum of
+    # their union only when the regions are disjoint: a later region whose
+    # sample loop meets an earlier one's is blamed, on its controls_nm, or
+    # on the region itself when it was placed on a target
+    placed = {"num_samples": 24, "init_from_target": 0, "num_controls": 12}
+
+    def explicit(controls):
+        return {"num_samples": 24, "controls_nm": controls.tolist()}
+    coincident = desk_config(regions=[explicit(CONTROLS), placed])
+    assert_config_error(coincident, "regions[1]")
+    assert "regions[0]" in str(pytest.raises(ConfigError, parse_config, coincident).value)
+    assert_config_error(desk_config(regions=[placed, explicit(CONTROLS + 100.0)]), "regions[1].controls_nm")
+    inner = explicit(0.3 * CONTROLS)
+    assert_config_error(desk_config(regions=[placed, inner]), "regions[1].controls_nm")
+    assert_config_error(desk_config(regions=[inner, placed]), "regions[1]")
+    # regions that stay apart, their bounding boxes too, parse
+    assert len(parse_config(desk_config(regions=[explicit(0.3 * CONTROLS + 150.0), placed])).regions) == 2
+
+
 def test_grid_reach_is_bounded_before_numerics():
     # the reach is in wavelength / NA, 193 / 0.93 nm here: a region 90 units
     # from the grid parses and one 110 units away does not, nor does a grid

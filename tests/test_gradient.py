@@ -387,13 +387,13 @@ def node_count_changes(problem, evaluation, step):
     changes = 0
     for system in evaluation.systems:
         basis = curve_rule(system.region).basis
-        counts = optics.node_counts(problem.grid, basis @ system.region.controls)
+        counts = optics.pupil_node_counts(optics.grid_reach(problem.grid, basis @ system.region.controls))
         for k in range(system.region.n):
             for c in range(2):
                 bumped = system.region.controls.copy()
                 for delta in (step, -2 * step):
                     bumped[k, c] += delta
-                    changes += optics.node_counts(problem.grid, basis @ bumped) != counts
+                    changes += optics.pupil_node_counts(optics.grid_reach(problem.grid, basis @ bumped)) != counts
     return changes
 
 

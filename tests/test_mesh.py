@@ -664,6 +664,48 @@ def test_points_in_polygon_matches_loop_reference(points, scale, seed, block):
     assert np.array_equal(got, loop_points_in_polygon(px, py, poly).reshape(8, 10))
 
 
+def rectangle_loop(lo, hi, start, reverse):
+    """The boundary of the lattice rectangle [lo, hi] as a loop of its corners and edge midpoints."""
+    (x0, y0), (x1, y1) = lo, hi
+    xm, ym = (x0 + x1) / 2, (y0 + y1) / 2
+    loop = np.array([(x0, y0), (xm, y0), (x1, y0), (x1, ym), (x1, y1), (xm, y1), (x0, y1), (x0, ym)])
+    return np.roll(loop[::-1] if reverse else loop, start, axis=0)
+
+
+corners = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corners, st.tuples(st.integers(1, 6), st.integers(1, 6)), corners,
+       st.tuples(st.integers(1, 6), st.integers(1, 6)), st.integers(0, 7), st.booleans(), st.booleans(),
+       st.integers(-1030, 1000))
+@example(np.array([0, 0]), (2, 2), np.array([2, 0]), (2, 2), 0, False, False, 0)  # a shared edge
+@example(np.array([0, 0]), (2, 2), np.array([2, 2]), (2, 2), 0, False, False, 0)  # a shared corner
+@example(np.array([0, 0]), (6, 6), np.array([2, 2]), (2, 2), 3, True, False, 1000)  # nested, at 1e301
+def test_loops_overlap_exactly_when_their_rectangles_share_a_point(lo, size, other_lo, other_size, start,
+                                                                   reverse, other_reverse, exponent):
+    # lattice rectangles share a point exactly when their closed intervals
+    # meet along both axes: they cross, touch at an edge or corner, nest or
+    # coincide. Scaling both by one power of two changes no verdict
+    hi, other_hi = lo + size, other_lo + other_size
+    first = np.ldexp(rectangle_loop(lo, hi, start, reverse), exponent)
+    second = np.ldexp(rectangle_loop(other_lo, other_hi, 0, other_reverse), exponent)
+    meet = bool((np.maximum(lo, other_lo) <= np.minimum(hi, other_hi)).all())
+    assert geometry.loops_overlap(first, second) == meet
+    assert geometry.loops_overlap(second, first) == meet
+
+
+def test_loops_overlap_looks_past_overlapping_bounding_boxes():
+    # an L and a square in its notch: their boxes overlap, their loops do not
+    # meet, and neither lies inside the other, until the square moves into
+    # the L's arm or the L's notch closes over it
+    l_shape = np.array([(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)], dtype=float)
+    square = rectangle_loop(np.array([1.5, 1.5]), np.array([2.5, 2.5]), 0, False)
+    assert not geometry.loops_overlap(l_shape, square)
+    assert geometry.loops_overlap(l_shape, square - 1.0)
+    assert geometry.loops_overlap(rectangle_loop(np.array([0, 0]), np.array([3, 3]), 0, True), square)
+
+
 @st.composite
 def random_meshes(draw):
     """Arbitrary vertex clouds and index triples: orientation and degeneracy vary freely."""

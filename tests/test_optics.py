@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import j1
 
-from splinemask import geometry, gradient, mesh, optics
+from splinemask import geometry, gradient, mesh, optics, pipeline
 from splinemask.gradient import amplitude_gradient
 from splinemask.mesh import (
     TriangleQuadrature,
@@ -524,7 +524,7 @@ def test_an_evaluation_and_its_gradient_take_each_loop_area_once(desk_square, mo
     # the image and the adjoint take the loop's orientation from the area check_loop found
     areas = []
     shoelace = geometry.polygon_signed_area
-    for module in (mesh, optics):
+    for module in (mesh, pipeline):
         monkeypatch.setattr(module, "polygon_signed_area", lambda loop: areas.append(1) or shoelace(loop))
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, [region])
