@@ -377,10 +377,11 @@ class NodeTable:
 
         The adjoint of `synthesize`: sum_ij weight U = Re sum_k L_k S_k for the
         image U of a spectrum S. The y-side sums are one real matrix product
-        against `ey`, which gives their conjugates.
+        against `ey`, which gives their conjugates; they are conjugated back
+        and multiplied by `wex` in place, so a call holds one (nx, K) array.
         """
-        conj_y = (weight @ self.ey.T).view(complex)  # (nx, K)
-        return (self.wex * conj_y.conj()).sum(axis=0)
+        sums = (weight @ self.ey.T).view(complex)  # (nx, K)
+        return np.multiply(self.wex, np.conjugate(sums, out=sums), out=sums).sum(axis=0)
 
 
 def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
@@ -550,13 +551,13 @@ def moved_point_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray,
     """`point_spectra` of point sets that each differ from a phasor table's points only at some rows, bit for bit.
 
     `table` (2, Q, K) holds the cosines and half sines (`phasors`) of points
-    g at the wave vectors k. Set i is g with its rows `rows[i]` replaced by
-    `points[i]`, (C, s) and (C, s, 2), and takes the coefficients
-    `coef[i]`, (C, ..., Q). The moved rows' phasors are formed in one call.
-    Set by set, they are written into the table, the coefficients are
-    contracted with it block by block as `point_spectra` contracts them
-    (`phasor_sums`), and the table's own rows are put back. (C, ..., K)
-    complex.
+    g at the wave vectors k, each row a function of its point and k alone.
+    Set i is g with its rows `rows[i]` replaced by `points[i]`, (C, s) and
+    (C, s, 2), and takes the coefficients `coef[i]`, (C, ..., Q). The moved
+    rows' phasors are formed in one call. Set by set, they are written into
+    the table, the coefficients are contracted with it block by block as
+    `point_spectra` contracts them (`phasor_sums`), and the table's own rows
+    are put back. (C, ..., K) complex.
     """
     size = table.shape[2]
     moved = phasors(points.reshape(-1, 2), k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)

@@ -9,14 +9,11 @@ gradient as an adjoint of that image (`gradient.curve_gradient`), and
 `finite_difference_gradient` is its oracle twin. The twin images each region
 once at its base controls and then forms all central-difference bumps of a
 region as stacks: their loop checks, curves, orientations and node counts
-at once, their images a chunk of bumps per `NodeTable.synthesize` call, and
-their J values a chunk at a time. Each bump's node counts, and the base
-curve's, follow from the grid's reach over its Gauss points
-(`optics.pupil_node_counts`), as `optics.node_table` picks them. A bump
-moves one control, so it forms phasors (`optics.phasors`) anew only at the
-Gauss points of that control's spans and takes the others from the base
-curve; every J is still bit for bit a full `evaluate`'s. None of them
-builds a mesh.
+(`optics.pupil_node_counts`, as `optics.node_table` picks them) at once,
+their images a chunk of bumps per `NodeTable.synthesize` call, each bump
+forming phasors anew only at the Gauss points its control moves, and their
+J values a chunk at a time, each bit for bit a full `evaluate`'s. None of
+them builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -44,7 +41,8 @@ from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the work arrays of `finite_difference_gradient`. A chunk holds the
 # most bumps whose synthesis product, 16 nx K bytes a bump, fits, and at least
-# one; the base curve's phasor table, 24 Q K bytes, is kept only when it fits.
+# one; each node-count group forms the base curve's phasor table, 24 Q K
+# bytes, only when it fits.
 # On the benchmark's twin (nx 48, K 179, Q 80) this budget takes 7 bumps a
 # chunk. A gradcheck process runs the differences once, and there, at one BLAS
 # thread, they took a median 19 ms at this budget, 20 ms at half of it, and 30
@@ -52,8 +50,8 @@ from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 # times against 640 here: larger chunks need fresh pages that malloc then
 # returns and asks for again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` one
 # bump's product is 16 x 1024 x 35,991 bytes, 590 MB, so each chunk holds one
-# bump, and no table fits (13 MB already at the fewest Gauss points, 15): every
-# bump takes the full kernel, whose work array of at most 442 MB
+# bump, and no group's table fits (13 MB already at the fewest Gauss points,
+# 15): every bump takes the full kernel, whose work array of at most 442 MB
 # (`optics.POINT_BLOCK`) is freed before the synthesis. The peak is then one
 # bump's 590 MB product.
 FD_BYTES = 2**20
@@ -217,12 +215,12 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     FD_BYTES, and each chunk's images are added to the other regions' from
     zeros in region order and scored (`objective.objective_values`) as
     `evaluate` adds and scores them. Moving control k moves only the Gauss
-    points of its spans (`CurveRule.support`), so a bump with the base
-    curve's node counts forms phasors anew only there and takes the rest
-    from the base curve's table (`optics.moved_point_spectra`); any other
-    bump, or every bump when the table exceeds FD_BYTES, takes the full
-    kernel (`optics.point_spectra`). Every J is bit for bit the one
-    `evaluate` gives at the bumped controls. Each bumped sample loop goes
+    points of its spans (`CurveRule.support`), so each bump forms phasors
+    anew only there, against the base curve's phasor table at its group's
+    wave vectors (`optics.moved_point_spectra`), at any node count; only a
+    group whose table exceeds FD_BYTES takes the full kernel for each bump
+    (`optics.point_spectra`). Every J is bit for bit the one `evaluate`
+    gives at the bumped controls. Each bumped sample loop goes
     through `check_loop` with its base loop's `clearance_radius`, so a
     bump that bounds no region raises MeshError, as `evaluate` would, and a
     bump within the radius runs no crossing test.
@@ -261,13 +259,13 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
     for b, reach in enumerate(grid_reaches(grid, points)):
         groups.setdefault(pupil_node_counts(reach), []).append(b)
     points = points - grid.center
-    base, base_counts = system.curve[0] - grid.center, pupil_node_counts(grid_reaches(grid, system.curve[0]))
+    base = system.curve[0] - grid.center
     j = np.empty(len(controls))
     for counts, bumps in groups.items():
         nodes = node_table_at(grid, *counts)
         size = nodes.k.shape[1]
         table = None
-        if counts == base_counts and 24 * len(base) * size <= FD_BYTES:
+        if 24 * len(base) * size <= FD_BYTES:
             table = phasors(base, nodes.k, np.empty((3, len(base), size)))
         chunk = max(1, FD_BYTES // (16 * grid.nx * size))
         for start in range(0, len(bumps), chunk):

@@ -409,6 +409,28 @@ def test_finite_differences_match_full_reimaging_bitwise_when_a_bump_changes_the
         assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.blas_threads
+def test_finite_differences_take_no_full_kernel_when_a_bump_changes_the_node_count(desk_square, monkeypatch):
+    # every node-count group forms the base curve's phasors at its own wave
+    # vectors, so a bump that crosses a node count still forms phasors only
+    # at its moved Gauss points
+    cfg, problem, region = desk_square
+    evaluation = evaluate(problem, two_regions(region))
+    assert node_count_changes(problem, evaluation, 0.2) > 0
+    want = full_difference_gradient(problem, evaluation, step=0.2)
+    kernel, calls = pipeline.point_spectra, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(pipeline, "point_spectra", counted)
+    got = finite_difference_gradient(problem, evaluation, step=0.2)
+    assert len(calls) == 0
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
 def three_regions(data):
     """Three jittered rings of controls on the desk grid, of distinct control counts 6-20 and degrees 1-3."""
     counts = data.draw(st.lists(st.integers(6, 20), min_size=3, max_size=3, unique=True), label="n")

@@ -852,6 +852,15 @@ def test_synthesis_of_a_strided_view_matches_its_contiguous_copy():
     assert traced_peak(lambda: nodes.synthesize(view)) <= traced_peak(lambda: nodes.synthesize(copy))
 
 
+def test_warm_adjoint_holds_one_grid_side_array():
+    # the y-side sums are conjugated and multiplied by wex in place, so one
+    # warm call on the full-scale grid holds one (nx, K) complex array
+    problem, system, _ = initial_square("full")
+    nodes = optics.node_table(problem.grid, system.curve[0])
+    weight = np.random.default_rng(5).normal(size=(problem.grid.nx, problem.grid.ny))
+    assert traced_peak(lambda: nodes.adjoint(weight)) <= 1.25 * 16 * problem.grid.nx * nodes.k.shape[1]
+
+
 def test_node_and_grid_tables_are_cached_read_only(desk_square):
     cfg, problem, region = desk_square
     region_mesh = build_region_system(region, problem).mesh
