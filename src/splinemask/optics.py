@@ -33,16 +33,17 @@ on the node table of the mesh's vertices (`forward_amplitude`).
 
 Both are point spectra, and one formula forms every phasor the package
 uses: `phasors`, from the tangent of the half angles, u = tan(x / 2),
-exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2). `point_spectra`, which also
-builds the grid-side exponentials of each node table, writes the phasors of
-a block of points into one work array of the call and contracts them with
-their coefficients as two real matrix products (`phasor_sums`); no kernel
-keeps state between calls. The finite differences of `pipeline` keep one
-curve's phasors and form anew only the rows a bump moves
-(`moved_point_spectra`), with the same contraction. numpy
-evaluates tan with a SIMD loop where the CPU has AVX-512, several times
-faster than a libm sin or cos; elsewhere it calls libm's tan, and one tangent
-then costs about as much as the sin or cos it replaces. The two round
+exp(i x) = ((1 - u^2) + 2 i u) / (1 + u^2). A node table's grid-side
+exponentials are the phasors of the grid lines themselves
+(`node_table_at`). `point_spectra` writes the phasors of a block of points
+into one work array of the call and contracts them with their coefficients
+as two real matrix products (`phasor_sums`); no kernel keeps state between
+calls. The finite differences of `pipeline` keep one curve's phasors and
+form anew only the rows a bump moves (`moved_point_spectra`), with the same
+contraction. numpy evaluates tan with a SIMD loop where the CPU has
+AVX-512, several times faster than a libm sin or cos; elsewhere it calls
+libm's tan, and one tangent then costs about as much as the sin or cos it
+replaces. The two round
 differently, so the last bits of an image depend on which one numpy
 dispatches, and on the BLAS that forms the products.
 """
@@ -409,21 +410,21 @@ def _corner_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
 def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     """The NodeTable of `grid` at these node counts: `k` (2, K), `edge_factor` (K,), `wex` (nx, K) and `ey` (2K, ny), read-only.
 
-    Each grid line's exponentials are the point spectrum of one point, with
-    coefficient 1 on its own row: exp(i k_x (x_i - c_x)) of the point
-    (c_x - x_i, 0) and exp(-i k_y (y_j - c_y)) of (0, y_j - c_y), for the
-    grid center c. The identity rows cost nx^2 K multiply-adds, about one
-    synthesis, once per table.
+    Each grid line's exponentials are the `phasors` of one point, cos x plus
+    2i times the half sine: exp(i k_x (x_i - c_x)) of the point (c_x - x_i, 0)
+    and exp(-i k_y (y_j - c_y)) of (0, y_j - c_y), for the grid center c.
     """
     freqs, weights = pupil_nodes(n_r, n_theta)
     k = 2.0 * np.pi * freqs
     edge_factor = 1j / (k * k).sum(axis=0)
+
+    def cis(points):
+        cos, half_sin = phasors(points, k, np.empty((3, len(points), k.shape[1])))
+        return cos + 2j * half_sin
+
     center = grid.center
-    zeros_x, zeros_y = np.zeros(grid.nx), np.zeros(grid.ny)
-    columns = np.stack([center[0] - grid.xs, zeros_x], axis=1)
-    rows = np.stack([zeros_y, grid.ys - center[1]], axis=1)
-    wex = weights * point_spectra(columns, np.eye(grid.nx), k)
-    ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
+    wex = weights * cis(np.stack([center[0] - grid.xs, np.zeros(grid.nx)], axis=1))
+    ey = np.ascontiguousarray(cis(np.stack([np.zeros(grid.ny), grid.ys - center[1]], axis=1)).view(np.float64).T)
     for table in (k, edge_factor, wex, ey):
         table.setflags(write=False)
     return NodeTable(k, edge_factor, wex, ey)
@@ -464,7 +465,8 @@ def phasor_sums(coef: np.ndarray, tables, num_nodes: int) -> np.ndarray:
     `tables` yields, block by block, the (2, q, K) cosines and half sines
     (`phasors`) of POINT_BLOCK points, the last block the rest, for
     K = `num_nodes`. Each block is contracted with its coefficients as two
-    real matrix products, and the sums are added in block order. Doubling
+    real matrix products, and every block, the first too, is added into
+    zeroed sums in block order. Doubling
     commutes with rounding, so the doubled sums are bitwise those of the
     sines.
     """
@@ -472,12 +474,8 @@ def phasor_sums(coef: np.ndarray, tables, num_nodes: int) -> np.ndarray:
     sums = np.zeros((2, len(rows), num_nodes))
     for start, (cos, sin) in zip(range(0, rows.shape[1], POINT_BLOCK), tables):
         block = slice(start, start + POINT_BLOCK)
-        if start:
-            sums[0] += rows[:, block] @ cos
-            sums[1] += rows[:, block] @ sin
-        else:
-            np.matmul(rows[:, block], cos, out=sums[0])
-            np.matmul(rows[:, block], sin, out=sums[1])
+        sums[0] += rows[:, block] @ cos
+        sums[1] += rows[:, block] @ sin
     out = np.empty((*coef.shape[:-1], num_nodes), dtype=complex)
     out.real = sums[0].reshape(out.shape)
     out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
@@ -490,11 +488,9 @@ def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.nda
     The package's one point-spectrum kernel: the `phasors` of POINT_BLOCK
     points at a time at the wave vectors k, in one contiguous
     (3, min(Q, POINT_BLOCK), K) work array of this call, contracted block by
-    block (`phasor_sums`).
+    block (`phasor_sums`); a single block takes the same path.
     """
     work = np.empty((3, min(len(points), POINT_BLOCK), k.shape[1]))
-    if len(points) <= POINT_BLOCK:
-        return phasor_sums(coef, [phasors(points, k, work)], k.shape[1])
     blocks = (points[start:start + POINT_BLOCK] for start in range(0, len(points), POINT_BLOCK))
     return phasor_sums(coef, (phasors(block, k, work[:, :len(block)]) for block in blocks), k.shape[1])
 

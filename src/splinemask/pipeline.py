@@ -40,18 +40,22 @@ from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitu
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the work arrays of `finite_difference_gradient`. A chunk holds the
-# most bumps whose synthesis product, 16 nx K bytes a bump, fits, and at least
-# one; each node-count group forms the base curve's phasor table, 24 Q K
-# bytes, only when it fits.
-# On the benchmark's twin (nx 48, K 179, Q 80) this budget takes 7 bumps a
-# chunk. A gradcheck process runs the differences once, and there, at one BLAS
-# thread, they took a median 19 ms at this budget, 20 ms at half of it, and 30
-# to 32 ms at two to eight times it, where each run page-faulted 2,900 to 5,800
-# times against 640 here: larger chunks need fresh pages that malloc then
-# returns and asks for again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` one
-# bump's product is 16 x 1024 x 35,991 bytes, 590 MB, so each chunk holds one
-# bump, and no group's table fits (13 MB already at the fewest Gauss points,
-# 15): every bump takes the full kernel, whose work array of at most 442 MB
+# most bumps for which each of its arrays fits, and at least one. A bump adds
+# to three arrays of a chunk: its synthesis product, 16 nx K bytes; the phasors
+# of the s = `SPAN_POINTS` (degree + 1) Gauss points its control moves,
+# 24 s K bytes; and its share of the chunk's image stacks, about four (nx, ny)
+# float arrays, 32 nx ny bytes. Each node-count group forms the base curve's
+# phasor table, 24 Q K bytes, only when it fits.
+# On the benchmark's twin (nx 48, ny 36, K 179, Q 80, s 20) the product
+# dominates and this budget takes 7 bumps a chunk. A gradcheck process runs
+# the differences once, and there, at one BLAS thread, they took a median
+# 19 ms at this budget, 20 ms at half of it, and 30 to 32 ms at two to eight
+# times it, where each run page-faulted 2,900 to 5,800 times against 640
+# here: larger chunks need fresh pages that malloc then returns and asks for
+# again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` one bump's product is
+# 16 x 1024 x 35,991 bytes, 590 MB, so each chunk holds one bump, and no
+# group's table fits (13 MB already at the fewest Gauss points, 15): every
+# bump takes the full kernel, whose work array of at most 442 MB
 # (`optics.POINT_BLOCK`) is freed before the synthesis. The peak is then one
 # bump's 590 MB product.
 FD_BYTES = 2**20
@@ -211,7 +215,7 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     operations of a bump made one at a time (+ step, then - 2 step from the
     plus bump), and so are their Gauss points, steps, orientations and node
     counts. The bumps that share node counts are imaged a chunk at a time,
-    through one `NodeTable.synthesize` call per chunk whose product fits
+    through one `NodeTable.synthesize` call per chunk whose arrays each fit
     FD_BYTES, and each chunk's images are added to the other regions' from
     zeros in region order and scored (`objective.objective_values`) as
     `evaluate` adds and scores them. Moving control k moves only the Gauss
@@ -267,7 +271,8 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
         table = None
         if 24 * len(base) * size <= FD_BYTES:
             table = phasors(base, nodes.k, np.empty((3, len(base), size)))
-        chunk = max(1, FD_BYTES // (16 * grid.nx * size))
+        per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
+        chunk = max(1, FD_BYTES // per_bump)
         for start in range(0, len(bumps), chunk):
             members = np.array(bumps[start:start + chunk])
             if table is None:

@@ -10,14 +10,16 @@ point and pupil node, which the package forms from half-angle tangents
 as a sum over the Gauss points of its boundary curve, one Bessel evaluation
 per image sample and point. `forward_curve_gradient` is the curve gradient in
 forward mode, through the derivative spectra of every control, which the
-package's reverse-mode `gradient.curve_gradient` replaces.
+package's reverse-mode `gradient.curve_gradient` replaces. `identity_node_table`
+forms a node table's grid-side exponentials as point spectra with identity
+coefficient rows, the contraction that `optics.node_table_at` skips.
 """
 import numpy as np
 from scipy.special import j0, j1
 
 from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
-from splinemask.optics import SMALL_RHO, AmplitudeField, airy_kernel, node_table, point_spectra
+from splinemask.optics import SMALL_RHO, AmplitudeField, NodeTable, airy_kernel, node_table, point_spectra, pupil_nodes
 
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
@@ -178,3 +180,22 @@ def forward_curve_gradient(rule, points, steps, sign, grid, weight) -> np.ndarra
     factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
     factors *= sign * nodes.edge_factor * nodes.adjoint(weight)
     return np.real(spectra.reshape(len(coef), -1) @ factors.transpose(0, 2, 1).reshape(-1, 2))
+
+
+def identity_node_table(grid, n_r, n_theta) -> NodeTable:
+    """The NodeTable of `grid` at these node counts, each grid line's exponentials the point spectrum of one point.
+
+    Grid line i is the point (c_x - x_i, 0), or (0, y_j - c_y) along y, for
+    the grid center c, with coefficient 1 on its own row of an identity
+    matrix and 0 on every other: nx^2 K multiply-adds of zeros that
+    `optics.node_table_at` does not do.
+    """
+    freqs, weights = pupil_nodes(n_r, n_theta)
+    k = 2.0 * np.pi * freqs
+    edge_factor = 1j / (k * k).sum(axis=0)
+    center = grid.center
+    columns = np.stack([center[0] - grid.xs, np.zeros(grid.nx)], axis=1)
+    rows = np.stack([np.zeros(grid.ny), grid.ys - center[1]], axis=1)
+    wex = weights * point_spectra(columns, np.eye(grid.nx), k)
+    ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
+    return NodeTable(k, edge_factor, wex, ey)

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -458,11 +459,17 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
     bumps = [4 * s.region.n for s in evaluation.systems]
     chunk = data.draw(st.sampled_from([3, 7, 11, 13, 17, 19, 23]).filter(lambda c: all(b % c for b in bumps)),
                       label="chunk")
-    # a chunk of `chunk` bumps at the base curves' largest node count; at the
-    # smaller chunks a region's phasor table (24 Q K bytes) can exceed the
-    # budget, and then its bumps take the full kernel
-    size = max(optics.node_table(problem.grid, s.curve[0]).k.shape[1] for s in evaluation.systems)
-    budget = chunk * 16 * problem.grid.nx * size
+    # a chunk of `chunk` bumps for the region of the most bytes a bump at its
+    # base node count (`pipeline.FD_BYTES`); at the smaller chunks a region's
+    # phasor table (24 Q K bytes) can exceed the budget, and then its bumps
+    # take the full kernel
+    nx, ny = problem.grid.nx, problem.grid.ny
+    per_bump = 0
+    for s in evaluation.systems:
+        size = optics.node_table(problem.grid, s.curve[0]).k.shape[1]
+        span = curve_rule(s.region).support.shape[1]
+        per_bump = max(per_bump, 16 * nx * size, 24 * span * size, 32 * nx * ny)
+    budget = chunk * per_bump
     moving = next((step for step in (0.02, 0.04, 0.06, 0.08, 0.1, 0.12, 0.15)
                    if node_count_changes(problem, evaluation, step) > 0), None)
     assume(moving is not None)
@@ -479,6 +486,33 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
             got = finite_difference_gradient(problem, evaluation, step=step)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+
+
+def ring_region(n, radius, num_samples, degree=3):
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    return PeriodicSplineRegion(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1), num_samples, degree)
+
+
+@pytest.mark.parametrize("side, region", [
+    (2, ring_region(64, 0.6, 128, degree=60)),  # the moved rows: 305 Gauss points a bump at K 92
+    (512, ring_region(12, 0.002, 24)),  # the image stacks: 8 MiB a bump at K 8
+], ids=["degree_60", "grid_512"])
+def test_finite_differences_stay_within_their_byte_budget(side, region):
+    # every per-chunk array of the twin is bounded by FD_BYTES, so a warm
+    # call peaks at a small multiple of it; chunks sized by the synthesis
+    # product alone peaked at 181 and 136 MB here
+    pitch = 0.5 if side == 2 else 2e-5
+    grid = ImageGrid(side, side, pitch, (-(side - 1) * pitch / 2.0,) * 2)
+    problem = pipeline.ImagingProblem(grid, np.zeros((side, side)), ResistModel(), QUAD, 0.02)
+    evaluation = evaluate(problem, [region])
+    finite_difference_gradient(problem, evaluation)  # fill the rule and node-table caches
+    tracemalloc.start()
+    try:
+        finite_difference_gradient(problem, evaluation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pipeline.FD_BYTES
 
 
 @pytest.mark.blas_threads

@@ -42,6 +42,7 @@ from direct_sum import (
     direct_amplitude_gradient,
     direct_curve_amplitude,
     direct_forward_amplitude,
+    identity_node_table,
     point_spectrum,
 )
 from polygon_spectrum import collapsed_gauss_spectrum, polygon_spectrum
@@ -606,6 +607,31 @@ def test_node_table_adjoint_is_the_transpose_of_synthesis(seed, nx, ny, reach):
     got = np.real(nodes.adjoint(weight) @ spectrum)
     want = np.sum(weight * nodes.synthesize(spectrum))
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(weight).sum() * np.abs(spectrum).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(2, 39), ny=st.integers(2, 39), pitch=st.floats(1e-3, 1.0), centered=st.booleans(),
+       origin=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), exponent=st.floats(-7.0, 2.0))
+@example(nx=39, ny=39, pitch=1.0, centered=True, origin=(0.0, 0.0), exponent=2.0)
+def test_node_table_is_bitwise_the_identity_contraction(nx, ny, pitch, centered, origin, exponent):
+    # the grid-side exponentials formed straight from `phasors` are bit for
+    # bit the point spectra of the grid lines with identity coefficient rows,
+    # for reaches from 1e-7 to MAX_REACH, and a fresh table forms no point
+    # spectrum
+    if centered:
+        origin = (-(nx - 1) * pitch / 2.0, -(ny - 1) * pitch / 2.0)
+    grid = ImageGrid(nx, ny, pitch, origin)
+    counts = optics.pupil_node_counts(10.0 ** exponent)
+    kernel, calls = optics.point_spectra, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics, "point_spectra", lambda *args: calls.append(args) or kernel(*args))
+        got = optics.node_table_at.__wrapped__(grid, *counts)
+    assert not calls
+    want = identity_node_table(grid, *counts)
+    for name in ("k", "edge_factor", "wex", "ey"):
+        table, reference = getattr(got, name), getattr(want, name)
+        assert table.shape == reference.shape and table.tobytes() == reference.tobytes()
+    assert got.ey.flags.c_contiguous
 
 
 def mp_legendre_rule(n: int) -> tuple[list, list]:
