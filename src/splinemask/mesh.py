@@ -37,7 +37,12 @@ MAX_PROVENANCE_SIZE = 2**20
 
 
 class MeshError(ValueError):
-    """Raised when a boundary loop bounds no region or cannot be triangulated into a covering mesh."""
+    """Raised when a boundary loop bounds no region or cannot be triangulated into a covering mesh.
+
+    Also raised when a curve or mesh reaches farther from the image grid than
+    `optics.MAX_REACH`, the reach the pupil rule is sized for
+    (`optics.pupil_node_counts`).
+    """
 
 
 class SelfIntersectionError(MeshError):

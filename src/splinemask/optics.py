@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
+from .mesh import MeshError, ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
 
 # Below this radius the kernel switches to its series form, which keeps the
 # 0/0 at the kernel peak out of the values.
@@ -79,6 +79,9 @@ RING_MARGIN = 0.5
 # The largest reach D, in units of wavelength / NA, that a configuration may
 # ask of the pupil rule: about 21 um at 193 nm and NA 0.93. The node table
 # there has 35,991 nodes, 576 KB per grid row, and it grows as D ** 2.
+# `pupil_node_counts` refuses any farther reach, such as a line-search trial's
+# or a finite-difference bump's, but for rounding: the Gauss points of a curve
+# whose controls lie within the bound can round a few ulps past it.
 MAX_REACH = 100.0
 
 # The most samples along either side, nx or ny, a configuration may ask of
@@ -333,7 +336,14 @@ def pupil_node_counts(distance: float) -> tuple[int, int]:
     gradient at D = 9.5 to 11 the closest. With RING_MARGIN = 1/4 the curve
     images above D = 12 came to 0.7 of the bound, and with fewer than
     MIN_RINGS rings so did those below D = 1e-3.
+
+    Raises MeshError, naming D, when D passes MAX_REACH by more than a
+    relative 1e-12 of rounding, or is not a number: the rule is sized and
+    validated up to MAX_REACH only.
     """
+    if not distance <= MAX_REACH * (1.0 + 1e-12):
+        raise MeshError(f"a reach of {distance:g} wavelength / NA from the grid is past "
+                        f"the {MAX_REACH:g} the pupil rule is sized for")
     k = math.pi * distance
     n_r = math.ceil(0.5 * k + RADIAL_LAYER * k ** (1.0 / 3.0) + RADIAL_MARGIN)
     return max(MIN_RINGS, n_r), math.ceil(ring_count(distance))

@@ -11,7 +11,8 @@ once at its base controls and then forms all central-difference bumps of a
 region as stacks: their loop checks, curves, orientations and node counts
 (`optics.pupil_node_counts`, as `optics.node_table` picks them) at once,
 their images a chunk of bumps per `NodeTable.synthesize` call, each bump
-forming phasors anew only at the Gauss points its control moves, and their
+forming phasors anew only at the Gauss points its control moves and taking
+the rest from its node-count group's table of the base curve, and their
 J values a chunk at a time, each bit for bit a full `evaluate`'s. None of
 them builds a mesh.
 
@@ -36,28 +37,29 @@ from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_rad
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
 from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
-                     grid_reaches, moved_point_spectra, node_table_at, phasors, point_spectra, pupil_node_counts)
+                     grid_reaches, moved_point_spectra, node_table_at, phasors, pupil_node_counts)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
-# Bytes of the work arrays of `finite_difference_gradient`. A chunk holds the
-# most bumps for which each of its arrays fits, and at least one. A bump adds
-# to three arrays of a chunk: its synthesis product, 16 nx K bytes; the phasors
-# of the s = `SPAN_POINTS` (degree + 1) Gauss points its control moves,
-# 24 s K bytes; and its share of the chunk's image stacks, about four (nx, ny)
-# float arrays, 32 nx ny bytes. Each node-count group forms the base curve's
-# phasor table, 24 Q K bytes, only when it fits.
+# Bytes of the per-chunk work arrays of `finite_difference_gradient`. A chunk
+# holds the most bumps for which each of its arrays fits, and at least one. A
+# bump adds to three arrays of a chunk: its synthesis product, 16 nx K bytes;
+# the phasors of the s = `SPAN_POINTS` (degree + 1) Gauss points its control
+# moves, 24 s K bytes; and its share of the chunk's image stacks, about four
+# (nx, ny) float arrays, 32 nx ny bytes. Beside its chunks each node-count
+# group holds the base curve's phasor table, 24 Q K bytes for Q Gauss points.
 # On the benchmark's twin (nx 48, ny 36, K 179, Q 80, s 20) the product
 # dominates and this budget takes 7 bumps a chunk. A gradcheck process runs
 # the differences once, and there, at one BLAS thread, they took a median
 # 19 ms at this budget, 20 ms at half of it, and 30 to 32 ms at two to eight
 # times it, where each run page-faulted 2,900 to 5,800 times against 640
 # here: larger chunks need fresh pages that malloc then returns and asks for
-# again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` one bump's product is
-# 16 x 1024 x 35,991 bytes, 590 MB, so each chunk holds one bump, and no
-# group's table fits (13 MB already at the fewest Gauss points, 15): every
-# bump takes the full kernel, whose work array of at most 442 MB
-# (`optics.POINT_BLOCK`) is freed before the synthesis. The peak is then one
-# bump's 590 MB product.
+# again. At `optics.MAX_GRID_SIDE` and `MAX_REACH` (K 35,991) one bump's
+# product is 16 x 1024 x K bytes, 590 MB, so each chunk holds one bump, and
+# at the most controls a config may ask for, 264 (Q 1,320), the table is
+# 1.14 GB. The peak is then the table and one bump's product, about 1.8 GB at
+# degree 3. At the largest degree a control moves nearly every Gauss point
+# (s 1,315), and its moved rows' phasors, with the copy of the table rows they
+# replace (40 s K bytes, 1.9 GB), take the product's place: about 3.1 GB.
 FD_BYTES = 2**20
 
 
@@ -168,7 +170,10 @@ def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
     loop crosses itself or encloses no area. `near`, one loop and its
     `mesh.clearance_radius` per region, such as the line search's iterate,
     lets each loop that stays within its radius skip the crossing test
-    (`check_loop`).
+    (`check_loop`). It raises MeshError too when a curve reaches farther from
+    the grid than `optics.MAX_REACH` (`optics.pupil_node_counts`), as a
+    line-search trial can where the config's controls stay within it; the
+    line search scores such a trial +inf.
     """
     near = near or [None] * len(regions)
     systems = [build_region_system(r, problem, n) for r, n in zip(regions, near, strict=True)]
@@ -218,16 +223,16 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     through one `NodeTable.synthesize` call per chunk whose arrays each fit
     FD_BYTES, and each chunk's images are added to the other regions' from
     zeros in region order and scored (`objective.objective_values`) as
-    `evaluate` adds and scores them. Moving control k moves only the Gauss
-    points of its spans (`CurveRule.support`), so each bump forms phasors
-    anew only there, against the base curve's phasor table at its group's
-    wave vectors (`optics.moved_point_spectra`), at any node count; only a
-    group whose table exceeds FD_BYTES takes the full kernel for each bump
-    (`optics.point_spectra`). Every J is bit for bit the one `evaluate`
-    gives at the bumped controls. Each bumped sample loop goes
-    through `check_loop` with its base loop's `clearance_radius`, so a
-    bump that bounds no region raises MeshError, as `evaluate` would, and a
-    bump within the radius runs no crossing test.
+    `evaluate` adds and scores them. Each node-count group forms the base
+    curve's phasor table once, at its own wave vectors. Moving control k
+    moves only the Gauss points of its spans (`CurveRule.support`), so each
+    bump forms phasors anew only there and takes the rest from its group's
+    table (`optics.moved_point_spectra`). Every J is bit for bit the one
+    `evaluate` gives at the bumped controls. Each bumped sample loop goes
+    through `check_loop` with its base loop's `clearance_radius`, so a bump
+    that bounds no region raises MeshError, as `evaluate` would, and a bump
+    within the radius runs no crossing test. A bump whose curve reaches past
+    `optics.MAX_REACH` raises MeshError too (`optics.pupil_node_counts`).
     """
     alone = [s.amplitude(problem.grid) for s in evaluation.systems]
     out = []
@@ -268,18 +273,13 @@ def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: li
     for counts, bumps in groups.items():
         nodes = node_table_at(grid, *counts)
         size = nodes.k.shape[1]
-        table = None
-        if 24 * len(base) * size <= FD_BYTES:
-            table = phasors(base, nodes.k, np.empty((3, len(base), size)))
+        table = phasors(base, nodes.k, np.empty((3, len(base), size)))
         per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
         chunk = max(1, FD_BYTES // per_bump)
         for start in range(0, len(bumps), chunk):
             members = np.array(bumps[start:start + chunk])
-            if table is None:
-                spectra = np.stack([point_spectra(points[b], steps[b], nodes.k) for b in members])
-            else:
-                rows = rule.support[members // 4]
-                spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
+            rows = rule.support[members // 4]
+            spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
             fields = nodes.synthesize(boundary_spectrum(spectra, signs[members], nodes))
             field = AmplitudeField(_summed([*before, fields, *after], fields.shape))
             j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)

@@ -31,6 +31,7 @@ from splinemask.pipeline import (
 )
 from splinemask.spline import PeriodicSplineRegion, build_collocation, curve_rule
 
+from conftest import desk_square_problem, square_region
 from direct_sum import airy_kernel_radial_derivative, forward_curve_gradient
 
 QUAD = TriangleQuadrature.degree3()
@@ -383,6 +384,40 @@ def test_finite_differences_refuse_a_bump_whose_loop_bounds_no_region(desk_squar
         finite_difference_gradient(problem, evaluation, step=step)
 
 
+def ring_region(n, radius, num_samples, degree=3):
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    return PeriodicSplineRegion(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1), num_samples, degree)
+
+
+def far_ring_problem(shift, radius):
+    """A 2 x 2 grid, and a ring of 12 controls of `radius` centred `shift` units beside it."""
+    grid = ImageGrid(2, 2, 0.5, (-0.25, -0.25))
+    problem = pipeline.ImagingProblem(grid, np.zeros((2, 2)), ResistModel(), QUAD, 0.02)
+    region = ring_region(12, radius, 24)
+    return problem, region.with_controls(region.controls + [shift, 0.0])
+
+
+def test_evaluate_refuses_a_curve_past_the_reach_of_the_pupil_rule():
+    # a small ring about 102 units from the grid, past optics.MAX_REACH
+    problem, far = far_ring_problem(101.5, 0.3)
+    assert optics.grid_reach(problem.grid, far.controls) > 102.0
+    with pytest.raises(MeshError, match="reach of 102"):
+        evaluate(problem, [far])
+
+
+def test_finite_differences_refuse_a_bump_past_the_reach_of_the_pupil_rule():
+    # a ring whose curve reaches 99.5 units: bumps of one unit move its curve
+    # by up to 2/3 of that, so those of its outermost controls pass
+    # optics.MAX_REACH, and evaluate and the twin both refuse them
+    problem, region = far_ring_problem(97.34, 2.0)
+    assert 99.4 < optics.grid_reach(problem.grid, curve_rule(region).basis @ region.controls) < 99.6
+    evaluation = evaluate(problem, [region])
+    with pytest.raises(MeshError, match="past the 100"):
+        full_difference_gradient(problem, evaluation, step=1.0)
+    with pytest.raises(MeshError, match="past the 100"):
+        finite_difference_gradient(problem, evaluation, step=1.0)
+
+
 def node_count_changes(problem, evaluation, step):
     """How many central-difference bumps of `step` move a curve's Gauss points to other pupil node counts."""
     changes = 0
@@ -396,6 +431,41 @@ def node_count_changes(problem, evaluation, step):
                     bumped[k, c] += delta
                     changes += optics.pupil_node_counts(optics.grid_reach(problem.grid, basis @ bumped)) != counts
     return changes
+
+
+def recorded_phasors(monkeypatch):
+    """Record each `phasors` call, its caller's module name, points and wave vectors, where `optics` and `pipeline` call it."""
+    calls = []
+    for module in (optics, pipeline):
+        def recorded(points, k, work, kernel=module.phasors, name=module.__name__.rsplit(".", 1)[1]):
+            calls.append((name, points.copy(), k))
+            return kernel(points, k, work)
+
+        monkeypatch.setattr(module, "phasors", recorded)
+    return calls
+
+
+def assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls):
+    """The twin's phasor work, with its node tables cached: all Q Gauss points only for each region's image and group tables.
+
+    `optics` forms each region's base image first, in blocks of at most
+    `optics.POINT_BLOCK` points, and `pipeline` the table of each node-count
+    group of a region's base curve, once a group. Every other call forms
+    only the rows its bumps move: s = `CurveRule.support` rows a bump, 4n
+    bumps a region.
+    """
+    systems = evaluation.systems
+    base = [s.curve[0] - problem.grid.center for s in systems]
+    rest = [points for name, points, _ in calls if name == "optics"]
+    for curve in base:
+        blocks = -(-len(curve) // optics.POINT_BLOCK)
+        assert np.array_equal(np.concatenate(rest[:blocks]), curve)
+        rest = rest[blocks:]
+        tables = [k for name, points, k in calls if name == "pipeline" and np.array_equal(points, curve)]
+        assert tables and len({id(k) for k in tables}) == len(tables)
+    assert all(any(np.array_equal(points, curve) for curve in base) for name, points, _ in calls if name == "pipeline")
+    moved = sum(len(points) for points in rest)
+    assert moved == sum(4 * s.region.n * curve_rule(s.region).support.shape[1] for s in systems)
 
 
 @pytest.mark.blas_threads
@@ -418,18 +488,29 @@ def test_finite_differences_take_no_full_kernel_when_a_bump_changes_the_node_cou
     cfg, problem, region = desk_square
     evaluation = evaluate(problem, two_regions(region))
     assert node_count_changes(problem, evaluation, 0.2) > 0
-    want = full_difference_gradient(problem, evaluation, step=0.2)
-    kernel, calls = pipeline.point_spectra, []
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(pipeline, "point_spectra", counted)
+    want = full_difference_gradient(problem, evaluation, step=0.2)  # also caches every node table
+    calls = recorded_phasors(monkeypatch)
     got = finite_difference_gradient(problem, evaluation, step=0.2)
-    assert len(calls) == 0
+    assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("num_controls", [60, 120])
+def test_finite_differences_patch_tables_over_the_byte_budget(monkeypatch, num_controls):
+    # the desk config with many controls: each group's phasor table, 1.08 and
+    # 2.17 MiB here, exceeds FD_BYTES and is formed all the same, and every
+    # bump forms phasors only at the Gauss points its control moves
+    cfg, problem = desk_square_problem()
+    evaluation = evaluate(problem, [square_region(num_controls, 2 * num_controls, cfg)])
+    curve = evaluation.systems[0].curve[0]
+    assert 24 * len(curve) * optics.node_table(problem.grid, curve).k.shape[1] > pipeline.FD_BYTES
+    want = full_difference_gradient(problem, evaluation)  # also caches every node table
+    calls = recorded_phasors(monkeypatch)
+    got = finite_difference_gradient(problem, evaluation)
+    assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls)
+    assert got[0].tobytes() == want[0].tobytes()
 
 
 def three_regions(data):
@@ -461,8 +542,8 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
                       label="chunk")
     # a chunk of `chunk` bumps for the region of the most bytes a bump at its
     # base node count (`pipeline.FD_BYTES`); at the smaller chunks a region's
-    # phasor table (24 Q K bytes) can exceed the budget, and then its bumps
-    # take the full kernel
+    # phasor table (24 Q K bytes) can exceed the budget, and its bumps still
+    # take their spectra from it
     nx, ny = problem.grid.nx, problem.grid.ny
     per_bump = 0
     for s in evaluation.systems:
@@ -486,11 +567,6 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
             got = finite_difference_gradient(problem, evaluation, step=step)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
-
-
-def ring_region(n, radius, num_samples, degree=3):
-    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    return PeriodicSplineRegion(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1), num_samples, degree)
 
 
 @pytest.mark.parametrize("side, region", [

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -712,6 +713,16 @@ def test_pupil_node_counts_never_fall_as_the_reach_grows(exponents):
     counts = [optics.pupil_node_counts(reach) for reach in (near, far)]
     assert counts[0][0] <= counts[1][0] and counts[0][1] <= counts[1][1]
     assert len(pupil_nodes(*counts[0])[1]) <= len(pupil_nodes(*counts[1])[1])
+
+
+def test_pupil_node_counts_refuse_a_reach_past_the_bound():
+    # the Gauss points of a curve within MAX_REACH can round a few ulps past
+    # it (4e-16 relative in the reach test above); a reach farther, or not a
+    # number, is a MeshError
+    assert optics.pupil_node_counts(optics.MAX_REACH * (1 + 4e-16)) == optics.pupil_node_counts(optics.MAX_REACH)
+    for reach in (optics.MAX_REACH * (1 + 1e-9), 101.0, math.inf, math.nan):
+        with pytest.raises(mesh.MeshError, match="pupil rule"):
+            optics.pupil_node_counts(reach)
 
 
 def test_forward_and_gradient_form_phasors_in_one_place(desk_square, monkeypatch):

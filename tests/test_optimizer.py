@@ -551,6 +551,37 @@ def test_step_scores_a_crossing_trial_loop_as_infeasible(monkeypatch):
     assert new_state.objective < state.objective
 
 
+def test_step_scores_a_trial_past_the_pupil_reach_as_infeasible(monkeypatch):
+    """A trial whose curve reaches past `optics.MAX_REACH` fails `evaluate` with MeshError and scores +inf.
+
+    The bound is lowered to halfway between the reach of the desk square's
+    curve and that of its unconstrained step, which then lies past it.
+    """
+    from splinemask import optics, optimizer
+
+    cfg, problem = desk_square_problem()
+    state = OptimizationState(evaluation=evaluate(problem, [square_region(cfg=cfg)]))
+    free_state, free = step(state, problem, OptimizerConfig())
+    near, far = (optics.grid_reach(problem.grid, e.systems[0].curve[0]) for e in (state.evaluation, free_state.evaluation))
+    assert near < far
+    monkeypatch.setattr(optics, "MAX_REACH", 0.5 * (near + far))
+    refused, scored = [], optimizer.evaluate
+
+    def recorded_evaluate(problem, regions, near=None):
+        try:
+            return scored(problem, regions, near)
+        except MeshError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(optimizer, "evaluate", recorded_evaluate)
+    new_state, alpha = step(state, problem, OptimizerConfig())
+    assert refused and all("pupil rule" in message for message in refused)
+    assert 0 < alpha < free
+    assert optics.grid_reach(problem.grid, new_state.evaluation.systems[0].curve[0]) <= optics.MAX_REACH
+    assert new_state.objective < state.objective
+
+
 @pytest.mark.parametrize("member", ["desk", "full"])
 def test_every_trial_that_skips_the_crossing_test_is_simple(monkeypatch, member):
     """Along the desk and the 100-step full-scale runs, the trials within their iterate's clearance radius are simple.
