@@ -28,23 +28,21 @@ class ResistModel:
 
 @np.errstate(over="ignore")  # far out on the sigmoid's lower tail exp(t) is inf, and the quotient 0
 def _inverse_one_plus_exp(t):
-    """1 / (1 + exp(t)), the logistic at -t, written over t when t is a float array.
+    """1 / (1 + exp(t)), the logistic at -t, written over the float array t, 0-d too, and returned.
 
     The only roundings are in exp, one add and one divide, so both tails
     keep full relative accuracy. In place, and with `np.reciprocal` rather
     than a divide of 1.0, the three ufuncs and the error state cost less per
     call than scipy's `expit` on a 20 x 20 image.
     """
-    if not isinstance(t, np.ndarray):
-        return 1.0 / (1.0 + np.exp(t))
     np.exp(t, out=t)
     t += 1.0
     return np.reciprocal(t, out=t)
 
 
 def sigmoid(x, model: ResistModel):
-    """Logistic resist response 1 / (1 + exp(-a (x - tr))); saturates without overflow, sig(tr) = 0.5."""
-    t = model.threshold - np.asarray(x, dtype=float)
+    """Logistic resist response 1 / (1 + exp(-a (x - tr))), an array, 0-d for a scalar x; saturates without overflow, sig(tr) = 0.5."""
+    t = np.asarray(model.threshold - np.asarray(x, dtype=float))
     t *= model.steepness  # a (tr - x), which is -a (x - tr) bit for bit
     return _inverse_one_plus_exp(t)
 

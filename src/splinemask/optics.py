@@ -50,8 +50,9 @@ dispatches, and on the BLAS that forms the products.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -90,14 +91,19 @@ MAX_REACH = 100.0
 # controls, and the chain's curve gradient none. A node table's wex and ey,
 # (nx, K) complex and (2K, ny) float, grow with one side each, so they hold
 # at most 16 bytes x 1024 x K each: 562 MiB at MAX_REACH, where K = 35,991.
-# One table is then 1.1 GiB, and the GRID_TABLES cache of them 8.8 GiB; these
+# One table is then 1.1 GiB, more than NODE_TABLE_BYTES on its own; these
 # figures follow from the array shapes alone.
 MAX_GRID_SIDE = 1024
 
-# Node tables (frequencies and grid-side exponentials) kept, one per
-# (grid, n_r, n_theta); a desk optimize run meets 4 node counts, and a
-# 100-step full-scale run 6.
-GRID_TABLES = 8
+# The most bytes of node tables (`NodeTable.nbytes`) that `node_table_at`
+# keeps, one table per (grid, n_r, n_theta); only the newest table, which it
+# always keeps, can pass it alone. A count of tables bounds no memory, since
+# one table ranges from 0.1 MB to 1.1 GiB: at 8 tables a config that passes
+# every bound could keep 8.8 GiB. A desk optimize run meets 4 node counts and
+# a 100-step full-scale run 6, none of them above 1 MB, so this keeps all of
+# theirs, while at MAX_GRID_SIDE and MAX_REACH the cache holds one table
+# between calls.
+NODE_TABLE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -360,13 +366,19 @@ class NodeTable:
     grid center; `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (2K, ny)
     C-ordered, with the real part of node k in row 2k and its imaginary part
     in row 2k + 1, the layout that the synthesis product reads. All four are
-    read-only, and `node_table_at` keeps one table per grid and node count.
+    read-only, and `node_table_at` keeps tables per grid and node count
+    within NODE_TABLE_BYTES.
     """
 
     k: np.ndarray
     edge_factor: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by `k`, `edge_factor`, `wex` and `ey`."""
+        return self.k.nbytes + self.edge_factor.nbytes + self.wex.nbytes + self.ey.nbytes
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
         """Pupil integral of each spectrum, (..., K) complex -> (..., nx, ny) real.
@@ -416,8 +428,32 @@ def _corner_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
     return d[..., 0] + d[..., 1]
 
 
-@lru_cache(maxsize=GRID_TABLES)
+# The kept node tables, least recently used first, and the lock that makes
+# a lookup, a build and the evictions after it one step for concurrent callers.
+_node_tables: dict[tuple[ImageGrid, int, int], NodeTable] = {}
+_node_tables_lock = threading.Lock()
+
+
 def node_table_at(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
+    """The NodeTable of `grid` at these node counts, formed on first use and kept while the kept tables fit NODE_TABLE_BYTES.
+
+    A lookup is a dict hit that marks the table most recently used. After a
+    table is formed, the least recently used tables are dropped while the
+    kept ones total more than NODE_TABLE_BYTES, but never the new one; a
+    table formed again is bit for bit the one dropped.
+    """
+    key = (grid, n_r, n_theta)
+    with _node_tables_lock:
+        nodes = _node_tables.pop(key, None)
+        if nodes is None:
+            nodes = _form_node_table(grid, n_r, n_theta)
+            while _node_tables and nodes.nbytes + sum(t.nbytes for t in _node_tables.values()) > NODE_TABLE_BYTES:
+                del _node_tables[next(iter(_node_tables))]
+        _node_tables[key] = nodes
+    return nodes
+
+
+def _form_node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     """The NodeTable of `grid` at these node counts: `k` (2, K), `edge_factor` (K,), `wex` (nx, K) and `ey` (2K, ny), read-only.
 
     Each grid line's exponentials are the `phasors` of one point, cos x plus
@@ -475,21 +511,19 @@ def phasor_sums(coef: np.ndarray, tables, num_nodes: int) -> np.ndarray:
     `tables` yields, block by block, the (2, q, K) cosines and half sines
     (`phasors`) of POINT_BLOCK points, the last block the rest, for
     K = `num_nodes`. Each block is contracted with its coefficients as two
-    real matrix products, and every block, the first too, is added into
-    zeroed sums in block order. Doubling
-    commutes with rounding, so the doubled sums are bitwise those of the
-    sines.
+    real matrix products, added in block order, the first block too, into
+    the real and imaginary parts of one zeroed complex result, whose
+    imaginary part is then doubled once. Doubling commutes with rounding, so
+    the doubled sums are bitwise those of the sines.
     """
     rows = coef.reshape(-1, coef.shape[-1])
-    sums = np.zeros((2, len(rows), num_nodes))
+    out = np.zeros((len(rows), num_nodes), dtype=complex)
     for start, (cos, sin) in zip(range(0, rows.shape[1], POINT_BLOCK), tables):
         block = slice(start, start + POINT_BLOCK)
-        sums[0] += rows[:, block] @ cos
-        sums[1] += rows[:, block] @ sin
-    out = np.empty((*coef.shape[:-1], num_nodes), dtype=complex)
-    out.real = sums[0].reshape(out.shape)
-    out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
-    return out
+        out.real += rows[:, block] @ cos
+        out.imag += rows[:, block] @ sin
+    out.imag *= 2.0
+    return out.reshape(*coef.shape[:-1], num_nodes)
 
 
 def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:

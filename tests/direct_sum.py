@@ -13,10 +13,14 @@ forward mode, through the derivative spectra of every control, which the
 package's reverse-mode `gradient.curve_gradient` replaces. `identity_node_table`
 forms a node table's grid-side exponentials as point spectra with identity
 coefficient rows, the contraction that `optics.node_table_at` skips.
+`two_buffer_phasor_sums` contracts phasor blocks into separate real and
+imaginary sums and assembles the complex result from them, the two copies
+that `optics.phasor_sums` skips.
 """
 import numpy as np
 from scipy.special import j0, j1
 
+from splinemask import optics
 from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
 from splinemask.optics import SMALL_RHO, AmplitudeField, NodeTable, airy_kernel, node_table, point_spectra, pupil_nodes
@@ -199,3 +203,23 @@ def identity_node_table(grid, n_r, n_theta) -> NodeTable:
     wex = weights * point_spectra(columns, np.eye(grid.nx), k)
     ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
     return NodeTable(k, edge_factor, wex, ey)
+
+
+def two_buffer_phasor_sums(coef, tables, num_nodes):
+    """`optics.phasor_sums` through one (2, R, K) real buffer of sums, copied into the complex result at the end.
+
+    Block by block the cosine and half-sine products of the coefficient rows
+    are added into zeroed real sums in block order, `optics.POINT_BLOCK`
+    points a block; the half-sine sums are doubled in place, and both are
+    copied into the real and imaginary parts of the result.
+    """
+    rows = coef.reshape(-1, coef.shape[-1])
+    sums = np.zeros((2, len(rows), num_nodes))
+    for start, (cos, sin) in zip(range(0, rows.shape[1], optics.POINT_BLOCK), tables):
+        block = slice(start, start + optics.POINT_BLOCK)
+        sums[0] += rows[:, block] @ cos
+        sums[1] += rows[:, block] @ sin
+    out = np.empty((*coef.shape[:-1], num_nodes), dtype=complex)
+    out.real = sums[0].reshape(out.shape)
+    out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
+    return out

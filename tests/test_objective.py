@@ -48,6 +48,24 @@ def test_sigmoid_and_its_derivative_match_mpmath_on_both_tails():
     assert sigmoid_derivative(np.array([-1e4, -np.inf, 1e4, np.inf]), model).tolist() == [0.0] * 4
 
 
+def test_sigmoid_gives_the_same_bits_for_floats_0d_arrays_and_arrays():
+    # one array path: a scalar comes back as a 0-d array, bit for bit the
+    # element of an array, out to both saturated tails, and no input is
+    # written over
+    model = ResistModel(90.0, 0.3)
+    xs = [-np.inf, -1e300, -1e4, -1.0, 0.0, 0.25, 0.3, 0.35, 1.0, 1e4, 1e300, np.inf]
+    array = np.array(xs)
+    stacked = sigmoid(array, model)
+    assert array.tolist() == xs
+    for x, want in zip(xs, stacked):
+        zero_d = np.array(x)
+        for arg in (x, np.float64(x), zero_d):
+            got = sigmoid(arg, model)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert got.tobytes() == want.tobytes()
+        assert zero_d.tolist() == x
+
+
 def test_sigmoid_monotone():
     model = ResistModel(90.0, 0.3)
     xs = np.linspace(-1, 2, 400)

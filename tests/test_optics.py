@@ -45,6 +45,7 @@ from direct_sum import (
     direct_forward_amplitude,
     identity_node_table,
     point_spectrum,
+    two_buffer_phasor_sums,
 )
 from polygon_spectrum import collapsed_gauss_spectrum, polygon_spectrum
 from conftest import desk_square_problem, square_region
@@ -626,7 +627,8 @@ def test_node_table_is_bitwise_the_identity_contraction(nx, ny, pitch, centered,
     kernel, calls = optics.point_spectra, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optics, "point_spectra", lambda *args: calls.append(args) or kernel(*args))
-        got = optics.node_table_at.__wrapped__(grid, *counts)
+        patch.setattr(optics, "_node_tables", {})
+        got = optics.node_table_at(grid, *counts)
     assert not calls
     want = identity_node_table(grid, *counts)
     for name in ("k", "edge_factor", "wex", "ey"):
@@ -822,6 +824,32 @@ def test_point_spectra_match_point_oracle(desk_square, seed, scale, block):
         assert_spectra_match_point_oracle(mesh, problem.quad, problem.grid, coef, slot_coef)
 
 
+@pytest.mark.blas_threads
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 3), max_size=2),
+       block=st.sampled_from([1, 7, 64, optics.POINT_BLOCK]), num_blocks=st.integers(1, 3),
+       short=st.integers(0, optics.POINT_BLOCK - 1), num_nodes=st.integers(1, 40))
+@example(seed=0, lead=[3], block=optics.POINT_BLOCK, num_blocks=1, short=0, num_nodes=40)
+@example(seed=1, lead=[2, 3], block=optics.POINT_BLOCK, num_blocks=3, short=0, num_nodes=40)
+@example(seed=2, lead=[], block=optics.POINT_BLOCK, num_blocks=3, short=300, num_nodes=40)
+def test_phasor_sums_match_the_two_buffer_contraction(seed, lead, block, num_blocks, short, num_nodes):
+    # block sums added straight into one complex result, its imaginary part
+    # doubled once, are bit for bit real sums copied into it, over coefficient
+    # stacks of any shape and magnitude and over one block, several and a
+    # short last block
+    num_points = num_blocks * block - short % block
+    rng = np.random.default_rng(seed)
+    coef = rng.normal(size=(*lead, num_points)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(*lead, 1))
+    table = rng.uniform(-1.0, 1.0, size=(2, num_points, num_nodes))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics, "POINT_BLOCK", block)
+        blocks = [table[:, start:start + block] for start in range(0, num_points, block)]
+        got = optics.phasor_sums(coef, iter(blocks), num_nodes)
+        want = two_buffer_phasor_sums(coef, iter(blocks), num_nodes)
+    assert got.shape == want.shape == (*lead, num_nodes)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 300, optics.POINT_BLOCK])
 def test_point_spectra_match_point_oracle_on_a_dense_mesh(desk_square, monkeypatch, block):
     cfg, problem, region = desk_square
@@ -914,6 +942,34 @@ def test_node_and_grid_tables_are_cached_read_only(desk_square):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
+
+
+def test_node_table_cache_keeps_its_byte_budget_and_the_newest_table(monkeypatch):
+    # with room for just over one table of the twin workload's grid, each
+    # new table drops the others; one formed again after it was dropped is
+    # bit for bit the first, and a lookup returns the kept table itself
+    grid = ImageGrid(48, 36, 10.0, (-235.0, -175.0)).scaled(OpticalConfig().scale_per_nm)
+    counts = [optics.pupil_node_counts(reach) for reach in (2.0, 2.5, 3.0)]
+    monkeypatch.setattr(optics, "_node_tables", {})
+    sizes = [optics._form_node_table(grid, *c).nbytes for c in counts]
+    budget = max(sizes) + 1
+    assert min(a + b for i, a in enumerate(sizes) for b in sizes[i + 1:]) > budget
+    monkeypatch.setattr(optics, "NODE_TABLE_BYTES", budget)
+    tables = [optics.node_table_at(grid, *c) for c in counts]
+    assert list(optics._node_tables) == [(grid, *counts[-1])]
+    assert sum(table.nbytes for table in optics._node_tables.values()) <= budget
+    assert optics.node_table_at(grid, *counts[-1]) is tables[-1]
+    again = optics.node_table_at(grid, *counts[0])
+    assert again is not tables[0] and list(optics._node_tables) == [(grid, *counts[0])]
+    for name in ("k", "edge_factor", "wex", "ey"):
+        assert getattr(again, name).tobytes() == getattr(tables[0], name).tobytes()
+    # with room for the first and last tables only, a lookup of the first
+    # makes the second the least recently used, and the last drops it
+    monkeypatch.setattr(optics, "_node_tables", {})
+    monkeypatch.setattr(optics, "NODE_TABLE_BYTES", sizes[0] + sizes[2])
+    for c in (counts[0], counts[1], counts[0], counts[2]):
+        optics.node_table_at(grid, *c)
+    assert list(optics._node_tables) == [(grid, *counts[0]), (grid, *counts[2])]
 
 
 def test_warm_forward_builds_no_grid_sample_array(desk_square, monkeypatch):
