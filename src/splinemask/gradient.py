@@ -3,12 +3,13 @@
 The chain images each region's spline curve through its Gauss points r_q
 and steps dr_q = w_q r'_q (`optics.curve_spectrum`), and takes J's gradient
 as an adjoint (`curve_gradient`). With the pixel weight W = dJ/dU, J moves
-as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`. In reverse mode the
-adjoint is paired with the phasors first: one `optics.point_spectra` call,
-with the pupil nodes as its points and the Gauss points as its wave
-vectors, gives dJ/dr_q and dJ/d(dr_q) at every Gauss point, and the rule's
-basis values and slopes, in which the points and steps are linear, carry
-them to dJ/dP. No derivative spectrum or field is formed.
+as Re sum_k L_k dS_k for L = `NodeTable.adjoint(W)`, one for all regions on
+the mask's node table (`pipeline.gradient_of`). In reverse mode the adjoint
+is paired with the phasors first: one `optics.point_spectra` call, with the
+pupil nodes as its points and the Gauss points as its wave vectors, gives
+dJ/dr_q and dJ/d(dr_q) at every Gauss point, and the rule's basis values and
+slopes, in which the points and steps are linear, carry them to dJ/dP. No
+derivative spectrum or field is formed.
 
 The library's mesh image has the fields dU/dP themselves
 (`amplitude_gradient`). For fixed mesh topology every vertex is linear in
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
-from .optics import ImageGrid, node_table, point_spectra
+from .optics import ImageGrid, NodeTable, node_table, point_spectra
 from .spline import CurveRule
 
 
@@ -99,28 +100,28 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
 
 
 def curve_gradient(rule: CurveRule, points: np.ndarray, steps: np.ndarray, sign: float,
-                   grid: ImageGrid, weight: np.ndarray) -> np.ndarray:
-    """dJ/dP (n, 2) for one region's curve imaged on `grid`, given the pixel weight dJ/dU (nx, ny).
+                   nodes: NodeTable, adjoint: np.ndarray) -> np.ndarray:
+    """dJ/dP (n, 2) for one region's curve, given the adjoint L (K,) of the pixel weight dJ/dU on the mask's node table.
 
-    The curve is imaged as `optics.curve_amplitude` images it: on the node
-    table of its Gauss points r_q = N_q P (`points`, (Q, 2)), with steps
-    dr_q = w_q N'_q P (`steps`, rows dx and dy), spectrum
-    S = F sum_q E_qk (v . dr_q) for F = sign i / |k|^2, E_qk = exp(-i k . g_q),
-    g = r - center and k turned a quarter on, v = (-k_y, k_x). With z = F L
-    for L the adjoint of the weight, in reverse mode (Griewank and Walther,
-    Evaluating Derivatives, 2nd ed., ch. 3) dJ/d(dr_qa) = Re sum_k E_qk z v_a
+    The mask is imaged as `optics.curve_amplitude` images it: on one node
+    table of all its regions' Gauss points, here the region's points
+    r_q = N_q P relative to the grid center, g = r - center (`points`,
+    (Q, 2)), with steps dr_q = w_q N'_q P (`steps`, rows dx and dy), and
+    spectrum S = F sum_q E_qk (v . dr_q) for F = sign i / |k|^2,
+    E_qk = exp(-i k . g_q) and k turned a quarter on, v = (-k_y, k_x). With
+    z = F L, in reverse mode (Griewank and Walther, Evaluating Derivatives,
+    2nd ed., ch. 3) dJ/d(dr_qa) = Re sum_k E_qk z v_a
     and dJ/dg_qa = sum_b dr_qb Re sum_k E_qk z v_b (-i k_a). These six node
     sums per point are one `point_spectra` call with the nodes as its points
     and the Gauss points as its wave vectors, on the real and imaginary parts
     of the node factors as coefficient rows. Then
     dJ/dP = N^T dJ/dg + N'^T (w dJ/d(dr)).
     """
-    nodes = node_table(grid, points)
     kx, ky = nodes.k
     turned = np.stack([-ky, kx])
     factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
-    factors *= sign * nodes.edge_factor * nodes.adjoint(weight)
-    sums = point_spectra(nodes.k.T, np.stack([factors.real, factors.imag]), (points - grid.center).T)
+    factors *= sign * nodes.edge_factor * adjoint
+    sums = point_spectra(nodes.k.T, np.stack([factors.real, factors.imag]), points.T)
     sums = sums[0].real - sums[1].imag  # (3, axis, Q): dJ/d(dr), then dJ/dg's factors of dx and of dy
     moved = steps[0] * sums[1] + steps[1] * sums[2]  # dJ/dg (axis, Q)
     return rule.basis.T @ moved.T + rule.slope.T @ (rule.weights * sums[0]).T

@@ -11,25 +11,26 @@ region P, U(x) = int_P H(x - g) dg, equals the pupil integral
 U(x) = int_{|f| <= 1} S(f) exp(2 pi i f.x) df of the mask spectrum
 S(f) = int_P exp(-2 pi i f.g) dg. The integral is evaluated on a polar node
 table (Gauss-Legendre in r, trapezoid in theta over half the disk, then
-2 Re) sized by D, the largest distance from a region's curve points or mesh
-vertices to a pixel. The distance to a pixel is convex, so no point of a
-mesh reaches farther; a curve may bulge a little past the hull of its
-points, within the margins of the rule. The radial count follows from D and
-each ring's angular count from its own reach r D, so inner rings take fewer
-nodes. On the tensor pixel grid the synthesis is one real matrix product and
-no Bessel function is evaluated. `NodeTable` holds the nodes and the grid-side
-exponentials and synthesizes any spectrum.
+2 Re) sized by D, the largest distance from the curve points or mesh
+vertices it images to a pixel. The distance to a pixel is convex, so no
+point of a mesh reaches farther; a curve may bulge a little past the hull of
+its points, within the margins of the rule. The radial count follows from D
+and each ring's angular count from its own reach r D, so inner rings take
+fewer nodes. On the tensor pixel grid the synthesis is one real matrix
+product and no Bessel function is evaluated. `NodeTable` holds the nodes and
+the grid-side exponentials, synthesizes any spectrum and forms the adjoint.
 
-The chain images each region's spline curve. By the divergence theorem its
-spectrum is a boundary integral, S = sign (i / |k|^2) int exp(-i k . r)
-(k_x dy - k_y dx) with k = 2 pi f, taken at the Gauss points r_q of
-`spline.curve_rule` with steps dr_q = w_q r'_q: then
-S = sign (i / |k|^2) (k_x A_y - k_y A_x) for the point spectra A of the
-points with the rows dx and dy of the steps as coefficients
-(`curve_spectrum`). The library images a triangle mesh of a region through a
-triangle quadrature rule, with quadrature points g_q and weights c_q (the
-triangle area times the rule weight), as S(f) = sum_q c_q exp(-2 pi i f.g_q),
-on the node table of the mesh's vertices (`forward_amplitude`).
+The chain images the mask its regions' spline curves bound. By the
+divergence theorem a region's spectrum is a boundary integral,
+S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) with k = 2 pi f,
+taken at the Gauss points r_q of `spline.curve_rule` with steps
+dr_q = w_q r'_q (`curve_spectrum`). The regions are disjoint, so the mask's
+spectrum is the sum of theirs (`mask_spectrum`), synthesized once on the
+node table of all their points (`curve_amplitude`). The library images a
+triangle mesh of each region through a triangle quadrature rule as
+S(f) = sum_q c_q exp(-2 pi i f.g_q), with quadrature points g_q and weights
+c_q (the triangle area times the rule weight), on the node table of the
+mesh's vertices (`forward_amplitude`).
 
 Both are point spectra, and one formula forms every phasor the package
 uses: `phasors`, from the tangent of the half angles, u = tan(x / 2),
@@ -40,19 +41,18 @@ into one work array of the call and contracts them with their coefficients
 as two real matrix products (`phasor_sums`); no kernel keeps state between
 calls. The finite differences of `pipeline` keep one curve's phasors and
 form anew only the rows a bump moves (`moved_point_spectra`), with the same
-contraction. numpy evaluates tan with a SIMD loop where the CPU has
-AVX-512, several times faster than a libm sin or cos; elsewhere it calls
-libm's tan, and one tangent then costs about as much as the sin or cos it
-replaces. The two round
-differently, so the last bits of an image depend on which one numpy
-dispatches, and on the BLAS that forms the products.
+contraction. numpy evaluates tan with a SIMD loop where the CPU has AVX-512,
+several times faster than a libm sin or cos; elsewhere it calls libm's tan,
+and one tangent then costs about as much as the sin or cos it replaces. The
+two round differently, so the last bits of an image depend on which one
+numpy dispatches, and on the BLAS that forms the products.
 """
 from __future__ import annotations
 
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -459,29 +459,36 @@ def _form_node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     Each grid line's exponentials are the `phasors` of one point, cos x plus
     2i times the half sine: exp(i k_x (x_i - c_x)) of the point (c_x - x_i, 0)
     and exp(-i k_y (y_j - c_y)) of (0, y_j - c_y), for the grid center c.
+    They are formed POINT_BLOCK lines at a time, in one work array and one
+    complex array, and written straight into `wex` and `ey`.
     """
     freqs, weights = pupil_nodes(n_r, n_theta)
     k = 2.0 * np.pi * freqs
+    size = k.shape[1]
     edge_factor = 1j / (k * k).sum(axis=0)
-
-    def cis(points):
-        cos, half_sin = phasors(points, k, np.empty((3, len(points), k.shape[1])))
-        return cos + 2j * half_sin
-
-    center = grid.center
-    wex = weights * cis(np.stack([center[0] - grid.xs, np.zeros(grid.nx)], axis=1))
-    ey = np.ascontiguousarray(cis(np.stack([np.zeros(grid.ny), grid.ys - center[1]], axis=1)).view(np.float64).T)
+    wex = np.empty((grid.nx, size), dtype=complex)
+    ey = np.empty((2 * size, grid.ny))
+    work = np.empty((3, min(max(grid.nx, grid.ny), POINT_BLOCK), size))
+    cis = np.empty(work.shape[1:], dtype=complex)
+    for points, out in ((np.stack([grid.center[0] - grid.xs, np.zeros(grid.nx)], axis=1), wex.view(np.float64)),
+                        (np.stack([np.zeros(grid.ny), grid.ys - grid.center[1]], axis=1), ey.T)):
+        for start in range(0, len(points), POINT_BLOCK):
+            block = points[start:start + POINT_BLOCK]
+            cos, half_sin = phasors(block, k, work[:, :len(block)])
+            lines = np.multiply(2j, half_sin, out=cis[:len(block)])
+            out[start:start + len(block)] = np.add(cos, lines, out=lines).view(np.float64)
+    wex *= weights
     for table in (k, edge_factor, wex, ey):
         table.setflags(write=False)
     return NodeTable(k, edge_factor, wex, ey)
 
 
 def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
-    """The cached node table for a region whose points (..., 2) span its convex hull.
+    """The cached node table for points (..., 2) that span a mask's curves or a region's mesh.
 
     Its node counts follow from D, the grid's reach over the points
     (`pupil_node_counts`). The distance to a grid corner is convex, so no
-    point of the hull reaches farther.
+    point of their hull reaches farther.
     """
     return node_table_at(grid, *pupil_node_counts(grid_reach(grid, points)))
 
@@ -611,12 +618,25 @@ def moved_point_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray,
     return out
 
 
-def curve_amplitude(points: np.ndarray, steps: np.ndarray, sign: float, grid: ImageGrid) -> np.ndarray:
-    """Aerial amplitude (nx, ny) of the region a closed curve bounds: the pupil integral of its `curve_spectrum`.
+def mask_spectrum(spectra: list[np.ndarray]) -> np.ndarray:
+    """A mask's spectrum from its regions' spectra (..., K): the first, then each next one added, in region order.
 
-    `points` (Q, 2) are the curve's Gauss points in normalized coordinates
-    and `steps` (2, Q) their steps w_q r'_q. The node table follows from the
-    points (`node_table`).
+    The one order of that sum, for `curve_amplitude` and the finite
+    differences of `pipeline`; a stack among the spectra broadcasts.
     """
-    nodes = node_table(grid, points)
-    return nodes.synthesize(curve_spectrum(points - grid.center, steps, sign, nodes))
+    return reduce(np.add, spectra)
+
+
+def curve_amplitude(curves: list[tuple[np.ndarray, np.ndarray, float]], grid: ImageGrid) -> np.ndarray:
+    """Aerial amplitude (nx, ny) of the mask closed curves bound, zeros for none: the pupil integral of its spectrum.
+
+    `curves` holds each region's Gauss points (Q, 2), their steps w_q r'_q
+    (2, Q) and its orientation sign, in region order. One node table follows
+    from all their points (`node_table`), and the sum of their
+    `curve_spectrum`s (`mask_spectrum`) is synthesized once.
+    """
+    if not curves:
+        return np.zeros((grid.nx, grid.ny))
+    nodes = node_table(grid, np.concatenate([points for points, _, _ in curves]))
+    return nodes.synthesize(mask_spectrum([curve_spectrum(points - grid.center, steps, sign, nodes)
+                                           for points, steps, sign in curves]))

@@ -3,18 +3,12 @@
 One RegionSystem bundles a region's control points with its boundary loop,
 the samples Q = N P, and with its curve at the Gauss points of
 `spline.curve_rule`. `evaluate` checks that each sample loop bounds a region
-and takes the curve's orientation from it, images each curve
-(`optics.curve_amplitude`) and scores the image; `gradient_of` takes J's
-gradient as an adjoint of that image (`gradient.curve_gradient`), and
-`finite_difference_gradient` is its oracle twin. The twin images each region
-once at its base controls and then forms all central-difference bumps of a
-region as stacks: their loop checks, curves, orientations and node counts
-(`optics.pupil_node_counts`, as `optics.node_table` picks them) at once,
-their images a chunk of bumps per `NodeTable.synthesize` call, each bump
-forming phasors anew only at the Gauss points its control moves and taking
-the rest from its node-count group's table of the base curve, and their
-J values a chunk at a time, each bit for bit a full `evaluate`'s. None of
-them builds a mesh.
+and takes the curve's orientation from it, images the mask the curves bound
+with one synthesis (`optics.curve_amplitude`) and scores the image;
+`gradient_of` pairs one adjoint of that image with each curve
+(`gradient.curve_gradient`), and `finite_difference_gradient` is its oracle
+twin, which takes a region's bumps as stacks and each J bit for bit a full
+`evaluate`'s. None of them builds a mesh.
 
 The paper's mesh chain stays a library path beside them. A system's `mesh`
 is the Delaunay mesh of its loop refined to `ImagingProblem.refine_max_area`,
@@ -36,8 +30,9 @@ from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_radius, refine_mesh, triangulate_region
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
-from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, forward_amplitude,
-                     grid_reaches, moved_point_spectra, node_table_at, phasors, pupil_node_counts)
+from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, curve_spectrum, forward_amplitude,
+                     grid_reach, grid_reaches, mask_spectrum, moved_point_spectra, node_table, node_table_at,
+                     phasors, pupil_node_counts)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the per-chunk work arrays of `finite_difference_gradient`. A chunk
@@ -45,8 +40,9 @@ from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 # bump adds to three arrays of a chunk: its synthesis product, 16 nx K bytes;
 # the phasors of the s = `SPAN_POINTS` (degree + 1) Gauss points its control
 # moves, 24 s K bytes; and its share of the chunk's image stacks, about four
-# (nx, ny) float arrays, 32 nx ny bytes. Beside its chunks each node-count
-# group holds the base curve's phasor table, 24 Q K bytes for Q Gauss points.
+# (nx, ny) float arrays, 32 nx ny bytes. Beside its chunks a node-count group
+# holds the bumped curve's phasor table, 24 Q K bytes for Q Gauss points, and
+# the other regions' spectra, 16 K bytes each.
 # On the benchmark's twin (nx 48, ny 36, K 179, Q 80, s 20) the product
 # dominates and this budget takes 7 bumps a chunk. A gradcheck process runs
 # the differences once, and there, at one BLAS thread, they took a median
@@ -87,10 +83,6 @@ class RegionSystem:
         # formed with the system: every system of the chain is imaged, and a
         # cached_property takes a lock on the first read of each new system
         object.__setattr__(self, "curve", curve_rule(self.region).curve(self.region.controls))
-
-    def amplitude(self, grid: ImageGrid) -> np.ndarray:
-        """The image (nx, ny) of the region's curve on `grid` (`optics.curve_amplitude`)."""
-        return curve_amplitude(*self.curve, self.orientation, grid)
 
     @cached_property
     def mesh(self) -> ProvenancedMesh:
@@ -149,14 +141,6 @@ def build_region_system(region: PeriodicSplineRegion, problem: ImagingProblem,
     return RegionSystem(region, samples, np.sign(check_loop(samples, near=near)), problem.refine_max_area)
 
 
-def _summed(fields: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The region images added from zeros of `shape` in region order: (nx, ny), or a stack of sums."""
-    u = np.zeros(shape)
-    for field in fields:
-        u += field
-    return u
-
-
 def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: AmplitudeField) -> MaskEvaluation:
     j = objective_value(field.intensity_values, problem.target, problem.model, problem.grid)
     return MaskEvaluation(systems, field, j)
@@ -164,7 +148,7 @@ def _scored(problem: ImagingProblem, systems: list[RegionSystem], field: Amplitu
 
 def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
              near: list[tuple[np.ndarray, float]] | None = None) -> MaskEvaluation:
-    """The image of the regions' curves, scored.
+    """The image of the mask the regions' curves bound (`optics.curve_amplitude`), scored.
 
     Raises MeshError, or its subclass SelfIntersectionError, when a sample
     loop crosses itself or encloses no area. `near`, one loop and its
@@ -177,8 +161,8 @@ def evaluate(problem: ImagingProblem, regions: list[PeriodicSplineRegion],
     """
     near = near or [None] * len(regions)
     systems = [build_region_system(r, problem, n) for r, n in zip(regions, near, strict=True)]
-    fields = [s.amplitude(problem.grid) for s in systems]
-    return _scored(problem, systems, AmplitudeField(_summed(fields, (problem.grid.nx, problem.grid.ny))))
+    u = curve_amplitude([(*s.curve, s.orientation) for s in systems], problem.grid)
+    return _scored(problem, systems, AmplitudeField(u))
 
 
 def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
@@ -191,11 +175,16 @@ def evaluate_frozen(problem: ImagingProblem, systems: list[RegionSystem],
 def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
     """Analytic gradient of `evaluate`'s J at an evaluated state, one (n, 2) array per region.
 
-    Each region's dJ/dP is the adjoint of its curve image against the pixel
-    weight dJ/dU (`gradient.curve_gradient`).
+    The pixel weight dJ/dU has one adjoint on the node table that imaged the
+    mask (`NodeTable.adjoint`), and each region's dJ/dP pairs it with that
+    region's curve (`gradient.curve_gradient`).
     """
-    weight = pixel_weight(evaluation.field, problem.target, problem.model, problem.grid)
-    return [curve_gradient(curve_rule(s.region), *s.curve, s.orientation, problem.grid, weight)
+    if not evaluation.systems:
+        return []
+    grid = problem.grid
+    nodes = node_table(grid, np.concatenate([s.curve[0] for s in evaluation.systems]))
+    adjoint = nodes.adjoint(pixel_weight(evaluation.field, problem.target, problem.model, grid))
+    return [curve_gradient(curve_rule(s.region), s.curve[0] - grid.center, s.curve[1], s.orientation, nodes, adjoint)
             for s in evaluation.systems]
 
 
@@ -214,76 +203,66 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
                                step: float = 1e-6) -> list[np.ndarray]:
     """Central finite differences of `evaluate`'s J; the oracle twin of gradient_of.
 
-    A bump of region r moves only region r's curve, so each region is imaged
-    once at the base controls, and the bumps of region r re-image region r
-    alone. Its 4n bumped control sets are formed at once with the float
-    operations of a bump made one at a time (+ step, then - 2 step from the
-    plus bump), and so are their Gauss points, steps, orientations and node
-    counts. The bumps that share node counts are imaged a chunk at a time,
-    through one `NodeTable.synthesize` call per chunk whose arrays each fit
-    FD_BYTES, and each chunk's images are added to the other regions' from
-    zeros in region order and scored (`objective.objective_values`) as
-    `evaluate` adds and scores them. Each node-count group forms the base
-    curve's phasor table once, at its own wave vectors. Moving control k
-    moves only the Gauss points of its spans (`CurveRule.support`), so each
-    bump forms phasors anew only there and takes the rest from its group's
-    table (`optics.moved_point_spectra`). Every J is bit for bit the one
-    `evaluate` gives at the bumped controls. Each bumped sample loop goes
-    through `check_loop` with its base loop's `clearance_radius`, so a bump
-    that bounds no region raises MeshError, as `evaluate` would, and a bump
-    within the radius runs no crossing test. A bump whose curve reaches past
-    `optics.MAX_REACH` raises MeshError too (`optics.pupil_node_counts`).
-    """
-    alone = [s.amplitude(problem.grid) for s in evaluation.systems]
-    out = []
-    for r, system in enumerate(evaluation.systems):
-        j = _bumped_objectives(problem, system, alone[:r], alone[r + 1:], step)
-        out.append((j[:, :, 0] - j[:, :, 1]) / (2 * step))
-    return out
-
-
-def _bumped_objectives(problem: ImagingProblem, system: RegionSystem, before: list[np.ndarray],
-                       after: list[np.ndarray], step: float) -> np.ndarray:
-    """J (n, 2, 2) at each central-difference bump of one region: control k, coordinate c, plus then minus.
-
-    `before` and `after` are the images of the regions before and after it,
-    at their base controls (`finite_difference_gradient`).
+    A bump of region r moves only region r's curve. Its 4n bumped control
+    sets are formed at once with the float operations of a bump made one at
+    a time (+ step, then - 2 step from the plus bump), and so are their Gauss
+    points, steps, orientations and node counts, taken from the larger of
+    the bump's reach and the other regions', as `evaluate` sizes the mask's
+    node table. Each node-count group forms the other regions'
+    `curve_spectrum`s and the bumped curve's phasor table once, and each bump
+    forms phasors anew only at the Gauss points of its control's spans
+    (`CurveRule.support`, `optics.moved_point_spectra`). A chunk of bumps
+    whose arrays each fit FD_BYTES adds each bump's spectrum among the
+    others' (`optics.mask_spectrum`), is synthesized in one call and scored,
+    so every J is bit for bit `evaluate`'s at the bumped controls. Each
+    bumped sample loop goes through `check_loop` with its base loop's
+    `clearance_radius`, and a bump that bounds no region, or whose curve
+    reaches past `optics.MAX_REACH`, raises MeshError as `evaluate` would.
     """
     grid = problem.grid
-    region = system.region
-    n = region.n
-    rule = curve_rule(region)
-    k, c = np.arange(n)[:, None], np.arange(2)
-    plus = np.broadcast_to(region.controls, (n, 2, n, 2)).copy()
-    plus[k, c, k, c] += step
-    minus = plus.copy()
-    minus[k, c, k, c] -= 2 * step
-    controls = np.stack([plus, minus], axis=2).reshape(-1, n, 2)  # bump (k, c, sign) at 4k + 2c + sign
-    points, steps = rule.curve(controls)
-    # each bumped loop must bound a region, as in `evaluate`; one within the
-    # base loop's clearance radius skips the crossing test
-    base_loop = system.samples
-    signs = np.sign(check_loop(build_collocation(region) @ controls, near=(base_loop, clearance_radius(base_loop))))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for b, reach in enumerate(grid_reaches(grid, points)):
-        groups.setdefault(pupil_node_counts(reach), []).append(b)
-    points = points - grid.center
-    base = system.curve[0] - grid.center
-    j = np.empty(len(controls))
-    for counts, bumps in groups.items():
-        nodes = node_table_at(grid, *counts)
-        size = nodes.k.shape[1]
-        table = phasors(base, nodes.k, np.empty((3, len(base), size)))
-        per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
-        chunk = max(1, FD_BYTES // per_bump)
-        for start in range(0, len(bumps), chunk):
-            members = np.array(bumps[start:start + chunk])
-            rows = rule.support[members // 4]
-            spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
-            fields = nodes.synthesize(boundary_spectrum(spectra, signs[members], nodes))
-            field = AmplitudeField(_summed([*before, fields, *after], fields.shape))
-            j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
-    return j.reshape(n, 2, 2)
+    center = grid.center
+    systems = evaluation.systems
+    reaches = [grid_reach(grid, s.curve[0]) for s in systems]
+    out = []
+    for r, system in enumerate(systems):
+        region = system.region
+        n = region.n
+        rule = curve_rule(region)
+        k, c = np.arange(n)[:, None], np.arange(2)
+        plus = np.broadcast_to(region.controls, (n, 2, n, 2)).copy()
+        plus[k, c, k, c] += step
+        minus = plus.copy()
+        minus[k, c, k, c] -= 2 * step
+        controls = np.stack([plus, minus], axis=2).reshape(-1, n, 2)  # bump (k, c, sign) at 4k + 2c + sign
+        points, steps = rule.curve(controls)
+        # each bumped loop must bound a region, as in `evaluate`; one within
+        # the base loop's clearance radius skips the crossing test
+        loop = system.samples
+        signs = np.sign(check_loop(build_collocation(region) @ controls, near=(loop, clearance_radius(loop))))
+        groups: dict[tuple[int, int], list[int]] = {}
+        others_reach = max(reaches[:r] + reaches[r + 1:], default=0.0)
+        for b, reach in enumerate(np.maximum(grid_reaches(grid, points), others_reach)):
+            groups.setdefault(pupil_node_counts(reach), []).append(b)
+        points = points - center
+        base = system.curve[0] - center
+        j = np.empty(len(controls))
+        for counts, bumps in groups.items():
+            nodes = node_table_at(grid, *counts)
+            size = nodes.k.shape[1]
+            others = [curve_spectrum(s.curve[0] - center, s.curve[1], s.orientation, nodes)
+                      for s in systems[:r] + systems[r + 1:]]
+            table = phasors(base, nodes.k, np.empty((3, len(base), size)))
+            per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
+            chunk = max(1, FD_BYTES // per_bump)
+            for start in range(0, len(bumps), chunk):
+                members = np.array(bumps[start:start + chunk])
+                rows = rule.support[members // 4]
+                spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
+                bumped = boundary_spectrum(spectra, signs[members], nodes)
+                field = AmplitudeField(nodes.synthesize(mask_spectrum([*others[:r], bumped, *others[r:]])))
+                j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
+        out.append((j[0::2] - j[1::2]).reshape(n, 2) / (2 * step))
+    return out
 
 
 def print_report(problem: ImagingProblem, evaluation: MaskEvaluation):

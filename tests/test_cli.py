@@ -335,10 +335,10 @@ def test_gradcheck_reimages_only_the_bumped_region(tmp_path, capsys, monkeypatch
     assert "PASS" in capsys.readouterr().out
     bumps = 4 * (8 + 8)
     # spectra synthesized, whether one per call or a chunk of bumps per call:
-    # the evaluation images both loops and the adjoint gradient none, the
-    # differences image each loop once at its base controls and then only
-    # the bumped region's loop per bump
-    assert sum(images) == 2 + 2 + bumps
+    # the evaluation images the mask of both loops once and the adjoint
+    # gradient none, and the differences, which keep the other region's
+    # spectrum, image each bump's mask once
+    assert sum(images) == 1 + bumps
     # re-imaging both regions for every bump took 2 + 2 * bumps region images
     assert sum(images) <= 0.55 * (2 + 2 * bumps)
 

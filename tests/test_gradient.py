@@ -19,7 +19,7 @@ from splinemask.mesh import (
     refine_mesh,
     triangulate_region,
 )
-from splinemask.objective import ResistModel, objective_gradient, objective_value, rasterize_target
+from splinemask.objective import ResistModel, objective_gradient, objective_value, pixel_weight, rasterize_target
 from splinemask.optics import SMALL_RHO, ImageGrid, airy_kernel, forward_amplitude
 from splinemask.pipeline import (
     build_region_system,
@@ -32,7 +32,7 @@ from splinemask.pipeline import (
 from splinemask.spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 from conftest import desk_square_problem, square_region
-from direct_sum import airy_kernel_radial_derivative, forward_curve_gradient
+from direct_sum import airy_kernel_radial_derivative, direct_curve_amplitude, forward_curve_gradient
 
 QUAD = TriangleQuadrature.degree3()
 
@@ -187,6 +187,13 @@ def small_grid():
 def test_amplitude_gradient_empty():
     grid = small_grid()
     assert amplitude_gradient([], QUAD, grid, []) == []
+
+
+def test_gradient_of_a_mask_of_no_regions_is_empty(desk_square):
+    cfg, problem, _ = desk_square
+    evaluation = evaluate(problem, [])
+    assert not evaluation.field.values.any()
+    assert gradient_of(problem, evaluation) == []
 
 
 def test_amplitude_gradient_matches_fd():
@@ -446,25 +453,42 @@ def recorded_phasors(monkeypatch):
 
 
 def assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls):
-    """The twin's phasor work, with its node tables cached: all Q Gauss points only for each region's image and group tables.
+    """The twin's phasor work, with its node tables cached: each node-count group forms every region's base curve once, and nothing else but moved rows.
 
-    `optics` forms each region's base image first, in blocks of at most
-    `optics.POINT_BLOCK` points, and `pipeline` the table of each node-count
-    group of a region's base curve, once a group. Every other call forms
-    only the rows its bumps move: s = `CurveRule.support` rows a bump, 4n
-    bumps a region.
+    A group of region r's bumps forms region r's phasor table in `pipeline`,
+    all Q Gauss points at once, and each other region's base curve in
+    `optics`, for its spectrum, in blocks of at most `optics.POINT_BLOCK`
+    points, all at the group's own wave vectors. Every other call forms only
+    the rows its bumps move: s = `CurveRule.support` rows a bump, 4n bumps a
+    region.
     """
     systems = evaluation.systems
     base = [s.curve[0] - problem.grid.center for s in systems]
-    rest = [points for name, points, _ in calls if name == "optics"]
-    for curve in base:
-        blocks = -(-len(curve) // optics.POINT_BLOCK)
-        assert np.array_equal(np.concatenate(rest[:blocks]), curve)
-        rest = rest[blocks:]
-        tables = [k for name, points, k in calls if name == "pipeline" and np.array_equal(points, curve)]
-        assert tables and len({id(k) for k in tables}) == len(tables)
-    assert all(any(np.array_equal(points, curve) for curve in base) for name, points, _ in calls if name == "pipeline")
-    moved = sum(len(points) for points in rest)
+
+    def base_region(points, whole):
+        """The region whose whole base curve, or one block of it, `points` are; None for moved rows."""
+        for r, curve in enumerate(base):
+            step = len(curve) if whole else optics.POINT_BLOCK
+            if any(np.array_equal(points, curve[i:i + step]) for i in range(0, len(curve), step)):
+                return r
+        return None
+
+    tables, rows, moved = [], {}, 0
+    for name, points, k in calls:
+        region = base_region(points, name == "pipeline")
+        if name == "pipeline":
+            assert region is not None
+            tables.append((region, id(k)))
+        elif region is None:
+            moved += len(points)
+        else:
+            rows[region, id(k)] = rows.get((region, id(k)), 0) + len(points)
+    assert len(set(tables)) == len(tables) and {r for r, _ in tables} == set(range(len(systems)))
+    want = {}
+    for r, k in tables:
+        for other in set(range(len(systems))) - {r}:
+            want[other, k] = want.get((other, k), 0) + len(base[other])
+    assert rows == want
     assert moved == sum(4 * s.region.n * curve_rule(s.region).support.shape[1] for s in systems)
 
 
@@ -569,6 +593,55 @@ def test_stacked_finite_differences_match_full_reimaging_bitwise(desk_square, da
                 assert g.tobytes() == w.tobytes()
 
 
+def three_reach_regions():
+    """Three rings on and beside the desk grid: at its center, near a corner and past an edge, of degrees 3, 2 and 1."""
+    rings = [(8, 0.2, 3, (0.0, 0.0)), (10, 0.15, 2, (0.7, -0.65)), (12, 0.25, 1, (-1.9, 1.2))]
+    return [ring_region(n, radius, 2 * n, degree).with_controls(ring_region(n, radius, 2 * n).controls + center)
+            for n, radius, degree, center in rings]
+
+
+def test_one_node_table_images_and_differentiates_the_whole_mask(desk_square, monkeypatch):
+    # the mask's node table follows from all three curves, so it is larger
+    # than the central ring's own; evaluate synthesizes once on it and
+    # gradient_of forms one adjoint there, and the image and gradient agree
+    # with each region's direct boundary sum and forward-mode gradient
+    cfg, problem, _ = desk_square
+    grid = problem.grid
+    synthesized, adjoints = [], []
+    synthesize, adjoint = optics.NodeTable.synthesize, optics.NodeTable.adjoint
+    monkeypatch.setattr(optics.NodeTable, "synthesize", lambda self, s: synthesized.append(self) or synthesize(self, s))
+    monkeypatch.setattr(optics.NodeTable, "adjoint", lambda self, w: adjoints.append(self) or adjoint(self, w))
+    evaluation = evaluate(problem, three_reach_regions())
+    got = gradient_of(problem, evaluation)
+    assert len(synthesized) == 1 and adjoints == synthesized
+    own = [optics.node_table(grid, s.curve[0]).k.shape[1] for s in evaluation.systems]
+    assert synthesized[0].k.shape[1] == max(own) > min(own)
+    u = evaluation.field.values
+    direct = sum(direct_curve_amplitude(*s.curve, s.orientation, grid) for s in evaluation.systems)
+    assert np.abs(u - direct).max() <= 1e-12 * np.abs(u).max()
+    weight = pixel_weight(evaluation.field, problem.target, problem.model, grid)
+    for g, s in zip(got, evaluation.systems, strict=True):
+        want = forward_curve_gradient(curve_rule(s.region), *s.curve, s.orientation, grid, weight)
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.blas_threads
+@pytest.mark.parametrize("step", [1e-6, 0.1])
+def test_finite_differences_match_full_reimaging_bitwise_across_reaches(desk_square, monkeypatch, step):
+    # each bump's node counts follow from the larger of its own reach and the
+    # other regions', so the central ring's bumps are imaged on the far
+    # ring's table; at 0.1 some bumps of the far ring change it
+    cfg, problem, _ = desk_square
+    evaluation = evaluate(problem, three_reach_regions())
+    assert (step == 0.1) == (node_count_changes(problem, evaluation, step) > 0)
+    want = full_difference_gradient(problem, evaluation, step=step)  # also caches every node table
+    calls = recorded_phasors(monkeypatch)
+    got = finite_difference_gradient(problem, evaluation, step=step)
+    assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("side, region", [
     (2, ring_region(64, 0.6, 128, degree=60)),  # the moved rows: 305 Gauss points a bump at K 92
     (512, ring_region(12, 0.002, 24)),  # the image stacks: 8 MiB a bump at K 8
@@ -601,9 +674,11 @@ def test_loop_kernels_share_no_state_across_threads(desk_square):
     weight = np.random.default_rng(3).normal(size=(grid.nx, grid.ny))
 
     def run():
-        return (system.amplitude(grid).tobytes(),
-                gradient.curve_gradient(curve_rule(region), *system.curve, system.orientation, grid,
-                                        weight).tobytes())
+        points, steps = system.curve
+        nodes = optics.node_table(grid, points)
+        return (optics.curve_amplitude([(points, steps, system.orientation)], grid).tobytes(),
+                gradient.curve_gradient(curve_rule(region), points - grid.center, steps, system.orientation, nodes,
+                                        nodes.adjoint(weight)).tobytes())
 
     want = run()
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -650,7 +725,8 @@ def test_curve_gradient_matches_central_differences_of_the_spectrum_pairing(desk
         bumped[0][i, c] += step
         bumped[1][i, c] -= step
         want[i, c] = (value(bumped[0]) - value(bumped[1])) / (2 * step)
-    got = gradient.curve_gradient(rule, *system.curve, system.orientation, grid, weight)
+    got = gradient.curve_gradient(rule, system.curve[0] - grid.center, system.curve[1], system.orientation, nodes,
+                                  pairing)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
@@ -675,7 +751,8 @@ def test_curve_gradient_matches_the_forward_derivative_spectra(data):
     rule = curve_rule(PeriodicSplineRegion(controls, 2 * n, degree))
     weight = rng.normal(size=(nx, ny))
     points, steps = rule.curve(controls)
-    got = gradient.curve_gradient(rule, points, steps, sign, grid, weight)
+    nodes = optics.node_table(grid, points)
+    got = gradient.curve_gradient(rule, points - grid.center, steps, sign, nodes, nodes.adjoint(weight))
     want = forward_curve_gradient(rule, points, steps, sign, grid, weight)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
