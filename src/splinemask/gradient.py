@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
-from .optics import ImageGrid, NodeTable, node_table, point_spectra
+from .mesh import ProvenancedMesh, TriangleQuadrature, TriangleTensor
+from .optics import ImageGrid, NodeTable, mesh_quadrature, point_spectra
 from .spline import CurveRule
 
 
@@ -69,8 +69,8 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """Fields dU/dP for every control coordinate of every region.
 
     Returns one (n, 2, nx, ny) array per region ([:, 0] for x, [:, 1] for y).
-    With E_tq = exp(-i k.g_tq) on the region's pupil nodes, k = 2 pi f, the
-    spectrum S = sum_tq A_t w_q E_tq moves as
+    With E_tq = exp(-i k.g_tq) on the nodes of the region's `optics.mesh_quadrature`,
+    k = 2 pi f, the spectrum S = sum_tq A_t w_q E_tq moves as
     dS/dP = sum_tq (dA_t/dP w_q - i k A_t w_q dg_tq/dP) E_tq, and point q of
     triangle t moves by dg_tq/dP = sum_j L_jq T[t_j, :] along the axis of
     the control coordinate. The area derivatives come from `area_gradient`. The
@@ -82,7 +82,7 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
     """
     out = []
     for mesh, sens in zip(meshes, sensitivities, strict=True):
-        tensor = assemble_tensor(mesh)
+        tensor, points, nodes = mesh_quadrature(mesh, quad, grid)
         dsx, dsy = area_gradient(tensor, sens, mesh.triangles)
         n, nt, ng = sens.shape[1], mesh.num_triangles, quad.num_points
         coef = np.empty((n, 3, nt, ng))
@@ -91,8 +91,6 @@ def amplitude_gradient(meshes: list[ProvenancedMesh], quad: TriangleQuadrature,
         # point q of triangle t moves with its vertices: A_t w_q sum_j L_jq T[t_j, :]
         np.einsum("jq,tjn->ntq", quad.weights * quad.barycentric,
                   tensor.areas()[:, None, None] * sens[mesh.triangles], out=coef[:, 2])
-        nodes = node_table(grid, mesh.vertices)
-        points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
         spectra = point_spectra(points, coef.reshape(n, 3, -1), nodes.k)
         spectra[:, :2] -= 1j * nodes.k * spectra[:, 2:]
         out.append(nodes.synthesize(spectra[:, :2]))  # (n, 2, nx, ny)

@@ -121,10 +121,9 @@ def pixel_weight(field: AmplitudeField, target: np.ndarray, model: ResistModel,
 
     The 2U factor is the collapse of the conjugate pair for the real kernel.
     """
-    u = field.values
-    i_vals = u * u
-    residual = sigmoid(i_vals, model) - np.asarray(target, dtype=float)
-    return 4.0 * residual * sigmoid_derivative(i_vals, model) * u * grid.pixel_area
+    intensity = field.intensity_values
+    residual = sigmoid(intensity, model) - np.asarray(target, dtype=float)
+    return 4.0 * residual * sigmoid_derivative(intensity, model) * field.values * grid.pixel_area
 
 
 def objective_gradient(field: AmplitudeField, target: np.ndarray, model: ResistModel,

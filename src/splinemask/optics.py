@@ -26,11 +26,11 @@ S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) with k = 2 pi f,
 taken at the Gauss points r_q of `spline.curve_rule` with steps
 dr_q = w_q r'_q (`curve_spectrum`). The regions are disjoint, so the mask's
 spectrum is the sum of theirs (`mask_spectrum`), synthesized once on the
-node table of all their points (`curve_amplitude`). The library images a
-triangle mesh of each region through a triangle quadrature rule as
-S(f) = sum_q c_q exp(-2 pi i f.g_q), with quadrature points g_q and weights
-c_q (the triangle area times the rule weight), on the node table of the
-mesh's vertices (`forward_amplitude`).
+node table of all their points (`node_counts`, `curve_amplitude`). The
+library images a triangle mesh of each region through a triangle quadrature
+rule as S(f) = sum_q c_q exp(-2 pi i f.g_q), with quadrature points g_q and
+weights c_q (the triangle area times the rule weight), on the node table of
+the mesh's vertices (`mesh_quadrature`, `forward_amplitude`).
 
 Both are point spectra, and one formula forms every phasor the package
 uses: `phasors`, from the tangent of the half angles, u = tan(x / 2),
@@ -52,12 +52,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import MeshError, ProvenancedMesh, TriangleQuadrature, assemble_tensor, gauss_points
+from .mesh import MeshError, ProvenancedMesh, TriangleQuadrature, TriangleTensor, assemble_tensor, gauss_points
 
 # Below this radius the kernel switches to its series form, which keeps the
 # 0/0 at the kernel peak out of the values.
@@ -308,8 +308,7 @@ def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     other half of the disk, so for any F with F(-f) = conj(F(f)),
     int_{|f| <= 1} F df ~ Re sum_k w_k F(f_k).
     """
-    t, w = leggauss(n_r)
-    r = 0.5 * (t + 1.0)
+    r, w = _ring_rule(n_r)
     half_q = 0.5 * (n_theta - RING_MARGIN)
     u = (half_q + math.sqrt(half_q * half_q + (RING_LAYER / 3.0) ** 3)) ** (1.0 / 3.0)
     s = u - RING_LAYER / (3.0 * u)
@@ -321,6 +320,16 @@ def pupil_nodes(n_r: int, n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     for table in (freqs, weights):
         table.setflags(write=False)
     return freqs, weights
+
+
+@lru_cache(maxsize=64)
+def _ring_rule(n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r_i on [0, 1] and weights w_i of the n_r-point Gauss-Legendre rule, read-only, formed once per count."""
+    t, w = leggauss(n_r)
+    rule = 0.5 * (t + 1.0), w
+    for table in rule:
+        table.setflags(write=False)
+    return rule
 
 
 def pupil_node_counts(distance: float) -> tuple[int, int]:
@@ -412,20 +421,10 @@ def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
 
     For each point it is reached at a grid corner.
     """
-    return math.sqrt(_corner_squares(grid, points).max())
-
-
-def grid_reaches(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
-    """`grid_reach` of each point set of a stack (..., Q, 2), (...)."""
-    return np.sqrt(_corner_squares(grid, points).max(axis=-1))
-
-
-def _corner_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
-    """The squared distance from each point (..., 2) to its farthest grid corner, (...)."""
     d = np.abs(points - grid.center)
     d += grid.half_extent
     d *= d
-    return d[..., 0] + d[..., 1]
+    return math.sqrt((d[..., 0] + d[..., 1]).max())
 
 
 # The kept node tables, least recently used first, and the lock that makes
@@ -483,14 +482,14 @@ def _form_node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     return NodeTable(k, edge_factor, wex, ey)
 
 
-def node_table(grid: ImageGrid, points: np.ndarray) -> NodeTable:
-    """The cached node table for points (..., 2) that span a mask's curves or a region's mesh.
+def node_counts(grid: ImageGrid, *point_sets: np.ndarray) -> tuple[int, int]:
+    """The one node-count rule: `pupil_node_counts` at the largest `grid_reach` of point sets (..., 2), bit for bit their union's."""
+    return pupil_node_counts(max(grid_reach(grid, points) for points in point_sets))
 
-    Its node counts follow from D, the grid's reach over the points
-    (`pupil_node_counts`). The distance to a grid corner is convex, so no
-    point of their hull reaches farther.
-    """
-    return node_table_at(grid, *pupil_node_counts(grid_reach(grid, points)))
+
+def node_table(grid: ImageGrid, *point_sets: np.ndarray) -> NodeTable:
+    """The cached node table at the `node_counts` of point sets (..., 2)."""
+    return node_table_at(grid, *node_counts(grid, *point_sets))
 
 
 def phasors(points: np.ndarray, k: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -546,21 +545,25 @@ def point_spectra(points: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.nda
     return phasor_sums(coef, (phasors(block, k, work[:, :len(block)]) for block in blocks), k.shape[1])
 
 
+def mesh_quadrature(mesh: ProvenancedMesh, quad: TriangleQuadrature,
+                    grid: ImageGrid) -> tuple[TriangleTensor, np.ndarray, NodeTable]:
+    """A mesh's triangle tensor, its quadrature points (T G, 2) relative to the grid center and the node table of its vertices: the one setup of its image and its derivatives."""
+    tensor = assemble_tensor(mesh)
+    return tensor, gauss_points(tensor, quad).reshape(-1, 2) - grid.center, node_table(grid, mesh.vertices)
+
+
 def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, grid: ImageGrid) -> AmplitudeField:
     """Aerial amplitude: triangle-quadrature convolution of all regions with the kernel.
 
     U(x) = sum over regions, triangles p, quadrature points q of
     w_q * H(x - g_pq) * |S_p|, evaluated per region as the pupil integral of
-    the region's spectrum (`point_spectra`) on the node table of its mesh's
-    vertices, which bound the reach of every quadrature point. Meshes and
-    grid must already be in normalized coordinates. Summation order is fixed
-    for reproducibility.
+    the region's spectrum (`point_spectra`) on its `mesh_quadrature`. Meshes
+    and grid must already be in normalized coordinates. Summation order is
+    fixed for reproducibility.
     """
     u = np.zeros((grid.nx, grid.ny))
     for mesh in meshes:
-        nodes = node_table(grid, mesh.vertices)
-        tensor = assemble_tensor(mesh)
-        points = gauss_points(tensor, quad).reshape(-1, 2) - grid.center
+        tensor, points, nodes = mesh_quadrature(mesh, quad, grid)
         coef = np.outer(tensor.areas(), quad.weights).ravel()
         u += nodes.synthesize(point_spectra(points, coef, nodes.k))
     return AmplitudeField(u)
@@ -637,6 +640,6 @@ def curve_amplitude(curves: list[tuple[np.ndarray, np.ndarray, float]], grid: Im
     """
     if not curves:
         return np.zeros((grid.nx, grid.ny))
-    nodes = node_table(grid, np.concatenate([points for points, _, _ in curves]))
+    nodes = node_table(grid, *(points for points, _, _ in curves))
     return nodes.synthesize(mask_spectrum([curve_spectrum(points - grid.center, steps, sign, nodes)
                                            for points, steps, sign in curves]))

@@ -144,10 +144,9 @@ def golden_section(phi, bracket, tol: float) -> tuple[float, float]:
             r = (x - b) * (fx - fa)
             q = (x - a) * (fx - fb)
             p = (x - a) * q - (x - b) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
+            # a < x <= b and fx <= fa, fb make r >= 0 >= q, so 2 (q - r) is
+            # never positive: its absolute value is 2 (r - q), and p keeps its sign
+            q = 2.0 * (r - q)
             parabolic = q * (a - x) < p < q * (b - x)
         widths = (widths[1], b - a)
         d = p / q if parabolic else (1.0 - GOLDEN) * (a - x if x >= m else b - x)

@@ -31,8 +31,7 @@ from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_rad
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
 from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, curve_spectrum, forward_amplitude,
-                     grid_reach, grid_reaches, mask_spectrum, moved_point_spectra, node_table, node_table_at,
-                     phasors, pupil_node_counts)
+                     mask_spectrum, moved_point_spectra, node_counts, node_table, node_table_at, phasors)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the per-chunk work arrays of `finite_difference_gradient`. A chunk
@@ -182,7 +181,7 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
     if not evaluation.systems:
         return []
     grid = problem.grid
-    nodes = node_table(grid, np.concatenate([s.curve[0] for s in evaluation.systems]))
+    nodes = node_table(grid, *(s.curve[0] for s in evaluation.systems))
     adjoint = nodes.adjoint(pixel_weight(evaluation.field, problem.target, problem.model, grid))
     return [curve_gradient(curve_rule(s.region), s.curve[0] - grid.center, s.curve[1], s.orientation, nodes, adjoint)
             for s in evaluation.systems]
@@ -206,15 +205,16 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     A bump of region r moves only region r's curve. Its 4n bumped control
     sets are formed at once with the float operations of a bump made one at
     a time (+ step, then - 2 step from the plus bump), and so are their Gauss
-    points, steps, orientations and node counts, taken from the larger of
-    the bump's reach and the other regions', as `evaluate` sizes the mask's
-    node table. Each node-count group forms the other regions'
-    `curve_spectrum`s and the bumped curve's phasor table once, and each bump
-    forms phasors anew only at the Gauss points of its control's spans
-    (`CurveRule.support`, `optics.moved_point_spectra`). A chunk of bumps
-    whose arrays each fit FD_BYTES adds each bump's spectrum among the
-    others' (`optics.mask_spectrum`), is synthesized in one call and scored,
-    so every J is bit for bit `evaluate`'s at the bumped controls. Each
+    points, steps and orientations. A bump's node counts are the
+    `optics.node_counts` of its Gauss points and the other regions', the
+    rule by which `evaluate` sizes the mask's node table. Each node-count
+    group forms the other regions' `curve_spectrum`s and the bumped curve's
+    phasor table once, and each bump forms phasors anew only at the Gauss
+    points of its control's spans (`CurveRule.support`,
+    `optics.moved_point_spectra`). A chunk of bumps whose arrays each fit
+    FD_BYTES adds each bump's spectrum among the others'
+    (`optics.mask_spectrum`), is synthesized in one call and scored, so
+    every J is bit for bit `evaluate`'s at the bumped controls. Each
     bumped sample loop goes through `check_loop` with its base loop's
     `clearance_radius`, and a bump that bounds no region, or whose curve
     reaches past `optics.MAX_REACH`, raises MeshError as `evaluate` would.
@@ -222,9 +222,9 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     grid = problem.grid
     center = grid.center
     systems = evaluation.systems
-    reaches = [grid_reach(grid, s.curve[0]) for s in systems]
     out = []
     for r, system in enumerate(systems):
+        others = systems[:r] + systems[r + 1:]
         region = system.region
         n = region.n
         rule = curve_rule(region)
@@ -240,17 +240,16 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
         loop = system.samples
         signs = np.sign(check_loop(build_collocation(region) @ controls, near=(loop, clearance_radius(loop))))
         groups: dict[tuple[int, int], list[int]] = {}
-        others_reach = max(reaches[:r] + reaches[r + 1:], default=0.0)
-        for b, reach in enumerate(np.maximum(grid_reaches(grid, points), others_reach)):
-            groups.setdefault(pupil_node_counts(reach), []).append(b)
+        other_points = [s.curve[0] for s in others]
+        for b, moved in enumerate(points):
+            groups.setdefault(node_counts(grid, moved, *other_points), []).append(b)
         points = points - center
         base = system.curve[0] - center
         j = np.empty(len(controls))
         for counts, bumps in groups.items():
             nodes = node_table_at(grid, *counts)
             size = nodes.k.shape[1]
-            others = [curve_spectrum(s.curve[0] - center, s.curve[1], s.orientation, nodes)
-                      for s in systems[:r] + systems[r + 1:]]
+            fixed = [curve_spectrum(s.curve[0] - center, s.curve[1], s.orientation, nodes) for s in others]
             table = phasors(base, nodes.k, np.empty((3, len(base), size)))
             per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
             chunk = max(1, FD_BYTES // per_bump)
@@ -259,7 +258,7 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
                 rows = rule.support[members // 4]
                 spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
                 bumped = boundary_spectrum(spectra, signs[members], nodes)
-                field = AmplitudeField(nodes.synthesize(mask_spectrum([*others[:r], bumped, *others[r:]])))
+                field = AmplitudeField(nodes.synthesize(mask_spectrum([*fixed[:r], bumped, *fixed[r:]])))
                 j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
         out.append((j[0::2] - j[1::2]).reshape(n, 2) / (2 * step))
     return out

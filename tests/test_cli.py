@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -137,6 +138,15 @@ def test_missing_config_file_exits_2(tmp_path):
     code = main(["--quiet", "simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_module_run_exits_with_the_code_main_returns(tmp_path, monkeypatch):
+    # python -m splinemask.cli, run here in-process over a fresh namespace
+    monkeypatch.setattr(sys, "argv", ["splinemask", "--quiet", "simulate", "--config", str(tmp_path / "nope.json"),
+                                      "--out", str(tmp_path / "out")])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as stop:
+        runpy.run_module("splinemask.cli", run_name="__main__")
+    assert stop.value.code == 2
 
 
 @pytest.mark.parametrize("kind", ["directory", "not UTF-8", "nested 100,000 deep"])

@@ -79,6 +79,13 @@ def square_samples(m, side=1.0):
     return polygon_perimeter_points(corners, m)
 
 
+def test_perimeter_points_reject_a_polygon_of_fewer_than_three_vertices_or_no_perimeter():
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        geometry.polygon_perimeter_points(np.array([[0.0, 0.0], [1.0, 0.0]]), 4)
+    with pytest.raises(ValueError, match="zero perimeter"):
+        geometry.polygon_perimeter_points(np.ones((3, 2)), 4)
+
+
 def test_signed_area_examples():
     assert signed_area((0, 0), (1, 0), (0, 1)) == 0.5
     assert signed_area((0, 0), (0, 1), (1, 0)) == -0.5

@@ -5,6 +5,7 @@ import pytest
 from splinemask.objective import (
     ResistModel,
     objective_value,
+    objective_values,
     print_and_epe,
     rasterize_target,
     sigmoid,
@@ -177,6 +178,18 @@ def test_objective_rejects_shape_mismatch():
     grid = ImageGrid(4, 4, 1.0, (0.0, 0.0))
     with pytest.raises(ValueError):
         objective_value(np.zeros((3, 4)), np.zeros((4, 4)), model, grid)
+
+
+def test_objective_rejects_a_stack_whose_images_are_not_the_grids_shape():
+    # intensity and target agree, but neither is the grid's (nx, ny)
+    grid = ImageGrid(4, 4, 1.0, (0.0, 0.0))
+    with pytest.raises(ValueError, match="does not match the grid"):
+        objective_values(np.zeros((2, 3, 4)), np.zeros((3, 4)), ResistModel(), grid)
+
+
+def test_print_and_epe_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shapes differ"):
+        print_and_epe(np.zeros((3, 4)), np.zeros((4, 4), dtype=np.uint8), ResistModel())
 
 
 def test_print_and_epe_counts():

@@ -967,6 +967,42 @@ def test_node_and_grid_tables_are_cached_read_only(desk_square):
             table[0] = 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.floats(0.01, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_node_table_of_point_sets_is_the_table_of_their_union(nx, ny, pitch, x0, y0, shapes, seed):
+    # the reach of a union of point sets is exactly the largest of their
+    # reaches, so no caller concatenates its sets: point sets of any shape
+    # (..., 2) give the cached table of all their points as one set
+    grid = ImageGrid(nx, ny, pitch, (x0, y0))
+    rng = np.random.default_rng(seed)
+    sets = [rng.uniform(-5.0, 5.0, size=(*shape, 2)) for shape in shapes]
+    union = np.concatenate([points.reshape(-1, 2) for points in sets])
+    assert optics.node_counts(grid, *sets) == optics.pupil_node_counts(optics.grid_reach(grid, union))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optics, "_node_tables", {})
+        assert optics.node_table(grid, *sets) is optics.node_table(grid, union)
+
+
+def test_tables_at_one_ring_count_share_its_legendre_rule(monkeypatch):
+    # a desk run forms tables at (13, 18), (13, 19), (14, 19) and (14, 20):
+    # the rule of a ring count is formed once, kept read-only, and bit for
+    # bit the rule leggauss gives
+    grids = [ImageGrid(20, 20, 0.1, (-1.0, -1.0)), ImageGrid(48, 36, 0.05, (-1.2, -0.9))]
+    leggauss, calls = optics.leggauss, []
+    monkeypatch.setattr(optics, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    optics._ring_rule.cache_clear()
+    for grid, n_theta in zip(grids, (18, 19)):
+        optics._form_node_table(grid, 13, n_theta)
+    assert calls == [13]
+    r, w = optics._ring_rule(13)
+    assert optics._ring_rule(13)[0] is r and optics._ring_rule(13)[1] is w
+    assert not r.flags.writeable and not w.flags.writeable
+    t, want = leggauss(13)
+    assert r.tobytes() == (0.5 * (t + 1.0)).tobytes() and w.tobytes() == want.tobytes()
+
+
 def test_node_table_cache_keeps_its_byte_budget_and_the_newest_table(monkeypatch):
     # with room for just over one table of the twin workload's grid, each
     # new table drops the others; one formed again after it was dropped is
