@@ -21,16 +21,16 @@ product and no Bessel function is evaluated. `NodeTable` holds the nodes and
 the grid-side exponentials, synthesizes any spectrum and forms the adjoint.
 
 The chain images the mask its regions' spline curves bound. By the
-divergence theorem a region's spectrum is a boundary integral,
-S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) with k = 2 pi f,
-taken at the Gauss points r_q of `spline.curve_rule` with steps
-dr_q = w_q r'_q (`curve_spectrum`). The regions are disjoint, so the mask's
-spectrum is the sum of theirs (`mask_spectrum`), synthesized once on the
-node table of all their points (`node_counts`, `curve_amplitude`). The
-library images a triangle mesh of each region through a triangle quadrature
-rule as S(f) = sum_q c_q exp(-2 pi i f.g_q), with quadrature points g_q and
-weights c_q (the triangle area times the rule weight), on the node table of
-the mesh's vertices (`mesh_quadrature`, `forward_amplitude`).
+divergence theorem a region's spectrum is a boundary integral, taken at the
+Gauss points of `spline.curve_rule` as the regions hold them; the curve
+kernels subtract the node table's grid `center` themselves (`curve_spectrum`).
+The regions are disjoint, so the mask's spectrum is the sum of theirs
+(`mask_spectrum`), synthesized once on the node table of all their points
+(`node_counts`, `curve_amplitude`). The library images a triangle mesh of
+each region through a triangle quadrature rule as
+S(f) = sum_q c_q exp(-2 pi i f.g_q), with quadrature points g_q and weights
+c_q (the triangle area times the rule weight), on the node table of the
+mesh's vertices (`mesh_quadrature`, `forward_amplitude`).
 
 Both are point spectra, and one formula forms every phasor the package
 uses: `phasors`, from the tangent of the half angles, u = tan(x / 2),
@@ -40,7 +40,7 @@ exponentials are the phasors of the grid lines themselves
 into one work array of the call and contracts them with their coefficients
 as two real matrix products (`phasor_sums`); no kernel keeps state between
 calls. The finite differences of `pipeline` keep one curve's phasors and
-form anew only the rows a bump moves (`moved_point_spectra`), with the same
+form anew only the rows a bump moves (`bumped_curve_spectra`), with the same
 contraction. numpy evaluates tan with a SIMD loop where the CPU has AVX-512,
 several times faster than a libm sin or cos; elsewhere it calls libm's tan,
 and one tangent then costs about as much as the sin or cos it replaces. The
@@ -372,17 +372,18 @@ class NodeTable:
     and `edge_factor` i / |k|^2, (K,) complex, the factor of a boundary
     integral's spectrum (`curve_spectrum`); every pupil node has |f| > 0.
     `wex` is w_k exp(2 pi i f_k,x x_i), (nx, K), with x_i relative to the
-    grid center; `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals, (2K, ny)
-    C-ordered, with the real part of node k in row 2k and its imaginary part
-    in row 2k + 1, the layout that the synthesis product reads. All four are
-    read-only, and `node_table_at` keeps tables per grid and node count
-    within NODE_TABLE_BYTES.
+    grid's own `center`; `ey` is conj(exp(2 pi i f_k,y y_j)) seen as reals,
+    (2K, ny) C-ordered, with the real part of node k in row 2k and its
+    imaginary part in row 2k + 1, the layout that the synthesis product
+    reads. All five are read-only, and `node_table_at` keeps tables per grid
+    and node count within NODE_TABLE_BYTES.
     """
 
     k: np.ndarray
     edge_factor: np.ndarray
     wex: np.ndarray
     ey: np.ndarray
+    center: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -417,14 +418,16 @@ class NodeTable:
 
 
 def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
-    """D, the largest distance between one of the points (..., 2) and a sample of `grid`.
+    """D, the largest distance between one of the points (..., 2) and a sample of `grid`."""
+    return math.sqrt(_reach_squares(grid, points).max())
 
-    For each point it is reached at a grid corner.
-    """
+
+def _reach_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
+    """The squared largest distance between each point (..., 2) and a sample of `grid`, (...); a grid corner reaches it."""
     d = np.abs(points - grid.center)
     d += grid.half_extent
     d *= d
-    return math.sqrt((d[..., 0] + d[..., 1]).max())
+    return d[..., 0] + d[..., 1]
 
 
 # The kept node tables, least recently used first, and the lock that makes
@@ -479,7 +482,7 @@ def _form_node_table(grid: ImageGrid, n_r: int, n_theta: int) -> NodeTable:
     wex *= weights
     for table in (k, edge_factor, wex, ey):
         table.setflags(write=False)
-    return NodeTable(k, edge_factor, wex, ey)
+    return NodeTable(k, edge_factor, wex, ey, grid.center)
 
 
 def node_counts(grid: ImageGrid, *point_sets: np.ndarray) -> tuple[int, int]:
@@ -490,6 +493,17 @@ def node_counts(grid: ImageGrid, *point_sets: np.ndarray) -> tuple[int, int]:
 def node_table(grid: ImageGrid, *point_sets: np.ndarray) -> NodeTable:
     """The cached node table at the `node_counts` of point sets (..., 2)."""
     return node_table_at(grid, *node_counts(grid, *point_sets))
+
+
+def node_table_groups(grid: ImageGrid, stack: np.ndarray,
+                      *point_sets: np.ndarray) -> list[tuple[NodeTable, np.ndarray]]:
+    """`node_table(grid, stack[b], *point_sets)` of each set of a stack (B, Q, 2), bit for bit, grouped as (table, set indices) in first-set order."""
+    fixed = [grid_reach(grid, points) for points in point_sets]
+    groups: dict[tuple[int, int], list[int]] = {}
+    # the stack's reaches in one pass, each the float its `grid_reach` would be
+    for b, square in enumerate(_reach_squares(grid, stack).max(axis=1)):
+        groups.setdefault(pupil_node_counts(max([math.sqrt(square), *fixed])), []).append(b)
+    return [(node_table_at(grid, *counts), np.array(sets)) for counts, sets in groups.items()]
 
 
 def phasors(points: np.ndarray, k: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -570,11 +584,7 @@ def forward_amplitude(meshes: list[ProvenancedMesh], quad: TriangleQuadrature, g
 
 
 def boundary_spectrum(spectra: np.ndarray, sign, nodes: NodeTable) -> np.ndarray:
-    """sign (i / |k|^2) (k_x A_y - k_y A_x) for point spectra A (..., 2, K) of a curve's steps and its orientation sign (...), (..., K) complex.
-
-    The spectrum of the region a curve bounds (`curve_spectrum`), from the
-    point spectra of its Gauss points with its steps as coefficients.
-    """
+    """The spectrum sign (i / |k|^2) (k_x A_y - k_y A_x) of the region a curve bounds, (..., K) complex, from the point spectra A (..., 2, K) of its steps and its orientation sign (...)."""
     kx, ky = nodes.k
     ax, ay = spectra[..., 0, :], spectra[..., 1, :]
     return np.asarray(sign)[..., None] * nodes.edge_factor * (kx * ay - ky * ax)
@@ -588,37 +598,39 @@ def curve_spectrum(points: np.ndarray, steps: np.ndarray, sign: float, nodes: No
     S = sign (i / |k|^2) int exp(-i k . r) (k_x dy - k_y dx) along the curve,
     here a sum over its Gauss points r_q (Q, 2) with steps dr_q = w_q r'_q,
     given as rows dx and dy (2, Q): S = sign (i / |k|^2) (k_x A_y - k_y A_x)
-    (`boundary_spectrum`) for A = `point_spectra` of the points with the
-    steps as coefficients. i / |k|^2 is the nodes' `edge_factor`, and `sign`
-    the curve's orientation, 1 counterclockwise, so either way round gives
-    the spectrum of the region it bounds.
+    (`boundary_spectrum`) for A = `point_spectra` of the points less the
+    nodes' `center` with the steps as coefficients. i / |k|^2 is the nodes'
+    `edge_factor`, and `sign` the curve's orientation, 1 counterclockwise, so
+    either way round gives the spectrum of the region it bounds.
     """
-    return boundary_spectrum(point_spectra(points, steps, nodes.k), sign, nodes)
+    return boundary_spectrum(point_spectra(points - nodes.center, steps, nodes.k), sign, nodes)
 
 
-def moved_point_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray, coef: np.ndarray,
-                        k: np.ndarray) -> np.ndarray:
-    """`point_spectra` of point sets that each differ from a phasor table's points only at some rows, bit for bit.
+def curve_phasors(points: np.ndarray, nodes: NodeTable) -> np.ndarray:
+    """The `phasors` (2, Q, K) of a curve's Gauss points (Q, 2) less the nodes' `center`, the table `bumped_curve_spectra` patches."""
+    return phasors(points - nodes.center, nodes.k, np.empty((3, len(points), nodes.k.shape[1])))
 
-    `table` (2, Q, K) holds the cosines and half sines (`phasors`) of points
-    g at the wave vectors k, each row a function of its point and k alone.
-    Set i is g with its rows `rows[i]` replaced by `points[i]`, (C, s) and
-    (C, s, 2), and takes the coefficients `coef[i]`, (C, ..., Q). The moved
-    rows' phasors are formed in one call. Set by set, they are written into
-    the table, the coefficients are contracted with it block by block as
-    `point_spectra` contracts them (`phasor_sums`), and the table's own rows
-    are put back. (C, ..., K) complex.
+
+def bumped_curve_spectra(table: np.ndarray, rows: np.ndarray, points: np.ndarray, steps: np.ndarray,
+                         signs: np.ndarray, nodes: NodeTable) -> np.ndarray:
+    """`curve_spectrum`s (C, K) of curves that each differ from a phasor table's curve only at some Gauss points, bit for bit.
+
+    `table` (2, Q, K) is a curve's `curve_phasors`. Curve i moves rows
+    `rows[i]` (C, s) to `points[i]` (C, s, 2), with steps `steps[i]` (C, 2, Q)
+    and orientation `signs[i]` (C,). The moved rows' `curve_phasors` are
+    formed in one call; curve by curve they are written into the table, the
+    steps contracted with it block by block as `point_spectra` contracts
+    them (`phasor_sums`), and the table's own rows put back.
     """
     size = table.shape[2]
-    moved = phasors(points.reshape(-1, 2), k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)
-    out = np.empty((*coef.shape[:-1], size), dtype=complex)
-    for i, (moved_rows, own) in enumerate(zip(rows, coef)):
+    moved = curve_phasors(points.reshape(-1, 2), nodes).reshape(2, *rows.shape, size)
+    spectra = np.empty((*steps.shape[:-1], size), dtype=complex)
+    for i, (moved_rows, own) in enumerate(zip(rows, steps)):
         kept = table[:, moved_rows]
         table[:, moved_rows] = moved[:, i]
-        out[i] = phasor_sums(own, (table[:, start:start + POINT_BLOCK]
-                                   for start in range(0, table.shape[1], POINT_BLOCK)), size)
+        spectra[i] = phasor_sums(own, np.split(table, range(POINT_BLOCK, table.shape[1], POINT_BLOCK), axis=1), size)
         table[:, moved_rows] = kept
-    return out
+    return boundary_spectrum(spectra, signs, nodes)
 
 
 def mask_spectrum(spectra: list[np.ndarray]) -> np.ndarray:
@@ -641,5 +653,5 @@ def curve_amplitude(curves: list[tuple[np.ndarray, np.ndarray, float]], grid: Im
     if not curves:
         return np.zeros((grid.nx, grid.ny))
     nodes = node_table(grid, *(points for points, _, _ in curves))
-    return nodes.synthesize(mask_spectrum([curve_spectrum(points - grid.center, steps, sign, nodes)
+    return nodes.synthesize(mask_spectrum([curve_spectrum(points, steps, sign, nodes)
                                            for points, steps, sign in curves]))

@@ -2,9 +2,10 @@
 
 One RegionSystem bundles a region's control points with its boundary loop,
 the samples Q = N P, and with its curve at the Gauss points of
-`spline.curve_rule`. `evaluate` checks that each sample loop bounds a region
-and takes the curve's orientation from it, images the mask the curves bound
-with one synthesis (`optics.curve_amplitude`) and scores the image;
+`spline.curve_rule`, which the curve kernels of `optics` and `gradient` take
+as the system holds them. `evaluate` checks that each sample loop bounds a
+region and takes the curve's orientation from it, images the mask the curves
+bound with one synthesis (`optics.curve_amplitude`) and scores the image;
 `gradient_of` pairs one adjoint of that image with each curve
 (`gradient.curve_gradient`), and `finite_difference_gradient` is its oracle
 twin, which takes a region's bumps as stacks and each J bit for bit a full
@@ -30,8 +31,8 @@ from .gradient import amplitude_gradient, curve_gradient, sensitivity
 from .mesh import ProvenancedMesh, TriangleQuadrature, check_loop, clearance_radius, refine_mesh, triangulate_region
 from .objective import (ResistModel, objective_gradient, objective_value, objective_values, pixel_weight,
                         print_and_epe)
-from .optics import (AmplitudeField, ImageGrid, boundary_spectrum, curve_amplitude, curve_spectrum, forward_amplitude,
-                     mask_spectrum, moved_point_spectra, node_counts, node_table, node_table_at, phasors)
+from .optics import (AmplitudeField, ImageGrid, bumped_curve_spectra, curve_amplitude, curve_phasors, curve_spectrum,
+                     forward_amplitude, mask_spectrum, node_table, node_table_groups)
 from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 # Bytes of the per-chunk work arrays of `finite_difference_gradient`. A chunk
@@ -40,8 +41,8 @@ from .spline import PeriodicSplineRegion, build_collocation, curve_rule
 # the phasors of the s = `SPAN_POINTS` (degree + 1) Gauss points its control
 # moves, 24 s K bytes; and its share of the chunk's image stacks, about four
 # (nx, ny) float arrays, 32 nx ny bytes. Beside its chunks a node-count group
-# holds the bumped curve's phasor table, 24 Q K bytes for Q Gauss points, and
-# the other regions' spectra, 16 K bytes each.
+# holds the bumped curve's phasor table (`optics.curve_phasors`), 24 Q K bytes
+# for Q Gauss points, and the other regions' spectra, 16 K bytes each.
 # On the benchmark's twin (nx 48, ny 36, K 179, Q 80, s 20) the product
 # dominates and this budget takes 7 bumps a chunk. A gradcheck process runs
 # the differences once, and there, at one BLAS thread, they took a median
@@ -180,11 +181,9 @@ def gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.
     """
     if not evaluation.systems:
         return []
-    grid = problem.grid
-    nodes = node_table(grid, *(s.curve[0] for s in evaluation.systems))
-    adjoint = nodes.adjoint(pixel_weight(evaluation.field, problem.target, problem.model, grid))
-    return [curve_gradient(curve_rule(s.region), s.curve[0] - grid.center, s.curve[1], s.orientation, nodes, adjoint)
-            for s in evaluation.systems]
+    nodes = node_table(problem.grid, *(s.curve[0] for s in evaluation.systems))
+    adjoint = nodes.adjoint(pixel_weight(evaluation.field, problem.target, problem.model, problem.grid))
+    return [curve_gradient(curve_rule(s.region), *s.curve, s.orientation, nodes, adjoint) for s in evaluation.systems]
 
 
 def frozen_gradient_of(problem: ImagingProblem, evaluation: MaskEvaluation) -> list[np.ndarray]:
@@ -205,22 +204,19 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
     A bump of region r moves only region r's curve. Its 4n bumped control
     sets are formed at once with the float operations of a bump made one at
     a time (+ step, then - 2 step from the plus bump), and so are their Gauss
-    points, steps and orientations. A bump's node counts are the
-    `optics.node_counts` of its Gauss points and the other regions', the
-    rule by which `evaluate` sizes the mask's node table. Each node-count
-    group forms the other regions' `curve_spectrum`s and the bumped curve's
-    phasor table once, and each bump forms phasors anew only at the Gauss
-    points of its control's spans (`CurveRule.support`,
-    `optics.moved_point_spectra`). A chunk of bumps whose arrays each fit
-    FD_BYTES adds each bump's spectrum among the others'
-    (`optics.mask_spectrum`), is synthesized in one call and scored, so
-    every J is bit for bit `evaluate`'s at the bumped controls. Each
-    bumped sample loop goes through `check_loop` with its base loop's
+    points, steps and orientations. Each group of bumps that `evaluate` would
+    image on one node table (`optics.node_table_groups`) forms the other
+    regions' `curve_spectrum`s and the bumped curve's `curve_phasors` once,
+    and each bump forms phasors anew only at the Gauss points of its
+    control's spans (`CurveRule.support`, `optics.bumped_curve_spectra`). A
+    chunk of bumps whose arrays each fit FD_BYTES adds each bump's spectrum
+    among the others' (`optics.mask_spectrum`), is synthesized in one call
+    and scored, so every J is bit for bit `evaluate`'s at the bumped
+    controls. Each bumped loop goes through `check_loop` with its base loop's
     `clearance_radius`, and a bump that bounds no region, or whose curve
     reaches past `optics.MAX_REACH`, raises MeshError as `evaluate` would.
     """
     grid = problem.grid
-    center = grid.center
     systems = evaluation.systems
     out = []
     for r, system in enumerate(systems):
@@ -239,25 +235,18 @@ def finite_difference_gradient(problem: ImagingProblem, evaluation: MaskEvaluati
         # the base loop's clearance radius skips the crossing test
         loop = system.samples
         signs = np.sign(check_loop(build_collocation(region) @ controls, near=(loop, clearance_radius(loop))))
-        groups: dict[tuple[int, int], list[int]] = {}
-        other_points = [s.curve[0] for s in others]
-        for b, moved in enumerate(points):
-            groups.setdefault(node_counts(grid, moved, *other_points), []).append(b)
-        points = points - center
-        base = system.curve[0] - center
         j = np.empty(len(controls))
-        for counts, bumps in groups.items():
-            nodes = node_table_at(grid, *counts)
+        for nodes, bumps in node_table_groups(grid, points, *(s.curve[0] for s in others)):
             size = nodes.k.shape[1]
-            fixed = [curve_spectrum(s.curve[0] - center, s.curve[1], s.orientation, nodes) for s in others]
-            table = phasors(base, nodes.k, np.empty((3, len(base), size)))
+            fixed = [curve_spectrum(*s.curve, s.orientation, nodes) for s in others]
+            table = curve_phasors(system.curve[0], nodes)
             per_bump = max(16 * grid.nx * size, 24 * rule.support.shape[1] * size, 32 * grid.nx * grid.ny)
             chunk = max(1, FD_BYTES // per_bump)
             for start in range(0, len(bumps), chunk):
-                members = np.array(bumps[start:start + chunk])
+                members = bumps[start:start + chunk]
                 rows = rule.support[members // 4]
-                spectra = moved_point_spectra(table, rows, points[members[:, None], rows], steps[members], nodes.k)
-                bumped = boundary_spectrum(spectra, signs[members], nodes)
+                bumped = bumped_curve_spectra(table, rows, points[members[:, None], rows], steps[members],
+                                              signs[members], nodes)
                 field = AmplitudeField(nodes.synthesize(mask_spectrum([*fixed[:r], bumped, *fixed[r:]])))
                 j[members] = objective_values(field.intensity_values, problem.target, problem.model, grid)
         out.append((j[0::2] - j[1::2]).reshape(n, 2) / (2 * step))

@@ -15,7 +15,11 @@ forms a node table's grid-side exponentials as point spectra with identity
 coefficient rows, the contraction that `optics.node_table_at` skips.
 `two_buffer_phasor_sums` contracts phasor blocks into separate real and
 imaginary sums and assembles the complex result from them, the two copies
-that `optics.phasor_sums` skips.
+that `optics.phasor_sums` skips. `relative_curve_spectrum`,
+`relative_curve_gradient` and `relative_bumped_spectra` are the curve kernels
+composed by hand from points already relative to the grid center, the frame
+that `optics.curve_spectrum`, `gradient.curve_gradient` and
+`optics.bumped_curve_spectra` take from the node table themselves.
 """
 import numpy as np
 from scipy.special import j0, j1
@@ -23,7 +27,8 @@ from scipy.special import j0, j1
 from splinemask import optics
 from splinemask.gradient import area_gradient
 from splinemask.mesh import assemble_tensor, gauss_points
-from splinemask.optics import SMALL_RHO, AmplitudeField, NodeTable, airy_kernel, node_table, point_spectra, pupil_nodes
+from splinemask.optics import (SMALL_RHO, AmplitudeField, NodeTable, airy_kernel, boundary_spectrum, node_table,
+                               phasor_sums, phasors, point_spectra, pupil_nodes)
 
 # Below this radius the kernel's radial derivative uses its Maclaurin series:
 # the Bessel form cancels toward the peak and would lose digits there.
@@ -202,7 +207,7 @@ def identity_node_table(grid, n_r, n_theta) -> NodeTable:
     rows = np.stack([np.zeros(grid.ny), grid.ys - center[1]], axis=1)
     wex = weights * point_spectra(columns, np.eye(grid.nx), k)
     ey = np.ascontiguousarray(point_spectra(rows, np.eye(grid.ny), k).view(np.float64).T)
-    return NodeTable(k, edge_factor, wex, ey)
+    return NodeTable(k, edge_factor, wex, ey, center)
 
 
 def two_buffer_phasor_sums(coef, tables, num_nodes):
@@ -223,3 +228,40 @@ def two_buffer_phasor_sums(coef, tables, num_nodes):
     out.real = sums[0].reshape(out.shape)
     out.imag = np.multiply(sums[1], 2.0, out=sums[1]).reshape(out.shape)
     return out
+
+
+def relative_curve_spectrum(points, steps, sign, nodes):
+    """`optics.curve_spectrum` of Gauss points (Q, 2) given relative to the grid center."""
+    return boundary_spectrum(point_spectra(points, steps, nodes.k), sign, nodes)
+
+
+def relative_curve_gradient(rule, points, steps, sign, nodes, adjoint):
+    """`gradient.curve_gradient` of Gauss points (Q, 2) given relative to the grid center."""
+    kx, ky = nodes.k
+    turned = np.stack([-ky, kx])
+    factors = np.concatenate([turned[None], -1j * turned[:, None] * nodes.k])  # (3, axis, K)
+    factors *= sign * nodes.edge_factor * adjoint
+    sums = point_spectra(nodes.k.T, np.stack([factors.real, factors.imag]), points.T)
+    sums = sums[0].real - sums[1].imag  # (3, axis, Q): dJ/d(dr), then dJ/dg's factors of dx and of dy
+    moved = steps[0] * sums[1] + steps[1] * sums[2]  # dJ/dg (axis, Q)
+    return rule.basis.T @ moved.T + rule.slope.T @ (rule.weights * sums[0]).T
+
+
+def relative_bumped_spectra(base, rows, points, steps, signs, nodes):
+    """`optics.bumped_curve_spectra` of a base curve (Q, 2) and moved rows' points (C, s, 2), both relative to the grid center.
+
+    The table of the base curve's phasors is formed here; each curve's rows
+    are written into it, its steps contracted block by block, the rows put
+    back, and the point spectra take their `boundary_spectrum`.
+    """
+    size = nodes.k.shape[1]
+    table = phasors(base, nodes.k, np.empty((3, len(base), size)))
+    moved = phasors(points.reshape(-1, 2), nodes.k, np.empty((3, rows.size, size))).reshape(2, *rows.shape, size)
+    spectra = np.empty((*steps.shape[:-1], size), dtype=complex)
+    for i, (moved_rows, own) in enumerate(zip(rows, steps)):
+        kept = table[:, moved_rows]
+        table[:, moved_rows] = moved[:, i]
+        spectra[i] = phasor_sums(own, (table[:, start:start + optics.POINT_BLOCK]
+                                       for start in range(0, table.shape[1], optics.POINT_BLOCK)), size)
+        table[:, moved_rows] = kept
+    return boundary_spectrum(spectra, signs, nodes)

@@ -9,7 +9,10 @@ its steps, its `evaluate` calls (the initial one included), the chain's final
 over initial J and its final EPE, and the same two figures for the written
 `mask_final.json` controls imaged as POLYGON_VERTICES-gons through the exact
 polygon spectrum (`tests/polygon_spectrum.py`). Both ratios divide by the
-chain's initial J, so they differ only by how the final mask is imaged.
+chain's initial J, so they differ only by how the final mask is imaged. The
+last column counts the pairs of final regions whose POLYGON_VERTICES-gons
+meet (`geometry.loops_overlap`): the chain adds region spectra, so a mask
+whose regions overlap images their shared area twice.
 
 The members: the desk problem (the criterion-9 square) and four copies of it
 moved whole, grid origin and target; an L-shape; the two-rectangle `gradcheck`
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from splinemask import cli, optimizer
+from splinemask.geometry import loops_overlap
 from splinemask.objective import objective_value, print_and_epe
 from splinemask.optics import AmplitudeField, node_table
 from splinemask.spline import PeriodicSplineRegion, evaluate_curve
@@ -93,23 +97,26 @@ MEMBERS = {
     },
 }
 
-FIELDS = ("steps", "evaluations", "J_ratio", "EPE", "J_ratio_1600", "EPE_1600")
+FIELDS = ("steps", "evaluations", "J_ratio", "EPE", "J_ratio_1600", "EPE_1600", "overlaps")
 
 
-def polygon_scored(config: Path, mask: Path) -> tuple[float, int]:
-    """J and EPE of the written mask's controls, each region imaged as its POLYGON_VERTICES-gon."""
+def polygon_scored(config: Path, mask: Path) -> tuple[float, int, int]:
+    """J and EPE of the written mask's controls, each region imaged as its POLYGON_VERTICES-gon, and how many pairs of those meet."""
     optical, problem, _, _, _ = cli.build_setup(cli.load_config(config))
     grid = problem.grid
     u = np.zeros((grid.nx, grid.ny))
+    loops = []
     for spec in json.loads(mask.read_text())["regions"]:
         controls = optical.normalize_mask(np.array(spec["controls_nm"]))
         region = PeriodicSplineRegion(controls, spec["num_samples"], spec["degree"])
         loop = evaluate_curve(region, np.arange(POLYGON_VERTICES) / POLYGON_VERTICES)
         nodes = node_table(grid, loop)
         u += nodes.synthesize(polygon_spectrum(loop - grid.center, nodes))
+        loops.append(loop)
     intensity = AmplitudeField(u).intensity_values
+    overlaps = sum(loops_overlap(loops[i], later) for i in range(len(loops)) for later in loops[i + 1:])
     return (objective_value(intensity, problem.target, problem.model, grid),
-            print_and_epe(intensity, problem.target, problem.model).epe_count)
+            print_and_epe(intensity, problem.target, problem.model).epe_count, overlaps)
 
 
 def run_member(name: str, work: Path) -> dict:
@@ -131,10 +138,10 @@ def run_member(name: str, work: Path) -> dict:
         raise RuntimeError(f"{name}: optimize exited {code}")
     summary = json.loads((out / "summary.json").read_text())
     initial = summary["initial"]["J"]
-    j_polygon, epe_polygon = polygon_scored(config, out / "mask_final.json")
+    j_polygon, epe_polygon, overlaps = polygon_scored(config, out / "mask_final.json")
     return {"steps": summary["iterations"], "evaluations": len(calls),
             "J_ratio": summary["final"]["J"] / initial, "EPE": summary["final"]["epe_count"],
-            "J_ratio_1600": j_polygon / initial, "EPE_1600": epe_polygon}
+            "J_ratio_1600": j_polygon / initial, "EPE_1600": epe_polygon, "overlaps": overlaps}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             row = run_member(name, Path(work))
             print(f"{name:<12}{row['steps']:>14d}{row['evaluations']:>14d}{row['J_ratio']:>14.6f}"
-                  f"{row['EPE']:>14d}{row['J_ratio_1600']:>14.6f}{row['EPE_1600']:>14d}", flush=True)
+                  f"{row['EPE']:>14d}{row['J_ratio_1600']:>14.6f}{row['EPE_1600']:>14d}{row['overlaps']:>14d}",
+                  flush=True)
     return 0
 
 

@@ -18,6 +18,8 @@ def test_the_family_command_prints_each_field_of_the_desk_member(capsys):
     assert int(fields["EPE"]) == int(fields["EPE_1600"])
     # the chain's curve image and the 1600-gon's exact image of one mask agree in J to 1e-4
     assert float(fields["J_ratio_1600"]) == pytest.approx(float(fields["J_ratio"]), rel=1e-4)
+    # one region, so no pair of regions to overlap
+    assert int(fields["overlaps"]) == 0
 
 
 def test_the_family_command_names_its_members_on_an_unknown_one(capsys):

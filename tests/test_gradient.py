@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -32,7 +33,8 @@ from splinemask.pipeline import (
 from splinemask.spline import PeriodicSplineRegion, build_collocation, curve_rule
 
 from conftest import desk_square_problem, square_region
-from direct_sum import airy_kernel_radial_derivative, direct_curve_amplitude, forward_curve_gradient
+from direct_sum import (airy_kernel_radial_derivative, direct_curve_amplitude, forward_curve_gradient,
+                        relative_bumped_spectra, relative_curve_gradient, relative_curve_spectrum)
 
 QUAD = TriangleQuadrature.degree3()
 
@@ -441,26 +443,27 @@ def node_count_changes(problem, evaluation, step):
 
 
 def recorded_phasors(monkeypatch):
-    """Record each `phasors` call, its caller's module name, points and wave vectors, where `optics` and `pipeline` call it."""
+    """Record each `phasors` call: the `optics` function that made it, its points and its wave vectors."""
     calls = []
-    for module in (optics, pipeline):
-        def recorded(points, k, work, kernel=module.phasors, name=module.__name__.rsplit(".", 1)[1]):
-            calls.append((name, points.copy(), k))
-            return kernel(points, k, work)
 
-        monkeypatch.setattr(module, "phasors", recorded)
+    def recorded(points, k, work, kernel=optics.phasors):
+        calls.append((sys._getframe(1).f_code.co_qualname.split(".")[0], points.copy(), k))
+        return kernel(points, k, work)
+
+    monkeypatch.setattr(optics, "phasors", recorded)
     return calls
 
 
 def assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls):
     """The twin's phasor work, with its node tables cached: each node-count group forms every region's base curve once, and nothing else but moved rows.
 
-    A group of region r's bumps forms region r's phasor table in `pipeline`,
-    all Q Gauss points at once, and each other region's base curve in
-    `optics`, for its spectrum, in blocks of at most `optics.POINT_BLOCK`
-    points, all at the group's own wave vectors. Every other call forms only
-    the rows its bumps move: s = `CurveRule.support` rows a bump, 4n bumps a
-    region.
+    A group of region r's bumps forms region r's phasor table in
+    `optics.curve_phasors`, all Q Gauss points at once, and each other
+    region's base curve in `optics.point_spectra`, for its spectrum, in
+    blocks of at most `optics.POINT_BLOCK` points, all at the group's own
+    wave vectors. Every other call, a `curve_phasors` call of
+    `optics.bumped_curve_spectra`, forms only the rows its bumps move:
+    s = `CurveRule.support` rows a bump, 4n bumps a region.
     """
     systems = evaluation.systems
     base = [s.curve[0] - problem.grid.center for s in systems]
@@ -475,14 +478,15 @@ def assert_phasors_formed_only_at_moved_rows(problem, evaluation, calls):
 
     tables, rows, moved = [], {}, 0
     for name, points, k in calls:
-        region = base_region(points, name == "pipeline")
-        if name == "pipeline":
+        assert name in ("curve_phasors", "point_spectra")
+        region = base_region(points, name == "curve_phasors")
+        if name == "point_spectra":
             assert region is not None
-            tables.append((region, id(k)))
+            rows[region, id(k)] = rows.get((region, id(k)), 0) + len(points)
         elif region is None:
             moved += len(points)
         else:
-            rows[region, id(k)] = rows.get((region, id(k)), 0) + len(points)
+            tables.append((region, id(k)))
     assert len(set(tables)) == len(tables) and {r for r, _ in tables} == set(range(len(systems)))
     want = {}
     for r, k in tables:
@@ -642,6 +646,37 @@ def test_finite_differences_match_full_reimaging_bitwise_across_reaches(desk_squ
         assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("layout, step, groups", [
+    ("three reaches", 1e-6, [1, 1, 1]),
+    ("three reaches", 0.1, [1, 1, 3]),  # some of the far ring's bumps cross its node count, either way
+    ("two squares", 0.2, [2, 2]),
+])
+def test_finite_differences_take_each_bumps_table_by_the_one_node_count_rule(desk_square, monkeypatch, layout, step,
+                                                                             groups):
+    # the twin asks `optics.node_table_groups` once per region for the tables
+    # of all its bumps, and each bump's table is the one `node_counts` sizes
+    # from its Gauss points and the other regions', bump by bump
+    cfg, problem, region = desk_square
+    grid = problem.grid
+    evaluation = evaluate(problem, three_reach_regions() if layout == "three reaches" else two_regions(region))
+    calls, kernel = [], optics.node_table_groups
+
+    def recorded(grid, stack, *point_sets):
+        calls.append((stack, point_sets, kernel(grid, stack, *point_sets)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pipeline, "node_table_groups", recorded)
+    finite_difference_gradient(problem, evaluation, step=step)
+    assert [len(found) for _, _, found in calls] == groups
+    for r, (stack, point_sets, found) in enumerate(calls):
+        others = [s.curve[0] for i, s in enumerate(evaluation.systems) if i != r]
+        assert len(point_sets) == len(others) and all(p is o for p, o in zip(point_sets, others))
+        assert sorted(b for _, members in found for b in members) == list(range(4 * evaluation.systems[r].region.n))
+        for nodes, members in found:
+            for b in members:
+                assert nodes is optics.node_table_at(grid, *optics.node_counts(grid, stack[b], *others))
+
+
 @pytest.mark.parametrize("side, region", [
     (2, ring_region(64, 0.6, 128, degree=60)),  # the moved rows: 305 Gauss points a bump at K 92
     (512, ring_region(12, 0.002, 24)),  # the image stacks: 8 MiB a bump at K 8
@@ -677,7 +712,7 @@ def test_loop_kernels_share_no_state_across_threads(desk_square):
         points, steps = system.curve
         nodes = optics.node_table(grid, points)
         return (optics.curve_amplitude([(points, steps, system.orientation)], grid).tobytes(),
-                gradient.curve_gradient(curve_rule(region), points - grid.center, steps, system.orientation, nodes,
+                gradient.curve_gradient(curve_rule(region), points, steps, system.orientation, nodes,
                                         nodes.adjoint(weight)).tobytes())
 
     want = run()
@@ -715,7 +750,7 @@ def test_curve_gradient_matches_central_differences_of_the_spectrum_pairing(desk
 
     def value(controls):
         points, steps = rule.basis @ controls, rule.weights * (controls.T @ rule.slope.T)
-        return np.real(pairing @ optics.curve_spectrum(points - grid.center, steps, system.orientation, nodes))
+        return np.real(pairing @ optics.curve_spectrum(points, steps, system.orientation, nodes))
 
     step = 1e-6
     controls = system.region.controls
@@ -725,8 +760,7 @@ def test_curve_gradient_matches_central_differences_of_the_spectrum_pairing(desk
         bumped[0][i, c] += step
         bumped[1][i, c] -= step
         want[i, c] = (value(bumped[0]) - value(bumped[1])) / (2 * step)
-    got = gradient.curve_gradient(rule, system.curve[0] - grid.center, system.curve[1], system.orientation, nodes,
-                                  pairing)
+    got = gradient.curve_gradient(rule, *system.curve, system.orientation, nodes, pairing)
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
@@ -752,9 +786,55 @@ def test_curve_gradient_matches_the_forward_derivative_spectra(data):
     weight = rng.normal(size=(nx, ny))
     points, steps = rule.curve(controls)
     nodes = optics.node_table(grid, points)
-    got = gradient.curve_gradient(rule, points - grid.center, steps, sign, nodes, nodes.adjoint(weight))
+    got = gradient.curve_gradient(rule, points, steps, sign, nodes, nodes.adjoint(weight))
     want = forward_curve_gradient(rule, points, steps, sign, grid, weight)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_curve_kernels_take_their_frame_from_the_node_table_bitwise(data):
+    # a jittered ring of controls of degree 1-5 beside a grid of drawn size,
+    # pitch and origin, in normalized units: the curve spectrum, its
+    # gradient and the bumped curve spectra of the Gauss points as the
+    # regions hold them are bit for bit the hand-composed kernels of the
+    # points relative to the grid center, and each bumped spectrum is bit for
+    # bit the bumped curve's own spectrum
+    degree = data.draw(st.integers(1, 5), label="degree")
+    n = data.draw(st.integers(degree + 2, 16), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    nx, ny = data.draw(st.integers(2, 24), label="nx"), data.draw(st.integers(2, 24), label="ny")
+    pitch = data.draw(st.floats(0.01, 0.2), label="pitch")
+    origin = data.draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)), label="origin")
+    sign = data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+    rng = np.random.default_rng(seed)
+    grid = ImageGrid(nx, ny, pitch, origin)
+    theta = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    radius = rng.uniform(0.1, 1.0) * (1.0 + rng.uniform(-0.2, 0.2, n))
+    controls = (grid.center + rng.uniform(-2.0, 2.0, 2)
+                + radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    rule = curve_rule(PeriodicSplineRegion(controls, 2 * n, degree))
+    points, steps = rule.curve(controls)
+    nodes = optics.node_table(grid, points)
+    relative = points - grid.center
+    assert (optics.curve_spectrum(points, steps, sign, nodes).tobytes()
+            == relative_curve_spectrum(relative, steps, sign, nodes).tobytes())
+    adjoint = nodes.adjoint(rng.normal(size=(nx, ny)))
+    assert (gradient.curve_gradient(rule, points, steps, sign, nodes, adjoint).tobytes()
+            == relative_curve_gradient(rule, relative, steps, sign, nodes, adjoint).tobytes())
+    moved = rng.integers(0, n, 3)
+    bumped = np.broadcast_to(controls, (3, n, 2)).copy()
+    bumped[np.arange(3), moved] += rng.normal(scale=0.05, size=(3, 2))
+    bumped_points, bumped_steps = rule.curve(bumped)
+    rows = rule.support[moved]
+    signs = rng.choice([1.0, -1.0], 3)
+    got = optics.bumped_curve_spectra(optics.curve_phasors(points, nodes), rows,
+                                      bumped_points[np.arange(3)[:, None], rows], bumped_steps, signs, nodes)
+    want = relative_bumped_spectra(relative, rows, (bumped_points - grid.center)[np.arange(3)[:, None], rows],
+                                   bumped_steps, signs, nodes)
+    assert got.tobytes() == want.tobytes()
+    for spectrum, own, own_steps, own_sign in zip(got, bumped_points, bumped_steps, signs):
+        assert spectrum.tobytes() == optics.curve_spectrum(own, own_steps, own_sign, nodes).tobytes()
 
 
 def test_frozen_evaluation_matches_fresh_at_same_controls(desk_square):

@@ -4,9 +4,12 @@ No module imports a name it never reads; the package `__init__.py` is
 skipped, as its imports are the public re-exports. No package module defines
 a function or class at module level that nothing in the package reads, the
 re-exports counting as reads, so package code whose last caller goes fails
-here. And no package module imports scipy when it is loaded: the CLI runs on
+here. No package module imports scipy when it is loaded: the CLI runs on
 numpy alone, and scipy is imported inside the library functions that need
-it.
+it. And `pipeline` keeps none of the curve spectrum's frame: it reads no grid
+center and takes no phasor, point-spectrum, boundary-spectrum or node-count
+kernel from `optics`, whose curve kernels take Gauss points as the regions
+hold them.
 """
 import ast
 from pathlib import Path
@@ -119,3 +122,37 @@ def test_load_time_imports_finds_planted_imports():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_package_module_imports_scipy_when_loaded(path):
     assert "scipy" not in load_time_imports(path.read_text())
+
+
+# the kernels of `optics` behind its curve kernels and node tables
+FRAME_KERNELS = {"phasors", "point_spectra", "boundary_spectrum", "node_counts", "node_table_at"}
+
+
+def frame_reads(source: str) -> list[str]:
+    """`line: name` of each read of a `.center` attribute, and of each FRAME_KERNELS name imported from or read off `optics`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "center":
+            found.append(f"{node.lineno}: .center")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "optics" \
+                and node.attr in FRAME_KERNELS:
+            found.append(f"{node.lineno}: optics.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "optics":
+            found.extend(f"{node.lineno}: {alias.name}" for alias in node.names if alias.name in FRAME_KERNELS)
+    return sorted(found)
+
+
+def test_frame_reads_finds_planted_reads():
+    source = (
+        "from .optics import curve_spectrum, phasors\n"
+        "from splinemask.optics import node_table, node_counts as counts\n"
+        "from . import optics\n"
+        "def image(grid, points):\n"
+        "    g = points - grid.center\n"
+        "    return optics.point_spectra(g), optics.node_table(grid, points), center\n"
+    )
+    assert frame_reads(source) == ["1: phasors", "2: node_counts", "5: .center", "6: optics.point_spectra"]
+
+
+def test_pipeline_keeps_no_curve_spectrum_frame():
+    assert frame_reads((ROOT / "src" / "splinemask" / "pipeline.py").read_text()) == []

@@ -423,7 +423,7 @@ def test_curve_spectrum_matches_the_extrapolated_dense_polygons(name):
     for system in evaluate(problem, regions).systems:
         points, steps = system.curve
         nodes = optics.node_table(problem.grid, points)
-        got = optics.curve_spectrum(points - problem.grid.center, steps, system.orientation, nodes)
+        got = optics.curve_spectrum(points, steps, system.orientation, nodes)
         want = extrapolated_polygon_spectrum(system.region, nodes, problem.grid.center)
         assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
 
@@ -571,8 +571,8 @@ def test_the_edge_kernels_and_cis_evaluate_no_sin_or_cos(desk_square, monkeypatc
     monkeypatch.setattr(np, "cos", refuse)
     xs = np.linspace(-5.0, 5.0, 11)
     optics.point_spectra(np.array([[-1.0, 0.0]]), np.ones(1), np.stack([xs, np.zeros_like(xs)]))
-    optics.curve_spectrum(points - problem.grid.center, steps, system.orientation, nodes)
-    gradient.curve_gradient(rule, points - problem.grid.center, steps, system.orientation, nodes, nodes.adjoint(weight))
+    optics.curve_spectrum(points, steps, system.orientation, nodes)
+    gradient.curve_gradient(rule, points, steps, system.orientation, nodes, nodes.adjoint(weight))
 
 
 def test_the_tangent_forms_hold_with_scalar_libm_tan():
@@ -631,10 +631,11 @@ def test_node_table_is_bitwise_the_identity_contraction(nx, ny, pitch, centered,
         got = optics.node_table_at(grid, *counts)
     assert not calls
     want = identity_node_table(grid, *counts)
-    for name in ("k", "edge_factor", "wex", "ey"):
+    for name in ("k", "edge_factor", "wex", "ey", "center"):
         table, reference = getattr(got, name), getattr(want, name)
         assert table.shape == reference.shape and table.tobytes() == reference.tobytes()
     assert got.ey.flags.c_contiguous
+    assert got.center is grid.center  # the frame of the curve kernels, the grid's own read-only center
 
 
 def mp_legendre_rule(n: int) -> tuple[list, list]:
@@ -945,7 +946,7 @@ def test_node_table_build_holds_the_table_and_one_block_of_lines():
         tracemalloc.stop()
     assert peak <= nodes.nbytes + 40 * optics.POINT_BLOCK * nodes.k.shape[1] + 2**19
     want = identity_node_table(grid, *counts)
-    for name in ("k", "edge_factor", "wex", "ey"):
+    for name in ("k", "edge_factor", "wex", "ey", "center"):
         assert getattr(nodes, name).tobytes() == getattr(want, name).tobytes()
 
 
