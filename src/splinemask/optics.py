@@ -418,16 +418,14 @@ class NodeTable:
 
 
 def grid_reach(grid: ImageGrid, points: np.ndarray) -> float:
-    """D, the largest distance between one of the points (..., 2) and a sample of `grid`."""
-    return math.sqrt(_reach_squares(grid, points).max())
+    """D, the largest distance between one of the points (..., 2) and a sample of `grid`.
 
-
-def _reach_squares(grid: ImageGrid, points: np.ndarray) -> np.ndarray:
-    """The squared largest distance between each point (..., 2) and a sample of `grid`, (...); a grid corner reaches it."""
+    For each point it is reached at a grid corner.
+    """
     d = np.abs(points - grid.center)
     d += grid.half_extent
     d *= d
-    return d[..., 0] + d[..., 1]
+    return math.sqrt((d[..., 0] + d[..., 1]).max())
 
 
 # The kept node tables, least recently used first, and the lock that makes
@@ -497,12 +495,10 @@ def node_table(grid: ImageGrid, *point_sets: np.ndarray) -> NodeTable:
 
 def node_table_groups(grid: ImageGrid, stack: np.ndarray,
                       *point_sets: np.ndarray) -> list[tuple[NodeTable, np.ndarray]]:
-    """`node_table(grid, stack[b], *point_sets)` of each set of a stack (B, Q, 2), bit for bit, grouped as (table, set indices) in first-set order."""
-    fixed = [grid_reach(grid, points) for points in point_sets]
+    """`node_table(grid, stack[b], *point_sets)` of each set of a stack (B, Q, 2), grouped as (table, set indices) in first-set order."""
     groups: dict[tuple[int, int], list[int]] = {}
-    # the stack's reaches in one pass, each the float its `grid_reach` would be
-    for b, square in enumerate(_reach_squares(grid, stack).max(axis=1)):
-        groups.setdefault(pupil_node_counts(max([math.sqrt(square), *fixed])), []).append(b)
+    for b, bump in enumerate(stack):
+        groups.setdefault(node_counts(grid, bump, *point_sets), []).append(b)
     return [(node_table_at(grid, *counts), np.array(sets)) for counts, sets in groups.items()]
 
 

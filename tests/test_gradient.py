@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -443,11 +444,20 @@ def node_count_changes(problem, evaluation, step):
 
 
 def recorded_phasors(monkeypatch):
-    """Record each `phasors` call: the `optics` function that made it, its points and its wave vectors."""
+    """Record each `phasors` call: the `optics` function that made it, its points and its wave vectors.
+
+    The caller is known by its code object: `point_spectra` calls `phasors`
+    from a generator expression, whose code is one of `point_spectra`'s
+    constants. Any other caller is recorded by its own code name.
+    """
     calls = []
+    callers = {optics.curve_phasors.__code__: "curve_phasors"}
+    callers.update((code, "point_spectra") for code in optics.point_spectra.__code__.co_consts
+                   if isinstance(code, types.CodeType))
 
     def recorded(points, k, work, kernel=optics.phasors):
-        calls.append((sys._getframe(1).f_code.co_qualname.split(".")[0], points.copy(), k))
+        code = sys._getframe(1).f_code
+        calls.append((callers.get(code, code.co_name), points.copy(), k))
         return kernel(points, k, work)
 
     monkeypatch.setattr(optics, "phasors", recorded)
